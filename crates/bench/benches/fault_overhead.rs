@@ -4,10 +4,16 @@
 //! single never-taken branch), and with a light mixed NoC plan for scale.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use raccd_core::driver::{run_program_faulty, run_program_with};
-use raccd_core::CoherenceMode;
+use raccd_core::{run, CoherenceMode, RunOptions};
 use raccd_sim::{FaultPlan, MachineConfig};
 use raccd_workloads::{all_benchmarks, Scale};
+
+fn with_plan(plan: FaultPlan) -> RunOptions<'static> {
+    RunOptions {
+        faults: Some(plan),
+        ..RunOptions::default()
+    }
+}
 
 fn fault_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("fault_overhead");
@@ -16,11 +22,11 @@ fn fault_overhead(c: &mut Criterion) {
     g.bench_function("no_plane", |b| {
         b.iter(|| {
             let w = &all_benchmarks(Scale::Test)[3]; // Jacobi
-            run_program_with(
+            run(
                 MachineConfig::scaled(),
                 CoherenceMode::Raccd,
                 w.build(),
-                None,
+                RunOptions::default(),
             )
             .stats
             .cycles
@@ -30,12 +36,11 @@ fn fault_overhead(c: &mut Criterion) {
     g.bench_function("zero_rate_plane", |b| {
         b.iter(|| {
             let w = &all_benchmarks(Scale::Test)[3];
-            run_program_faulty(
+            run(
                 MachineConfig::scaled(),
                 CoherenceMode::Raccd,
                 w.build(),
-                FaultPlan::default(),
-                None,
+                with_plan(FaultPlan::default()),
             )
             .stats
             .cycles
@@ -47,12 +52,11 @@ fn fault_overhead(c: &mut Criterion) {
             .expect("valid spec");
         b.iter(|| {
             let w = &all_benchmarks(Scale::Test)[3];
-            run_program_faulty(
+            run(
                 MachineConfig::scaled(),
                 CoherenceMode::Raccd,
                 w.build(),
-                plan,
-                None,
+                with_plan(plan),
             )
             .stats
             .cycles

@@ -4,8 +4,7 @@
 //! are a single branch on a niche-optimised `Option<&mut Recorder>`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use raccd_core::driver::run_program_with;
-use raccd_core::CoherenceMode;
+use raccd_core::{run, CoherenceMode, RunOptions};
 use raccd_obs::{Recorder, RecorderConfig};
 use raccd_sim::MachineConfig;
 use raccd_workloads::{all_benchmarks, Scale};
@@ -17,11 +16,11 @@ fn telemetry(c: &mut Criterion) {
     g.bench_function("disabled", |b| {
         b.iter(|| {
             let w = &all_benchmarks(Scale::Test)[3]; // Jacobi
-            run_program_with(
+            run(
                 MachineConfig::scaled(),
                 CoherenceMode::Raccd,
                 w.build(),
-                None,
+                RunOptions::default(),
             )
             .stats
             .cycles
@@ -34,9 +33,11 @@ fn telemetry(c: &mut Criterion) {
             let mut cfg = MachineConfig::scaled();
             cfg.record_events = true;
             let mut rec = Recorder::new(RecorderConfig::default());
-            run_program_with(cfg, CoherenceMode::Raccd, w.build(), Some(&mut rec))
-                .stats
-                .cycles
+            let opts = RunOptions {
+                recorder: Some(&mut rec),
+                ..RunOptions::default()
+            };
+            run(cfg, CoherenceMode::Raccd, w.build(), opts).stats.cycles
         })
     });
 

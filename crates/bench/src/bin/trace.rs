@@ -102,7 +102,8 @@ fn main() {
             driver.completed_tasks(),
             driver.next_time().unwrap_or(0)
         );
-        driver.finish_engine(engine, Some(&mut rec))
+        driver.set_engine(engine);
+        driver.finish(Some(&mut rec))
     } else {
         let mut driver = Driver::new(cfg, mode, program, None, Some(&mut rec));
         if profile {
@@ -119,7 +120,8 @@ fn main() {
                 snap.content_hash()
             );
         }
-        driver.finish_engine(engine, Some(&mut rec))
+        driver.set_engine(engine);
+        driver.finish(Some(&mut rec))
     };
     let wall = t0.elapsed().as_secs_f64();
 

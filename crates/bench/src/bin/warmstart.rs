@@ -52,7 +52,8 @@ fn cell(out: &DriverOutput) -> Cell {
 /// which is what makes them comparable run-for-run.
 fn finish_seeded(mut driver: Driver, seed: u64, engine: Engine) -> DriverOutput {
     driver.reseed_faults(seed);
-    driver.finish_engine(engine, None)
+    driver.set_engine(engine);
+    driver.finish(None)
 }
 
 fn main() {

@@ -270,37 +270,11 @@ pub fn matrix_metrics(tag: &str, results: &[JobResult], wall_seconds: f64) -> Ru
 /// combination — the thread-count regression test pins the serial value
 /// as a golden and asserts every parallel sweep reproduces it.
 pub fn sweep_checksum(results: &[JobResult]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    for r in results {
-        let s = &r.result.stats;
-        for v in [
-            s.cycles,
-            s.l1_hits,
-            s.l1_misses,
-            s.tlb_hits,
-            s.tlb_misses,
-            s.dir_accesses,
-            s.llc_hits,
-            s.llc_misses,
-            s.invalidations_sent,
-            s.nc_fills,
-            s.coherent_fills,
-            s.noc_traffic,
-            s.mem_reads,
-            s.mem_writes,
-            s.tasks_executed,
-            s.refs_processed,
-        ] {
-            fold(v);
-        }
-    }
-    h
+    let folded: Vec<u8> = results
+        .iter()
+        .flat_map(|r| r.result.stats.protocol_counters_le())
+        .collect();
+    raccd_snap::fnv1a64(&folded)
 }
 
 /// Artifact subdirectory name for one job's telemetry.

@@ -33,40 +33,17 @@ pub mod spec;
 
 pub use ledger::{JobDigest, JobStatus, Ledger, LedgerState, Record, RecoveredJob};
 pub use pool::{CancelToken, PoolCtx, PoolTask, WorkerPool};
+pub use raccd_snap::fnv1a64;
 pub use service::{
     execute_job_direct, Campaign, CampaignConfig, CampaignReport, ReconcileReport, SubmitSummary,
 };
 pub use snappool::{SnapPoolStats, SnapshotPool};
-pub use spec::{fnv1a64, mode_label, parse_mode, JobKey, JobSpec};
+pub use spec::{mode_label, parse_mode, JobKey, JobSpec};
 
-/// FNV-1a-64 over the full protocol-visible counter set of a run — the
-/// same sixteen counters (in the same order) as `raccd-bench`'s sweep
-/// checksum, so campaign digests and bench checksums witness the same
-/// state.
+/// FNV-1a-64 over the protocol-visible counter set of a run
+/// ([`raccd_sim::Stats::protocol_counters_le`]) — the counters
+/// `raccd-bench`'s sweep checksum folds, so campaign digests and bench
+/// checksums witness the same state.
 pub fn stats_digest(s: &raccd_sim::Stats) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in [
-        s.cycles,
-        s.l1_hits,
-        s.l1_misses,
-        s.tlb_hits,
-        s.tlb_misses,
-        s.dir_accesses,
-        s.llc_hits,
-        s.llc_misses,
-        s.invalidations_sent,
-        s.nc_fills,
-        s.coherent_fills,
-        s.noc_traffic,
-        s.mem_reads,
-        s.mem_writes,
-        s.tasks_executed,
-        s.refs_processed,
-    ] {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
+    fnv1a64(&s.protocol_counters_le())
 }

@@ -31,7 +31,7 @@ use crate::pool::{panic_message, CancelToken, PoolCtx, PoolTask, WorkerPool};
 use crate::snappool::{SnapPoolStats, SnapshotPool};
 use crate::spec::{JobKey, JobSpec};
 use crate::stats_digest;
-use raccd_core::{Driver, Engine, SupervisedEnd};
+use raccd_core::{Driver, Engine};
 use raccd_fault::{Backoff, Watchdog};
 use raccd_obs::json::Obj;
 use raccd_obs::{CampaignAction, Event};
@@ -529,7 +529,11 @@ fn execute_job(
 /// Shared tail of the warm and cold execution paths: reseed the fault
 /// plane at the warm-up boundary (the convention `warmstart` proves
 /// bit-identical between restored and cold drivers) and run to the end
-/// under supervision.
+/// under supervision: between slices of at most `slice` heap cycles the
+/// cancel token and the per-job progress watchdog are polled on the
+/// simulating thread. An abort stops the driver at a slice boundary and
+/// drops it whole — mid-program it cannot be torn down into output — so
+/// an aborted attempt yields nothing, exactly like a crash at that point.
 fn finish_supervised(
     mut driver: Driver,
     seed: u64,
@@ -542,13 +546,17 @@ fn finish_supervised(
     let started = Instant::now();
     let mut watchdog = (timeout_ms > 0).then(|| Watchdog::new(timeout_ms));
     let mut last_done = 0usize;
-    let (end, state_key, out) = driver.finish_engine_supervised(engine, slice, |d| {
+    driver.set_engine(engine);
+    while let Some(t) = driver.next_time() {
+        if !driver.run_until(t.saturating_add(slice.max(1)), None) {
+            break;
+        }
         if cancel.is_some_and(CancelToken::cancelled) {
             return Err("cancelled".into());
         }
         if let Some(w) = watchdog.as_mut() {
             let now = started.elapsed().as_millis() as u64;
-            let done = d.completed_tasks();
+            let done = driver.completed_tasks();
             if done > last_done {
                 last_done = done;
                 w.note_progress(now);
@@ -557,23 +565,18 @@ fn finish_supervised(
                 return Err(format!("timeout: no task retired within {timeout_ms}ms"));
             }
         }
-        Ok(())
-    });
-    match end {
-        SupervisedEnd::Aborted(reason) => Err(reason),
-        SupervisedEnd::Completed => {
-            let out = out.expect("completed supervised run yields output");
-            if let Some(d) = out.fault.as_ref().and_then(|f| f.detected) {
-                return Err(format!("detected: {d:?}"));
-            }
-            Ok(JobDigest {
-                cycles: out.stats.cycles,
-                tasks: out.stats.tasks_executed,
-                stats_digest: stats_digest(&out.stats),
-                state_key,
-            })
-        }
     }
+    let state_key = driver.shadow_state_key();
+    let out = driver.finish(None);
+    if let Some(d) = out.fault.as_ref().and_then(|f| f.detected) {
+        return Err(format!("detected: {d:?}"));
+    }
+    Ok(JobDigest {
+        cycles: out.stats.cycles,
+        tasks: out.stats.tasks_executed,
+        stats_digest: stats_digest(&out.stats),
+        state_key,
+    })
 }
 
 /// The serial oracle for the differential suite: execute `(spec, seed)`

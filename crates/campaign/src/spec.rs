@@ -11,6 +11,7 @@
 use raccd_core::{CoherenceMode, Engine};
 use raccd_fault::FaultPlan;
 use raccd_sim::{MachineConfig, ProtocolKind, SchedKind, Topology};
+use raccd_snap::fnv1a64;
 use raccd_workloads::Scale;
 
 /// The unit of dedup and ledger accounting: one seeded execution of one
@@ -61,16 +62,6 @@ pub struct JobSpec {
     pub seed_lo: u64,
     /// Last seed of the sweep (inclusive).
     pub seed_hi: u64,
-}
-
-/// FNV-1a-64 over a byte string.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Canonical mode label used in spec lines (round-trips through

@@ -25,8 +25,7 @@
 use crate::diff::first_mem_diff;
 use crate::taskgen::{GraphParams, RandomGraph};
 use crate::trace::dump_dir;
-use raccd_core::driver::{run_program_faulty, run_program_with};
-use raccd_core::{CoherenceMode, DetectReason, FaultReport};
+use raccd_core::{run, CoherenceMode, DetectReason, FaultReport, RunOptions};
 use raccd_mem::SimMemory;
 use raccd_sim::{CheckReport, FaultPlan, MachineConfig};
 use std::cell::RefCell;
@@ -200,11 +199,11 @@ struct Twin {
 fn run_twin(cfg: MachineConfig, params: GraphParams) -> Twin {
     let log = Rc::new(RefCell::new(Vec::new()));
     let program = RandomGraph::new(params).build_logged(Rc::clone(&log));
-    let out = run_program_with(
+    let out = run(
         cfg.with_shadow_collect(true),
         CoherenceMode::Raccd,
         program,
-        None,
+        RunOptions::default(),
     );
     let mut reads = log.borrow().clone();
     reads.sort();
@@ -227,12 +226,15 @@ fn run_one(
 ) -> CampaignOutcome {
     let log = Rc::new(RefCell::new(Vec::new()));
     let program = RandomGraph::new(params).build_logged(Rc::clone(&log));
-    let out = run_program_faulty(
+    let opts = RunOptions {
+        faults: Some(plan),
+        ..RunOptions::default()
+    };
+    let out = run(
         cfg.with_shadow_collect(true),
         CoherenceMode::Raccd,
         program,
-        plan,
-        None,
+        opts,
     );
     let report = out.fault;
     let spec = plan.to_spec();

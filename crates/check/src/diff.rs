@@ -13,8 +13,7 @@
 //!    violations, no excused stale reads, no NC/coherent write races.
 
 use crate::taskgen::{GraphParams, RandomGraph};
-use raccd_core::driver::run_program_with;
-use raccd_core::CoherenceMode;
+use raccd_core::{run, CoherenceMode, RunOptions};
 use raccd_mem::SimMemory;
 use raccd_sim::{CheckReport, MachineConfig};
 use std::cell::RefCell;
@@ -99,7 +98,12 @@ fn run_one(
 ) -> (SimMemory, Vec<(String, u64)>, Option<CheckReport>) {
     let log = Rc::new(RefCell::new(Vec::new()));
     let program = RandomGraph::new(params).build_logged(Rc::clone(&log));
-    let out = run_program_with(cfg.with_shadow_check(true), mode, program, None);
+    let out = run(
+        cfg.with_shadow_check(true),
+        mode,
+        program,
+        RunOptions::default(),
+    );
     let mut reads = log.borrow().clone();
     reads.sort();
     (out.mem, reads, out.check)

@@ -9,8 +9,7 @@
 //!   it) exhausts the rollback budget and surfaces the detection.
 
 use raccd_check::{bisect_divergence, BisectSide, GraphParams, RandomGraph};
-use raccd_core::driver::run_program_resilient;
-use raccd_core::{CoherenceMode, DetectReason, RollbackPolicy};
+use raccd_core::{run_resilient, CoherenceMode, DetectReason, RollbackPolicy};
 use raccd_runtime::Program;
 use raccd_sim::{FaultPlan, MachineConfig};
 
@@ -88,7 +87,7 @@ fn rollback_recovers_a_detected_drop_storm() {
         checkpoint_interval: 2_000,
         max_rollbacks: 5,
     };
-    let out = run_program_resilient(
+    let out = run_resilient(
         MachineConfig::scaled(),
         CoherenceMode::Raccd,
         &make,
@@ -120,7 +119,7 @@ fn rollback_gives_up_when_the_fault_is_in_every_checkpoint() {
         checkpoint_interval: 1,
         max_rollbacks: 3,
     };
-    let out = run_program_resilient(
+    let out = run_resilient(
         MachineConfig::scaled(),
         CoherenceMode::Raccd,
         &make,
@@ -153,7 +152,7 @@ fn rollback_without_a_checkpoint_surfaces_detection_immediately() {
         checkpoint_interval: 500,
         max_rollbacks: 3,
     };
-    let out = run_program_resilient(
+    let out = run_resilient(
         MachineConfig::scaled(),
         CoherenceMode::Raccd,
         &make,

@@ -7,8 +7,7 @@
 //! zero violations across every load/store of the whole program, plus a
 //! clean final mirror-versus-machine audit from `Machine::finalize`.
 
-use raccd_core::driver::run_program_with;
-use raccd_core::{CoherenceMode, Experiment};
+use raccd_core::{run, CoherenceMode, Experiment, RunOptions};
 use raccd_runtime::Workload;
 use raccd_sim::MachineConfig;
 use raccd_workloads::{cholesky::Cholesky, histo::Histo, jacobi::Jacobi, Scale};
@@ -18,7 +17,7 @@ fn shadow_cfg() -> MachineConfig {
 }
 
 fn run_checked(w: &dyn Workload, cfg: MachineConfig, mode: CoherenceMode) {
-    let out = run_program_with(cfg, mode, w.build(), None);
+    let out = run(cfg, mode, w.build(), RunOptions::default());
     let report = out
         .check
         .expect("shadow checker must have been attached and produce a report");

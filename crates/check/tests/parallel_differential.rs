@@ -10,7 +10,7 @@
 //! counterexample recipe to `$RACCD_CHECK_DUMP_DIR` (or
 //! `target/raccd-check-counterexamples/`).
 
-use raccd_core::{CoherenceMode, Driver, DriverOutput, Engine, Recorder};
+use raccd_core::{run, CoherenceMode, Driver, DriverOutput, Engine, Recorder, RunOptions};
 use raccd_runtime::Workload;
 use raccd_sim::{FaultPlan, MachineConfig};
 use raccd_workloads::{cholesky::Cholesky, histo::Histo, jacobi::Jacobi, Scale};
@@ -68,8 +68,11 @@ fn run_engine(
     plan: Option<FaultPlan>,
 ) -> EngineRun {
     let mut rec = Recorder::default();
-    let driver = Driver::new(cfg, mode, w.build(), plan, Some(&mut rec));
-    let (key, out) = driver.finish_engine_keyed(engine, Some(&mut rec));
+    let mut driver = Driver::new(cfg, mode, w.build(), plan, Some(&mut rec));
+    driver.set_engine(engine);
+    while driver.step(Some(&mut rec)) {}
+    let key = driver.shadow_state_key();
+    let out = driver.finish(Some(&mut rec));
     EngineRun { key, out, rec }
 }
 
@@ -234,15 +237,13 @@ fn parallel_engine_actually_speculates() {
     use raccd_prof::Site;
     let w = Histo::new(Scale::Test);
     let mut rec = Recorder::default();
-    let mut driver = Driver::new(
-        quad_core(),
-        CoherenceMode::Raccd,
-        w.build(),
-        None,
-        Some(&mut rec),
-    );
-    driver.attach_prof();
-    let (_, out) = driver.finish_engine_keyed(Engine::EpochParallel { threads: 4 }, Some(&mut rec));
+    let opts = RunOptions {
+        recorder: Some(&mut rec),
+        profile: true,
+        faults: None,
+        engine: Engine::EpochParallel { threads: 4 },
+    };
+    let out = run(quad_core(), CoherenceMode::Raccd, w.build(), opts);
     let prof = out.prof.expect("profiler attached");
     let barrier = prof.get(Site::EpochBarrier);
     let merge = prof.get(Site::EpochMerge);

@@ -51,8 +51,11 @@ fn run_engine(
     engine: Engine,
 ) -> EngineRun {
     let mut rec = Recorder::default();
-    let driver = Driver::new(cfg, mode, w.build(), None, Some(&mut rec));
-    let (key, out) = driver.finish_engine_keyed(engine, Some(&mut rec));
+    let mut driver = Driver::new(cfg, mode, w.build(), None, Some(&mut rec));
+    driver.set_engine(engine);
+    while driver.step(Some(&mut rec)) {}
+    let key = driver.shadow_state_key();
+    let out = driver.finish(Some(&mut rec));
     EngineRun { key, out, rec }
 }
 

@@ -62,21 +62,24 @@ fn run_engine(
     engine: Engine,
 ) -> EngineRun {
     let mut rec = Recorder::default();
-    let driver = Driver::new(cfg, mode, w.build(), None, Some(&mut rec));
-    let (key, out) = driver.finish_engine_keyed(engine, Some(&mut rec));
+    let mut driver = Driver::new(cfg, mode, w.build(), None, Some(&mut rec));
+    driver.set_engine(engine);
+    while driver.step(Some(&mut rec)) {}
+    let key = driver.shadow_state_key();
+    let out = driver.finish(Some(&mut rec));
     EngineRun { key, out, rec }
 }
 
 /// FNV-1a-64 over the run's final memory image, allocation by allocation.
 fn mem_checksum(out: &DriverOutput) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for (_, range) in out.mem.allocations().to_vec() {
-        for &b in out.mem.bytes(range.start, range.len as usize) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
+    let image: Vec<u8> = out
+        .mem
+        .allocations()
+        .iter()
+        .flat_map(|(_, range)| out.mem.bytes(range.start, range.len as usize))
+        .copied()
+        .collect();
+    raccd_snap::fnv1a64(&image)
 }
 
 fn dump_dir() -> PathBuf {

@@ -12,8 +12,7 @@ use raccd_check::{
     parse_faulty, replay_faulty, serialize_faulty, write_counterexample_faulty, CheckedMachine,
     GraphParams, RandomGraph, TraceOp,
 };
-use raccd_core::driver::run_program_faulty;
-use raccd_core::{CoherenceMode, DetectReason};
+use raccd_core::{run, CoherenceMode, DetectReason, RunOptions};
 use raccd_sim::{FaultPlan, MachineConfig};
 
 // Smallest legal mesh (the machine requires one core per tile); the
@@ -64,7 +63,11 @@ fn watchdog_fires_on_message_drop_stall() {
     )
     .unwrap();
     let program = RandomGraph::new(GraphParams::small(1)).build();
-    let out = run_program_faulty(two_core_cfg(), CoherenceMode::Raccd, program, plan, None);
+    let opts = RunOptions {
+        faults: Some(plan),
+        ..RunOptions::default()
+    };
+    let out = run(two_core_cfg(), CoherenceMode::Raccd, program, opts);
 
     let report = out.fault.expect("fault report present");
     assert!(

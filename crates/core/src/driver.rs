@@ -17,6 +17,7 @@
 //! on the interleaving being simulated.
 
 use crate::census::Census;
+use crate::engine::{Engine, WorkerPool};
 use crate::mode::CoherenceMode;
 use crate::ncrt::Ncrt;
 use crate::pt::{PageClassifier, PtDecision};
@@ -25,11 +26,11 @@ use crate::tlbclass::TlbClassifier;
 use raccd_mem::{SimMemory, VAddr};
 use raccd_obs::{Event, Gauges, Recorder};
 use raccd_prof::{Prof, ProfReport, Site};
-use raccd_runtime::{MemRef, Program, RetryBook, RetryDecision, TaskCtx, TaskGraph};
+use raccd_runtime::{MemRef, Program, RetryBook, RetryDecision, TaskCtx, TaskGraph, TaskId};
 use raccd_sched::{PreemptRecord, SchedKind, SchedParams, Scheduler};
 use raccd_sim::{
-    CheckEvent, CheckReport, CoherenceEvent, FaultPlan, FaultPlane, L1LookupResult, Machine,
-    MachineConfig, Stats, TimedEvent, Watchdog,
+    CheckEvent, CheckReport, CoherenceEvent, FaultPlan, FaultPlane, HitPrefix, L1LookupResult,
+    Machine, MachineConfig, Stats, TimedEvent, Watchdog,
 };
 use raccd_snap::{SnapError, Snapshot};
 use std::cmp::Reverse;
@@ -51,11 +52,33 @@ fn sched_jitter(core: usize, salt: u64) -> u64 {
 }
 
 pub(crate) struct Running {
-    tid: raccd_runtime::TaskId,
+    tid: TaskId,
     pub(crate) trace: Vec<MemRef>,
     pub(crate) pos: usize,
     /// Fault plane: the trace index at which this attempt aborts, if any.
     pub(crate) fail_at: Option<usize>,
+}
+
+/// The hardware context a turn runs on — thread `tid` of `core` — and the
+/// coherence mode in force for what the turn starts
+/// ([`Driver::effective_mode`]).
+#[derive(Clone, Copy)]
+struct Turn {
+    ctx: usize,
+    core: usize,
+    tid: u8,
+    mode: CoherenceMode,
+}
+
+/// Why [`Driver::flush_nc`] runs `raccd_invalidate`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum FlushReason {
+    /// An injected failure aborted the attempt; it re-executes in place.
+    Retry,
+    /// The task's quantum expired with another task waiting.
+    Preempt,
+    /// The task completed.
+    Retire,
 }
 
 /// Scheduler construction inputs derived from the machine shape and the
@@ -82,6 +105,23 @@ fn sched_params(cfg: &MachineConfig, graph: &TaskGraph) -> SchedParams {
     }
 }
 
+/// Decode the `driver/sched` snapshot section into the policy `cfg` names.
+fn load_sched(
+    s: &Snapshot,
+    cfg: &MachineConfig,
+    params: &SchedParams,
+) -> Result<Box<dyn Scheduler>, SnapError> {
+    let mut r = raccd_snap::SnapReader::new(s.raw("driver/sched")?);
+    let sched = raccd_sched::load(&mut r, params)?;
+    if r.remaining() != 0 {
+        return Err(SnapError::TrailingBytes);
+    }
+    if sched.kind() != cfg.sched {
+        return Err(SnapError::Invalid("sched policy mismatch"));
+    }
+    Ok(sched)
+}
+
 /// Everything a timed run produces.
 pub struct DriverOutput {
     /// Machine statistics.
@@ -104,10 +144,10 @@ pub struct DriverOutput {
     /// sink). `None` when no checker ran.
     pub check: Option<CheckReport>,
     /// Fault-plane outcome, when a plane was attached
-    /// ([`run_program_faulty`] or `RACCD_FAULT_SPEC`). `None` otherwise.
+    /// ([`RunOptions::faults`] or `RACCD_FAULT_SPEC`). `None` otherwise.
     pub fault: Option<FaultReport>,
     /// Self-profiler span table, when a profiler was attached
-    /// ([`run_program_profiled`] or [`Driver::attach_prof`]). `None`
+    /// ([`RunOptions::profile`] or [`Driver::attach_prof`]). `None`
     /// otherwise. Host wall-time attribution only — never affects the
     /// simulated outcome.
     pub prof: Option<ProfReport>,
@@ -117,62 +157,58 @@ pub struct DriverOutput {
     pub audit: Vec<PreemptRecord>,
 }
 
+/// Host-side choices for one [`run`]. Each field is independent of the
+/// others, and only `faults` can change the simulated outcome: the
+/// recorder and the profiler only observe, and every engine is
+/// bit-identical to [`Engine::Serial`].
+#[derive(Default)]
+pub struct RunOptions<'a> {
+    /// Telemetry sink. With `Some(recorder)` the driver emits the full
+    /// task-lifecycle and RaCCD-mechanism event stream, feeds the latency
+    /// histograms, samples the interval time-series on the global heap
+    /// clock, and drains the machine's protocol events into the recorder.
+    /// With `None` every hook is a single branch on a niche pointer,
+    /// keeping the disabled path within the telemetry overhead budget.
+    pub recorder: Option<&'a mut Recorder>,
+    /// Attach the self-profiler: `output.prof` then attributes host
+    /// wall-time to the fixed site registry (cache lookups, directory
+    /// accesses, NoC transmits, TLB walks, runtime scheduling, snapshot
+    /// codecs; under the parallel engine also `engine/epoch_barrier` and
+    /// `engine/epoch_merge`). The profiler reads only host clocks — never
+    /// simulated state — so the simulated outcome (Stats, memory image,
+    /// `state_key`) is bit-identical to an unprofiled run; the
+    /// differential suite asserts this.
+    pub profile: bool,
+    /// Build a fault plane from this plan. The run then either completes
+    /// with every injected fault recovered (`fault.detected == None`) or
+    /// is aborted as *detected* — by the progress watchdog, a message
+    /// retry budget, or a task retry budget — never silently wrong.
+    /// Sustained NCRT/retry pressure may downgrade RaCCD to full coherence
+    /// mid-run (`fault.degraded`).
+    pub faults: Option<FaultPlan>,
+    /// The simulation loop that advances the run.
+    pub engine: Engine,
+}
+
 /// Run a program to completion on a machine configured per `cfg` under the
-/// given coherence mode.
-pub fn run_program(cfg: MachineConfig, mode: CoherenceMode, program: Program) -> DriverOutput {
-    run_program_with(cfg, mode, program, None)
-}
-
-/// [`run_program`] with optional telemetry. With `Some(recorder)` the
-/// driver emits the full task-lifecycle and RaCCD-mechanism event stream,
-/// feeds the latency histograms, samples the interval time-series on the
-/// global heap clock, and drains the machine's protocol events into the
-/// recorder. With `None` every hook is a single branch on a niche pointer,
-/// keeping the disabled path within the telemetry overhead budget.
-pub fn run_program_with(
+/// given coherence mode: [`Driver::new`], the options applied, then
+/// [`Driver::finish`].
+pub fn run(
     cfg: MachineConfig,
     mode: CoherenceMode,
     program: Program,
-    mut rec: Option<&mut Recorder>,
+    opts: RunOptions<'_>,
 ) -> DriverOutput {
-    Driver::new(cfg, mode, program, None, rec.as_deref_mut()).finish(rec)
-}
-
-/// [`run_program_with`] plus the self-profiler: the returned
-/// `output.prof` attributes host wall-time to the fixed site registry
-/// (cache lookups, directory accesses, NoC transmits, TLB walks, runtime
-/// scheduling, snapshot codecs). The profiler reads only host clocks —
-/// never simulated state — so the simulated outcome (Stats, memory image,
-/// `state_key`) is bit-identical to an unprofiled run; the differential
-/// suite asserts this.
-pub fn run_program_profiled(
-    cfg: MachineConfig,
-    mode: CoherenceMode,
-    program: Program,
-    mut rec: Option<&mut Recorder>,
-) -> DriverOutput {
-    let mut driver = Driver::new(cfg, mode, program, None, rec.as_deref_mut());
-    driver.attach_prof();
+    let mut rec = opts.recorder;
+    let mut driver = Driver::new(cfg, mode, program, opts.faults, rec.as_deref_mut());
+    if opts.profile {
+        driver.attach_prof();
+    }
+    driver.set_engine(opts.engine);
     driver.finish(rec)
 }
 
-/// [`run_program_with`] plus a fault plane built from `plan`. The run
-/// either completes with every injected fault recovered
-/// (`fault.detected == None`) or is aborted as *detected* — by the
-/// progress watchdog, a message retry budget, or a task retry budget —
-/// never silently wrong. Sustained NCRT/retry pressure may downgrade
-/// RaCCD to full coherence mid-run (`fault.degraded`).
-pub fn run_program_faulty(
-    cfg: MachineConfig,
-    mode: CoherenceMode,
-    program: Program,
-    plan: FaultPlan,
-    mut rec: Option<&mut Recorder>,
-) -> DriverOutput {
-    Driver::new(cfg, mode, program, Some(plan), rec.as_deref_mut()).finish(rec)
-}
-
-/// Rollback-recovery knobs for [`run_program_resilient`].
+/// Rollback-recovery knobs for [`run_resilient`].
 #[derive(Clone, Copy, Debug)]
 pub struct RollbackPolicy {
     /// Cycles between automatic checkpoints.
@@ -191,7 +227,7 @@ impl Default for RollbackPolicy {
     }
 }
 
-/// [`run_program_faulty`] with checkpoint-rollback recovery: the driver
+/// A faulty [`run`] with checkpoint-rollback recovery: the driver
 /// auto-checkpoints every `policy.checkpoint_interval` cycles and, when a
 /// fault is *detected* (watchdog, message or task retry budget), restores
 /// the last good checkpoint and resumes instead of aborting — up to
@@ -199,7 +235,7 @@ impl Default for RollbackPolicy {
 /// (salted by the rollback count) so the replayed interval does not roll
 /// the identical faults and livelock. `make_program` rebuilds the program
 /// for each restore; it must be deterministic (every workload builder is).
-pub fn run_program_resilient(
+pub fn run_resilient(
     cfg: MachineConfig,
     mode: CoherenceMode,
     make_program: &dyn Fn() -> Program,
@@ -231,7 +267,7 @@ pub fn run_program_resilient(
         restored.rollbacks = rollbacks;
         driver = restored;
     }
-    driver.into_output(rec)
+    driver.finish(rec)
 }
 
 impl raccd_snap::Snap for Running {
@@ -259,7 +295,7 @@ impl raccd_snap::Snap for Running {
 /// The main simulation loop reified as a resumable struct.
 ///
 /// `Driver::new` + repeated [`Driver::step`] + [`Driver::finish`] is
-/// exactly one [`run_program`] call; [`Driver::run_until`] stops at a
+/// exactly one [`run`] call; [`Driver::run_until`] stops at a
 /// cycle boundary, and [`Driver::snapshot`] / [`Driver::restore`] capture
 /// and revive the *entire* run — machine (caches, directory, NCRT/ADR
 /// state, page table, TLBs, memory, fault plane, shadow checker) plus the
@@ -288,7 +324,7 @@ pub struct Driver {
     ready: Box<dyn Scheduler>,
     /// Quantum-preempted tasks awaiting re-dispatch: their trace and
     /// progress survive here while their id waits in the ready queue.
-    parked: BTreeMap<raccd_runtime::TaskId, Running>,
+    parked: BTreeMap<TaskId, Running>,
     /// Cycle at which each context's current task was (re)dispatched —
     /// the quantum clock for [`SchedKind::Quantum`].
     quantum_start: Vec<u64>,
@@ -300,7 +336,7 @@ pub struct Driver {
     idle: Vec<usize>,
     pub(crate) heap: BinaryHeap<Reverse<(u64, usize)>>,
     /// Tasks in the order they completed (the graph replay script).
-    completion_order: Vec<raccd_runtime::TaskId>,
+    completion_order: Vec<TaskId>,
     end_time: u64,
     ckpt_interval: Option<u64>,
     next_ckpt: u64,
@@ -310,6 +346,8 @@ pub struct Driver {
     /// held until a profiler is attached (restore runs before
     /// [`Driver::attach_prof`] can), then credited to `snap/decode`.
     pending_decode: Option<(u64, u64)>,
+    /// The epoch-parallel engine's workers; `None` is [`Engine::Serial`].
+    pub(crate) pool: Option<WorkerPool>,
 }
 
 impl Driver {
@@ -410,11 +448,12 @@ impl Driver {
             last_ckpt: None,
             rollbacks: 0,
             pending_decode: None,
+            pool: None,
         }
     }
 
     /// Attach the self-profiler (host wall-time attribution per
-    /// [`raccd_prof::Site`]; see [`run_program_profiled`]). A decode
+    /// [`raccd_prof::Site`]; see [`RunOptions::profile`]). A decode
     /// measurement pending from [`Driver::restore`] is credited to the
     /// fresh profiler's `snap/decode` site.
     pub fn attach_prof(&mut self) {
@@ -435,8 +474,7 @@ impl Driver {
     pub fn set_checkpoint_interval(&mut self, cycles: u64) {
         let cycles = cycles.max(1);
         self.ckpt_interval = Some(cycles);
-        let now = self.heap.peek().map(|&Reverse((t, _))| t).unwrap_or(0);
-        self.next_ckpt = now + cycles;
+        self.next_ckpt = self.next_time().unwrap_or(0) + cycles;
     }
 
     /// Take the most recent auto-checkpoint, if one was captured.
@@ -473,63 +511,121 @@ impl Driver {
         }
     }
 
-    /// Process heap entries until the next entry lies beyond `cycle`.
-    /// Returns `true` while the run is still live (more work pending).
+    /// Select the engine that advances the run (default
+    /// [`Engine::Serial`]). The engine is a host-side choice and is never
+    /// serialized: a restored driver is serial until this is called.
+    /// [`Engine::EpochParallel`] gives the driver its own worker pool.
+    pub fn set_engine(&mut self, engine: Engine) {
+        self.pool = match engine {
+            Engine::Serial => None,
+            Engine::EpochParallel { threads } => Some(WorkerPool::new(threads)),
+        };
+    }
+
+    /// The epoch-parallel engine's worker pool (`None` under
+    /// [`Engine::Serial`]); the property tests reach
+    /// [`WorkerPool::set_shuffle`] through it.
+    pub fn worker_pool_mut(&mut self) -> Option<&mut WorkerPool> {
+        self.pool.as_mut()
+    }
+
+    /// Step until the next heap entry lies beyond `cycle`. Returns `true`
+    /// while the run is still live (more work pending). Under the parallel
+    /// engine a step is a whole epoch, so planned turns may commit past
+    /// `cycle`; the pause point is still a state a serial run reaches, so
+    /// snapshots taken there are byte-identical to serial snapshots.
     pub fn run_until(&mut self, cycle: u64, mut rec: Option<&mut Recorder>) -> bool {
-        while let Some(&Reverse((t, _))) = self.heap.peek() {
-            if t > cycle {
-                return true;
-            }
+        while self.next_time().is_some_and(|t| t <= cycle) {
             if !self.step(rec.as_deref_mut()) {
                 return false;
             }
         }
-        false
+        self.detection.is_none() && self.next_time().is_some()
     }
 
-    /// Run to the end and produce the output.
-    pub fn finish(mut self, mut rec: Option<&mut Recorder>) -> DriverOutput {
-        while self.step(rec.as_deref_mut()) {}
-        self.into_output(rec)
-    }
-
-    /// Process one heap entry (one core turn). Returns `false` when the
-    /// run is over: the heap drained or a detection aborted it.
+    /// Advance the run by one step of the selected engine: one heap entry
+    /// (one core turn) under [`Engine::Serial`], one epoch of turns under
+    /// [`Engine::EpochParallel`]. Returns `false` when the run is over —
+    /// the heap drained or a detection aborted it — and from then on
+    /// touches no state, so a run's output does not depend on how often
+    /// its caller paused or polled it.
     pub fn step(&mut self, rec: Option<&mut Recorder>) -> bool {
-        self.step_spec(None, rec)
+        if self.detection.is_some() {
+            return false;
+        }
+        match self.pool {
+            None => self.turn(None, rec),
+            Some(_) => self.step_epoch(rec),
+        }
     }
 
-    /// [`Driver::step`] with an optional speculated hit prefix for the
-    /// turn being popped. With `Some(prefix)` the turn's leading private
-    /// hits were pre-executed off-thread on a shard clone (see
-    /// [`raccd_sim::spec`]); the prefix is committed by adopting the shard
-    /// and replaying its deferred side effects in exact serial order, then
-    /// the rest of the batch runs through the unchanged serial path. The
-    /// epoch-parallel engine is the only caller that passes `Some`; it
-    /// guarantees the shard is still current (heap-agreement + the
-    /// machine's spec-touch mask).
-    pub(crate) fn step_spec(
-        &mut self,
-        spec: Option<raccd_sim::HitPrefix>,
-        mut rec: Option<&mut Recorder>,
-    ) -> bool {
+    /// Process one heap entry — one turn of one hardware context through
+    /// Figure 3's phases. An idle context [dispatches](Self::dispatch); a
+    /// running one replays a batch of its task's references and then
+    /// retries, retires, is preempted, or keeps running.
+    ///
+    /// With `Some(prefix)` the turn's leading private hits were
+    /// pre-executed off-thread on a shard clone (see [`raccd_sim::spec`])
+    /// and are committed first; the rest of the batch runs through the
+    /// unchanged serial path. The epoch-parallel engine is the only caller
+    /// that passes `Some`; it guarantees the shard is still current
+    /// (heap-agreement + the machine's spec-touch mask).
+    pub(crate) fn turn(&mut self, spec: Option<HitPrefix>, mut rec: Option<&mut Recorder>) -> bool {
         let t_step = raccd_prof::t0(self.machine.prof());
-        // Auto-checkpoint on iteration boundaries (state is consistent
-        // only between core turns).
-        if let Some(interval) = self.ckpt_interval {
-            if let Some(&Reverse((t, _))) = self.heap.peek() {
-                if t >= self.next_ckpt {
-                    self.last_ckpt = Some(self.snapshot());
-                    self.next_ckpt = t + interval;
-                }
-            }
-        }
-        let Some(Reverse((t, ctx))) = self.heap.pop() else {
+        let Some((t, ctx)) = self.prologue(rec.as_deref_mut()) else {
             return false;
         };
-        // Resilience checks ride the heap clock (only armed with a fault
-        // plane attached). A detection aborts the run *visibly*: the
-        // caller sees `fault.detected`, never silently wrong output.
+        let at = Turn {
+            ctx,
+            core: ctx / self.cfg.smt_ways,
+            tid: (ctx % self.cfg.smt_ways) as u8,
+            mode: self.effective_mode(),
+        };
+        let now = match self.running[ctx].take() {
+            None => self.dispatch(at, t, rec),
+            Some(mut run) => {
+                let end = (run.pos + BATCH).min(run.trace.len());
+                let now = match spec {
+                    Some(prefix) => self.commit_prefix(at, &mut run, prefix, t, rec.as_deref_mut()),
+                    None => t,
+                };
+                let (now, failed) = self.replay_batch(at, &mut run, end, now, rec.as_deref_mut());
+                if failed {
+                    self.retry(at, run, now, rec)
+                } else if run.pos == run.trace.len() {
+                    self.retire(at, run, now, rec)
+                } else if self.quantum_expired(ctx, now) {
+                    self.preempt(at, run, now, rec)
+                } else {
+                    self.running[ctx] = Some(run);
+                    self.heap.push(Reverse((now, ctx)));
+                    now
+                }
+            }
+        };
+        self.machine.stats.busy_cycles += now - t;
+        self.core_time[ctx] = now;
+        self.end_time = self.end_time.max(now);
+        raccd_prof::rec(self.machine.prof(), Site::Step, t_step);
+        self.detection.is_none()
+    }
+
+    /// Turn prologue: auto-checkpoint, pop the next heap entry, then
+    /// everything that rides the heap clock — detection, degrade
+    /// observation, telemetry sampling. `None` ends the run.
+    fn prologue(&mut self, mut rec: Option<&mut Recorder>) -> Option<(u64, usize)> {
+        // State is consistent only between core turns, so this is where
+        // checkpoints are taken.
+        if let (Some(interval), Some(t)) = (self.ckpt_interval, self.next_time()) {
+            if t >= self.next_ckpt {
+                self.last_ckpt = Some(self.snapshot());
+                self.next_ckpt = t + interval;
+            }
+        }
+        let Reverse((t, ctx)) = self.heap.pop()?;
+        // Resilience checks are armed only with a fault plane attached. A
+        // detection aborts the run *visibly*: the caller sees
+        // `fault.detected`, never silently wrong output.
         if let Some(w) = self.watchdog.as_ref() {
             if w.expired(t) {
                 self.machine.stats.watchdog_fires += 1;
@@ -537,33 +633,27 @@ impl Driver {
                     last_progress: w.last_progress,
                     threshold: w.threshold,
                 });
-                if let Some(r) = rec.as_deref_mut() {
+                if let Some(r) = rec {
                     r.record(Event::WatchdogFired {
                         cycle: t,
                         last_progress: w.last_progress,
                         threshold: w.threshold,
                     });
                 }
-                return false;
+                return None;
             }
         }
         if self.machine.fault_fatal() {
             self.detection = Some(DetectReason::MsgRetryBudget);
-            return false;
+            return None;
         }
         if let Some(d) = self.degrade.as_mut() {
+            let stats = &mut self.machine.stats;
             if self.mode == CoherenceMode::Raccd
-                && d.observe(
-                    t,
-                    self.machine.stats.ncrt_overflows,
-                    self.machine.stats.msg_retries,
-                )
+                && d.observe(t, stats.ncrt_overflows, stats.msg_retries)
             {
-                self.machine.stats.mode_downgrades += 1;
-                let (ov, rt) = d.last_deltas(
-                    self.machine.stats.ncrt_overflows,
-                    self.machine.stats.msg_retries,
-                );
+                stats.mode_downgrades += 1;
+                let (ov, rt) = d.last_deltas(stats.ncrt_overflows, stats.msg_retries);
                 if let Some(r) = rec.as_deref_mut() {
                     r.record(Event::ModeDowngrade {
                         cycle: t,
@@ -573,456 +663,443 @@ impl Driver {
                 }
             }
         }
-        // Under sustained pressure RaCCD falls back to full coherence for
-        // everything *new*; tasks already running keep their NC lines
-        // until their normal end-of-task flush.
-        let eff_mode = match self.degrade.as_ref() {
+        // The heap time is globally non-decreasing, so it is the sampling
+        // clock; machine protocol events are drained here so the unified
+        // stream stays roughly time-ordered.
+        if let Some(r) = rec {
+            if r.sample_due(t) {
+                r.maybe_sample(t, &self.machine.stats, self.gauges());
+            }
+            self.drain_events(r);
+        }
+        Some((t, ctx))
+    }
+
+    /// The mode in force for what a turn *starts*. Under sustained
+    /// pressure RaCCD falls back to full coherence for everything new;
+    /// tasks already running keep their NC lines until their normal
+    /// end-of-task flush, which is why [`Self::flush_nc`] keys on
+    /// `self.mode` instead.
+    fn effective_mode(&self) -> CoherenceMode {
+        match self.degrade.as_ref() {
             Some(d) if d.degraded() && self.mode == CoherenceMode::Raccd => CoherenceMode::FullCoh,
             _ => self.mode,
-        };
-        // Telemetry: the heap time is globally non-decreasing, so it is
-        // the sampling clock; machine protocol events are drained here so
-        // the unified stream stays roughly time-ordered.
-        if let Some(r) = rec.as_deref_mut() {
-            if r.sample_due(t) {
-                let c = self.ready.counters();
-                let gauges = Gauges {
-                    dir_occupied: self.machine.dir_occupied_total(),
-                    dir_capacity: self.machine.dir_capacity_total(),
-                    ready_tasks: self.ready.len() as u64,
-                    busy_contexts: self.running.iter().filter(|x| x.is_some()).count() as u32,
-                    sched_popped: c.popped,
-                    sched_steals: c.steals,
-                };
-                r.maybe_sample(t, &self.machine.stats, gauges);
+        }
+    }
+
+    fn gauges(&self) -> Gauges {
+        let c = self.ready.counters();
+        Gauges {
+            dir_occupied: self.machine.dir_occupied_total(),
+            dir_capacity: self.machine.dir_capacity_total(),
+            ready_tasks: self.ready.len() as u64,
+            busy_contexts: self.running.iter().filter(|x| x.is_some()).count() as u32,
+            sched_popped: c.popped,
+            sched_steals: c.steals,
+        }
+    }
+
+    /// Move the machine's pending protocol events into the recorder.
+    fn drain_events(&mut self, r: &mut Recorder) {
+        for te in self.machine.take_events() {
+            if let CoherenceEvent::RetryRecovered { delay, .. } = te.ev {
+                r.hist_retry_latency.record(delay);
             }
-            for te in self.machine.take_events() {
-                if let CoherenceEvent::RetryRecovered { delay, .. } = te.ev {
-                    r.hist_retry_latency.record(delay);
-                }
-                r.record(Event::Coherence {
-                    cycle: te.cycle,
-                    ev: te.ev,
+            r.record(Event::Coherence {
+                cycle: te.cycle,
+                ev: te.ev,
+            });
+        }
+    }
+
+    /// Scheduling phase for an idle context: pop a ready task, account
+    /// its migration, deactivate coherence for its dependences, then run
+    /// its body — or pick its parked trace back up.
+    fn dispatch(&mut self, at: Turn, t: u64, mut rec: Option<&mut Recorder>) -> u64 {
+        let Turn { ctx, core, .. } = at;
+        let t_sched = raccd_prof::t0(self.machine.prof());
+        let Some(task) = self.ready.pop(ctx) else {
+            // Nothing ready: park until a wake-up re-arms us.
+            raccd_prof::rec(self.machine.prof(), Site::Schedule, t_sched);
+            self.idle.push(ctx);
+            return t;
+        };
+        let mut now = t + self.cfg.runtime.schedule + sched_jitter(ctx, task as u64);
+        if let Some(w) = self.waker_core[task].filter(|&w| w as usize != core) {
+            self.machine.stats.task_migrations += 1;
+            // Migration-aware NCRT hand-off: the task's regions were
+            // produced (or, after preemption, previously registered and
+            // flushed) on `w`; the register loop below re-registers them
+            // on this core. Count the churn RaCCD pays for it.
+            if at.mode == CoherenceMode::Raccd {
+                self.machine.stats.ncrt_migrations += 1;
+            }
+            if let Some(r) = rec.as_deref_mut() {
+                r.record(Event::TaskMigrated {
+                    cycle: now,
+                    task: task as u32,
+                    from_core: w,
+                    to_core: core as u32,
                 });
             }
         }
-        let mut now = t;
-        let core = ctx / self.cfg.smt_ways;
-        let tid = (ctx % self.cfg.smt_ways) as u8;
-        match self.running[ctx].take() {
-            None => {
-                // Scheduling phase.
-                let t_sched = raccd_prof::t0(self.machine.prof());
-                if let Some(task) = self.ready.pop(ctx) {
-                    now += self.cfg.runtime.schedule + sched_jitter(ctx, task as u64);
-                    if let Some(w) = self.waker_core[task] {
-                        if w as usize != core {
-                            self.machine.stats.task_migrations += 1;
-                            // Migration-aware NCRT hand-off: the task's
-                            // regions were produced (or, after preemption,
-                            // previously registered and flushed) on `w`;
-                            // the register loop below re-registers them on
-                            // this core. Count the churn RaCCD pays for it.
-                            if eff_mode == CoherenceMode::Raccd {
-                                self.machine.stats.ncrt_migrations += 1;
-                            }
-                            if let Some(r) = rec.as_deref_mut() {
-                                r.record(Event::TaskMigrated {
-                                    cycle: now,
-                                    task: task as u32,
-                                    from_core: w,
-                                    to_core: core as u32,
-                                });
-                            }
-                        }
-                    }
-                    if let Some(r) = rec.as_deref_mut() {
-                        let wait = now.saturating_sub(self.wake_time[task]);
-                        r.hist_wake_to_dispatch.record(wait);
-                        let name = r.intern(self.graph.name(task));
-                        r.record(Event::TaskScheduled {
-                            cycle: now,
-                            task: task as u32,
-                            name,
-                            ctx: ctx as u32,
-                            core: core as u32,
-                            wait_cycles: wait,
-                        });
-                    }
-                    raccd_prof::rec(self.machine.prof(), Site::Schedule, t_sched);
-                    if eff_mode == CoherenceMode::Raccd {
-                        // Deactivate coherence: one raccd_register per
-                        // dependence (§III-B).
-                        for i in 0..self.graph.deps(task).len() {
-                            let range = self.graph.deps(task)[i].range;
-                            // Injected NCRT-pressure storm: the register
-                            // is rejected; the region simply stays
-                            // coherent (graceful degradation, counted as
-                            // an overflow for the degrade controller).
-                            let stormed = self
-                                .machine
-                                .faults_mut()
-                                .map(|f| f.ncrt_storm(now))
-                                .unwrap_or(false);
-                            if stormed {
-                                self.machine.stats.ncrt_overflows += 1;
-                                continue;
-                            }
-                            let reg_start = now;
-                            let t_reg = raccd_prof::t0(self.machine.prof());
-                            let out = self.ncrts[ctx].register_region(
-                                &mut self.machine,
-                                core,
-                                range,
-                                &self.cfg.runtime,
-                            );
-                            raccd_prof::rec(self.machine.prof(), Site::NcrtRegister, t_reg);
-                            now += out.cycles;
-                            self.machine.stats.register_cycles += out.cycles;
-                            if out.overflowed {
-                                self.machine.stats.ncrt_overflows += 1;
-                            }
-                            if let Some(r) = rec.as_deref_mut() {
-                                r.record(Event::NcrtRegister {
-                                    cycle: reg_start,
-                                    ctx: ctx as u32,
-                                    core: core as u32,
-                                    task: task as u32,
-                                    dur: out.cycles,
-                                    entries_added: out.entries_added as u32,
-                                    tlb_lookups: out.tlb_lookups as u32,
-                                    overflowed: out.overflowed,
-                                });
-                            }
-                        }
-                        if self.machine.has_checker() && self.cfg.smt_ways == 1 {
-                            self.machine.check_note(CheckEvent::NcrtLoaded {
-                                core,
-                                ranges: self.ncrts[ctx].entries().to_vec(),
-                            });
-                        }
-                    }
-                    if let Some(run) = self.parked.remove(&task) {
-                        // Resuming a quantum-preempted task: its trace and
-                        // progress survived in the parked map, its body
-                        // already ran, and the register loop above just
-                        // re-armed the NCRT on this (possibly different)
-                        // core — the migration hand-off. The quantum clock
-                        // restarts from this dispatch.
-                        debug_assert_eq!(run.tid, task);
-                        self.quantum_start[ctx] = now;
-                        self.running[ctx] = Some(run);
-                        self.heap.push(Reverse((now, ctx)));
-                    } else {
-                        // Run the body functionally, recording the trace.
-                        let t_body = raccd_prof::t0(self.machine.prof());
-                        let body = self.graph.take_body(task);
-                        let mut trace = std::mem::take(&mut self.trace_pool[ctx]);
-                        trace.clear();
-                        {
-                            let mut tcx = TaskCtx::new(&mut self.mem, &mut trace);
-                            body(&mut tcx);
-                            tcx.stack_traffic(self.cfg.runtime.stack_words_per_task);
-                        }
-                        raccd_prof::rec(self.machine.prof(), Site::TaskBody, t_body);
-                        self.machine.stats.tasks_executed += 1;
-                        // Fault plane: roll this dispatch for a straggler
-                        // delay and/or a mid-replay failure point.
-                        let mut fail_at = None;
-                        let trace_len = trace.len();
-                        if let Some(inj) = self
-                            .machine
-                            .faults_mut()
-                            .map(|f| f.roll_task(now, trace_len))
-                        {
-                            fail_at = inj.fail_at;
-                            if inj.straggle > 0 {
-                                self.machine.stats.task_straggles += 1;
-                                now += inj.straggle;
-                            }
-                        }
-                        self.quantum_start[ctx] = now;
-                        self.running[ctx] = Some(Running {
-                            tid: task,
-                            trace,
-                            pos: 0,
-                            fail_at,
-                        });
-                        self.heap.push(Reverse((now, ctx)));
-                    }
-                } else {
-                    // Nothing ready: park until a wake-up re-arms us.
-                    raccd_prof::rec(self.machine.prof(), Site::Schedule, t_sched);
-                    self.core_time[ctx] = now;
-                    self.end_time = self.end_time.max(now);
-                    self.idle.push(ctx);
-                }
+        if let Some(r) = rec.as_deref_mut() {
+            let wait = now.saturating_sub(self.wake_time[task]);
+            r.hist_wake_to_dispatch.record(wait);
+            let name = r.intern(self.graph.name(task));
+            r.record(Event::TaskScheduled {
+                cycle: now,
+                task: task as u32,
+                name,
+                ctx: ctx as u32,
+                core: core as u32,
+                wait_cycles: wait,
+            });
+        }
+        raccd_prof::rec(self.machine.prof(), Site::Schedule, t_sched);
+        if at.mode == CoherenceMode::Raccd {
+            now = self.register_deps(at, task, now, rec);
+        }
+        let run = match self.parked.remove(&task) {
+            // Resuming a quantum-preempted task: its trace and progress
+            // survived in the parked map, its body already ran, and the
+            // register loop above just re-armed the NCRT on this (possibly
+            // different) core — the migration hand-off.
+            Some(run) => run,
+            None => self.run_body(ctx, task, &mut now),
+        };
+        debug_assert_eq!(run.tid, task);
+        // The quantum clock (re)starts from this dispatch.
+        self.quantum_start[ctx] = now;
+        self.running[ctx] = Some(run);
+        self.heap.push(Reverse((now, ctx)));
+        now
+    }
+
+    /// Deactivate coherence: one `raccd_register` per dependence of
+    /// `task` (§III-B).
+    fn register_deps(
+        &mut self,
+        at: Turn,
+        task: TaskId,
+        mut now: u64,
+        mut rec: Option<&mut Recorder>,
+    ) -> u64 {
+        let Turn { ctx, core, .. } = at;
+        for i in 0..self.graph.deps(task).len() {
+            let range = self.graph.deps(task)[i].range;
+            // Injected NCRT-pressure storm: the register is rejected; the
+            // region simply stays coherent (graceful degradation, counted
+            // as an overflow for the degrade controller).
+            if self.machine.faults_mut().is_some_and(|f| f.ncrt_storm(now)) {
+                self.machine.stats.ncrt_overflows += 1;
+                continue;
             }
-            Some(mut run) => {
-                // Task execution phase: replay a batch of references.
-                let end = (run.pos + BATCH).min(run.trace.len());
-                if let Some(prefix) = spec {
-                    // Commit a speculated hit prefix: adopt the shard (the
-                    // exact state the serial hit path would have produced),
-                    // then replay the deferred per-reference side effects —
-                    // checker events, census, refs counter, latency
-                    // histograms — in serial order. Hits never touch a
-                    // bank, so the bank-wait histogram records zeros.
-                    debug_assert!(run.pos + prefix.refs.len() <= end);
-                    debug_assert!(run.fail_at.is_none_or(|f| f >= end));
-                    let t_merge = raccd_prof::t0(self.machine.prof());
-                    let nrefs = prefix.refs.len() as u64;
-                    self.machine.adopt_core_shard(core, prefix.shard);
-                    for s in &prefix.refs {
-                        self.machine.note_spec_hit(core, s.block, s.write, s.nc);
-                        self.census.record(s.block, !s.nc);
-                        self.machine.stats.refs_processed += 1;
-                        now += s.cycles;
-                        if let Some(rr) = rec.as_deref_mut() {
-                            rr.hist_mem_latency.record(s.cycles);
-                            rr.hist_bank_wait.record(0);
-                        }
-                    }
-                    run.pos += prefix.refs.len();
-                    raccd_prof::rec_units(self.machine.prof(), Site::EpochMerge, t_merge, nrefs);
-                }
-                let mut failed = false;
-                while run.pos < end {
-                    if run.fail_at == Some(run.pos) {
-                        failed = true;
-                        break;
-                    }
-                    let r = run.trace[run.pos];
-                    run.pos += 1;
-                    let bank_wait_before = self.machine.stats.bank_wait_cycles;
-                    let t_ref = raccd_prof::t0(self.machine.prof());
-                    let cycles = process_ref(
-                        &mut self.machine,
-                        eff_mode,
-                        ctx,
-                        core,
-                        tid,
-                        r,
-                        now,
-                        &mut self.ncrts[ctx],
-                        &mut self.pt,
-                        &mut self.tlbc,
-                        &mut self.census,
-                        &self.cfg,
-                        rec.as_deref_mut(),
-                    );
-                    raccd_prof::rec(self.machine.prof(), Site::MemRef, t_ref);
-                    now += cycles;
-                    if let Some(rr) = rec.as_deref_mut() {
-                        rr.hist_mem_latency.record(cycles);
-                        rr.hist_bank_wait
-                            .record(self.machine.stats.bank_wait_cycles - bank_wait_before);
-                    }
-                }
-                if failed {
-                    // Injected task failure: abort this attempt. RaCCD's
-                    // raccd_invalidate discards the attempt's NC residue,
-                    // which is exactly what makes re-execution idempotent
-                    // (the oracle asserts this in the fault campaign).
-                    self.machine.stats.task_retries += 1;
-                    let decision = self
-                        .retry_book
-                        .as_mut()
-                        .map(|b| b.note_failure(run.tid))
-                        .unwrap_or(RetryDecision::Exhausted);
-                    match decision {
-                        RetryDecision::Exhausted => {
-                            self.detection = Some(DetectReason::TaskRetryBudget { task: run.tid });
-                        }
-                        RetryDecision::Retry(attempt) => {
-                            if self.mode == CoherenceMode::Raccd {
-                                let flt = if self.cfg.smt_ways > 1 && self.cfg.smt_selective_flush {
-                                    Some(tid)
-                                } else {
-                                    None
-                                };
-                                let t_inv = raccd_prof::t0(self.machine.prof());
-                                let cycles = self.machine.flush_nc_filtered(core, flt, now);
-                                raccd_prof::rec(self.machine.prof(), Site::NcInvalidate, t_inv);
-                                self.machine.stats.invalidate_cycles += cycles;
-                                now += cycles;
-                                if self.machine.has_checker() && self.cfg.smt_ways == 1 {
-                                    self.machine.check_note(CheckEvent::NcInvalidate { core });
-                                    // The NCRT itself survives the abort:
-                                    // re-arm the discipline mirror.
-                                    self.machine.check_note(CheckEvent::NcrtLoaded {
-                                        core,
-                                        ranges: self.ncrts[ctx].entries().to_vec(),
-                                    });
-                                }
-                            }
-                            if let Some(r) = rec.as_deref_mut() {
-                                r.record(Event::TaskRetry {
-                                    cycle: now,
-                                    task: run.tid as u32,
-                                    ctx: ctx as u32,
-                                    attempt,
-                                });
-                            }
-                            // Fresh roll: the retry may fail elsewhere.
-                            let trace_len = run.trace.len();
-                            run.fail_at = self
-                                .machine
-                                .faults_mut()
-                                .and_then(|f| f.roll_task(now, trace_len).fail_at);
-                            run.pos = 0;
-                            self.running[ctx] = Some(run);
-                            self.heap.push(Reverse((now, ctx)));
-                        }
-                    }
-                } else if run.pos < run.trace.len() {
-                    // Quantum preemption (SchedKind::Quantum only):
-                    // decided deterministically at batch boundaries, and
-                    // only when another task is actually waiting — a lone
-                    // task never bounces. The preempted task flushes its
-                    // NC residue exactly like a completing task (the NCRT
-                    // hand-off is re-registration at the next dispatch),
-                    // re-enters the ready queue at the back, and the
-                    // decision lands in the append-only audit log.
-                    let expired = self
-                        .ready
-                        .quantum()
-                        .is_some_and(|q| now.saturating_sub(self.quantum_start[ctx]) >= q);
-                    if expired && !self.ready.is_empty() {
-                        if self.mode == CoherenceMode::Raccd {
-                            let flt = if self.cfg.smt_ways > 1 && self.cfg.smt_selective_flush {
-                                Some(tid)
-                            } else {
-                                None
-                            };
-                            let inv_start = now;
-                            let flushed_before = self.machine.stats.nc_lines_flushed;
-                            let t_inv = raccd_prof::t0(self.machine.prof());
-                            let cycles = self.machine.flush_nc_filtered(core, flt, now);
-                            raccd_prof::rec(self.machine.prof(), Site::NcInvalidate, t_inv);
-                            self.machine.stats.invalidate_cycles += cycles;
-                            now += cycles;
-                            self.ncrts[ctx].clear();
-                            if self.machine.has_checker() && self.cfg.smt_ways == 1 {
-                                self.machine.check_note(CheckEvent::NcInvalidate { core });
-                            }
-                            if let Some(r) = rec.as_deref_mut() {
-                                r.record(Event::NcrtInvalidate {
-                                    cycle: inv_start,
-                                    ctx: ctx as u32,
-                                    core: core as u32,
-                                    task: run.tid as u32,
-                                    dur: cycles,
-                                    lines_flushed: self.machine.stats.nc_lines_flushed
-                                        - flushed_before,
-                                });
-                            }
-                        }
-                        self.machine.stats.preemptions += 1;
-                        self.ready.note_preempt(PreemptRecord {
-                            cycle: now,
-                            task: run.tid,
-                            ctx,
-                            pos: run.pos,
-                            remaining: run.trace.len() - run.pos,
-                        });
-                        self.waker_core[run.tid] = Some(core as u32);
-                        self.wake_time[run.tid] = now;
-                        if let Some(r) = rec.as_deref_mut() {
-                            r.record(Event::TaskWoken {
-                                cycle: now,
-                                task: run.tid as u32,
-                                waker_core: Some(core as u32),
-                            });
-                        }
-                        self.ready.push(ctx, run.tid);
-                        self.parked.insert(run.tid, run);
-                        self.heap.push(Reverse((now, ctx)));
-                    } else {
-                        self.running[ctx] = Some(run);
-                        self.heap.push(Reverse((now, ctx)));
-                    }
-                } else {
-                    // Invalidate non-coherent data (RaCCD only), then the
-                    // wake-up phase.
-                    if self.mode == CoherenceMode::Raccd {
-                        let flt = if self.cfg.smt_ways > 1 && self.cfg.smt_selective_flush {
-                            Some(tid)
-                        } else {
-                            None
-                        };
-                        let inv_start = now;
-                        let flushed_before = self.machine.stats.nc_lines_flushed;
-                        let t_inv = raccd_prof::t0(self.machine.prof());
-                        let cycles = self.machine.flush_nc_filtered(core, flt, now);
-                        raccd_prof::rec(self.machine.prof(), Site::NcInvalidate, t_inv);
-                        self.machine.stats.invalidate_cycles += cycles;
-                        now += cycles;
-                        self.ncrts[ctx].clear();
-                        if self.machine.has_checker() && self.cfg.smt_ways == 1 {
-                            self.machine.check_note(CheckEvent::NcInvalidate { core });
-                        }
-                        if let Some(r) = rec.as_deref_mut() {
-                            r.record(Event::NcrtInvalidate {
-                                cycle: inv_start,
-                                ctx: ctx as u32,
-                                core: core as u32,
-                                task: run.tid as u32,
-                                dur: cycles,
-                                lines_flushed: self.machine.stats.nc_lines_flushed - flushed_before,
-                            });
-                        }
-                    }
-                    let ndeps = self.graph.dependent_count(run.tid) as u64;
-                    now += self.cfg.runtime.wakeup_base + ndeps * self.cfg.runtime.wakeup_per_dep;
-                    if let Some(r) = rec.as_deref_mut() {
-                        r.record(Event::TaskCompleted {
-                            cycle: now,
-                            task: run.tid as u32,
-                            ctx: ctx as u32,
-                            refs: run.trace.len() as u64,
-                        });
-                    }
-                    for woken in self.graph.complete(run.tid) {
-                        self.waker_core[woken] = Some(core as u32);
-                        self.wake_time[woken] = now;
-                        if let Some(r) = rec.as_deref_mut() {
-                            r.record(Event::TaskWoken {
-                                cycle: now,
-                                task: woken as u32,
-                                waker_core: Some(core as u32),
-                            });
-                        }
-                        self.ready.push(ctx, woken);
-                    }
-                    self.completion_order.push(run.tid);
-                    if let Some(w) = self.watchdog.as_mut() {
-                        w.note_progress(now);
-                    }
-                    self.trace_pool[ctx] = run.trace;
-                    // Unpark idle cores while work is available.
-                    let mut avail = self.ready.len();
-                    while avail > 0 {
-                        match self.idle.pop() {
-                            Some(ic) => {
-                                let wake = self.core_time[ic].max(now)
-                                    + sched_jitter(ic, self.completion_order.len() as u64);
-                                self.heap.push(Reverse((wake, ic)));
-                                avail -= 1;
-                            }
-                            None => break,
-                        }
-                    }
-                    self.running[ctx] = None;
-                    self.heap.push(Reverse((now, ctx)));
-                }
+            let t_reg = raccd_prof::t0(self.machine.prof());
+            let out =
+                self.ncrts[ctx].register_region(&mut self.machine, core, range, &self.cfg.runtime);
+            raccd_prof::rec(self.machine.prof(), Site::NcrtRegister, t_reg);
+            self.machine.stats.register_cycles += out.cycles;
+            if out.overflowed {
+                self.machine.stats.ncrt_overflows += 1;
+            }
+            if let Some(r) = rec.as_deref_mut() {
+                r.record(Event::NcrtRegister {
+                    cycle: now,
+                    ctx: ctx as u32,
+                    core: core as u32,
+                    task: task as u32,
+                    dur: out.cycles,
+                    entries_added: out.entries_added as u32,
+                    tlb_lookups: out.tlb_lookups as u32,
+                    overflowed: out.overflowed,
+                });
+            }
+            now += out.cycles;
+        }
+        self.note_ncrt_loaded(at);
+        now
+    }
+
+    /// Tell the shadow checker which ranges `at`'s NCRT holds, (re)arming
+    /// its registration-discipline mirror (without SMT only, see
+    /// [`Driver::new`]).
+    fn note_ncrt_loaded(&mut self, at: Turn) {
+        if self.machine.has_checker() && self.cfg.smt_ways == 1 {
+            self.machine.check_note(CheckEvent::NcrtLoaded {
+                core: at.core,
+                ranges: self.ncrts[at.ctx].entries().to_vec(),
+            });
+        }
+    }
+
+    /// Run `task`'s body functionally, recording its reference trace, and
+    /// roll the dispatch for injected faults (a straggler delay advances
+    /// `now`).
+    fn run_body(&mut self, ctx: usize, task: TaskId, now: &mut u64) -> Running {
+        let t_body = raccd_prof::t0(self.machine.prof());
+        let body = self.graph.take_body(task);
+        let mut trace = std::mem::take(&mut self.trace_pool[ctx]);
+        trace.clear();
+        {
+            let mut tcx = TaskCtx::new(&mut self.mem, &mut trace);
+            body(&mut tcx);
+            tcx.stack_traffic(self.cfg.runtime.stack_words_per_task);
+        }
+        raccd_prof::rec(self.machine.prof(), Site::TaskBody, t_body);
+        self.machine.stats.tasks_executed += 1;
+        let mut fail_at = None;
+        let trace_len = trace.len();
+        if let Some(inj) = self
+            .machine
+            .faults_mut()
+            .map(|f| f.roll_task(*now, trace_len))
+        {
+            fail_at = inj.fail_at;
+            if inj.straggle > 0 {
+                self.machine.stats.task_straggles += 1;
+                *now += inj.straggle;
             }
         }
-        self.machine.stats.busy_cycles += now - t;
-        self.core_time[ctx] = now;
-        self.end_time = self.end_time.max(now);
-        raccd_prof::rec(self.machine.prof(), Site::Step, t_step);
-        self.detection.is_none()
+        Running {
+            tid: task,
+            trace,
+            pos: 0,
+            fail_at,
+        }
+    }
+
+    /// Commit a speculated hit prefix: adopt the shard (the exact state
+    /// the serial hit path would have produced), then replay the deferred
+    /// per-reference side effects — checker events, census, refs counter,
+    /// latency histograms — in serial order. Hits never touch a bank, so
+    /// the bank-wait histogram records zeros.
+    fn commit_prefix(
+        &mut self,
+        at: Turn,
+        run: &mut Running,
+        prefix: HitPrefix,
+        mut now: u64,
+        mut rec: Option<&mut Recorder>,
+    ) -> u64 {
+        debug_assert!(run.pos + prefix.refs.len() <= run.trace.len().min(run.pos + BATCH));
+        debug_assert!(run.fail_at.is_none_or(|f| f >= run.pos + prefix.refs.len()));
+        let t_merge = raccd_prof::t0(self.machine.prof());
+        let nrefs = prefix.refs.len() as u64;
+        self.machine.adopt_core_shard(at.core, prefix.shard);
+        for s in &prefix.refs {
+            self.machine.note_spec_hit(at.core, s.block, s.write, s.nc);
+            self.census.record(s.block, !s.nc);
+            self.machine.stats.refs_processed += 1;
+            now += s.cycles;
+            if let Some(rr) = rec.as_deref_mut() {
+                rr.hist_mem_latency.record(s.cycles);
+                rr.hist_bank_wait.record(0);
+            }
+        }
+        run.pos += prefix.refs.len();
+        raccd_prof::rec_units(self.machine.prof(), Site::EpochMerge, t_merge, nrefs);
+        now
+    }
+
+    /// Task execution phase: replay `run`'s references up to `end`
+    /// through the memory system. Returns the advanced clock and whether
+    /// the attempt hit its injected failure point.
+    fn replay_batch(
+        &mut self,
+        at: Turn,
+        run: &mut Running,
+        end: usize,
+        mut now: u64,
+        mut rec: Option<&mut Recorder>,
+    ) -> (u64, bool) {
+        while run.pos < end {
+            if run.fail_at == Some(run.pos) {
+                return (now, true);
+            }
+            let r = run.trace[run.pos];
+            run.pos += 1;
+            let bank_wait_before = self.machine.stats.bank_wait_cycles;
+            let t_ref = raccd_prof::t0(self.machine.prof());
+            let cycles = self.process_ref(at, r, now, rec.as_deref_mut());
+            raccd_prof::rec(self.machine.prof(), Site::MemRef, t_ref);
+            now += cycles;
+            if let Some(rr) = rec.as_deref_mut() {
+                rr.hist_mem_latency.record(cycles);
+                rr.hist_bank_wait
+                    .record(self.machine.stats.bank_wait_cycles - bank_wait_before);
+            }
+        }
+        (now, false)
+    }
+
+    /// Invalidate non-coherent data (`raccd_invalidate`): flush the NC
+    /// lines `at` holds, for one of three reasons. An aborted attempt
+    /// ([`FlushReason::Retry`]) keeps its NCRT for the re-execution and
+    /// only re-arms the checker; a preempted or retired task also clears
+    /// the NCRT and reports the flush as an [`Event::NcrtInvalidate`].
+    fn flush_nc(
+        &mut self,
+        at: Turn,
+        task: TaskId,
+        now: u64,
+        reason: FlushReason,
+        rec: Option<&mut Recorder>,
+    ) -> u64 {
+        if self.mode != CoherenceMode::Raccd {
+            return now;
+        }
+        let Turn { ctx, core, tid, .. } = at;
+        let selective = self.cfg.smt_ways > 1 && self.cfg.smt_selective_flush;
+        let flushed_before = self.machine.stats.nc_lines_flushed;
+        let t_inv = raccd_prof::t0(self.machine.prof());
+        let cycles = self
+            .machine
+            .flush_nc_filtered(core, selective.then_some(tid), now);
+        raccd_prof::rec(self.machine.prof(), Site::NcInvalidate, t_inv);
+        self.machine.stats.invalidate_cycles += cycles;
+        if self.machine.has_checker() && self.cfg.smt_ways == 1 {
+            self.machine.check_note(CheckEvent::NcInvalidate { core });
+        }
+        if reason == FlushReason::Retry {
+            self.note_ncrt_loaded(at);
+        } else {
+            self.ncrts[ctx].clear();
+            if let Some(r) = rec {
+                r.record(Event::NcrtInvalidate {
+                    cycle: now,
+                    ctx: ctx as u32,
+                    core: core as u32,
+                    task: task as u32,
+                    dur: cycles,
+                    lines_flushed: self.machine.stats.nc_lines_flushed - flushed_before,
+                });
+            }
+        }
+        now + cycles
+    }
+
+    /// An injected task failure aborts this attempt. RaCCD's
+    /// `raccd_invalidate` discards the attempt's NC residue, which is
+    /// exactly what makes re-execution idempotent (the oracle asserts
+    /// this in the fault campaign).
+    fn retry(
+        &mut self,
+        at: Turn,
+        mut run: Running,
+        now: u64,
+        mut rec: Option<&mut Recorder>,
+    ) -> u64 {
+        self.machine.stats.task_retries += 1;
+        let decision = self
+            .retry_book
+            .as_mut()
+            .map(|b| b.note_failure(run.tid))
+            .unwrap_or(RetryDecision::Exhausted);
+        let RetryDecision::Retry(attempt) = decision else {
+            self.detection = Some(DetectReason::TaskRetryBudget { task: run.tid });
+            return now;
+        };
+        let now = self.flush_nc(at, run.tid, now, FlushReason::Retry, rec.as_deref_mut());
+        if let Some(r) = rec {
+            r.record(Event::TaskRetry {
+                cycle: now,
+                task: run.tid as u32,
+                ctx: at.ctx as u32,
+                attempt,
+            });
+        }
+        // Fresh roll: the retry may fail elsewhere.
+        let trace_len = run.trace.len();
+        run.fail_at = self
+            .machine
+            .faults_mut()
+            .and_then(|f| f.roll_task(now, trace_len).fail_at);
+        run.pos = 0;
+        self.running[at.ctx] = Some(run);
+        self.heap.push(Reverse((now, at.ctx)));
+        now
+    }
+
+    /// Whether `ctx`'s task has used up its quantum *and* another task is
+    /// actually waiting — a lone task never bounces. `SchedKind::Quantum`
+    /// only; evaluated at batch boundaries, so preemption is
+    /// deterministic.
+    fn quantum_expired(&self, ctx: usize, now: u64) -> bool {
+        let expired = self
+            .ready
+            .quantum()
+            .is_some_and(|q| now.saturating_sub(self.quantum_start[ctx]) >= q);
+        expired && !self.ready.is_empty()
+    }
+
+    /// Quantum preemption: the task flushes its NC residue exactly like a
+    /// completing task (the NCRT hand-off is re-registration at the next
+    /// dispatch), re-enters the ready queue at the back with its trace
+    /// parked, and the decision lands in the append-only audit log.
+    fn preempt(&mut self, at: Turn, run: Running, now: u64, mut rec: Option<&mut Recorder>) -> u64 {
+        let now = self.flush_nc(at, run.tid, now, FlushReason::Preempt, rec.as_deref_mut());
+        self.machine.stats.preemptions += 1;
+        self.ready.note_preempt(PreemptRecord {
+            cycle: now,
+            task: run.tid,
+            ctx: at.ctx,
+            pos: run.pos,
+            remaining: run.trace.len() - run.pos,
+        });
+        self.wake(at, run.tid, now, rec);
+        self.parked.insert(run.tid, run);
+        self.heap.push(Reverse((now, at.ctx)));
+        now
+    }
+
+    /// A task's last reference is done: invalidate its non-coherent data,
+    /// then the wake-up phase — complete it in the TDG, queue the tasks it
+    /// released and unpark idle contexts for them.
+    fn retire(&mut self, at: Turn, run: Running, now: u64, mut rec: Option<&mut Recorder>) -> u64 {
+        let mut now = self.flush_nc(at, run.tid, now, FlushReason::Retire, rec.as_deref_mut());
+        let ndeps = self.graph.dependent_count(run.tid) as u64;
+        now += self.cfg.runtime.wakeup_base + ndeps * self.cfg.runtime.wakeup_per_dep;
+        if let Some(r) = rec.as_deref_mut() {
+            r.record(Event::TaskCompleted {
+                cycle: now,
+                task: run.tid as u32,
+                ctx: at.ctx as u32,
+                refs: run.trace.len() as u64,
+            });
+        }
+        for woken in self.graph.complete(run.tid) {
+            self.wake(at, woken, now, rec.as_deref_mut());
+        }
+        self.completion_order.push(run.tid);
+        if let Some(w) = self.watchdog.as_mut() {
+            w.note_progress(now);
+        }
+        self.trace_pool[at.ctx] = run.trace;
+        // Unpark idle cores while work is available.
+        for _ in 0..self.ready.len() {
+            let Some(ic) = self.idle.pop() else { break };
+            let wake =
+                self.core_time[ic].max(now) + sched_jitter(ic, self.completion_order.len() as u64);
+            self.heap.push(Reverse((wake, ic)));
+        }
+        self.heap.push(Reverse((now, at.ctx)));
+        now
+    }
+
+    /// Queue `task` as ready from `at`, remembering where and when it was
+    /// woken (the migration and wake-to-dispatch accounting read both).
+    fn wake(&mut self, at: Turn, task: TaskId, now: u64, rec: Option<&mut Recorder>) {
+        self.waker_core[task] = Some(at.core as u32);
+        self.wake_time[task] = now;
+        if let Some(r) = rec {
+            r.record(Event::TaskWoken {
+                cycle: now,
+                task: task as u32,
+                waker_core: Some(at.core as u32),
+            });
+        }
+        self.ready.push(at.ctx, task);
     }
 
     /// Capture the entire run as a [`Snapshot`]: every machine section
@@ -1093,7 +1170,7 @@ impl Driver {
         // pristine: the replay below consumes the dependent lists the
         // critical-path priorities are computed from.
         let sched_params = sched_params(&cfg, &graph);
-        let completion_order: Vec<raccd_runtime::TaskId> = s.get("driver/completion_order")?;
+        let completion_order: Vec<TaskId> = s.get("driver/completion_order")?;
         let running: Vec<Option<Running>> = s.get("driver/running")?;
         let ncrts: Vec<Ncrt> = s.get("driver/ncrts")?;
         let waker_core: Vec<Option<u32>> = s.get("driver/waker_core")?;
@@ -1134,7 +1211,7 @@ impl Driver {
         // Quantum-preempted tasks: dispatched (body consumed) but neither
         // running nor complete. Sections are optional so pre-scheduler
         // snapshots restore with the empty defaults.
-        let parked: BTreeMap<raccd_runtime::TaskId, Running> = if s.has("driver/parked") {
+        let parked: BTreeMap<TaskId, Running> = if s.has("driver/parked") {
             s.get("driver/parked")?
         } else {
             BTreeMap::new()
@@ -1154,18 +1231,7 @@ impl Driver {
         if quantum_start.len() != nctx {
             return Err(SnapError::Invalid("quantum clock geometry"));
         }
-        let ready = {
-            let bytes = s.raw("driver/sched")?;
-            let mut r = raccd_snap::SnapReader::new(bytes);
-            let sched = raccd_sched::load(&mut r, &sched_params)?;
-            if r.remaining() != 0 {
-                return Err(SnapError::TrailingBytes);
-            }
-            if sched.kind() != cfg.sched {
-                return Err(SnapError::Invalid("sched policy mismatch"));
-            }
-            sched
-        };
+        let ready = load_sched(s, &cfg, &sched_params)?;
         Ok(Driver {
             cfg,
             mode,
@@ -1198,12 +1264,13 @@ impl Driver {
             last_ckpt: None,
             rollbacks: s.get("driver/rollbacks")?,
             pending_decode: Some((t_decode.elapsed().as_nanos() as u64, s.payload_bytes())),
+            pool: None,
         })
     }
 
-    /// Tear the run down into its output. Must only be called once the
-    /// run is over ([`Driver::step`] returned `false`).
-    pub(crate) fn into_output(mut self, mut rec: Option<&mut Recorder>) -> DriverOutput {
+    /// Run to the end and tear the run down into its output.
+    pub fn finish(mut self, mut rec: Option<&mut Recorder>) -> DriverOutput {
+        while self.step(rec.as_deref_mut()) {}
         let completed = self.completion_order.len();
         // A detection ends the run early by design; only a clean run
         // promises every task retired.
@@ -1214,23 +1281,13 @@ impl Driver {
                 "simulation ended with unexecuted tasks (TDG cycle?)"
             );
         }
-        drop(self.graph);
-
         self.machine.stats.contexts = self.cfg.ncontexts() as u64;
-        let mut events = self.machine.take_events();
+        // With telemetry active the tail of the protocol stream goes to
+        // the recorder, like the rest.
         if let Some(r) = rec.as_deref_mut() {
-            // Tail of the protocol stream goes to the recorder, like the
-            // rest.
-            for te in events.drain(..) {
-                if let CoherenceEvent::RetryRecovered { delay, .. } = te.ev {
-                    r.hist_retry_latency.record(delay);
-                }
-                r.record(Event::Coherence {
-                    cycle: te.cycle,
-                    ev: te.ev,
-                });
-            }
+            self.drain_events(r);
         }
+        let events = self.machine.take_events();
         // Unified scheduler counters land in Stats just before the final
         // freeze, so every policy reports them symmetrically.
         let c = self.ready.counters();
@@ -1240,18 +1297,14 @@ impl Driver {
         self.machine.stats.sched_steals = c.steals;
         let stats = self.machine.finalize(self.end_time);
         if let Some(r) = rec {
-            r.finish(
-                self.end_time,
-                &stats,
-                Gauges {
-                    dir_occupied: self.machine.dir_occupied_total(),
-                    dir_capacity: self.machine.dir_capacity_total(),
-                    ready_tasks: 0,
-                    busy_contexts: 0,
-                    sched_popped: c.popped,
-                    sched_steals: c.steals,
-                },
-            );
+            // The closing sample reports an emptied machine even when a
+            // detection left tasks behind.
+            let gauges = Gauges {
+                ready_tasks: 0,
+                busy_contexts: 0,
+                ..self.gauges()
+            };
+            r.finish(self.end_time, &stats, gauges);
         }
         let prof = self.machine.take_prof().map(|p| p.report());
         let check = self.machine.detach_checker();
@@ -1276,88 +1329,81 @@ impl Driver {
             audit: self.ready.audit().to_vec(),
         }
     }
-}
 
-/// Process one memory reference of hardware context `ctx` (thread `tid` on
-/// `core`) at time `now`. Returns cycles.
-#[allow(clippy::too_many_arguments)]
-fn process_ref(
-    machine: &mut Machine,
-    mode: CoherenceMode,
-    ctx: usize,
-    core: usize,
-    tid: u8,
-    r: MemRef,
-    now: u64,
-    ncrt: &mut Ncrt,
-    pt: &mut PageClassifier,
-    tlbc: &mut TlbClassifier,
-    census: &mut Census,
-    cfg: &MachineConfig,
-    rec: Option<&mut Recorder>,
-) -> u64 {
-    let vaddr = if r.is_stack() {
-        VAddr(cfg.stack_base(ctx) + r.addr().0)
-    } else {
-        r.addr()
-    };
-    // The TLB-classifier mode owns translation (it piggybacks the
-    // private/shared resolution on TLB misses, §II-B).
-    let mut page_private = false;
-    let (paddr, mut cycles) = if mode == CoherenceMode::TlbClass {
-        let out = tlbc.translate(machine, core, vaddr, now);
-        page_private = out.private;
-        (out.paddr, out.cycles)
-    } else {
-        machine.translate(core, vaddr)
-    };
-    let block = paddr.block();
-    let write = r.is_write();
+    /// Process one memory reference of hardware context `at.ctx` at time
+    /// `now`. Returns cycles.
+    #[inline]
+    fn process_ref(&mut self, at: Turn, r: MemRef, now: u64, rec: Option<&mut Recorder>) -> u64 {
+        let Turn {
+            ctx,
+            core,
+            tid,
+            mode,
+        } = at;
+        let machine = &mut self.machine;
+        let vaddr = if r.is_stack() {
+            VAddr(self.cfg.stack_base(ctx) + r.addr().0)
+        } else {
+            r.addr()
+        };
+        // The TLB-classifier mode owns translation (it piggybacks the
+        // private/shared resolution on TLB misses, §II-B).
+        let mut page_private = false;
+        let (paddr, mut cycles) = if mode == CoherenceMode::TlbClass {
+            let out = self.tlbc.translate(machine, core, vaddr, now);
+            page_private = out.private;
+            (out.paddr, out.cycles)
+        } else {
+            machine.translate(core, vaddr)
+        };
+        let block = paddr.block();
+        let write = r.is_write();
 
-    // PT classification acts on every access (the OS sees the touch).
-    if mode == CoherenceMode::PageTable {
-        match pt.on_access(core, paddr.page()) {
-            PtDecision::Private => page_private = true,
-            PtDecision::Shared => {}
-            PtDecision::Transition { prev_owner } => {
-                machine.stats.pt_shared_transitions += 1;
-                let flushed_before = machine.stats.pt_flush_lines;
-                cycles += machine.flush_page(prev_owner, paddr.page(), vaddr.page(), now);
-                if let Some(r) = rec {
-                    r.record(Event::PtTransition {
-                        cycle: now,
-                        prev_owner: prev_owner as u32,
-                        page: paddr.page().0,
-                        flushed_lines: machine.stats.pt_flush_lines - flushed_before,
-                    });
+        // PT classification acts on every access (the OS sees the touch).
+        if mode == CoherenceMode::PageTable {
+            match self.pt.on_access(core, paddr.page()) {
+                PtDecision::Private => page_private = true,
+                PtDecision::Shared => {}
+                PtDecision::Transition { prev_owner } => {
+                    machine.stats.pt_shared_transitions += 1;
+                    let flushed_before = machine.stats.pt_flush_lines;
+                    cycles += machine.flush_page(prev_owner, paddr.page(), vaddr.page(), now);
+                    if let Some(r) = rec {
+                        r.record(Event::PtTransition {
+                            cycle: now,
+                            prev_owner: prev_owner as u32,
+                            page: paddr.page().0,
+                            flushed_lines: machine.stats.pt_flush_lines - flushed_before,
+                        });
+                    }
                 }
             }
         }
-    }
 
-    let coherent_access = match machine.l1_lookup(core, block, write, now) {
-        L1LookupResult::Hit { cycles: c, nc } => {
-            cycles += c;
-            !nc
-        }
-        L1LookupResult::Miss => {
-            let nc = match mode {
-                CoherenceMode::FullCoh => false,
-                CoherenceMode::PageTable | CoherenceMode::TlbClass => page_private,
-                CoherenceMode::Raccd => {
-                    // The NCRT consultation delays every private-cache miss
-                    // (§V-C studies this latency).
-                    cycles += cfg.lat.ncrt;
-                    ncrt.lookup(paddr)
-                }
-            };
-            cycles += machine.miss_fill_smt(core, tid, block, write, nc, now);
-            !nc
-        }
-    };
-    census.record(block, coherent_access);
-    machine.stats.refs_processed += 1;
-    cycles
+        let coherent_access = match machine.l1_lookup(core, block, write, now) {
+            L1LookupResult::Hit { cycles: c, nc } => {
+                cycles += c;
+                !nc
+            }
+            L1LookupResult::Miss => {
+                let nc = match mode {
+                    CoherenceMode::FullCoh => false,
+                    CoherenceMode::PageTable | CoherenceMode::TlbClass => page_private,
+                    CoherenceMode::Raccd => {
+                        // The NCRT consultation delays every private-cache miss
+                        // (§V-C studies this latency).
+                        cycles += self.cfg.lat.ncrt;
+                        self.ncrts[ctx].lookup(paddr)
+                    }
+                };
+                cycles += machine.miss_fill_smt(core, tid, block, write, nc, now);
+                !nc
+            }
+        };
+        self.census.record(block, coherent_access);
+        machine.stats.refs_processed += 1;
+        cycles
+    }
 }
 
 #[cfg(test)]
@@ -1404,8 +1450,25 @@ mod tests {
         b.finish()
     }
 
-    fn run(mode: CoherenceMode) -> DriverOutput {
-        run_program(MachineConfig::scaled(), mode, two_phase_program())
+    fn run_on(cfg: MachineConfig, mode: CoherenceMode) -> DriverOutput {
+        run(cfg, mode, two_phase_program(), RunOptions::default())
+    }
+
+    fn run_mode(mode: CoherenceMode) -> DriverOutput {
+        run_on(MachineConfig::scaled(), mode)
+    }
+
+    fn run_faulty(plan: FaultPlan) -> DriverOutput {
+        let opts = RunOptions {
+            faults: Some(plan),
+            ..RunOptions::default()
+        };
+        run(
+            MachineConfig::scaled(),
+            CoherenceMode::Raccd,
+            two_phase_program(),
+            opts,
+        )
     }
 
     #[test]
@@ -1414,7 +1477,7 @@ mod tests {
         let per_row: u64 = (0..4096 / 8).sum();
         let expected = per_row + (per_row + 512 * 1000);
         for mode in CoherenceMode::ALL {
-            let out = run(mode);
+            let out = run_mode(mode);
             assert_eq!(out.tasks, 32, "{mode}: all tasks executed");
             assert!(out.stats.cycles > 0);
             let sum_addr = out.mem.allocations()[1].1.start;
@@ -1428,8 +1491,8 @@ mod tests {
 
     #[test]
     fn raccd_uses_fewer_directory_accesses() {
-        let full = run(CoherenceMode::FullCoh);
-        let raccd = run(CoherenceMode::Raccd);
+        let full = run_mode(CoherenceMode::FullCoh);
+        let raccd = run_mode(CoherenceMode::Raccd);
         assert!(
             raccd.stats.dir_accesses < full.stats.dir_accesses / 2,
             "RaCCD {} vs FullCoh {}",
@@ -1443,8 +1506,8 @@ mod tests {
         // The FIFO scheduler migrates rows between cores across the two
         // phases, so PT classifies them shared while RaCCD keeps them
         // non-coherent (Figure 2's CG/Gauss/Jacobi effect).
-        let ptr = run(CoherenceMode::PageTable);
-        let rcd = run(CoherenceMode::Raccd);
+        let ptr = run_mode(CoherenceMode::PageTable);
+        let rcd = run_mode(CoherenceMode::Raccd);
         let pt_pct = ptr.census.summary().noncoherent_pct();
         let rc_pct = rcd.census.summary().noncoherent_pct();
         assert!(
@@ -1456,13 +1519,13 @@ mod tests {
 
     #[test]
     fn fullcoh_census_is_all_coherent() {
-        let out = run(CoherenceMode::FullCoh);
+        let out = run_mode(CoherenceMode::FullCoh);
         assert_eq!(out.census.summary().noncoherent_blocks, 0);
     }
 
     #[test]
     fn raccd_pays_register_and_invalidate() {
-        let out = run(CoherenceMode::Raccd);
+        let out = run_mode(CoherenceMode::Raccd);
         assert!(out.stats.register_cycles > 0);
         assert!(out.stats.invalidate_cycles > 0);
         assert!(out.stats.nc_lines_flushed > 0);
@@ -1470,7 +1533,7 @@ mod tests {
 
     #[test]
     fn pt_sees_transitions() {
-        let out = run(CoherenceMode::PageTable);
+        let out = run_mode(CoherenceMode::PageTable);
         assert!(
             out.stats.pt_shared_transitions > 0,
             "two-phase data must migrate"
@@ -1479,8 +1542,8 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        let a = run(CoherenceMode::Raccd);
-        let b = run(CoherenceMode::Raccd);
+        let a = run_mode(CoherenceMode::Raccd);
+        let b = run_mode(CoherenceMode::Raccd);
         assert_eq!(a.stats.cycles, b.stats.cycles);
         assert_eq!(a.stats.dir_accesses, b.stats.dir_accesses);
         assert_eq!(a.stats.noc_traffic, b.stats.noc_traffic);
@@ -1497,7 +1560,7 @@ mod tests {
 
     #[test]
     fn faulty_run_recovers_bit_identical_to_fault_free_twin() {
-        let clean = run(CoherenceMode::Raccd);
+        let clean = run_mode(CoherenceMode::Raccd);
         let plan = FaultPlan {
             seed: 42,
             drop: 0.02,
@@ -1505,13 +1568,7 @@ mod tests {
             delay: 0.02,
             ..FaultPlan::default()
         };
-        let faulty = run_program_faulty(
-            MachineConfig::scaled(),
-            CoherenceMode::Raccd,
-            two_phase_program(),
-            plan,
-            None,
-        );
+        let faulty = run_faulty(plan);
         let report = faulty.fault.expect("plane attached");
         assert!(report.recovered(), "modest rates recover: {report:?}");
         assert!(report.stats.injected > 0, "faults were actually injected");
@@ -1523,19 +1580,13 @@ mod tests {
 
     #[test]
     fn task_failures_reexecute_idempotently() {
-        let clean = run(CoherenceMode::Raccd);
+        let clean = run_mode(CoherenceMode::Raccd);
         let plan = FaultPlan {
             seed: 9,
             task_fail: 0.3,
             ..FaultPlan::default()
         };
-        let faulty = run_program_faulty(
-            MachineConfig::scaled(),
-            CoherenceMode::Raccd,
-            two_phase_program(),
-            plan,
-            None,
-        );
+        let faulty = run_faulty(plan);
         let report = faulty.fault.expect("plane attached");
         assert!(report.recovered(), "{report:?}");
         assert!(
@@ -1556,13 +1607,7 @@ mod tests {
             task_retry_budget: 2,
             ..FaultPlan::default()
         };
-        let out = run_program_faulty(
-            MachineConfig::scaled(),
-            CoherenceMode::Raccd,
-            two_phase_program(),
-            plan,
-            None,
-        );
+        let out = run_faulty(plan);
         let report = out.fault.expect("plane attached");
         assert!(
             matches!(report.detected, Some(DetectReason::TaskRetryBudget { .. })),
@@ -1579,13 +1624,7 @@ mod tests {
             retry_budget: 2,
             ..FaultPlan::default()
         };
-        let out = run_program_faulty(
-            MachineConfig::scaled(),
-            CoherenceMode::Raccd,
-            two_phase_program(),
-            plan,
-            None,
-        );
+        let out = run_faulty(plan);
         let report = out.fault.expect("plane attached");
         assert_eq!(report.detected, Some(DetectReason::MsgRetryBudget));
         assert!(report.stats.budget_exhausted > 0);
@@ -1600,13 +1639,7 @@ mod tests {
             watchdog_cycles: 100_000,
             ..FaultPlan::default()
         };
-        let out = run_program_faulty(
-            MachineConfig::scaled(),
-            CoherenceMode::Raccd,
-            two_phase_program(),
-            plan,
-            None,
-        );
+        let out = run_faulty(plan);
         let report = out.fault.expect("plane attached");
         assert!(
             matches!(report.detected, Some(DetectReason::Watchdog { .. })),
@@ -1615,9 +1648,51 @@ mod tests {
         assert!(out.stats.watchdog_fires > 0);
     }
 
+    /// A detection latches: polling or pausing a detected run any number
+    /// of times moves no state, so its output does not depend on how the
+    /// caller drove it.
+    #[test]
+    fn detected_run_ignores_further_stepping() {
+        let task_budget = FaultPlan {
+            seed: 1,
+            task_fail: 1.0,
+            task_retry_budget: 2,
+            ..FaultPlan::default()
+        };
+        let watchdog = FaultPlan {
+            seed: 5,
+            straggle: 1.0,
+            straggle_cycles: 500_000,
+            watchdog_cycles: 100_000,
+            ..FaultPlan::default()
+        };
+        for plan in [task_budget, watchdog] {
+            let reference = run_faulty(plan);
+            let mut d = Driver::new(
+                MachineConfig::scaled(),
+                CoherenceMode::Raccd,
+                two_phase_program(),
+                Some(plan),
+                None,
+            );
+            while d.step(None) {}
+            assert!(d.detection().is_some(), "{plan:?} must be detected");
+            let latched = d.snapshot().to_bytes();
+            assert!(!d.step(None));
+            assert!(!d.run_until(u64::MAX, None));
+            assert!(!d.run_until(0, None), "a detected run is never live");
+            assert_eq!(d.snapshot().to_bytes(), latched, "state moved: {plan:?}");
+            let out = d.finish(None);
+            assert_eq!(out.stats, reference.stats, "{plan:?}");
+            let (got, want) = (out.fault.unwrap(), reference.fault.unwrap());
+            assert_eq!(got.detected, want.detected);
+            assert_eq!(got.stats.injected, want.stats.injected);
+        }
+    }
+
     #[test]
     fn sustained_storm_degrades_to_full_coherence() {
-        let clean = run(CoherenceMode::Raccd);
+        let clean = run_mode(CoherenceMode::Raccd);
         let plan = FaultPlan {
             seed: 8,
             storm: 0.9,
@@ -1626,13 +1701,7 @@ mod tests {
             degrade_overflows: 4,
             ..FaultPlan::default()
         };
-        let out = run_program_faulty(
-            MachineConfig::scaled(),
-            CoherenceMode::Raccd,
-            two_phase_program(),
-            plan,
-            None,
-        );
+        let out = run_faulty(plan);
         let report = out.fault.expect("plane attached");
         assert!(report.degraded, "sustained NCRT pressure must downgrade");
         assert!(report.recovered(), "degradation is graceful: {report:?}");
@@ -1643,14 +1712,8 @@ mod tests {
 
     #[test]
     fn zero_rate_plan_matches_plain_run_exactly() {
-        let clean = run(CoherenceMode::Raccd);
-        let idle = run_program_faulty(
-            MachineConfig::scaled(),
-            CoherenceMode::Raccd,
-            two_phase_program(),
-            FaultPlan::default(),
-            None,
-        );
+        let clean = run_mode(CoherenceMode::Raccd);
+        let idle = run_faulty(FaultPlan::default());
         assert_eq!(idle.stats, clean.stats, "zero-fault config is neutral");
         assert_eq!(mem_words(&idle), mem_words(&clean));
         let report = idle.fault.expect("plane attached");
@@ -1660,14 +1723,10 @@ mod tests {
     #[test]
     fn reduced_directory_hurts_fullcoh_more_than_raccd() {
         let cfg_small = MachineConfig::scaled().with_dir_ratio(64);
-        let full_1 = run(CoherenceMode::FullCoh).stats.cycles as f64;
-        let raccd_1 = run(CoherenceMode::Raccd).stats.cycles as f64;
-        let full_64 = run_program(cfg_small, CoherenceMode::FullCoh, two_phase_program())
-            .stats
-            .cycles as f64;
-        let raccd_64 = run_program(cfg_small, CoherenceMode::Raccd, two_phase_program())
-            .stats
-            .cycles as f64;
+        let full_1 = run_mode(CoherenceMode::FullCoh).stats.cycles as f64;
+        let raccd_1 = run_mode(CoherenceMode::Raccd).stats.cycles as f64;
+        let full_64 = run_on(cfg_small, CoherenceMode::FullCoh).stats.cycles as f64;
+        let raccd_64 = run_on(cfg_small, CoherenceMode::Raccd).stats.cycles as f64;
         let full_slowdown = full_64 / full_1;
         let raccd_slowdown = raccd_64 / raccd_1;
         assert!(

@@ -37,7 +37,7 @@
 //! (`crates/check/tests/parallel_differential.rs`) and the thread-count
 //! determinism regression test enforce this.
 
-use crate::driver::{Driver, DriverOutput, BATCH};
+use crate::driver::{Driver, BATCH};
 use crate::mode::CoherenceMode;
 use raccd_mem::VAddr;
 use raccd_obs::Recorder;
@@ -147,21 +147,31 @@ pub fn plan_epoch(turns: &[PlanTurn]) -> usize {
 
 /// One speculation job: everything a worker needs, fully owned (no borrows
 /// into the machine), so jobs are `Send` by construction.
-pub struct SpecJob {
+struct SpecJob {
     /// Slot the result lands in (plan index).
-    pub idx: usize,
+    idx: usize,
     /// Clone of the core's private state.
-    pub shard: CoreShard,
+    shard: CoreShard,
     /// The turn's batch, stack-rebased, as `(vaddr, is_write)`.
-    pub refs: Vec<(VAddr, bool)>,
+    refs: Vec<(VAddr, bool)>,
     /// Machine configuration (latencies, write policy).
-    pub cfg: MachineConfig,
+    cfg: MachineConfig,
 }
 
-/// A persistent pool of speculation workers fed over channels. With
-/// `threads <= 1` no threads are spawned and jobs run inline — the planner
-/// and commit paths are identical either way, which is what makes
-/// `--threads 1` a useful differential configuration.
+impl SpecJob {
+    fn run(self) -> (usize, HitPrefix) {
+        (
+            self.idx,
+            speculate_hit_prefix(&self.cfg, self.shard, &self.refs),
+        )
+    }
+}
+
+/// A persistent pool of speculation workers fed over channels, owned by
+/// the [`Driver`] it serves ([`Driver::set_engine`]). With `threads <= 1`
+/// no threads are spawned and jobs run inline — the planner and commit
+/// paths are identical either way, which is what makes `--threads 1` a
+/// useful differential configuration.
 pub struct WorkerPool {
     job_tx: Option<Sender<SpecJob>>,
     res_rx: Option<Receiver<(usize, HitPrefix)>>,
@@ -180,19 +190,20 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 impl WorkerPool {
     /// Spawn `threads` workers (none for `threads <= 1`).
-    pub fn new(threads: usize) -> Self {
+    pub(crate) fn new(threads: usize) -> Self {
+        let mut pool = WorkerPool {
+            job_tx: None,
+            res_rx: None,
+            handles: Vec::new(),
+            shuffle: None,
+        };
         if threads <= 1 {
-            return WorkerPool {
-                job_tx: None,
-                res_rx: None,
-                handles: Vec::new(),
-                shuffle: None,
-            };
+            return pool;
         }
         let (job_tx, job_rx) = channel::<SpecJob>();
         let (res_tx, res_rx) = channel();
         let job_rx = Arc::new(Mutex::new(job_rx));
-        let handles = (0..threads)
+        pool.handles = (0..threads)
             .map(|_| {
                 let job_rx = Arc::clone(&job_rx);
                 let res_tx = res_tx.clone();
@@ -204,24 +215,15 @@ impl WorkerPool {
                         Err(_) => break,
                     };
                     let Ok(job) = job else { break };
-                    let prefix = speculate_hit_prefix(&job.cfg, job.shard, &job.refs);
-                    if res_tx.send((job.idx, prefix)).is_err() {
+                    if res_tx.send(job.run()).is_err() {
                         break;
                     }
                 })
             })
             .collect();
-        WorkerPool {
-            job_tx: Some(job_tx),
-            res_rx: Some(res_rx),
-            handles,
-            shuffle: None,
-        }
-    }
-
-    /// Worker threads backing the pool (0 = inline).
-    pub fn threads(&self) -> usize {
-        self.handles.len()
+        pool.job_tx = Some(job_tx);
+        pool.res_rx = Some(res_rx);
+        pool
     }
 
     /// Test hook: permute every subsequent scatter's *submission* order by
@@ -234,82 +236,28 @@ impl WorkerPool {
     }
 
     /// Run every job, returning results placed by `idx` — the placement,
-    /// not the arrival order, defines the merge order, so the output is
-    /// invariant under worker scheduling. `order` optionally permutes the
-    /// *submission* order (a test hook proving that invariance; `None`
-    /// submits in natural order).
-    pub fn scatter(
-        &mut self,
-        jobs: Vec<SpecJob>,
-        order: Option<&[usize]>,
-    ) -> Vec<Option<HitPrefix>> {
+    /// not the submission or arrival order, defines the merge order, so
+    /// the output is invariant under worker scheduling.
+    fn scatter(&mut self, mut jobs: Vec<SpecJob>) -> Vec<Option<HitPrefix>> {
         let n = jobs.len();
-        let shuffled: Option<Vec<usize>> = match (order, self.shuffle.as_mut()) {
-            (None, Some(salt)) => {
-                let mut perm: Vec<usize> = (0..n).collect();
-                for i in (1..n).rev() {
-                    let j = (splitmix64(salt) % (i as u64 + 1)) as usize;
-                    perm.swap(i, j);
-                }
-                Some(perm)
+        if let Some(salt) = self.shuffle.as_mut() {
+            for i in (1..n).rev() {
+                jobs.swap(i, (splitmix64(salt) % (i as u64 + 1)) as usize);
             }
-            _ => None,
-        };
-        let order = shuffled.as_deref().or(order);
+        }
         let mut out: Vec<Option<HitPrefix>> = (0..n).map(|_| None).collect();
+        let mut place = |(idx, prefix): (usize, HitPrefix)| out[idx] = Some(prefix);
         match (&self.job_tx, &self.res_rx) {
             (Some(tx), Some(rx)) => {
-                let mut slots: Vec<Option<SpecJob>> = jobs.into_iter().map(Some).collect();
-                let submit = |i: usize, slots: &mut Vec<Option<SpecJob>>| {
-                    if let Some(job) = slots[i].take() {
-                        tx.send(job).expect("speculation worker died");
-                    }
-                };
-                match order {
-                    Some(ord) => {
-                        for &i in ord {
-                            submit(i, &mut slots);
-                        }
-                        // Any job the permutation missed still runs.
-                        for i in 0..n {
-                            submit(i, &mut slots);
-                        }
-                    }
-                    None => {
-                        for i in 0..n {
-                            submit(i, &mut slots);
-                        }
-                    }
+                for job in jobs {
+                    tx.send(job).expect("speculation worker died");
                 }
                 for _ in 0..n {
-                    let (idx, prefix) = rx.recv().expect("speculation worker died");
-                    out[idx] = Some(prefix);
+                    place(rx.recv().expect("speculation worker died"));
                 }
             }
-            _ => {
-                // Inline: same code path the workers run, same placement.
-                let run = |job: SpecJob, out: &mut Vec<Option<HitPrefix>>| {
-                    out[job.idx] = Some(speculate_hit_prefix(&job.cfg, job.shard, &job.refs));
-                };
-                match order {
-                    Some(ord) => {
-                        let mut slots: Vec<Option<SpecJob>> = jobs.into_iter().map(Some).collect();
-                        for &i in ord {
-                            if let Some(job) = slots[i].take() {
-                                run(job, &mut out);
-                            }
-                        }
-                        for job in slots.into_iter().flatten() {
-                            run(job, &mut out);
-                        }
-                    }
-                    None => {
-                        for job in jobs {
-                            run(job, &mut out);
-                        }
-                    }
-                }
-            }
+            // Inline: same code the workers run, same placement.
+            _ => jobs.into_iter().map(SpecJob::run).for_each(place),
         }
         out
     }
@@ -368,16 +316,13 @@ impl Driver {
         entries
     }
 
-    /// Advance by one epoch (or one serial step when no epoch forms).
-    /// Returns `false` when the run is over, like [`Driver::step`].
-    pub(crate) fn step_epoch(
-        &mut self,
-        pool: &mut WorkerPool,
-        mut rec: Option<&mut Recorder>,
-    ) -> bool {
+    /// Advance by one epoch (or one serial turn when no epoch forms):
+    /// [`Driver::step`] under [`Engine::EpochParallel`]. Returns `false`
+    /// when the run is over.
+    pub(crate) fn step_epoch(&mut self, mut rec: Option<&mut Recorder>) -> bool {
         let planned = self.plan();
         if planned.len() < 2 {
-            return self.step(rec);
+            return self.turn(None, rec);
         }
         // Speculate every planned turn's hit prefix on shard clones. The
         // machine is not mutated between the clones and the first commit,
@@ -409,7 +354,11 @@ impl Driver {
             })
             .collect();
         self.machine.clear_spec_touch();
-        let mut prefixes = pool.scatter(jobs, None);
+        let pool = self
+            .pool
+            .as_mut()
+            .expect("set_engine gave the driver a pool");
+        let mut prefixes = pool.scatter(jobs);
         let speculated: u64 = prefixes.iter().flatten().map(|p| p.refs.len() as u64).sum();
         raccd_prof::rec_units(self.machine.prof(), Site::EpochBarrier, t_bar, speculated);
         // Commit in planned (= heap) order. Two validations per turn, both
@@ -426,143 +375,12 @@ impl Driver {
             } else {
                 prefixes[i].take()
             };
-            if !self.step_spec(spec, rec.as_deref_mut()) {
+            if !self.turn(spec, rec.as_deref_mut()) {
                 return false;
             }
         }
         true
     }
-
-    /// [`Driver::run_until`] under the epoch-parallel engine: advance by
-    /// epochs until the next heap entry lies beyond `cycle`. Because every
-    /// epoch commits through the serial step path, pausing here leaves the
-    /// driver in a state a serial run also reaches — snapshots taken at
-    /// such a pause are byte-identical to serial snapshots, which the
-    /// mid-epoch round-trip property test exploits.
-    pub fn run_until_engine(
-        &mut self,
-        cycle: u64,
-        pool: &mut WorkerPool,
-        mut rec: Option<&mut Recorder>,
-    ) -> bool {
-        while let Some(t) = self.next_time() {
-            if t > cycle {
-                return true;
-            }
-            if !self.step_epoch(pool, rec.as_deref_mut()) {
-                return false;
-            }
-        }
-        false
-    }
-
-    /// Run to the end under the given engine and produce the output.
-    /// [`Engine::Serial`] is exactly [`Driver::finish`].
-    pub fn finish_engine(self, engine: Engine, rec: Option<&mut Recorder>) -> DriverOutput {
-        self.finish_engine_keyed(engine, rec).1
-    }
-
-    /// [`Driver::finish_engine`] that also captures the shadow checker's
-    /// canonical [`state_key`](raccd_sim::ShadowChecker::state_key) of the
-    /// final machine state (when a checker is attached). The differential
-    /// suite compares this fingerprint across engines — it covers the
-    /// protocol-visible microarchitectural state (L1/LLC/directory/memory
-    /// versions and sharer sets) that `Stats` alone cannot see.
-    pub fn finish_engine_keyed(
-        mut self,
-        engine: Engine,
-        mut rec: Option<&mut Recorder>,
-    ) -> (Option<String>, DriverOutput) {
-        match engine {
-            Engine::Serial => while self.step(rec.as_deref_mut()) {},
-            Engine::EpochParallel { threads } => {
-                let mut pool = WorkerPool::new(threads);
-                while self.step_epoch(&mut pool, rec.as_deref_mut()) {}
-            }
-        }
-        let key = self.shadow_state_key();
-        (key, self.into_output(rec))
-    }
-}
-
-/// Why a supervised run stopped ([`Driver::finish_engine_supervised`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SupervisedEnd {
-    /// The run drained its heap (or a fault detection ended it) — the
-    /// normal completions [`Driver::finish_engine`] also reaches.
-    Completed,
-    /// The supervisor's tick aborted the run with this reason (campaign
-    /// cancellation, per-job watchdog timeout, resource ceiling, …).
-    Aborted(String),
-}
-
-impl Driver {
-    /// Resilience hook for long-running orchestration (the campaign
-    /// service): run to completion under `engine`, but between slices of
-    /// at most `slice` heap cycles call `tick` with the live driver. A
-    /// `tick` error aborts the run cooperatively — the driver stops at a
-    /// slice boundary (a state a serial run also reaches, so nothing is
-    /// half-committed) and the partial run is discarded: an aborted
-    /// attempt yields no output, exactly like a crash at the same point.
-    ///
-    /// The tick runs on the simulating thread, so it costs one closure
-    /// call per slice — size `slice` so supervision overhead stays noise
-    /// (the campaign default is 50k cycles).
-    pub fn finish_engine_supervised(
-        mut self,
-        engine: Engine,
-        slice: u64,
-        mut tick: impl FnMut(&Driver) -> Result<(), String>,
-    ) -> (SupervisedEnd, Option<String>, Option<DriverOutput>) {
-        let slice = slice.max(1);
-        let mut pool = match engine {
-            Engine::Serial => None,
-            Engine::EpochParallel { threads } => Some(WorkerPool::new(threads)),
-        };
-        while let Some(t) = self.next_time() {
-            let target = t.saturating_add(slice);
-            let live = match pool.as_mut() {
-                None => self.run_until(target, None),
-                Some(p) => self.run_until_engine(target, p, None),
-            };
-            if !live {
-                break;
-            }
-            if let Err(reason) = tick(&self) {
-                // Mid-program: unexecuted tasks remain, so the driver
-                // cannot be torn down into output — drop it whole.
-                return (SupervisedEnd::Aborted(reason), None, None);
-            }
-        }
-        let key = self.shadow_state_key();
-        (SupervisedEnd::Completed, key, Some(self.into_output(None)))
-    }
-}
-
-/// [`crate::driver::run_program_with`] under a selectable engine.
-pub fn run_program_engine(
-    cfg: MachineConfig,
-    mode: CoherenceMode,
-    program: raccd_runtime::Program,
-    engine: Engine,
-    mut rec: Option<&mut Recorder>,
-) -> DriverOutput {
-    Driver::new(cfg, mode, program, None, rec.as_deref_mut()).finish_engine(engine, rec)
-}
-
-/// [`run_program_engine`] with the self-profiler attached (the parallel
-/// engine additionally populates the `engine/epoch_barrier` and
-/// `engine/epoch_merge` sites). Bit-identical to an unprofiled run.
-pub fn run_program_engine_profiled(
-    cfg: MachineConfig,
-    mode: CoherenceMode,
-    program: raccd_runtime::Program,
-    engine: Engine,
-    mut rec: Option<&mut Recorder>,
-) -> DriverOutput {
-    let mut driver = Driver::new(cfg, mode, program, None, rec.as_deref_mut());
-    driver.attach_prof();
-    driver.finish_engine(engine, rec)
 }
 
 #[cfg(test)]
@@ -619,8 +437,9 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let mut pool = WorkerPool::new(4);
-        let natural = pool.scatter(mk_jobs(), None);
-        let shuffled = pool.scatter(mk_jobs(), Some(&[2, 0, 3, 1]));
+        let natural = pool.scatter(mk_jobs());
+        pool.set_shuffle(7);
+        let shuffled = pool.scatter(mk_jobs());
         assert_eq!(natural.len(), shuffled.len());
         for (a, b) in natural.iter().zip(shuffled.iter()) {
             let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());

@@ -25,8 +25,8 @@
 //! ```
 
 use crate::census::CensusSummary;
-use crate::driver::DriverOutput;
-use crate::engine::{run_program_engine, run_program_engine_profiled, Engine};
+use crate::driver::{run, DriverOutput, RunOptions};
+use crate::engine::Engine;
 use crate::mode::CoherenceMode;
 use raccd_obs::Recorder;
 use raccd_prof::ProfReport;
@@ -94,21 +94,28 @@ impl Experiment {
         workload: &dyn Workload,
         rec: Option<&mut Recorder>,
     ) -> RunResult {
-        let program = workload.build();
-        let out = run_program_engine(self.config, self.mode, program, self.engine, rec);
-        Self::finish_run(workload, out)
+        self.simulate(workload, rec, false)
     }
 
     /// [`Experiment::run`] with the self-profiler attached: the result's
     /// `prof` holds the span table. The simulated outcome is bit-identical
     /// to an unprofiled run (the profiler reads only host clocks).
     pub fn run_profiled(&self, workload: &dyn Workload) -> RunResult {
-        let program = workload.build();
-        let out = run_program_engine_profiled(self.config, self.mode, program, self.engine, None);
-        Self::finish_run(workload, out)
+        self.simulate(workload, None, true)
     }
 
-    fn finish_run(workload: &dyn Workload, out: DriverOutput) -> RunResult {
+    fn simulate(
+        &self,
+        workload: &dyn Workload,
+        recorder: Option<&mut Recorder>,
+        profile: bool,
+    ) -> RunResult {
+        let opts = RunOptions {
+            recorder,
+            profile,
+            faults: None,
+            engine: self.engine,
+        };
         let DriverOutput {
             stats,
             census,
@@ -120,7 +127,7 @@ impl Experiment {
             fault: _,
             audit: _,
             prof,
-        } = out;
+        } = run(self.config, self.mode, workload.build(), opts);
         let verify = workload.verify(&mem);
         RunResult {
             stats,

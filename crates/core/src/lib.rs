@@ -13,13 +13,24 @@
 //!   private→shared transitions with cache+TLB flushes (§II-B).
 //! * [`mode`] — the three evaluated systems: FullCoh, PT, RaCCD (§V-A).
 //! * [`census`] — the non-coherent block census behind Figure 2.
-//! * [`driver`] — the simulation loop: scheduling, `raccd_register`, task
-//!   execution (functional-at-dispatch, timed replay under interleaving),
-//!   `raccd_invalidate`, wake-up (Figure 3).
+//! * [`driver`] — the simulation loop, one private phase function per
+//!   step of Figure 3: `dispatch` (scheduling, `raccd_register` per
+//!   dependence, the body run functionally at dispatch), `replay_batch`
+//!   (timed replay under interleaving), then `retry` / `preempt` /
+//!   `retire`, which share one `flush_nc` (`raccd_invalidate`) before the
+//!   wake-up.
 //! * [`engine`] — the selectable simulation loop: the serial oracle and
 //!   the epoch-parallel engine (speculative hit prefixes committed in heap
 //!   order, bit-identical to serial for any thread count; DESIGN.md §12).
 //! * [`experiment`] — the top-level [`Experiment`] API and [`RunResult`].
+//!
+//! There are two ways to run a program. [`run`] takes every host-side
+//! option at once ([`RunOptions`]: recorder, profiler, fault plan,
+//! engine); [`run_resilient`] adds checkpoint-rollback recovery and is
+//! separate only because it needs a program *factory*. Both are thin
+//! loops over the resumable [`Driver`], whose stepping surface is
+//! [`Driver::step`], [`Driver::run_until`], [`Driver::finish`] and
+//! [`Driver::set_engine`].
 
 pub mod census;
 pub mod driver;
@@ -32,11 +43,8 @@ pub mod resilience;
 pub mod tlbclass;
 
 pub use census::{Census, CensusSummary};
-pub use driver::{Driver, DriverOutput, RollbackPolicy};
-pub use engine::{
-    plan_epoch, run_program_engine, run_program_engine_profiled, Engine, PlanTurn, SupervisedEnd,
-    WorkerPool,
-};
+pub use driver::{run, run_resilient, Driver, DriverOutput, RollbackPolicy, RunOptions};
+pub use engine::{plan_epoch, Engine, PlanTurn, WorkerPool};
 pub use experiment::{Experiment, RunResult};
 pub use mode::CoherenceMode;
 pub use ncrt::Ncrt;

@@ -48,7 +48,7 @@ pub struct FaultReport {
     /// Task re-executions performed.
     pub task_retries: u64,
     /// Checkpoint rollbacks performed by the recovery loop
-    /// ([`crate::driver::run_program_resilient`]); 0 for plain runs.
+    /// ([`crate::driver::run_resilient`]); 0 for plain runs.
     pub rollbacks: u32,
 }
 

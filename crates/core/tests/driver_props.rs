@@ -3,7 +3,7 @@
 //! sequential reference execution, deterministic, and complete.
 
 use proptest::prelude::*;
-use raccd_core::{driver::run_program, CoherenceMode};
+use raccd_core::{run, CoherenceMode, DriverOutput, RunOptions};
 use raccd_mem::addr::VRange;
 use raccd_runtime::{Dep, DepDir, Program, ProgramBuilder};
 use raccd_sim::MachineConfig;
@@ -82,6 +82,10 @@ fn build(specs: &[TaskSpec]) -> Program {
     b.finish()
 }
 
+fn simulate(cfg: MachineConfig, mode: CoherenceMode, program: Program) -> DriverOutput {
+    run(cfg, mode, program, RunOptions::default())
+}
+
 fn memory_image(mem: &raccd_mem::SimMemory) -> Vec<u8> {
     let base = mem.allocations()[0].1;
     mem.bytes(base.start, (SLOTS * SLOT_BYTES) as usize)
@@ -103,7 +107,7 @@ proptest! {
         let want = memory_image(&reference.mem);
 
         for mode in CoherenceMode::ALL {
-            let out = run_program(MachineConfig::scaled(), mode, build(&specs));
+            let out = simulate(MachineConfig::scaled(), mode, build(&specs));
             prop_assert_eq!(
                 &memory_image(&out.mem),
                 &want,
@@ -119,8 +123,8 @@ proptest! {
     fn timed_run_is_deterministic(
         specs in proptest::collection::vec(task_strategy(), 1..15),
     ) {
-        let a = run_program(MachineConfig::scaled(), CoherenceMode::Raccd, build(&specs));
-        let b = run_program(MachineConfig::scaled(), CoherenceMode::Raccd, build(&specs));
+        let a = simulate(MachineConfig::scaled(), CoherenceMode::Raccd, build(&specs));
+        let b = simulate(MachineConfig::scaled(), CoherenceMode::Raccd, build(&specs));
         prop_assert_eq!(a.stats.cycles, b.stats.cycles);
         prop_assert_eq!(a.stats.dir_accesses, b.stats.dir_accesses);
         prop_assert_eq!(a.stats.noc_traffic, b.stats.noc_traffic);
@@ -137,7 +141,7 @@ proptest! {
         reference.run_functional();
         let want = memory_image(&reference.mem);
         let cfg = MachineConfig::scaled().with_dir_ratio(ratio);
-        let out = run_program(cfg, CoherenceMode::Raccd, build(&specs));
+        let out = simulate(cfg, CoherenceMode::Raccd, build(&specs));
         prop_assert_eq!(memory_image(&out.mem), want);
     }
 
@@ -150,7 +154,7 @@ proptest! {
         reference.run_functional();
         let want = memory_image(&reference.mem);
         let cfg = MachineConfig::scaled().with_smt(2);
-        let out = run_program(cfg, CoherenceMode::Raccd, build(&specs));
+        let out = simulate(cfg, CoherenceMode::Raccd, build(&specs));
         prop_assert_eq!(memory_image(&out.mem), want);
     }
 }

@@ -16,7 +16,7 @@
 //!   byte-identical.
 
 use proptest::prelude::*;
-use raccd_core::{plan_epoch, CoherenceMode, Driver, PlanTurn, WorkerPool};
+use raccd_core::{plan_epoch, CoherenceMode, Driver, Engine, PlanTurn};
 use raccd_sim::MachineConfig;
 use raccd_workloads::{jacobi::Jacobi, Workload};
 
@@ -104,9 +104,9 @@ proptest! {
         let mut serial = Driver::new(cfg, CoherenceMode::Raccd, w.build(), None, None);
         while serial.run_until(u64::MAX, None) {}
         let mut par = Driver::new(cfg, CoherenceMode::Raccd, w.build(), None, None);
-        let mut pool = WorkerPool::new(threads);
-        pool.set_shuffle(salt);
-        while par.run_until_engine(u64::MAX, &mut pool, None) {}
+        par.set_engine(Engine::EpochParallel { threads });
+        par.worker_pool_mut().expect("parallel engine").set_shuffle(salt);
+        while par.run_until(u64::MAX, None) {}
         prop_assert_eq!(par.shadow_state_key(), serial.shadow_state_key());
         prop_assert_eq!(par.snapshot().to_bytes(), serial.snapshot().to_bytes());
     }
@@ -122,16 +122,19 @@ proptest! {
     ) {
         let cfg = quad_core();
         let w = small_jacobi(seed);
-        let mut pool = WorkerPool::new(threads);
+        let engine = Engine::EpochParallel { threads };
         let mut d = Driver::new(cfg, CoherenceMode::Raccd, w.build(), None, None);
-        d.run_until_engine(k, &mut pool, None);
+        d.set_engine(engine);
+        d.run_until(k, None);
         let s1 = d.snapshot();
         let d2 = Driver::restore(cfg, CoherenceMode::Raccd, w.build(), &s1).expect("restore");
         prop_assert_eq!(s1.to_bytes(), d2.snapshot().to_bytes());
         // The restored driver, resumed under the parallel engine, lands on
         // the same final state as the original resumed serially.
         let mut d2 = d2;
-        while d2.run_until_engine(u64::MAX, &mut pool, None) {}
+        d2.set_engine(engine);
+        d.set_engine(Engine::Serial);
+        while d2.run_until(u64::MAX, None) {}
         while d.run_until(u64::MAX, None) {}
         prop_assert_eq!(d2.shadow_state_key(), d.shadow_state_key());
         prop_assert_eq!(d2.snapshot().to_bytes(), d.snapshot().to_bytes());

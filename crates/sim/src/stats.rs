@@ -155,6 +155,36 @@ pub struct Stats {
 }
 
 impl Stats {
+    /// The sixteen protocol-visible counters every digest of a run folds
+    /// (campaign `stats_digest`, the bench sweep checksum, the benchmark
+    /// goldens), as the little-endian bytes they are hashed as. The set
+    /// and its order are part of every pinned digest.
+    pub fn protocol_counters_le(&self) -> [u8; 128] {
+        let counters = [
+            self.cycles,
+            self.l1_hits,
+            self.l1_misses,
+            self.tlb_hits,
+            self.tlb_misses,
+            self.dir_accesses,
+            self.llc_hits,
+            self.llc_misses,
+            self.invalidations_sent,
+            self.nc_fills,
+            self.coherent_fills,
+            self.noc_traffic,
+            self.mem_reads,
+            self.mem_writes,
+            self.tasks_executed,
+            self.refs_processed,
+        ];
+        let mut bytes = [0u8; 128];
+        for (chunk, v) in bytes.chunks_exact_mut(8).zip(counters) {
+            chunk.copy_from_slice(&v.to_le_bytes());
+        }
+        bytes
+    }
+
     /// LLC hit ratio (Figure 7b). 0 when the LLC was never accessed.
     pub fn llc_hit_ratio(&self) -> f64 {
         let total = self.llc_hits + self.llc_misses;

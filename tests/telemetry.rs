@@ -5,8 +5,7 @@
 //! actually needs to render the file: the document is valid JSON, every
 //! track's timestamps are monotone, and every `B` has a matching `E`.
 
-use raccd::core::driver::{run_program, run_program_with};
-use raccd::core::CoherenceMode;
+use raccd::core::{run, CoherenceMode, RunOptions};
 use raccd::mem::{SimMemory, VRange};
 use raccd::obs::{json, Recorder, RecorderConfig};
 use raccd::runtime::{Dep, Program, ProgramBuilder};
@@ -54,16 +53,23 @@ fn toy_program() -> Program {
     b.finish()
 }
 
+fn recording(rec: &mut Recorder) -> RunOptions<'_> {
+    RunOptions {
+        recorder: Some(rec),
+        ..RunOptions::default()
+    }
+}
+
 fn record_toy() -> (Recorder, raccd::sim::Stats) {
     let mut rec = Recorder::new(RecorderConfig {
         sample_interval: 64,
         buffer_events: true,
     });
-    let out = run_program_with(
+    let out = run(
         tiny_machine(),
         CoherenceMode::Raccd,
         toy_program(),
-        Some(&mut rec),
+        recording(&mut rec),
     );
     (rec, out.stats)
 }
@@ -155,7 +161,12 @@ fn jsonl_csv_and_series_are_consistent() {
 #[test]
 fn toy_run_is_identical_with_and_without_recorder() {
     let (_, with_rec) = record_toy();
-    let without = run_program(tiny_machine(), CoherenceMode::Raccd, toy_program());
+    let without = run(
+        tiny_machine(),
+        CoherenceMode::Raccd,
+        toy_program(),
+        RunOptions::default(),
+    );
     assert_eq!(
         with_rec.cycles, without.stats.cycles,
         "telemetry is passive"
@@ -173,11 +184,11 @@ fn jacobi_occupancy_series_is_nonconstant() {
         sample_interval: 4096,
         buffer_events: false,
     });
-    let out = run_program_with(
+    let out = run(
         cfg,
         CoherenceMode::Raccd,
         Jacobi::new(Scale::Test).build(),
-        Some(&mut rec),
+        recording(&mut rec),
     );
     let occ: Vec<f64> = rec.samples().iter().map(|s| s.dir_occupancy).collect();
     assert!(
