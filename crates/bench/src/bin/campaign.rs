@@ -7,7 +7,7 @@
 //!     [--gen N | --spec "bench=Jacobi scale=test mode=raccd seeds=1..8" | --spec-file F] \
 //!     [--scale test|bench] [--workers N] [--queue-cap N] [--retries N] \
 //!     [--timeout-ms N] [--dedup-probe] [--report F] [--events F] \
-//!     [--depth-csv F] [--bench-json F]
+//!     [--depth-csv F]
 //! ```
 //!
 //! **Resume = rerun the same command.** Opening an existing ledger replays
@@ -19,16 +19,16 @@
 //!
 //! `--gen N` expands a deterministic N-job matrix (benchmarks × {fullcoh,
 //! pt, raccd} × ratios {4, 8}, warm-started, seeds split evenly) — the CI
-//! soak and the `BENCH_8.json` throughput point both use it.
-//! `--dedup-probe` submits every spec a second time after admission; the
-//! second pass must dedup completely, which pins the fingerprint/dedup
-//! path in the perf document.
+//! soak uses it. `--dedup-probe` submits every spec a second time after
+//! admission; the second pass must dedup completely (EXPERIMENTS.md's
+//! dedup methodology reads the hit count off the report). Campaign
+//! throughput is timed by the repo benchmark's `campaign-dedup` workload,
+//! not here.
 
-use raccd_bench::perfjson::{git_rev, host_fingerprint, BenchDoc, PerfJob, SCHEMA_VERSION};
 use raccd_bench::{bench_names, scale_from_args};
 use raccd_campaign::{Campaign, CampaignConfig, JobSpec};
 use raccd_core::CoherenceMode;
-use raccd_obs::{write_campaign_depth_csv, write_events_jsonl, RunMetrics};
+use raccd_obs::{write_campaign_depth_csv, write_events_jsonl};
 use raccd_workloads::Scale;
 use std::path::PathBuf;
 
@@ -171,56 +171,6 @@ fn main() {
         );
         write_campaign_depth_csv(&campaign.events(), &mut w)
             .unwrap_or_else(|e| panic!("writing depth csv {p}: {e}"));
-    }
-
-    if let Some(p) = pick("--bench-json") {
-        let results = campaign.results();
-        let total_cycles: u64 = results.iter().map(|(_, d)| d.cycles).sum();
-        let total_tasks: u64 = results.iter().map(|(_, d)| d.tasks).sum();
-        let wall = (report.elapsed_ms as f64 / 1000.0).max(1e-9);
-        let (host, ncpu) = host_fingerprint();
-        let metric = |name: &str, wall_seconds: f64, sim_cycles: u64, tasks: u64| RunMetrics {
-            name: name.to_string(),
-            wall_seconds,
-            sim_cycles,
-            tasks_executed: tasks,
-            ..RunMetrics::default()
-        };
-        let job = |name: &str, m: RunMetrics| PerfJob {
-            name: name.to_string(),
-            workload: "campaign".to_string(),
-            mode: "mixed".to_string(),
-            profiled: false,
-            reps: 1,
-            metrics: m,
-        };
-        let doc = BenchDoc {
-            schema_version: SCHEMA_VERSION,
-            git_rev: git_rev(std::path::Path::new(".")),
-            host,
-            ncpu,
-            scale: format!("{scale}"),
-            reps: 1,
-            prof_overhead_pct: 0.0,
-            jobs: vec![
-                // Campaign throughput: simulated cycles completed per
-                // wall-second across the whole run (pool + warm starts).
-                job(
-                    "campaign/throughput",
-                    metric("campaign/throughput", wall, total_cycles, total_tasks),
-                ),
-                // Dedup probe: `cycles_per_sec` is the raw dedup-hit count
-                // over a 1 s denominator — a fingerprint or dedup
-                // regression zeroes it, which the perf gate flags.
-                job(
-                    "campaign/dedup_probe",
-                    metric("campaign/dedup_probe", 1.0, report.dedup_hits, 0),
-                ),
-            ],
-            spans: raccd_prof::ProfReport::empty(),
-        };
-        std::fs::write(&p, doc.render()).unwrap_or_else(|e| panic!("writing {p}: {e}"));
-        eprintln!("campaign: wrote perf document {p}");
     }
 
     if !report.reconcile.consistent {

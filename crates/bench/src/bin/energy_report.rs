@@ -55,7 +55,7 @@ fn main() {
         "energy_report: {} simulations at scale {scale}...",
         jobs.len()
     );
-    let results = run_jobs(scale, cfg, &jobs);
+    let results = run_jobs(scale, cfg, &jobs, None);
 
     println!(
         "# Component dynamic-energy fractions at FullCoh 1:1 (paper: dir 1.55%, NoC 15%, LLC 26%)"

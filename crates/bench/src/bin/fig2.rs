@@ -10,7 +10,7 @@
 
 use raccd_bench::chart::{chart_requested, grouped_bar_chart};
 use raccd_bench::{bench_names, config_from_args, mean, run_matrix, scale_from_args};
-use raccd_core::CoherenceMode;
+use raccd_core::{CoherenceMode, Engine};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -29,6 +29,7 @@ fn main() {
         names.len(),
         &modes,
         &[1],
+        Engine::Serial,
     );
 
     println!("# Figure 2: percentage of non-coherent cache blocks (1:1 directory)");

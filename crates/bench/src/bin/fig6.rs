@@ -7,7 +7,7 @@
 //! only 0.9 % at 1:8 and ~10 % at 1:256.
 
 use raccd_bench::{bench_names, config_from_args, mean, run_matrix, scale_from_args};
-use raccd_core::CoherenceMode;
+use raccd_core::{CoherenceMode, Engine};
 use raccd_sim::DIR_RATIOS;
 use std::collections::HashMap;
 
@@ -25,6 +25,7 @@ fn main() {
         names.len(),
         &modes,
         &DIR_RATIOS,
+        Engine::Serial,
     );
 
     // cycles[(bench, mode, ratio)]

@@ -15,7 +15,7 @@
 //! for RaCCD; RaCCD's directory dynamic energy is 71–80 % below FullCoh.
 
 use raccd_bench::{
-    bench_names, config_from_args, engine_from_args, mean, run_matrix_engine, scale_from_args,
+    bench_names, config_from_args, engine_from_args, mean, run_matrix, scale_from_args,
 };
 use raccd_core::CoherenceMode;
 use raccd_energy::EnergyModel;
@@ -52,7 +52,7 @@ fn main() {
 
     let modes: Vec<(CoherenceMode, bool)> =
         CoherenceMode::ALL.iter().map(|&m| (m, false)).collect();
-    let results = run_matrix_engine(
+    let results = run_matrix(
         "fig7",
         scale,
         cfg,

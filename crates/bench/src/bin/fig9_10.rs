@@ -8,7 +8,7 @@
 //! saving vs FullCoh 1:1.
 
 use raccd_bench::{bench_names, config_from_args, mean, run_matrix, scale_from_args};
-use raccd_core::CoherenceMode;
+use raccd_core::{CoherenceMode, Engine};
 use raccd_energy::EnergyModel;
 use raccd_sim::Stats;
 
@@ -33,7 +33,15 @@ fn main() {
         (CoherenceMode::Raccd, false),
         (CoherenceMode::Raccd, true),
     ];
-    let results = run_matrix("fig9/10", scale, cfg, names.len(), &modes, &[1]);
+    let results = run_matrix(
+        "fig9/10",
+        scale,
+        cfg,
+        names.len(),
+        &modes,
+        &[1],
+        Engine::Serial,
+    );
 
     println!("# Figure 9: normalised performance with adaptive directory reduction");
     println!("benchmark\tFullCoh\tPT\tRaCCD\tRaCCD+ADR\treconfigs");

@@ -6,7 +6,8 @@
 //!     [--scale test|bench|paper] [--bench Jacobi,...] [--ratios 1,8,256] \
 //!     [--modes FullCoh,PT,TLB,RaCCD] [--adr] [--smt N] [--wt] \
 //!     [--protocol mesi|mesif|moesi] [--topology mesh|numa2] \
-//!     [--contention] [--permuted] [--steal] [--telemetry out/] \
+//!     [--sched fifo|steal|priority|locality|quantum] \
+//!     [--contention] [--permuted] [--telemetry out/] \
 //!     [--engine serial|parallel [--threads N]]
 //! ```
 //!
@@ -15,7 +16,7 @@
 //! histogram report) into a per-job subdirectory of `dir`.
 
 use raccd_bench::{
-    bench_names, config_from_args, engine_from_args, run_jobs_with_telemetry, scale_from_args,
+    bench_names, config_from_args, engine_from_args, run_jobs, scale_from_args,
     telemetry_dir_from_args, Job,
 };
 use raccd_core::CoherenceMode;
@@ -77,9 +78,6 @@ fn main() {
     if args.iter().any(|a| a == "--permuted") {
         base_cfg.permuted_pages = true;
     }
-    if args.iter().any(|a| a == "--steal") {
-        base_cfg.sched = raccd_sim::SchedKind::Steal;
-    }
 
     let engine = engine_from_args(&args);
     let mut jobs = Vec::new();
@@ -112,7 +110,7 @@ fn main() {
         base_cfg.ncores,
     );
     let t0 = std::time::Instant::now();
-    let results = run_jobs_with_telemetry(scale, base_cfg, &jobs, telemetry.as_deref());
+    let results = run_jobs(scale, base_cfg, &jobs, telemetry.as_deref());
     eprintln!("done in {:.1}s", t0.elapsed().as_secs_f64());
     if let Some(dir) = &telemetry {
         eprintln!("telemetry artifacts under {}", dir.display());

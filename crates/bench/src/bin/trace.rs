@@ -156,8 +156,7 @@ fn main() {
             &format!("{}/{mode}", names[bench_idx]),
             &out.stats,
             wall,
-        )
-        .with_prof(prof);
+        );
         println!();
         println!("# self-profile span table");
         print!("{}", prof.render_table());

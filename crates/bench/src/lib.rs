@@ -59,15 +59,11 @@ pub fn bench_names(scale: Scale) -> Vec<String> {
 }
 
 /// Run all jobs across host threads; results are returned in job order.
-pub fn run_jobs(scale: Scale, base_cfg: MachineConfig, jobs: &[Job]) -> Vec<JobResult> {
-    run_jobs_with_telemetry(scale, base_cfg, jobs, None)
-}
-
-/// [`run_jobs`] with optional telemetry capture: with `Some(dir)` each job
-/// runs with a [`Recorder`] attached and writes the standard artifact set
-/// (`trace.json`, `events.jsonl`, `series.csv`, `histograms.txt`) into
+/// With `telemetry: Some(dir)` each job runs with a [`Recorder`] attached
+/// and writes the standard artifact set (`trace.json`, `events.jsonl`,
+/// `series.csv`, `histograms.txt`) into
 /// `dir/<bench>_<mode>_1-<ratio>[_adr]/`.
-pub fn run_jobs_with_telemetry(
+pub fn run_jobs(
     scale: Scale,
     base_cfg: MachineConfig,
     jobs: &[Job],
@@ -181,23 +177,10 @@ fn run_one_job(
 /// `tag: running N simulations...`, fan out over host threads and report
 /// the wall-clock. Results come back in job order (ratio fastest-varying,
 /// benchmark slowest), so `results.chunks(modes.len() * ratios.len())`
-/// groups per benchmark.
+/// groups per benchmark. Results are bit-identical across `engine`s — the
+/// parallel engine (`--engine parallel --threads N` on `fig7`) only
+/// changes how each simulation is advanced.
 pub fn run_matrix(
-    tag: &str,
-    scale: Scale,
-    base_cfg: MachineConfig,
-    nbench: usize,
-    modes: &[(CoherenceMode, bool)],
-    ratios: &[usize],
-) -> Vec<JobResult> {
-    run_matrix_engine(tag, scale, base_cfg, nbench, modes, ratios, Engine::Serial)
-}
-
-/// [`run_matrix`] under a selectable engine (`--engine parallel --threads
-/// N` on the figure binaries). Results are bit-identical across engines —
-/// the parallel engine only changes how each simulation is advanced.
-#[allow(clippy::too_many_arguments)]
-pub fn run_matrix_engine(
     tag: &str,
     scale: Scale,
     base_cfg: MachineConfig,
@@ -237,8 +220,17 @@ pub fn run_matrix_engine(
         base_cfg.ncores,
     );
     let t0 = std::time::Instant::now();
-    let results = run_jobs(scale, base_cfg, &jobs);
-    let m = matrix_metrics(tag, &results, t0.elapsed().as_secs_f64());
+    let results = run_jobs(scale, base_cfg, &jobs, None);
+    // Counters sum across jobs and the wall time is the batch's (jobs run
+    // concurrently), so the rates report whole-matrix host throughput.
+    let mut stats = raccd_sim::Stats::default();
+    for r in &results {
+        stats.cycles += r.result.stats.cycles;
+        stats.refs_processed += r.result.stats.refs_processed;
+        stats.noc_traffic += r.result.stats.noc_traffic;
+        stats.tasks_executed += r.result.stats.tasks_executed;
+    }
+    let m = RunMetrics::from_stats(tag, &stats, t0.elapsed().as_secs_f64());
     eprintln!(
         "{tag}: done in {:.1}s ({} simulated cycles/s)",
         m.wall_seconds,
@@ -248,20 +240,6 @@ pub fn run_matrix_engine(
     // `results/*.txt`); `#`-prefixed so data consumers skip it.
     println!("{}", m.summary_line());
     results
-}
-
-/// Aggregate a job batch into one [`RunMetrics`]: counters sum across
-/// jobs, the wall time is the batch's (jobs run concurrently, so the
-/// rates report whole-matrix host throughput).
-pub fn matrix_metrics(tag: &str, results: &[JobResult], wall_seconds: f64) -> RunMetrics {
-    let mut stats = raccd_sim::Stats::default();
-    for r in results {
-        stats.cycles += r.result.stats.cycles;
-        stats.refs_processed += r.result.stats.refs_processed;
-        stats.noc_traffic += r.result.stats.noc_traffic;
-        stats.tasks_executed += r.result.stats.tasks_executed;
-    }
-    RunMetrics::from_stats(tag, &stats, wall_seconds)
 }
 
 /// Deterministic FNV-1a checksum over a job batch's protocol-visible
@@ -347,15 +325,15 @@ pub fn engine_from_args(args: &[String]) -> Engine {
 
 /// Parse `--scale test|bench|paper` from argv (default: bench).
 pub fn scale_from_args(args: &[String]) -> Scale {
-    match args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str())
-    {
+    let Some(i) = args.iter().position(|a| a == "--scale") else {
+        return Scale::Bench;
+    };
+    match args.get(i + 1).map(String::as_str) {
         Some("test") => Scale::Test,
+        Some("bench") => Scale::Bench,
         Some("paper") => Scale::Paper,
-        _ => Scale::Bench,
+        Some(name) => panic!("--scale: unknown scale `{name}` (test|bench|paper)"),
+        None => panic!("--scale: missing value (test|bench|paper)"),
     }
 }
 
@@ -452,13 +430,45 @@ mod tests {
         assert_eq!(geo_mean(&[]), 0.0);
     }
 
+    /// One argv through both parsers, as every figure binary does; `Err`
+    /// carries the panic message of a rejected command line.
+    fn parse_scale_engine(argv: &[&str]) -> Result<(Scale, Engine), String> {
+        let args: Vec<String> = argv.iter().map(|x| x.to_string()).collect();
+        std::panic::catch_unwind(|| (scale_from_args(&args), engine_from_args(&args))).map_err(
+            |e| match e.downcast::<String>() {
+                Ok(formatted) => *formatted,
+                Err(e) => e.downcast_ref::<&str>().copied().unwrap_or("").to_string(),
+            },
+        )
+    }
+
     #[test]
     fn scale_parsing() {
-        let args = |s: &str| vec!["--scale".to_string(), s.to_string()];
-        assert_eq!(scale_from_args(&args("test")), Scale::Test);
-        assert_eq!(scale_from_args(&args("paper")), Scale::Paper);
-        assert_eq!(scale_from_args(&args("bench")), Scale::Bench);
-        assert_eq!(scale_from_args(&[]), Scale::Bench);
+        let par2 = Engine::EpochParallel { threads: 2 };
+        let accepted: [(&[&str], (Scale, Engine)); 5] = [
+            (&["--scale", "test"], (Scale::Test, Engine::Serial)),
+            (&["--scale", "bench"], (Scale::Bench, Engine::Serial)),
+            (&["--scale", "paper"], (Scale::Paper, Engine::Serial)),
+            (&[], (Scale::Bench, Engine::Serial)),
+            // `--threads` without `--engine` implies the parallel engine.
+            (&["--scale", "test", "--threads", "2"], (Scale::Test, par2)),
+        ];
+        for (argv, want) in accepted {
+            assert_eq!(parse_scale_engine(argv), Ok(want), "{argv:?}");
+        }
+        let rejected: [(&[&str], &str); 2] = [
+            (
+                &["--scale", "tset"],
+                "--scale: unknown scale `tset` (test|bench|paper)",
+            ),
+            (
+                &["--threads", "2", "--scale"],
+                "--scale: missing value (test|bench|paper)",
+            ),
+        ];
+        for (argv, want) in rejected {
+            assert_eq!(parse_scale_engine(argv), Err(want.to_string()), "{argv:?}");
+        }
     }
 
     #[test]
@@ -539,7 +549,7 @@ mod tests {
                 engine: Engine::EpochParallel { threads: 2 },
             },
         ];
-        let out = run_jobs(Scale::Test, MachineConfig::scaled(), &jobs);
+        let out = run_jobs(Scale::Test, MachineConfig::scaled(), &jobs, None);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].job.ratio, 1);
         assert_eq!(out[1].job.ratio, 4);

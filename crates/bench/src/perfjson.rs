@@ -1,292 +1,12 @@
-//! The `BENCH_*.json` performance-trajectory schema: emit, parse, compare.
+//! The host fingerprint stamped into the repo benchmark's result files.
 //!
-//! Each growth increment commits one `BENCH_<n>.json` at the repo root: a
-//! pinned simulator-performance matrix (workload × system × profiler)
-//! measured by the `perf` binary. The file is the repo's perf trajectory —
-//! successive increments can be diffed, and `perf --compare` gates new
-//! work against the last committed point (soft gate in CI: a regression
-//! exits 1, a malformed file or broken tool exits 2).
-//!
-//! The format rides on the dependency-free JSON writer/parser in
-//! [`raccd_obs::json`]; every field is explicit so a schema change is a
-//! conscious `SCHEMA_VERSION` bump.
+//! This module once held the `perf` binary's JSON schema; the benchmark
+//! harness under `benchmark/` still calls
+//! `raccd_bench::perfjson::host_fingerprint()` and may not be edited from
+//! this crate's side, so the path keeps its old name.
 
-use raccd_obs::json::{self, Obj, Value};
-use raccd_obs::RunMetrics;
-use raccd_prof::{ProfReport, Site, SiteStats};
-
-/// Current schema version; bump when the layout changes incompatibly.
-pub const SCHEMA_VERSION: u64 = 1;
-
-/// Relative median-throughput drop that counts as a regression (15 %).
-pub const REGRESSION_TOLERANCE: f64 = 0.15;
-
-/// One matrix cell: a (workload, system, profiler) job's median metrics.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PerfJob {
-    /// Unique job label, `<workload>/<mode>[/prof]`.
-    pub name: String,
-    /// Workload name (Table II spelling).
-    pub workload: String,
-    /// Coherence mode label (`raccd` / `fullcoh`).
-    pub mode: String,
-    /// Whether the self-profiler was attached.
-    pub profiled: bool,
-    /// Repetitions this job ran; metrics are the median-wall rep.
-    pub reps: u64,
-    /// Median-of-runs metrics.
-    pub metrics: RunMetrics,
-}
-
-/// A complete BENCH document.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchDoc {
-    /// Schema version ([`SCHEMA_VERSION`] on emit).
-    pub schema_version: u64,
-    /// `git rev-parse --short HEAD` at generation time (or `unknown`).
-    pub git_rev: String,
-    /// Host fingerprint: CPU model, logical CPUs, OS/arch.
-    pub host: String,
-    /// Logical CPUs on the generating host.
-    pub ncpu: u64,
-    /// Workload scale the matrix ran at.
-    pub scale: String,
-    /// Repetitions per job.
-    pub reps: u64,
-    /// Measured profiler overhead: mean relative wall-time delta of
-    /// profiled vs unprofiled twins, percent (negative = noise).
-    pub prof_overhead_pct: f64,
-    /// The matrix, in pinned order.
-    pub jobs: Vec<PerfJob>,
-    /// Merged span table across every profiled run (incl. the snapshot
-    /// microbench).
-    pub spans: ProfReport,
-}
-
-impl BenchDoc {
-    /// Render the document: stable key order, one job/span per line so
-    /// committed files diff cleanly across increments.
-    pub fn render(&self) -> String {
-        let mut out = String::from("{\n");
-        let field = |out: &mut String, k: &str, v: &str, comma: bool| {
-            out.push_str(&format!(
-                "  {}: {}{}\n",
-                json::escape(k),
-                v,
-                if comma { "," } else { "" }
-            ));
-        };
-        field(
-            &mut out,
-            "schema_version",
-            &self.schema_version.to_string(),
-            true,
-        );
-        field(&mut out, "git_rev", &json::escape(&self.git_rev), true);
-        field(&mut out, "host", &json::escape(&self.host), true);
-        field(&mut out, "ncpu", &self.ncpu.to_string(), true);
-        field(&mut out, "scale", &json::escape(&self.scale), true);
-        field(&mut out, "reps", &self.reps.to_string(), true);
-        field(
-            &mut out,
-            "prof_overhead_pct",
-            &json::num(self.prof_overhead_pct),
-            true,
-        );
-        out.push_str("  \"jobs\": [\n");
-        for (i, j) in self.jobs.iter().enumerate() {
-            let obj = Obj::new()
-                .str("name", &j.name)
-                .str("workload", &j.workload)
-                .str("mode", &j.mode)
-                .bool("profiled", j.profiled)
-                .u64("reps", j.reps)
-                .raw("metrics", j.metrics.to_json())
-                .render();
-            out.push_str(&format!(
-                "    {obj}{}\n",
-                if i + 1 < self.jobs.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"spans\": [\n");
-        let rows: Vec<(Site, SiteStats)> = Site::ALL
-            .into_iter()
-            .map(|s| (s, self.spans.get(s)))
-            .filter(|(_, st)| st.count > 0)
-            .collect();
-        for (i, (site, s)) in rows.iter().enumerate() {
-            let obj = Obj::new()
-                .str("site", site.name())
-                .u64("count", s.count)
-                .u64("total_ns", s.total_ns)
-                .u64("min_ns", s.min_ns)
-                .u64("max_ns", s.max_ns)
-                .u64("units", s.units)
-                .render();
-            out.push_str(&format!(
-                "    {obj}{}\n",
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Parse and validate a BENCH document.
-    pub fn parse(text: &str) -> Result<BenchDoc, String> {
-        let v = json::parse(text).map_err(|e| format!("invalid json: {e}"))?;
-        let schema_version = req_u64(&v, "schema_version")?;
-        if schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "schema_version {schema_version} (this tool reads {SCHEMA_VERSION})"
-            ));
-        }
-        let jobs_v = v.get("jobs").ok_or("missing jobs")?;
-        let mut jobs = Vec::new();
-        for jv in jobs_v.items() {
-            jobs.push(PerfJob {
-                name: req_str(jv, "name")?,
-                workload: req_str(jv, "workload")?,
-                mode: req_str(jv, "mode")?,
-                profiled: matches!(jv.get("profiled"), Some(Value::Bool(true))),
-                reps: req_u64(jv, "reps")?,
-                metrics: metrics_from_json(jv.get("metrics").ok_or("missing metrics")?)?,
-            });
-        }
-        if jobs.is_empty() {
-            return Err("empty job matrix".into());
-        }
-        let mut spans = ProfReport::empty();
-        for sv in v.get("spans").ok_or("missing spans")?.items() {
-            let name = req_str(sv, "site")?;
-            let site = Site::from_name(&name).ok_or(format!("unknown site {name:?}"))?;
-            spans.set(
-                site,
-                SiteStats {
-                    count: req_u64(sv, "count")?,
-                    total_ns: req_u64(sv, "total_ns")?,
-                    min_ns: req_u64(sv, "min_ns")?,
-                    max_ns: req_u64(sv, "max_ns")?,
-                    units: req_u64(sv, "units")?,
-                },
-            );
-        }
-        Ok(BenchDoc {
-            schema_version,
-            git_rev: req_str(&v, "git_rev")?,
-            host: req_str(&v, "host")?,
-            ncpu: req_u64(&v, "ncpu")?,
-            scale: req_str(&v, "scale")?,
-            reps: req_u64(&v, "reps")?,
-            prof_overhead_pct: req_f64(&v, "prof_overhead_pct")?,
-            jobs,
-            spans,
-        })
-    }
-}
-
-/// Reconstruct [`RunMetrics`] from its [`RunMetrics::to_json`] object.
-/// Derived rates are recomputed, not read back, so the struct stays the
-/// single source of truth.
-pub fn metrics_from_json(v: &Value) -> Result<RunMetrics, String> {
-    Ok(RunMetrics {
-        name: req_str(v, "name")?,
-        wall_seconds: req_f64(v, "wall_seconds")?,
-        sim_cycles: req_u64(v, "sim_cycles")?,
-        refs_processed: req_u64(v, "refs_processed")?,
-        protocol_events: req_u64(v, "protocol_events")?,
-        tasks_executed: req_u64(v, "tasks_executed")?,
-        snap_encode_bytes: req_u64(v, "snap_encode_bytes")?,
-        snap_encode_ns: req_u64(v, "snap_encode_ns")?,
-        snap_decode_bytes: req_u64(v, "snap_decode_bytes")?,
-        snap_decode_ns: req_u64(v, "snap_decode_ns")?,
-        peak_rss_bytes: req_u64(v, "peak_rss_bytes")?,
-    })
-}
-
-/// Outcome of comparing a candidate run against a baseline document.
-#[derive(Debug, Default)]
-pub struct CompareOutcome {
-    /// Human-readable per-job verdict lines.
-    pub lines: Vec<String>,
-    /// Jobs present in both documents.
-    pub compared: usize,
-    /// Jobs whose median throughput regressed beyond tolerance.
-    pub regressions: usize,
-}
-
-impl CompareOutcome {
-    /// True when every compared job is within tolerance.
-    pub fn clean(&self) -> bool {
-        self.regressions == 0
-    }
-}
-
-/// Compare candidate vs baseline on median simulated-cycles-per-second.
-/// A job regresses when its candidate throughput falls more than
-/// [`REGRESSION_TOLERANCE`] below the baseline. Jobs present on only one
-/// side are reported but never gate (the matrix is allowed to grow).
-///
-/// When the two documents carry different host fingerprints the absolute
-/// throughputs are not comparable (different CPU, core count, or both), so
-/// over-tolerance drops are reported as `WARN (host differs)` instead of
-/// counting as regressions — the gate only ever fires on like-for-like
-/// hardware.
-pub fn compare(baseline: &BenchDoc, candidate: &BenchDoc) -> CompareOutcome {
-    let mut out = CompareOutcome::default();
-    let host_differs = baseline.host != candidate.host;
-    if host_differs {
-        out.lines.push(format!(
-            "  host fingerprint differs — throughput deltas are advisory only\n\
-             \x20   baseline:  {}\n\
-             \x20   candidate: {}",
-            baseline.host, candidate.host
-        ));
-    }
-    for b in &baseline.jobs {
-        let Some(c) = candidate.jobs.iter().find(|c| c.name == b.name) else {
-            out.lines
-                .push(format!("  {:<28} missing from candidate", b.name));
-            continue;
-        };
-        out.compared += 1;
-        let (base, cand) = (b.metrics.cycles_per_sec(), c.metrics.cycles_per_sec());
-        if base <= 0.0 {
-            out.lines
-                .push(format!("  {:<28} baseline has no throughput", b.name));
-            continue;
-        }
-        let delta = (cand - base) / base;
-        let verdict = if delta < -REGRESSION_TOLERANCE {
-            if host_differs {
-                "WARN (host differs)"
-            } else {
-                out.regressions += 1;
-                "REGRESSED"
-            }
-        } else {
-            "ok"
-        };
-        out.lines.push(format!(
-            "  {:<28} {:>10}/s -> {:>10}/s  {:>+7.1}%  {}",
-            b.name,
-            raccd_prof::fmt_si(base),
-            raccd_prof::fmt_si(cand),
-            delta * 100.0,
-            verdict
-        ));
-    }
-    for c in &candidate.jobs {
-        if !baseline.jobs.iter().any(|b| b.name == c.name) {
-            out.lines
-                .push(format!("  {:<28} new job (no baseline)", c.name));
-        }
-    }
-    out
-}
-
-/// Host fingerprint string: CPU model, logical CPU count, OS/arch.
+/// Host fingerprint string (CPU model, logical CPU count, OS/arch) and the
+/// logical CPU count on its own.
 pub fn host_fingerprint() -> (String, u64) {
     let ncpu = std::thread::available_parallelism()
         .map(|p| p.get() as u64)
@@ -308,169 +28,4 @@ pub fn host_fingerprint() -> (String, u64) {
         ),
         ncpu,
     )
-}
-
-/// `git rev-parse --short HEAD` in `dir`, or `"unknown"`.
-pub fn git_rev(dir: &std::path::Path) -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(dir)
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-fn req_u64(v: &Value, key: &str) -> Result<u64, String> {
-    req_f64(v, key).map(|f| f as u64)
-}
-
-fn req_f64(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or(format!("missing/non-numeric {key:?}"))
-}
-
-fn req_str(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or(format!("missing/non-string {key:?}"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn doc() -> BenchDoc {
-        let mut spans = ProfReport::empty();
-        spans.set(
-            Site::SnapEncode,
-            SiteStats {
-                count: 3,
-                total_ns: 900_000,
-                min_ns: 200_000,
-                max_ns: 400_000,
-                units: 3 << 20,
-            },
-        );
-        let job = |name: &str, mode: &str, profiled: bool, cycles: u64| PerfJob {
-            name: name.to_string(),
-            workload: "Jacobi".to_string(),
-            mode: mode.to_string(),
-            profiled,
-            reps: 3,
-            metrics: RunMetrics {
-                name: name.to_string(),
-                wall_seconds: 0.25,
-                sim_cycles: cycles,
-                refs_processed: 1000,
-                protocol_events: 400,
-                tasks_executed: 16,
-                ..RunMetrics::default()
-            },
-        };
-        BenchDoc {
-            schema_version: SCHEMA_VERSION,
-            git_rev: "abc1234".to_string(),
-            host: "test-host (8 cpus, linux-x86_64)".to_string(),
-            ncpu: 8,
-            scale: "test".to_string(),
-            reps: 3,
-            prof_overhead_pct: 1.25,
-            jobs: vec![
-                job("Jacobi/raccd", "raccd", false, 1_000_000),
-                job("Jacobi/raccd/prof", "raccd", true, 1_000_000),
-            ],
-            spans,
-        }
-    }
-
-    #[test]
-    fn roundtrips_exactly() {
-        let d = doc();
-        let parsed = BenchDoc::parse(&d.render()).expect("parses");
-        assert_eq!(parsed, d);
-    }
-
-    #[test]
-    fn rejects_bad_documents() {
-        assert!(BenchDoc::parse("{}").is_err());
-        let other_version = doc()
-            .render()
-            .replace("\"schema_version\": 1", "\"schema_version\": 99");
-        assert!(BenchDoc::parse(&other_version).unwrap_err().contains("99"));
-        let bad_site = doc().render().replace("snap/encode", "snap/bogus");
-        assert!(BenchDoc::parse(&bad_site).unwrap_err().contains("bogus"));
-    }
-
-    #[test]
-    fn compare_flags_only_real_regressions() {
-        let base = doc();
-        let mut cand = doc();
-        // 10 % slower: within the 15 % tolerance.
-        cand.jobs[0].metrics.wall_seconds = 0.25 / 0.9;
-        let out = compare(&base, &cand);
-        assert_eq!(out.compared, 2);
-        assert!(out.clean(), "{:?}", out.lines);
-        // 40 % slower: regression.
-        cand.jobs[0].metrics.wall_seconds = 0.25 / 0.6;
-        let out = compare(&base, &cand);
-        assert_eq!(out.regressions, 1);
-        assert!(out.lines.iter().any(|l| l.contains("REGRESSED")));
-    }
-
-    #[test]
-    fn compare_exempts_regressions_across_hosts() {
-        let base = doc();
-        let mut cand = doc();
-        cand.host = "other-host (1 cpus, linux-aarch64)".to_string();
-        // 40 % slower — would regress on the same host — but the candidate
-        // was measured on different hardware, so it only warns.
-        cand.jobs[0].metrics.wall_seconds = 0.25 / 0.6;
-        let out = compare(&base, &cand);
-        assert_eq!(out.compared, 2);
-        assert!(out.clean(), "{:?}", out.lines);
-        assert!(out.lines.iter().any(|l| l.contains("WARN (host differs)")));
-        assert!(out
-            .lines
-            .iter()
-            .any(|l| l.contains("host fingerprint differs")));
-        assert!(!out.lines.iter().any(|l| l.contains("REGRESSED")));
-    }
-
-    #[test]
-    fn compare_still_gates_on_same_host() {
-        // Same fingerprint, same 40 % drop: the gate must fire (the
-        // cross-host exemption must not swallow real regressions).
-        let base = doc();
-        let mut cand = doc();
-        cand.jobs[0].metrics.wall_seconds = 0.25 / 0.6;
-        let out = compare(&base, &cand);
-        assert_eq!(out.regressions, 1);
-        assert!(!out.clean());
-        assert!(!out
-            .lines
-            .iter()
-            .any(|l| l.contains("host fingerprint differs")));
-    }
-
-    #[test]
-    fn compare_tolerates_matrix_growth() {
-        let base = doc();
-        let mut cand = doc();
-        cand.jobs.push(PerfJob {
-            name: "MD5/fullcoh".to_string(),
-            ..cand.jobs[0].clone()
-        });
-        let out = compare(&base, &cand);
-        assert!(out.clean());
-        assert!(out.lines.iter().any(|l| l.contains("new job")));
-        // And shrinkage is reported but doesn't gate.
-        let out = compare(&cand, &base);
-        assert!(out.clean());
-        assert!(out.lines.iter().any(|l| l.contains("missing")));
-    }
 }

@@ -24,10 +24,9 @@
 //!   overhead budget (DESIGN.md §Observability).
 //! * [`json`] — dependency-free JSON writer and strict parser used by the
 //!   exporters and their validation tests.
-//! * [`metrics`] — the [`RunMetrics`] registry: simulator-throughput rates
-//!   (cycles/sec, refs/sec, protocol events/sec, snapshot bytes/sec, peak
-//!   RSS) derived from `Stats` + the `raccd-prof` span table, with
-//!   JSONL/CSV/table exports.
+//! * [`metrics`] — [`RunMetrics`]: host-throughput rates (cycles/sec,
+//!   refs/sec, protocol events/sec, peak RSS) derived from `Stats` and a
+//!   wall time, rendered as the `# perf:` line of `results/*.txt`.
 
 pub mod event;
 pub mod export;
@@ -43,6 +42,6 @@ pub use export::{
     write_events_jsonl, write_histograms, write_series_csv, JsonlSink,
 };
 pub use hist::Log2Hist;
-pub use metrics::{peak_rss_bytes, render_table as render_metrics_table, RunMetrics};
+pub use metrics::{peak_rss_bytes, RunMetrics};
 pub use recorder::{Recorder, RecorderConfig};
 pub use sampler::{Gauges, IntervalSampler, Sample};

@@ -1,24 +1,18 @@
-//! Metrics registry: host-throughput and simulated-rate metrics of a run.
+//! Host-throughput metrics of a run: simulated cycles, memory accesses
+//! and protocol events per host second, and peak RSS, derived from
+//! [`Stats`] and a measured wall time. Everything here is *about* the
+//! simulator's own speed; it never touches simulated semantics.
 //!
-//! This unifies the self-profiler's span table (`raccd-prof`) with
-//! derived rates over [`Stats`]: simulated cycles per host second,
-//! protocol events per second, memory accesses per second, snapshot codec
-//! bytes per second, and peak RSS. Everything here is *about* the
-//! simulator's own performance (the ROADMAP's "fast as the hardware
-//! allows" axis); it never touches simulated semantics.
-//!
-//! Exports follow the crate's existing conventions: one JSON object per
-//! run for JSONL trajectories ([`RunMetrics::to_json`]), a CSV row
-//! ([`RunMetrics::csv_row`]) for spreadsheets, a one-line `# perf:`
-//! summary the bench matrix prints into `results/*.txt`, and a
-//! human-readable table ([`render_table`]).
+//! The one export is [`RunMetrics::summary_line`], the `# perf:` line the
+//! figure binaries print into `results/*.txt` and `trace --profile` prints
+//! under its span table. Timed measurements that back a performance claim
+//! come from the repo benchmark (`benchmark/`), not from here.
 
-use crate::json::Obj;
-use raccd_prof::{fmt_si, ProfReport, Site};
+use raccd_prof::fmt_si;
 use raccd_sim::Stats;
 
 /// Derived performance metrics of one simulated run.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct RunMetrics {
     /// Run label (workload/mode/scale, caller-defined).
     pub name: String,
@@ -32,14 +26,6 @@ pub struct RunMetrics {
     pub protocol_events: u64,
     /// Tasks retired.
     pub tasks_executed: u64,
-    /// Snapshot payload bytes encoded (0 when no snapshots were taken).
-    pub snap_encode_bytes: u64,
-    /// Nanoseconds spent encoding snapshots.
-    pub snap_encode_ns: u64,
-    /// Snapshot payload bytes decoded on restore.
-    pub snap_decode_bytes: u64,
-    /// Nanoseconds spent decoding snapshots.
-    pub snap_decode_ns: u64,
     /// Peak resident set size in bytes (0 when the platform exposes none).
     pub peak_rss_bytes: u64,
 }
@@ -55,20 +41,7 @@ impl RunMetrics {
             protocol_events: stats.noc_traffic,
             tasks_executed: stats.tasks_executed,
             peak_rss_bytes: peak_rss_bytes(),
-            ..RunMetrics::default()
         }
-    }
-
-    /// Fold the profiler's snapshot-codec sites in (encode/decode bytes
-    /// and time), enabling the snapshot-throughput rates.
-    pub fn with_prof(mut self, prof: &ProfReport) -> RunMetrics {
-        let enc = prof.get(Site::SnapEncode);
-        let dec = prof.get(Site::SnapDecode);
-        self.snap_encode_bytes = enc.units;
-        self.snap_encode_ns = enc.total_ns;
-        self.snap_decode_bytes = dec.units;
-        self.snap_decode_ns = dec.total_ns;
-        self
     }
 
     /// Simulated cycles per host second.
@@ -86,65 +59,6 @@ impl RunMetrics {
         rate(self.protocol_events, self.wall_seconds)
     }
 
-    /// Snapshot encode throughput in bytes per second of encode time,
-    /// `None` when no snapshot was taken.
-    pub fn snap_encode_bytes_per_sec(&self) -> Option<f64> {
-        ns_rate(self.snap_encode_bytes, self.snap_encode_ns)
-    }
-
-    /// Snapshot decode throughput in bytes per second of decode time,
-    /// `None` when nothing was restored.
-    pub fn snap_decode_bytes_per_sec(&self) -> Option<f64> {
-        ns_rate(self.snap_decode_bytes, self.snap_decode_ns)
-    }
-
-    /// One JSON object (single line, stable key order) for JSONL
-    /// trajectories and the BENCH schema.
-    pub fn to_json(&self) -> String {
-        Obj::new()
-            .str("name", &self.name)
-            .f64("wall_seconds", self.wall_seconds)
-            .u64("sim_cycles", self.sim_cycles)
-            .u64("refs_processed", self.refs_processed)
-            .u64("protocol_events", self.protocol_events)
-            .u64("tasks_executed", self.tasks_executed)
-            .f64("cycles_per_sec", self.cycles_per_sec())
-            .f64("refs_per_sec", self.refs_per_sec())
-            .f64("events_per_sec", self.events_per_sec())
-            .u64("snap_encode_bytes", self.snap_encode_bytes)
-            .u64("snap_encode_ns", self.snap_encode_ns)
-            .u64("snap_decode_bytes", self.snap_decode_bytes)
-            .u64("snap_decode_ns", self.snap_decode_ns)
-            .u64("peak_rss_bytes", self.peak_rss_bytes)
-            .render()
-    }
-
-    /// CSV header matching [`RunMetrics::csv_row`].
-    pub fn csv_header() -> &'static str {
-        "name,wall_seconds,sim_cycles,refs_processed,protocol_events,\
-         tasks_executed,cycles_per_sec,refs_per_sec,events_per_sec,\
-         snap_encode_bytes,snap_decode_bytes,peak_rss_bytes"
-    }
-
-    /// One CSV row.
-    pub fn csv_row(&self) -> String {
-        format!(
-            "{},{:.6},{},{},{},{},{:.1},{:.1},{:.1},{},{},{}",
-            self.name,
-            self.wall_seconds,
-            self.sim_cycles,
-            self.refs_processed,
-            self.protocol_events,
-            self.tasks_executed,
-            self.cycles_per_sec(),
-            self.refs_per_sec(),
-            self.events_per_sec(),
-            self.snap_encode_bytes,
-            self.snap_decode_bytes,
-            self.peak_rss_bytes,
-        )
-    }
-
     /// One-line human summary, `#`-prefixed so figure outputs stay valid
     /// data files (`results/*.txt` consumers skip comment lines).
     pub fn summary_line(&self) -> String {
@@ -157,26 +71,6 @@ impl RunMetrics {
             fmt_si(self.events_per_sec()),
         )
     }
-}
-
-/// Render a set of runs as an aligned human-readable table.
-pub fn render_table(rows: &[RunMetrics]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<34} {:>9} {:>12} {:>12} {:>12}\n",
-        "run", "wall(s)", "cycles/s", "refs/s", "events/s"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<34} {:>9.3} {:>12} {:>12} {:>12}\n",
-            r.name,
-            r.wall_seconds,
-            fmt_si(r.cycles_per_sec()),
-            fmt_si(r.refs_per_sec()),
-            fmt_si(r.events_per_sec()),
-        ));
-    }
-    out
 }
 
 /// Peak resident set size of this process in bytes. Reads `VmHWM` from
@@ -207,19 +101,9 @@ fn rate(count: u64, seconds: f64) -> f64 {
     }
 }
 
-fn ns_rate(units: u64, ns: u64) -> Option<f64> {
-    if units == 0 || ns == 0 {
-        None
-    } else {
-        Some(units as f64 * 1e9 / ns as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
-    use raccd_prof::SiteStats;
 
     fn sample() -> RunMetrics {
         let stats = Stats {
@@ -238,56 +122,18 @@ mod tests {
         assert_eq!(m.cycles_per_sec(), 2_000_000.0);
         assert_eq!(m.refs_per_sec(), 500_000.0);
         assert_eq!(m.events_per_sec(), 80_000.0);
-        assert!(m.snap_encode_bytes_per_sec().is_none());
         // A zero wall time never divides by zero.
         let z = RunMetrics::from_stats("z", &Stats::default(), 0.0);
         assert_eq!(z.cycles_per_sec(), 0.0);
     }
 
     #[test]
-    fn prof_snapshot_sites_feed_codec_rates() {
-        let mut prof = ProfReport::empty();
-        prof.set(
-            Site::SnapEncode,
-            SiteStats {
-                count: 2,
-                total_ns: 1_000_000,
-                min_ns: 400_000,
-                max_ns: 600_000,
-                units: 4_000_000,
-            },
-        );
-        let m = sample().with_prof(&prof);
-        assert_eq!(m.snap_encode_bytes, 4_000_000);
-        // 4 MB in 1 ms = 4 GB/s.
-        assert_eq!(m.snap_encode_bytes_per_sec(), Some(4e9));
-        assert!(m.snap_decode_bytes_per_sec().is_none());
-    }
-
-    #[test]
-    fn json_roundtrips_through_strict_parser() {
-        let m = sample();
-        let v = json::parse(&m.to_json()).expect("valid json");
-        assert_eq!(v.get("name").and_then(|x| x.as_str()), Some("jacobi/raccd"));
-        assert_eq!(v.get("sim_cycles").and_then(|x| x.as_f64()), Some(1e6));
+    fn summary_line_is_a_comment_with_si_rates() {
+        let line = sample().summary_line();
         assert_eq!(
-            v.get("cycles_per_sec").and_then(|x| x.as_f64()),
-            Some(2_000_000.0)
+            line,
+            "# perf: jacobi/raccd wall=0.500s cycles/s=2.00M refs/s=500.00K events/s=80.00K"
         );
-    }
-
-    #[test]
-    fn csv_and_table_and_summary_render() {
-        let m = sample();
-        assert_eq!(
-            m.csv_row().split(',').count(),
-            RunMetrics::csv_header().split(',').count()
-        );
-        let table = render_table(std::slice::from_ref(&m));
-        assert!(table.contains("jacobi/raccd"));
-        assert!(table.contains("2.00M"));
-        let line = m.summary_line();
-        assert!(line.starts_with("# perf: jacobi/raccd"));
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl Site {
     /// Number of sites in the registry.
     pub const COUNT: usize = Self::ALL.len();
 
-    /// Stable name, used in the span table and the BENCH json schema.
+    /// Stable name, used in the span table.
     pub const fn name(self) -> &'static str {
         match self {
             Site::Step => "driver/step",
@@ -128,11 +128,6 @@ impl Site {
             Site::EpochBarrier => "engine/epoch_barrier",
             Site::EpochMerge => "engine/epoch_merge",
         }
-    }
-
-    /// Reverse of [`Site::name`] (BENCH json parsing).
-    pub fn from_name(name: &str) -> Option<Site> {
-        Site::ALL.iter().copied().find(|s| s.name() == name)
     }
 
     /// The enclosing site whose measured time strictly contains this
@@ -361,9 +356,7 @@ mod tests {
         assert_eq!(Site::ALL.len(), Site::COUNT);
         for (i, s) in Site::ALL.iter().enumerate() {
             assert_eq!(*s as usize, i, "discriminants are table indices");
-            assert_eq!(Site::from_name(s.name()), Some(*s));
         }
-        assert_eq!(Site::from_name("no/such"), None);
         // Parent edges stay inside the registry and are acyclic (depth 2).
         for s in Site::ALL {
             if let Some(p) = s.parent() {

@@ -71,14 +71,6 @@ impl ProfReport {
         self.sites.get(site as usize).copied().unwrap_or_default()
     }
 
-    /// Overwrite one site's statistics (BENCH json parsing).
-    pub fn set(&mut self, site: Site, stats: SiteStats) {
-        if self.sites.len() < Site::COUNT {
-            self.sites.resize(Site::COUNT, SiteStats::default());
-        }
-        self.sites[site as usize] = stats;
-    }
-
     /// True when no site recorded any span.
     pub fn is_empty(&self) -> bool {
         self.sites.iter().all(|s| s.count == 0)
@@ -196,16 +188,13 @@ mod tests {
         let mut r = ProfReport::empty();
         assert!(r.is_empty());
         let mut other = ProfReport::empty();
-        other.set(
-            Site::SnapEncode,
-            SiteStats {
-                count: 4,
-                total_ns: 2_000_000,
-                min_ns: 100_000,
-                max_ns: 900_000,
-                units: 1 << 20,
-            },
-        );
+        other.sites[Site::SnapEncode as usize] = SiteStats {
+            count: 4,
+            total_ns: 2_000_000,
+            min_ns: 100_000,
+            max_ns: 900_000,
+            units: 1 << 20,
+        };
         r.merge(&other);
         assert!(!r.is_empty());
         assert_eq!(r.get(Site::SnapEncode).count, 4);
@@ -223,16 +212,13 @@ mod tests {
     fn children_sum() {
         let mut r = ProfReport::empty();
         for (i, c) in Site::MemRef.children().enumerate() {
-            r.set(
-                c,
-                SiteStats {
-                    count: 1,
-                    total_ns: (i as u64 + 1) * 10,
-                    min_ns: 1,
-                    max_ns: 1,
-                    units: 0,
-                },
-            );
+            r.sites[c as usize] = SiteStats {
+                count: 1,
+                total_ns: (i as u64 + 1) * 10,
+                min_ns: 1,
+                max_ns: 1,
+                units: 0,
+            };
         }
         assert_eq!(r.children_total_ns(Site::MemRef), 10 + 20 + 30);
     }

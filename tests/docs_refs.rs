@@ -1,0 +1,129 @@
+//! The docs, the figure script and the CI workflow name binaries, tests
+//! and examples by hand; this test fails when one of those names no
+//! longer has a source file, and when a doc cites a `BENCH_<n>.json`
+//! performance file (the repo benchmark under `benchmark/` is the only
+//! measurement of record).
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// Files whose `--bin` / `--test` / `--example` / `$B/` references must
+/// resolve.
+const COMMAND_DOCS: [&str; 6] = [
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    "run_figures.sh",
+    ".github/workflows/ci.yml",
+    ".claude/skills/verify/SKILL.md",
+];
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// The leading identifier of `s` (`perf` from ``perf`,``), or "" for a
+/// placeholder such as `<name>` or `$f`.
+fn ident(s: &str) -> &str {
+    let end = s
+        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .unwrap_or(s.len());
+    &s[..end]
+}
+
+/// Every binary the docs run lives in `crates/bench/src/bin/`.
+fn bin_exists(name: &str) -> bool {
+    root()
+        .join("crates/bench/src/bin")
+        .join(format!("{name}.rs"))
+        .exists()
+}
+
+/// Does `<dir>/NAME.rs` or `crates/*/<dir>/NAME.rs` exist?
+fn target_exists(dir: &str, name: &str) -> bool {
+    let file = format!("{name}.rs");
+    if root().join(dir).join(&file).exists() {
+        return true;
+    }
+    fs::read_dir(root().join("crates"))
+        .expect("crates/ is readable")
+        .flatten()
+        .any(|krate| krate.path().join(dir).join(&file).exists())
+}
+
+#[test]
+fn named_bins_tests_and_examples_exist() {
+    let mut missing = Vec::new();
+    for doc in COMMAND_DOCS {
+        let text = fs::read_to_string(root().join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        let tokens: Vec<&str> = text.split_whitespace().collect();
+        for (i, tok) in tokens.iter().enumerate() {
+            let next = ident(tokens.get(i + 1).copied().unwrap_or(""));
+            // `--bench NAME` is left out on purpose: `trace --bench Jacobi`
+            // selects a workload.
+            let dangling = match *tok {
+                "--bin" => !bin_exists(next),
+                "--test" => !target_exists("tests", next),
+                "--example" => !target_exists("examples", next),
+                _ => false,
+            };
+            if dangling && !next.is_empty() {
+                missing.push(format!("{doc}: {tok} {next}"));
+            }
+            for (at, _) in tok.match_indices("$B/") {
+                let name = ident(&tok[at + 3..]);
+                if !name.is_empty() && !bin_exists(name) {
+                    missing.push(format!("{doc}: $B/{name}"));
+                }
+            }
+        }
+    }
+    assert!(missing.is_empty(), "dangling references:\n{missing:#?}");
+}
+
+/// Every source, script and doc file under `dir`, skipping build output,
+/// hidden directories other than `.github`/`.claude`, and `benchmark/`
+/// (its README keeps the history of the old files).
+fn text_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("directory is readable").flatten() {
+        let path = entry.path();
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if path.is_dir() {
+            let hidden = name.starts_with('.') && name != ".github" && name != ".claude";
+            if !hidden && name != "target" && name != "benchmark" {
+                text_files(&path, out);
+            }
+        } else if ["md", "sh", "yml", "rs", "toml"]
+            .iter()
+            .any(|ext| path.extension().is_some_and(|e| e == *ext))
+        {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn no_doc_cites_a_bench_n_json_file() {
+    // The planning files record history and may name the old files; this
+    // file has to spell the pattern.
+    let exempt =
+        ["CHANGES.md", "ROADMAP.md", "ISSUE.md", "tests/docs_refs.rs"].map(|p| root().join(p));
+    let mut files = Vec::new();
+    text_files(root(), &mut files);
+    let mut hits = Vec::new();
+    for path in files.iter().filter(|p| !exempt.contains(p)) {
+        let text = fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        for (n, line) in text.lines().enumerate() {
+            let cites = line.match_indices("BENCH_").any(|(at, m)| {
+                let rest = &line[at + m.len()..];
+                rest.starts_with(|c: char| c.is_ascii_digit())
+                    || ["<n>", "*", "ci"].iter().any(|s| rest.starts_with(s))
+            });
+            if cites {
+                hits.push(format!("{}:{}: {line}", path.display(), n + 1));
+            }
+        }
+    }
+    assert!(hits.is_empty(), "stale BENCH file citations:\n{hits:#?}");
+}

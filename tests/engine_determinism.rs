@@ -1,10 +1,9 @@
 //! Thread-count determinism regression: the epoch-parallel engine's
 //! headline guarantee is that worker count is *invisible* in simulated
-//! outcomes. These tests pin the fig7 perf sweep (the `fig7-sweep/*`
-//! matrix from the `perf` binary: pinned workloads × {RaCCD, FullCoh} ×
-//! every directory ratio) to a committed golden checksum and require every
-//! thread count from 1 to 8 — and the shadow-checked variant — to
-//! reproduce it bit for bit.
+//! outcomes. These tests pin a fig7 sub-sweep (three pinned workloads ×
+//! {RaCCD, FullCoh} × every directory ratio) to a committed golden
+//! checksum and require every thread count from 1 to 8 — and the
+//! shadow-checked variant — to reproduce it bit for bit.
 //!
 //! If the golden moves, a simulator change altered protocol-visible
 //! counters; update the constant *only* after confirming the serial
@@ -21,8 +20,8 @@ use raccd_bench::{run_jobs, sweep_checksum, Job};
 /// folded fields).
 const GOLDEN_SERIAL_CHECKSUM: u64 = 0x438C_1BAE_BC50_BA8B;
 
-/// Same pinned sub-matrix as the `perf` binary's fig7 sweep: Jacobi,
-/// Histo, MD5 under both coherence systems at every directory ratio.
+/// The pinned sub-matrix: Jacobi, Histo, MD5 under both coherence systems
+/// at every directory ratio.
 const WORKLOADS: [usize; 3] = [3, 2, 7];
 const MODES: [CoherenceMode; 2] = [CoherenceMode::Raccd, CoherenceMode::FullCoh];
 
@@ -43,7 +42,7 @@ fn sweep(engine: Engine, shadow: bool) -> u64 {
             }
         }
     }
-    sweep_checksum(&run_jobs(Scale::Test, cfg, &jobs))
+    sweep_checksum(&run_jobs(Scale::Test, cfg, &jobs, None))
 }
 
 #[test]
