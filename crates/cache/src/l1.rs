@@ -40,7 +40,11 @@ pub struct L1Line {
     /// MESI state. For NC lines the state is kept (E on fill, M after a
     /// write) but the directory knows nothing about it.
     pub state: L1State,
-    /// RaCCD non-coherent bit.
+    /// RaCCD non-coherent bit. Immutable while the line is resident: it is
+    /// written by the fill that installs the line and goes away with it
+    /// (only *LLC* lines flip their NC bit in place). The Figure 2 census
+    /// relies on this to record a block at fill time only, and the shadow
+    /// checker fails an L1 hit whose bit differs from its fill's.
     pub nc: bool,
     /// Hardware-thread id that installed an NC line (§III-E: "the
     /// non-coherent bit per block … can be extended to store the thread ID
@@ -87,6 +91,7 @@ impl L1Cache {
     }
 
     /// Look up a block, updating PLRU and hit/miss counters.
+    #[inline]
     pub fn access(&mut self, block: BlockAddr) -> Option<&mut L1Line> {
         let hit = self.arr.get_mut(block.0);
         if hit.is_some() {
@@ -121,11 +126,6 @@ impl L1Cache {
         self.arr.remove(block.0)
     }
 
-    /// Downgrade M/E → S on a forwarded GetS. Returns whether data was dirty.
-    pub fn downgrade_to_shared(&mut self, block: BlockAddr) -> Option<bool> {
-        self.downgrade_to(block, L1State::Shared)
-    }
-
     /// Protocol-directed downgrade on a forwarded GetS: M/E → `to`
     /// (Shared under MESI/MESIF, Owned for a dirty MOESI owner). Returns
     /// whether the data was dirty before the transition.
@@ -137,36 +137,36 @@ impl L1Cache {
         })
     }
 
+    /// Remove and return every line `pred` selects (one cache walk).
+    fn flush(
+        &mut self,
+        mut pred: impl FnMut(BlockAddr, &L1Line) -> bool,
+    ) -> Vec<(BlockAddr, L1Line)> {
+        let drained = self.arr.drain_matching(|k, l| pred(BlockAddr(k), l));
+        drained
+            .into_iter()
+            .map(|(k, l)| (BlockAddr(k), l))
+            .collect()
+    }
+
     /// `raccd_invalidate`: remove every NC line (all hardware threads).
     /// Returns the flushed lines (dirty ones need NC write-backs). The
     /// caller charges one cycle per line *slot* walked — use
     /// [`L1Cache::num_lines`].
     pub fn flush_nc(&mut self) -> Vec<(BlockAddr, L1Line)> {
-        self.arr
-            .drain_matching(|_, l| l.nc)
-            .into_iter()
-            .map(|(k, l)| (BlockAddr(k), l))
-            .collect()
+        self.flush(|_, l| l.nc)
     }
 
     /// Selective `raccd_invalidate` for SMT cores (§III-E): flush only the
     /// NC lines installed by hardware thread `tid`, leaving the sibling
     /// thread's non-coherent working set cached.
     pub fn flush_nc_thread(&mut self, tid: u8) -> Vec<(BlockAddr, L1Line)> {
-        self.arr
-            .drain_matching(|_, l| l.nc && l.tid == tid)
-            .into_iter()
-            .map(|(k, l)| (BlockAddr(k), l))
-            .collect()
+        self.flush(|_, l| l.nc && l.tid == tid)
     }
 
     /// PT private→shared transition: flush all blocks of one physical page.
     pub fn flush_page(&mut self, page: raccd_mem::PageNum) -> Vec<(BlockAddr, L1Line)> {
-        self.arr
-            .drain_matching(|k, _| BlockAddr(k).page() == page)
-            .into_iter()
-            .map(|(k, l)| (BlockAddr(k), l))
-            .collect()
+        self.flush(|b, _| b.page() == page)
     }
 
     /// (hits, misses) counters.
@@ -359,9 +359,9 @@ mod tests {
     fn downgrade_reports_dirtiness() {
         let mut l1 = L1Cache::new(4096, 2);
         l1.fill(BlockAddr(7), line(L1State::Modified, false));
-        assert_eq!(l1.downgrade_to_shared(BlockAddr(7)), Some(true));
+        assert_eq!(l1.downgrade_to(BlockAddr(7), L1State::Shared), Some(true));
         assert_eq!(l1.probe(BlockAddr(7)).unwrap().state, L1State::Shared);
-        assert_eq!(l1.downgrade_to_shared(BlockAddr(99)), None);
+        assert_eq!(l1.downgrade_to(BlockAddr(99), L1State::Shared), None);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Used for the L1 data caches, the LLC banks, and the sparse directory
 //! banks. Keys are full block (or entry) identifiers; the set index is
-//! `(key >> index_shift) % sets`, where `index_shift` lets banked structures
+//! `(key >> index_shift) % sets` (a mask when `sets` is a power of two, as
+//! every shipped geometry is), where `index_shift` lets banked structures
 //! skip the bank-interleaving bits. Tags store the whole key, which is what
 //! allows Adaptive Directory Reduction to resize the set count at run time
 //! (§III-D: "the tag has to work for the smallest possible directory size").
@@ -31,11 +32,18 @@ pub struct Line<T> {
 #[derive(Clone, Debug)]
 pub struct SetAssoc<T> {
     sets: usize,
+    /// `sets - 1` when `sets` is a power of two; `None` keeps the `%` for
+    /// the explorer's odd geometries. Derived from `sets`, never saved.
+    set_mask: Option<u64>,
     ways: usize,
     index_shift: u32,
     lines: Vec<Option<Line<T>>>,
     plru: Vec<TreePlru>,
     occupied: usize,
+}
+
+fn set_mask(sets: usize) -> Option<u64> {
+    sets.is_power_of_two().then(|| sets as u64 - 1)
 }
 
 impl<T> SetAssoc<T> {
@@ -46,6 +54,7 @@ impl<T> SetAssoc<T> {
         assert!(ways.is_power_of_two(), "ways must be a power of two");
         SetAssoc {
             sets,
+            set_mask: set_mask(sets),
             ways,
             index_shift,
             lines: (0..sets * ways).map(|_| None).collect(),
@@ -76,7 +85,11 @@ impl<T> SetAssoc<T> {
 
     #[inline]
     fn set_of(&self, key: u64) -> usize {
-        ((key >> self.index_shift) % self.sets as u64) as usize
+        let index = key >> self.index_shift;
+        (match self.set_mask {
+            Some(mask) => index & mask,
+            None => index % self.sets as u64,
+        }) as usize
     }
 
     #[inline]
@@ -84,44 +97,36 @@ impl<T> SetAssoc<T> {
         set * self.ways..(set + 1) * self.ways
     }
 
-    /// Mutable lookup without touching replacement state.
-    pub fn probe_mut(&mut self, key: u64) -> Option<&mut T> {
+    /// Where `key` lives, as `(set, index into lines)`: the one tag scan
+    /// every lookup shares.
+    #[inline]
+    fn find(&self, key: u64) -> Option<(usize, usize)> {
         let set = self.set_of(key);
         let range = self.slot_range(set);
-        self.lines[range]
-            .iter_mut()
-            .flatten()
-            .find(|l| l.key == key)
-            .map(|l| &mut l.data)
+        let way = self.lines[range.clone()]
+            .iter()
+            .position(|l| matches!(l, Some(l) if l.key == key))?;
+        Some((set, range.start + way))
+    }
+
+    /// Mutable lookup without touching replacement state.
+    pub fn probe_mut(&mut self, key: u64) -> Option<&mut T> {
+        let (_, at) = self.find(key)?;
+        self.lines[at].as_mut().map(|l| &mut l.data)
     }
 
     /// Look up a key without touching replacement state.
     pub fn probe(&self, key: u64) -> Option<&T> {
-        let set = self.set_of(key);
-        self.lines[self.slot_range(set)]
-            .iter()
-            .flatten()
-            .find(|l| l.key == key)
-            .map(|l| &l.data)
-    }
-
-    /// Look up a key, updating PLRU on hit.
-    pub fn get(&mut self, key: u64) -> Option<&T> {
-        self.get_mut(key).map(|d| &*d)
+        let (_, at) = self.find(key)?;
+        self.lines[at].as_ref().map(|l| &l.data)
     }
 
     /// Mutable lookup, updating PLRU on hit.
+    #[inline]
     pub fn get_mut(&mut self, key: u64) -> Option<&mut T> {
-        let set = self.set_of(key);
-        let ways = self.ways;
-        let base = set * ways;
-        for w in 0..ways {
-            if matches!(&self.lines[base + w], Some(l) if l.key == key) {
-                self.plru[set].touch(w, ways);
-                return self.lines[base + w].as_mut().map(|l| &mut l.data);
-            }
-        }
-        None
+        let (set, at) = self.find(key)?;
+        self.plru[set].touch(at - set * self.ways, self.ways);
+        self.lines[at].as_mut().map(|l| &mut l.data)
     }
 
     /// Insert a line, evicting the PLRU victim if the set is full.
@@ -129,45 +134,30 @@ impl<T> SetAssoc<T> {
     /// present its payload is replaced (no eviction).
     pub fn insert(&mut self, key: u64, data: T) -> Option<(u64, T)> {
         let set = self.set_of(key);
-        let ways = self.ways;
-        let base = set * ways;
-
-        // Replace in place if present.
-        for w in 0..ways {
-            if matches!(&self.lines[base + w], Some(l) if l.key == key) {
-                self.plru[set].touch(w, ways);
-                let old = self.lines[base + w].replace(Line { key, data });
-                debug_assert!(old.is_some());
-                return None;
-            }
-        }
-        // Fill an invalid way if available.
-        for w in 0..ways {
-            if self.lines[base + w].is_none() {
-                self.lines[base + w] = Some(Line { key, data });
-                self.plru[set].touch(w, ways);
+        let range = self.slot_range(set);
+        // The way holding `key`, else an invalid way, else the PLRU victim.
+        let present = self.find(key).map(|(_, at)| at - range.start);
+        let lines = &mut self.lines[range];
+        let w = present
+            .or_else(|| lines.iter().position(Option::is_none))
+            .unwrap_or_else(|| self.plru[set].victim(self.ways));
+        let old = lines[w].replace(Line { key, data });
+        self.plru[set].touch(w, self.ways);
+        match old {
+            Some(victim) if present.is_none() => Some((victim.key, victim.data)),
+            Some(_) => None,
+            None => {
                 self.occupied += 1;
-                return None;
+                None
             }
         }
-        // Evict the PLRU victim.
-        let w = self.plru[set].victim(ways);
-        let victim = self.lines[base + w].replace(Line { key, data });
-        self.plru[set].touch(w, ways);
-        victim.map(|l| (l.key, l.data))
     }
 
     /// Remove a line, returning its payload.
     pub fn remove(&mut self, key: u64) -> Option<T> {
-        let set = self.set_of(key);
-        let base = set * self.ways;
-        for w in 0..self.ways {
-            if matches!(&self.lines[base + w], Some(l) if l.key == key) {
-                self.occupied -= 1;
-                return self.lines[base + w].take().map(|l| l.data);
-            }
-        }
-        None
+        let (_, at) = self.find(key)?;
+        self.occupied -= 1;
+        self.lines[at].take().map(|l| l.data)
     }
 
     /// Iterate over all valid lines.
@@ -256,6 +246,7 @@ impl<T: raccd_snap::Snap> raccd_snap::Snap for SetAssoc<T> {
         }
         Ok(SetAssoc {
             sets,
+            set_mask: set_mask(sets),
             ways,
             index_shift,
             lines,
@@ -275,11 +266,11 @@ mod tests {
         let mut a: SetAssoc<u32> = SetAssoc::new(4, 2, 0);
         assert_eq!(a.insert(10, 1), None);
         assert_eq!(a.insert(20, 2), None);
-        assert_eq!(a.get(10), Some(&1));
+        assert_eq!(a.get_mut(10), Some(&mut 1));
         assert_eq!(a.probe(20), Some(&2));
         assert_eq!(a.occupancy(), 2);
         assert_eq!(a.remove(10), Some(1));
-        assert_eq!(a.get(10), None);
+        assert_eq!(a.get_mut(10), None);
         assert_eq!(a.occupancy(), 1);
     }
 
@@ -317,11 +308,68 @@ mod tests {
     }
 
     #[test]
+    fn mask_and_modulo_indexing_agree() {
+        for (sets, shift) in [(1, 0), (2, 4), (8, 0), (256, 0), (1 << 12, 4)] {
+            let masked: SetAssoc<u64> = SetAssoc::new(sets, 2, shift);
+            assert_eq!(masked.set_mask, Some(sets as u64 - 1));
+            let mut modulo = masked.clone();
+            modulo.set_mask = None;
+            let mut key = 0x9E37_79B9_7F4A_7C15u64;
+            for i in 0..2000u64 {
+                key = key.rotate_left(7) ^ i.wrapping_mul(0xA24B_AED4_963E_E407);
+                for k in [key, i, u64::MAX - i] {
+                    assert_eq!(
+                        masked.set_of(k),
+                        modulo.set_of(k),
+                        "{sets} sets, key {k:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn odd_set_counts_keep_working_across_resizes() {
+        let mut a: SetAssoc<u64> = SetAssoc::new(3, 2, 0);
+        assert_eq!(a.set_mask, None);
+        for k in 0..6u64 {
+            assert_eq!(a.insert(k, k), None, "keys 0..6 spread two per set");
+        }
+        assert_eq!(
+            a.insert(6, 6).map(|(k, _)| k % 3),
+            Some(0),
+            "set 0 overflows"
+        );
+        // pow2 → odd → pow2: the mask follows the set count each time.
+        let mut a: SetAssoc<u64> = SetAssoc::new(4, 2, 0);
+        for k in 0..8u64 {
+            a.insert(k, k * 10);
+        }
+        let mut gone = a.resize_sets(3);
+        assert_eq!(a.set_mask, None);
+        assert_eq!(a.occupancy() + gone.len(), 8);
+        gone.extend(a.resize_sets(8));
+        assert_eq!(a.set_mask, Some(7));
+        for k in 0..8u64 {
+            let want = (!gone.iter().any(|&(g, _)| g == k)).then_some(k * 10);
+            assert_eq!(a.probe(k).copied(), want, "key {k}");
+            assert_eq!(a.get_mut(k).copied(), want, "key {k}");
+        }
+        assert_eq!(
+            gone.len(),
+            2,
+            "8 lines into 3 sets × 2 ways, then room for all"
+        );
+        assert_eq!(a.insert(8, 80), None, "set 0 of 8 has a free way");
+        assert_eq!(a.probe(8), Some(&80));
+    }
+
+    #[test]
     fn lru_behaviour_within_set() {
         let mut a: SetAssoc<u32> = SetAssoc::new(1, 2, 0);
         a.insert(1, 1);
         a.insert(2, 2);
-        a.get(1); // 2 becomes victim
+        a.get_mut(1); // 2 becomes victim
         let (k, _) = a.insert(3, 3).unwrap();
         assert_eq!(k, 2);
     }

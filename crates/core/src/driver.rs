@@ -871,9 +871,9 @@ impl Driver {
 
     /// Commit a speculated hit prefix: adopt the shard (the exact state
     /// the serial hit path would have produced), then replay the deferred
-    /// per-reference side effects — checker events, census, refs counter,
-    /// latency histograms — in serial order. Hits never touch a bank, so
-    /// the bank-wait histogram records zeros.
+    /// per-reference side effects — checker events, refs counter, latency
+    /// histograms — in serial order. Hits never touch a bank, so the
+    /// bank-wait histogram records zeros.
     fn commit_prefix(
         &mut self,
         at: Turn,
@@ -889,7 +889,6 @@ impl Driver {
         self.machine.adopt_core_shard(at.core, prefix.shard);
         for s in &prefix.refs {
             self.machine.note_spec_hit(at.core, s.block, s.write, s.nc);
-            self.census.record(s.block, !s.nc);
             self.machine.stats.refs_processed += 1;
             now += s.cycles;
             if let Some(rr) = rec.as_deref_mut() {
@@ -1380,11 +1379,8 @@ impl Driver {
             }
         }
 
-        let coherent_access = match machine.l1_lookup(core, block, write, now) {
-            L1LookupResult::Hit { cycles: c, nc } => {
-                cycles += c;
-                !nc
-            }
+        match machine.l1_lookup(core, block, write, now) {
+            L1LookupResult::Hit { cycles: c, .. } => cycles += c,
             L1LookupResult::Miss => {
                 let nc = match mode {
                     CoherenceMode::FullCoh => false,
@@ -1397,10 +1393,11 @@ impl Driver {
                     }
                 };
                 cycles += machine.miss_fill_smt(core, tid, block, write, nc, now);
-                !nc
+                // A line's NC bit is fixed while it is resident, so a hit
+                // could only repeat what its installing fill records here.
+                self.census.record(block, !nc);
             }
-        };
-        self.census.record(block, coherent_access);
+        }
         machine.stats.refs_processed += 1;
         cycles
     }
@@ -1733,5 +1730,111 @@ mod tests {
             raccd_slowdown < full_slowdown,
             "RaCCD {raccd_slowdown:.3} vs FullCoh {full_slowdown:.3}"
         );
+    }
+
+    /// The census as it was taken before it moved to fill time: one
+    /// record per reference, hit or fill, read off the checker's event
+    /// stream (which carries exactly one of the two per reference, also
+    /// for speculated hits).
+    struct PerRefCensus(std::rc::Rc<std::cell::RefCell<Census>>);
+
+    impl raccd_sim::CheckSink for PerRefCensus {
+        fn on_event(&mut self, ev: &CheckEvent) {
+            if let CheckEvent::L1Hit { block, nc, .. } | CheckEvent::Fill { block, nc, .. } = *ev {
+                self.0.borrow_mut().record(block, !nc);
+            }
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+        fn finish(&mut self) -> CheckReport {
+            CheckReport {
+                stats: Default::default(),
+                violations: Vec::new(),
+            }
+        }
+    }
+
+    /// Run `program` to the end with the per-reference census listening
+    /// and check the at-fill census against it, summary and bytes.
+    /// `midway` may swap the driver for a restored one.
+    fn assert_census_exact(
+        what: &str,
+        mode: CoherenceMode,
+        program: Program,
+        plan: Option<FaultPlan>,
+        engine: Engine,
+        midway: impl FnOnce(Driver) -> Driver,
+    ) -> DriverOutput {
+        let per_ref = std::rc::Rc::new(std::cell::RefCell::new(Census::new()));
+        let listen = |d: &mut Driver| {
+            let sink = PerRefCensus(per_ref.clone());
+            d.machine.attach_checker(Box::new(sink));
+        };
+        let mut driver = Driver::new(MachineConfig::scaled(), mode, program, plan, None);
+        listen(&mut driver);
+        driver.attach_prof();
+        driver.set_engine(engine);
+        for _ in 0..100 {
+            assert!(driver.step(None), "{what}: over before midway");
+        }
+        assert_eq!(
+            raccd_snap::encode(&driver.census),
+            raccd_snap::encode(&*per_ref.borrow()),
+            "{what}: midway"
+        );
+        let mut driver = midway(driver);
+        listen(&mut driver);
+        let out = driver.finish(None);
+        let per_ref = per_ref.borrow();
+        assert!(out.census.summary().total_blocks > 0, "{what}");
+        assert_eq!(out.census.summary(), per_ref.summary(), "{what}");
+        assert_eq!(
+            raccd_snap::encode(&out.census),
+            raccd_snap::encode(&*per_ref),
+            "{what}"
+        );
+        out
+    }
+
+    #[test]
+    fn census_at_fill_time_equals_census_per_reference() {
+        use raccd_runtime::Workload;
+        use raccd_workloads::{cg::Cg, histo::Histo, jacobi::Jacobi, Scale};
+        let benches: [Box<dyn Workload>; 3] = [
+            Box::new(Jacobi::new(Scale::Test)),
+            Box::new(Histo::new(Scale::Test)),
+            Box::new(Cg::new(Scale::Test)),
+        ];
+        let jacobi = || Jacobi::new(Scale::Test).build();
+        for w in &benches {
+            for mode in CoherenceMode::EXTENDED {
+                let what = format!("{} / {mode:?}", w.name());
+                assert_census_exact(&what, mode, w.build(), None, Engine::Serial, |d| d);
+            }
+        }
+        let mode = CoherenceMode::Raccd;
+
+        let parallel = Engine::EpochParallel { threads: 2 };
+        let out = assert_census_exact("parallel", mode, jacobi(), None, parallel, |d| d);
+        let speculated = out.prof.expect("attached").get(Site::EpochMerge).units;
+        assert!(speculated > 0, "no hit prefix was committed");
+
+        let plan = FaultPlan {
+            seed: 9,
+            task_fail: 0.3,
+            ..FaultPlan::default()
+        };
+        let out = assert_census_exact("retry", mode, jacobi(), Some(plan), Engine::Serial, |d| d);
+        assert!(out.fault.expect("plane attached").task_retries > 0);
+
+        assert_census_exact("restore", mode, jacobi(), None, Engine::Serial, |d| {
+            let bytes = d.snapshot().to_bytes();
+            let snap = Snapshot::from_bytes(&bytes).expect("own archive loads");
+            Driver::restore(MachineConfig::scaled(), mode, jacobi(), &snap).expect("restores")
+        });
     }
 }

@@ -23,7 +23,7 @@
 //! RaCCD needs none of this machinery — that is the paper's point — but
 //! implementing it lets the reproduction quantify the comparison.
 
-use raccd_mem::{PAddr, PageNum, VAddr, PAGE_SHIFT};
+use raccd_mem::{PAddr, VAddr};
 use raccd_sim::Machine;
 use std::collections::HashMap;
 
@@ -94,10 +94,10 @@ impl TlbClassifier {
         let vpage = vaddr.page();
         let mut cycles = m.cfg.lat.tlb;
 
-        if let Some(ppage) = m.tlb_lookup(core, vpage) {
+        if let Some(ppage) = m.tlb_mut(core).lookup(vpage) {
             let private = *self.class.get(&(core, vpage.0)).unwrap_or(&false);
             return TlbClassOutcome {
-                paddr: compose(ppage, vaddr),
+                paddr: vaddr.on_frame(ppage),
                 cycles,
                 private,
             };
@@ -112,16 +112,14 @@ impl TlbClassifier {
         // Find live holders; decay-invalidate stale ones.
         let ncores = m.cfg.ncores;
         let mut holders: Vec<usize> = Vec::new();
-        for other in 0..ncores {
-            if other == core || m.tlb_peek(other, vpage).is_none() {
+        for other in (0..ncores).filter(|&o| o != core) {
+            let Some(last_use) = m.tlb(other).last_use(vpage) else {
                 continue;
-            }
-            let idle =
-                m.tlb_stamp(other) - m.tlb_last_use(other, vpage).expect("entry just peeked");
-            if self.decay && idle > self.decay_threshold {
+            };
+            if self.decay && m.tlb(other).stamp() - last_use > self.decay_threshold {
                 // Decayed entry: invalidate it (and, for inclusivity, the
                 // holder's cached blocks of the page).
-                m.tlb_invalidate(other, vpage);
+                m.tlb_mut(other).invalidate(vpage);
                 cycles += m.flush_page(other, ppage, vpage, now);
                 self.class.remove(&(other, vpage.0));
                 self.decay_invalidations += 1;
@@ -145,22 +143,17 @@ impl TlbClassifier {
 
         // Fill the TLB; the victim drags its page out of the L1
         // (TLB–L1 inclusivity).
-        if let Some((ev_vpage, ev_ppage)) = m.tlb_fill_evicting(core, vpage, ppage) {
+        if let Some((ev_vpage, ev_ppage)) = m.tlb_mut(core).fill_evicting(vpage, ppage) {
             cycles += m.flush_page(core, ev_ppage, ev_vpage, now);
             self.class.remove(&(core, ev_vpage.0));
         }
 
         TlbClassOutcome {
-            paddr: compose(ppage, vaddr),
+            paddr: vaddr.on_frame(ppage),
             cycles,
             private,
         }
     }
-}
-
-#[inline]
-fn compose(ppage: PageNum, vaddr: VAddr) -> PAddr {
-    PAddr((ppage.0 << PAGE_SHIFT) | vaddr.page_offset())
 }
 
 impl raccd_snap::Snap for TlbClassifier {

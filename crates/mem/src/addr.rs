@@ -44,6 +44,13 @@ impl VAddr {
         self.0 & (PAGE_SIZE - 1)
     }
 
+    /// The physical address this one translates to when its page maps to
+    /// `frame`.
+    #[inline]
+    pub fn on_frame(self, frame: PageNum) -> PAddr {
+        PAddr((frame.0 << PAGE_SHIFT) | self.page_offset())
+    }
+
     /// Address advanced by `bytes`.
     #[inline]
     pub fn offset(self, bytes: u64) -> VAddr {

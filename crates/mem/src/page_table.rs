@@ -7,9 +7,9 @@
 //! [`FrameAllocPolicy::Permuted`] scatters frames pseudo-randomly so tests
 //! and benches can exercise the NCRT region-collapsing path of Figure 5.
 
-use crate::addr::{PAddr, PageNum, VAddr, PAGE_SHIFT, PAGE_SIZE};
+use crate::addr::{PAddr, PageNum, VAddr};
 use crate::rng::SplitMix64;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// How virtual pages are assigned physical frames on first touch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,6 +32,9 @@ pub enum FrameAllocPolicy {
 #[derive(Clone, Debug)]
 pub struct PageTable {
     map: HashMap<u64, u64>,
+    /// The frames the permuted allocator handed out (the values of `map`),
+    /// for its reuse check; not saved, rebuilt on load.
+    used: HashSet<u64>,
     policy: FrameAllocPolicy,
     next_frame: u64,
     rng: SplitMix64,
@@ -45,6 +48,7 @@ impl PageTable {
     pub fn new(policy: FrameAllocPolicy) -> Self {
         PageTable {
             map: HashMap::new(),
+            used: HashSet::new(),
             policy,
             next_frame: 0,
             rng: SplitMix64::new(0xD15E_A5E0_0FAC_CDD0),
@@ -57,15 +61,14 @@ impl PageTable {
         if let Some(&f) = self.map.get(&vpage.0) {
             return PageNum(f);
         }
-        let frame = self.alloc_frame(vpage);
+        let frame = self.alloc_frame();
         self.map.insert(vpage.0, frame);
         PageNum(frame)
     }
 
     /// Translate a full virtual address to a physical address.
     pub fn translate(&mut self, vaddr: VAddr) -> PAddr {
-        let frame = self.translate_page(vaddr.page());
-        PAddr((frame.0 << PAGE_SHIFT) | (vaddr.0 & (PAGE_SIZE - 1)))
+        vaddr.on_frame(self.translate_page(vaddr.page()))
     }
 
     /// Look up a mapping without creating it.
@@ -78,7 +81,7 @@ impl PageTable {
         self.map.len()
     }
 
-    fn alloc_frame(&mut self, vpage: PageNum) -> u64 {
+    fn alloc_frame(&mut self) -> u64 {
         match self.policy {
             FrameAllocPolicy::Contiguous => {
                 // First-touch order but stable under re-touch: derive from a
@@ -87,7 +90,6 @@ impl PageTable {
                 // frames (the common case for our bump-allocated heaps).
                 let f = self.base_frame + self.next_frame;
                 self.next_frame += 1;
-                let _ = vpage;
                 f
             }
             FrameAllocPolicy::Permuted => {
@@ -96,7 +98,7 @@ impl PageTable {
                 // ample) so collisions are vanishingly rare; probe anyway.
                 loop {
                     let candidate = self.base_frame + self.rng.next_below(1 << 28);
-                    if !self.map.values().any(|&f| f == candidate) {
+                    if self.used.insert(candidate) {
                         return candidate;
                     }
                 }
@@ -131,8 +133,10 @@ impl raccd_snap::Snap for PageTable {
     }
     fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
         use raccd_snap::Snap;
+        let map: HashMap<u64, u64> = Snap::load(r)?;
         Ok(PageTable {
-            map: Snap::load(r)?,
+            used: map.values().copied().collect(),
+            map,
             policy: Snap::load(r)?,
             next_frame: r.u64()?,
             rng: Snap::load(r)?,
@@ -145,6 +149,7 @@ impl raccd_snap::Snap for PageTable {
 mod tests {
     use super::*;
     use crate::addr::VRange;
+    use crate::addr::PAGE_SIZE;
 
     #[test]
     fn contiguous_policy_maps_sequential_pages_contiguously() {
@@ -184,6 +189,35 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), frames.len());
+    }
+
+    /// The frame-reuse check used to scan every mapped frame per new page;
+    /// the set that replaced it must hand out the same frames in the same
+    /// order. Digests taken from the scanning allocator (PR 13).
+    #[test]
+    fn permuted_frames_match_the_scanning_allocator() {
+        let vpage = |i: u64| {
+            PageNum(if i.is_multiple_of(2) {
+                i / 2
+            } else {
+                0x8_0000 + i / 2
+            })
+        };
+        let mut pt = PageTable::new(FrameAllocPolicy::Permuted);
+        let mut frames = Vec::new();
+        for i in 0..20_000 {
+            if i == 10_000 {
+                // A restored table rebuilds its used-frame set.
+                pt = raccd_snap::decode(&raccd_snap::encode(&pt)).expect("own archive loads");
+            }
+            frames.extend_from_slice(&pt.translate_page(vpage(i)).0.to_le_bytes());
+        }
+        assert_eq!(raccd_snap::fnv1a64(&frames), 0x91ad_5ff6_0785_fb66);
+        assert_eq!(
+            raccd_snap::fnv1a64(&raccd_snap::encode(&pt)),
+            0x0b59_cb2b_f3c4_7a8b
+        );
+        assert_eq!(pt.used.len(), 20_000);
     }
 
     #[test]

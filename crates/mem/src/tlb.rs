@@ -4,53 +4,108 @@
 //! We model the DTLB (instruction fetch is not simulated). Replacement is
 //! true LRU — affordable for a fully-associative structure of this size in
 //! a functional simulator.
+//!
+//! The TLB is consulted once per simulated reference, so the host-side
+//! layout is built for that path: a flat slot array, a most-recently-used
+//! slot checked first (a same-page streak never hashes), and a
+//! multiplicative-hash index for everything else. The victim scan over
+//! the slots runs only on a fill into a full TLB.
 
 use crate::addr::PageNum;
+use raccd_snap::SnapError;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// One resident translation.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    vpage: PageNum,
+    ppage: PageNum,
+    /// Last-use stamp; unique among the resident slots.
+    stamp: u64,
+}
+
+/// Fibonacci hashing for the slot index. The keys are simulated page
+/// numbers, mostly consecutive and never attacker-chosen, so SipHash's
+/// collision resistance buys nothing here.
+#[derive(Clone, Copy, Debug, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the slot index is keyed by u64 page numbers only");
+    }
+    fn write_u64(&mut self, v: u64) {
+        let h = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
 
 /// Fully-associative, LRU TLB holding virtual→physical page translations.
 #[derive(Clone, Debug)]
 pub struct Tlb {
     capacity: usize,
-    /// vpage → (ppage, last-use stamp)
-    entries: HashMap<u64, (u64, u64)>,
+    /// Resident translations, at most `capacity`, in no particular order.
+    slots: Vec<Slot>,
+    /// vpage → position in `slots`.
+    index: HashMap<PageNum, usize, BuildHasherDefault<PageHasher>>,
+    /// Position of the slot used last. Only a hint: [`Tlb::find`] checks
+    /// the slot's page, so removals need not repair it.
+    mru: usize,
     stamp: u64,
     hits: u64,
     misses: u64,
 }
 
 impl Tlb {
-    /// Create a TLB with the given entry count (Table I: 256).
+    /// Create a TLB with the given entry count (Table I: 256). All its
+    /// storage is allocated here: sixteen TLBs growing entry by entry
+    /// fragment the heap enough to show in a run's peak RSS.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "TLB capacity must be non-zero");
         Tlb {
             capacity,
-            entries: HashMap::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity),
+            index: HashMap::with_capacity_and_hasher(capacity, Default::default()),
+            mru: 0,
             stamp: 0,
             hits: 0,
             misses: 0,
         }
     }
 
+    /// Position of `vpage`'s slot, if resident.
+    #[inline]
+    fn find(&self, vpage: PageNum) -> Option<usize> {
+        match self.slots.get(self.mru) {
+            Some(s) if s.vpage == vpage => Some(self.mru),
+            _ => self.index.get(&vpage).copied(),
+        }
+    }
+
     /// Look up a translation, updating LRU state and hit/miss counters.
     /// Returns the cached physical page on a hit.
+    #[inline]
     pub fn lookup(&mut self, vpage: PageNum) -> Option<PageNum> {
         self.stamp += 1;
-        let stamp = self.stamp;
-        if let Some(entry) = self.entries.get_mut(&vpage.0) {
-            entry.1 = stamp;
+        if let Some(i) = self.find(vpage) {
+            self.mru = i;
+            self.slots[i].stamp = self.stamp;
             self.hits += 1;
-            Some(PageNum(entry.0))
+            Some(self.slots[i].ppage)
         } else {
             self.misses += 1;
             None
         }
     }
 
-    /// Peek without touching LRU or counters (used by the NCRT walker's
-    /// non-architectural checks in tests).
+    /// Peek without touching LRU or counters (hit-prefix speculation looks
+    /// before it commits to a counted [`Tlb::lookup`]).
     pub fn peek(&self, vpage: PageNum) -> Option<PageNum> {
-        self.entries.get(&vpage.0).map(|&(p, _)| PageNum(p))
+        self.find(vpage).map(|i| self.slots[i].ppage)
     }
 
     /// Install a translation after a miss (page walk), evicting LRU if full.
@@ -62,23 +117,33 @@ impl Tlb {
     /// make room (if any). TLB-based classifiers need the victim to keep
     /// TLB–L1 inclusivity (§II-B of the paper).
     pub fn fill_evicting(&mut self, vpage: PageNum, ppage: PageNum) -> Option<(PageNum, PageNum)> {
-        let mut evicted = None;
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&vpage.0) {
-            // Evict the least-recently-used entry.
-            if let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, &(_, s))| s) {
-                if let Some((p, _)) = self.entries.remove(&victim) {
-                    evicted = Some((PageNum(victim), PageNum(p)));
-                }
-            }
-        }
         self.stamp += 1;
-        self.entries.insert(vpage.0, (ppage.0, self.stamp));
+        let new = Slot {
+            vpage,
+            ppage,
+            stamp: self.stamp,
+        };
+        if let Some(i) = self.find(vpage) {
+            self.slots[i] = new;
+            self.mru = i;
+            return None;
+        }
+        let mut evicted = None;
+        if self.slots.len() >= self.capacity {
+            // Evict the least-recently-used entry.
+            let lru = *(self.slots.iter().min_by_key(|s| s.stamp)).expect("capacity is non-zero");
+            self.invalidate(lru.vpage);
+            evicted = Some((lru.vpage, lru.ppage));
+        }
+        self.mru = self.slots.len();
+        self.index.insert(vpage, self.mru);
+        self.slots.push(new);
         evicted
     }
 
     /// Last-use stamp of an entry (decay predictors compare stamps).
     pub fn last_use(&self, vpage: PageNum) -> Option<u64> {
-        self.entries.get(&vpage.0).map(|&(_, s)| s)
+        self.find(vpage).map(|i| self.slots[i].stamp)
     }
 
     /// Current use stamp (monotonic access counter).
@@ -89,22 +154,30 @@ impl Tlb {
     /// Invalidate one translation (TLB shootdown; used by the PT baseline's
     /// private→shared transitions).
     pub fn invalidate(&mut self, vpage: PageNum) -> bool {
-        self.entries.remove(&vpage.0).is_some()
+        let Some(i) = self.index.remove(&vpage) else {
+            return false;
+        };
+        self.slots.swap_remove(i);
+        if let Some(moved) = self.slots.get(i) {
+            self.index.insert(moved.vpage, i);
+        }
+        true
     }
 
     /// Drop every translation.
     pub fn flush_all(&mut self) {
-        self.entries.clear();
+        self.slots.clear();
+        self.index.clear();
     }
 
     /// Number of resident translations.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// Whether the TLB holds no translations.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// (hits, misses) counters since construction.
@@ -113,37 +186,235 @@ impl Tlb {
     }
 }
 
+/// Wire format: capacity, the entries as a map `vpage → (ppage, stamp)` in
+/// ascending vpage order, then stamp, hits, misses. The slot order and the
+/// MRU hint are host-side layout and are not saved.
 impl raccd_snap::Snap for Tlb {
     fn save(&self, w: &mut raccd_snap::SnapWriter) {
         self.capacity.save(w);
-        self.entries.save(w);
+        let mut entries: Vec<(u64, (u64, u64))> =
+            (self.slots.iter().map(|s| (s.vpage.0, (s.ppage.0, s.stamp)))).collect();
+        entries.sort_unstable();
+        entries.save(w);
         w.u64(self.stamp);
         w.u64(self.hits);
         w.u64(self.misses);
     }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
+    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, SnapError> {
         use raccd_snap::Snap;
         let capacity: usize = Snap::load(r)?;
         if capacity == 0 {
-            return Err(raccd_snap::SnapError::Invalid("zero TLB capacity"));
+            return Err(SnapError::Invalid("zero TLB capacity"));
         }
-        let entries: std::collections::HashMap<u64, (u64, u64)> = Snap::load(r)?;
+        let entries: Vec<(u64, (u64, u64))> = Snap::load(r)?;
         if entries.len() > capacity {
-            return Err(raccd_snap::SnapError::Invalid("TLB over capacity"));
+            return Err(SnapError::Invalid("TLB over capacity"));
         }
-        Ok(Tlb {
-            capacity,
-            entries,
-            stamp: r.u64()?,
-            hits: r.u64()?,
-            misses: r.u64()?,
-        })
+        // Pre-sized like a new TLB, but not on an archive's say-so beyond
+        // what it holds or any real TLB has.
+        let mut tlb = Tlb::new(capacity.min(entries.len().max(4096)));
+        tlb.capacity = capacity;
+        (tlb.stamp, tlb.hits, tlb.misses) = (r.u64()?, r.u64()?, r.u64()?);
+        for (i, (vpage, (ppage, stamp))) in entries.into_iter().enumerate() {
+            let (vpage, ppage) = (PageNum(vpage), PageNum(ppage));
+            if stamp > tlb.stamp {
+                return Err(SnapError::Invalid("TLB entry stamp above the saved stamp"));
+            }
+            if tlb.index.insert(vpage, i).is_some() {
+                return Err(SnapError::Invalid("duplicate TLB entry"));
+            }
+            tlb.slots.push(Slot {
+                vpage,
+                ppage,
+                stamp,
+            });
+        }
+        Ok(tlb)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
+    use raccd_snap::{decode, encode, Snap, SnapWriter};
+
+    /// The `HashMap` TLB this one replaced, kept as the reference model:
+    /// same results, counters, stamps and snapshot bytes, step for step.
+    struct ModelTlb {
+        capacity: usize,
+        /// vpage → (ppage, last-use stamp)
+        entries: std::collections::HashMap<u64, (u64, u64)>,
+        stamp: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl ModelTlb {
+        fn new(capacity: usize) -> Self {
+            ModelTlb {
+                capacity,
+                entries: Default::default(),
+                stamp: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+        fn lookup(&mut self, vpage: PageNum) -> Option<PageNum> {
+            self.stamp += 1;
+            let stamp = self.stamp;
+            if let Some(entry) = self.entries.get_mut(&vpage.0) {
+                entry.1 = stamp;
+                self.hits += 1;
+                Some(PageNum(entry.0))
+            } else {
+                self.misses += 1;
+                None
+            }
+        }
+        fn peek(&self, vpage: PageNum) -> Option<PageNum> {
+            self.entries.get(&vpage.0).map(|&(p, _)| PageNum(p))
+        }
+        fn fill_evicting(&mut self, vpage: PageNum, ppage: PageNum) -> Option<(PageNum, PageNum)> {
+            let mut evicted = None;
+            if self.entries.len() >= self.capacity && !self.entries.contains_key(&vpage.0) {
+                if let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, &(_, s))| s) {
+                    if let Some((p, _)) = self.entries.remove(&victim) {
+                        evicted = Some((PageNum(victim), PageNum(p)));
+                    }
+                }
+            }
+            self.stamp += 1;
+            self.entries.insert(vpage.0, (ppage.0, self.stamp));
+            evicted
+        }
+        fn last_use(&self, vpage: PageNum) -> Option<u64> {
+            self.entries.get(&vpage.0).map(|&(_, s)| s)
+        }
+        fn invalidate(&mut self, vpage: PageNum) -> bool {
+            self.entries.remove(&vpage.0).is_some()
+        }
+        fn bytes(&self) -> Vec<u8> {
+            let mut w = SnapWriter::new();
+            self.capacity.save(&mut w);
+            self.entries.save(&mut w);
+            w.u64(self.stamp);
+            w.u64(self.hits);
+            w.u64(self.misses);
+            w.into_bytes()
+        }
+    }
+
+    #[test]
+    fn flat_tlb_matches_the_hashmap_model_step_for_step() {
+        for (capacity, pages, seed) in [(1, 4, 1), (2, 6, 2), (256, 400, 3), (256, 64, 4)] {
+            let mut rng = SplitMix64::new(seed);
+            let mut tlb = Tlb::new(capacity);
+            let mut model = ModelTlb::new(capacity);
+            for step in 0..6000 {
+                // Streaks of one page, as reference streams have, between
+                // uniformly drawn ones.
+                let v = PageNum(if rng.next_below(3) == 0 {
+                    7
+                } else {
+                    rng.next_below(pages)
+                });
+                let what = match rng.next_below(40) {
+                    0..=19 => {
+                        assert_eq!(tlb.lookup(v), model.lookup(v));
+                        "lookup"
+                    }
+                    20..=29 => {
+                        let p = PageNum(v.0 + 0x1000 + rng.next_below(2));
+                        assert_eq!(tlb.fill_evicting(v, p), model.fill_evicting(v, p));
+                        "fill_evicting"
+                    }
+                    30..=33 => {
+                        assert_eq!(tlb.peek(v), model.peek(v));
+                        "peek"
+                    }
+                    34..=36 => {
+                        assert_eq!(tlb.last_use(v), model.last_use(v));
+                        "last_use"
+                    }
+                    37..=38 => {
+                        assert_eq!(tlb.invalidate(v), model.invalidate(v));
+                        "invalidate"
+                    }
+                    _ => {
+                        // Rare enough that a 256-entry TLB still fills up.
+                        if rng.next_below(20) == 0 {
+                            tlb.flush_all();
+                            model.entries.clear();
+                        }
+                        "flush_all"
+                    }
+                };
+                let ctx = format!("capacity {capacity}, step {step}: {what} {v:?}");
+                assert_eq!(tlb.stats(), (model.hits, model.misses), "{ctx}");
+                assert_eq!(tlb.stamp(), model.stamp, "{ctx}");
+                assert_eq!(tlb.len(), model.entries.len(), "{ctx}");
+                let bytes = encode(&tlb);
+                assert_eq!(bytes, model.bytes(), "{ctx}");
+                if step % 97 == 0 {
+                    // A restored TLB has another slot order; nothing may
+                    // depend on it.
+                    tlb = decode(&bytes).expect("own archive loads");
+                    assert_eq!(encode(&tlb), bytes, "{ctx}: re-encode");
+                }
+            }
+        }
+    }
+
+    /// An archive with the given entries, as the encoder lays it out.
+    fn archive(capacity: u64, entries: &[(u64, u64, u64)], stamp: u64) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.u64(capacity);
+        w.u64(entries.len() as u64);
+        for &(v, p, s) in entries {
+            w.u64(v);
+            w.u64(p);
+            w.u64(s);
+        }
+        w.u64(stamp);
+        w.u64(0);
+        w.u64(0);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn load_rejects_malformed_archives_without_panicking() {
+        use raccd_snap::SnapError::{Eof, Invalid};
+        let load = |bytes: &[u8]| decode::<Tlb>(bytes).map(|t| t.len());
+        assert_eq!(load(&archive(4, &[(1, 101, 1), (2, 102, 2)], 2)), Ok(2));
+        // Not in vpage order: no encoder writes this, but it is a valid
+        // set of entries and re-encodes sorted.
+        let unsorted = archive(4, &[(2, 102, 2), (1, 101, 1)], 2);
+        let tlb: Tlb = decode(&unsorted).expect("order is not an invariant");
+        assert_eq!(encode(&tlb), archive(4, &[(1, 101, 1), (2, 102, 2)], 2));
+        assert_eq!(
+            load(&archive(4, &[(1, 101, 1), (1, 102, 2)], 2)),
+            Err(Invalid("duplicate TLB entry"))
+        );
+        assert_eq!(
+            load(&archive(1, &[(1, 101, 1), (2, 102, 2)], 2)),
+            Err(Invalid("TLB over capacity"))
+        );
+        assert_eq!(
+            load(&archive(4, &[(1, 101, 1), (2, 102, 9)], 8)),
+            Err(Invalid("TLB entry stamp above the saved stamp"))
+        );
+        assert_eq!(load(&archive(0, &[], 0)), Err(Invalid("zero TLB capacity")));
+        // A huge capacity or length allocates nothing up front.
+        assert_eq!(load(&archive(u64::MAX >> 1, &[], 0)), Ok(0));
+        let mut lying = archive(u64::MAX >> 1, &[(1, 101, 1)], 1);
+        lying[8..16].copy_from_slice(&(u64::MAX >> 1).to_le_bytes());
+        assert_eq!(load(&lying), Err(Eof));
+        let whole = archive(4, &[(1, 101, 1), (2, 102, 2)], 2);
+        for cut in 0..whole.len() {
+            assert!(load(&whole[..cut]).is_err(), "truncated at {cut}");
+        }
+    }
 
     #[test]
     fn hit_after_fill() {

@@ -26,6 +26,9 @@
 //!   `raccd_register` and not yet dropped by `raccd_invalidate`; a
 //!   directory eviction (capacity or ADR resize) never strands a tracked
 //!   sharer.
+//! * **NC immutability** — an L1 hit sees the NC bit its installing fill
+//!   wrote (`l1-nc-mutated` otherwise). The driver records the Figure 2
+//!   census at fill time only, which is exact because of this.
 //!
 //! The checker hangs off [`crate::machine::Machine`] as a [`CheckSink`];
 //! the machine emits a [`CheckEvent`] at every access, fill, invalidation,
@@ -240,7 +243,7 @@ pub trait CheckSink: Any {
 pub struct Violation {
     /// Stable short code naming the violated invariant (`swmr`,
     /// `data-value`, `l1-inclusion`, `dir-inclusion`, `nc-exclusivity`,
-    /// `stranded-sharer`, `nc-discipline`, `mirror-desync`, ...).
+    /// `stranded-sharer`, `nc-discipline`, `l1-nc-mutated`, `mirror-desync`, ...).
     pub code: &'static str,
     /// Human-readable description with the offending block and cores.
     pub detail: String,
@@ -973,11 +976,15 @@ impl ShadowChecker {
                     );
                     return;
                 };
+                // The shadow's `nc` is the installing `Fill`'s and is never
+                // rewritten, so this is "the NC bit is immutable while the
+                // line is resident" — what lets the census record at fill
+                // time only.
                 if line.nc != nc {
                     self.violation(
-                        "mirror-desync",
+                        "l1-nc-mutated",
                         format!(
-                            "core {core} hit {block:?}: machine nc={nc} vs shadow nc={}",
+                            "core {core} hit {block:?} with nc={nc}; its fill wrote nc={}",
                             line.nc
                         ),
                     );

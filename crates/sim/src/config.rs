@@ -381,6 +381,51 @@ impl MachineConfig {
 mod tests {
     use super::*;
 
+    /// `SetAssoc` indexes power-of-two set counts with a mask. Nothing
+    /// makes a geometry have one, so check every array of every shipped
+    /// machine, and every size ADR can give a directory bank.
+    #[test]
+    fn every_shipped_geometry_has_power_of_two_set_counts() {
+        use raccd_protocol::{Adr, AdrConfig, DirectoryBank};
+        for (name, base) in [
+            ("paper", MachineConfig::paper()),
+            ("scaled", MachineConfig::scaled()),
+        ] {
+            for ratio in DIR_RATIOS {
+                for topology in [Topology::Mesh, Topology::Numa2] {
+                    let cfg = base.with_dir_ratio(ratio).with_topology(topology);
+                    let what = format!("{name} 1:{ratio} {topology:?}");
+                    let m = crate::Machine::new(cfg);
+                    for tile in 0..cfg.ncores {
+                        for (array, lines, ways) in [
+                            ("L1", m.l1(tile).num_lines(), cfg.l1_ways),
+                            ("LLC", m.llc_bank(tile).capacity(), cfg.llc_ways),
+                            ("dir", m.dir_bank(tile).capacity(), cfg.dir_ways),
+                        ] {
+                            assert_eq!(lines % ways, 0, "{what}: {array} of tile {tile}");
+                            let sets = lines / ways;
+                            assert!(sets.is_power_of_two(), "{what}: {array} has {sets} sets");
+                        }
+                    }
+                    // ADR halves an empty bank down to one set; growing back
+                    // doubles through the same sizes.
+                    let entries = cfg.dir_entries_per_bank();
+                    let mut bank = DirectoryBank::new(entries, cfg.dir_ways, 0);
+                    let mut adr = Adr::new(AdrConfig::paper_defaults(entries, cfg.dir_ways));
+                    let mut steps = 0;
+                    while let Some(ev) = adr.maybe_resize(&mut bank, 0) {
+                        assert_eq!(ev.new_entries, bank.capacity());
+                        let sets = bank.capacity() / cfg.dir_ways;
+                        assert!(sets.is_power_of_two(), "{what}: ADR step to {sets} sets");
+                        steps += 1;
+                    }
+                    assert_eq!(bank.capacity(), cfg.dir_ways, "{what}: ADR floor");
+                    assert_eq!(1 << steps, entries / cfg.dir_ways, "{what}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn paper_preset_matches_table1() {
         let c = MachineConfig::paper();

@@ -393,11 +393,6 @@ impl Machine {
         self.faults = Some(Box::new(plane));
     }
 
-    /// Whether a fault plane is attached.
-    pub fn has_faults(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// The attached plane's plan, if any.
     pub fn fault_plan(&self) -> Option<FaultPlan> {
         self.faults.as_ref().map(|f| f.plan)
@@ -484,11 +479,6 @@ impl Machine {
     /// serialized into snapshots.
     pub fn attach_prof(&mut self, p: Box<Prof>) {
         self.prof = Some(p);
-    }
-
-    /// Whether a profiler is attached.
-    pub fn has_prof(&self) -> bool {
-        self.prof.is_some()
     }
 
     /// The attached profiler (driver-level sites record through this).
@@ -777,6 +767,7 @@ impl Machine {
 
     /// Translate through the core's TLB, charging TLB (and page-walk)
     /// latency.
+    #[inline]
     pub fn translate(&mut self, core: usize, vaddr: VAddr) -> (PAddr, u64) {
         let mut cycles = self.cfg.lat.tlb;
         let vpage = vaddr.page();
@@ -791,10 +782,7 @@ impl Machine {
                 p
             }
         };
-        (
-            PAddr((ppage.0 << raccd_mem::PAGE_SHIFT) | vaddr.page_offset()),
-            cycles,
-        )
+        (vaddr.on_frame(ppage), cycles)
     }
 
     /// TLB-charged translation used by `raccd_register`'s iterative walk
@@ -813,47 +801,19 @@ impl Machine {
         }
     }
 
-    /// Direct TLB access for TLB-based classifiers (§II-B): lookup with
-    /// statistics (1-cycle charge is the caller's).
-    pub fn tlb_lookup(&mut self, core: usize, vpage: PageNum) -> Option<PageNum> {
+    /// A core's TLB, read-only: the probe half of TLB-to-TLB miss
+    /// resolution (§II-B) peeks other cores' entries and last-use stamps.
+    pub fn tlb(&self, core: usize) -> &Tlb {
+        &self.cores[core].tlb
+    }
+
+    /// A core's TLB for the TLB-based classifiers (§II-B), which look up,
+    /// fill (flushing the evicted page from the L1 to keep TLB–L1
+    /// inclusivity) and decay-invalidate entries themselves. Marks the
+    /// core's private state as externally touched.
+    pub fn tlb_mut(&mut self, core: usize) -> &mut Tlb {
         self.touch_core(core);
-        self.cores[core].tlb.lookup(vpage)
-    }
-
-    /// Peek another core's TLB without side effects (models the probe half
-    /// of TLB-to-TLB miss resolution).
-    pub fn tlb_peek(&self, core: usize, vpage: PageNum) -> Option<PageNum> {
-        self.cores[core].tlb.peek(vpage)
-    }
-
-    /// Last-use stamp of a TLB entry (decay predictor input).
-    pub fn tlb_last_use(&self, core: usize, vpage: PageNum) -> Option<u64> {
-        self.cores[core].tlb.last_use(vpage)
-    }
-
-    /// Current use stamp of a core's TLB.
-    pub fn tlb_stamp(&self, core: usize) -> u64 {
-        self.cores[core].tlb.stamp()
-    }
-
-    /// Fill a core's TLB, returning the evicted `(vpage, ppage)` if any —
-    /// TLB-based classifiers must flush the victim page from the L1 to
-    /// keep TLB–L1 inclusivity (§II-B).
-    pub fn tlb_fill_evicting(
-        &mut self,
-        core: usize,
-        vpage: PageNum,
-        ppage: PageNum,
-    ) -> Option<(PageNum, PageNum)> {
-        self.touch_core(core);
-        self.cores[core].tlb.fill_evicting(vpage, ppage)
-    }
-
-    /// Invalidate one TLB entry (decay invalidations during TLB-to-TLB
-    /// resolution, §II-B). Returns whether it was present.
-    pub fn tlb_invalidate(&mut self, core: usize, vpage: PageNum) -> bool {
-        self.touch_core(core);
-        self.cores[core].tlb.invalidate(vpage)
+        &mut self.cores[core].tlb
     }
 
     /// Broadcast a control message from `core` to every other tile and
@@ -876,6 +836,7 @@ impl Machine {
 
     /// L1 lookup; on a write hit to a coherent Shared line this performs the
     /// upgrade transaction (invalidating other holders via the directory).
+    #[inline]
     pub fn l1_lookup(
         &mut self,
         core: usize,
@@ -884,72 +845,49 @@ impl Machine {
         now: u64,
     ) -> L1LookupResult {
         let t = self.p0();
-        let r = self.l1_lookup_inner(core, block, write, now);
-        self.pend(Site::CacheLookup, t);
-        r
-    }
-
-    fn l1_lookup_inner(
-        &mut self,
-        core: usize,
-        block: BlockAddr,
-        write: bool,
-        now: u64,
-    ) -> L1LookupResult {
         let lat_l1 = self.cfg.lat.l1;
+        let wt = self.cfg.l1_write_through;
         let Some(line) = self.cores[core].l1.access(block) else {
+            self.pend(Site::CacheLookup, t);
             return L1LookupResult::Miss;
         };
         let nc = line.nc;
-        let state = line.state;
-        if !write {
-            self.check_ev(CheckEvent::L1Hit {
-                core,
-                block,
-                write: false,
-                nc,
-            });
-            self.check_ev(CheckEvent::OpEnd);
-            return L1LookupResult::Hit { cycles: lat_l1, nc };
+        let mut result = L1LookupResult::Hit { cycles: lat_l1, nc };
+        if write {
+            // Under write-through, stores never dirty the L1 (the LLC is
+            // updated immediately); under write-back they take M.
+            let written_state = if wt {
+                L1State::Exclusive
+            } else {
+                L1State::Modified
+            };
+            // NC writes and coherent E/M writes complete locally; coherent
+            // write hits in S/F/O upgrade through the directory (Owned data
+            // is already local and dirty, but the *other* sharers must still
+            // be invalidated before the store globally performs).
+            if nc || self.cfg.protocol.protocol().write_hit_is_local(line.state) {
+                line.state = written_state;
+            } else {
+                let cycles = lat_l1 + self.upgrade(core, block, now);
+                self.cores[core]
+                    .l1
+                    .probe_mut(block)
+                    .expect("line just seen")
+                    .state = written_state;
+                result = L1LookupResult::Hit { cycles, nc: false };
+            }
         }
-        let wt = self.cfg.l1_write_through;
-        // Under write-through, stores never dirty the L1 (the LLC is
-        // updated immediately); under write-back they take M.
-        let written_state = if wt {
-            L1State::Exclusive
-        } else {
-            L1State::Modified
-        };
-        // NC writes and coherent E/M writes complete locally; coherent
-        // write hits in S/F/O upgrade through the directory (Owned data
-        // is already local and dirty, but the *other* sharers must still
-        // be invalidated before the store globally performs).
-        let result = if nc || self.proto().write_hit_is_local(state) {
-            self.cores[core]
-                .l1
-                .probe_mut(block)
-                .expect("line just seen")
-                .state = written_state;
-            L1LookupResult::Hit { cycles: lat_l1, nc }
-        } else {
-            let cycles = lat_l1 + self.upgrade(core, block, now);
-            self.cores[core]
-                .l1
-                .probe_mut(block)
-                .expect("line just seen")
-                .state = written_state;
-            L1LookupResult::Hit { cycles, nc: false }
-        };
         self.check_ev(CheckEvent::L1Hit {
             core,
             block,
-            write: true,
+            write,
             nc,
         });
-        if wt {
+        if write && wt {
             self.write_through_update(core, block, now);
         }
         self.check_ev(CheckEvent::OpEnd);
+        self.pend(Site::CacheLookup, t);
         result
     }
 
@@ -2083,6 +2021,30 @@ mod tests {
         assert_eq!(c2, m.cfg.lat.tlb + m.cfg.lat.l1, "second access hits L1");
         assert_eq!(m.stats.coherent_fills, 1);
         m.check_invariants();
+    }
+
+    /// The census records a block when it is filled and never on a hit,
+    /// which is exact only while nothing rewrites a resident line's NC
+    /// bit. The oracle must catch a machine that does.
+    #[test]
+    fn checker_trips_on_a_resident_line_whose_nc_bit_flips() {
+        let mut m = machine();
+        m.attach_checker(Box::new(ShadowChecker::collecting(&m.cfg)));
+        let take = |m: &mut Machine| {
+            let sink = m.checker_mut().expect("attached above");
+            let sc = sink.as_any_mut().downcast_mut::<ShadowChecker>();
+            sc.expect("a ShadowChecker").take_violations()
+        };
+        access(&mut m, 0, 0x10_0000, false, false, 0);
+        access(&mut m, 0, 0x10_0000, true, false, 10);
+        assert!(take(&mut m).is_empty(), "fill, then hits: clean");
+
+        let (paddr, _) = m.translate(0, VAddr(0x10_0000));
+        let line = m.cores[0].l1.probe_mut(paddr.block());
+        line.expect("resident").nc = true;
+        access(&mut m, 0, 0x10_0000, false, false, 20);
+        let codes: Vec<_> = take(&mut m).iter().map(|v| v.code).collect();
+        assert_eq!(codes, ["l1-nc-mutated"]);
     }
 
     #[test]

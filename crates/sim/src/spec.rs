@@ -22,12 +22,13 @@
 use crate::config::MachineConfig;
 use crate::machine::CoreShard;
 use raccd_cache::L1State;
-use raccd_mem::{BlockAddr, PAddr, VAddr};
+use raccd_mem::{BlockAddr, VAddr};
 
 /// One speculated (hit) reference: everything the commit phase needs to
 /// reproduce the serial side effects that live *outside* the shard — the
-/// checker event pair, the census record, the refs-processed counter and
-/// the latency histograms.
+/// checker event pair, the refs-processed counter and the latency
+/// histograms. (The census is not among them: it is recorded at fill
+/// time, and a hit prefix fills nothing.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpecRef {
     /// The block hit.
@@ -77,8 +78,7 @@ pub fn speculate_hit_prefix(
         let Some(ppage) = shard.tlb.peek(vpage) else {
             break;
         };
-        let paddr = PAddr((ppage.0 << raccd_mem::PAGE_SHIFT) | vaddr.page_offset());
-        let block = paddr.block();
+        let block = vaddr.on_frame(ppage).block();
         let Some(line) = shard.l1.probe(block) else {
             break;
         };
@@ -98,10 +98,9 @@ pub fn speculate_hit_prefix(
         // L1 PLRU + hit counter, and M on a write-back write hit.
         let looked = shard.tlb.lookup(vpage);
         debug_assert_eq!(looked, Some(ppage));
-        let accessed = shard.l1.access(block);
-        debug_assert!(accessed.is_some());
+        let accessed = shard.l1.access(block).expect("line just probed");
         if write {
-            shard.l1.probe_mut(block).expect("line just seen").state = L1State::Modified;
+            accessed.state = L1State::Modified;
         }
         out.push(SpecRef {
             block,
