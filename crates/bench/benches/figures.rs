@@ -1,6 +1,6 @@
 //! One criterion bench per figure/table family, each running the relevant
 //! experiment end-to-end at `Scale::Test` so `cargo bench` exercises the
-//! whole evaluation matrix quickly. The full-scale regeneration binaries
+//! whole evaluation matrix quickly. The `figures` binary's studies
 //! (fig2/fig6/fig7/fig8/fig9_10/table3/overheads) produce the actual
 //! figures at `--scale bench`.
 

@@ -25,7 +25,8 @@
 //! throughput is timed by the repo benchmark's `campaign-dedup` workload,
 //! not here.
 
-use raccd_bench::{bench_names, scale_from_args};
+use raccd_bench::bench_names;
+use raccd_bench::cli::{die, Cli};
 use raccd_campaign::{Campaign, CampaignConfig, JobSpec};
 use raccd_core::CoherenceMode;
 use raccd_obs::{write_campaign_depth_csv, write_events_jsonl};
@@ -70,39 +71,38 @@ fn gen_matrix(scale: Scale, n: u64) -> Vec<JobSpec> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let pick = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let parse_or = |flag: &str, default: u64| -> u64 {
-        pick(flag)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("{flag}: bad value `{v}`"))
-            })
-            .unwrap_or(default)
-    };
+    let cli = Cli::from_env(
+        &[
+            "--scale",
+            "--ledger",
+            "--spec",
+            "--spec-file",
+            "--gen",
+            "--workers",
+            "--queue-cap",
+            "--retries",
+            "--timeout-ms",
+            "--report",
+            "--events",
+            "--depth-csv",
+        ],
+        &["--dedup-probe"],
+    );
 
-    let ledger = PathBuf::from(pick("--ledger").unwrap_or_else(|| "campaign.jsonl".into()));
-    let scale = scale_from_args(&args);
+    let ledger = PathBuf::from(cli.value("--ledger").unwrap_or("campaign.jsonl"));
+    let scale = cli.scale;
     let mut config = CampaignConfig::default();
-    config.workers = parse_or("--workers", config.workers as u64) as usize;
-    config.queue_cap = parse_or("--queue-cap", config.queue_cap as u64) as usize;
-    config.retry_budget = parse_or("--retries", config.retry_budget as u64) as u32;
-    config.timeout_ms = parse_or("--timeout-ms", 120_000);
+    config.workers = cli.number_or("--workers", config.workers);
+    config.queue_cap = cli.number_or("--queue-cap", config.queue_cap);
+    config.retry_budget = cli.number_or("--retries", config.retry_budget);
+    config.timeout_ms = cli.number_or("--timeout-ms", 120_000);
 
     let mut specs: Vec<JobSpec> = Vec::new();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--spec" {
-            let line = args.get(i + 1).expect("--spec needs a value");
-            specs.push(JobSpec::parse(line).unwrap_or_else(|e| panic!("--spec: {e}")));
-        }
+    for line in cli.values("--spec") {
+        specs.push(JobSpec::parse(line).unwrap_or_else(|e| die(&format!("--spec: {e}"))));
     }
-    if let Some(f) = pick("--spec-file") {
-        let text = std::fs::read_to_string(&f).unwrap_or_else(|e| panic!("--spec-file {f}: {e}"));
+    if let Some(f) = cli.value("--spec-file") {
+        let text = std::fs::read_to_string(f).unwrap_or_else(|e| panic!("--spec-file {f}: {e}"));
         for line in text.lines() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -111,12 +111,7 @@ fn main() {
             specs.push(JobSpec::parse(line).unwrap_or_else(|e| panic!("{f}: {e}")));
         }
     }
-    if let Some(n) = pick("--gen") {
-        let n: u64 = n
-            .parse()
-            .unwrap_or_else(|_| panic!("--gen: bad count `{n}`"));
-        specs.extend(gen_matrix(scale, n));
-    }
+    specs.extend(gen_matrix(scale, cli.number_or("--gen", 0)));
 
     let campaign = Campaign::open(&ledger, config).unwrap_or_else(|e| {
         panic!("opening ledger {}: {e}", ledger.display());
@@ -136,7 +131,7 @@ fn main() {
     for spec in &specs {
         submit(spec);
     }
-    if args.iter().any(|a| a == "--dedup-probe") {
+    if cli.has("--dedup-probe") {
         // Second pass over the same batch: everything must dedup.
         for spec in &specs {
             submit(spec);
@@ -154,20 +149,20 @@ fn main() {
         .run()
         .unwrap_or_else(|e| panic!("campaign run: {e}"));
     println!("{}", report.to_json());
-    if let Some(p) = pick("--report") {
-        std::fs::write(&p, report.to_json() + "\n")
+    if let Some(p) = cli.value("--report") {
+        std::fs::write(p, report.to_json() + "\n")
             .unwrap_or_else(|e| panic!("writing report {p}: {e}"));
     }
-    if let Some(p) = pick("--events") {
+    if let Some(p) = cli.value("--events") {
         let mut w = std::io::BufWriter::new(
-            std::fs::File::create(&p).unwrap_or_else(|e| panic!("creating {p}: {e}")),
+            std::fs::File::create(p).unwrap_or_else(|e| panic!("creating {p}: {e}")),
         );
         write_events_jsonl(&[], &campaign.events(), &mut w)
             .unwrap_or_else(|e| panic!("writing events {p}: {e}"));
     }
-    if let Some(p) = pick("--depth-csv") {
+    if let Some(p) = cli.value("--depth-csv") {
         let mut w = std::io::BufWriter::new(
-            std::fs::File::create(&p).unwrap_or_else(|e| panic!("creating {p}: {e}")),
+            std::fs::File::create(p).unwrap_or_else(|e| panic!("creating {p}: {e}")),
         );
         write_campaign_depth_csv(&campaign.events(), &mut w)
             .unwrap_or_else(|e| panic!("writing depth csv {p}: {e}"));

@@ -26,54 +26,42 @@
 //! final stats and the shadow state key are identical to the uninterrupted
 //! run (telemetry covers only the resumed half).
 
-use raccd_bench::{
-    bench_names, config_from_args, engine_from_args, scale_from_args, telemetry_dir_from_args,
-    write_telemetry,
-};
+use raccd_bench::cli::{Cli, SIM_FLAGS};
+use raccd_bench::{bench_names, write_telemetry};
 use raccd_core::{CoherenceMode, Driver};
 use raccd_obs::{event_json, json, Recorder, RecorderConfig};
 use raccd_snap::Snapshot;
 use std::collections::BTreeMap;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = scale_from_args(&args);
+    let own = [
+        "--telemetry",
+        "--bench",
+        "--mode",
+        "--head",
+        "--interval",
+        "--snapshot",
+        "--snapshot-at",
+        "--restore",
+    ];
+    let flags = [&SIM_FLAGS[..], &own].concat();
+    let cli = Cli::from_env(&flags, &["--profile"]);
+    let scale = cli.scale;
     let names = bench_names(scale);
-    let pick = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let bench_idx = pick("--bench")
-        .map(|n| {
-            names
-                .iter()
-                .position(|b| b.eq_ignore_ascii_case(&n))
-                .unwrap_or_else(|| panic!("unknown benchmark {n}"))
-        })
-        .unwrap_or(3); // Jacobi
-    let mode = match pick("--mode").as_deref().map(str::to_ascii_lowercase) {
-        Some(ref m) if m == "fullcoh" => CoherenceMode::FullCoh,
-        Some(ref m) if m == "pt" => CoherenceMode::PageTable,
-        _ => CoherenceMode::Raccd,
-    };
-    let head: usize = pick("--head").and_then(|h| h.parse().ok()).unwrap_or(20);
-    let interval: u64 = pick("--interval")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(RecorderConfig::default().sample_interval);
-    let telemetry = telemetry_dir_from_args(&args);
+    let bench_idx = cli.benches(&names).map_or(3, |b| b[0]); // default: Jacobi
+    let mode = cli.modes("--mode").map_or(CoherenceMode::Raccd, |m| m[0]);
+    let head: usize = cli.number_or("--head", 20);
+    let interval: u64 = cli.number_or("--interval", RecorderConfig::default().sample_interval);
+    let telemetry = cli.telemetry.clone();
 
-    let mut cfg = config_from_args(scale, &args);
+    let mut cfg = cli.cfg;
     cfg.record_events = true;
 
-    let snapshot_path = pick("--snapshot");
-    let snapshot_at: u64 = pick("--snapshot-at")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000);
-    let restore_path = pick("--restore");
-    let profile = args.iter().any(|a| a == "--profile");
-    let engine = engine_from_args(&args);
+    let snapshot_path = cli.value("--snapshot");
+    let snapshot_at: u64 = cli.number_or("--snapshot-at", 10_000);
+    let restore_path = cli.value("--restore");
+    let profile = cli.has("--profile");
+    let engine = cli.engine;
 
     let workloads = raccd_workloads::all_benchmarks(scale);
     let program = workloads[bench_idx].build();

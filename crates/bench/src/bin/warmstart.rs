@@ -16,7 +16,8 @@
 //! matches exactly (cycles, fault counters, detection), and reports the
 //! wall-clock for both paths.
 
-use raccd_bench::{bench_names, config_for_scale, engine_from_args, scale_from_args, tsv_row};
+use raccd_bench::cli::{die, Cli, SIM_FLAGS};
+use raccd_bench::{bench_names, tsv_row};
 use raccd_campaign::{PoolTask, WorkerPool};
 use raccd_core::{CoherenceMode, Driver, DriverOutput, Engine};
 use raccd_fault::FaultPlan;
@@ -57,40 +58,21 @@ fn finish_seeded(mut driver: Driver, seed: u64, engine: Engine) -> DriverOutput 
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = scale_from_args(&args);
+    let own = ["--bench", "--mode", "--warmup", "--seeds", "--spec"];
+    let flags = [&SIM_FLAGS[..], &own].concat();
+    let cli = Cli::from_env(&flags, &["--cold"]);
+    let scale = cli.scale;
     let names = bench_names(scale);
-    let pick = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
 
-    let bench_sel: Vec<usize> = pick("--bench")
-        .map(|sel| {
-            sel.split(',')
-                .map(|n| {
-                    names
-                        .iter()
-                        .position(|b| b.eq_ignore_ascii_case(n))
-                        .unwrap_or_else(|| panic!("unknown benchmark {n}; have {names:?}"))
-                })
-                .collect()
-        })
+    let bench_sel = cli
+        .benches(&names)
         .unwrap_or_else(|| (0..names.len()).collect());
-    let mode = match pick("--mode").as_deref().map(str::to_ascii_lowercase) {
-        Some(ref m) if m == "fullcoh" => CoherenceMode::FullCoh,
-        Some(ref m) if m == "pt" => CoherenceMode::PageTable,
-        _ => CoherenceMode::Raccd,
-    };
-    let warmup: u64 = pick("--warmup")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_000);
-    let nseeds: u64 = pick("--seeds").and_then(|v| v.parse().ok()).unwrap_or(8);
-    let cold = args.iter().any(|a| a == "--cold");
-    let plan = match pick("--spec") {
-        Some(spec) => FaultPlan::from_spec(&spec).unwrap_or_else(|e| panic!("--spec: {e}")),
+    let mode = cli.modes("--mode").map_or(CoherenceMode::Raccd, |m| m[0]);
+    let warmup: u64 = cli.number_or("--warmup", 20_000);
+    let nseeds: u64 = cli.number_or("--seeds", 8);
+    let cold = cli.has("--cold");
+    let plan = match cli.value("--spec") {
+        Some(spec) => FaultPlan::from_spec(spec).unwrap_or_else(|e| die(&format!("--spec: {e}"))),
         None => FaultPlan {
             drop: 2e-4,
             dup: 1e-4,
@@ -99,8 +81,8 @@ fn main() {
             ..FaultPlan::default()
         },
     };
-    let cfg = config_for_scale(scale);
-    let engine = engine_from_args(&args);
+    let cfg = cli.cfg;
+    let engine = cli.engine;
 
     println!("benchmark\tseed\tcycles\ttasks\tinjected\tmsg_retries\tdetected");
     let mut warm_secs = 0.0f64;

@@ -1,4 +1,4 @@
-//! Terminal bar charts for the figure binaries (`--chart`).
+//! Terminal bar charts for the `figures` binary (`--chart`).
 //!
 //! The paper's figures are grouped bar charts (Figures 2, 8, 9, 10) and
 //! line families (Figures 6, 7). A horizontal-bar rendering keeps both
@@ -58,11 +58,6 @@ pub fn grouped_bar_chart(
     out
 }
 
-/// Whether `--chart` was requested.
-pub fn chart_requested(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--chart")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,11 +93,5 @@ mod tests {
         assert!(c.contains("G1\n"));
         // Largest value (4.0) spans the full width.
         assert!(c.contains(&"█".repeat(12)));
-    }
-
-    #[test]
-    fn flag_detection() {
-        assert!(chart_requested(&["--chart".to_string()]));
-        assert!(!chart_requested(&["--scale".to_string()]));
     }
 }

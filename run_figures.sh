@@ -1,14 +1,6 @@
 #!/bin/bash
+# Regenerate results/*.txt: every table, figure and ablation at bench
+# scale from one simulation pass (see results/README.md).
 set -e
-cd /root/repo
-B=./target/release
-for f in table1 table2 table3; do $B/$f > results/$f.txt 2>/dev/null; done
-$B/fig2 --scale bench   > results/fig2.txt   2>results/fig2.log
-$B/fig8 --scale bench   > results/fig8.txt   2>results/fig8.log
-$B/fig9_10 --scale bench > results/fig9_10.txt 2>results/fig9_10.log
-$B/fig6 --scale bench   > results/fig6.txt   2>results/fig6.log
-$B/fig7 --scale bench   > results/fig7.txt   2>results/fig7.log
-$B/overheads --scale bench > results/overheads.txt 2>results/overheads.log
-$B/ablations --scale bench > results/ablations.txt 2>results/ablations.log
-$B/energy_report --scale bench > results/energy_report.txt 2>results/energy_report.log
-echo ALL_FIGURES_DONE
+cd "$(dirname "$0")"
+cargo run --release -p raccd-bench --bin figures -- --scale bench --out results

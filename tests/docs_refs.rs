@@ -1,18 +1,19 @@
-//! The docs, the figure script and the CI workflow name binaries, tests
-//! and examples by hand; this test fails when one of those names no
-//! longer has a source file, and when a doc cites a `BENCH_<n>.json`
-//! performance file (the repo benchmark under `benchmark/` is the only
-//! measurement of record).
+//! The docs, the figure script and the CI workflow name binaries, tests,
+//! examples and `figures` studies by hand; this test fails when one of
+//! those names no longer has a source file or a row in the study table,
+//! and when a doc cites a `BENCH_<n>.json` performance file (the repo
+//! benchmark under `benchmark/` is the only measurement of record).
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Files whose `--bin` / `--test` / `--example` / `$B/` references must
-/// resolve.
-const COMMAND_DOCS: [&str; 6] = [
+/// Files whose `--bin` / `--test` / `--example` / `$B/` references and
+/// `figures` study names must resolve.
+const COMMAND_DOCS: [&str; 7] = [
     "README.md",
     "DESIGN.md",
     "EXPERIMENTS.md",
+    "results/README.md",
     "run_figures.sh",
     ".github/workflows/ci.yml",
     ".claude/skills/verify/SKILL.md",
@@ -79,6 +80,56 @@ fn named_bins_tests_and_examples_exist() {
         }
     }
     assert!(missing.is_empty(), "dangling references:\n{missing:#?}");
+}
+
+/// The study and section names that follow each `figures --` (or README's
+/// `$F` shorthand for it) in `text`, up to the first flag, placeholder or
+/// comment.
+fn figures_arguments(text: &str) -> Vec<&str> {
+    let tokens: Vec<&str> = text.split_whitespace().collect();
+    let mut names = Vec::new();
+    for (i, tok) in tokens.iter().enumerate() {
+        let bare = tok.trim_start_matches(|c: char| !c.is_ascii_alphanumeric() && c != '$');
+        let invoked = bare == "$F" || (bare == "figures" && tokens.get(i + 1) == Some(&"--"));
+        if !invoked {
+            continue;
+        }
+        let skip = if bare == "$F" { 1 } else { 2 };
+        for arg in tokens[i + skip..].iter().filter(|a| **a != "\\") {
+            let name = ident(arg);
+            if name.is_empty() {
+                break;
+            }
+            names.push(name);
+            if name.len() < arg.len() {
+                break;
+            }
+        }
+    }
+    names
+}
+
+#[test]
+fn figures_studies_named_in_docs_are_rows_of_the_study_table() {
+    let known = |name: &str| {
+        raccd_bench::figures::STUDIES
+            .iter()
+            .any(|s| s.name == name || s.sections.contains(&name))
+    };
+    let mut checked = 0;
+    let mut unknown = Vec::new();
+    for doc in COMMAND_DOCS {
+        let text = fs::read_to_string(root().join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        for name in figures_arguments(&text) {
+            checked += 1;
+            if !known(name) {
+                unknown.push(format!("{doc}: figures -- {name}"));
+            }
+        }
+    }
+    assert!(unknown.is_empty(), "unknown studies:\n{unknown:#?}");
+    // The README block alone lists every study once.
+    assert!(checked >= raccd_bench::figures::STUDIES.len(), "{checked}");
 }
 
 /// Every source, script and doc file under `dir`, skipping build output,

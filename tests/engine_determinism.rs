@@ -13,10 +13,10 @@
 use raccd::core::{CoherenceMode, Engine};
 use raccd::sim::{MachineConfig, DIR_RATIOS};
 use raccd::workloads::Scale;
-use raccd_bench::{run_jobs, sweep_checksum, Job};
+use raccd_bench::figures::{simulate, Cell};
 
 /// Committed golden: serial fig7-sweep checksum at Test scale on the
-/// `MachineConfig::scaled()` machine (see [`sweep_checksum`] for the
+/// `MachineConfig::scaled()` machine (see `Results::checksum` for the
 /// folded fields).
 const GOLDEN_SERIAL_CHECKSUM: u64 = 0x438C_1BAE_BC50_BA8B;
 
@@ -28,21 +28,20 @@ const MODES: [CoherenceMode; 2] = [CoherenceMode::Raccd, CoherenceMode::FullCoh]
 fn sweep(engine: Engine, shadow: bool) -> u64 {
     let mut cfg = MachineConfig::scaled();
     cfg.shadow_check |= shadow;
-    let mut jobs = Vec::new();
-    for &bench_idx in &WORKLOADS {
+    let mut cells = Vec::new();
+    for &bench in &WORKLOADS {
         for mode in MODES {
             for &ratio in &DIR_RATIOS {
-                jobs.push(Job {
-                    bench_idx,
+                cells.push(Cell {
+                    bench,
                     mode,
-                    ratio,
-                    adr: false,
-                    engine,
+                    cfg: cfg.with_dir_ratio(ratio),
+                    rep: 0,
                 });
             }
         }
     }
-    sweep_checksum(&run_jobs(Scale::Test, cfg, &jobs, None))
+    simulate(&cells, Scale::Test, engine, None).checksum(&cells)
 }
 
 #[test]
