@@ -5,14 +5,13 @@
 //! touched, whether any access to it was coherent; the non-coherent
 //! percentage is then `blocks never accessed coherently / blocks touched`.
 
-use raccd_mem::BlockAddr;
-use std::collections::HashMap;
+use raccd_mem::{BlockAddr, FibMap};
 
 /// Per-block ever-accessed / ever-coherent tracking.
 #[derive(Clone, Debug, Default)]
 pub struct Census {
     /// block → ever accessed coherently.
-    blocks: HashMap<u64, bool>,
+    blocks: FibMap<u64, bool>,
 }
 
 /// Aggregated census results.

@@ -9,8 +9,7 @@
 //! never transitions back to private" — which is why PT misses temporarily
 //! private data (Figure 2).
 
-use raccd_mem::PageNum;
-use std::collections::HashMap;
+use raccd_mem::{FibMap, PageNum};
 
 /// Classification of one physical page.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,7 +36,7 @@ pub enum PtDecision {
 /// The OS-side page classification table.
 #[derive(Clone, Debug, Default)]
 pub struct PageClassifier {
-    pages: HashMap<u64, PageState>,
+    pages: FibMap<u64, PageState>,
     transitions: u64,
 }
 

@@ -23,16 +23,15 @@
 //! RaCCD needs none of this machinery — that is the paper's point — but
 //! implementing it lets the reproduction quantify the comparison.
 
-use raccd_mem::{PAddr, VAddr};
+use raccd_mem::{FibMap, PAddr, VAddr};
 use raccd_sim::Machine;
-use std::collections::HashMap;
 
 /// Per-core-and-page classification state for the TLB-based scheme.
 #[derive(Clone, Debug)]
 pub struct TlbClassifier {
     /// (core, vpage) → classified private? Mirrors the private/shared bit
     /// each TLB entry would carry.
-    class: HashMap<(usize, u64), bool>,
+    class: FibMap<(usize, u64), bool>,
     /// Enable the decay predictor.
     pub decay: bool,
     /// Entries idle for more than this many TLB accesses count as decayed.
@@ -57,7 +56,7 @@ pub struct TlbClassOutcome {
 impl Default for TlbClassifier {
     fn default() -> Self {
         TlbClassifier {
-            class: HashMap::new(),
+            class: FibMap::default(),
             decay: true,
             decay_threshold: 4096,
             resolutions: 0,

@@ -19,10 +19,14 @@
 //!   bump allocator. Workloads *really compute* on this store, so functional
 //!   results (MD5 digests, stencil values, cluster assignments…) can be
 //!   checked against host references in tests.
+//! * [`hash`] — [`FibHasher`] / [`FibMap`], the one non-SipHash hasher for
+//!   maps keyed by simulated page and block numbers (TLB index, block
+//!   census, page classifiers).
 //! * [`rng`] — a tiny deterministic SplitMix64/xoshiro generator so workload
 //!   data is bit-reproducible regardless of external crate versions.
 
 pub mod addr;
+pub mod hash;
 pub mod memory;
 pub mod page_table;
 pub mod rng;
@@ -31,6 +35,7 @@ pub mod tlb;
 pub use addr::{
     BlockAddr, PAddr, PageNum, VAddr, VRange, BLOCK_SHIFT, BLOCK_SIZE, PAGE_SHIFT, PAGE_SIZE,
 };
+pub use hash::{FibHasher, FibMap};
 pub use memory::SimMemory;
 pub use page_table::{FrameAllocPolicy, PageTable};
 pub use rng::SplitMix64;

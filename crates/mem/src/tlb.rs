@@ -8,13 +8,12 @@
 //! The TLB is consulted once per simulated reference, so the host-side
 //! layout is built for that path: a flat slot array, a most-recently-used
 //! slot checked first (a same-page streak never hashes), and a
-//! multiplicative-hash index for everything else. The victim scan over
+//! [`FibMap`] index for everything else. The victim scan over
 //! the slots runs only on a fill into a full TLB.
 
 use crate::addr::PageNum;
+use crate::hash::FibMap;
 use raccd_snap::SnapError;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// One resident translation.
 #[derive(Clone, Copy, Debug)]
@@ -25,25 +24,6 @@ struct Slot {
     stamp: u64,
 }
 
-/// Fibonacci hashing for the slot index. The keys are simulated page
-/// numbers, mostly consecutive and never attacker-chosen, so SipHash's
-/// collision resistance buys nothing here.
-#[derive(Clone, Copy, Debug, Default)]
-struct PageHasher(u64);
-
-impl Hasher for PageHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("the slot index is keyed by u64 page numbers only");
-    }
-    fn write_u64(&mut self, v: u64) {
-        let h = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-}
-
 /// Fully-associative, LRU TLB holding virtual→physical page translations.
 #[derive(Clone, Debug)]
 pub struct Tlb {
@@ -51,7 +31,7 @@ pub struct Tlb {
     /// Resident translations, at most `capacity`, in no particular order.
     slots: Vec<Slot>,
     /// vpage → position in `slots`.
-    index: HashMap<PageNum, usize, BuildHasherDefault<PageHasher>>,
+    index: FibMap<PageNum, usize>,
     /// Position of the slot used last. Only a hint: [`Tlb::find`] checks
     /// the slot's page, so removals need not repair it.
     mru: usize,
@@ -69,7 +49,7 @@ impl Tlb {
         Tlb {
             capacity,
             slots: Vec::with_capacity(capacity),
-            index: HashMap::with_capacity_and_hasher(capacity, Default::default()),
+            index: FibMap::with_capacity_and_hasher(capacity, Default::default()),
             mru: 0,
             stamp: 0,
             hits: 0,

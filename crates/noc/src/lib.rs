@@ -12,6 +12,11 @@
 //! flit; a data message carries a 64-byte cache line over `1 + 64/flit`
 //! flits (16-byte flits → 5 flits).
 //!
+//! A miss sends five or six messages, so [`Mesh::send`] divides nothing:
+//! hop counts, flits per class and memory-controller tiles come from small
+//! tables that each mesh fills once from the closed forms ([`Mesh::hops`]
+//! is the one the route table is built from).
+//!
 //! Beyond the single-socket mesh, [`Mesh::numa2`] builds a **2-socket
 //! NUMA topology**: two k×k meshes joined by one inter-socket link with
 //! its own (higher) latency. Tiles `0..k²` are socket 0, `k²..2k²` socket
@@ -153,26 +158,31 @@ pub struct Mesh {
     xlink_msgs: u64,
     /// Fault-attributable traffic (all zero without a fault plane).
     fault: FaultTraffic,
+    /// The route of each `(from, to)` pair, row-major `tiles × tiles`: its
+    /// hop count, with [`XLINK`] set when it takes the inter-socket link.
+    /// This and the two tables below are functions of the geometry above:
+    /// [`Mesh::build`] derives them and an archive never carries them.
+    routes: Vec<u16>,
+    /// Flits of one message, by class.
+    class_flits: [u64; 4],
+    /// Memory-controller tile, by home tile.
+    mem_ctrl: Vec<usize>,
 }
+
+/// Route-table bit of a cross-socket route; the hop count is below it.
+/// Two bytes a pair keep a 16-tile table at 512 B: entries that also held
+/// the latency made it a 4 KiB heap block, which moved where every later
+/// allocation of a run landed and its peak RSS by 2 %.
+const XLINK: u16 = 1 << 15;
+
+/// `(socket, x, y)` of a tile.
+type Pos = (usize, usize, usize);
 
 impl Mesh {
     /// Create a k×k mesh (Table I: k = 4) with per-hop link and router
     /// latencies and a flit width in bytes.
     pub fn new(k: usize, link_cycles: u64, router_cycles: u64, flit_bytes: u64) -> Self {
-        assert!(k > 0 && flit_bytes > 0);
-        Mesh {
-            k,
-            sockets: 1,
-            link_cycles,
-            router_cycles,
-            xlink_cycles: 0,
-            flit_bytes,
-            flit_hops: 0,
-            flits_by_class: [0; 4],
-            msgs_by_class: [0; 4],
-            xlink_msgs: 0,
-            fault: FaultTraffic::default(),
-        }
+        Mesh::build(k, 1, link_cycles, router_cycles, 0, flit_bytes)
     }
 
     /// Create a 2-socket NUMA topology: two k×k meshes joined by one
@@ -186,10 +196,7 @@ impl Mesh {
         flit_bytes: u64,
         xlink_cycles: u64,
     ) -> Self {
-        let mut m = Mesh::new(k, link_cycles, router_cycles, flit_bytes);
-        m.sockets = 2;
-        m.xlink_cycles = xlink_cycles;
-        m
+        Mesh::build(k, 2, link_cycles, router_cycles, xlink_cycles, flit_bytes)
     }
 
     /// Build for a [`Topology`]: the single mesh or the NUMA pair.
@@ -205,6 +212,62 @@ impl Mesh {
             Topology::Mesh => Mesh::new(k, link_cycles, router_cycles, flit_bytes),
             Topology::Numa2 => Mesh::numa2(k, link_cycles, router_cycles, flit_bytes, xlink_cycles),
         }
+    }
+
+    /// A mesh with zeroed counters and its tables filled from the closed
+    /// forms. A campaign builds and restores thousands of meshes, so each
+    /// tile's position is resolved once and the `tiles²` loop is
+    /// `abs_diff` and adds only.
+    fn build(
+        k: usize,
+        sockets: usize,
+        link_cycles: u64,
+        router_cycles: u64,
+        xlink_cycles: u64,
+        flit_bytes: u64,
+    ) -> Self {
+        assert!(k > 0 && flit_bytes > 0);
+        let data_flits = 1 + BLOCK_SIZE.div_ceil(flit_bytes);
+        let mut m = Mesh {
+            k,
+            sockets,
+            link_cycles,
+            router_cycles,
+            xlink_cycles,
+            flit_bytes,
+            flit_hops: 0,
+            flits_by_class: [0; 4],
+            msgs_by_class: [0; 4],
+            xlink_msgs: 0,
+            fault: FaultTraffic::default(),
+            routes: Vec::new(),
+            // Indexed by `MsgClass as usize`.
+            class_flits: [1, data_flits, 1, data_flits],
+            mem_ctrl: Vec::new(),
+        };
+        let pos: Vec<Pos> = (0..m.tiles()).map(|t| m.pos(t)).collect();
+        m.routes.reserve_exact(pos.len() * pos.len());
+        for &from in &pos {
+            for &to in &pos {
+                // At most 4k − 3 hops: a mesh whose table fits in memory
+                // stays far below the `XLINK` bit.
+                let xlink = if from.0 == to.0 { 0 } else { XLINK };
+                m.routes.push(m.pos_hops(from, to) as u16 | xlink);
+            }
+        }
+        // Nearest of the home socket's four corner tiles, ties broken by
+        // lowest tile id.
+        let corners = [0, k - 1, k * (k - 1), k * k - 1];
+        m.mem_ctrl = (pos.iter())
+            .map(|&home| {
+                let base = home.0 * k * k;
+                let nearest = corners
+                    .iter()
+                    .min_by_key(|&&c| (m.pos_hops(home, pos[base + c]), c));
+                base + *nearest.expect("corners non-empty")
+            })
+            .collect();
+        m
     }
 
     /// Number of tiles (per-socket tiles × sockets).
@@ -223,64 +286,48 @@ impl Mesh {
         tile / (self.k * self.k)
     }
 
-    /// (socket, local tile) of a global tile id.
-    #[inline]
-    fn split(&self, tile: usize) -> (usize, usize) {
-        let per = self.k * self.k;
-        (tile / per, tile % per)
+    /// Position of a global tile id.
+    fn pos(&self, tile: usize) -> Pos {
+        let local = tile % (self.k * self.k);
+        (self.socket_of(tile), local % self.k, local / self.k)
     }
 
-    /// (x, y) coordinate of a *local* tile id within its socket.
-    #[inline]
-    fn coords(&self, local: usize) -> (usize, usize) {
-        (local % self.k, local / self.k)
-    }
-
-    /// Manhattan distance between two local tiles of one socket.
-    #[inline]
-    fn local_hops(&self, from: usize, to: usize) -> u64 {
-        let (fx, fy) = self.coords(from);
-        let (tx, ty) = self.coords(to);
-        (fx.abs_diff(tx) + fy.abs_diff(ty)) as u64
-    }
-
-    /// The local gateway tile of a socket: socket 0 exits east of row 0
-    /// (local `k-1`), socket 1 exits west of row 0 (local `0`).
-    #[inline]
-    fn gateway(&self, socket: usize) -> usize {
-        if socket == 0 {
-            self.k - 1
+    /// Closed-form hop distance between two positions: XY within a
+    /// socket; cross-socket routes run to the local gateway on row 0
+    /// (socket 0 exits east at `x = k-1`, socket 1 west at `x = 0`), take
+    /// the inter-socket link as one hop, and run on from the far gateway.
+    fn pos_hops(&self, (sf, fx, fy): Pos, (st, tx, ty): Pos) -> u64 {
+        let gateway_x = |socket| if socket == 0 { self.k - 1 } else { 0 };
+        let hops = if sf == st {
+            fx.abs_diff(tx) + fy.abs_diff(ty)
         } else {
-            0
-        }
+            fx.abs_diff(gateway_x(sf)) + fy + 1 + tx.abs_diff(gateway_x(st)) + ty
+        };
+        hops as u64
     }
 
-    /// Hop distance between two tiles: XY within a socket; cross-socket
-    /// routes gateway-to-gateway, the inter-socket link counting as one
-    /// hop.
-    #[inline]
+    /// Hop distance between two tiles (the closed form the route table is
+    /// built from).
     pub fn hops(&self, from: usize, to: usize) -> u64 {
-        let (sf, lf) = self.split(from);
-        let (st, lt) = self.split(to);
-        if sf == st {
-            self.local_hops(lf, lt)
-        } else {
-            self.local_hops(lf, self.gateway(sf)) + 1 + self.local_hops(self.gateway(st), lt)
-        }
+        self.pos_hops(self.pos(from), self.pos(to))
+    }
+
+    /// The route-table entry of a pair.
+    #[inline]
+    fn route(&self, from: usize, to: usize) -> u16 {
+        // One controller entry a tile: the row stride, without `sockets · k²`.
+        let tiles = self.mem_ctrl.len();
+        debug_assert!(from < tiles && to < tiles, "tile out of range");
+        self.routes[from * tiles + to]
     }
 
     /// The memory controller tile serving a given home bank: nearest of
     /// the home socket's four corner tiles (ties broken by lowest tile
     /// id). Each NUMA socket keeps its own controllers — memory is
     /// socket-local.
+    #[inline]
     pub fn mem_controller_for(&self, home: usize) -> usize {
-        let (socket, local) = self.split(home);
-        let base = socket * self.k * self.k;
-        let corners = [0, self.k - 1, self.k * (self.k - 1), self.k * self.k - 1];
-        base + *corners
-            .iter()
-            .min_by_key(|&&c| (self.local_hops(local, c), c))
-            .expect("corners non-empty")
+        self.mem_ctrl[home]
     }
 
     /// Latency in cycles of one message from `from` to `to`: every hop
@@ -289,9 +336,14 @@ impl Mesh {
     /// `link_cycles` for the inter-socket hop.
     #[inline]
     pub fn latency(&self, from: usize, to: usize) -> u64 {
-        let h = self.hops(from, to);
-        let base = self.router_cycles + h * (self.link_cycles + self.router_cycles);
-        if self.socket_of(from) != self.socket_of(to) {
+        self.route_latency(self.route(from, to))
+    }
+
+    #[inline]
+    fn route_latency(&self, route: u16) -> u64 {
+        let hops = u64::from(route & !XLINK);
+        let base = self.router_cycles + hops * (self.link_cycles + self.router_cycles);
+        if route & XLINK != 0 {
             base - self.link_cycles + self.xlink_cycles
         } else {
             base
@@ -301,25 +353,20 @@ impl Mesh {
     /// Flits of a message of `class` (head flit + payload flits).
     #[inline]
     pub fn flits(&self, class: MsgClass) -> u64 {
-        match class {
-            MsgClass::Request | MsgClass::Control => 1,
-            MsgClass::DataResponse | MsgClass::WriteBack => {
-                1 + BLOCK_SIZE.div_ceil(self.flit_bytes)
-            }
-        }
+        self.class_flits[class as usize]
     }
 
     /// Send a message: account traffic and return its latency.
+    #[inline]
     pub fn send(&mut self, from: usize, to: usize, class: MsgClass) -> u64 {
+        let route = self.route(from, to);
         let flits = self.flits(class);
-        let hops = self.hops(from, to);
-        self.flit_hops += flits * hops.max(1); // local delivery still moves flits
+        // Local delivery still moves flits.
+        self.flit_hops += flits * u64::from(route & !XLINK).max(1);
         self.flits_by_class[class as usize] += flits;
         self.msgs_by_class[class as usize] += 1;
-        if self.socket_of(from) != self.socket_of(to) {
-            self.xlink_msgs += 1;
-        }
-        self.latency(from, to)
+        self.xlink_msgs += u64::from(route & XLINK != 0);
+        self.route_latency(route)
     }
 
     /// Messages that crossed the inter-socket link (0 on a single mesh).
@@ -444,21 +491,27 @@ impl raccd_snap::Snap for Mesh {
         let router_cycles = r.u64()?;
         let xlink_cycles = r.u64()?;
         let flit_bytes = r.u64()?;
-        if k == 0 || flit_bytes == 0 || !(1..=2).contains(&sockets) {
+        // The table below is `(sockets · k²)²` entries: bound it before
+        // allocating. 64 tiles is the `EntryState::sharers` mask width.
+        let tiles = k.checked_mul(k).and_then(|per| per.checked_mul(sockets));
+        if k == 0 || flit_bytes == 0 || !(1..=2).contains(&sockets) || tiles.is_none_or(|t| t > 64)
+        {
             return Err(raccd_snap::SnapError::Invalid("mesh geometry"));
         }
         Ok(Mesh {
-            k,
-            sockets,
-            link_cycles,
-            router_cycles,
-            xlink_cycles,
-            flit_bytes,
             flit_hops: r.u64()?,
             flits_by_class: Snap::load(r)?,
             msgs_by_class: Snap::load(r)?,
             xlink_msgs: r.u64()?,
             fault: Snap::load(r)?,
+            ..Mesh::build(
+                k,
+                sockets,
+                link_cycles,
+                router_cycles,
+                xlink_cycles,
+                flit_bytes,
+            )
         })
     }
 }
@@ -648,6 +701,54 @@ mod tests {
         assert_eq!(m.mem_controller_for(16), 16);
         assert_eq!(m.mem_controller_for(16 + 7), 16 + 3);
         assert_eq!(m.mem_controller_for(16 + 14), 16 + 15);
+    }
+
+    /// An archive with the given geometry and zeroed counters, as the
+    /// encoder lays it out.
+    fn archive(k: u64, sockets: u64, link: u64, flit_bytes: u64) -> Vec<u8> {
+        let mut w = raccd_snap::SnapWriter::new();
+        for v in [k, sockets, link, 1, 8, flit_bytes] {
+            w.u64(v);
+        }
+        for _ in 0..1 + 4 + 4 + 1 + 6 {
+            w.u64(0);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn load_rejects_malformed_archives_without_panicking() {
+        use raccd_snap::SnapError::Invalid;
+        let load = |bytes: &[u8]| raccd_snap::decode::<Mesh>(bytes).map(|m| m.tiles());
+        assert_eq!(load(&archive(4, 1, 1, 16)), Ok(16));
+        assert_eq!(load(&archive(8, 1, 1, 16)), Ok(64));
+        assert_eq!(load(&archive(4, 2, 1, 16)), Ok(32));
+        // The route table is tiles² entries: a geometry wider than the
+        // 64-bit sharer mask is refused before anything is allocated.
+        for (k, sockets) in [
+            (9, 1),
+            (6, 2),
+            (8, 2),
+            (1 << 20, 1),
+            (1 << 32, 1),
+            (u64::MAX >> 1, 2),
+        ] {
+            assert_eq!(
+                load(&archive(k, sockets, 1, 16)),
+                Err(Invalid("mesh geometry")),
+                "k {k}"
+            );
+        }
+        for (k, sockets, flit_bytes) in [(0, 1, 16), (4, 0, 16), (4, 3, 16), (4, 1, 0)] {
+            assert_eq!(
+                load(&archive(k, sockets, 1, flit_bytes)),
+                Err(Invalid("mesh geometry"))
+            );
+        }
+        let whole = archive(4, 2, 1, 16);
+        for cut in 0..whole.len() {
+            assert!(load(&whole[..cut]).is_err(), "truncated at {cut}");
+        }
     }
 
     #[test]

@@ -704,10 +704,11 @@ impl Machine {
         self.handle_dir_eviction(DirEviction { block, entry }, now);
     }
 
-    /// Home tile (LLC + directory bank) of a block: low block bits.
+    /// Home tile (LLC + directory bank) of a block: low block bits (the
+    /// constructor asserts a power-of-two core count).
     #[inline]
     pub fn home_of(&self, block: BlockAddr) -> usize {
-        (block.0 % self.cfg.ncores as u64) as usize
+        (block.0 & (self.cfg.ncores as u64 - 1)) as usize
     }
 
     /// The coherence-protocol decision surface in force.
@@ -900,10 +901,15 @@ impl Machine {
         self.xmit(core, home, MsgClass::WriteBack, now);
         self.stats.write_throughs += 1;
         self.check_ev(CheckEvent::WriteThrough { core, block });
+        self.llc_write_back(home, block, now);
+    }
+
+    /// Data written back from a private cache lands in `home`'s LLC line,
+    /// or goes on to memory when the LLC replaced the line meanwhile.
+    fn llc_write_back(&mut self, home: usize, block: BlockAddr, now: u64) {
         if let Some(l) = self.llc[home].probe_mut(block) {
             l.dirty = true;
         } else {
-            // LLC replaced the line meanwhile: forward to memory.
             let mc = self.noc.mem_controller_for(home);
             self.xmit(home, mc, MsgClass::WriteBack, now);
             self.stats.mem_writes += 1;
@@ -955,7 +961,7 @@ impl Machine {
             }
             Err(e) => unreachable!("upgrade transition rejected: {e}"),
         };
-        cycles += self.invalidate_holders(home, block, inv_mask, now);
+        cycles += self.invalidate_holders(home, block, inv_mask, true, now).0;
         // Ack back to the writer.
         cycles += self.xmit(home, core, MsgClass::Control, now);
         self.event(now, CoherenceEvent::Upgrade { core, block });
@@ -977,27 +983,40 @@ impl Machine {
     }
 
     /// Send invalidations to every core in `mask`, removing their L1 lines.
-    /// Dirty data found (the previous owner) is written back to the LLC.
-    /// Returns the added latency (the slowest invalidation round-trip).
-    fn invalidate_holders(&mut self, home: usize, block: BlockAddr, mask: u64, now: u64) -> u64 {
-        let mut worst = 0u64;
+    /// Dirty data found (the previous owner) is written back to the home
+    /// LLC bank. With `ack` (a requester waits for the invalidations) every
+    /// holder answers with a control message; inclusion victims are not
+    /// acknowledged. Returns the slowest invalidation round-trip and whether
+    /// dirty data was recovered.
+    fn invalidate_holders(
+        &mut self,
+        home: usize,
+        block: BlockAddr,
+        mask: u64,
+        ack: bool,
+        now: u64,
+    ) -> (u64, bool) {
+        let (mut worst, mut any_dirty) = (0u64, false);
         let mut m = mask;
         while m != 0 {
             let holder = m.trailing_zeros() as usize;
             m &= m - 1;
-            let lat = self.xmit(home, holder, MsgClass::Control, now);
+            let mut lat = self.xmit(home, holder, MsgClass::Control, now);
             self.stats.invalidations_sent += 1;
             self.touch_core(holder);
             let invalidated = self.cores[holder].l1.invalidate(block);
             let present = invalidated.is_some();
             let dirty = invalidated.is_some_and(|line| line.dirty());
             if dirty {
-                // Dirty data travels back to the home LLC bank.
+                // Dirty data travels back to the home LLC bank. An inclusion
+                // victim's line is gone by now or goes next; its caller
+                // sends the data on to memory.
                 self.xmit(holder, home, MsgClass::WriteBack, now);
                 self.stats.l1_writebacks += 1;
                 if let Some(llc_line) = self.llc[home].probe_mut(block) {
                     llc_line.dirty = true;
                 }
+                any_dirty = true;
             }
             self.check_ev(CheckEvent::L1Invalidated {
                 core: holder,
@@ -1005,11 +1024,12 @@ impl Machine {
                 present,
                 dirty,
             });
-            // Ack control message.
-            let ack = self.xmit(holder, home, MsgClass::Control, now);
-            worst = worst.max(lat + ack);
+            if ack {
+                lat += self.xmit(holder, home, MsgClass::Control, now);
+            }
+            worst = worst.max(lat);
         }
-        worst
+        (worst, any_dirty)
     }
 
     /// Fill a block into the requesting L1 after a miss. `nc` is the
@@ -1114,7 +1134,7 @@ impl Machine {
                 if let Some(entry) = self.dir[home].deallocate(block, now) {
                     let holders = entry.all_holders();
                     self.check_ev(CheckEvent::DirDeallocate { block });
-                    self.invalidate_holders(home, block, holders, now);
+                    self.invalidate_holders(home, block, holders, true, now);
                 }
                 self.maybe_adr(home, now);
             }
@@ -1142,17 +1162,14 @@ impl Machine {
             // Directory hit ⇒ coherent LLC line present (inclusivity).
             let hit = self.llc[home].access(block).is_some();
             debug_assert!(hit, "directory entry without LLC line for {block:?}");
-            let (owner, _) = {
-                let e = self.dir[home].lookup(block).expect("entry just seen");
-                (e.owner, e.sharers)
-            };
+            let owner = self.dir[home].lookup(block).expect("entry just seen").owner;
 
             if write {
-                let inv_mask = {
-                    let e = self.dir[home].lookup(block).expect("entry");
-                    e.record_getx(core)
-                };
-                cycles += self.invalidate_holders(home, block, inv_mask, now);
+                let inv_mask = self.dir[home]
+                    .lookup(block)
+                    .expect("entry")
+                    .record_getx(core);
+                cycles += self.invalidate_holders(home, block, inv_mask, true, now).0;
                 // Data: from previous owner (cache-to-cache) or from LLC.
                 if let Some(o) = owner.filter(|&o| o as usize != core) {
                     self.stats.owner_forwards += 1;
@@ -1328,7 +1345,9 @@ impl Machine {
             self.dir_touch(home, now);
             if let Some(entry) = self.dir[home].deallocate(block, now) {
                 self.check_ev(CheckEvent::DirDeallocate { block });
-                dirty |= self.invalidate_and_collect_dirty(home, block, entry.all_holders(), now);
+                dirty |= self
+                    .invalidate_holders(home, block, entry.all_holders(), false, now)
+                    .1;
             }
             self.maybe_adr(home, now);
         }
@@ -1349,8 +1368,8 @@ impl Machine {
             block: ev.block,
             holders: ev.entry.all_holders(),
         });
-        let mut dirty =
-            self.invalidate_and_collect_dirty(home, ev.block, ev.entry.all_holders(), now);
+        let (_, mut dirty) =
+            self.invalidate_holders(home, ev.block, ev.entry.all_holders(), false, now);
         if let Some(line) = self.llc[home].invalidate(ev.block) {
             self.stats.llc_inclusion_invalidations += 1;
             dirty |= line.dirty;
@@ -1369,41 +1388,6 @@ impl Machine {
         }
     }
 
-    /// Invalidate private copies in `mask`; returns whether dirty data was
-    /// recovered (M copy in some L1).
-    fn invalidate_and_collect_dirty(
-        &mut self,
-        home: usize,
-        block: BlockAddr,
-        mask: u64,
-        now: u64,
-    ) -> bool {
-        let mut dirty = false;
-        let mut m = mask;
-        while m != 0 {
-            let holder = m.trailing_zeros() as usize;
-            m &= m - 1;
-            self.xmit(home, holder, MsgClass::Control, now);
-            self.stats.invalidations_sent += 1;
-            self.touch_core(holder);
-            let invalidated = self.cores[holder].l1.invalidate(block);
-            let present = invalidated.is_some();
-            let line_dirty = invalidated.is_some_and(|line| line.dirty());
-            if line_dirty {
-                self.xmit(holder, home, MsgClass::WriteBack, now);
-                self.stats.l1_writebacks += 1;
-                dirty = true;
-            }
-            self.check_ev(CheckEvent::L1Invalidated {
-                core: holder,
-                block,
-                present,
-                dirty: line_dirty,
-            });
-        }
-        dirty
-    }
-
     /// Dispose of a replaced L1 line. Off the critical path (write-back
     /// buffers), so traffic and state are accounted but no cycles returned.
     fn handle_l1_victim(&mut self, core: usize, block: BlockAddr, line: L1Line, now: u64) {
@@ -1419,14 +1403,7 @@ impl Machine {
                 // NC write-back: LLC-only, no directory (§III-C3).
                 self.xmit(core, home, MsgClass::WriteBack, now);
                 self.stats.l1_writebacks += 1;
-                if let Some(l) = self.llc[home].probe_mut(block) {
-                    l.dirty = true;
-                } else {
-                    // The LLC replaced it meanwhile: forward to memory.
-                    let mc = self.noc.mem_controller_for(home);
-                    self.xmit(home, mc, MsgClass::WriteBack, now);
-                    self.stats.mem_writes += 1;
-                }
+                self.llc_write_back(home, block, now);
             }
             return;
         }
@@ -1502,13 +1479,7 @@ impl Machine {
                 let home = self.home_of(block);
                 self.xmit(core, home, MsgClass::WriteBack, now);
                 self.stats.l1_writebacks += 1;
-                if let Some(l) = self.llc[home].probe_mut(block) {
-                    l.dirty = true;
-                } else {
-                    let mc = self.noc.mem_controller_for(home);
-                    self.xmit(home, mc, MsgClass::WriteBack, now);
-                    self.stats.mem_writes += 1;
-                }
+                self.llc_write_back(home, block, now);
             }
         }
         self.check_ev(CheckEvent::OpEnd);
@@ -1537,13 +1508,7 @@ impl Machine {
             if line.dirty() {
                 self.xmit(core, home, MsgClass::WriteBack, now);
                 self.stats.l1_writebacks += 1;
-                if let Some(l) = self.llc[home].probe_mut(block) {
-                    l.dirty = true;
-                } else {
-                    let mc = self.noc.mem_controller_for(home);
-                    self.xmit(home, mc, MsgClass::WriteBack, now);
-                    self.stats.mem_writes += 1;
-                }
+                self.llc_write_back(home, block, now);
             }
             if !line.nc {
                 // The flush acts as a replacement: keep the directory's
@@ -1939,6 +1904,7 @@ impl Machine {
         let dir: Vec<DirectoryBank> = s.get("machine/dir")?;
         let adr: Vec<Adr> = s.get("machine/adr")?;
         let bank_busy: Vec<u64> = s.get("machine/bank_busy")?;
+        let noc: Mesh = s.get("machine/noc")?;
         let n = self.cfg.ncores;
         let nadr = if self.cfg.adr { n } else { 0 };
         if cores.len() != n
@@ -1946,6 +1912,7 @@ impl Machine {
             || dir.len() != n
             || adr.len() != nadr
             || bank_busy.len() != n
+            || noc.tiles() != n
         {
             return Err(raccd_snap::SnapError::Invalid("machine geometry"));
         }
@@ -1954,7 +1921,7 @@ impl Machine {
         self.llc = llc;
         self.dir = dir;
         self.adr = adr;
-        self.noc = s.get("machine/noc")?;
+        self.noc = noc;
         self.bank_busy = bank_busy;
         self.events = s.get("machine/events")?;
         self.stats = s.get("machine/stats")?;
@@ -1988,6 +1955,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raccd_noc::Topology;
 
     fn small_cfg() -> MachineConfig {
         let mut c = MachineConfig::scaled();
@@ -2010,6 +1978,64 @@ mod tests {
                 cycles
             }
         }
+    }
+
+    /// `home_of` masks the bank out of the block number. The constructor
+    /// insists on a power-of-two core count, where the mask is the `%` it
+    /// replaced: check the shipped machines, the explorer's 4- and 8-core
+    /// ones, the smallest (2 cores) and the largest (64).
+    #[test]
+    fn home_mask_equals_modulo_on_every_machine() {
+        let sized = |k: usize, topology| {
+            let mut c = small_cfg();
+            c.mesh_k = k;
+            c.with_topology(topology)
+        };
+        let mut cfgs = vec![
+            sized(1, Topology::Numa2),
+            sized(2, Topology::Mesh),
+            sized(2, Topology::Numa2),
+            sized(8, Topology::Mesh),
+        ];
+        for base in [MachineConfig::paper(), MachineConfig::scaled()] {
+            cfgs.extend(Topology::ALL.map(|t| base.with_topology(t)));
+        }
+        let mut cores: Vec<usize> = cfgs.iter().map(|c| c.ncores).collect();
+        cores.sort_unstable();
+        cores.dedup();
+        assert_eq!(cores, [2, 4, 8, 16, 32, 64]);
+        for cfg in cfgs {
+            let m = Machine::new(cfg);
+            let n = cfg.ncores as u64;
+            let mut block = 0x9E37_79B9_7F4A_7C15u64;
+            for i in 0..4096u64 {
+                block = block.rotate_left(9) ^ i.wrapping_mul(0xA24B_AED4_963E_E407);
+                for b in [block, i, u64::MAX - i] {
+                    assert_eq!(
+                        m.home_of(BlockAddr(b)),
+                        (b % n) as usize,
+                        "{n} cores, {b:#x}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The route table is indexed by tile, so a restored mesh has to be the
+    /// size of the machine it is restored into.
+    #[test]
+    fn restore_rejects_a_mesh_of_another_size() {
+        let mut m = machine();
+        access(&mut m, 0, 0x10_0000, true, false, 0);
+        let mut snap = m.snapshot();
+        assert_eq!(m.restore(&snap), Ok(()));
+        snap.put("machine/noc", &Mesh::new(2, 1, 1, 16));
+        assert_eq!(
+            m.restore(&snap),
+            Err(raccd_snap::SnapError::Invalid("machine geometry"))
+        );
+        access(&mut m, 1, 0x10_0000, true, false, 10);
+        m.check_invariants();
     }
 
     #[test]

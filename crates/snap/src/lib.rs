@@ -26,6 +26,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasher, Hash};
 
 /// Magic bytes opening every snapshot byte stream.
 pub const MAGIC: [u8; 4] = *b"RSNP";
@@ -443,7 +444,7 @@ impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
 /// `HashMap` iteration order is nondeterministic, so entries are written in
 /// sorted key order — the same logical map always yields the same bytes
 /// (the property the content hash and the bisector depend on).
-impl<K: Snap + Ord + Eq + std::hash::Hash, V: Snap> Snap for HashMap<K, V> {
+impl<K: Snap + Ord + Hash, V: Snap, S: BuildHasher + Default> Snap for HashMap<K, V, S> {
     fn save(&self, w: &mut SnapWriter) {
         let mut keys: Vec<&K> = self.keys().collect();
         keys.sort();
@@ -455,7 +456,7 @@ impl<K: Snap + Ord + Eq + std::hash::Hash, V: Snap> Snap for HashMap<K, V> {
     }
     fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
         let n = r.len_prefix()?;
-        let mut out = HashMap::with_capacity(n.min(1 << 20));
+        let mut out = HashMap::with_capacity_and_hasher(n.min(1 << 20), S::default());
         for _ in 0..n {
             let k = K::load(r)?;
             let v = V::load(r)?;
