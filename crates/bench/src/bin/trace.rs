@@ -26,7 +26,7 @@
 //! final stats and the shadow state key are identical to the uninterrupted
 //! run (telemetry covers only the resumed half).
 
-use raccd_bench::cli::{Cli, SIM_FLAGS};
+use raccd_bench::cli::{die, Cli, SIM_FLAGS};
 use raccd_bench::{bench_names, write_telemetry};
 use raccd_core::{CoherenceMode, Driver};
 use raccd_obs::{event_json, json, Recorder, RecorderConfig};
@@ -77,11 +77,11 @@ fn main() {
     });
     let t0 = std::time::Instant::now();
     let out = if let Some(path) = &restore_path {
-        let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
+        let bytes = std::fs::read(path).unwrap_or_else(|e| die(&format!("--restore {path}: {e}")));
         let snap = Snapshot::from_bytes(&bytes)
-            .unwrap_or_else(|e| panic!("decoding snapshot {path}: {e:?}"));
+            .unwrap_or_else(|e| die(&format!("--restore {path}: not a usable snapshot: {e}")));
         let mut driver = Driver::restore(cfg, mode, program, &snap)
-            .unwrap_or_else(|e| panic!("restoring {path}: {e:?}"));
+            .unwrap_or_else(|e| die(&format!("--restore {path}: does not fit this run: {e}")));
         if profile {
             driver.attach_prof();
         }
@@ -100,7 +100,8 @@ fn main() {
         if let Some(path) = &snapshot_path {
             driver.run_until(snapshot_at, Some(&mut rec));
             let snap = driver.snapshot();
-            std::fs::write(path, snap.to_bytes()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+            std::fs::write(path, snap.to_bytes())
+                .unwrap_or_else(|e| die(&format!("--snapshot {path}: {e}")));
             eprintln!(
                 "wrote snapshot {path} at cycle {} ({} tasks done, hash {:016x})",
                 driver.next_time().unwrap_or(snapshot_at),

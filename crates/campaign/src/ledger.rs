@@ -589,6 +589,29 @@ mod tests {
         }
     }
 
+    /// The line checksum is `raccd_snap::crc32` of the body: a ledger
+    /// written by any build replays under any other, so a pinned line
+    /// keeps its eight hex digits whatever the CRC's implementation.
+    #[test]
+    fn pinned_lines_keep_their_sums() {
+        let note = Record::Note {
+            text: "pinned".into(),
+        };
+        assert_eq!(
+            note.to_line(7),
+            r#"{"seq":7,"kind":"note","text":"pinned","sum":"551b5962"}"#
+        );
+        let leased = Record::Leased {
+            key: key(0xabc, 1),
+            attempt: 2,
+            worker: 1,
+        };
+        assert_eq!(
+            leased.to_line(41),
+            r#"{"seq":41,"kind":"leased","fp":"0000000000000abc","seed":1,"attempt":2,"worker":1,"sum":"9a2c107c"}"#
+        );
+    }
+
     #[test]
     fn corruption_is_rejected() {
         let line = sample_records()[0].to_line(0);

@@ -121,18 +121,13 @@ typed_access!(read_f64, write_f64, f64);
 
 impl raccd_snap::Snap for SimMemory {
     fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        // Hand-rolled for the flat store: one bulk copy instead of a
-        // per-byte element loop (byte-compatible with `Vec<u8>`'s encoding).
-        w.u64(self.data.len() as u64);
-        w.bytes(&self.data);
+        self.data.save(w);
         self.allocs.save(w);
     }
     fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
         use raccd_snap::Snap;
-        let n = r.len_prefix()?;
-        let data = r.bytes(n)?.to_vec();
         Ok(SimMemory {
-            data,
+            data: Snap::load(r)?,
             allocs: Snap::load(r)?,
         })
     }
@@ -181,6 +176,38 @@ mod tests {
         let src: Vec<u8> = (0..=255).collect();
         m.write_bytes(a.start, &src);
         assert_eq!(m.bytes(a.start, 256), &src[..]);
+    }
+
+    /// The flat store is saved as a plain `Vec<u8>` now that byte vectors
+    /// take the codec's bulk path; the archive bytes are what the
+    /// hand-rolled `u64 len ++ bytes` form wrote.
+    #[test]
+    fn snapshot_bytes_are_len_prefixed_store_then_allocations() {
+        use raccd_snap::{decode, encode, Snap, SnapWriter};
+        let mut m = SimMemory::new();
+        let a = m.alloc("grid", 5000);
+        let b = m.alloc("κ-means", 100);
+        m.write_u64(a.start.offset(4096), 0x0123_4567_89ab_cdef);
+        m.write_bytes(b.start, &[0xab; 100]);
+
+        let mut model = SnapWriter::new();
+        model.u64(m.data.len() as u64);
+        model.bytes(&m.data);
+        m.allocs.save(&mut model);
+        let model = model.into_bytes();
+        let bytes = encode(&m);
+        assert_eq!(bytes, model);
+        assert_eq!(bytes.len(), 8 + 3 * 4096 + 8 + (8 + 4 + 16) + (8 + 8 + 16));
+        // Digest of the same memory's archive taken from the hand-rolled form.
+        assert_eq!(raccd_snap::fnv1a64(&bytes), 0xa312_6b40_fde7_bb5d);
+
+        let back: SimMemory = decode(&bytes).unwrap();
+        assert_eq!(back.data, m.data);
+        assert_eq!(back.allocs, m.allocs);
+        assert_eq!(encode(&back), bytes);
+        for cut in [0, 7, 8, 4096, bytes.len() - 1] {
+            assert!(decode::<SimMemory>(&bytes[..cut]).is_err(), "cut {cut}");
+        }
     }
 
     #[test]

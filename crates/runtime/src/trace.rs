@@ -14,6 +14,7 @@
 //! ```
 
 use raccd_mem::VAddr;
+use raccd_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// One memory reference of a task body.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -84,12 +85,18 @@ impl MemRef {
     }
 }
 
-impl raccd_snap::Snap for MemRef {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
+impl Snap for MemRef {
+    fn save(&self, w: &mut SnapWriter) {
         w.u64(self.0);
     }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
+    fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
         Ok(MemRef(r.u64()?))
+    }
+    fn save_slice(vs: &[Self], w: &mut SnapWriter) {
+        w.words(vs.iter().map(|r| r.0.to_le_bytes()));
+    }
+    fn load_vec(r: &mut SnapReader, n: usize) -> Result<Vec<Self>, SnapError> {
+        Ok(u64::load_vec(r, n)?.into_iter().map(MemRef).collect())
     }
 }
 
@@ -132,6 +139,36 @@ mod tests {
     #[test]
     fn is_one_word() {
         assert_eq!(core::mem::size_of::<MemRef>(), 8);
+    }
+
+    /// `Vec<MemRef>` is most of a mid-run archive (`driver/running`), so it
+    /// goes through the bulk `save_slice` / `load_vec` hooks; the bytes are
+    /// the element loop's, a length prefix and one little-endian u64 a
+    /// reference.
+    #[test]
+    fn vectors_encode_as_the_element_loop() {
+        let refs: Vec<MemRef> = (0..37u64)
+            .map(|i| match i % 3 {
+                0 => MemRef::stack(i * 8, i % 2 == 0),
+                _ => MemRef::heap(VAddr(0x40_0000 + i * 0x1234_5678), i % 2 == 1, 1 << (i % 4)),
+            })
+            .collect();
+        for n in [0, 1, 8, refs.len()] {
+            let refs = refs[..n].to_vec();
+            let mut model = SnapWriter::new();
+            model.u64(n as u64);
+            for r in &refs {
+                r.save(&mut model);
+            }
+            let bytes = raccd_snap::encode(&refs);
+            assert_eq!(bytes, model.into_bytes());
+            assert_eq!(bytes.len(), 8 + 8 * n);
+            assert_eq!(raccd_snap::decode::<Vec<MemRef>>(&bytes), Ok(refs));
+            for cut in 0..bytes.len() {
+                let got = raccd_snap::decode::<Vec<MemRef>>(&bytes[..cut]);
+                assert_eq!(got, Err(SnapError::Eof), "cut {cut} of {n} refs");
+            }
+        }
     }
 
     proptest! {

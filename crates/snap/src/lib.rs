@@ -12,13 +12,22 @@
 //! * [`Snap`] — a hand-rolled save/load trait (the workspace is offline; no
 //!   serde). All integers are little-endian fixed-width; hash maps are
 //!   encoded in sorted key order so the same logical state always produces
-//!   the same bytes.
+//!   the same bytes. Sequences go through two provided hooks,
+//!   [`Snap::save_slice`] and [`Snap::load_vec`]: the default is the
+//!   element loop, and fixed-width types override both with one bulk copy
+//!   ([`SnapWriter::words`] / [`SnapReader::words`]) of the same bytes.
 //! * [`Snapshot`] — a chunked container: `RSNP` magic, format version,
 //!   tagged sections each protected by a CRC-32, and an FNV-1a-64 content
-//!   hash trailer over all payloads. Corruption is detected at the section
-//!   that suffered it; truncation is detected by the trailer.
+//!   hash trailer over every tag and payload. Corruption is detected at
+//!   the section that suffered it; truncation is detected by the trailer.
+//!   Writing and reading an archive is one pass over its bytes: both
+//!   checksums advance in the same loop, and FNV-1a's serial multiply is
+//!   what that loop costs.
 //! * [`crc32`] / [`fnv1a64`] — the two checksums, exposed so tests and the
-//!   golden-header CI check can recompute them independently.
+//!   golden-header CI check can recompute them independently. The CRC is
+//!   computed by slicing-by-8 (eight bytes a step through eight
+//!   `const`-built tables, byte-at-a-time tail); the byte-at-a-time forms
+//!   live on as the models in `tests/checksums.rs`.
 //!
 //! Component crates (`raccd-mem`, `raccd-cache`, …) implement [`Snap`] for
 //! their private-field types in-crate; `raccd-sim` assembles whole-machine
@@ -39,43 +48,68 @@ pub const FORMAT_VERSION: u32 = 1;
 // Checksums
 // ---------------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[k][b]` is the CRC state byte `b`
+/// becomes after `k` further zero bytes, so eight input bytes fold into
+/// the state with eight independent lookups.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
+        let mut bit = 0;
+        while bit < 64 {
+            c = (c >> 1) ^ if c & 1 != 0 { 0xEDB8_8320 } else { 0 };
+            bit += 1;
+            if bit % 8 == 0 {
+                tables[bit / 8 - 1][i] = c;
+            }
         }
-        table[i] = c;
         i += 1;
     }
-    table
+    tables
 };
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) of a byte slice.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// Advance a raw CRC-32 state and an FNV-1a-64 state over `bytes` in one
+/// pass, eight bytes per step. The two dependency chains are independent,
+/// so the CRC lookups run in the shadow of FNV's serial multiply and the
+/// pair costs what FNV alone does; a caller that drops one of the two
+/// results pays only for the other (the unused chain is dead code once
+/// this is inlined).
+#[inline(always)]
+fn sums(bytes: &[u8], mut c: u32, mut h: u64) -> (u32, u64) {
+    let fnv_byte = |h: u64, b: u8| (h ^ b as u64).wrapping_mul(FNV_PRIME);
+    let (words, tail) = bytes.as_chunks::<8>();
+    for word in words {
+        let x = u64::from_le_bytes(*word) ^ c as u64;
+        c = (0..8).fold(0, |acc, j| {
+            acc ^ CRC_TABLES[7 - j][(x >> (8 * j)) as u8 as usize]
+        });
+        h = word.iter().fold(h, |h, &b| fnv_byte(h, b));
     }
-    c ^ 0xFFFF_FFFF
+    for &b in tail {
+        c = CRC_TABLES[0][(c as u8 ^ b) as usize] ^ (c >> 8);
+        h = fnv_byte(h, b);
+    }
+    (c, h)
+}
+
+/// Advance an FNV-1a-64 state over `bytes`.
+fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    sums(bytes, 0, h).1
+}
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected) of a byte slice, by
+/// slicing-by-8 with a byte-at-a-time tail.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !sums(bytes, !0, 0).0
 }
 
 /// FNV-1a 64-bit hash of a byte slice (content-hash trailer).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    fnv(FNV_OFFSET, bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -148,16 +182,6 @@ impl SnapWriter {
         SnapWriter::default()
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Consume the writer, yielding its bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -185,6 +209,16 @@ impl SnapWriter {
     #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Append a run of `N`-byte words (the `to_le_bytes` of a slice of
+    /// integers) with one resize and one copy loop.
+    pub fn words<const N: usize>(&mut self, words: impl ExactSizeIterator<Item = [u8; N]>) {
+        let at = self.buf.len();
+        self.buf.resize(at + words.len() * N, 0);
+        for (dst, word) in self.buf[at..].as_chunks_mut().0.iter_mut().zip(words) {
+            *dst = word;
+        }
     }
 }
 
@@ -231,6 +265,14 @@ impl<'a> SnapReader<'a> {
         Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
+    /// Take `n` words of `N` bytes each. The byte count is checked against
+    /// the remaining stream (overflow included) before anything is built
+    /// from it.
+    pub fn words<const N: usize>(&mut self, n: usize) -> Result<&'a [[u8; N]], SnapError> {
+        let bytes = self.bytes(n.checked_mul(N).ok_or(SnapError::Eof)?)?;
+        Ok(bytes.as_chunks().0)
+    }
+
     /// Take a u64 length prefix, guarding against lengths that cannot fit in
     /// the remaining stream (so corrupt lengths fail fast, not via OOM).
     pub fn len_prefix(&mut self) -> Result<usize, SnapError> {
@@ -253,6 +295,31 @@ pub trait Snap: Sized {
     fn save(&self, w: &mut SnapWriter);
     /// Decode one value from `r`, advancing the cursor past it.
     fn load(r: &mut SnapReader) -> Result<Self, SnapError>;
+
+    /// Append the encodings of `vs` back to back (no length prefix): the
+    /// element loop every sequence container shares. Fixed-width types
+    /// override it with one bulk copy of the same bytes.
+    fn save_slice(vs: &[Self], w: &mut SnapWriter) {
+        for v in vs {
+            v.save(w);
+        }
+    }
+
+    /// Decode `n` values laid out back to back. `n` comes from the stream,
+    /// so the up-front reservation is capped in bytes, not elements.
+    fn load_vec(r: &mut SnapReader, n: usize) -> Result<Vec<Self>, SnapError> {
+        let mut out = Vec::with_capacity(reserve_cap::<Self>(n));
+        for _ in 0..n {
+            out.push(Self::load(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// How many `T`s a decoder may reserve ahead of decoding a claimed count of
+/// `n`: at most 1 MiB worth, whatever `size_of::<T>()` is.
+fn reserve_cap<T>(n: usize) -> usize {
+    n.min((1 << 20) / core::mem::size_of::<T>().max(1))
 }
 
 /// Encode a single value to bytes.
@@ -272,38 +339,48 @@ pub fn decode<T: Snap>(bytes: &[u8]) -> Result<T, SnapError> {
     Ok(v)
 }
 
-macro_rules! snap_int {
+/// Fixed-width scalars: the value's `to_le_bytes`, and slices of them as
+/// one bulk copy of the same bytes.
+macro_rules! snap_le {
     ($ty:ty) => {
         impl Snap for $ty {
             fn save(&self, w: &mut SnapWriter) {
                 w.bytes(&self.to_le_bytes());
             }
             fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
-                Ok(<$ty>::from_le_bytes(
-                    r.bytes(core::mem::size_of::<$ty>())?.try_into().unwrap(),
-                ))
+                Ok(<$ty>::from_le_bytes(r.words(1)?[0]))
+            }
+            fn save_slice(vs: &[Self], w: &mut SnapWriter) {
+                w.words(vs.iter().map(|v| v.to_le_bytes()));
+            }
+            fn load_vec(r: &mut SnapReader, n: usize) -> Result<Vec<Self>, SnapError> {
+                Ok(r.words(n)?
+                    .iter()
+                    .map(|w| <$ty>::from_le_bytes(*w))
+                    .collect())
             }
         }
     };
 }
 
-snap_int!(u8);
-snap_int!(u16);
-snap_int!(u32);
-snap_int!(u64);
-snap_int!(u128);
-snap_int!(i8);
-snap_int!(i16);
-snap_int!(i32);
-snap_int!(i64);
+snap_le!(u8);
+snap_le!(u16);
+snap_le!(u32);
+snap_le!(u64);
+snap_le!(u128);
+snap_le!(i8);
+snap_le!(i16);
+snap_le!(i32);
+snap_le!(i64);
+snap_le!(f32);
+snap_le!(f64);
 
 impl Snap for usize {
     fn save(&self, w: &mut SnapWriter) {
         w.u64(*self as u64);
     }
     fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let v = r.u64()?;
-        usize::try_from(v).map_err(|_| SnapError::Invalid("usize overflow"))
+        usize::try_from(r.u64()?).map_err(|_| SnapError::Invalid("usize overflow"))
     }
 }
 
@@ -320,33 +397,13 @@ impl Snap for bool {
     }
 }
 
-impl Snap for f32 {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u32(self.to_bits());
-    }
-    fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(f32::from_bits(r.u32()?))
-    }
-}
-
-impl Snap for f64 {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.to_bits());
-    }
-    fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(f64::from_bits(r.u64()?))
-    }
-}
-
 impl Snap for String {
     fn save(&self, w: &mut SnapWriter) {
         w.u64(self.len() as u64);
         w.bytes(self.as_bytes());
     }
     fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let n = r.len_prefix()?;
-        let b = r.bytes(n)?;
-        String::from_utf8(b.to_vec()).map_err(|_| SnapError::Invalid("string not UTF-8"))
+        String::from_utf8(Vec::load(r)?).map_err(|_| SnapError::Invalid("string not UTF-8"))
     }
 }
 
@@ -372,51 +429,35 @@ impl<T: Snap> Snap for Option<T> {
 impl<T: Snap> Snap for Vec<T> {
     fn save(&self, w: &mut SnapWriter) {
         w.u64(self.len() as u64);
-        for v in self {
-            v.save(w);
-        }
+        T::save_slice(self, w);
     }
     fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
         // A zero-sized element would defeat the len-vs-remaining guard, but
         // no Snap impl encodes to zero bytes; keep the cheap guard.
         let n = r.len_prefix()?;
-        let mut out = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            out.push(T::load(r)?);
-        }
-        Ok(out)
+        T::load_vec(r, n)
     }
 }
 
 impl<T: Snap> Snap for VecDeque<T> {
     fn save(&self, w: &mut SnapWriter) {
         w.u64(self.len() as u64);
-        for v in self {
-            v.save(w);
-        }
+        let (front, back) = self.as_slices();
+        T::save_slice(front, w);
+        T::save_slice(back, w);
     }
     fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let n = r.len_prefix()?;
-        let mut out = VecDeque::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            out.push_back(T::load(r)?);
-        }
-        Ok(out)
+        Vec::load(r).map(VecDeque::from)
     }
 }
 
-impl<const N: usize, T: Snap + Copy + Default> Snap for [T; N] {
+impl<const N: usize, T: Snap> Snap for [T; N] {
     fn save(&self, w: &mut SnapWriter) {
-        for v in self {
-            v.save(w);
-        }
+        T::save_slice(self, w);
     }
     fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let mut out = [T::default(); N];
-        for slot in out.iter_mut() {
-            *slot = T::load(r)?;
-        }
-        Ok(out)
+        let vs = T::load_vec(r, N)?;
+        Ok(vs.try_into().ok().expect("load_vec yields n values"))
     }
 }
 
@@ -456,11 +497,9 @@ impl<K: Snap + Ord + Hash, V: Snap, S: BuildHasher + Default> Snap for HashMap<K
     }
     fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
         let n = r.len_prefix()?;
-        let mut out = HashMap::with_capacity_and_hasher(n.min(1 << 20), S::default());
+        let mut out = HashMap::with_capacity_and_hasher(reserve_cap::<(K, V)>(n), S::default());
         for _ in 0..n {
-            let k = K::load(r)?;
-            let v = V::load(r)?;
-            out.insert(k, v);
+            out.insert(K::load(r)?, V::load(r)?);
         }
         Ok(out)
     }
@@ -475,14 +514,7 @@ impl<K: Snap + Ord, V: Snap> Snap for BTreeMap<K, V> {
         }
     }
     fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let n = r.len_prefix()?;
-        let mut out = BTreeMap::new();
-        for _ in 0..n {
-            let k = K::load(r)?;
-            let v = V::load(r)?;
-            out.insert(k, v);
-        }
-        Ok(out)
+        Ok(Vec::<(K, V)>::load(r)?.into_iter().collect())
     }
 }
 
@@ -494,12 +526,7 @@ impl<K: Snap + Ord> Snap for BTreeSet<K> {
         }
     }
     fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let n = r.len_prefix()?;
-        let mut out = BTreeSet::new();
-        for _ in 0..n {
-            out.insert(K::load(r)?);
-        }
-        Ok(out)
+        Ok(Vec::<K>::load(r)?.into_iter().collect())
     }
 }
 
@@ -590,33 +617,37 @@ impl Snapshot {
     /// trailer records. Two snapshots with equal content hash hold
     /// byte-identical state.
     pub fn content_hash(&self) -> u64 {
-        let mut bytes = Vec::new();
-        for s in &self.sections {
-            bytes.extend_from_slice(s.tag.as_bytes());
-            bytes.extend_from_slice(&s.payload);
-        }
-        fnv1a64(&bytes)
+        self.sections
+            .iter()
+            .fold(FNV_OFFSET, |h, s| fnv(fnv(h, s.tag.as_bytes()), &s.payload))
     }
 
-    /// Serialize to the on-disk byte format.
+    /// Serialize to the on-disk byte format: one exactly-sized buffer, one
+    /// checksum pass per section.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
+        let framing: usize = self.sections.iter().map(|s| 20 + s.tag.len()).sum();
+        let buf = Vec::with_capacity(24 + framing + self.payload_bytes() as usize);
+        let mut w = SnapWriter { buf };
         w.bytes(&MAGIC);
         w.u32(FORMAT_VERSION);
         w.u64(self.sections.len() as u64);
+        let mut hash = FNV_OFFSET;
         for s in &self.sections {
+            let (crc, h) = sums(&s.payload, !0, fnv(hash, s.tag.as_bytes()));
+            hash = h;
             w.u64(s.tag.len() as u64);
             w.bytes(s.tag.as_bytes());
             w.u64(s.payload.len() as u64);
-            w.u32(crc32(&s.payload));
+            w.u32(!crc);
             w.bytes(&s.payload);
         }
-        w.u64(self.content_hash());
+        w.u64(hash);
         w.into_bytes()
     }
 
     /// Parse the on-disk byte format, validating magic, version, every
-    /// section CRC and the trailer content hash.
+    /// section CRC and the trailer content hash. Each payload is checked
+    /// where it lies in `bytes` and copied once, after its CRC has passed.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapError> {
         let mut r = SnapReader::new(bytes);
         if r.bytes(4)? != MAGIC {
@@ -628,27 +659,29 @@ impl Snapshot {
         }
         let nsections = r.u64()?;
         let mut sections = Vec::new();
+        let mut hash = FNV_OFFSET;
         for _ in 0..nsections {
             let tag_len = r.len_prefix()?;
             let tag = String::from_utf8(r.bytes(tag_len)?.to_vec())
                 .map_err(|_| SnapError::Invalid("section tag not UTF-8"))?;
             let payload_len = r.len_prefix()?;
-            let crc = r.u32()?;
-            let payload = r.bytes(payload_len)?.to_vec();
-            if crc32(&payload) != crc {
+            let recorded = r.u32()?;
+            let payload = r.bytes(payload_len)?;
+            let (crc, h) = sums(payload, !0, fnv(hash, tag.as_bytes()));
+            if !crc != recorded {
                 return Err(SnapError::BadCrc { tag });
             }
+            hash = h;
+            let payload = payload.to_vec();
             sections.push(Section { tag, payload });
         }
-        let snap = Snapshot { sections };
-        let recorded = r.u64()?;
-        if recorded != snap.content_hash() {
+        if r.u64()? != hash {
             return Err(SnapError::BadHash);
         }
         if r.remaining() != 0 {
             return Err(SnapError::TrailingBytes);
         }
-        Ok(snap)
+        Ok(Snapshot { sections })
     }
 }
 
@@ -740,6 +773,28 @@ mod tests {
         let mut w = SnapWriter::new();
         w.u64(u64::MAX); // claims 2^64-1 elements
         assert_eq!(decode::<Vec<u64>>(&w.into_bytes()), Err(SnapError::Eof));
+
+        // A count the stream could hold at one byte an element must not
+        // become a reservation of count x size_of::<T>(): the cap is 1 MiB
+        // of elements, not 2^20 of them.
+        type Wide = (u128, [u64; 14]);
+        assert_eq!(core::mem::size_of::<Wide>(), 128);
+        assert_eq!(reserve_cap::<Wide>(1 << 20), 1 << 13);
+        assert_eq!(reserve_cap::<Wide>(5), 5);
+        assert_eq!(reserve_cap::<u8>(usize::MAX), 1 << 20);
+        assert_eq!(reserve_cap::<[u8; 3 << 20]>(9), 0);
+        assert_eq!(reserve_cap::<()>(9), 9);
+        let mut w = SnapWriter::new();
+        w.u64(1 << 20);
+        w.bytes(&vec![0; 1 << 20]);
+        let bytes = w.into_bytes();
+        assert_eq!(decode::<Vec<Wide>>(&bytes), Err(SnapError::Eof));
+        assert_eq!(decode::<VecDeque<Wide>>(&bytes), Err(SnapError::Eof));
+
+        // The bulk integer path allocates nothing before n * size fits the
+        // stream: 2^20 bytes cannot hold 2^20 u64s.
+        assert_eq!(decode::<Vec<u64>>(&bytes), Err(SnapError::Eof));
+        assert_eq!(decode::<VecDeque<u16>>(&bytes), Err(SnapError::Eof));
     }
 
     #[test]
