@@ -48,9 +48,19 @@ pub struct Cli {
     switches: Vec<String>,
 }
 
-/// `parse(v)`, or the standard "unknown <what>" message.
-fn choice<T>(flag: &str, what: &str, valid: &str, v: &str, parsed: Option<T>) -> Result<T, String> {
-    parsed.ok_or_else(|| format!("{flag}: unknown {what} `{v}` ({valid})"))
+/// `parse(v)`, or the standard "unknown <what>" message listing the
+/// labels of `all`.
+fn choice<T: std::fmt::Display>(
+    flag: &str,
+    what: &str,
+    all: &[T],
+    v: &str,
+    parse: fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    parse(v).ok_or_else(|| {
+        let valid: Vec<String> = all.iter().map(T::to_string).collect();
+        format!("{flag}: unknown {what} `{v}` ({})", valid.join("|"))
+    })
 }
 
 impl Cli {
@@ -89,40 +99,31 @@ impl Cli {
             switches: seen,
         };
         if let Some(v) = cli.value("--scale") {
-            let scale = match v {
-                "test" => Some(Scale::Test),
-                "bench" => Some(Scale::Bench),
-                "paper" => Some(Scale::Paper),
-                _ => None,
-            };
-            cli.scale = choice("--scale", "scale", "test|bench|paper", v, scale)?;
+            cli.scale = choice("--scale", "scale", &Scale::ALL, v, Scale::parse)?;
         }
         cli.cfg = config_for_scale(cli.scale);
         if let Some(v) = cli.value("--protocol") {
-            let p = ProtocolKind::parse(v);
-            cli.cfg =
-                cli.cfg
-                    .with_protocol(choice("--protocol", "protocol", "mesi|mesif|moesi", v, p)?);
+            let p = choice(
+                "--protocol",
+                "protocol",
+                &ProtocolKind::ALL,
+                v,
+                ProtocolKind::parse,
+            )?;
+            cli.cfg = cli.cfg.with_protocol(p);
         }
         if let Some(v) = cli.value("--topology") {
-            let t = Topology::parse(v);
-            cli.cfg = cli
-                .cfg
-                .with_topology(choice("--topology", "topology", "mesh|numa2", v, t)?);
+            let t = choice("--topology", "topology", &Topology::ALL, v, Topology::parse)?;
+            cli.cfg = cli.cfg.with_topology(t);
         }
         if let Some(v) = cli.value("--sched") {
-            let valid = "fifo|steal|priority|locality|quantum";
-            let s = SchedKind::parse(v);
-            cli.cfg = cli
-                .cfg
-                .with_sched(choice("--sched", "policy", valid, v, s)?);
+            let s = choice("--sched", "policy", &SchedKind::ALL, v, SchedKind::parse)?;
+            cli.cfg = cli.cfg.with_sched(s);
         }
         let threads = cli.number("--threads")?;
         cli.engine = match cli.value("--engine") {
-            Some(v) => {
-                let e = Engine::parse(v, threads.unwrap_or(4));
-                choice("--engine", "engine", "serial|parallel", v, e)?
-            }
+            Some(v) => Engine::parse(v, threads.unwrap_or(4))
+                .ok_or_else(|| format!("--engine: unknown engine `{v}` (serial|parallel)"))?,
             None => threads.map_or(Engine::Serial, |t| Engine::EpochParallel {
                 threads: t.max(1),
             }),
@@ -186,14 +187,12 @@ impl Cli {
     /// The systems of the comma-separated `flag` list (case-insensitive),
     /// exiting like [`Cli::from_env`] on an unknown one.
     pub fn modes(&self, flag: &str) -> Option<Vec<CoherenceMode>> {
-        let mode = |m: &str| match m.to_ascii_lowercase().as_str() {
-            "fullcoh" => CoherenceMode::FullCoh,
-            "pt" | "pagetable" => CoherenceMode::PageTable,
-            "tlb" | "tlbclass" => CoherenceMode::TlbClass,
-            "raccd" => CoherenceMode::Raccd,
-            _ => die(&format!(
-                "{flag}: unknown mode `{m}` (fullcoh|pt|tlb|raccd)"
-            )),
+        let mode = |m: &str| {
+            CoherenceMode::parse(m).unwrap_or_else(|| {
+                die(&format!(
+                    "{flag}: unknown mode `{m}` (fullcoh|pt|tlb|raccd)"
+                ))
+            })
         };
         Some(self.value(flag)?.split(',').map(mode).collect())
     }

@@ -38,7 +38,7 @@ pub use service::{
     execute_job_direct, Campaign, CampaignConfig, CampaignReport, ReconcileReport, SubmitSummary,
 };
 pub use snappool::{SnapPoolStats, SnapshotPool};
-pub use spec::{mode_label, parse_mode, JobKey, JobSpec};
+pub use spec::{mode_label, JobKey, JobSpec};
 
 /// FNV-1a-64 over the protocol-visible counter set of a run
 /// ([`raccd_sim::Stats::protocol_counters_le`]) — the counters

@@ -148,11 +148,6 @@ impl WorkerPool {
         self.lock().active
     }
 
-    /// The shared cancellation token (clone it into long-running tasks).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.shared.cancel.clone()
-    }
-
     /// Request cancellation: queued tasks are dropped, running tasks see
     /// the token flip at their next poll.
     pub fn cancel(&self) {

@@ -400,11 +400,6 @@ impl Campaign {
             .unwrap_or_else(|e| e.into_inner())
             .clone()
     }
-
-    /// Snapshot-pool hit/miss counters.
-    pub fn snap_stats(&self) -> SnapPoolStats {
-        self.inner.snaps.stats()
-    }
 }
 
 /// Lease `key` to the pool for execution attempt `attempt`.

@@ -65,24 +65,13 @@ pub struct JobSpec {
 }
 
 /// Canonical mode label used in spec lines (round-trips through
-/// [`parse_mode`]).
+/// [`CoherenceMode::parse`]).
 pub fn mode_label(mode: CoherenceMode) -> &'static str {
     match mode {
         CoherenceMode::FullCoh => "fullcoh",
         CoherenceMode::PageTable => "pt",
         CoherenceMode::Raccd => "raccd",
         CoherenceMode::TlbClass => "tlbclass",
-    }
-}
-
-/// Parse a canonical mode label.
-pub fn parse_mode(s: &str) -> Option<CoherenceMode> {
-    match s.to_ascii_lowercase().as_str() {
-        "fullcoh" => Some(CoherenceMode::FullCoh),
-        "pt" | "pagetable" => Some(CoherenceMode::PageTable),
-        "raccd" => Some(CoherenceMode::Raccd),
-        "tlbclass" => Some(CoherenceMode::TlbClass),
-        _ => None,
     }
 }
 
@@ -100,15 +89,6 @@ fn parse_engine(s: &str) -> Option<Engine> {
             let threads = s.strip_prefix("parallel:")?.parse().ok()?;
             Some(Engine::EpochParallel { threads })
         }
-    }
-}
-
-fn parse_scale(s: &str) -> Option<Scale> {
-    match s {
-        "test" => Some(Scale::Test),
-        "bench" => Some(Scale::Bench),
-        "paper" => Some(Scale::Paper),
-        _ => None,
     }
 }
 
@@ -186,10 +166,11 @@ impl JobSpec {
                     saw_bench = true;
                 }
                 "scale" => {
-                    spec.scale = parse_scale(val).ok_or_else(|| format!("bad scale `{val}`"))?;
+                    spec.scale = Scale::parse(val).ok_or_else(|| format!("bad scale `{val}`"))?;
                 }
                 "mode" => {
-                    spec.mode = parse_mode(val).ok_or_else(|| format!("bad mode `{val}`"))?;
+                    spec.mode =
+                        CoherenceMode::parse(val).ok_or_else(|| format!("bad mode `{val}`"))?;
                 }
                 "ratio" => {
                     spec.ratio = val.parse().map_err(|_| format!("bad ratio `{val}`"))?;

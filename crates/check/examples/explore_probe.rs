@@ -6,8 +6,10 @@
 //! must stay clean to depth 6. The in-tree tests bound the larger
 //! configurations for debug-build speed; this example is the
 //! release-mode complement (`cargo run --release -p raccd-check
-//! --example explore_probe`) and exits non-zero on any violation or
-//! failed closure.
+//! --example explore_probe`) and exits non-zero on any violation, failed
+//! closure, or a visited-state count that differs from the pinned one
+//! (the protocol's reachable graph is part of its definition: a refactor
+//! that moves a count changed a transition).
 
 use raccd_check::{explore, ExploreConfig};
 use raccd_sim::{MachineConfig, ProtocolKind};
@@ -26,9 +28,10 @@ fn tiny(dir_ratio: usize, dir_ways: usize, wt: bool, adr: bool) -> MachineConfig
 }
 
 fn main() {
-    let scenarios: Vec<(&str, ExploreConfig)> = vec![
+    let scenarios: Vec<(&str, usize, ExploreConfig)> = vec![
         (
             "A 2c/1b wb 1-entry dir",
+            117,
             ExploreConfig {
                 cfg: tiny(32, 1, false, false),
                 cores: vec![0, 1],
@@ -41,6 +44,7 @@ fn main() {
         ),
         (
             "B 2c/1b wt",
+            63,
             ExploreConfig {
                 cfg: tiny(32, 1, true, false),
                 cores: vec![0, 1],
@@ -53,6 +57,7 @@ fn main() {
         ),
         (
             "C 2c/2b dir storm",
+            22_851,
             ExploreConfig {
                 cfg: tiny(32, 1, false, false),
                 cores: vec![0, 1],
@@ -65,6 +70,7 @@ fn main() {
         ),
         (
             "D adr",
+            13_871,
             ExploreConfig {
                 cfg: tiny(8, 1, false, true),
                 cores: vec![0, 1],
@@ -77,6 +83,7 @@ fn main() {
         ),
         (
             "E 3c/2b bounded",
+            118_451,
             ExploreConfig {
                 cfg: tiny(32, 1, false, false),
                 cores: vec![0, 1, 2],
@@ -94,10 +101,19 @@ fn main() {
     // fwd-desync invariants checked in every visited state).
     let mut scenarios = scenarios;
     for protocol in [ProtocolKind::Mesif, ProtocolKind::Moesi] {
-        for (tag, blocks) in [("2c/1b", vec![0x40]), ("2c/2b", vec![0x40, 0x44])] {
+        let two_blocks = if protocol == ProtocolKind::Mesif {
+            24_735
+        } else {
+            25_155
+        };
+        for (tag, states, blocks) in [
+            ("2c/1b", 129, vec![0x40]),
+            ("2c/2b", two_blocks, vec![0x40, 0x44]),
+        ] {
             let name = format!("{} {tag} wb", protocol.label().to_uppercase());
             scenarios.push((
                 Box::leak(name.into_boxed_str()),
+                states,
                 ExploreConfig {
                     cfg: tiny(32, 1, false, false).with_protocol(protocol),
                     cores: vec![0, 1],
@@ -111,7 +127,7 @@ fn main() {
         }
     }
     let mut failed = false;
-    for (name, ec) in scenarios {
+    for (name, states, ec) in scenarios {
         let t = Instant::now();
         let r = explore(&ec);
         println!(
@@ -130,9 +146,13 @@ fn main() {
         if !r.violations.is_empty() || (closure_expected && !r.exhausted) {
             failed = true;
         }
+        if r.states != states {
+            println!("  expected {states} states");
+            failed = true;
+        }
     }
     if failed {
-        eprintln!("exploration FAILED: violations found or closure incomplete");
+        eprintln!("exploration FAILED: violations, incomplete closure or a moved state count");
         std::process::exit(1);
     }
 }

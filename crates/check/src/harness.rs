@@ -65,11 +65,6 @@ impl CheckedMachine {
         &self.trace
     }
 
-    /// Direct access to the wrapped machine.
-    pub fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
-    }
-
     /// Apply one trace operation. Time advances a fixed stride per
     /// operation so replays are cycle-deterministic.
     pub fn apply(&mut self, op: TraceOp) {

@@ -52,11 +52,7 @@ fn two_cores_one_block_writeback_closes_clean() {
         "state space must close (got {} states)",
         r.states
     );
-    assert!(
-        r.states > 50,
-        "closure suspiciously small: {} states",
-        r.states
-    );
+    assert_eq!(r.states, 117, "MESI 2c/1b write-back closure size");
 }
 
 /// Config B: the same alphabet under write-through L1s (no dirty lines,
@@ -74,7 +70,7 @@ fn two_cores_one_block_writethrough_closes_clean() {
     });
     assert_clean(&r);
     assert!(r.exhausted);
-    assert!(r.states > 30);
+    assert_eq!(r.states, 63, "MESI 2c/1b write-through closure size");
 }
 
 /// Config C: two blocks sharing the single directory entry — every second

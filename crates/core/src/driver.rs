@@ -27,7 +27,7 @@ use raccd_mem::{SimMemory, VAddr};
 use raccd_obs::{Event, Gauges, Recorder};
 use raccd_prof::{Prof, ProfReport, Site};
 use raccd_runtime::{MemRef, Program, RetryBook, RetryDecision, TaskCtx, TaskGraph, TaskId};
-use raccd_sched::{PreemptRecord, SchedKind, SchedParams, Scheduler};
+use raccd_sched::{PreemptRecord, ReadyQueue, SchedKind, SchedParams};
 use raccd_sim::{
     CheckEvent, CheckReport, CoherenceEvent, FaultPlan, FaultPlane, HitPrefix, L1LookupResult,
     Machine, MachineConfig, Stats, TimedEvent, Watchdog,
@@ -110,7 +110,7 @@ fn load_sched(
     s: &Snapshot,
     cfg: &MachineConfig,
     params: &SchedParams,
-) -> Result<Box<dyn Scheduler>, SnapError> {
+) -> Result<ReadyQueue, SnapError> {
     let mut r = raccd_snap::SnapReader::new(s.raw("driver/sched")?);
     let sched = raccd_sched::load(&mut r, params)?;
     if r.remaining() != 0 {
@@ -321,7 +321,7 @@ pub struct Driver {
     pt: PageClassifier,
     tlbc: TlbClassifier,
     census: Census,
-    ready: Box<dyn Scheduler>,
+    ready: ReadyQueue,
     /// Quantum-preempted tasks awaiting re-dispatch: their trace and
     /// progress survive here while their id waits in the ready queue.
     parked: BTreeMap<TaskId, Running>,
@@ -1120,7 +1120,7 @@ impl Driver {
         // The scheduler serialises behind its registry tag; machine-shape
         // inputs (sockets, priorities, quantum) are rebuilt on restore.
         let mut w = raccd_snap::SnapWriter::new();
-        raccd_sched::save(self.ready.as_ref(), &mut w);
+        raccd_sched::save(&self.ready, &mut w);
         s.put_raw("driver/sched", w.into_bytes());
         s.put("driver/parked", &self.parked);
         s.put("driver/quantum_start", &self.quantum_start);

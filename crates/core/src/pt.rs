@@ -71,11 +71,6 @@ impl PageClassifier {
         matches!(self.pages.get(&page.0), Some(PageState::Private(o)) if *o as usize == core)
     }
 
-    /// Pages tracked.
-    pub fn pages_seen(&self) -> usize {
-        self.pages.len()
-    }
-
     /// Private→shared transitions so far.
     pub fn transitions(&self) -> u64 {
         self.transitions
@@ -171,7 +166,7 @@ mod tests {
         pt.on_access(1, PageNum(2));
         assert!(pt.is_private_to(0, PageNum(1)));
         assert!(pt.is_private_to(1, PageNum(2)));
-        assert_eq!(pt.pages_seen(), 2);
+        assert_eq!(pt.pages.len(), 2);
         assert_eq!(pt.shared_pages(), 0);
     }
 }

@@ -376,18 +376,6 @@ impl FaultPlan {
         out.join(";")
     }
 
-    /// True when at least one injection rate is non-zero.
-    pub fn injects_anything(&self) -> bool {
-        self.drop > 0.0
-            || self.dup > 0.0
-            || self.corrupt > 0.0
-            || self.delay > 0.0
-            || self.dir_loss > 0.0
-            || self.storm > 0.0
-            || self.task_fail > 0.0
-            || self.straggle > 0.0
-    }
-
     /// The plan forced by the `RACCD_FAULT_SPEC` environment variable, if
     /// set and non-empty. Parsed once per process; a malformed spec
     /// panics with the parse error (it is a user configuration mistake).

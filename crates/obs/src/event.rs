@@ -4,8 +4,8 @@
 //! machine, task lifecycle transitions in the runtime driver, and RaCCD
 //! mechanism activity (NCRT registration, `raccd_invalidate`, ADR resizes,
 //! PT reclassification) — is normalised into one [`Event`] stream, stamped
-//! with the simulated cycle it happened at. Consumers implement [`Sink`];
-//! the [`crate::Recorder`] buffers events and fans them out to sinks.
+//! with the simulated cycle it happened at. The [`crate::Recorder`]
+//! buffers the stream; the exporters read it after the run.
 
 use raccd_sim::CoherenceEvent;
 
@@ -276,18 +276,4 @@ impl Event {
             },
         }
     }
-}
-
-/// A consumer of the unified event stream. Sinks registered on a
-/// [`crate::Recorder`] see every event in record order, plus each interval
-/// sample as it is taken.
-pub trait Sink {
-    /// Called once per recorded event.
-    fn on_event(&mut self, recorder_names: &[String], ev: &Event);
-
-    /// Called once per interval sample (default: ignore).
-    fn on_sample(&mut self, _sample: &crate::sampler::Sample) {}
-
-    /// Called when the run finishes (flush buffers).
-    fn on_finish(&mut self) {}
 }

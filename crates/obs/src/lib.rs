@@ -10,7 +10,7 @@
 //! * [`event`] — the unified [`Event`] stream: task lifecycle, RaCCD
 //!   mechanism activity (NCRT register/invalidate, ADR resizes, PT
 //!   reclassification) and machine protocol events, each stamped with its
-//!   simulated cycle; [`Sink`] is the consumer interface.
+//!   simulated cycle.
 //! * [`sampler`] — [`IntervalSampler`] snapshots `Stats` deltas and live
 //!   gauges every N cycles, producing the Figure 8 time-series from real
 //!   samples rather than end-of-run aggregates.
@@ -36,10 +36,10 @@ pub mod metrics;
 pub mod recorder;
 pub mod sampler;
 
-pub use event::{CampaignAction, Event, NameId, Sink};
+pub use event::{CampaignAction, Event, NameId};
 pub use export::{
     chrome_trace_json, event_json, write_campaign_depth_csv, write_chrome_trace,
-    write_events_jsonl, write_histograms, write_series_csv, JsonlSink,
+    write_events_jsonl, write_histograms, write_series_csv,
 };
 pub use hist::Log2Hist;
 pub use metrics::{peak_rss_bytes, RunMetrics};

@@ -1,12 +1,13 @@
-//! The recorder: buffers the event stream, drives the sampler and
-//! histograms, and fans events out to registered sinks.
+//! The recorder: buffers the event stream and drives the sampler and
+//! histograms; the exporters read it after the run.
 //!
 //! Instrumentation sites hold an `Option<&mut Recorder>`; with `None` the
 //! hooks compile down to a branch on a niche-optimised pointer, keeping the
-//! telemetry-disabled hot path within the <2 % overhead budget (see the
-//! `telemetry` bench in `raccd-bench`).
+//! telemetry-disabled hot path within the <2 % overhead budget (the
+//! benchmark's `obs.recorder_overhead_pct` row reads what attaching a
+//! recorder costs).
 
-use crate::event::{Event, NameId, Sink};
+use crate::event::{Event, NameId};
 use crate::hist::Log2Hist;
 use crate::sampler::{Gauges, IntervalSampler, Sample};
 use raccd_sim::Stats;
@@ -17,8 +18,8 @@ pub struct RecorderConfig {
     /// Sampler cadence in cycles (default 4096 — fine enough for Figure 8
     /// at test scale, coarse enough to stay off the profile).
     pub sample_interval: u64,
-    /// Buffer events in memory (`Recorder::events`). Disable when a
-    /// streaming sink is attached and runs are long.
+    /// Buffer events in memory (`Recorder::events`). Disable to keep only
+    /// the time-series and histograms of a long run.
     pub buffer_events: bool,
 }
 
@@ -36,7 +37,6 @@ pub struct Recorder {
     cfg: RecorderConfig,
     names: Vec<String>,
     events: Vec<Event>,
-    sinks: Vec<Box<dyn Sink>>,
     sampler: IntervalSampler,
     /// End-to-end latency of each replayed memory reference.
     pub hist_mem_latency: Log2Hist,
@@ -62,18 +62,12 @@ impl Recorder {
             cfg,
             names: Vec::new(),
             events: Vec::new(),
-            sinks: Vec::new(),
             sampler: IntervalSampler::new(cfg.sample_interval),
             hist_mem_latency: Log2Hist::new(),
             hist_wake_to_dispatch: Log2Hist::new(),
             hist_bank_wait: Log2Hist::new(),
             hist_retry_latency: Log2Hist::new(),
         }
-    }
-
-    /// Attach a streaming sink; it sees every subsequent event and sample.
-    pub fn add_sink(&mut self, sink: Box<dyn Sink>) {
-        self.sinks.push(sink);
     }
 
     /// Intern a task name, returning a stable id.
@@ -102,9 +96,6 @@ impl Recorder {
 
     /// Record one event.
     pub fn record(&mut self, ev: Event) {
-        for s in &mut self.sinks {
-            s.on_event(&self.names, &ev);
-        }
         if self.cfg.buffer_events {
             self.events.push(ev);
         }
@@ -124,25 +115,13 @@ impl Recorder {
 
     /// Sample the time-series if `cycle` crossed an interval boundary.
     pub fn maybe_sample(&mut self, cycle: u64, stats: &Stats, gauges: Gauges) {
-        let before = self.sampler.samples().len();
         self.sampler.maybe_sample(cycle, stats, gauges);
-        if self.sampler.samples().len() > before {
-            let s = *self.sampler.samples().last().unwrap();
-            for sink in &mut self.sinks {
-                sink.on_sample(&s);
-            }
-        }
     }
 
-    /// Take the end-of-run sample and flush sinks. Call once, after the
-    /// simulation finishes (cycle = final time).
+    /// Take the end-of-run sample. Call once, after the simulation
+    /// finishes (cycle = final time).
     pub fn finish(&mut self, cycle: u64, stats: &Stats, gauges: Gauges) {
         self.sampler.force_sample(cycle, stats, gauges);
-        let s = *self.sampler.samples().last().unwrap();
-        for sink in &mut self.sinks {
-            sink.on_sample(&s);
-            sink.on_finish();
-        }
     }
 
     /// The interval time-series collected so far.
@@ -165,24 +144,6 @@ impl Recorder {
 mod tests {
     use super::*;
 
-    struct CountingSink {
-        events: usize,
-        samples: usize,
-        finished: bool,
-    }
-
-    impl Sink for CountingSink {
-        fn on_event(&mut self, _names: &[String], _ev: &Event) {
-            self.events += 1;
-        }
-        fn on_sample(&mut self, _s: &Sample) {
-            self.samples += 1;
-        }
-        fn on_finish(&mut self) {
-            self.finished = true;
-        }
-    }
-
     #[test]
     fn intern_is_stable() {
         let mut r = Recorder::new(RecorderConfig::default());
@@ -195,13 +156,8 @@ mod tests {
     }
 
     #[test]
-    fn record_buffers_and_fans_out() {
+    fn record_buffers_and_finish_samples() {
         let mut r = Recorder::new(RecorderConfig::default());
-        r.add_sink(Box::new(CountingSink {
-            events: 0,
-            samples: 0,
-            finished: false,
-        }));
         r.record(Event::TaskWoken {
             cycle: 5,
             task: 1,

@@ -1,8 +1,9 @@
 //! The protocol registry: which coherence protocol a machine runs.
 //!
-//! The simulator's transaction paths are protocol-parameterised through
-//! [`CoherenceProtocol`], a small decision surface extracted from the
-//! previously hardcoded MESI logic. Three implementations exist:
+//! A protocol is data, not code: [`ProtocolKind::rules`] returns the
+//! `const` [`ProtocolRules`] record the simulator's transaction paths and
+//! the directory transition function ([`crate::mesi::EntryState::apply`])
+//! read. Three records exist:
 //!
 //! * **MESI** — the paper's baseline: silent clean evictions, every
 //!   remote read of a dirty line writes it back to the LLC.
@@ -17,19 +18,20 @@
 //!   cache-to-cache, and only writes back on replacement or
 //!   invalidation.
 //!
-//! All three share the directory machinery ([`EntryState`]) and the
-//! RaCCD non-coherent paths unchanged; the protocol only decides fill
-//! states, downgrade targets, who supplies data, and the victim message
-//! set. The shadow checker's invariants (SWMR over writable states,
-//! data-value, NC-exclusivity) are protocol-agnostic and hold for every
-//! variant.
+//! All three share the directory machinery ([`crate::mesi::EntryState`])
+//! and the RaCCD non-coherent paths unchanged; the record only decides
+//! fill states, downgrade targets and whether a clean forwarder is
+//! tracked. What a replacement owes the directory ([`victim_action`]) and
+//! which write hits complete locally ([`write_hit_is_local`]) are the same
+//! for every protocol. The shadow checker's invariants (SWMR over writable
+//! states, data-value, NC-exclusivity) are protocol-agnostic and hold for
+//! every variant.
 
-use crate::mesi::EntryState;
 use raccd_cache::L1State;
 use std::fmt;
 
-/// Which coherence protocol a machine runs. Selects a
-/// [`CoherenceProtocol`] implementation via [`ProtocolKind::protocol`].
+/// Which coherence protocol a machine runs. Selects a [`ProtocolRules`]
+/// record via [`ProtocolKind::rules`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ProtocolKind {
     /// Baseline directory MESI (the paper's Table I protocol).
@@ -66,14 +68,52 @@ impl ProtocolKind {
         }
     }
 
-    /// The protocol's decision surface.
-    pub fn protocol(self) -> &'static dyn CoherenceProtocol {
-        match self {
-            ProtocolKind::Mesi => &Mesi,
-            ProtocolKind::Mesif => &Mesif,
-            ProtocolKind::Moesi => &Moesi,
-        }
+    /// The protocol's rules record: its row of [`RULES`].
+    pub const fn rules(self) -> ProtocolRules {
+        RULES[self as usize]
     }
+}
+
+/// One record per protocol, in [`ProtocolKind::ALL`] order.
+const RULES: [ProtocolRules; 3] = [
+    ProtocolRules {
+        shared_fill: L1State::Shared,
+        dirty_downgrade: L1State::Shared,
+        downgrade_writes_back: true,
+        forwarder: false,
+    },
+    ProtocolRules {
+        shared_fill: L1State::Forward,
+        dirty_downgrade: L1State::Shared,
+        downgrade_writes_back: true,
+        forwarder: true,
+    },
+    ProtocolRules {
+        shared_fill: L1State::Shared,
+        dirty_downgrade: L1State::Owned,
+        downgrade_writes_back: false,
+        forwarder: false,
+    },
+];
+
+/// Everything that differs between the protocols, as plain data.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ProtocolRules {
+    /// State a coherent read fill installs when other private copies
+    /// exist (MESI/MOESI: `Shared`; MESIF: `Forward` — the newest sharer
+    /// becomes the designated clean supplier).
+    pub shared_fill: L1State,
+    /// Target state of a *dirty* owner downgraded by a remote read
+    /// (MESI/MESIF: `Shared`; MOESI: `Owned` — the O copy stays the only
+    /// up-to-date version on chip and the directory's owner pointer
+    /// survives). A clean owner always drops to `Shared`.
+    pub dirty_downgrade: L1State,
+    /// Whether that downgrade writes the dirty data back to the LLC.
+    pub downgrade_writes_back: bool,
+    /// Whether the directory tracks a designated clean forwarder (the
+    /// MESIF F pointer), who then supplies read fills cache-to-cache when
+    /// no owner exists.
+    pub forwarder: bool,
 }
 
 impl fmt::Display for ProtocolKind {
@@ -116,110 +156,22 @@ pub enum VictimAction {
     WriteBackDirty,
 }
 
-/// The per-protocol decision surface: which states fills install, how
-/// owners downgrade, who supplies data, and what replacements owe the
-/// directory. Implementations are stateless (`ProtocolKind` carries the
-/// identity); all bookkeeping lives in [`EntryState`] and the caches.
-pub trait CoherenceProtocol: Sync {
-    /// The registry tag of this protocol.
-    fn kind(&self) -> ProtocolKind;
-
-    /// State a coherent read fill installs when other private copies
-    /// exist (MESI/MOESI: `Shared`; MESIF: `Forward` — the newest sharer
-    /// becomes the designated clean supplier).
-    fn shared_fill_state(&self) -> L1State {
-        L1State::Shared
-    }
-
-    /// Target state of a *dirty* owner downgraded by a remote read, and
-    /// whether the downgrade writes the dirty data back to the LLC.
-    /// MESI/MESIF: `(Shared, true)`; MOESI: `(Owned, false)` — the O
-    /// copy stays the only up-to-date version on chip.
-    fn dirty_downgrade(&self) -> (L1State, bool) {
-        (L1State::Shared, true)
-    }
-
-    /// Whether the directory's owner pointer survives a dirty downgrade
-    /// (the MOESI Owned state keeps ownership; MESI/MESIF clear it).
-    fn owner_survives_downgrade(&self) -> bool {
-        false
-    }
-
-    /// Whether the directory tracks a designated clean forwarder (the
-    /// MESIF F pointer).
-    fn tracks_forwarder(&self) -> bool {
-        false
-    }
-
-    /// Which clean private cache, if any, supplies a read fill
-    /// cache-to-cache when no owner exists.
-    fn clean_supplier(&self, entry: &EntryState) -> Option<u8> {
-        let _ = entry;
-        None
-    }
-
-    /// What an L1 replacement in `state` owes the directory.
-    fn victim_action(&self, state: L1State) -> VictimAction {
-        match state {
-            L1State::Modified | L1State::Owned => VictimAction::WriteBackDirty,
-            L1State::Exclusive => VictimAction::NotifyClean,
-            L1State::Forward => VictimAction::NotifyForward,
-            L1State::Shared => VictimAction::Silent,
-        }
-    }
-
-    /// Whether a coherent write *hit* in `state` completes locally
-    /// (writable copy) or must upgrade through the directory first.
-    fn write_hit_is_local(&self, state: L1State) -> bool {
-        matches!(state, L1State::Modified | L1State::Exclusive)
+/// What an L1 replacement in `state` owes the directory (the same for
+/// every protocol; F and O lines only exist under MESIF and MOESI).
+pub fn victim_action(state: L1State) -> VictimAction {
+    match state {
+        L1State::Modified | L1State::Owned => VictimAction::WriteBackDirty,
+        L1State::Exclusive => VictimAction::NotifyClean,
+        L1State::Forward => VictimAction::NotifyForward,
+        L1State::Shared => VictimAction::Silent,
     }
 }
 
-/// Baseline directory MESI.
-pub struct Mesi;
-
-impl CoherenceProtocol for Mesi {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Mesi
-    }
-}
-
-/// MESIF: MESI plus the clean Forward state.
-pub struct Mesif;
-
-impl CoherenceProtocol for Mesif {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Mesif
-    }
-
-    fn shared_fill_state(&self) -> L1State {
-        L1State::Forward
-    }
-
-    fn tracks_forwarder(&self) -> bool {
-        true
-    }
-
-    fn clean_supplier(&self, entry: &EntryState) -> Option<u8> {
-        entry.fwd
-    }
-}
-
-/// MOESI: MESI plus the dirty-sharing Owned state.
-pub struct Moesi;
-
-impl CoherenceProtocol for Moesi {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Moesi
-    }
-
-    fn dirty_downgrade(&self) -> (L1State, bool) {
-        (L1State::Owned, false)
-    }
-
-    fn owner_survives_downgrade(&self) -> bool {
-        true
-    }
+/// Whether a coherent write *hit* in `state` completes locally (writable
+/// copy) or must upgrade through the directory first. The same for every
+/// protocol: only M and E are writable.
+pub fn write_hit_is_local(state: L1State) -> bool {
+    matches!(state, L1State::Modified | L1State::Exclusive)
 }
 
 #[cfg(test)]
@@ -230,53 +182,56 @@ mod tests {
     fn labels_roundtrip() {
         for kind in ProtocolKind::ALL {
             assert_eq!(ProtocolKind::parse(kind.label()), Some(kind));
-            assert_eq!(kind.protocol().kind(), kind);
         }
         assert_eq!(ProtocolKind::parse("MOESI"), Some(ProtocolKind::Moesi));
         assert_eq!(ProtocolKind::parse("mosi"), None);
     }
 
     #[test]
-    fn decision_surfaces_differ_where_they_should() {
-        let (mesi, mesif, moesi) = (
-            ProtocolKind::Mesi.protocol(),
-            ProtocolKind::Mesif.protocol(),
-            ProtocolKind::Moesi.protocol(),
+    fn rules_differ_where_they_should() {
+        let [mesi, mesif, moesi] = ProtocolKind::ALL.map(ProtocolKind::rules);
+        assert_eq!(mesi.shared_fill, L1State::Shared);
+        assert_eq!(mesif.shared_fill, L1State::Forward);
+        assert_eq!(moesi.shared_fill, L1State::Shared);
+        assert_eq!(
+            (mesi.dirty_downgrade, mesi.downgrade_writes_back),
+            (L1State::Shared, true)
         );
-        assert_eq!(mesi.shared_fill_state(), L1State::Shared);
-        assert_eq!(mesif.shared_fill_state(), L1State::Forward);
-        assert_eq!(moesi.shared_fill_state(), L1State::Shared);
-        assert_eq!(mesi.dirty_downgrade(), (L1State::Shared, true));
-        assert_eq!(moesi.dirty_downgrade(), (L1State::Owned, false));
-        assert!(moesi.owner_survives_downgrade());
-        assert!(mesif.tracks_forwarder());
+        assert_eq!(
+            (moesi.dirty_downgrade, moesi.downgrade_writes_back),
+            (L1State::Owned, false)
+        );
+        assert_eq!(
+            [mesi.forwarder, mesif.forwarder, moesi.forwarder],
+            [false, true, false]
+        );
+        // Only those fields differ from the baseline.
+        let like_mesi = ProtocolRules {
+            shared_fill: L1State::Shared,
+            forwarder: false,
+            ..mesif
+        };
+        assert_eq!(like_mesi, mesi);
+        let like_mesi = ProtocolRules {
+            dirty_downgrade: L1State::Shared,
+            downgrade_writes_back: true,
+            ..moesi
+        };
+        assert_eq!(like_mesi, mesi);
         // Every protocol: only M/E write hits are local; S/F/O upgrade.
-        for p in [mesi, mesif, moesi] {
-            assert!(p.write_hit_is_local(L1State::Modified));
-            assert!(p.write_hit_is_local(L1State::Exclusive));
-            assert!(!p.write_hit_is_local(L1State::Shared));
-            assert!(!p.write_hit_is_local(L1State::Forward));
-            assert!(!p.write_hit_is_local(L1State::Owned));
-        }
+        assert!(write_hit_is_local(L1State::Modified));
+        assert!(write_hit_is_local(L1State::Exclusive));
+        assert!(!write_hit_is_local(L1State::Shared));
+        assert!(!write_hit_is_local(L1State::Forward));
+        assert!(!write_hit_is_local(L1State::Owned));
     }
 
     #[test]
     fn victim_actions() {
-        let p = ProtocolKind::Moesi.protocol();
-        assert_eq!(
-            p.victim_action(L1State::Owned),
-            VictimAction::WriteBackDirty
-        );
-        assert_eq!(p.victim_action(L1State::Shared), VictimAction::Silent);
-        let p = ProtocolKind::Mesif.protocol();
-        assert_eq!(
-            p.victim_action(L1State::Forward),
-            VictimAction::NotifyForward
-        );
-        assert_eq!(
-            p.victim_action(L1State::Exclusive),
-            VictimAction::NotifyClean
-        );
+        assert_eq!(victim_action(L1State::Owned), VictimAction::WriteBackDirty);
+        assert_eq!(victim_action(L1State::Shared), VictimAction::Silent);
+        assert_eq!(victim_action(L1State::Forward), VictimAction::NotifyForward);
+        assert_eq!(victim_action(L1State::Exclusive), VictimAction::NotifyClean);
     }
 
     #[test]

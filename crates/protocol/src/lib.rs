@@ -6,7 +6,9 @@
 //! evictions. Directory: total 524288 entries, banked 32768 entries/core,
 //! 15 cycles, 8-way, pseudoLRU."
 //!
-//! * [`mesi`] — directory-side MESI entry state and transition helpers.
+//! * [`mesi`] — the directory entry and its one transition function.
+//! * [`kind`] — the protocol registry: one `const` rules record each for
+//!   MESI, MESIF and MOESI.
 //! * [`directory`] — one sparse, inclusive directory bank with access /
 //!   occupancy / eviction accounting (Figures 7a and 8).
 //! * [`adr`] — Adaptive Directory Reduction (§III-D): an occupancy monitor
@@ -28,5 +30,5 @@ pub mod mesi;
 pub use adr::{Adr, AdrConfig, ResizeDirection};
 pub use directory::{DirEntry, DirEviction, DirectoryBank};
 pub use error::ProtocolError;
-pub use kind::{CoherenceProtocol, ProtocolKind, VictimAction};
+pub use kind::{victim_action, write_hit_is_local, ProtocolKind, ProtocolRules, VictimAction};
 pub use mesi::{ApplyEffect, DirMsg, DirState};

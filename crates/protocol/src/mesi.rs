@@ -6,16 +6,19 @@
 //! to it is then spurious but harmless. The owner pointer (a core in E or M)
 //! is always precise because E/M replacements write back / notify.
 //!
-//! Besides the infallible `record_*` helpers the simulator uses on its
-//! hot path, this module exposes a fallible, message-oriented surface
-//! ([`DirMsg`] / [`EntryState::apply`]) returning [`ProtocolError`] on
-//! malformed transitions. The fault plane relies on it: a duplicated NoC
-//! message re-delivers the same [`DirMsg`], and every transition is
-//! idempotent under re-delivery (property-tested in
-//! `tests/mesi_idempotence.rs`).
+//! An entry has exactly one mutator, the directory transition function
+//! [`EntryState::apply`]: (entry, [`DirMsg`], protocol rules) → (next
+//! entry, [`ApplyEffect`]) or a typed [`ProtocolError`] for a malformed
+//! transition. `raccd-sim`'s `Machine` calls it for every directory-side
+//! step of a fill, an upgrade, a replacement and a lost-entry recovery, so
+//! the function property-tested here is the one the simulator runs. The
+//! fault plane relies on it: a duplicated NoC message re-delivers the same
+//! [`DirMsg`], and `apply` is idempotent under re-delivery for every
+//! protocol (`tests/{mesi,mesif,moesi}_idempotence.rs`).
 
 use crate::error::ProtocolError;
 use crate::kind::ProtocolKind;
+use raccd_cache::L1State;
 
 /// Directory-visible state of a tracked block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,194 +69,115 @@ impl EntryState {
         }
     }
 
-    /// Record a read (GetS) fill into `core`'s private cache. Returns
-    /// whether the line should be installed Exclusive (sole sharer).
-    pub fn record_gets(&mut self, core: usize) -> bool {
-        debug_assert!(self.owner.is_none(), "owner must be downgraded first");
-        let was_empty = self.sharers == 0;
-        self.sharers |= 1 << core;
-        was_empty
-    }
-
-    /// Record a read (GetS) fill into `core`'s private cache while the
-    /// owner pointer survives (MOESI: the owner dirty-shares in O). Never
-    /// grants exclusivity.
-    pub fn record_gets_keep_owner(&mut self, core: usize) {
-        self.sharers |= 1 << core;
-    }
-
-    /// Record a write (GetX/Upgrade) by `core`: it becomes the owner, all
-    /// other sharer bits clear (and any forward pointer with them).
-    /// Returns the bitmask of cores that must be invalidated.
-    pub fn record_getx(&mut self, core: usize) -> u64 {
-        let to_invalidate = (self.sharers | self.owner.map_or(0, |o| 1 << o)) & !(1u64 << core);
-        self.sharers = 1 << core;
-        self.owner = Some(core as u8);
-        self.fwd = None;
-        to_invalidate
-    }
-
-    /// Downgrade the owner after a forwarded GetS: owner becomes a sharer.
-    pub fn downgrade_owner(&mut self) {
-        if let Some(o) = self.owner.take() {
-            self.sharers |= 1 << o;
-        }
-    }
-
-    /// The owner wrote the block back (PutM / replacement): it no longer
-    /// holds the line.
-    pub fn owner_writeback(&mut self, core: usize) {
-        if self.owner == Some(core as u8) {
-            self.owner = None;
-        }
-        if self.fwd == Some(core as u8) {
-            self.fwd = None;
-        }
-        self.sharers &= !(1u64 << core);
-    }
-
-    /// Designate `core` as the MESIF clean forwarder. The core must
-    /// already be tracked as a sharer.
-    pub fn set_fwd(&mut self, core: usize) {
-        debug_assert!(self.sharers & (1 << core) != 0, "forwarder must share");
-        self.fwd = Some(core as u8);
-    }
-
-    /// The forwarder replaced its clean F line (PutF): the pointer — and,
-    /// because PutF notifies precisely, the sharer bit — clears. From a
-    /// non-forwarder the message is stale (a duplicate racing a later
-    /// GetS that moved the pointer) and ignored.
-    pub fn forwarder_eviction(&mut self, core: usize) {
-        if self.fwd == Some(core as u8) {
-            self.fwd = None;
-            self.sharers &= !(1u64 << core);
-        }
-    }
-
     /// All private copies (sharers + owner) as a bitmask — the set to
     /// invalidate when this entry is evicted for inclusion.
     pub fn all_holders(&self) -> u64 {
         self.sharers | self.owner.map_or(0, |o| 1 << o)
     }
 
-    /// Fallible [`EntryState::record_gets`]: rejects an un-downgraded
-    /// owner or an out-of-range core instead of asserting. MESI/MESIF
-    /// semantics (an owner must be downgraded before a foreign read
-    /// records); see [`EntryState::try_record_gets_for`] for the
-    /// protocol-parameterised form.
-    pub fn try_record_gets(&mut self, core: usize) -> Result<bool, ProtocolError> {
-        self.try_record_gets_for(ProtocolKind::Mesi, core)
-    }
-
-    /// Protocol-parameterised fallible GetS. Under MESI/MESIF an
-    /// un-downgraded foreign owner is a malformed transition; under MOESI
-    /// it is the normal dirty-sharing path — the owner keeps the pointer
-    /// (its line is O) and the requester records as a plain sharer.
-    pub fn try_record_gets_for(
-        &mut self,
-        protocol: ProtocolKind,
-        core: usize,
-    ) -> Result<bool, ProtocolError> {
-        if core >= 64 {
-            return Err(ProtocolError::CoreOutOfRange { core });
-        }
-        if let Some(owner) = self.owner {
-            if owner as usize == core {
-                // The owner re-reading its own block (a duplicated GetS):
-                // it already holds E/M/O, nothing to change.
-                return Ok(false);
-            }
-            if protocol.protocol().owner_survives_downgrade() {
-                self.record_gets_keep_owner(core);
-                return Ok(false);
-            }
-            return Err(ProtocolError::OwnerNotDowngraded {
-                protocol,
-                state: self.state(),
-                owner,
-                requester: core,
-            });
-        }
-        Ok(self.record_gets(core))
-    }
-
-    /// Fallible [`EntryState::record_getx`].
-    pub fn try_record_getx(&mut self, core: usize) -> Result<u64, ProtocolError> {
-        if core >= 64 {
-            return Err(ProtocolError::CoreOutOfRange { core });
-        }
-        Ok(self.record_getx(core))
-    }
-
-    /// Apply one directory-bound message under baseline MESI. Duplicate
-    /// delivery of any message leaves the entry in the same state
-    /// (idempotence — the receiver-side property the fault plane's
-    /// duplication site relies on).
-    pub fn apply(&mut self, msg: DirMsg) -> Result<ApplyEffect, ProtocolError> {
-        self.apply_for(ProtocolKind::Mesi, msg)
-    }
-
     /// Apply one directory-bound message under `protocol`, returning its
-    /// side effects or a typed error for malformed transitions. Duplicate
-    /// delivery of any message is idempotent for every protocol.
-    pub fn apply_for(
+    /// side effects or a typed error (entry untouched) for a malformed
+    /// transition. Duplicate delivery of any message leaves the entry in
+    /// the same state — the receiver-side property the fault plane's
+    /// duplication site relies on.
+    pub fn apply(
         &mut self,
         protocol: ProtocolKind,
         msg: DirMsg,
     ) -> Result<ApplyEffect, ProtocolError> {
+        let rules = protocol.rules();
+        // MOESI: a dirty owner downgrades to O and keeps the pointer.
+        let dirty_owner_stays = rules.dirty_downgrade == L1State::Owned;
+        let (DirMsg::GetS { core }
+        | DirMsg::GetX { core }
+        | DirMsg::PutM { core }
+        | DirMsg::PutF { core }
+        | DirMsg::Downgrade { core, .. }) = msg;
+        if core >= 64 {
+            return Err(ProtocolError::CoreOutOfRange { core });
+        }
+        let (me, bit) = (Some(core as u8), 1u64 << core);
+        let granted = EntryState {
+            sharers: bit,
+            owner: me,
+            fwd: None,
+        };
+        let mut effect = ApplyEffect::default();
         match msg {
-            DirMsg::GetS { core } => {
-                let exclusive = self.try_record_gets_for(protocol, core)?;
-                // MESIF: the newest sharer takes the forward pointer —
-                // also on the exclusive-hint path, so a duplicated GetS
-                // re-derives the identical entry (idempotence).
-                if protocol.protocol().tracks_forwarder()
-                    && self.owner.is_none()
-                    && self.sharers & (1 << core) != 0
-                {
-                    self.set_fwd(core);
+            DirMsg::GetS { .. } => match self.owner {
+                // The owner re-reading its own block (a duplicated GetS,
+                // or a copy dropped behind the directory's back): it
+                // holds, or is re-granted, E/M/O; nothing to change.
+                Some(_) if self.owner == me => effect.exclusive = true,
+                // Dirty sharing: the owner's line is O, the requester
+                // records as a plain sharer.
+                Some(_) if dirty_owner_stays => self.sharers |= bit,
+                Some(owner) => {
+                    return Err(ProtocolError::OwnerNotDowngraded {
+                        protocol,
+                        state: self.state(),
+                        owner,
+                        requester: core,
+                    })
                 }
-                Ok(ApplyEffect {
-                    exclusive,
-                    invalidate: 0,
-                })
-            }
-            DirMsg::GetX { core } => {
-                let invalidate = self.try_record_getx(core)?;
-                Ok(ApplyEffect {
+                // Sole reader: grant Exclusive and record ownership, so a
+                // later silent E→M write stays tracked.
+                None if self.sharers == 0 => {
+                    *self = granted;
+                    effect.exclusive = true;
+                }
+                // Existing (possibly stale) sharers. MESIF: the newest
+                // sharer takes the forward pointer.
+                None => {
+                    self.sharers |= bit;
+                    if rules.forwarder {
+                        self.fwd = me;
+                    }
+                }
+            },
+            // The writer becomes the owner; every other holder (and any
+            // forward pointer) goes.
+            DirMsg::GetX { .. } => {
+                effect = ApplyEffect {
                     exclusive: true,
-                    invalidate,
-                })
+                    invalidate: self.all_holders() & !bit,
+                };
+                *self = granted;
             }
-            DirMsg::PutM { core } => {
-                if core >= 64 {
-                    return Err(ProtocolError::CoreOutOfRange { core });
+            // A replacement: `core` no longer holds the line.
+            DirMsg::PutM { .. } => {
+                if self.owner == me {
+                    self.owner = None;
                 }
-                self.owner_writeback(core);
-                Ok(ApplyEffect::default())
+                if self.fwd == me {
+                    self.fwd = None;
+                }
+                self.sharers &= !bit;
             }
-            DirMsg::PutF { core } => {
-                if core >= 64 {
-                    return Err(ProtocolError::CoreOutOfRange { core });
+            // PutF notifies precisely, so the sharer bit clears with the
+            // pointer. From a non-forwarder the message is stale (a
+            // duplicate racing a later GetS that moved the pointer).
+            DirMsg::PutF { .. } => {
+                if self.fwd == me {
+                    self.fwd = None;
+                    self.sharers &= !bit;
                 }
-                self.forwarder_eviction(core);
-                Ok(ApplyEffect::default())
             }
-            DirMsg::Downgrade => {
-                if protocol.protocol().owner_survives_downgrade() {
-                    // MOESI: the downgrade is L1-side (M→O); the
-                    // directory's owner pointer survives unchanged.
-                } else {
-                    self.downgrade_owner();
+            // The owner becomes a plain sharer, unless its dirty copy
+            // stays Owned and keeps answering snoops.
+            DirMsg::Downgrade { dirty, .. } => {
+                if self.owner == me && !(dirty && dirty_owner_stays) {
+                    self.owner = None;
+                    self.sharers |= bit;
                 }
-                Ok(ApplyEffect::default())
             }
         }
+        Ok(effect)
     }
 }
 
 /// A directory-bound coherence message, as re-deliverable by the fault
-/// plane's duplication site.
+/// plane's duplication site. Every message names the core it came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DirMsg {
     /// Read request from `core`.
@@ -278,10 +202,17 @@ pub enum DirMsg {
         /// The (former) forwarder.
         core: usize,
     },
-    /// Downgrade the current owner on a forwarded GetS. MESI/MESIF: the
-    /// owner becomes a plain sharer. MOESI: the downgrade happens in the
-    /// owner's L1 (M→O) and the directory pointer survives.
-    Downgrade,
+    /// Owner `core` answered a forwarded GetS and downgraded its copy.
+    /// It becomes a plain sharer — except under MOESI when its copy was
+    /// `dirty`: that downgrade is L1-side only (M→O) and the directory's
+    /// owner pointer survives. From a non-owner the message is stale and
+    /// ignored.
+    Downgrade {
+        /// The downgraded owner.
+        core: usize,
+        /// Whether its copy was dirty (M or O) when the snoop arrived.
+        dirty: bool,
+    },
 }
 
 /// Side effects of applying one [`DirMsg`].
@@ -313,15 +244,24 @@ impl raccd_snap::Snap for EntryState {
 mod tests {
     use super::*;
 
+    const P: ProtocolKind = ProtocolKind::Mesi;
+
+    fn entry(msgs: &[DirMsg]) -> EntryState {
+        let mut e = EntryState::uncached();
+        for &m in msgs {
+            e.apply(P, m).expect("legal");
+        }
+        e
+    }
+
     #[test]
     fn entry_with_forward_pointer_snap_roundtrips_byte_identically() {
         for fwd in [None, Some(0u8), Some(5), Some(63)] {
-            let mut e = EntryState::uncached();
-            e.record_gets(3);
-            if let Some(fc) = fwd {
-                e.record_gets(fc as usize);
-                e.set_fwd(fc as usize);
-            }
+            let e = EntryState {
+                sharers: 1 << 3 | fwd.map_or(0, |f| 1 << f),
+                owner: None,
+                fwd,
+            };
             let bytes = raccd_snap::encode(&e);
             let back: EntryState = raccd_snap::decode(&bytes).expect("decodes");
             assert_eq!(back, e);
@@ -338,22 +278,34 @@ mod tests {
     }
 
     #[test]
-    fn first_reader_gets_exclusive_hint() {
+    fn first_reader_is_granted_exclusive_and_owns() {
         let mut e = EntryState::uncached();
-        assert!(e.record_gets(3), "first sharer may take E");
-        assert_eq!(e.state(), DirState::Shared);
-        assert!(!e.record_gets(5), "second sharer must take S");
+        let eff = e.apply(P, DirMsg::GetS { core: 3 }).unwrap();
+        assert!(eff.exclusive, "first sharer takes E");
+        assert_eq!((e.state(), e.owner), (DirState::Owned, Some(3)));
+        e.apply(
+            P,
+            DirMsg::Downgrade {
+                core: 3,
+                dirty: false,
+            },
+        )
+        .unwrap();
+        let eff = e.apply(P, DirMsg::GetS { core: 5 }).unwrap();
+        assert!(!eff.exclusive, "second sharer must take S");
         assert_eq!(e.sharers, (1 << 3) | (1 << 5));
+        assert_eq!(e.state(), DirState::Shared);
     }
 
     #[test]
     fn getx_invalidates_other_sharers() {
-        let mut e = EntryState::uncached();
-        e.record_gets(0);
-        e.record_gets(1);
-        e.record_gets(2);
-        let inv = e.record_getx(1);
-        assert_eq!(inv, (1 << 0) | (1 << 2));
+        let mut e = EntryState {
+            sharers: 0b111,
+            owner: None,
+            fwd: None,
+        };
+        let eff = e.apply(P, DirMsg::GetX { core: 1 }).unwrap();
+        assert_eq!(eff.invalidate, (1 << 0) | (1 << 2));
         assert_eq!(e.state(), DirState::Owned);
         assert_eq!(e.owner, Some(1));
         assert_eq!(e.sharers, 1 << 1);
@@ -361,37 +313,26 @@ mod tests {
 
     #[test]
     fn getx_steals_from_owner() {
-        let mut e = EntryState::uncached();
-        e.record_getx(4);
-        let inv = e.record_getx(7);
-        assert_eq!(inv, 1 << 4);
+        let mut e = entry(&[DirMsg::GetX { core: 4 }]);
+        let eff = e.apply(P, DirMsg::GetX { core: 7 }).unwrap();
+        assert_eq!(eff.invalidate, 1 << 4);
         assert_eq!(e.owner, Some(7));
     }
 
     #[test]
-    fn downgrade_then_read() {
-        let mut e = EntryState::uncached();
-        e.record_getx(2);
-        e.downgrade_owner();
-        assert_eq!(e.state(), DirState::Shared);
-        assert!(!e.record_gets(9), "previous owner still a sharer");
-        assert_eq!(e.sharers, (1 << 2) | (1 << 9));
-    }
-
-    #[test]
     fn owner_writeback_clears_ownership() {
-        let mut e = EntryState::uncached();
-        e.record_getx(6);
-        e.owner_writeback(6);
+        let e = entry(&[DirMsg::GetX { core: 6 }, DirMsg::PutM { core: 6 }]);
         assert_eq!(e.state(), DirState::Uncached);
         assert_eq!(e.all_holders(), 0);
     }
 
     #[test]
-    fn writeback_from_non_owner_is_ignored_for_owner_field() {
-        let mut e = EntryState::uncached();
-        e.record_getx(6);
-        e.owner_writeback(3); // stale/spurious
-        assert_eq!(e.owner, Some(6));
+    fn writeback_or_downgrade_from_non_owner_leaves_the_owner() {
+        let dg = DirMsg::Downgrade {
+            core: 3,
+            dirty: true,
+        };
+        let e = entry(&[DirMsg::GetX { core: 6 }, DirMsg::PutM { core: 3 }, dg]);
+        assert_eq!(e.owner, Some(6)); // both stale/spurious
     }
 }

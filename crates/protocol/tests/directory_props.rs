@@ -52,11 +52,11 @@ fn step(
             let block = BlockAddr(b);
             if bank.probe(block).is_some() {
                 // Already resident: protocol-level sharer update only.
-                bank.lookup(block).expect("probed").record_gets(core);
+                bank.lookup(block).expect("probed").sharers |= 1 << core;
                 mirror.insert(b, bank.probe(block).expect("probed").all_holders());
             } else {
                 let mut e = DirEntry::uncached();
-                e.record_gets(core);
+                e.sharers |= 1 << core;
                 let holders = e.all_holders();
                 if let Some(ev) = bank.allocate(block, now, e) {
                     let gone = mirror.remove(&ev.block.0);

@@ -11,7 +11,9 @@
 use proptest::prelude::*;
 use proptest::sample::select;
 use raccd_protocol::mesi::{DirMsg, EntryState};
-use raccd_protocol::ProtocolError;
+use raccd_protocol::{ProtocolError, ProtocolKind};
+
+const P: ProtocolKind = ProtocolKind::Mesi;
 
 /// Arbitrary-but-valid entry states: any sharer set, owner optional and
 /// (when present) also a sharer, as the machine maintains it.
@@ -31,11 +33,13 @@ fn entry_strategy() -> impl Strategy<Value = EntryState> {
 }
 
 fn msg_strategy() -> impl Strategy<Value = DirMsg> {
-    (select(vec![0usize, 1, 2, 3]), 0usize..16).prop_map(|(kind, core)| match kind {
-        0 => DirMsg::GetS { core },
-        1 => DirMsg::GetX { core },
-        2 => DirMsg::PutM { core },
-        _ => DirMsg::Downgrade,
+    (select(vec![0usize, 1, 2, 3]), 0usize..16, any::<bool>()).prop_map(|(kind, core, dirty)| {
+        match kind {
+            0 => DirMsg::GetS { core },
+            1 => DirMsg::GetX { core },
+            2 => DirMsg::PutM { core },
+            _ => DirMsg::Downgrade { core, dirty },
+        }
     })
 }
 
@@ -47,11 +51,11 @@ proptest! {
     #[test]
     fn duplicate_delivery_is_idempotent(e0 in entry_strategy(), msg in msg_strategy()) {
         let mut once = e0;
-        let first = once.apply(msg);
+        let first = once.apply(P, msg);
         let mut twice = once;
         match first {
             Ok(eff1) => {
-                let eff2 = twice.apply(msg).expect("duplicate of a legal message must be legal");
+                let eff2 = twice.apply(P, msg).expect("duplicate of a legal message must be legal");
                 prop_assert_eq!(once, twice, "state changed under duplicate delivery of {:?}", msg);
                 // The duplicate may only re-request invalidations already
                 // requested by the original (spurious but harmless).
@@ -64,7 +68,7 @@ proptest! {
                 // A rejected message must not have mutated the entry, so
                 // its duplicate fails identically.
                 prop_assert_eq!(e0, once, "failed apply mutated the entry");
-                prop_assert_eq!(twice.apply(msg), first);
+                prop_assert_eq!(twice.apply(P, msg), first);
             }
         }
     }
@@ -79,29 +83,58 @@ proptest! {
             _ => DirMsg::PutM { core },
         };
         let mut e = e0;
-        prop_assert_eq!(e.apply(msg), Err(ProtocolError::CoreOutOfRange { core }));
+        prop_assert_eq!(e.apply(P, msg), Err(ProtocolError::CoreOutOfRange { core }));
         prop_assert_eq!(e, e0);
     }
 
     /// GetS against a foreign owner is OwnerNotDowngraded, not an abort.
     #[test]
-    fn gets_against_owner_is_recoverable(owner in 0usize..16, delta in 1usize..16) {
+    fn gets_against_owner_is_recoverable(owner in 0usize..16, delta in 1usize..16, dirty in any::<bool>()) {
         let requester = (owner + delta) % 16; // always != owner
         let mut e = EntryState::uncached();
-        e.record_getx(owner);
+        e.apply(P, DirMsg::GetX { core: owner }).unwrap();
         let before = e;
         prop_assert_eq!(
-            e.apply(DirMsg::GetS { core: requester }),
+            e.apply(P, DirMsg::GetS { core: requester }),
             Err(ProtocolError::OwnerNotDowngraded {
-                protocol: raccd_protocol::ProtocolKind::Mesi,
+                protocol: P,
                 state: before.state(),
                 owner: owner as u8,
                 requester,
             })
         );
         prop_assert_eq!(e, before, "rejected GetS must not mutate");
-        // After the downgrade the retry succeeds — the NACK+retry path.
-        e.apply(DirMsg::Downgrade).unwrap();
-        prop_assert!(e.apply(DirMsg::GetS { core: requester }).is_ok());
+        // A downgrade from anyone but the owner is stale and ignored.
+        e.apply(P, DirMsg::Downgrade { core: requester, dirty }).unwrap();
+        prop_assert_eq!(e, before);
+        // After the owner's downgrade (dirty or clean: MESI writes dirty
+        // data back) the retry succeeds — the NACK+retry path.
+        e.apply(P, DirMsg::Downgrade { core: owner, dirty }).unwrap();
+        prop_assert_eq!(e.owner, None);
+        let eff = e.apply(P, DirMsg::GetS { core: requester }).unwrap();
+        prop_assert!(!eff.exclusive, "the old owner still shares");
+        prop_assert_eq!(e.sharers, 1 << owner | 1 << requester);
+    }
+
+    /// The sole reader of an uncached entry is granted Exclusive and
+    /// recorded as owner (so a later silent E→M write stays tracked) —
+    /// what the machine has always done. Its duplicate is a no-op, and a
+    /// later foreign GetS must downgrade it first.
+    #[test]
+    fn first_reader_owns_the_block(core in 0usize..16, delta in 1usize..16) {
+        let other = (core + delta) % 16;
+        let mut e = EntryState::uncached();
+        let eff = e.apply(P, DirMsg::GetS { core }).unwrap();
+        prop_assert!(eff.exclusive);
+        prop_assert_eq!(eff.invalidate, 0);
+        prop_assert_eq!(e, EntryState { sharers: 1 << core, owner: Some(core as u8), fwd: None });
+        let granted = e;
+        prop_assert_eq!(e.apply(P, DirMsg::GetS { core }), Ok(eff), "re-granted, not re-recorded");
+        prop_assert_eq!(e, granted);
+        prop_assert!(matches!(
+            e.apply(P, DirMsg::GetS { core: other }),
+            Err(ProtocolError::OwnerNotDowngraded { protocol: P, requester, .. }) if requester == other
+        ));
+        prop_assert_eq!(e, granted);
     }
 }

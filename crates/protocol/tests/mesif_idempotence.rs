@@ -36,12 +36,14 @@ fn entry_strategy() -> impl Strategy<Value = EntryState> {
 }
 
 fn msg_strategy() -> impl Strategy<Value = DirMsg> {
-    (select(vec![0usize, 1, 2, 3, 4]), 0usize..16).prop_map(|(kind, core)| match kind {
-        0 => DirMsg::GetS { core },
-        1 => DirMsg::GetX { core },
-        2 => DirMsg::PutM { core },
-        3 => DirMsg::PutF { core },
-        _ => DirMsg::Downgrade,
+    (select(vec![0usize, 1, 2, 3, 4]), 0usize..16, any::<bool>()).prop_map(|(kind, core, dirty)| {
+        match kind {
+            0 => DirMsg::GetS { core },
+            1 => DirMsg::GetX { core },
+            2 => DirMsg::PutM { core },
+            3 => DirMsg::PutF { core },
+            _ => DirMsg::Downgrade { core, dirty },
+        }
     })
 }
 
@@ -53,12 +55,12 @@ proptest! {
     #[test]
     fn duplicate_delivery_is_idempotent(e0 in entry_strategy(), msg in msg_strategy()) {
         let mut once = e0;
-        let first = once.apply_for(P, msg);
+        let first = once.apply(P, msg);
         let mut twice = once;
         match first {
             Ok(eff1) => {
                 let eff2 = twice
-                    .apply_for(P, msg)
+                    .apply(P, msg)
                     .expect("duplicate of a legal message must be legal");
                 prop_assert_eq!(once, twice, "state changed under duplicate delivery of {:?}", msg);
                 prop_assert_eq!(
@@ -68,7 +70,7 @@ proptest! {
             }
             Err(_) => {
                 prop_assert_eq!(e0, once, "failed apply mutated the entry");
-                prop_assert_eq!(twice.apply_for(P, msg), first);
+                prop_assert_eq!(twice.apply(P, msg), first);
             }
         }
     }
@@ -78,7 +80,7 @@ proptest! {
     #[test]
     fn gets_moves_forward_pointer_to_newest_sharer(e0 in entry_strategy(), core in 0usize..16) {
         let mut e = e0;
-        if e.apply_for(P, DirMsg::GetS { core }).is_ok() && e.owner.is_none() {
+        if e.apply(P, DirMsg::GetS { core }).is_ok() && e.owner.is_none() {
             prop_assert_eq!(e.fwd, Some(core as u8), "newest sharer must take F");
         }
         if let Some(fc) = e.fwd {
@@ -93,7 +95,7 @@ proptest! {
     fn putf_clears_only_the_current_forwarder(e0 in entry_strategy(), core in 0usize..16) {
         let mut e = e0;
         let was_fwd = e.fwd == Some(core as u8);
-        e.apply_for(P, DirMsg::PutF { core }).expect("PutF is infallible in range");
+        e.apply(P, DirMsg::PutF { core }).expect("PutF is infallible in range");
         if was_fwd {
             prop_assert_eq!(e.fwd, None);
             prop_assert_eq!(e.sharers & (1 << core), 0, "PutF notifies precisely");
@@ -113,7 +115,7 @@ proptest! {
             _ => DirMsg::PutF { core },
         };
         let mut e = e0;
-        prop_assert_eq!(e.apply_for(P, msg), Err(ProtocolError::CoreOutOfRange { core }));
+        prop_assert_eq!(e.apply(P, msg), Err(ProtocolError::CoreOutOfRange { core }));
         prop_assert_eq!(e, e0);
     }
 
@@ -124,10 +126,10 @@ proptest! {
     fn gets_against_owner_is_recoverable(owner in 0usize..16, delta in 1usize..16) {
         let requester = (owner + delta) % 16;
         let mut e = EntryState::uncached();
-        e.record_getx(owner);
+        e.apply(P, DirMsg::GetX { core: owner }).unwrap();
         let before = e;
         prop_assert_eq!(
-            e.apply_for(P, DirMsg::GetS { core: requester }),
+            e.apply(P, DirMsg::GetS { core: requester }),
             Err(ProtocolError::OwnerNotDowngraded {
                 protocol: P,
                 state: before.state(),
@@ -136,9 +138,30 @@ proptest! {
             })
         );
         prop_assert_eq!(e, before, "rejected GetS must not mutate");
-        e.apply_for(P, DirMsg::Downgrade).unwrap();
-        let eff = e.apply_for(P, DirMsg::GetS { core: requester }).unwrap();
+        e.apply(P, DirMsg::Downgrade { core: owner, dirty: true }).unwrap();
+        let eff = e.apply(P, DirMsg::GetS { core: requester }).unwrap();
         prop_assert!(!eff.exclusive);
         prop_assert_eq!(e.fwd, Some(requester as u8), "retry hands F to the requester");
+    }
+
+    /// The sole reader of an uncached entry is granted Exclusive and
+    /// recorded as owner, with no forward pointer (F only exists beside
+    /// other sharers) — what the machine has always done. Its duplicate
+    /// is a no-op, and a later foreign GetS must downgrade it first.
+    #[test]
+    fn first_reader_owns_the_block(core in 0usize..16, delta in 1usize..16) {
+        let other = (core + delta) % 16;
+        let mut e = EntryState::uncached();
+        let eff = e.apply(P, DirMsg::GetS { core }).unwrap();
+        prop_assert!(eff.exclusive);
+        prop_assert_eq!(e, EntryState { sharers: 1 << core, owner: Some(core as u8), fwd: None });
+        let granted = e;
+        prop_assert_eq!(e.apply(P, DirMsg::GetS { core }), Ok(eff), "re-granted, not re-recorded");
+        prop_assert_eq!(e, granted);
+        prop_assert!(matches!(
+            e.apply(P, DirMsg::GetS { core: other }),
+            Err(ProtocolError::OwnerNotDowngraded { protocol: P, requester, .. }) if requester == other
+        ));
+        prop_assert_eq!(e, granted);
     }
 }

@@ -32,11 +32,13 @@ fn entry_strategy() -> impl Strategy<Value = EntryState> {
 }
 
 fn msg_strategy() -> impl Strategy<Value = DirMsg> {
-    (select(vec![0usize, 1, 2, 3]), 0usize..16).prop_map(|(kind, core)| match kind {
-        0 => DirMsg::GetS { core },
-        1 => DirMsg::GetX { core },
-        2 => DirMsg::PutM { core },
-        _ => DirMsg::Downgrade,
+    (select(vec![0usize, 1, 2, 3]), 0usize..16, any::<bool>()).prop_map(|(kind, core, dirty)| {
+        match kind {
+            0 => DirMsg::GetS { core },
+            1 => DirMsg::GetX { core },
+            2 => DirMsg::PutM { core },
+            _ => DirMsg::Downgrade { core, dirty },
+        }
     })
 }
 
@@ -48,12 +50,12 @@ proptest! {
     #[test]
     fn duplicate_delivery_is_idempotent(e0 in entry_strategy(), msg in msg_strategy()) {
         let mut once = e0;
-        let first = once.apply_for(P, msg);
+        let first = once.apply(P, msg);
         let mut twice = once;
         match first {
             Ok(eff1) => {
                 let eff2 = twice
-                    .apply_for(P, msg)
+                    .apply(P, msg)
                     .expect("duplicate of a legal message must be legal");
                 prop_assert_eq!(once, twice, "state changed under duplicate delivery of {:?}", msg);
                 prop_assert_eq!(
@@ -63,7 +65,7 @@ proptest! {
             }
             Err(_) => {
                 prop_assert_eq!(e0, once, "failed apply mutated the entry");
-                prop_assert_eq!(twice.apply_for(P, msg), first);
+                prop_assert_eq!(twice.apply(P, msg), first);
             }
         }
     }
@@ -75,22 +77,47 @@ proptest! {
     fn gets_against_owner_keeps_owner(owner in 0usize..16, delta in 1usize..16) {
         let requester = (owner + delta) % 16;
         let mut e = EntryState::uncached();
-        e.record_getx(owner);
+        e.apply(P, DirMsg::GetX { core: owner }).unwrap();
         for _ in 0..2 {
             let eff = e
-                .apply_for(P, DirMsg::GetS { core: requester })
+                .apply(P, DirMsg::GetS { core: requester })
                 .expect("MOESI dirty sharing: foreign GetS is legal");
             prop_assert!(!eff.exclusive);
             prop_assert_eq!(e.owner, Some(owner as u8), "owner pointer must survive");
             prop_assert!(e.sharers & (1 << requester) != 0);
         }
-        // The L1-side M→O downgrade is directory-invisible: Downgrade
-        // leaves the owner pointer in place.
-        e.apply_for(P, DirMsg::Downgrade).unwrap();
-        prop_assert_eq!(e.owner, Some(owner as u8));
-        // Only the owner's own write-back clears it.
-        e.apply_for(P, DirMsg::PutM { core: owner }).unwrap();
+        // The L1-side M→O downgrade of a dirty copy is
+        // directory-invisible: the owner pointer stays in place.
+        let shared = e;
+        e.apply(P, DirMsg::Downgrade { core: owner, dirty: true }).unwrap();
+        prop_assert_eq!(e, shared);
+        // A clean owner (E) has nothing to keep supplying: it drops to a
+        // plain sharer exactly as under MESI.
+        let mut clean = shared;
+        clean.apply(P, DirMsg::Downgrade { core: owner, dirty: false }).unwrap();
+        prop_assert_eq!((clean.owner, clean.sharers), (None, shared.sharers));
+        // Otherwise only the owner's own write-back clears the pointer.
+        e.apply(P, DirMsg::PutM { core: owner }).unwrap();
         prop_assert_eq!(e.owner, None);
+    }
+
+    /// The sole reader of an uncached entry is granted Exclusive and
+    /// recorded as owner — what the machine has always done. Its
+    /// duplicate is a no-op, and a later foreign GetS is a keep-owner
+    /// share.
+    #[test]
+    fn first_reader_owns_the_block(core in 0usize..16, delta in 1usize..16) {
+        let other = (core + delta) % 16;
+        let mut e = EntryState::uncached();
+        let eff = e.apply(P, DirMsg::GetS { core }).unwrap();
+        prop_assert!(eff.exclusive);
+        prop_assert_eq!(e, EntryState { sharers: 1 << core, owner: Some(core as u8), fwd: None });
+        let granted = e;
+        prop_assert_eq!(e.apply(P, DirMsg::GetS { core }), Ok(eff), "re-granted, not re-recorded");
+        prop_assert_eq!(e, granted);
+        let eff = e.apply(P, DirMsg::GetS { core: other }).unwrap();
+        prop_assert!(!eff.exclusive);
+        prop_assert_eq!(e, EntryState { sharers: 1 << core | 1 << other, ..granted });
     }
 
     /// Out-of-range cores are typed errors on every message type, never
@@ -103,7 +130,7 @@ proptest! {
             _ => DirMsg::PutM { core },
         };
         let mut e = e0;
-        prop_assert_eq!(e.apply_for(P, msg), Err(ProtocolError::CoreOutOfRange { core }));
+        prop_assert_eq!(e.apply(P, msg), Err(ProtocolError::CoreOutOfRange { core }));
         prop_assert_eq!(e, e0);
     }
 
@@ -112,7 +139,7 @@ proptest! {
     #[test]
     fn getx_invalidates_all_other_holders(e0 in entry_strategy(), core in 0usize..16) {
         let mut e = e0;
-        let eff = e.apply_for(P, DirMsg::GetX { core }).expect("in-range GetX is legal");
+        let eff = e.apply(P, DirMsg::GetX { core }).expect("in-range GetX is legal");
         prop_assert_eq!(eff.invalidate, e0.all_holders() & !(1 << core));
         prop_assert_eq!(e.owner, Some(core as u8));
         prop_assert_eq!(e.sharers, 1 << core);

@@ -19,9 +19,9 @@
 //!   tracking, like Nanos++'s region analysis) and completion wake-up.
 //! * [`builder`] — the [`builder::ProgramBuilder`] façade workloads use.
 //!
-//! The ready-queue policies of §II-C live in the `raccd-sched` crate:
-//! schedulers are pluggable (`SchedKind`), and the driver wires them to
-//! this crate's TDG wake-ups.
+//! The ready-queue policies of §II-C live in the `raccd-sched` crate
+//! (one ready queue, its pop rule picked by `SchedKind`), and the driver
+//! wires them to this crate's TDG wake-ups.
 
 pub mod builder;
 pub mod graph;

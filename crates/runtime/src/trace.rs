@@ -77,12 +77,6 @@ impl MemRef {
     pub fn raw(self) -> u64 {
         self.0
     }
-
-    /// Rebuild from [`MemRef::raw`] bits.
-    #[inline]
-    pub fn from_raw(bits: u64) -> Self {
-        MemRef(bits)
-    }
 }
 
 impl Snap for MemRef {

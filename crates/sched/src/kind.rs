@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-/// Which scheduling policy a machine runs. Selects a
-/// [`Scheduler`](crate::Scheduler) implementation via [`crate::build`].
+/// Which scheduling policy a machine runs: the pop rule of the
+/// [`ReadyQueue`](crate::ReadyQueue) that [`crate::build`] returns.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SchedKind {
     /// One central FIFO ready queue shared by every context.
@@ -42,6 +42,12 @@ impl SchedKind {
             SchedKind::Locality => "locality",
             SchedKind::Quantum => "quantum",
         }
+    }
+
+    /// Whether tasks wait on one queue per context (raided by the others
+    /// when their own runs dry) rather than on one central queue.
+    pub fn per_context(self) -> bool {
+        matches!(self, SchedKind::Steal | SchedKind::Locality)
     }
 
     /// Parse a policy label (case-insensitive).

@@ -1,14 +1,15 @@
 #![warn(missing_docs)]
 
-//! Pluggable task scheduling for the RaCCD reproduction.
+//! Task scheduling policies for the RaCCD reproduction.
 //!
 //! The paper's premise (§II-B) is that *dynamic schedulers migrate tasks
 //! between cores*, turning private data into temporarily private data —
 //! which is exactly the data RaCCD deactivates coherence for. How much
 //! migration happens, and therefore how much NCRT re-registration churn
-//! RaCCD pays, is a policy decision. This crate makes that decision
-//! pluggable: a [`Scheduler`] trait behind a [`SchedKind`] registry
-//! (mirroring `raccd-protocol`'s `ProtocolKind`), with five policies:
+//! RaCCD pays, is a policy decision. The five policies are two data
+//! shapes — one central queue, or one queue per context — so they share
+//! one concrete [`ReadyQueue`] whose [`SchedKind`] (mirroring
+//! `raccd-protocol`'s `ProtocolKind`) picks the pop rule:
 //!
 //! * **[`SchedKind::Fifo`]** — one central FIFO ready queue shared by
 //!   every hardware context (the original `CentralFifo`). Maximum
@@ -28,26 +29,23 @@
 //!   run where their inputs were produced, cutting `task_migrations` and
 //!   NCRT re-registration churn.
 //! * **[`SchedKind::Quantum`]** — central FIFO plus deterministic
-//!   cycle-quantum preemption: the driver consults [`Scheduler::quantum`]
+//!   cycle-quantum preemption: the driver consults [`ReadyQueue::quantum`]
 //!   after each mem-ref batch and requeues tasks that exceeded their
 //!   quantum, appending a [`PreemptRecord`] to an append-only audit log
 //!   that snapshots and replays deterministically.
 //!
-//! Every policy carries unified [`SchedCounters`] (fixing the historical
-//! asymmetry where the stealing queues tracked `steals`/`local_pops` but
-//! not `pushed`/`popped`), and serialises behind a one-byte kind tag via
-//! [`save`]/[`load`]. The `fifo` and `steal` section bodies are
-//! byte-identical to the legacy `ReadyQueue`/`StealQueues` encodings, so
-//! pre-existing `driver/sched` snapshot sections decode unchanged.
+//! Every policy keeps the same [`SchedCounters`] and serialises behind a
+//! one-byte kind tag via [`save`]/[`load`]. The section bodies keep the
+//! layouts of the per-policy types this struct replaced (the `fifo` and
+//! `steal` bodies are the original `ReadyQueue`/`StealQueues` encodings),
+//! so pre-existing `driver/sched` snapshot sections decode unchanged.
 
 use raccd_snap::Snap;
 use std::collections::VecDeque;
 
 mod kind;
-mod policy;
 
 pub use kind::SchedKind;
-pub use policy::{Fifo, Locality, Priority, Quantum, Steal};
 
 /// Task identifier: index into the program's `TaskGraph` (alias-compatible
 /// with `raccd_runtime::TaskId`).
@@ -140,74 +138,161 @@ impl SchedParams {
     }
 }
 
-/// A ready-task scheduling policy: where woken tasks wait and which
-/// context runs them next.
+/// The ready structure: where woken tasks wait and which context runs
+/// them next.
 ///
 /// The driver calls `push(ctx, task)` with the *waker's* context (or a
 /// round-robin seed for initially-ready tasks) and `pop(ctx)` with the
 /// context looking for work. All state is deterministic: no policy
 /// consults wall-clock time or OS identity, so serial and epoch-parallel
 /// executions observe identical pop sequences.
-pub trait Scheduler: Send {
-    /// The registry tag of this policy.
-    fn kind(&self) -> SchedKind;
+#[derive(Clone, Debug)]
+pub struct ReadyQueue {
+    kind: SchedKind,
+    /// One queue for the central policies (`fifo`, `priority`,
+    /// `quantum`), one per context for `steal` and `locality`.
+    queues: Vec<VecDeque<TaskId>>,
+    counters: SchedCounters,
+    /// `quantum`'s append-only preemption log (empty otherwise).
+    audit: Vec<PreemptRecord>,
+    // Rebuilt from [`SchedParams`], never serialised:
+    /// Context → socket.
+    sockets: Vec<usize>,
+    /// Task → critical-path priority (`priority` only).
+    priorities: Vec<u64>,
+    /// Quantum length in cycles (`quantum` only).
+    quantum: u64,
+}
 
-    /// Enqueue `task`, woken (or seeded) by context `ctx`.
-    fn push(&mut self, ctx: usize, task: TaskId);
+impl ReadyQueue {
+    fn with_queues(kind: SchedKind, params: &SchedParams, queues: Vec<VecDeque<TaskId>>) -> Self {
+        ReadyQueue {
+            kind,
+            queues,
+            counters: SchedCounters::default(),
+            audit: Vec::new(),
+            sockets: params.ctx_socket.clone(),
+            priorities: params.priorities.clone(),
+            quantum: params.quantum,
+        }
+    }
+
+    /// The registry tag of this policy.
+    pub fn kind(&self) -> SchedKind {
+        self.kind
+    }
+
+    /// Enqueue `task`, woken (or seeded) by context `ctx`: on the waker's
+    /// queue, or on the central one.
+    pub fn push(&mut self, ctx: usize, task: TaskId) {
+        self.counters.pushed += 1;
+        let q = if self.kind.per_context() { ctx } else { 0 };
+        self.queues[q].push_back(task);
+    }
 
     /// Next task for context `ctx` to run, if any.
-    fn pop(&mut self, ctx: usize) -> Option<TaskId>;
+    pub fn pop(&mut self, ctx: usize) -> Option<TaskId> {
+        let own = if self.kind.per_context() { ctx } else { 0 };
+        let local = match self.kind {
+            // The owner pops its own deque LIFO (hot caches).
+            SchedKind::Steal => self.queues[own].pop_back(),
+            // Deepest critical path first, ties broken by lowest id, so
+            // the pop sequence is a pure function of the graph.
+            SchedKind::Priority => {
+                let prio = |t: TaskId| self.priorities.get(t).copied().unwrap_or(0);
+                let ready = &self.queues[own];
+                let mut best = 0;
+                for i in 1..ready.len() {
+                    let (t, b) = (ready[i], ready[best]);
+                    if prio(t) > prio(b) || (prio(t) == prio(b) && t < b) {
+                        best = i;
+                    }
+                }
+                self.queues[own].remove(best)
+            }
+            SchedKind::Fifo | SchedKind::Locality | SchedKind::Quantum => {
+                self.queues[own].pop_front()
+            }
+        };
+        let task = match local {
+            Some(t) => {
+                self.counters.local_pops += 1;
+                t
+            }
+            // Raid another context's oldest task (a central queue has no
+            // victims to scan).
+            None => {
+                let victim = scan_victims(&self.queues, &self.sockets, ctx)?;
+                self.counters.steals += 1;
+                self.queues[victim].pop_front()?
+            }
+        };
+        self.counters.popped += 1;
+        Some(task)
+    }
 
     /// Tasks currently queued.
-    fn len(&self) -> usize;
+    pub fn len(&self) -> usize {
+        self.queues.iter().map(VecDeque::len).sum()
+    }
 
     /// Whether no task is queued.
-    fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Unified push/pop/steal counters.
-    fn counters(&self) -> SchedCounters;
+    /// Push/pop/steal counters.
+    pub fn counters(&self) -> SchedCounters {
+        self.counters
+    }
 
     /// Preemption quantum in cycles, if this policy preempts.
-    fn quantum(&self) -> Option<u64> {
-        None
+    pub fn quantum(&self) -> Option<u64> {
+        (self.kind == SchedKind::Quantum).then_some(self.quantum)
     }
 
     /// Append a preemption decision to the audit log (no-op for
     /// non-preempting policies).
-    fn note_preempt(&mut self, rec: PreemptRecord) {
-        let _ = rec;
+    pub fn note_preempt(&mut self, rec: PreemptRecord) {
+        if self.kind == SchedKind::Quantum {
+            self.audit.push(rec);
+        }
     }
 
     /// The append-only preemption audit log (empty for non-preempting
     /// policies).
-    fn audit(&self) -> &[PreemptRecord] {
-        &[]
+    pub fn audit(&self) -> &[PreemptRecord] {
+        &self.audit
     }
-
-    /// Serialise the policy body (everything after the kind tag).
-    fn save_body(&self, w: &mut raccd_snap::SnapWriter);
 }
 
 /// Build a fresh scheduler of the given kind.
-pub fn build(kind: SchedKind, params: &SchedParams) -> Box<dyn Scheduler> {
-    match kind {
-        SchedKind::Fifo => Box::new(Fifo::new()),
-        SchedKind::Steal => Box::new(Steal::new(params)),
-        SchedKind::Priority => Box::new(Priority::new(params)),
-        SchedKind::Locality => Box::new(Locality::new(params)),
-        SchedKind::Quantum => Box::new(Quantum::new(params)),
-    }
+pub fn build(kind: SchedKind, params: &SchedParams) -> ReadyQueue {
+    let nqueues = if kind.per_context() { params.nctx } else { 1 };
+    assert!(nqueues > 0, "{kind} needs at least one context");
+    ReadyQueue::with_queues(kind, params, vec![VecDeque::new(); nqueues])
 }
 
-/// Serialise a scheduler: one kind tag byte, then the policy body.
-///
-/// For [`SchedKind::Fifo`] and [`SchedKind::Steal`] the body is
-/// byte-identical to the legacy `ReadyQueue`/`StealQueues` encodings.
-pub fn save(sched: &dyn Scheduler, w: &mut raccd_snap::SnapWriter) {
-    sched.kind().save(w);
-    sched.save_body(w);
+/// Serialise a scheduler: one kind tag byte, then the policy body in the
+/// layout its kind has always had — central: queue, `pushed`, `popped`
+/// (then `quantum`'s audit log); per-context: deques, `steals`,
+/// `local_pops` (the other two counters follow from them and the queued
+/// remainder).
+pub fn save(sched: &ReadyQueue, w: &mut raccd_snap::SnapWriter) {
+    sched.kind.save(w);
+    let c = sched.counters;
+    if sched.kind.per_context() {
+        sched.queues.save(w);
+        w.u64(c.steals);
+        w.u64(c.local_pops);
+    } else {
+        sched.queues[0].save(w);
+        w.u64(c.pushed);
+        w.u64(c.popped);
+    }
+    if sched.kind == SchedKind::Quantum {
+        sched.audit.save(w);
+    }
 }
 
 /// Deserialise a scheduler saved by [`save`]. Non-serialised shape
@@ -215,15 +300,38 @@ pub fn save(sched: &dyn Scheduler, w: &mut raccd_snap::SnapWriter) {
 pub fn load(
     r: &mut raccd_snap::SnapReader,
     params: &SchedParams,
-) -> Result<Box<dyn Scheduler>, raccd_snap::SnapError> {
+) -> Result<ReadyQueue, raccd_snap::SnapError> {
     let kind = SchedKind::load(r)?;
-    Ok(match kind {
-        SchedKind::Fifo => Box::new(Fifo::load_body(r)?),
-        SchedKind::Steal => Box::new(Steal::load_body(r, params)?),
-        SchedKind::Priority => Box::new(Priority::load_body(r, params)?),
-        SchedKind::Locality => Box::new(Locality::load_body(r, params)?),
-        SchedKind::Quantum => Box::new(Quantum::load_body(r, params)?),
-    })
+    let queues: Vec<VecDeque<TaskId>> = if kind.per_context() {
+        Snap::load(r)?
+    } else {
+        vec![Snap::load(r)?]
+    };
+    if queues.is_empty() || (kind.per_context() && queues.len() != params.nctx) {
+        return Err(raccd_snap::SnapError::Invalid("ready queue count"));
+    }
+    let mut sched = ReadyQueue::with_queues(kind, params, queues);
+    let (a, b) = (r.u64()?, r.u64()?);
+    sched.counters = if kind.per_context() {
+        let popped = a.saturating_add(b);
+        SchedCounters {
+            pushed: popped.saturating_add(sched.len() as u64),
+            popped,
+            local_pops: b,
+            steals: a,
+        }
+    } else {
+        SchedCounters {
+            pushed: a,
+            popped: b,
+            local_pops: b,
+            steals: 0,
+        }
+    };
+    if kind == SchedKind::Quantum {
+        sched.audit = Snap::load(r)?;
+    }
+    Ok(sched)
 }
 
 /// Critical-path priority of every task: `1 +` the longest chain of
@@ -243,10 +351,10 @@ where
     prio
 }
 
-/// Shared helper: two-pass victim scan in `(ctx + d) % n` rotational
-/// order, same-socket victims first, then cross-socket. On a one-socket
-/// machine the first pass visits every victim in exactly the legacy
-/// order. Returns the first victim index whose deque is non-empty.
+/// Two-pass victim scan in `(ctx + d) % n` rotational order, same-socket
+/// victims first, then cross-socket. On a one-socket machine the first
+/// pass visits every victim in exactly the legacy order. Returns the
+/// first victim index whose deque is non-empty.
 fn scan_victims(deques: &[VecDeque<TaskId>], sockets: &[usize], ctx: usize) -> Option<usize> {
     let n = deques.len();
     let home = sockets.get(ctx).copied().unwrap_or(0);
@@ -267,7 +375,7 @@ mod tests {
     use super::*;
     use raccd_snap::{SnapReader, SnapWriter};
 
-    fn drain(s: &mut dyn Scheduler, ctx: usize) -> Vec<TaskId> {
+    fn drain(s: &mut ReadyQueue, ctx: usize) -> Vec<TaskId> {
         let mut out = Vec::new();
         while let Some(t) = s.pop(ctx) {
             out.push(t);
@@ -283,7 +391,7 @@ mod tests {
             s.push(t % 4, t);
         }
         assert_eq!(s.len(), 5);
-        assert_eq!(drain(s.as_mut(), 0), vec![3, 1, 4, 1, 5]);
+        assert_eq!(drain(&mut s, 0), vec![3, 1, 4, 1, 5]);
         let c = s.counters();
         assert_eq!((c.pushed, c.popped, c.local_pops, c.steals), (5, 5, 5, 0));
         assert!(s.is_empty());
@@ -360,7 +468,7 @@ mod tests {
             s.push(0, t);
         }
         // Deepest critical path first; equal depths break by lowest id.
-        assert_eq!(drain(s.as_mut(), 0), vec![0, 1, 2, 3, 4]);
+        assert_eq!(drain(&mut s, 0), vec![0, 1, 2, 3, 4]);
         let c = s.counters();
         assert_eq!((c.pushed, c.popped), (5, 5));
     }
@@ -432,7 +540,7 @@ mod tests {
         s.push(1, 9);
         assert_eq!(s.pop(2), Some(5));
         let mut w = SnapWriter::new();
-        save(s.as_ref(), &mut w);
+        save(&s, &mut w);
         let mut expect = SnapWriter::new();
         expect.u8(0);
         let legacy: VecDeque<usize> = VecDeque::from(vec![9usize]);
@@ -449,7 +557,7 @@ mod tests {
         assert_eq!(s.pop(2), Some(5)); // steal
         assert_eq!(s.pop(1), Some(9)); // local
         let mut w = SnapWriter::new();
-        save(s.as_ref(), &mut w);
+        save(&s, &mut w);
         let mut expect = SnapWriter::new();
         expect.u8(1);
         let deques: Vec<VecDeque<usize>> = vec![VecDeque::new(); 3];
@@ -457,6 +565,67 @@ mod tests {
         expect.u64(1); // steals
         expect.u64(1); // local_pops
         assert_eq!(w.into_bytes(), expect.into_bytes());
+    }
+
+    #[test]
+    fn priority_locality_and_quantum_bodies_keep_their_layouts() {
+        // The bodies the per-policy types wrote before they became one
+        // struct: priority = tag 2, ready list, pushed, popped; locality =
+        // tag 3, the steal layout; quantum = tag 4, the fifo layout plus
+        // the audit log.
+        let params = SchedParams {
+            nctx: 3,
+            ctx_socket: vec![0; 3],
+            priorities: vec![1, 5, 3, 4],
+            quantum: 64,
+        };
+        let rec = PreemptRecord {
+            cycle: 7,
+            task: 2,
+            ctx: 1,
+            pos: 64,
+            remaining: 9,
+        };
+        let run = |kind: SchedKind| {
+            let mut s = build(kind, &params);
+            for t in 0..4 {
+                s.push(t % 3, t);
+            }
+            let first = s.pop(2);
+            s.note_preempt(rec);
+            let mut w = SnapWriter::new();
+            save(&s, &mut w);
+            (first, w.into_bytes())
+        };
+
+        let (first, bytes) = run(SchedKind::Priority);
+        assert_eq!(first, Some(1));
+        let mut expect = SnapWriter::new();
+        expect.u8(2);
+        vec![0usize, 2, 3].save(&mut expect);
+        expect.u64(4); // pushed
+        expect.u64(1); // popped
+        assert_eq!(bytes, expect.into_bytes());
+
+        let (first, bytes) = run(SchedKind::Locality);
+        assert_eq!(first, Some(2));
+        let mut expect = SnapWriter::new();
+        expect.u8(3);
+        let deques: Vec<VecDeque<usize>> = vec![[0, 3].into(), [1].into(), [].into()];
+        deques.save(&mut expect);
+        expect.u64(0); // steals
+        expect.u64(1); // local_pops
+        assert_eq!(bytes, expect.into_bytes());
+
+        let (first, bytes) = run(SchedKind::Quantum);
+        assert_eq!(first, Some(0));
+        let mut expect = SnapWriter::new();
+        expect.u8(4);
+        VecDeque::from([1usize, 2, 3]).save(&mut expect);
+        expect.u64(4); // pushed
+        expect.u64(1); // popped
+        vec![rec].save(&mut expect);
+        assert_eq!(bytes, expect.into_bytes());
     }
 
     #[test]
@@ -482,7 +651,7 @@ mod tests {
                 remaining: 3,
             });
             let mut w = SnapWriter::new();
-            save(s.as_ref(), &mut w);
+            save(&s, &mut w);
             let bytes = w.into_bytes();
             let mut r = SnapReader::new(&bytes);
             let mut restored = load(&mut r, &params).unwrap();
@@ -501,6 +670,20 @@ mod tests {
             }
             assert_eq!(a, b, "{kind}: drain order after restore");
         }
+    }
+
+    #[test]
+    fn load_rejects_a_deque_count_that_is_not_the_machines() {
+        let mut s = build(SchedKind::Locality, &SchedParams::flat(3, 0));
+        s.push(2, 7);
+        let mut w = SnapWriter::new();
+        save(&s, &mut w);
+        let bytes = w.into_bytes();
+        for nctx in [2, 4] {
+            let got = load(&mut SnapReader::new(&bytes), &SchedParams::flat(nctx, 0));
+            assert!(got.is_err(), "{nctx} contexts must not adopt 3 deques");
+        }
+        assert!(load(&mut SnapReader::new(&bytes), &SchedParams::flat(3, 0)).is_ok());
     }
 
     #[test]

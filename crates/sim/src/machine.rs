@@ -35,8 +35,8 @@ use raccd_mem::{BlockAddr, PAddr, PageNum, PageTable, Tlb, VAddr};
 use raccd_noc::{Mesh, MsgClass};
 use raccd_prof::{Prof, Site};
 use raccd_protocol::{
-    Adr, AdrConfig, CoherenceProtocol, DirEntry, DirEviction, DirectoryBank, ResizeDirection,
-    VictimAction,
+    victim_action, write_hit_is_local, Adr, AdrConfig, DirEntry, DirEviction, DirMsg,
+    DirectoryBank, ProtocolError, ResizeDirection, VictimAction,
 };
 use std::time::Instant;
 
@@ -170,6 +170,28 @@ pub enum L1LookupResult {
     Miss,
 }
 
+/// State a store leaves its L1 line in: under write-through, stores never
+/// dirty the L1 (the LLC is updated immediately); under write-back they
+/// take M.
+#[inline]
+fn written_state(write_through: bool) -> L1State {
+    if write_through {
+        L1State::Exclusive
+    } else {
+        L1State::Modified
+    }
+}
+
+/// What a coherent fill hands the requesting L1.
+struct Grant {
+    /// Cycles charged to the requester.
+    cycles: u64,
+    /// State the line installs in.
+    state: L1State,
+    /// Data supplied cache-to-cache (previous owner or MESIF forwarder).
+    from_owner: bool,
+}
+
 struct CoreSlice {
     tlb: Tlb,
     l1: L1Cache,
@@ -207,14 +229,6 @@ pub struct Machine {
     events: Vec<TimedEvent>,
     /// Run statistics.
     pub stats: Stats,
-    /// Scratch: whether the last coherent fill was granted Shared (vs
-    /// Exclusive). Set by `coherent_fill_path`, consumed by `miss_fill`.
-    last_fill_shared: bool,
-    /// Scratch: whether the last coherent read fill was granted Forward
-    /// (MESIF: the newest sharer becomes the designated clean supplier).
-    last_fill_fwd: bool,
-    /// Scratch: whether the last coherent fill was served cache-to-cache.
-    last_fill_from_owner: bool,
     /// Optional shadow coherence checker (see [`crate::check`]); receives a
     /// [`CheckEvent`] from every state-mutating path.
     checker: Option<Box<dyn CheckSink>>,
@@ -303,9 +317,6 @@ impl Machine {
             dir,
             adr,
             stats: Stats::default(),
-            last_fill_shared: false,
-            last_fill_fwd: false,
-            last_fill_from_owner: false,
             checker: None,
             faults: None,
             prof: None,
@@ -569,8 +580,10 @@ impl Machine {
                             to,
                         },
                     );
-                    // Both copies traverse; receivers are idempotent (the
-                    // `mesi_idempotence` property), so state is applied once.
+                    // Both copies traverse; the receiving directory applies
+                    // its `DirMsg` through `EntryState::apply`, which is
+                    // idempotent under re-delivery (property-tested per
+                    // protocol), so state is applied once.
                     total += self.noc.send_duplicate(from, to, class);
                     break;
                 }
@@ -711,12 +724,6 @@ impl Machine {
         (block.0 & (self.cfg.ncores as u64 - 1)) as usize
     }
 
-    /// The coherence-protocol decision surface in force.
-    #[inline]
-    fn proto(&self) -> &'static dyn CoherenceProtocol {
-        self.cfg.protocol.protocol()
-    }
-
     /// Record a protocol event when event recording is enabled.
     #[inline]
     fn event(&mut self, now: u64, ev: CoherenceEvent) {
@@ -855,18 +862,12 @@ impl Machine {
         let nc = line.nc;
         let mut result = L1LookupResult::Hit { cycles: lat_l1, nc };
         if write {
-            // Under write-through, stores never dirty the L1 (the LLC is
-            // updated immediately); under write-back they take M.
-            let written_state = if wt {
-                L1State::Exclusive
-            } else {
-                L1State::Modified
-            };
+            let written_state = written_state(wt);
             // NC writes and coherent E/M writes complete locally; coherent
             // write hits in S/F/O upgrade through the directory (Owned data
             // is already local and dirty, but the *other* sharers must still
             // be invalidated before the store globally performs).
-            if nc || self.cfg.protocol.protocol().write_hit_is_local(line.state) {
+            if nc || write_hit_is_local(line.state) {
                 line.state = written_state;
             } else {
                 let cycles = lat_l1 + self.upgrade(core, block, now);
@@ -936,9 +937,15 @@ impl Machine {
         cycles += self.bank_service(home, now + cycles, self.cfg.lat.dir);
         self.dir_touch(home, now);
 
-        let inv_mask = match Self::try_getx(&mut self.dir[home], block, core) {
-            Ok(mask) => mask,
-            Err(raccd_protocol::ProtocolError::MissingEntry) => {
+        let kind = self.cfg.protocol;
+        let getx = DirMsg::GetX { core };
+        let applied = self.dir[home]
+            .lookup(block)
+            .ok_or(ProtocolError::MissingEntry)
+            .and_then(|e| e.apply(kind, getx));
+        let inv_mask = match applied {
+            Ok(effect) => effect.invalidate,
+            Err(ProtocolError::MissingEntry) => {
                 // Inclusivity normally guarantees an entry for any coherent
                 // S line; a missing one means the entry was lost (injected
                 // upset or a raced eviction). Recover by re-allocating —
@@ -949,14 +956,7 @@ impl Machine {
                     "upgrade without directory entry for {block:?} and no fault plane"
                 );
                 self.stats.protocol_recoveries += 1;
-                let mut e = DirEntry::uncached();
-                e.record_getx(core);
-                let ev = self.dir[home].allocate(block, now, e);
-                self.stats.dir_allocations += 1;
-                self.check_ev(CheckEvent::DirAllocate { block, core });
-                if let Some(ev) = ev {
-                    self.handle_dir_eviction(ev, now);
-                }
+                self.dir_allocate(home, block, core, getx, now);
                 0
             }
             Err(e) => unreachable!("upgrade transition rejected: {e}"),
@@ -968,17 +968,26 @@ impl Machine {
         cycles
     }
 
-    /// Record a GetX against `home`'s bank for `block`, surfacing a
-    /// missing entry as a typed [`raccd_protocol::ProtocolError`] instead
-    /// of asserting.
-    fn try_getx(
-        dir: &mut DirectoryBank,
+    /// Allocate `block`'s directory entry with `first` (the GetS/GetX of
+    /// its first requester `core`) applied, recalling the victim's copies
+    /// when the set was full.
+    fn dir_allocate(
+        &mut self,
+        home: usize,
         block: BlockAddr,
         core: usize,
-    ) -> Result<u64, raccd_protocol::ProtocolError> {
-        match dir.lookup(block) {
-            Some(entry) => entry.try_record_getx(core),
-            None => Err(raccd_protocol::ProtocolError::MissingEntry),
+        first: DirMsg,
+        now: u64,
+    ) {
+        let mut entry = DirEntry::uncached();
+        entry
+            .apply(self.cfg.protocol, first)
+            .expect("a fresh entry accepts any request");
+        let ev = self.dir[home].allocate(block, now, entry);
+        self.stats.dir_allocations += 1;
+        self.check_ev(CheckEvent::DirAllocate { block, core });
+        if let Some(ev) = ev {
+            self.handle_dir_eviction(ev, now);
         }
     }
 
@@ -1058,26 +1067,18 @@ impl Machine {
         now: u64,
     ) -> u64 {
         let t = self.p0();
-        let cycles = if nc {
-            self.nc_fill_path(core, block, now)
+        // NC fills take E (or M on write) and never come from an owner; a
+        // coherent GetS may be granted S — or F under MESIF.
+        let grant = if nc {
+            Grant {
+                cycles: self.nc_fill_path(core, block, now),
+                state: self.unshared_fill_state(write),
+                from_owner: false,
+            }
         } else {
             self.coherent_fill_path(core, block, write, now)
         };
-        // Install in L1. NC fills take E (or M on write); coherent GetS may
-        // have been granted S — or F under MESIF — `coherent_fill_path`
-        // stashes that decision in the `last_fill_*` scratch flags.
-        let state = if write && !self.cfg.l1_write_through {
-            L1State::Modified
-        } else if !nc && self.last_fill_shared && !write {
-            if self.last_fill_fwd {
-                L1State::Forward
-            } else {
-                L1State::Shared
-            }
-        } else {
-            L1State::Exclusive
-        };
-        let from_owner = !nc && self.last_fill_from_owner;
+        let (state, from_owner) = (grant.state, grant.from_owner);
         if nc {
             self.stats.nc_fills += 1;
             self.event(now, CoherenceEvent::NcFill { core, block, write });
@@ -1113,7 +1114,17 @@ impl Machine {
         }
         self.check_ev(CheckEvent::OpEnd);
         self.pend(Site::MissFill, t);
-        cycles
+        grant.cycles
+    }
+
+    /// State a fill installs when no other private copy remains: E for a
+    /// load, what a store leaves behind otherwise.
+    fn unshared_fill_state(&self, write: bool) -> L1State {
+        if write {
+            written_state(self.cfg.l1_write_through)
+        } else {
+            L1State::Exclusive
+        }
     }
 
     /// Non-coherent request path: LLC only, no directory (§III-C3).
@@ -1146,145 +1157,125 @@ impl Machine {
         cycles
     }
 
-    /// Coherent request path: directory + LLC in parallel.
-    fn coherent_fill_path(&mut self, core: usize, block: BlockAddr, write: bool, now: u64) -> u64 {
+    /// Coherent request path: directory + LLC in parallel. The directory
+    /// entry is looked up once; every change to it is a [`DirMsg`] applied
+    /// through that one reference before the messages it causes are sent.
+    fn coherent_fill_path(
+        &mut self,
+        core: usize,
+        block: BlockAddr,
+        write: bool,
+        now: u64,
+    ) -> Grant {
         let home = self.home_of(block);
         self.maybe_dir_loss(home, now);
         let mut cycles = self.xmit(core, home, MsgClass::Request, now);
         cycles += self.bank_service(home, now + cycles, self.cfg.lat.dir.max(self.cfg.lat.llc));
         self.dir_touch(home, now);
-        self.last_fill_shared = false;
-        self.last_fill_fwd = false;
-        self.last_fill_from_owner = false;
-        let proto = self.proto();
+        let kind = self.cfg.protocol;
+        let rules = kind.rules();
+        let request = if write {
+            DirMsg::GetX { core }
+        } else {
+            DirMsg::GetS { core }
+        };
+        let mut state = self.unshared_fill_state(write);
+        let mut from_owner = false;
 
-        if self.dir[home].lookup(block).is_some() {
+        if let Some(e) = self.dir[home].lookup(block) {
+            let before = *e;
+            // A foreign owner answers a forwarded GetS by downgrading;
+            // whether its copy is dirty decides where it (and, under
+            // MOESI, the owner pointer) ends up.
+            let owner = before.owner.map(usize::from).filter(|&o| o != core);
+            let owner_dirty =
+                owner.is_some_and(|o| self.cores[o].l1.probe(block).is_some_and(|l| l.dirty()));
+            let downgraded = owner.filter(|_| !write);
+            if let Some(o) = downgraded {
+                let dg = DirMsg::Downgrade {
+                    core: o,
+                    dirty: owner_dirty,
+                };
+                e.apply(kind, dg).expect("core ids fit the sharer vector");
+            }
+            let effect = e
+                .apply(kind, request)
+                .expect("the owner was downgraded first");
             // Directory hit ⇒ coherent LLC line present (inclusivity).
             let hit = self.llc[home].access(block).is_some();
             debug_assert!(hit, "directory entry without LLC line for {block:?}");
-            let owner = self.dir[home].lookup(block).expect("entry just seen").owner;
 
+            // Who supplies the data: the previous owner (cache-to-cache),
+            // a MESIF forwarder still holding the line, or the home LLC.
+            let mut supplier = owner;
             if write {
-                let inv_mask = self.dir[home]
-                    .lookup(block)
-                    .expect("entry")
-                    .record_getx(core);
-                cycles += self.invalidate_holders(home, block, inv_mask, true, now).0;
-                // Data: from previous owner (cache-to-cache) or from LLC.
-                if let Some(o) = owner.filter(|&o| o as usize != core) {
-                    self.stats.owner_forwards += 1;
-                    self.last_fill_from_owner = true;
-                    cycles += self.xmit(o as usize, core, MsgClass::DataResponse, now);
+                cycles += self
+                    .invalidate_holders(home, block, effect.invalidate, true, now)
+                    .0;
+            } else if let Some(o) = downgraded {
+                // Forward GetS to the owner; it downgrades and supplies
+                // data. MESI/MESIF: dirty data is written back to the
+                // LLC and the owner drops to Shared. MOESI: a dirty
+                // owner keeps the only up-to-date copy in Owned — no
+                // write-back — and stays the directory owner.
+                cycles += self.xmit(home, o, MsgClass::Control, now);
+                self.touch_core(o);
+                let (dg_state, wb) = if owner_dirty {
+                    (rules.dirty_downgrade, rules.downgrade_writes_back)
                 } else {
-                    cycles += self.xmit(home, core, MsgClass::DataResponse, now);
-                }
-            } else if owner == Some(core as u8) {
-                // Stale self-ownership: the requester's copy was dropped
-                // without a directory update (e.g. an OS-triggered page
-                // flush). Re-grant Exclusive from the LLC.
-                self.last_fill_shared = false;
-                cycles += self.xmit(home, core, MsgClass::DataResponse, now);
-            } else {
-                if let Some(o) = owner.filter(|&o| o as usize != core) {
-                    // Forward GetS to the owner; it downgrades and supplies
-                    // data. MESI/MESIF: dirty data is written back to the
-                    // LLC and the owner drops to Shared. MOESI: a dirty
-                    // owner keeps the only up-to-date copy in Owned — no
-                    // write-back — and stays the directory owner.
-                    self.stats.owner_forwards += 1;
-                    cycles += self.xmit(home, o as usize, MsgClass::Control, now);
-                    self.touch_core(o as usize);
-                    let dirty_now = self.cores[o as usize]
-                        .l1
-                        .probe(block)
-                        .is_some_and(|l| l.dirty());
-                    let (dg_state, wb) = if dirty_now {
-                        proto.dirty_downgrade()
-                    } else {
-                        (L1State::Shared, false)
-                    };
-                    if let Some(was_dirty) = self.cores[o as usize].l1.downgrade_to(block, dg_state)
-                    {
-                        if was_dirty && wb {
-                            self.xmit(o as usize, home, MsgClass::WriteBack, now);
-                            self.stats.l1_writebacks += 1;
-                            if let Some(l) = self.llc[home].probe_mut(block) {
-                                l.dirty = true;
-                            }
+                    (L1State::Shared, false)
+                };
+                if let Some(was_dirty) = self.cores[o].l1.downgrade_to(block, dg_state) {
+                    if was_dirty && wb {
+                        self.xmit(o, home, MsgClass::WriteBack, now);
+                        self.stats.l1_writebacks += 1;
+                        if let Some(l) = self.llc[home].probe_mut(block) {
+                            l.dirty = true;
                         }
+                    }
+                    self.check_ev(CheckEvent::L1Downgraded {
+                        core: o,
+                        block,
+                        was_dirty,
+                        to: dg_state,
+                    });
+                }
+                state = rules.shared_fill;
+            } else if !effect.exclusive {
+                // Existing sharers. MESIF: the designated Forward sharer
+                // (when still resident) supplies the data and hands
+                // Forward to the newest sharer, dropping itself to
+                // Shared; otherwise the home LLC supplies, exactly as
+                // MESI/MOESI.
+                supplier = before
+                    .fwd
+                    .map(usize::from)
+                    .filter(|&fc| fc != core && self.cores[fc].l1.probe(block).is_some());
+                if let Some(fc) = supplier {
+                    cycles += self.xmit(home, fc, MsgClass::Control, now);
+                    self.touch_core(fc);
+                    if let Some(was_dirty) = self.cores[fc].l1.downgrade_to(block, L1State::Shared)
+                    {
+                        debug_assert!(!was_dirty, "Forward lines are clean");
                         self.check_ev(CheckEvent::L1Downgraded {
-                            core: o as usize,
+                            core: fc,
                             block,
                             was_dirty,
-                            to: dg_state,
+                            to: L1State::Shared,
                         });
                     }
-                    let e = self.dir[home].lookup(block).expect("entry");
-                    if dg_state == L1State::Owned {
-                        // The Owned copy still answers snoops: the owner
-                        // pointer must survive the downgrade.
-                        e.record_gets_keep_owner(core);
-                    } else {
-                        e.downgrade_owner();
-                        e.record_gets(core);
-                        if proto.tracks_forwarder() {
-                            // MESIF: the newest sharer takes Forward.
-                            e.set_fwd(core);
-                            self.last_fill_fwd = true;
-                        }
-                    }
-                    self.last_fill_shared = true;
-                    self.last_fill_from_owner = true;
-                    cycles += self.xmit(o as usize, core, MsgClass::DataResponse, now);
-                } else {
-                    let e = self.dir[home].lookup(block).expect("entry");
-                    if e.state() == raccd_protocol::DirState::Uncached {
-                        // Sole reader: grant Exclusive and record ownership
-                        // so a later silent E→M write stays tracked.
-                        e.record_getx(core);
-                        self.last_fill_shared = false;
-                        cycles += self.xmit(home, core, MsgClass::DataResponse, now);
-                    } else {
-                        // Existing sharers. MESIF: the designated Forward
-                        // sharer (when still resident) supplies the data
-                        // cache-to-cache and hands Forward to the newest
-                        // sharer, dropping itself to Shared; otherwise the
-                        // home LLC supplies, exactly as MESI/MOESI.
-                        let supplier = proto
-                            .clean_supplier(e)
-                            .filter(|&fc| fc as usize != core)
-                            .filter(|&fc| self.cores[fc as usize].l1.probe(block).is_some());
-                        let e = self.dir[home].lookup(block).expect("entry");
-                        e.record_gets(core);
-                        if proto.tracks_forwarder() {
-                            e.set_fwd(core);
-                            self.last_fill_fwd = true;
-                        }
-                        self.last_fill_shared = true;
-                        if let Some(fc) = supplier {
-                            let fc = fc as usize;
-                            self.stats.owner_forwards += 1;
-                            self.last_fill_from_owner = true;
-                            cycles += self.xmit(home, fc, MsgClass::Control, now);
-                            self.touch_core(fc);
-                            if let Some(was_dirty) =
-                                self.cores[fc].l1.downgrade_to(block, L1State::Shared)
-                            {
-                                debug_assert!(!was_dirty, "Forward lines are clean");
-                                self.check_ev(CheckEvent::L1Downgraded {
-                                    core: fc,
-                                    block,
-                                    was_dirty,
-                                    to: L1State::Shared,
-                                });
-                            }
-                            cycles += self.xmit(fc, core, MsgClass::DataResponse, now);
-                        } else {
-                            cycles += self.xmit(home, core, MsgClass::DataResponse, now);
-                        }
-                    }
                 }
+                state = rules.shared_fill;
             }
+            // (Otherwise: sole reader, or a requester the directory still
+            // lists as owner because its copy was dropped without an
+            // update, e.g. an OS-triggered page flush — Exclusive from the
+            // LLC.)
+            from_owner = supplier.is_some();
+            if from_owner {
+                self.stats.owner_forwards += 1;
+            }
+            cycles += self.xmit(supplier.unwrap_or(home), core, MsgClass::DataResponse, now);
         } else {
             // Directory miss.
             let llc_has = self.llc[home].access(block).is_some();
@@ -1301,19 +1292,15 @@ impl Machine {
             }
             // First requester gets E (read) or M (write); either way the
             // directory records it as owner.
-            let mut entry = DirEntry::uncached();
-            entry.record_getx(core);
-            let ev = self.dir[home].allocate(block, now, entry);
-            self.stats.dir_allocations += 1;
-            self.check_ev(CheckEvent::DirAllocate { block, core });
-            if let Some(ev) = ev {
-                self.handle_dir_eviction(ev, now);
-            }
+            self.dir_allocate(home, block, core, request, now);
             self.maybe_adr(home, now);
-            self.last_fill_shared = false;
             cycles += self.xmit(home, core, MsgClass::DataResponse, now);
         }
-        cycles
+        Grant {
+            cycles,
+            state,
+            from_owner,
+        }
     }
 
     /// Fetch a block from main memory into the home LLC bank. Handles the
@@ -1407,40 +1394,37 @@ impl Machine {
             }
             return;
         }
-        match self.proto().victim_action(line.state) {
-            VictimAction::WriteBackDirty => {
-                // PutM / PutO: update directory, write data into the LLC.
-                self.xmit(core, home, MsgClass::WriteBack, now);
-                self.stats.l1_writebacks += 1;
-                self.dir_touch(home, now);
-                if let Some(e) = self.dir[home].lookup(block) {
-                    e.owner_writeback(core);
-                }
-                if let Some(l) = self.llc[home].probe_mut(block) {
-                    l.dirty = true;
-                }
+        // What the replacement owes the directory: a message class on the
+        // wire and a `DirMsg` at the home bank.
+        let (class, msg) = match victim_action(line.state) {
+            // PutM / PutO: update directory, write data into the LLC.
+            VictimAction::WriteBackDirty => (MsgClass::WriteBack, DirMsg::PutM { core }),
+            // PutE: clean notification so the owner pointer stays exact.
+            VictimAction::NotifyClean => (MsgClass::Control, DirMsg::PutM { core }),
+            // PutF: clear the forward pointer (and this sharer bit) so
+            // the directory never names an absent clean supplier.
+            VictimAction::NotifyForward => (MsgClass::Control, DirMsg::PutF { core }),
+            // Silent eviction (Table I); the stale sharer bit may earn a
+            // spurious invalidation later.
+            VictimAction::Silent => return,
+        };
+        self.xmit(core, home, class, now);
+        self.dir_touch(home, now);
+        self.dir_apply(home, block, msg);
+        if line.dirty() {
+            self.stats.l1_writebacks += 1;
+            if let Some(l) = self.llc[home].probe_mut(block) {
+                l.dirty = true;
             }
-            VictimAction::NotifyClean => {
-                // PutE: clean notification so the owner pointer stays exact.
-                self.xmit(core, home, MsgClass::Control, now);
-                self.dir_touch(home, now);
-                if let Some(e) = self.dir[home].lookup(block) {
-                    e.owner_writeback(core);
-                }
-            }
-            VictimAction::NotifyForward => {
-                // PutF: clear the forward pointer (and this sharer bit) so
-                // the directory never names an absent clean supplier.
-                self.xmit(core, home, MsgClass::Control, now);
-                self.dir_touch(home, now);
-                if let Some(e) = self.dir[home].lookup(block) {
-                    e.forwarder_eviction(core);
-                }
-            }
-            VictimAction::Silent => {
-                // Silent eviction (Table I); the stale sharer bit may earn a
-                // spurious invalidation later.
-            }
+        }
+    }
+
+    /// Apply a replacement notification to `block`'s entry, if it still
+    /// has one.
+    fn dir_apply(&mut self, home: usize, block: BlockAddr, msg: DirMsg) {
+        if let Some(e) = self.dir[home].lookup(block) {
+            e.apply(self.cfg.protocol, msg)
+                .expect("core ids fit the sharer vector");
         }
     }
 
@@ -1514,9 +1498,7 @@ impl Machine {
                 // The flush acts as a replacement: keep the directory's
                 // owner/sharer tracking exact for coherent lines.
                 self.dir_touch(home, now);
-                if let Some(e) = self.dir[home].lookup(block) {
-                    e.owner_writeback(core);
-                }
+                self.dir_apply(home, block, DirMsg::PutM { core });
             }
         }
         self.check_ev(CheckEvent::OpEnd);
@@ -1839,9 +1821,11 @@ impl raccd_snap::Snap for TimedEvent {
 /// A snapshot captures every bit of machine state that influences future
 /// behaviour — caches (tags, state, data-version mirrors via the attached
 /// checker, PLRU), directory banks, ADR controllers, page table, TLBs, NoC
-/// counters, fault-plane RNG, statistics, recorded protocol events and the
-/// two scratch fill flags — as independently-CRC'd sections of a
-/// [`raccd_snap::Snapshot`]. The configuration itself is *not* serialized:
+/// counters, fault-plane RNG, statistics and recorded protocol events — as
+/// independently-CRC'd sections of a [`raccd_snap::Snapshot`] (archives
+/// written before fills returned their grant also carry a three-flag
+/// `machine/scratch` section; it held nothing a later transaction reads
+/// and is ignored). The configuration itself is *not* serialized:
 /// restore targets a machine built with an identical `MachineConfig`, and a
 /// config fingerprint section rejects mismatches up front.
 impl Machine {
@@ -1867,14 +1851,6 @@ impl Machine {
         s.put("machine/bank_busy", &self.bank_busy);
         s.put("machine/events", &self.events);
         s.put("machine/stats", &self.stats);
-        s.put(
-            "machine/scratch",
-            &(
-                self.last_fill_shared,
-                self.last_fill_from_owner,
-                self.last_fill_fwd,
-            ),
-        );
         if let Some(f) = &self.faults {
             s.put("machine/faults", f.as_ref());
         }
@@ -1925,10 +1901,6 @@ impl Machine {
         self.bank_busy = bank_busy;
         self.events = s.get("machine/events")?;
         self.stats = s.get("machine/stats")?;
-        let (fs, fo, ff): (bool, bool, bool) = s.get("machine/scratch")?;
-        self.last_fill_shared = fs;
-        self.last_fill_from_owner = fo;
-        self.last_fill_fwd = ff;
         self.faults = if s.has("machine/faults") {
             Some(Box::new(s.get::<FaultPlane>("machine/faults")?))
         } else {

@@ -17,6 +17,17 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// Every scale, smallest first.
+    pub const ALL: [Scale; 3] = [Scale::Test, Scale::Bench, Scale::Paper];
+
+    /// Parse a scale's [`Display`](core::fmt::Display) label
+    /// (case-insensitive).
+    pub fn parse(s: &str) -> Option<Scale> {
+        Scale::ALL
+            .into_iter()
+            .find(|scale| scale.to_string().eq_ignore_ascii_case(s))
+    }
+
     /// Pick one of three values by scale.
     pub fn pick<T: Copy>(self, test: T, bench: T, paper: T) -> T {
         match self {
@@ -49,7 +60,12 @@ mod tests {
     }
 
     #[test]
-    fn display_labels() {
+    fn display_labels_roundtrip_through_parse() {
         assert_eq!(Scale::Bench.to_string(), "bench");
+        for scale in Scale::ALL {
+            assert_eq!(Scale::parse(&scale.to_string()), Some(scale));
+        }
+        assert_eq!(Scale::parse("PAPER"), Some(Scale::Paper));
+        assert_eq!(Scale::parse("tset"), None);
     }
 }

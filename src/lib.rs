@@ -23,7 +23,7 @@
 //!   Chrome-trace (Perfetto) exporters.
 //! * [`runtime`] — the task-dataflow runtime: dependences, task dependence
 //!   graph, and completion wake-up.
-//! * [`sched`] — pluggable ready-queue schedulers (`SchedKind`): central
+//! * [`sched`] — the ready queue and its five policies (`SchedKind`): central
 //!   FIFO, NUMA-aware work stealing, critical-path priority, locality
 //!   affinity, and audited quantum preemption.
 //! * [`core`] — the paper's contribution: the NCRT, `raccd_register` /

@@ -1,8 +1,9 @@
 //! The docs, the figure script and the CI workflow name binaries, tests,
 //! examples and `figures` studies by hand; this test fails when one of
 //! those names no longer has a source file or a row in the study table,
-//! and when a doc cites a `BENCH_<n>.json` performance file (the repo
-//! benchmark under `benchmark/` is the only measurement of record).
+//! when a doc cites a `BENCH_<n>.json` performance file or a `cargo
+//! bench` target that does not exist (the repo benchmark under
+//! `benchmark/` is the only measurement of record).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -60,8 +61,8 @@ fn named_bins_tests_and_examples_exist() {
         let tokens: Vec<&str> = text.split_whitespace().collect();
         for (i, tok) in tokens.iter().enumerate() {
             let next = ident(tokens.get(i + 1).copied().unwrap_or(""));
-            // `--bench NAME` is left out on purpose: `trace --bench Jacobi`
-            // selects a workload.
+            // `--bench NAME` may select a workload (`trace --bench Jacobi`):
+            // `bench_flags_name_a_workload_or_a_bench_target` checks it.
             let dangling = match *tok {
                 "--bin" => !bin_exists(next),
                 "--test" => !target_exists("tests", next),
@@ -177,4 +178,54 @@ fn no_doc_cites_a_bench_n_json_file() {
         }
     }
     assert!(hits.is_empty(), "stale BENCH file citations:\n{hits:#?}");
+}
+
+#[test]
+fn bench_flags_name_a_workload_or_a_bench_target() {
+    // `cargo bench` needs a `benches/NAME.rs` to run; `--bench NAME` is
+    // either that or the workload list of a bench binary.
+    let exempt = ["CHANGES.md", "ROADMAP.md", "ISSUE.md"].map(|p| root().join(p));
+    let workloads: Vec<String> = raccd_workloads::all_benchmarks(raccd_workloads::Scale::Test)
+        .iter()
+        .map(|w| w.name().to_ascii_lowercase())
+        .collect();
+    let any_bench_target = fs::read_dir(root().join("crates"))
+        .expect("crates/ is readable")
+        .flatten()
+        .any(|krate| krate.path().join("benches").exists());
+    let mut files = Vec::new();
+    text_files(root(), &mut files);
+    let docs = files
+        .iter()
+        .filter(|p| !exempt.contains(p) && p.extension().is_some_and(|e| e != "rs" && e != "toml"));
+    let (mut checked, mut hits) = (0, Vec::new());
+    for path in docs {
+        let text = fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        for (n, line) in text.lines().enumerate() {
+            let tokens: Vec<&str> = line.split_whitespace().collect();
+            let cargo_bench = tokens
+                .windows(2)
+                .any(|w| w[0].ends_with("cargo") && w[1] == "bench");
+            let mut dangling = cargo_bench && !any_bench_target;
+            for w in tokens.windows(2).filter(|w| w[0] == "--bench") {
+                checked += 1;
+                dangling |= !w[1].split(',').map(ident).all(|name| {
+                    name.is_empty()
+                        || target_exists("benches", name)
+                        || (!cargo_bench && workloads.contains(&name.to_ascii_lowercase()))
+                });
+            }
+            if dangling {
+                hits.push(format!("{}:{}: {line}", path.display(), n + 1));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "no such bench target or workload:\n{hits:#?}"
+    );
+    assert!(
+        checked >= 10,
+        "the docs run `--bench Jacobi` more often: {checked}"
+    );
 }
