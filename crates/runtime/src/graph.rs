@@ -1,25 +1,46 @@
 //! Task Dependence Graph construction and completion wake-up.
 //!
-//! Tasks are inserted in program order. For every annotated range we track,
-//! at cache-block granularity, the last writer task and the readers since
-//! that write — the same information Nanos++ derives from its region maps.
-//! Edges are the usual RAW / WAR / WAW dependences. "Only when all the
-//! dependences of a task have been satisfied does a task move from created,
-//! to ready" (§II-C).
+//! Tasks are inserted in program order. Dependences are tracked over
+//! *region runs*: maximal runs of cache blocks that every task so far
+//! touched alike, held in an ordered map keyed by first block — the shape
+//! of the region maps Nanos++ derives its TDG from. A new annotation
+//! splits the runs under its two boundaries (an untouched stretch is a run
+//! with no history, made by the same split) and applies the last-writer /
+//! readers-since-that-write rule once per run, so a 1 MB range costs what
+//! the boundaries inside it cost, not 16 384 block visits. Edges are the
+//! usual RAW / WAR / WAW dependences. "Only when all the dependences of a
+//! task have been satisfied does a task move from created, to ready"
+//! (§II-C).
 
-use crate::region::Dep;
+use crate::region::{Dep, DepDir};
 use crate::task::TaskBody;
 use raccd_mem::BLOCK_SHIFT;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Index of a task in its graph.
 pub type TaskId = usize;
 
-/// Per-block dependence tracking during graph construction.
-#[derive(Default)]
-struct BlockTrack {
+/// Dependence state shared by every block of one run: from the run's key
+/// up to the next key of the map.
+#[derive(Clone, Default)]
+struct Run {
     last_writer: Option<TaskId>,
     readers_since_write: Vec<TaskId>,
+}
+
+impl Run {
+    /// Apply one access by task `id` to every block of the run, pushing
+    /// the tasks it must wait for.
+    fn access(&mut self, dir: DepDir, id: TaskId, preds: &mut Vec<TaskId>) {
+        if dir.writes() {
+            preds.extend(self.last_writer); // WAW (and RAW for inout)
+            preds.append(&mut self.readers_since_write); // WAR
+            self.last_writer = Some(id);
+        } else {
+            preds.extend(self.last_writer); // RAW
+            self.readers_since_write.push(id);
+        }
+    }
 }
 
 struct TaskNode {
@@ -47,7 +68,9 @@ struct TaskNode {
 #[derive(Default)]
 pub struct TaskGraph {
     tasks: Vec<TaskNode>,
-    blocks: HashMap<u64, BlockTrack>,
+    /// Region runs by first block. They tile the block space from the
+    /// first key upwards; untouched stretches are runs with no history.
+    runs: BTreeMap<u64, Run>,
     edges: usize,
 }
 
@@ -64,51 +87,54 @@ impl TaskGraph {
         let mut preds: Vec<TaskId> = Vec::new();
 
         for dep in &deps {
+            // A zero-length range still registers on its start block.
             let first = dep.range.start.0 >> BLOCK_SHIFT;
-            let last = if dep.range.len == 0 {
-                first
-            } else {
-                (dep.range.start.0 + dep.range.len - 1) >> BLOCK_SHIFT
-            };
-            for b in first..=last {
-                let track = self.blocks.entry(b).or_default();
-                if dep.dir.reads() {
-                    if let Some(w) = track.last_writer {
-                        preds.push(w); // RAW
-                    }
-                }
-                if dep.dir.writes() {
-                    if let Some(w) = track.last_writer {
-                        preds.push(w); // WAW
-                    }
-                    preds.extend(track.readers_since_write.iter().copied()); // WAR
-                    track.last_writer = Some(id);
-                    track.readers_since_write.clear();
-                }
-                if dep.dir.reads() && !dep.dir.writes() {
-                    track.readers_since_write.push(id);
-                }
+            let end = ((dep.range.start.0 + dep.range.len.max(1) - 1) >> BLOCK_SHIFT) + 1;
+            self.split_at(first);
+            self.split_at(end);
+            for (_, run) in self.runs.range_mut(first..end) {
+                run.access(dep.dir, id, &mut preds);
             }
         }
 
         preds.sort_unstable();
         preds.dedup();
         preds.retain(|&p| p != id);
+        self.push_node(name, deps, body, &preds)
+    }
 
-        let indegree = preds.len();
-        for p in &preds {
-            self.tasks[*p].dependents.push(id);
+    /// Append a task that waits for `preds` (sorted, distinct, earlier).
+    fn push_node(
+        &mut self,
+        name: &str,
+        deps: Vec<Dep>,
+        body: TaskBody,
+        preds: &[TaskId],
+    ) -> TaskId {
+        let id = self.tasks.len();
+        for &p in preds {
+            self.tasks[p].dependents.push(id);
         }
-        self.edges += indegree;
-
+        self.edges += preds.len();
         self.tasks.push(TaskNode {
             name: name.to_string(),
             deps,
             body: Some(body),
             dependents: Vec::new(),
-            indegree,
+            indegree: preds.len(),
         });
         id
+    }
+
+    /// Make `block` the first block of a run. The run it was inside, or
+    /// the untouched space below the first run, keeps its history on both
+    /// sides of the cut.
+    fn split_at(&mut self, block: u64) {
+        if !self.runs.contains_key(&block) {
+            let inside = self.runs.range(..block).next_back();
+            let history = inside.map(|(_, run)| run.clone()).unwrap_or_default();
+            self.runs.insert(block, history);
+        }
     }
 
     /// Number of tasks.
@@ -166,22 +192,10 @@ impl TaskGraph {
     /// ready only when all previously created work has finished. Returns
     /// the barrier's task id; `body` runs when the barrier is reached.
     pub fn add_barrier(&mut self, name: &str, body: TaskBody) -> TaskId {
-        let id = self.tasks.len();
-        let preds: Vec<TaskId> = (0..self.tasks.len())
+        let sinks: Vec<TaskId> = (0..self.tasks.len())
             .filter(|&t| self.tasks[t].dependents.is_empty())
             .collect();
-        for &p in &preds {
-            self.tasks[p].dependents.push(id);
-        }
-        self.edges += preds.len();
-        self.tasks.push(TaskNode {
-            name: name.to_string(),
-            deps: Vec::new(),
-            body: Some(body),
-            dependents: Vec::new(),
-            indegree: preds.len(),
-        });
-        id
+        self.push_node(name, Vec::new(), body, &sinks)
     }
 
     /// Render the TDG in Graphviz DOT format (the right-hand side of the

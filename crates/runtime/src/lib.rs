@@ -15,8 +15,9 @@
 //!   every typed read/write *actually happens* on the byte-accurate
 //!   [`raccd_mem::SimMemory`] **and** is recorded for the timing model, so
 //!   functional results and simulated traffic can never diverge.
-//! * [`graph`] — TDG construction (block-granularity last-writer/reader
-//!   tracking, like Nanos++'s region analysis) and completion wake-up.
+//! * [`graph`] — TDG construction (last-writer/reader tracking over runs
+//!   of blocks touched alike, like Nanos++'s region maps) and completion
+//!   wake-up.
 //! * [`builder`] — the [`builder::ProgramBuilder`] façade workloads use.
 //!
 //! The ready-queue policies of §II-C live in the `raccd-sched` crate

@@ -13,7 +13,7 @@
 //! the simulated result is bit-identical to the host reference.
 
 use crate::scale::Scale;
-use crate::util::chunk_ranges;
+use crate::util::{chunk_ranges, write_slice};
 use raccd_mem::addr::VRange;
 use raccd_mem::{SimMemory, SplitMix64};
 use raccd_runtime::{Dep, Program, ProgramBuilder, Workload};
@@ -195,23 +195,17 @@ impl Workload for Cg {
         // Scalars: rs_old, alpha, beta (f64 each).
         let scalars = b.alloc("scalars", 24);
 
-        for (i, &v) in csr.row_ptr.iter().enumerate() {
-            b.mem().write_u32(row_ptr.start.offset(i as u64 * 4), v);
-        }
-        for (i, &v) in csr.col_idx.iter().enumerate() {
-            b.mem().write_u32(col_idx.start.offset(i as u64 * 4), v);
-        }
-        for (i, &v) in csr.vals.iter().enumerate() {
-            b.mem().write_f32(vals.start.offset(i as u64 * 4), v);
-        }
+        write_slice(b.mem(), row_ptr.start, &csr.row_ptr, u32::to_le_bytes);
+        write_slice(b.mem(), col_idx.start, &csr.col_idx, u32::to_le_bytes);
+        write_slice(b.mem(), vals.start, &csr.vals, f32::to_le_bytes);
         let rhs = self.rhs();
+        write_slice(b.mem(), rv.start, &rhs, f32::to_le_bytes);
+        write_slice(b.mem(), pv.start, &rhs, f32::to_le_bytes);
         let mut rs0 = 0f64;
         for &(c0, c1) in &chunk_ranges(n, self.chunks) {
             let mut part = 0f64;
             for i in c0..c1 {
                 let v = rhs[i as usize];
-                b.mem().write_f32(rv.start.offset(i * 4), v);
-                b.mem().write_f32(pv.start.offset(i * 4), v);
                 part += (v * v) as f64;
             }
             rs0 += part;

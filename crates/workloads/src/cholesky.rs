@@ -7,6 +7,7 @@
 //! exactly the array sections of the OpenMP code in Figure 1.
 
 use crate::scale::Scale;
+use crate::util::write_slice;
 use raccd_mem::addr::VRange;
 use raccd_mem::{SimMemory, SplitMix64, VAddr};
 use raccd_runtime::{Dep, Program, ProgramBuilder, Workload};
@@ -154,11 +155,10 @@ impl Workload for Cholesky {
         // Scatter the SPD matrix into tile-major layout.
         let a = self.spd_matrix();
         let n = self.n();
-        for i in 0..n {
-            for j in 0..n {
-                let (ti, tj) = (i / t, j / t);
-                let addr = tile_range(ti, tj).start.offset(((i % t) * t + (j % t)) * 8);
-                b.mem().write_f64(addr, a[(i * n + j) as usize]);
+        for (i, row) in (0..).zip(a.chunks_exact(n as usize)) {
+            for (tj, seg) in row.chunks_exact(t as usize).enumerate() {
+                let at = tile_range(i / t, tj as u64).start.offset((i % t) * t * 8);
+                write_slice(b.mem(), at, seg, f64::to_le_bytes);
             }
         }
 

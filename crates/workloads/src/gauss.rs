@@ -9,7 +9,7 @@
 //! bit-identical to the sequential algorithm.
 
 use crate::scale::Scale;
-use crate::util::GridF32;
+use crate::util::{write_slice, GridF32};
 use raccd_mem::{SimMemory, SplitMix64};
 use raccd_runtime::{Dep, Program, ProgramBuilder, Workload};
 
@@ -73,9 +73,7 @@ impl Workload for Gauss {
         let mut b = ProgramBuilder::new();
         let range = b.alloc("G", n * n * 4);
         let g = GridF32::new(range, n);
-        for (i, v) in self.init_grid().into_iter().enumerate() {
-            b.mem().write_f32(g.at(i as u64 / n, i as u64 % n), v);
-        }
+        write_slice(b.mem(), g.base, &self.init_grid(), f32::to_le_bytes);
 
         for _it in 0..self.iters {
             for (r0, r1) in crate::util::chunk_ranges(n, self.blocks) {

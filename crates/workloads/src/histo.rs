@@ -86,9 +86,7 @@ impl Workload for Histo {
         let partials_v = b.alloc("partials_v", self.chunks * hist_stride);
         let cumulative = b.alloc("cumulative", hist_bytes);
 
-        for (i, px) in self.image().into_iter().enumerate() {
-            b.mem().write_u8(img.start.offset(i as u64), px);
-        }
+        b.mem().write_bytes(img.start, &self.image());
 
         let part_h =
             move |c: u64| VRange::new(partials_h.start.offset(c * hist_stride), hist_bytes);

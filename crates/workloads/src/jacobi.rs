@@ -9,7 +9,7 @@
 //! temporarily-private pattern that separates RaCCD from PT in Figure 2.
 
 use crate::scale::Scale;
-use crate::util::GridF32;
+use crate::util::{write_slice, GridF32};
 use raccd_mem::{SimMemory, SplitMix64};
 use raccd_runtime::{Dep, Program, ProgramBuilder, Workload};
 
@@ -81,10 +81,8 @@ impl Workload for Jacobi {
 
         // Initialise A (and mirror into B so untouched boundary rows match).
         let init = self.init_grid();
-        for (i, &v) in init.iter().enumerate() {
-            b.mem().write_f32(ga.at(i as u64 / n, i as u64 % n), v);
-            b.mem().write_f32(gb.at(i as u64 / n, i as u64 % n), v);
-        }
+        write_slice(b.mem(), ga.base, &init, f32::to_le_bytes);
+        write_slice(b.mem(), gb.base, &init, f32::to_le_bytes);
 
         for it in 0..self.iters {
             let (src, dst) = if it % 2 == 0 { (ga, gb) } else { (gb, ga) };

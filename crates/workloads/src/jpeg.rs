@@ -13,6 +13,7 @@
 //! real bitstream — the substitution is documented in DESIGN.md §2).
 
 use crate::scale::Scale;
+use crate::util::write_slice;
 use raccd_mem::{SimMemory, SplitMix64, VAddr};
 use raccd_runtime::{Program, ProgramBuilder, Workload};
 
@@ -167,12 +168,8 @@ impl Workload for Jpeg {
         let image = b.alloc("image", self.total_mcus() * MCU_RGB_BYTES);
 
         for m in 0..self.total_mcus() {
-            for (i, &c) in self.mcu_coeffs(m).iter().enumerate() {
-                b.mem().write_u16(
-                    coeffs.start.offset(m * MCU_COEF_BYTES + i as u64 * 2),
-                    c as u16,
-                );
-            }
+            let at = coeffs.start.offset(m * MCU_COEF_BYTES);
+            write_slice(b.mem(), at, &self.mcu_coeffs(m), i16::to_le_bytes);
         }
 
         // One task per MCU row — with NO dependence annotations, like the

@@ -11,6 +11,7 @@
 //! a few percent (§V-A1).
 
 use crate::scale::Scale;
+use crate::util::write_slice;
 use raccd_mem::addr::VRange;
 use raccd_mem::{SimMemory, SplitMix64};
 use raccd_runtime::{Dep, Program, ProgramBuilder, Workload};
@@ -140,12 +141,9 @@ impl Workload for Kmeans {
         let partials = b.alloc("partials", self.chunks * part_stride);
 
         let host_pts = self.points();
-        for (i, &v) in host_pts.iter().enumerate() {
-            b.mem().write_f32(pts.start.offset(i as u64 * 4), v);
-        }
-        for (i, &v) in self.initial_centroids(&host_pts).iter().enumerate() {
-            b.mem().write_f32(cents.start.offset(i as u64 * 4), v);
-        }
+        write_slice(b.mem(), pts.start, &host_pts, f32::to_le_bytes);
+        let host_cents = self.initial_centroids(&host_pts);
+        write_slice(b.mem(), cents.start, &host_cents, f32::to_le_bytes);
 
         let part_range =
             move |c: u64| VRange::new(partials.start.offset(c * part_stride), part_bytes);

@@ -7,6 +7,7 @@
 //! non-coherent — one of the structural differences Figure 2 measures.
 
 use crate::scale::Scale;
+use crate::util::write_slice;
 use raccd_mem::addr::VRange;
 use raccd_mem::{SimMemory, SplitMix64};
 use raccd_runtime::{Dep, Program, ProgramBuilder, Workload};
@@ -67,44 +68,22 @@ impl Knn {
             .collect()
     }
 
-    fn classify(&self, q: &[f32], train: &[f32], labels: &[u8]) -> u8 {
-        let d = self.dims as usize;
-        // Exact k-NN by selection: indices of the k smallest distances,
-        // ties broken by lower index (deterministic).
-        let mut best: Vec<(f32, usize)> = Vec::with_capacity(self.k as usize + 1);
-        for t in 0..self.train as usize {
-            let mut dist = 0f32;
-            for j in 0..d {
-                let diff = q[j] - train[t * d + j];
-                dist += diff * diff;
-            }
-            let pos = best
-                .iter()
-                .position(|&(bd, bi)| dist < bd || (dist == bd && t < bi))
-                .unwrap_or(best.len());
-            best.insert(pos, (dist, t));
-            best.truncate(self.k as usize);
+    fn classifier(&self) -> Classifier {
+        Classifier {
+            dims: self.dims as usize,
+            k: self.k as usize,
+            best: Vec::with_capacity(self.k as usize + 1),
+            votes: vec![0; self.classes as usize],
         }
-        // Majority vote, ties → lowest class id.
-        let mut votes = vec![0u32; self.classes as usize];
-        for &(_, t) in &best {
-            votes[labels[t] as usize] += 1;
-        }
-        let mut win = 0usize;
-        for c in 1..votes.len() {
-            if votes[c] > votes[win] {
-                win = c;
-            }
-        }
-        win as u8
     }
 
     fn reference(&self) -> Vec<u8> {
         let (train, labels) = self.train_data();
         let queries = self.query_data();
-        let d = self.dims as usize;
-        (0..self.queries as usize)
-            .map(|q| self.classify(&queries[q * d..(q + 1) * d], &train, &labels))
+        let mut knn = self.classifier();
+        let per_query = queries.chunks_exact(self.dims as usize);
+        per_query
+            .map(|q| knn.classify(q, &train, &labels))
             .collect()
     }
 }
@@ -135,23 +114,13 @@ impl Workload for Knn {
         let out = b.alloc("out", self.chunks * out_stride);
 
         let (tdata, tlabels) = self.train_data();
-        for (i, &v) in tdata.iter().enumerate() {
-            b.mem().write_f32(train.start.offset(i as u64 * 4), v);
-        }
-        for (i, &l) in tlabels.iter().enumerate() {
-            b.mem().write_u8(labels.start.offset(i as u64), l);
-        }
-        for (i, &v) in self.query_data().iter().enumerate() {
-            b.mem().write_f32(queries.start.offset(i as u64 * 4), v);
-        }
+        write_slice(b.mem(), train.start, &tdata, f32::to_le_bytes);
+        b.mem().write_bytes(labels.start, &tlabels);
+        write_slice(b.mem(), queries.start, &self.query_data(), f32::to_le_bytes);
 
-        let this = KnnParams {
-            train: self.train,
-            dims: self.dims,
-            classes: self.classes,
-            k: self.k,
-        };
+        let (ntrain, dims) = (self.train, self.dims);
         for (c, &(q0, q1)) in chunk_list.iter().enumerate() {
+            let mut knn = self.classifier();
             let qchunk = VRange::new(queries.start.offset(q0 * d * 4), (q1 - q0) * d * 4);
             let ochunk = VRange::new(out.start.offset(c as u64 * out_stride), (q1 - q0) * 4);
             b.task(
@@ -165,21 +134,20 @@ impl Workload for Knn {
                 move |ctx| {
                     // Stream the training set through the context once per
                     // chunk (the cache hierarchy does the reuse).
-                    let mut tdata = vec![0f32; (this.train * this.dims) as usize];
+                    let mut tdata = vec![0f32; (ntrain * dims) as usize];
                     for i in 0..tdata.len() as u64 {
                         tdata[i as usize] = ctx.read_f32(train.start.offset(i * 4));
                     }
-                    let mut tlabels = vec![0u8; this.train as usize];
-                    for i in 0..this.train {
+                    let mut tlabels = vec![0u8; ntrain as usize];
+                    for i in 0..ntrain {
                         tlabels[i as usize] = ctx.read_u8(labels.start.offset(i));
                     }
+                    let mut qv = vec![0f32; dims as usize];
                     for q in q0..q1 {
-                        let mut qv = vec![0f32; this.dims as usize];
-                        for j in 0..this.dims {
-                            qv[j as usize] =
-                                ctx.read_f32(queries.start.offset((q * this.dims + j) * 4));
+                        for j in 0..dims {
+                            qv[j as usize] = ctx.read_f32(queries.start.offset((q * dims + j) * 4));
                         }
-                        let label = this.classify(&qv, &tdata, &tlabels);
+                        let label = knn.classify(&qv, &tdata, &tlabels);
                         ctx.write_u32(ochunk.start.offset((q - q0) * 4), label as u32);
                     }
                 },
@@ -207,27 +175,48 @@ impl Workload for Knn {
     }
 }
 
-/// Copyable classification parameters shared by task bodies and reference.
-#[derive(Clone, Copy)]
-struct KnnParams {
-    train: u64,
-    dims: u64,
-    classes: u64,
-    k: u64,
+/// Exact k-NN over one query at a time; task bodies and the reference
+/// share it, and its neighbour list and vote counts are allocated once.
+struct Classifier {
+    dims: usize,
+    k: usize,
+    best: Vec<(f32, usize)>,
+    votes: Vec<u32>,
 }
 
-impl KnnParams {
-    fn classify(&self, q: &[f32], train: &[f32], labels: &[u8]) -> u8 {
-        let w = Knn {
-            train: self.train,
-            queries: 0,
-            dims: self.dims,
-            classes: self.classes,
-            k: self.k,
-            chunks: 1,
-            seed: 0,
-        };
-        w.classify(q, train, labels)
+impl Classifier {
+    fn classify(&mut self, q: &[f32], train: &[f32], labels: &[u8]) -> u8 {
+        // Selection: the k smallest distances in order, ties broken by
+        // lower index. Points come in index order, so once the list is
+        // full a point no closer than its last entry can never enter.
+        self.best.clear();
+        for (t, point) in train.chunks_exact(self.dims).enumerate() {
+            let mut dist = 0f32;
+            for (a, b) in q.iter().zip(point) {
+                let diff = a - b;
+                dist += diff * diff;
+            }
+            let full = self.best.len() == self.k;
+            if full && self.best.last().is_some_and(|&(bd, _)| dist >= bd) {
+                continue;
+            }
+            let closer = self.best.iter().position(|&(bd, _)| dist < bd);
+            let at = closer.unwrap_or(self.best.len());
+            self.best.insert(at, (dist, t));
+            self.best.truncate(self.k);
+        }
+        // Majority vote, ties → lowest class id.
+        self.votes.fill(0);
+        for &(_, t) in &self.best {
+            self.votes[labels[t] as usize] += 1;
+        }
+        let mut win = 0usize;
+        for c in 1..self.votes.len() {
+            if self.votes[c] > self.votes[win] {
+                win = c;
+            }
+        }
+        win as u8
     }
 }
 
@@ -258,7 +247,7 @@ mod tests {
         };
         let (train, labels) = w.train_data();
         let q: Vec<f32> = train[0..4].to_vec();
-        assert_eq!(w.classify(&q, &train, &labels), labels[0]);
+        assert_eq!(w.classifier().classify(&q, &train, &labels), labels[0]);
     }
 
     #[test]

@@ -20,62 +20,73 @@ const S: [u32; 64] = [
 ];
 
 /// Sine-derived constants `K[i] = floor(2^32 · |sin(i+1)|)` (RFC 1321).
-fn k(i: usize) -> u32 {
-    ((i as f64 + 1.0).sin().abs() * 4294967296.0) as u32
+const K: [u32; 64] = [
+    0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, //
+    0xf57c0faf, 0x4787c62a, 0xa8304613, 0xfd469501, //
+    0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be, //
+    0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821, //
+    0xf61e2562, 0xc040b340, 0x265e5a51, 0xe9b6c7aa, //
+    0xd62f105d, 0x02441453, 0xd8a1e681, 0xe7d3fbc8, //
+    0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed, //
+    0xa9e3e905, 0xfcefa3f8, 0x676f02d9, 0x8d2a4c8a, //
+    0xfffa3942, 0x8771f681, 0x6d9d6122, 0xfde5380c, //
+    0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70, //
+    0x289b7ec6, 0xeaa127fa, 0xd4ef3085, 0x04881d05, //
+    0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665, //
+    0xf4292244, 0x432aff97, 0xab9423a7, 0xfc93a039, //
+    0x655b59c3, 0x8f0ccc92, 0xffeff47d, 0x85845dd1, //
+    0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1, //
+    0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391,
+];
+
+/// One 64-byte block into the running state: the four round groups, each
+/// with its own mixing function and its fixed walk over the 16 words.
+fn compress(state: &mut [u32; 4], block: &[u8]) {
+    let m: [u32; 16] =
+        std::array::from_fn(|w| u32::from_le_bytes(block[w * 4..w * 4 + 4].try_into().unwrap()));
+    let [mut a, mut b, mut c, mut d] = *state;
+    macro_rules! group {
+        ($first:expr, |$i:ident| $word:expr, $mix:expr) => {
+            for $i in $first..$first + 16 {
+                let sum = a
+                    .wrapping_add($mix)
+                    .wrapping_add(K[$i])
+                    .wrapping_add(m[$word % 16]);
+                (a, d, c, b) = (d, c, b, b.wrapping_add(sum.rotate_left(S[$i])));
+            }
+        };
+    }
+    group!(0, |i| i, (b & c) | (!b & d));
+    group!(16, |i| 5 * i + 1, (d & b) | (!d & c));
+    group!(32, |i| 3 * i + 5, b ^ c ^ d);
+    group!(48, |i| 7 * i, c ^ (b | !d));
+    for (s, v) in state.iter_mut().zip([a, b, c, d]) {
+        *s = s.wrapping_add(v);
+    }
 }
 
-/// MD5 of a byte slice (RFC 1321).
-#[allow(clippy::needless_range_loop)] // index i feeds S[i], K(i) and the schedule
+/// MD5 of a byte slice (RFC 1321), streamed block by block.
 pub fn md5(data: &[u8]) -> [u8; 16] {
-    let mut a0: u32 = 0x67452301;
-    let mut b0: u32 = 0xefcdab89;
-    let mut c0: u32 = 0x98badcfe;
-    let mut d0: u32 = 0x10325476;
-
-    // Padded message: data ‖ 0x80 ‖ zeros ‖ bit-length (LE, 64-bit).
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut msg = data.to_vec();
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
+    let mut state = [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476];
+    let mut blocks = data.chunks_exact(64);
+    for block in &mut blocks {
+        compress(&mut state, block);
     }
-    msg.extend_from_slice(&bit_len.to_le_bytes());
-
-    for chunk in msg.chunks_exact(64) {
-        let mut m = [0u32; 16];
-        for (i, w) in m.iter_mut().enumerate() {
-            *w = u32::from_le_bytes(chunk[i * 4..i * 4 + 4].try_into().unwrap());
-        }
-        let (mut a, mut b, mut c, mut d) = (a0, b0, c0, d0);
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(
-                a.wrapping_add(f)
-                    .wrapping_add(k(i))
-                    .wrapping_add(m[g])
-                    .rotate_left(S[i]),
-            );
-            a = tmp;
-        }
-        a0 = a0.wrapping_add(a);
-        b0 = b0.wrapping_add(b);
-        c0 = c0.wrapping_add(c);
-        d0 = d0.wrapping_add(d);
+    // Tail: remainder ‖ 0x80 ‖ zeros ‖ bit-length (LE, 64-bit), which is
+    // one block, or two when fewer than nine bytes are left in the first.
+    let rest = blocks.remainder();
+    let mut tail = [0u8; 128];
+    tail[..rest.len()].copy_from_slice(rest);
+    tail[rest.len()] = 0x80;
+    let end = if rest.len() < 56 { 64 } else { 128 };
+    tail[end - 8..end].copy_from_slice(&(data.len() as u64).wrapping_mul(8).to_le_bytes());
+    for block in tail[..end].chunks_exact(64) {
+        compress(&mut state, block);
     }
-
     let mut out = [0u8; 16];
-    out[0..4].copy_from_slice(&a0.to_le_bytes());
-    out[4..8].copy_from_slice(&b0.to_le_bytes());
-    out[8..12].copy_from_slice(&c0.to_le_bytes());
-    out[12..16].copy_from_slice(&d0.to_le_bytes());
+    for (o, v) in out.chunks_exact_mut(4).zip(state) {
+        o.copy_from_slice(&v.to_le_bytes());
+    }
     out
 }
 
@@ -122,8 +133,9 @@ impl Workload for Md5Bench {
         let mut b = ProgramBuilder::new();
         let data = b.alloc("buffers", self.buffers * self.buf_len);
         // One cache line per digest: 16 digest bytes padded to 64 so
-        // independent tasks never false-share a block (and the TDG's
-        // block-granularity region map sees them as disjoint).
+        // independent tasks never false-share a block (and the TDG, whose
+        // region runs begin and end on block boundaries, sees them as
+        // disjoint).
         let digests = b.alloc("digests", self.buffers * 64);
         for i in 0..self.buffers {
             b.mem()
@@ -207,17 +219,34 @@ mod tests {
     }
 
     #[test]
+    fn k_is_the_sine_table() {
+        for (i, &k) in K.iter().enumerate() {
+            let want = ((i as f64 + 1.0).sin().abs() * 4294967296.0) as u32;
+            assert_eq!(k, want, "K[{i}]");
+        }
+    }
+
+    /// Digests of `[0xAB; len]` around the 56-byte padding boundary (one
+    /// tail block or two), at block multiples and at bench buffer size;
+    /// the expected values are `hashlib.md5(b"\xab" * len).hexdigest()`.
+    #[test]
     fn padding_boundaries() {
-        // Lengths around the 56-byte padding boundary and block multiples.
-        for len in [55usize, 56, 57, 63, 64, 65, 127, 128] {
-            let data = vec![0xABu8; len];
-            let d = md5(&data);
-            // Self-consistency: hashing twice must agree, and differ from a
-            // one-byte change.
-            assert_eq!(d, md5(&data));
-            let mut data2 = data.clone();
-            data2[len / 2] ^= 1;
-            assert_ne!(d, md5(&data2));
+        let pinned = [
+            (0, "d41d8cd98f00b204e9800998ecf8427e"),
+            (55, "07be93c8d206e16b64469e97c3587951"),
+            (56, "9d555cfe0b8ae686838fbe4c5067f494"),
+            (57, "542eb2ad9912857953231cb06f02cb2c"),
+            (63, "3a5a0e910bbb3736b1156774a444a8b8"),
+            (64, "5bb6f6136cad3c71da7caae9a81b6492"),
+            (65, "f8a1e899d5636d0a18afe718664a5ff3"),
+            (119, "069211ad91a5370a5372815260b79262"),
+            (120, "fb0e099d4ca256d32b78f7fb20defc80"),
+            (127, "bd03a6edc96732bf48cd11fc7a6d2e15"),
+            (128, "745aba4a32bb14875786154650fd4606"),
+            (65536, "b6936734ef093dabc4e17f0c29fa4718"),
+        ];
+        for (len, want) in pinned {
+            assert_eq!(hex(md5(&vec![0xAB; len])), want, "len {len}");
         }
     }
 

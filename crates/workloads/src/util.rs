@@ -1,7 +1,7 @@
 //! Shared helpers for workload implementations.
 
 use raccd_mem::addr::VRange;
-use raccd_mem::VAddr;
+use raccd_mem::{SimMemory, VAddr};
 
 /// A row-major 2-D `f32` matrix view over a simulated allocation.
 #[derive(Clone, Copy, Debug)]
@@ -40,6 +40,18 @@ impl GridF32 {
     pub fn row(&self, r: u64) -> VRange {
         self.rows(r, r + 1)
     }
+}
+
+/// Write `vals` back to back from `at` in one store, each value through
+/// its `to_le_bytes` (`le`): how builders lay their input arrays down.
+pub fn write_slice<T: Copy, const N: usize>(
+    mem: &mut SimMemory,
+    at: VAddr,
+    vals: &[T],
+    le: fn(T) -> [u8; N],
+) {
+    let bytes: Vec<[u8; N]> = vals.iter().map(|&v| le(v)).collect();
+    mem.write_bytes(at, bytes.as_flattened());
 }
 
 /// Split `n` items into `chunks` nearly equal contiguous ranges
