@@ -5,9 +5,9 @@
 //! counts — across every workload and every evaluated system.
 
 use raccd_core::{CoherenceMode, Driver};
-use raccd_fault::FaultPlan;
+use raccd_fault::{FaultPlan, FaultPlane};
 use raccd_obs::{Recorder, RecorderConfig};
-use raccd_sim::MachineConfig;
+use raccd_sim::{MachineConfig, ProtocolKind, SchedKind, Topology};
 use raccd_snap::Snapshot;
 use raccd_workloads::{all_benchmarks, Scale};
 
@@ -168,4 +168,81 @@ fn restore_rejects_mismatched_shape() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xff;
     assert!(Snapshot::from_bytes(&bytes).is_err());
+}
+
+/// The five machines whose archives [`archive_bytes_are_pinned`] folds.
+/// Every one attaches the shadow checker (so `RACCD_SHADOW_CHECK=1`
+/// changes no archive); between them they cover ADR, the three protocols,
+/// the five ready-queue policies, both topologies, SMT, write-through,
+/// bank contention, permuted frames and recorded events.
+fn pinned_machines() -> [MachineConfig; 5] {
+    let base = cfg();
+    let mut quantum = base
+        .with_protocol(ProtocolKind::Mesif)
+        .with_sched(SchedKind::Quantum)
+        .with_write_through(true);
+    quantum.sched_quantum = 500;
+    quantum.record_events = true;
+    let mut numa = base
+        .with_topology(Topology::Numa2)
+        .with_sched(SchedKind::Locality)
+        .with_contention(true);
+    numa.permuted_pages = true;
+    [
+        base,
+        base.with_adr(true)
+            .with_dir_ratio(16)
+            .with_sched(SchedKind::Priority),
+        base.with_protocol(ProtocolKind::Moesi)
+            .with_sched(SchedKind::Steal)
+            .with_smt(2),
+        quantum,
+        numa,
+    ]
+}
+
+/// The wire layout of every record a driver archive holds, pinned: two
+/// mid-run archives (cycles 3 000 and 9 000) of every benchmark under every
+/// coherence mode on each of [`pinned_machines`], with and without a fault
+/// plan that has injected by the second of them, folded into one `u64`.
+/// The constant was read at the commit before the `Snap` impls became
+/// `snap_record!` / `snap_enum!` declarations; a change to any field's
+/// order, width or tag moves it.
+#[test]
+fn archive_bytes_are_pinned() {
+    let plan = FaultPlan {
+        seed: 7,
+        drop: 0.01,
+        dup: 0.005,
+        corrupt: 0.005,
+        delay: 0.02,
+        dir_loss: 0.002,
+        storm: 0.01,
+        task_fail: 0.02,
+        straggle: 0.05,
+        ..FaultPlan::default()
+    };
+    let mut fold = 0xcbf2_9ce4_8422_2325u64;
+    let mut archives = 0;
+    for w in &all_benchmarks(Scale::Test) {
+        for mode in CoherenceMode::EXTENDED {
+            for cfg in pinned_machines() {
+                for plan in [None, Some(plan)] {
+                    let mut d = Driver::new(cfg, mode, w.build(), plan, None);
+                    for k in [3_000, 9_000] {
+                        d.run_until(k, None);
+                        let s = d.snapshot();
+                        if plan.is_some() && k == 9_000 {
+                            let plane: FaultPlane = s.get("machine/faults").expect("plane saved");
+                            assert!(plane.stats.injected > 0, "{} {mode:?}", w.name());
+                        }
+                        fold = (fold ^ s.content_hash()).wrapping_mul(0x0000_0100_0000_01B3);
+                        archives += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(archives, 9 * 4 * 5 * 2 * 2);
+    assert_eq!(fold, 0xED9D_7103_BEEA_B588, "fold of {archives} archives");
 }
