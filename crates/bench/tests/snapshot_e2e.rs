@@ -7,8 +7,9 @@
 use raccd_core::{CoherenceMode, Driver};
 use raccd_fault::{FaultPlan, FaultPlane};
 use raccd_obs::{Recorder, RecorderConfig};
+use raccd_protocol::{DirEntry, DirectoryBank};
 use raccd_sim::{MachineConfig, ProtocolKind, SchedKind, Topology};
-use raccd_snap::Snapshot;
+use raccd_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use raccd_workloads::{all_benchmarks, Scale};
 
 fn cfg() -> MachineConfig {
@@ -168,6 +169,83 @@ fn restore_rejects_mismatched_shape() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xff;
     assert!(Snapshot::from_bytes(&bytes).is_err());
+}
+
+/// A CRC-valid archive can still name a core the machine does not have.
+/// Restoring one used to succeed and the run died later, indexing
+/// `Machine::cores` out of bounds on the first downgrade, invalidation or
+/// page flush aimed at that core; restore now refuses it.
+#[test]
+fn restore_rejects_entries_naming_absent_cores() {
+    let benches = all_benchmarks(Scale::Test);
+    let cg = &benches[0];
+    let base = MachineConfig::scaled();
+    let snapshot = |cfg, mode| {
+        let mut d = Driver::new(cfg, mode, cg.build(), None, None);
+        d.run_until(4_000, None);
+        d.snapshot()
+    };
+    // Restore what a reader of the crafted archive's own bytes would see.
+    let restore = |cfg, mode, snap: &Snapshot| {
+        let snap = Snapshot::from_bytes(&snap.to_bytes()).expect("crafted archive is well-formed");
+        Driver::restore(cfg, mode, cg.build(), &snap).err()
+    };
+
+    // Directory entries: the owner, the MESIF forwarder, one sharer bit.
+    let mesif = base.with_protocol(ProtocolKind::Mesif);
+    type Edit = fn(&mut DirEntry) -> bool;
+    let edits: [(MachineConfig, Edit); 3] = [
+        (base, |e| e.owner.replace(200).is_some()),
+        (mesif, |e| e.fwd.replace(200).is_some()),
+        (base, |e| {
+            e.sharers |= 1 << 63;
+            true
+        }),
+    ];
+    for (cfg, edit) in edits {
+        let mut snap = snapshot(cfg, CoherenceMode::FullCoh);
+        let mut dir: Vec<DirectoryBank> = snap.get("machine/dir").expect("directory section");
+        let mut edited = 0;
+        for bank in &mut dir {
+            let blocks: Vec<_> = bank.iter().map(|(block, _)| block).collect();
+            for block in blocks {
+                edited += edit(bank.lookup(block).expect("resident")) as usize;
+            }
+        }
+        assert!(edited > 0, "the archive held an entry to corrupt");
+        snap.put("machine/dir", &dir);
+        assert_eq!(
+            restore(cfg, CoherenceMode::FullCoh, &snap),
+            Some(SnapError::Invalid("directory entry core"))
+        );
+    }
+
+    // The PT classifier: every private page becomes private to core 200
+    // (`PageState` is crate-private, so patch its bytes: a map of page to
+    // tag 0 + core or tag 1, then the transition count).
+    let mut snap = snapshot(base, CoherenceMode::PageTable);
+    let (mut r, mut w) = (
+        SnapReader::new(snap.raw("driver/pt").expect("PT section")),
+        SnapWriter::new(),
+    );
+    let pages = r.u64().unwrap();
+    w.u64(pages);
+    for _ in 0..pages {
+        w.u64(r.u64().unwrap());
+        let tag = r.u8().unwrap();
+        w.u8(tag);
+        if tag == 0 {
+            r.u8().unwrap();
+            w.u8(200);
+        }
+    }
+    w.u64(r.u64().unwrap());
+    assert_eq!(r.remaining(), 0);
+    snap.put_raw("driver/pt", w.into_bytes());
+    assert_eq!(
+        restore(base, CoherenceMode::PageTable, &snap),
+        Some(SnapError::Invalid("page owner core"))
+    );
 }
 
 /// The five machines whose archives [`archive_bytes_are_pinned`] folds.

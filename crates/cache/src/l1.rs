@@ -180,59 +180,15 @@ impl L1Cache {
     }
 }
 
-impl raccd_snap::Snap for L1State {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        w.u8(match self {
-            L1State::Modified => 0,
-            L1State::Exclusive => 1,
-            L1State::Shared => 2,
-            L1State::Forward => 3,
-            L1State::Owned => 4,
-        });
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        match r.u8()? {
-            0 => Ok(L1State::Modified),
-            1 => Ok(L1State::Exclusive),
-            2 => Ok(L1State::Shared),
-            3 => Ok(L1State::Forward),
-            4 => Ok(L1State::Owned),
-            _ => Err(raccd_snap::SnapError::Invalid("L1 state tag")),
-        }
-    }
-}
-
-impl raccd_snap::Snap for L1Line {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        self.state.save(w);
-        self.nc.save(w);
-        w.u8(self.tid);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        Ok(L1Line {
-            state: Snap::load(r)?,
-            nc: Snap::load(r)?,
-            tid: r.u8()?,
-        })
-    }
-}
-
-impl raccd_snap::Snap for L1Cache {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        self.arr.save(w);
-        w.u64(self.hits);
-        w.u64(self.misses);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        Ok(L1Cache {
-            arr: Snap::load(r)?,
-            hits: r.u64()?,
-            misses: r.u64()?,
-        })
-    }
-}
+raccd_snap::snap_enum!(L1State, "L1 state tag" {
+    0 => Modified,
+    1 => Exclusive,
+    2 => Shared,
+    3 => Forward,
+    4 => Owned,
+});
+raccd_snap::snap_record!(L1Line { state, nc, tid });
+raccd_snap::snap_record!(L1Cache { arr, hits, misses });
 
 #[cfg(test)]
 mod tests {

@@ -98,35 +98,8 @@ impl LlcBank {
     }
 }
 
-impl raccd_snap::Snap for LlcLine {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        self.dirty.save(w);
-        self.nc.save(w);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        Ok(LlcLine {
-            dirty: Snap::load(r)?,
-            nc: Snap::load(r)?,
-        })
-    }
-}
-
-impl raccd_snap::Snap for LlcBank {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        self.arr.save(w);
-        w.u64(self.hits);
-        w.u64(self.misses);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        Ok(LlcBank {
-            arr: Snap::load(r)?,
-            hits: r.u64()?,
-            misses: r.u64()?,
-        })
-    }
-}
+raccd_snap::snap_record!(LlcLine { dirty, nc });
+raccd_snap::snap_record!(LlcBank { arr, hits, misses });
 
 #[cfg(test)]
 mod tests {

@@ -61,14 +61,7 @@ impl TreePlru {
     }
 }
 
-impl raccd_snap::Snap for TreePlru {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        w.u64(self.bits);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        Ok(TreePlru { bits: r.u64()? })
-    }
-}
+raccd_snap::snap_record!(TreePlru { bits });
 
 #[cfg(test)]
 mod tests {

@@ -206,6 +206,8 @@ impl<T> SetAssoc<T> {
     }
 }
 
+// Hand-written: generic over its payload (`snap_record!` declares concrete
+// types).
 impl<T: raccd_snap::Snap> raccd_snap::Snap for Line<T> {
     fn save(&self, w: &mut raccd_snap::SnapWriter) {
         w.u64(self.key);
@@ -219,6 +221,7 @@ impl<T: raccd_snap::Snap> raccd_snap::Snap for Line<T> {
     }
 }
 
+// Hand-written: `set_mask` is derived from `sets`, not saved.
 impl<T: raccd_snap::Snap> raccd_snap::Snap for SetAssoc<T> {
     fn save(&self, w: &mut raccd_snap::SnapWriter) {
         self.sets.save(w);

@@ -3,9 +3,9 @@
 //!
 //! This is the *one* host-parallel fan-out implementation in the repo —
 //! the campaign service schedules leased jobs through it, and
-//! `raccd-bench`'s `run_jobs` / `warmstart` batch helpers ride the same
-//! pool instead of hand-rolling `std::thread::scope` loops. Properties the
-//! callers rely on:
+//! `raccd-bench`'s `figures` cell store and `warmstart` seed sweep ride
+//! the same pool instead of hand-rolling `std::thread::scope` loops.
+//! Properties the callers rely on:
 //!
 //! - **Bounded queue with deterministic saturation**: [`WorkerPool::try_submit`]
 //!   rejects (returning the task) exactly when the queue holds `cap`

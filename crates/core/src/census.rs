@@ -59,17 +59,7 @@ impl Census {
     }
 }
 
-impl raccd_snap::Snap for Census {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        self.blocks.save(w);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        Ok(Census {
-            blocks: Snap::load(r)?,
-        })
-    }
-}
+raccd_snap::snap_record!(Census { blocks });
 
 #[cfg(test)]
 mod tests {

@@ -270,27 +270,11 @@ pub fn run_resilient(
     driver.finish(rec)
 }
 
-impl raccd_snap::Snap for Running {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        self.tid.save(w);
-        self.trace.save(w);
-        self.pos.save(w);
-        self.fail_at.save(w);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        let run = Running {
-            tid: Snap::load(r)?,
-            trace: Snap::load(r)?,
-            pos: Snap::load(r)?,
-            fail_at: Snap::load(r)?,
-        };
-        if run.pos > run.trace.len() {
-            return Err(raccd_snap::SnapError::Invalid("trace position"));
-        }
-        Ok(run)
-    }
-}
+raccd_snap::snap_record!(
+    Running { tid, trace, pos, fail_at }
+    where |run| run.pos <= run.trace.len(),
+    "trace position"
+);
 
 /// The main simulation loop reified as a resumable struct.
 ///
@@ -1230,6 +1214,10 @@ impl Driver {
         if quantum_start.len() != nctx {
             return Err(SnapError::Invalid("quantum clock geometry"));
         }
+        let pt: PageClassifier = s.get("driver/pt")?;
+        if pt.names_core_at_or_above(cfg.ncores) {
+            return Err(SnapError::Invalid("page owner core"));
+        }
         let ready = load_sched(s, &cfg, &sched_params)?;
         Ok(Driver {
             cfg,
@@ -1243,7 +1231,7 @@ impl Driver {
             degrade: s.get("driver/degrade")?,
             detection: None,
             ncrts,
-            pt: s.get("driver/pt")?,
+            pt,
             tlbc: s.get("driver/tlbc")?,
             census: s.get("driver/census")?,
             ready,

@@ -65,6 +65,8 @@ impl core::fmt::Display for CoherenceMode {
     }
 }
 
+// Hand-written: a format trick, the tag is the declared discriminant (one
+// list of numbers, in the enum).
 impl raccd_snap::Snap for CoherenceMode {
     fn save(&self, w: &mut raccd_snap::SnapWriter) {
         w.u8(*self as u8);

@@ -13,22 +13,6 @@
 //! this region happen as in the baseline coherent architecture."
 
 use raccd_mem::addr::VRange;
-impl raccd_snap::Snap for Ncrt {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        self.entries.save(w);
-        self.capacity.save(w);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        let entries: Vec<(u64, u64)> = Snap::load(r)?;
-        let capacity: usize = Snap::load(r)?;
-        if capacity == 0 || entries.len() > capacity {
-            return Err(raccd_snap::SnapError::Invalid("NCRT capacity"));
-        }
-        Ok(Ncrt { entries, capacity })
-    }
-}
-
 #[cfg(test)]
 use raccd_mem::PageNum;
 use raccd_mem::{PAddr, VAddr, PAGE_SHIFT, PAGE_SIZE};
@@ -52,6 +36,12 @@ pub struct Ncrt {
     entries: Vec<(u64, u64)>,
     capacity: usize,
 }
+
+raccd_snap::snap_record!(
+    Ncrt { entries, capacity }
+    where |t| t.capacity > 0 && t.entries.len() <= t.capacity,
+    "NCRT capacity"
+);
 
 /// Outcome of registering one task dependence.
 #[derive(Clone, Copy, Debug, Default)]

@@ -71,6 +71,13 @@ impl PageClassifier {
         matches!(self.pages.get(&page.0), Some(PageState::Private(o)) if *o as usize == core)
     }
 
+    /// Whether some page is private to a core at or above `ncores`: a
+    /// restored classifier would hand that core to `Machine::flush_page`.
+    pub(crate) fn names_core_at_or_above(&self, ncores: usize) -> bool {
+        let absent = |s: &PageState| matches!(s, PageState::Private(o) if *o as usize >= ncores);
+        self.pages.values().any(absent)
+    }
+
     /// Private→shared transitions so far.
     pub fn transitions(&self) -> u64 {
         self.transitions
@@ -85,6 +92,7 @@ impl PageClassifier {
     }
 }
 
+// Hand-written: a tuple variant (`snap_enum!` lists fields by name).
 impl raccd_snap::Snap for PageState {
     fn save(&self, w: &mut raccd_snap::SnapWriter) {
         match *self {
@@ -104,19 +112,7 @@ impl raccd_snap::Snap for PageState {
     }
 }
 
-impl raccd_snap::Snap for PageClassifier {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        self.pages.save(w);
-        w.u64(self.transitions);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        Ok(PageClassifier {
-            pages: Snap::load(r)?,
-            transitions: r.u64()?,
-        })
-    }
-}
+raccd_snap::snap_record!(PageClassifier { pages, transitions });
 
 #[cfg(test)]
 mod tests {

@@ -122,33 +122,19 @@ impl DegradeController {
     }
 }
 
-impl raccd_snap::Snap for DegradeController {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        w.u64(self.window);
-        w.u64(self.overflow_limit);
-        w.u64(self.retry_limit);
-        w.u64(self.window_start);
-        w.u64(self.overflows_base);
-        w.u64(self.retries_base);
-        self.degraded.save(w);
+raccd_snap::snap_record!(
+    DegradeController {
+        window,
+        overflow_limit,
+        retry_limit,
+        window_start,
+        overflows_base,
+        retries_base,
+        degraded,
     }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        let c = DegradeController {
-            window: r.u64()?,
-            overflow_limit: r.u64()?,
-            retry_limit: r.u64()?,
-            window_start: r.u64()?,
-            overflows_base: r.u64()?,
-            retries_base: r.u64()?,
-            degraded: Snap::load(r)?,
-        };
-        if c.window == 0 {
-            return Err(raccd_snap::SnapError::Invalid("degrade window"));
-        }
-        Ok(c)
-    }
-}
+    where |c| c.window > 0,
+    "degrade window"
+);
 
 #[cfg(test)]
 mod tests {

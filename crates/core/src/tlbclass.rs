@@ -155,25 +155,13 @@ impl TlbClassifier {
     }
 }
 
-impl raccd_snap::Snap for TlbClassifier {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        self.class.save(w);
-        self.decay.save(w);
-        w.u64(self.decay_threshold);
-        w.u64(self.resolutions);
-        w.u64(self.decay_invalidations);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        Ok(TlbClassifier {
-            class: Snap::load(r)?,
-            decay: Snap::load(r)?,
-            decay_threshold: r.u64()?,
-            resolutions: r.u64()?,
-            decay_invalidations: r.u64()?,
-        })
-    }
-}
+raccd_snap::snap_record!(TlbClassifier {
+    class,
+    decay,
+    decay_threshold,
+    resolutions,
+    decay_invalidations,
+});
 
 #[cfg(test)]
 mod tests {

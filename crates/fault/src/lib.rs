@@ -614,105 +614,41 @@ impl FaultPlane {
     }
 }
 
-impl raccd_snap::Snap for Watchdog {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        w.u64(self.threshold);
-        w.u64(self.last_progress);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        Ok(Watchdog {
-            threshold: r.u64()?,
-            last_progress: r.u64()?,
-        })
-    }
-}
+raccd_snap::snap_record!(Watchdog {
+    threshold,
+    last_progress,
+});
+raccd_snap::snap_enum!(FaultSite, "fault site" {
+    0 => NocDrop,
+    1 => NocDup,
+    2 => NocCorrupt,
+    3 => NocDelay,
+    4 => DirLoss,
+    5 => NcrtStorm,
+    6 => TaskFail,
+    7 => TaskStraggle,
+});
+raccd_snap::snap_record!(FaultStats {
+    injected,
+    drops,
+    dups,
+    corrupts,
+    delays,
+    dir_losses,
+    storms,
+    task_fails,
+    straggles,
+    retries,
+    nacks,
+    recovered,
+    budget_exhausted,
+});
 
-impl raccd_snap::Snap for FaultSite {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        w.u8(match self {
-            FaultSite::NocDrop => 0,
-            FaultSite::NocDup => 1,
-            FaultSite::NocCorrupt => 2,
-            FaultSite::NocDelay => 3,
-            FaultSite::DirLoss => 4,
-            FaultSite::NcrtStorm => 5,
-            FaultSite::TaskFail => 6,
-            FaultSite::TaskStraggle => 7,
-        });
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        Ok(match r.u8()? {
-            0 => FaultSite::NocDrop,
-            1 => FaultSite::NocDup,
-            2 => FaultSite::NocCorrupt,
-            3 => FaultSite::NocDelay,
-            4 => FaultSite::DirLoss,
-            5 => FaultSite::NcrtStorm,
-            6 => FaultSite::TaskFail,
-            7 => FaultSite::TaskStraggle,
-            _ => return Err(raccd_snap::SnapError::Invalid("fault site")),
-        })
-    }
-}
-
-impl raccd_snap::Snap for FaultStats {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        let FaultStats {
-            injected,
-            drops,
-            dups,
-            corrupts,
-            delays,
-            dir_losses,
-            storms,
-            task_fails,
-            straggles,
-            retries,
-            nacks,
-            recovered,
-            budget_exhausted,
-        } = *self;
-        for v in [
-            injected,
-            drops,
-            dups,
-            corrupts,
-            delays,
-            dir_losses,
-            storms,
-            task_fails,
-            straggles,
-            retries,
-            nacks,
-            recovered,
-            budget_exhausted,
-        ] {
-            w.u64(v);
-        }
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        Ok(FaultStats {
-            injected: r.u64()?,
-            drops: r.u64()?,
-            dups: r.u64()?,
-            corrupts: r.u64()?,
-            delays: r.u64()?,
-            dir_losses: r.u64()?,
-            storms: r.u64()?,
-            task_fails: r.u64()?,
-            straggles: r.u64()?,
-            retries: r.u64()?,
-            nacks: r.u64()?,
-            recovered: r.u64()?,
-            budget_exhausted: r.u64()?,
-        })
-    }
-}
-
+// Hand-written: a format trick, the plan round-trips through its canonical
+// spec string, the same grammar `RACCD_FAULT_SPEC` uses (one parser, one
+// format).
 impl raccd_snap::Snap for FaultPlane {
     fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        // The plan round-trips through its canonical spec string, the same
-        // grammar `RACCD_FAULT_SPEC` uses — one parser, one format.
         self.plan.to_spec().save(w);
         self.stats.save(w);
         self.rng.save(w);

@@ -179,6 +179,7 @@ impl VRange {
     }
 }
 
+// Hand-written: tuple structs (`snap_record!` lists fields by name).
 macro_rules! snap_newtype {
     ($ty:ident) => {
         impl raccd_snap::Snap for $ty {
@@ -197,18 +198,7 @@ snap_newtype!(PAddr);
 snap_newtype!(BlockAddr);
 snap_newtype!(PageNum);
 
-impl raccd_snap::Snap for VRange {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        w.u64(self.start.0);
-        w.u64(self.len);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        Ok(VRange {
-            start: VAddr(r.u64()?),
-            len: r.u64()?,
-        })
-    }
-}
+raccd_snap::snap_record!(VRange { start, len });
 
 #[cfg(test)]
 mod tests {

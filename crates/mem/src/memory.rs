@@ -119,19 +119,7 @@ typed_access!(read_i32, write_i32, i32);
 typed_access!(read_f32, write_f32, f32);
 typed_access!(read_f64, write_f64, f64);
 
-impl raccd_snap::Snap for SimMemory {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        self.data.save(w);
-        self.allocs.save(w);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        Ok(SimMemory {
-            data: Snap::load(r)?,
-            allocs: Snap::load(r)?,
-        })
-    }
-}
+raccd_snap::snap_record!(SimMemory { data, allocs });
 
 #[cfg(test)]
 mod tests {

@@ -107,22 +107,9 @@ impl PageTable {
     }
 }
 
-impl raccd_snap::Snap for FrameAllocPolicy {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        w.u8(match self {
-            FrameAllocPolicy::Contiguous => 0,
-            FrameAllocPolicy::Permuted => 1,
-        });
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        match r.u8()? {
-            0 => Ok(FrameAllocPolicy::Contiguous),
-            1 => Ok(FrameAllocPolicy::Permuted),
-            _ => Err(raccd_snap::SnapError::Invalid("frame alloc policy tag")),
-        }
-    }
-}
+raccd_snap::snap_enum!(FrameAllocPolicy, "frame alloc policy tag" { 0 => Contiguous, 1 => Permuted });
 
+// Hand-written: `used` is derived from the map's values, not saved.
 impl raccd_snap::Snap for PageTable {
     fn save(&self, w: &mut raccd_snap::SnapWriter) {
         self.map.save(w);

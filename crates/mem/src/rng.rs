@@ -67,14 +67,7 @@ impl SplitMix64 {
     }
 }
 
-impl raccd_snap::Snap for SplitMix64 {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        w.u64(self.state);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        Ok(SplitMix64 { state: r.u64()? })
-    }
-}
+raccd_snap::snap_record!(SplitMix64 { state });
 
 #[cfg(test)]
 mod tests {

@@ -169,6 +169,8 @@ impl Tlb {
 /// Wire format: capacity, the entries as a map `vpage → (ppage, stamp)` in
 /// ascending vpage order, then stamp, hits, misses. The slot order and the
 /// MRU hint are host-side layout and are not saved.
+// Hand-written: a format trick (slots saved as a sorted map) and derived
+// fields (`index`, the MRU hint).
 impl raccd_snap::Snap for Tlb {
     fn save(&self, w: &mut raccd_snap::SnapWriter) {
         self.capacity.save(w);

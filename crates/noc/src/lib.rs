@@ -78,21 +78,7 @@ impl fmt::Display for Topology {
     }
 }
 
-impl raccd_snap::Snap for Topology {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        w.u8(match self {
-            Topology::Mesh => 0,
-            Topology::Numa2 => 1,
-        });
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        match r.u8()? {
-            0 => Ok(Topology::Mesh),
-            1 => Ok(Topology::Numa2),
-            _ => Err(raccd_snap::SnapError::Invalid("topology tag")),
-        }
-    }
-}
+raccd_snap::snap_enum!(Topology, "topology tag" { 0 => Mesh, 1 => Numa2 });
 
 /// Categories of NoC messages, counted separately for diagnostics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -444,31 +430,17 @@ impl Mesh {
     }
 }
 
-impl raccd_snap::Snap for FaultTraffic {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        for v in [
-            self.dropped,
-            self.corrupted,
-            self.duplicated,
-            self.nacks,
-            self.retries,
-            self.delayed,
-        ] {
-            w.u64(v);
-        }
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        Ok(FaultTraffic {
-            dropped: r.u64()?,
-            corrupted: r.u64()?,
-            duplicated: r.u64()?,
-            nacks: r.u64()?,
-            retries: r.u64()?,
-            delayed: r.u64()?,
-        })
-    }
-}
+raccd_snap::snap_record!(FaultTraffic {
+    dropped,
+    corrupted,
+    duplicated,
+    nacks,
+    retries,
+    delayed,
+});
 
+// Hand-written: the route table and per-class flit counts are derived
+// from the geometry, not saved.
 impl raccd_snap::Snap for Mesh {
     fn save(&self, w: &mut raccd_snap::SnapWriter) {
         self.k.save(w);

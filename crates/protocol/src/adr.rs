@@ -141,47 +141,21 @@ impl Adr {
     }
 }
 
-impl raccd_snap::Snap for AdrConfig {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        self.theta_inc.save(w);
-        self.theta_dec.save(w);
-        self.min_entries.save(w);
-        self.max_entries.save(w);
-        w.u64(self.move_cycles_per_entry);
-        w.u64(self.reconfig_fixed_cycles);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        Ok(AdrConfig {
-            theta_inc: Snap::load(r)?,
-            theta_dec: Snap::load(r)?,
-            min_entries: Snap::load(r)?,
-            max_entries: Snap::load(r)?,
-            move_cycles_per_entry: r.u64()?,
-            reconfig_fixed_cycles: r.u64()?,
-        })
-    }
-}
-
-impl raccd_snap::Snap for Adr {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        self.config.save(w);
-        w.u64(self.reconfigs);
-        w.u64(self.blocked_cycles_total);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        let config: AdrConfig = Snap::load(r)?;
-        if config.theta_dec >= config.theta_inc || config.min_entries > config.max_entries {
-            return Err(raccd_snap::SnapError::Invalid("ADR thresholds"));
-        }
-        Ok(Adr {
-            config,
-            reconfigs: r.u64()?,
-            blocked_cycles_total: r.u64()?,
-        })
-    }
-}
+raccd_snap::snap_record!(AdrConfig {
+    theta_inc,
+    theta_dec,
+    min_entries,
+    max_entries,
+    move_cycles_per_entry,
+    reconfig_fixed_cycles,
+});
+// The invariant `Adr::new` asserts.
+raccd_snap::snap_record!(
+    Adr { config, reconfigs, blocked_cycles_total }
+    where |a| a.config.theta_dec < a.config.theta_inc
+        && a.config.min_entries <= a.config.max_entries,
+    "ADR thresholds"
+);
 
 #[cfg(test)]
 mod tests {

@@ -226,35 +226,18 @@ impl DirectoryBank {
     }
 }
 
-impl raccd_snap::Snap for DirectoryBank {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        self.arr.save(w);
-        self.ways.save(w);
-        w.u32(self.bank_bits);
-        w.u64(self.accesses);
-        w.u64(self.allocations);
-        w.u64(self.evictions);
-        self.access_hist.save(w);
-        self.occ_integral.save(w);
-        self.cap_integral.save(w);
-        w.u64(self.last_event);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        Ok(DirectoryBank {
-            arr: Snap::load(r)?,
-            ways: Snap::load(r)?,
-            bank_bits: r.u32()?,
-            accesses: r.u64()?,
-            allocations: r.u64()?,
-            evictions: r.u64()?,
-            access_hist: Snap::load(r)?,
-            occ_integral: Snap::load(r)?,
-            cap_integral: Snap::load(r)?,
-            last_event: r.u64()?,
-        })
-    }
-}
+raccd_snap::snap_record!(DirectoryBank {
+    arr,
+    ways,
+    bank_bits,
+    accesses,
+    allocations,
+    evictions,
+    access_hist,
+    occ_integral,
+    cap_integral,
+    last_event,
+});
 
 #[cfg(test)]
 mod tests {

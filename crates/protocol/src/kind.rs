@@ -122,23 +122,7 @@ impl fmt::Display for ProtocolKind {
     }
 }
 
-impl raccd_snap::Snap for ProtocolKind {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        w.u8(match self {
-            ProtocolKind::Mesi => 0,
-            ProtocolKind::Mesif => 1,
-            ProtocolKind::Moesi => 2,
-        });
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        match r.u8()? {
-            0 => Ok(ProtocolKind::Mesi),
-            1 => Ok(ProtocolKind::Mesif),
-            2 => Ok(ProtocolKind::Moesi),
-            _ => Err(raccd_snap::SnapError::Invalid("protocol kind tag")),
-        }
-    }
-}
+raccd_snap::snap_enum!(ProtocolKind, "protocol kind tag" { 0 => Mesi, 1 => Mesif, 2 => Moesi });
 
 /// What an L1 replacement in a given state owes the directory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -224,21 +224,11 @@ pub struct ApplyEffect {
     pub invalidate: u64,
 }
 
-impl raccd_snap::Snap for EntryState {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        w.u64(self.sharers);
-        self.owner.save(w);
-        self.fwd.save(w);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        Ok(EntryState {
-            sharers: r.u64()?,
-            owner: Snap::load(r)?,
-            fwd: Snap::load(r)?,
-        })
-    }
-}
+raccd_snap::snap_record!(EntryState {
+    sharers,
+    owner,
+    fwd
+});
 
 #[cfg(test)]
 mod tests {

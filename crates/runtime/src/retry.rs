@@ -60,19 +60,7 @@ impl RetryBook {
     }
 }
 
-impl raccd_snap::Snap for RetryBook {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        w.u32(self.budget);
-        self.attempts.save(w);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        Ok(RetryBook {
-            budget: r.u32()?,
-            attempts: Snap::load(r)?,
-        })
-    }
-}
+raccd_snap::snap_record!(RetryBook { budget, attempts });
 
 #[cfg(test)]
 mod tests {

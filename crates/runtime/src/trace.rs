@@ -79,6 +79,7 @@ impl MemRef {
     }
 }
 
+// Hand-written: a tuple struct with bulk `save_slice` / `load_vec` overrides.
 impl Snap for MemRef {
     fn save(&self, w: &mut SnapWriter) {
         w.u64(self.0);

@@ -69,27 +69,13 @@ impl fmt::Display for SchedKind {
     }
 }
 
-impl raccd_snap::Snap for SchedKind {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        w.u8(match self {
-            SchedKind::Fifo => 0,
-            SchedKind::Steal => 1,
-            SchedKind::Priority => 2,
-            SchedKind::Locality => 3,
-            SchedKind::Quantum => 4,
-        });
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        match r.u8()? {
-            0 => Ok(SchedKind::Fifo),
-            1 => Ok(SchedKind::Steal),
-            2 => Ok(SchedKind::Priority),
-            3 => Ok(SchedKind::Locality),
-            4 => Ok(SchedKind::Quantum),
-            _ => Err(raccd_snap::SnapError::Invalid("sched kind tag")),
-        }
-    }
-}
+raccd_snap::snap_enum!(SchedKind, "sched kind tag" {
+    0 => Fifo,
+    1 => Steal,
+    2 => Priority,
+    3 => Locality,
+    4 => Quantum,
+});
 
 #[cfg(test)]
 mod tests {

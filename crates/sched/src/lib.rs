@@ -88,24 +88,13 @@ pub struct PreemptRecord {
     pub remaining: usize,
 }
 
-impl raccd_snap::Snap for PreemptRecord {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        w.u64(self.cycle);
-        self.task.save(w);
-        self.ctx.save(w);
-        self.pos.save(w);
-        self.remaining.save(w);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        Ok(PreemptRecord {
-            cycle: r.u64()?,
-            task: Snap::load(r)?,
-            ctx: Snap::load(r)?,
-            pos: Snap::load(r)?,
-            remaining: Snap::load(r)?,
-        })
-    }
-}
+raccd_snap::snap_record!(PreemptRecord {
+    cycle,
+    task,
+    ctx,
+    pos,
+    remaining,
+});
 
 /// Machine-shape inputs a policy needs but does not serialise: they are
 /// all derivable from the `MachineConfig` and task graph, so the driver
@@ -278,6 +267,8 @@ pub fn build(kind: SchedKind, params: &SchedParams) -> ReadyQueue {
 /// (then `quantum`'s audit log); per-context: deques, `steals`,
 /// `local_pops` (the other two counters follow from them and the queued
 /// remainder).
+// Hand-written: a format trick (one layout per kind, two of four counters
+// derived) and shape fields rebuilt from `SchedParams`, not saved.
 pub fn save(sched: &ReadyQueue, w: &mut raccd_snap::SnapWriter) {
     sched.kind.save(w);
     let c = sched.counters;

@@ -1397,70 +1397,25 @@ const KNOWN_CODES: &[&str] = &[
     "wt-dirty",
 ];
 
-impl raccd_snap::Snap for ShadowLine {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        self.state.save(w);
-        self.nc.save(w);
-        w.u64(self.ver);
-        self.stale_ok.save(w);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        Ok(ShadowLine {
-            state: Snap::load(r)?,
-            nc: Snap::load(r)?,
-            ver: r.u64()?,
-            stale_ok: Snap::load(r)?,
-        })
-    }
-}
+raccd_snap::snap_record!(ShadowLine {
+    state,
+    nc,
+    ver,
+    stale_ok,
+});
+raccd_snap::snap_record!(ShadowLlc { nc, ver });
+raccd_snap::snap_record!(CheckStats {
+    events,
+    reads_checked,
+    writes_checked,
+    stale_excused,
+    nc_write_races,
+    discipline_checked,
+    audits,
+});
 
-impl raccd_snap::Snap for ShadowLlc {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        self.nc.save(w);
-        w.u64(self.ver);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        Ok(ShadowLlc {
-            nc: Snap::load(r)?,
-            ver: r.u64()?,
-        })
-    }
-}
-
-impl raccd_snap::Snap for CheckStats {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        let CheckStats {
-            events,
-            reads_checked,
-            writes_checked,
-            stale_excused,
-            nc_write_races,
-            discipline_checked,
-            audits,
-        } = *self;
-        w.u64(events);
-        w.u64(reads_checked);
-        w.u64(writes_checked);
-        w.u64(stale_excused);
-        w.u64(nc_write_races);
-        w.u64(discipline_checked);
-        w.u64(audits);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        Ok(CheckStats {
-            events: r.u64()?,
-            reads_checked: r.u64()?,
-            writes_checked: r.u64()?,
-            stale_excused: r.u64()?,
-            nc_write_races: r.u64()?,
-            discipline_checked: r.u64()?,
-            audits: r.u64()?,
-        })
-    }
-}
-
+// Hand-written: a format trick, `code` is a `&'static str` saved as a
+// string and mapped back onto the known codes.
 impl raccd_snap::Snap for Violation {
     fn save(&self, w: &mut raccd_snap::SnapWriter) {
         self.code.to_string().save(w);
@@ -1479,10 +1434,10 @@ impl raccd_snap::Snap for Violation {
     }
 }
 
+// Hand-written: `recent` is a diagnostic-only window; it is not saved and
+// restores empty.
 impl raccd_snap::Snap for ShadowChecker {
     fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        // `recent` is a diagnostic-only window; it is not saved and
-        // restores empty.
         self.ncores.save(w);
         self.write_through.save(w);
         self.fail_fast.save(w);

@@ -1642,179 +1642,23 @@ impl Machine {
     }
 }
 
-impl raccd_snap::Snap for CoreSlice {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        self.tlb.save(w);
-        self.l1.save(w);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        Ok(CoreSlice {
-            tlb: Snap::load(r)?,
-            l1: Snap::load(r)?,
-        })
-    }
-}
-
-impl raccd_snap::Snap for CoherenceEvent {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        match *self {
-            CoherenceEvent::CoherentFill {
-                core,
-                block,
-                write,
-                from_owner,
-            } => {
-                w.u8(0);
-                core.save(w);
-                block.save(w);
-                write.save(w);
-                from_owner.save(w);
-            }
-            CoherenceEvent::NcFill { core, block, write } => {
-                w.u8(1);
-                core.save(w);
-                block.save(w);
-                write.save(w);
-            }
-            CoherenceEvent::Upgrade { core, block } => {
-                w.u8(2);
-                core.save(w);
-                block.save(w);
-            }
-            CoherenceEvent::DirEviction { block } => {
-                w.u8(3);
-                block.save(w);
-            }
-            CoherenceEvent::NcToCoherent { block } => {
-                w.u8(4);
-                block.save(w);
-            }
-            CoherenceEvent::CoherentToNc { block } => {
-                w.u8(5);
-                block.save(w);
-            }
-            CoherenceEvent::FlushNc { core, lines } => {
-                w.u8(6);
-                core.save(w);
-                w.u32(lines);
-            }
-            CoherenceEvent::AdrResize {
-                bank,
-                grow,
-                new_entries,
-                blocked_cycles,
-            } => {
-                w.u8(7);
-                bank.save(w);
-                grow.save(w);
-                new_entries.save(w);
-                w.u64(blocked_cycles);
-            }
-            CoherenceEvent::FaultInjected { site, from, to } => {
-                w.u8(8);
-                site.save(w);
-                from.save(w);
-                to.save(w);
-            }
-            CoherenceEvent::Nack { from, to } => {
-                w.u8(9);
-                from.save(w);
-                to.save(w);
-            }
-            CoherenceEvent::RetryRecovered { attempts, delay } => {
-                w.u8(10);
-                w.u32(attempts);
-                w.u64(delay);
-            }
-            CoherenceEvent::RetryExhausted { from, to, attempts } => {
-                w.u8(11);
-                from.save(w);
-                to.save(w);
-                w.u32(attempts);
-            }
-            CoherenceEvent::DirEntryLost { block } => {
-                w.u8(12);
-                block.save(w);
-            }
-        }
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        Ok(match r.u8()? {
-            0 => CoherenceEvent::CoherentFill {
-                core: Snap::load(r)?,
-                block: Snap::load(r)?,
-                write: Snap::load(r)?,
-                from_owner: Snap::load(r)?,
-            },
-            1 => CoherenceEvent::NcFill {
-                core: Snap::load(r)?,
-                block: Snap::load(r)?,
-                write: Snap::load(r)?,
-            },
-            2 => CoherenceEvent::Upgrade {
-                core: Snap::load(r)?,
-                block: Snap::load(r)?,
-            },
-            3 => CoherenceEvent::DirEviction {
-                block: Snap::load(r)?,
-            },
-            4 => CoherenceEvent::NcToCoherent {
-                block: Snap::load(r)?,
-            },
-            5 => CoherenceEvent::CoherentToNc {
-                block: Snap::load(r)?,
-            },
-            6 => CoherenceEvent::FlushNc {
-                core: Snap::load(r)?,
-                lines: r.u32()?,
-            },
-            7 => CoherenceEvent::AdrResize {
-                bank: Snap::load(r)?,
-                grow: Snap::load(r)?,
-                new_entries: Snap::load(r)?,
-                blocked_cycles: r.u64()?,
-            },
-            8 => CoherenceEvent::FaultInjected {
-                site: Snap::load(r)?,
-                from: Snap::load(r)?,
-                to: Snap::load(r)?,
-            },
-            9 => CoherenceEvent::Nack {
-                from: Snap::load(r)?,
-                to: Snap::load(r)?,
-            },
-            10 => CoherenceEvent::RetryRecovered {
-                attempts: r.u32()?,
-                delay: r.u64()?,
-            },
-            11 => CoherenceEvent::RetryExhausted {
-                from: Snap::load(r)?,
-                to: Snap::load(r)?,
-                attempts: r.u32()?,
-            },
-            12 => CoherenceEvent::DirEntryLost {
-                block: Snap::load(r)?,
-            },
-            _ => return Err(raccd_snap::SnapError::Invalid("coherence event tag")),
-        })
-    }
-}
-
-impl raccd_snap::Snap for TimedEvent {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        w.u64(self.cycle);
-        self.ev.save(w);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        Ok(TimedEvent {
-            cycle: r.u64()?,
-            ev: Snap::load(r)?,
-        })
-    }
-}
+raccd_snap::snap_record!(CoreSlice { tlb, l1 });
+raccd_snap::snap_enum!(CoherenceEvent, "coherence event tag" {
+    0 => CoherentFill { core, block, write, from_owner },
+    1 => NcFill { core, block, write },
+    2 => Upgrade { core, block },
+    3 => DirEviction { block },
+    4 => NcToCoherent { block },
+    5 => CoherentToNc { block },
+    6 => FlushNc { core, lines },
+    7 => AdrResize { bank, grow, new_entries, blocked_cycles },
+    8 => FaultInjected { site, from, to },
+    9 => Nack { from, to },
+    10 => RetryRecovered { attempts, delay },
+    11 => RetryExhausted { from, to, attempts },
+    12 => DirEntryLost { block },
+});
+raccd_snap::snap_record!(TimedEvent { cycle, ev });
 
 /// Whole-machine snapshot/restore (the `raccd-snap` integration).
 ///
@@ -1868,9 +1712,11 @@ impl Machine {
     /// Restore a snapshot taken from a machine with an identical
     /// configuration. The checker and fault plane are restored to exactly
     /// the captured attachment state (detached if the snapshot carried
-    /// none). When the snapshot recorded a shadow `state_key`, the restored
-    /// state is re-fingerprinted and compared as an end-to-end integrity
-    /// check beyond the per-section CRCs.
+    /// none); a section count that does not fit the machine, or a
+    /// directory entry naming a core it lacks, is refused before any state
+    /// is adopted. When the snapshot recorded a shadow `state_key`, the
+    /// restored state is re-fingerprinted and compared as an end-to-end
+    /// integrity check beyond the per-section CRCs.
     pub fn restore(&mut self, s: &raccd_snap::Snapshot) -> Result<(), raccd_snap::SnapError> {
         if s.raw("machine/cfg")? != self.cfg_fingerprint().as_bytes() {
             return Err(raccd_snap::SnapError::Invalid("machine config mismatch"));
@@ -1891,6 +1737,15 @@ impl Machine {
             || noc.tiles() != n
         {
             return Err(raccd_snap::SnapError::Invalid("machine geometry"));
+        }
+        // A directory entry's cores index `self.cores` when it is next
+        // downgraded or invalidated; the codec cannot know `ncores`.
+        let absent = u64::MAX.checked_shl(n as u32).unwrap_or(0);
+        let names_absent_core = |(_, e): (BlockAddr, &DirEntry)| {
+            e.sharers & absent != 0 || [e.owner, e.fwd].iter().flatten().any(|&c| c as usize >= n)
+        };
+        if dir.iter().any(|b| b.iter().any(names_absent_core)) {
+            return Err(raccd_snap::SnapError::Invalid("directory entry core"));
         }
         self.page_table = s.get("machine/page_table")?;
         self.cores = cores;

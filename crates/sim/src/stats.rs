@@ -369,184 +369,63 @@ impl Stats {
     }
 }
 
-impl raccd_snap::Snap for Stats {
-    fn save(&self, w: &mut raccd_snap::SnapWriter) {
-        // Exhaustive destructure: adding a Stats field without a snap arm
-        // is a compile error, mirroring `merge` above.
-        let Stats {
-            cycles,
-            l1_hits,
-            l1_misses,
-            l1_writebacks,
-            write_throughs,
-            tlb_hits,
-            tlb_misses,
-            dir_accesses,
-            dir_allocations,
-            dir_evictions,
-            dir_avg_occupancy,
-            dir_access_hist: ref hist,
-            dir_capacity_integral,
-            adr_reconfigs,
-            adr_blocked_cycles,
-            llc_hits,
-            llc_misses,
-            llc_inclusion_invalidations,
-            invalidations_sent,
-            owner_forwards,
-            nc_fills,
-            coherent_fills,
-            bank_wait_cycles,
-            noc_traffic,
-            noc_flits,
-            mem_reads,
-            mem_writes,
-            register_cycles,
-            invalidate_cycles,
-            nc_lines_flushed,
-            ncrt_overflows,
-            pt_shared_transitions,
-            pt_flush_lines,
-            tasks_executed,
-            refs_processed,
-            busy_cycles,
-            contexts,
-            task_migrations,
-            ncrt_migrations,
-            preemptions,
-            sched_pushed,
-            sched_popped,
-            sched_local_pops,
-            sched_steals,
-            faults_injected,
-            msg_retries,
-            msg_nacks,
-            retry_budget_exhausted,
-            dir_entries_lost,
-            fault_delay_cycles,
-            protocol_recoveries,
-            task_retries,
-            task_straggles,
-            watchdog_fires,
-            mode_downgrades,
-        } = *self;
-        w.u64(cycles);
-        w.u64(l1_hits);
-        w.u64(l1_misses);
-        w.u64(l1_writebacks);
-        w.u64(write_throughs);
-        w.u64(tlb_hits);
-        w.u64(tlb_misses);
-        w.u64(dir_accesses);
-        w.u64(dir_allocations);
-        w.u64(dir_evictions);
-        dir_avg_occupancy.save(w);
-        hist.save(w);
-        dir_capacity_integral.save(w);
-        w.u64(adr_reconfigs);
-        w.u64(adr_blocked_cycles);
-        w.u64(llc_hits);
-        w.u64(llc_misses);
-        w.u64(llc_inclusion_invalidations);
-        w.u64(invalidations_sent);
-        w.u64(owner_forwards);
-        w.u64(nc_fills);
-        w.u64(coherent_fills);
-        w.u64(bank_wait_cycles);
-        w.u64(noc_traffic);
-        w.u64(noc_flits);
-        w.u64(mem_reads);
-        w.u64(mem_writes);
-        w.u64(register_cycles);
-        w.u64(invalidate_cycles);
-        w.u64(nc_lines_flushed);
-        w.u64(ncrt_overflows);
-        w.u64(pt_shared_transitions);
-        w.u64(pt_flush_lines);
-        w.u64(tasks_executed);
-        w.u64(refs_processed);
-        w.u64(busy_cycles);
-        contexts.save(w);
-        w.u64(task_migrations);
-        w.u64(ncrt_migrations);
-        w.u64(preemptions);
-        w.u64(sched_pushed);
-        w.u64(sched_popped);
-        w.u64(sched_local_pops);
-        w.u64(sched_steals);
-        w.u64(faults_injected);
-        w.u64(msg_retries);
-        w.u64(msg_nacks);
-        w.u64(retry_budget_exhausted);
-        w.u64(dir_entries_lost);
-        w.u64(fault_delay_cycles);
-        w.u64(protocol_recoveries);
-        w.u64(task_retries);
-        w.u64(task_straggles);
-        w.u64(watchdog_fires);
-        w.u64(mode_downgrades);
-    }
-    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
-        use raccd_snap::Snap;
-        Ok(Stats {
-            cycles: r.u64()?,
-            l1_hits: r.u64()?,
-            l1_misses: r.u64()?,
-            l1_writebacks: r.u64()?,
-            write_throughs: r.u64()?,
-            tlb_hits: r.u64()?,
-            tlb_misses: r.u64()?,
-            dir_accesses: r.u64()?,
-            dir_allocations: r.u64()?,
-            dir_evictions: r.u64()?,
-            dir_avg_occupancy: Snap::load(r)?,
-            dir_access_hist: Snap::load(r)?,
-            dir_capacity_integral: Snap::load(r)?,
-            adr_reconfigs: r.u64()?,
-            adr_blocked_cycles: r.u64()?,
-            llc_hits: r.u64()?,
-            llc_misses: r.u64()?,
-            llc_inclusion_invalidations: r.u64()?,
-            invalidations_sent: r.u64()?,
-            owner_forwards: r.u64()?,
-            nc_fills: r.u64()?,
-            coherent_fills: r.u64()?,
-            bank_wait_cycles: r.u64()?,
-            noc_traffic: r.u64()?,
-            noc_flits: r.u64()?,
-            mem_reads: r.u64()?,
-            mem_writes: r.u64()?,
-            register_cycles: r.u64()?,
-            invalidate_cycles: r.u64()?,
-            nc_lines_flushed: r.u64()?,
-            ncrt_overflows: r.u64()?,
-            pt_shared_transitions: r.u64()?,
-            pt_flush_lines: r.u64()?,
-            tasks_executed: r.u64()?,
-            refs_processed: r.u64()?,
-            busy_cycles: r.u64()?,
-            contexts: Snap::load(r)?,
-            task_migrations: r.u64()?,
-            ncrt_migrations: r.u64()?,
-            preemptions: r.u64()?,
-            sched_pushed: r.u64()?,
-            sched_popped: r.u64()?,
-            sched_local_pops: r.u64()?,
-            sched_steals: r.u64()?,
-            faults_injected: r.u64()?,
-            msg_retries: r.u64()?,
-            msg_nacks: r.u64()?,
-            retry_budget_exhausted: r.u64()?,
-            dir_entries_lost: r.u64()?,
-            fault_delay_cycles: r.u64()?,
-            protocol_recoveries: r.u64()?,
-            task_retries: r.u64()?,
-            task_straggles: r.u64()?,
-            watchdog_fires: r.u64()?,
-            mode_downgrades: r.u64()?,
-        })
-    }
-}
+raccd_snap::snap_record!(Stats {
+    cycles,
+    l1_hits,
+    l1_misses,
+    l1_writebacks,
+    write_throughs,
+    tlb_hits,
+    tlb_misses,
+    dir_accesses,
+    dir_allocations,
+    dir_evictions,
+    dir_avg_occupancy,
+    dir_access_hist,
+    dir_capacity_integral,
+    adr_reconfigs,
+    adr_blocked_cycles,
+    llc_hits,
+    llc_misses,
+    llc_inclusion_invalidations,
+    invalidations_sent,
+    owner_forwards,
+    nc_fills,
+    coherent_fills,
+    bank_wait_cycles,
+    noc_traffic,
+    noc_flits,
+    mem_reads,
+    mem_writes,
+    register_cycles,
+    invalidate_cycles,
+    nc_lines_flushed,
+    ncrt_overflows,
+    pt_shared_transitions,
+    pt_flush_lines,
+    tasks_executed,
+    refs_processed,
+    busy_cycles,
+    contexts,
+    task_migrations,
+    ncrt_migrations,
+    preemptions,
+    sched_pushed,
+    sched_popped,
+    sched_local_pops,
+    sched_steals,
+    faults_injected,
+    msg_retries,
+    msg_nacks,
+    retry_budget_exhausted,
+    dir_entries_lost,
+    fault_delay_cycles,
+    protocol_recoveries,
+    task_retries,
+    task_straggles,
+    watchdog_fires,
+    mode_downgrades,
+});
 
 #[cfg(test)]
 mod tests {

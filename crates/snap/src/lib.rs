@@ -28,10 +28,13 @@
 //!   computed by slicing-by-8 (eight bytes a step through eight
 //!   `const`-built tables, byte-at-a-time tail); the byte-at-a-time forms
 //!   live on as the models in `tests/checksums.rs`.
-//!
-//! Component crates (`raccd-mem`, `raccd-cache`, …) implement [`Snap`] for
-//! their private-field types in-crate; `raccd-sim` assembles whole-machine
-//! snapshots from those sections (DESIGN.md §10).
+//! * [`snap_record!`] / [`snap_enum!`]: how a type joins a snapshot, in the
+//!   crate that owns its fields. A record lists its fields once, in wire
+//!   order, and an enum its tag bytes; the macro derives `save` and `load`
+//!   from that one list. A type with a derived or unsaved field, or a
+//!   format trick, writes its `impl Snap` by hand and says which in a
+//!   line. `raccd-sim` assembles whole-machine snapshots from those
+//!   sections (DESIGN.md §10).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
@@ -528,6 +531,105 @@ impl<K: Snap + Ord> Snap for BTreeSet<K> {
     fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
         Ok(Vec::<K>::load(r)?.into_iter().collect())
     }
+}
+
+// ---------------------------------------------------------------------------
+// Declared records and enums
+// ---------------------------------------------------------------------------
+
+/// Implement [`Snap`] for a struct from one list of its fields: the wire
+/// layout is the listed fields in the listed order, each through its own
+/// `Snap`. The list must name every field (it is an exhaustive
+/// destructure, so a field added to the struct and not to the list is a
+/// compile error); a type with a field that is derived or not saved writes
+/// its impl by hand. The optional `where |v| cond, "label"` clause is the
+/// invariant a decoded value must hold: `load` returns
+/// [`SnapError::Invalid`]`("label")` when `cond` is false of it.
+///
+/// ```
+/// use raccd_snap::{decode, encode, snap_record, SnapError};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Window {
+///     start: u64,
+///     len: u32,
+/// }
+/// snap_record!(Window { start, len } where |w| w.len > 0, "window length");
+///
+/// let bytes = encode(&Window { start: 7, len: 2 });
+/// assert_eq!(bytes, [7, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0]);
+/// assert_eq!(decode::<Window>(&bytes), Ok(Window { start: 7, len: 2 }));
+/// assert_eq!(
+///     decode::<Window>(&[0; 12]),
+///     Err(SnapError::Invalid("window length"))
+/// );
+/// ```
+#[macro_export]
+macro_rules! snap_record {
+    ($ty:ty { $($field:ident),* $(,)? } $(where |$v:ident| $cond:expr, $label:literal)?) => {
+        impl $crate::Snap for $ty {
+            fn save(&self, w: &mut $crate::SnapWriter) {
+                let Self { $($field),* } = self;
+                $($crate::Snap::save($field, w);)*
+            }
+            fn load(r: &mut $crate::SnapReader) -> Result<Self, $crate::SnapError> {
+                let v = Self { $($field: $crate::Snap::load(r)?),* };
+                $(
+                    let $v = &v;
+                    if !($cond) {
+                        return Err($crate::SnapError::Invalid($label));
+                    }
+                )?
+                Ok(v)
+            }
+        }
+    };
+}
+
+/// Implement [`Snap`] for an enum: one explicit tag byte, then the
+/// variant's listed fields in order. The tags are the format: a variant
+/// keeps its number for as long as `FORMAT_VERSION` stands, whatever
+/// order the enum declares its variants in. A byte that is no variant's
+/// tag decodes to [`SnapError::Invalid`]`("label")`.
+///
+/// ```
+/// use raccd_snap::{decode, encode, snap_enum, SnapError};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Fill {
+///     Miss,
+///     Hit { way: u8, dirty: bool },
+/// }
+/// snap_enum!(Fill, "fill tag" { 0 => Miss, 1 => Hit { way, dirty } });
+///
+/// assert_eq!(encode(&Fill::Miss), [0]);
+/// let hit = Fill::Hit { way: 3, dirty: true };
+/// assert_eq!(encode(&hit), [1, 3, 1]);
+/// assert_eq!(decode::<Fill>(&[1, 3, 1]), Ok(hit));
+/// assert_eq!(decode::<Fill>(&[2]), Err(SnapError::Invalid("fill tag")));
+/// ```
+#[macro_export]
+macro_rules! snap_enum {
+    ($ty:ty, $label:literal {
+        $($tag:literal => $variant:ident $({ $($field:ident),* $(,)? })?),* $(,)?
+    }) => {
+        impl $crate::Snap for $ty {
+            fn save(&self, w: &mut $crate::SnapWriter) {
+                match self {
+                    $(Self::$variant { $($($field),*)? } => {
+                        w.u8($tag);
+                        $($($crate::Snap::save($field, w);)*)?
+                    })*
+                }
+            }
+            fn load(r: &mut $crate::SnapReader) -> Result<Self, $crate::SnapError> {
+                Ok(match r.u8()? {
+                    $($tag => Self::$variant { $($($field: $crate::Snap::load(r)?),*)? },)*
+                    _ => return Err($crate::SnapError::Invalid($label)),
+                })
+            }
+        }
+    };
 }
 
 // ---------------------------------------------------------------------------
