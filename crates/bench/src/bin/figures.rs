@@ -5,7 +5,7 @@
 //!     [study...] [section...] [--scale test|bench|paper] [--out DIR] \
 //!     [--protocol mesi|mesif|moesi] [--topology mesh|numa2] \
 //!     [--sched fifo|steal|priority|locality|quantum] \
-//!     [--engine serial|parallel [--threads N]] [--telemetry DIR] [--chart]
+//!     [--telemetry DIR] [--chart]
 //! ```
 //!
 //! Studies: `table1 table2 table3 fig2 fig6 fig7 fig8 fig9_10 overheads
@@ -14,10 +14,9 @@
 //! sched|contention|jitterless`. The selected studies' cells are pooled,
 //! each distinct (benchmark, system, machine) is simulated once, and
 //! every study renders from the shared results. Studies print to stdout
-//! in table order, or with `--out DIR` each into `DIR/<study>.txt`. The
-//! engine only changes how simulations are advanced; the output is
-//! bit-identical either way. `fig2` and `fig8` draw bar charts on
-//! `--chart`; `--telemetry DIR` dumps one artifact set per simulation.
+//! in table order, or with `--out DIR` each into `DIR/<study>.txt`.
+//! `fig2` and `fig8` draw bar charts on `--chart`; `--telemetry DIR`
+//! dumps one artifact set per simulation.
 
 use raccd_bench::cli::{die, Cli, SIM_FLAGS};
 use raccd_bench::figures::{select, simulate, Cell, Selected};
@@ -32,7 +31,7 @@ fn main() {
     let cells: Vec<Cell> = plan.iter().flat_map(Selected::cells).collect();
 
     let t0 = std::time::Instant::now();
-    let results = simulate(&cells, cli.scale, cli.engine, cli.telemetry.as_deref());
+    let results = simulate(&cells, cli.scale, cli.telemetry.as_deref());
     eprintln!(
         "figures: {} simulations for {} requested cells in {:.1}s",
         results.executed(),

@@ -7,8 +7,7 @@
 //!     [--modes FullCoh,PT,TLB,RaCCD] [--adr] [--smt N] [--wt] \
 //!     [--protocol mesi|mesif|moesi] [--topology mesh|numa2] \
 //!     [--sched fifo|steal|priority|locality|quantum] \
-//!     [--contention] [--permuted] [--telemetry out/] \
-//!     [--engine serial|parallel [--threads N]]
+//!     [--contention] [--permuted] [--telemetry out/]
 //! ```
 //!
 //! With `--telemetry <dir>` every job additionally runs with a recorder and
@@ -74,7 +73,7 @@ fn main() {
     );
     print!("{}", machine_header(&base_cfg));
     let t0 = std::time::Instant::now();
-    let results = simulate(&cells, scale, cli.engine, cli.telemetry.as_deref());
+    let results = simulate(&cells, scale, cli.telemetry.as_deref());
     eprintln!("done in {:.1}s", t0.elapsed().as_secs_f64());
     if let Some(dir) = &cli.telemetry {
         eprintln!("telemetry artifacts under {}", dir.display());

@@ -5,9 +5,8 @@
 //! cargo run --release -p raccd-bench --bin trace -- \
 //!     [--scale test|bench] [--bench Jacobi] [--mode RaCCD] [--head 20] \
 //!     [--protocol mesi|mesif|moesi] [--topology mesh|numa2] \
-//!     [--interval 4096] [--telemetry out/] [--profile] \
-//!     [--snapshot file.rsnp [--snapshot-at CYCLE]] [--restore file.rsnp] \
-//!     [--engine serial|parallel [--threads N]]
+//!     [--interval 4096] [--telemetry out/] \
+//!     [--snapshot file.rsnp [--snapshot-at CYCLE]] [--restore file.rsnp]
 //! ```
 //!
 //! With `--telemetry <dir>` the run writes `trace.json` (Chrome Trace
@@ -15,9 +14,9 @@
 //! `series.csv` and `histograms.txt` into the directory, then re-parses
 //! the JSON artifacts to prove they are well-formed.
 //!
-//! With `--profile` the self-profiler rides along (bit-identical
-//! simulated outcome — it reads only host clocks) and the run ends with
-//! the span table plus a `# perf:` throughput summary.
+//! The summary ends with a `# perf:` host-throughput line (the wall time
+//! of the simulation itself; where that time went is the repo benchmark's
+//! `run --workload W --trace 1`).
 //!
 //! With `--snapshot <file>` the run pauses at `--snapshot-at` cycles
 //! (default 10000) and writes a whole-machine checkpoint before finishing
@@ -45,7 +44,7 @@ fn main() {
         "--restore",
     ];
     let flags = [&SIM_FLAGS[..], &own].concat();
-    let cli = Cli::from_env(&flags, &["--profile"]);
+    let cli = Cli::from_env(&flags, &[]);
     let scale = cli.scale;
     let names = bench_names(scale);
     let bench_idx = cli.benches(&names).map_or(3, |b| b[0]); // default: Jacobi
@@ -60,8 +59,6 @@ fn main() {
     let snapshot_path = cli.value("--snapshot");
     let snapshot_at: u64 = cli.number_or("--snapshot-at", 10_000);
     let restore_path = cli.value("--restore");
-    let profile = cli.has("--profile");
-    let engine = cli.engine;
 
     let workloads = raccd_workloads::all_benchmarks(scale);
     let program = workloads[bench_idx].build();
@@ -80,23 +77,16 @@ fn main() {
         let bytes = std::fs::read(path).unwrap_or_else(|e| die(&format!("--restore {path}: {e}")));
         let snap = Snapshot::from_bytes(&bytes)
             .unwrap_or_else(|e| die(&format!("--restore {path}: not a usable snapshot: {e}")));
-        let mut driver = Driver::restore(cfg, mode, program, &snap)
+        let driver = Driver::restore(cfg, mode, program, &snap)
             .unwrap_or_else(|e| die(&format!("--restore {path}: does not fit this run: {e}")));
-        if profile {
-            driver.attach_prof();
-        }
         eprintln!(
             "restored {path}: {} tasks done, resuming at cycle {}",
             driver.completed_tasks(),
             driver.next_time().unwrap_or(0)
         );
-        driver.set_engine(engine);
         driver.finish(Some(&mut rec))
     } else {
         let mut driver = Driver::new(cfg, mode, program, None, Some(&mut rec));
-        if profile {
-            driver.attach_prof();
-        }
         if let Some(path) = &snapshot_path {
             driver.run_until(snapshot_at, Some(&mut rec));
             let snap = driver.snapshot();
@@ -109,7 +99,6 @@ fn main() {
                 snap.content_hash()
             );
         }
-        driver.set_engine(engine);
         driver.finish(Some(&mut rec))
     };
     let wall = t0.elapsed().as_secs_f64();
@@ -140,17 +129,12 @@ fn main() {
         rec.hist_wake_to_dispatch.quantile_ceil(0.5),
         rec.hist_bank_wait.quantile_ceil(0.5),
     );
-    if let Some(prof) = &out.prof {
-        let metrics = raccd_obs::RunMetrics::from_stats(
-            &format!("{}/{mode}", names[bench_idx]),
-            &out.stats,
-            wall,
-        );
-        println!();
-        println!("# self-profile span table");
-        print!("{}", prof.render_table());
-        println!("{}", metrics.summary_line());
-    }
+    let metrics = raccd_obs::RunMetrics::from_stats(
+        &format!("{}/{mode}", names[bench_idx]),
+        &out.stats,
+        wall,
+    );
+    println!("{}", metrics.summary_line());
     println!();
     println!("# first {head} events (JSONL)");
     for ev in rec.events().iter().take(head) {

@@ -6,8 +6,7 @@
 //! ```text
 //! cargo run --release -p raccd-bench --bin warmstart -- \
 //!     [--scale test|bench] [--bench Jacobi,...] [--mode RaCCD] \
-//!     [--warmup 20000] [--seeds 8] [--spec "drop=2e-4,..."] [--cold] \
-//!     [--engine serial|parallel [--threads N]]
+//!     [--warmup 20000] [--seeds 8] [--spec "drop=2e-4,..."] [--cold]
 //! ```
 //!
 //! Each seed's run is *identical* to a cold run that simulates the warm-up
@@ -19,8 +18,9 @@
 use raccd_bench::cli::{die, Cli, SIM_FLAGS};
 use raccd_bench::{bench_names, tsv_row};
 use raccd_campaign::{PoolTask, WorkerPool};
-use raccd_core::{CoherenceMode, Driver, DriverOutput, Engine};
+use raccd_core::{CoherenceMode, Driver, DriverOutput};
 use raccd_fault::FaultPlan;
+use raccd_obs::metrics::fmt_si;
 use raccd_runtime::Program;
 use raccd_workloads::all_benchmarks;
 
@@ -51,9 +51,8 @@ fn cell(out: &DriverOutput) -> Cell {
 /// warm-up boundary, then run to the end. Both the warm path (restored
 /// driver) and the cold path (freshly simulated warm-up) go through this,
 /// which is what makes them comparable run-for-run.
-fn finish_seeded(mut driver: Driver, seed: u64, engine: Engine) -> DriverOutput {
+fn finish_seeded(mut driver: Driver, seed: u64) -> DriverOutput {
     driver.reseed_faults(seed);
-    driver.set_engine(engine);
     driver.finish(None)
 }
 
@@ -82,14 +81,14 @@ fn main() {
         },
     };
     let cfg = cli.cfg;
-    let engine = cli.engine;
 
     println!("benchmark\tseed\tcycles\ttasks\tinjected\tmsg_retries\tdetected");
     let mut warm_secs = 0.0f64;
     let mut cold_secs = 0.0f64;
-    // Snapshot-codec throughput across the sweep (`snap/encode` from each
-    // shared checkpoint, `snap/decode` from one probe restore per bench).
-    let mut codec = raccd_prof::ProfReport::empty();
+    // Snapshot-codec throughput across the sweep: seconds spent in each
+    // shared checkpoint's `snapshot()` and in one probe restore per bench,
+    // over the payload bytes they moved.
+    let (mut encode_secs, mut decode_secs, mut payload_bytes) = (0.0f64, 0.0f64, 0u64);
     // One pool for the whole sweep, as wide as the host.
     let width = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -103,21 +102,16 @@ fn main() {
         let t0 = std::time::Instant::now();
         let mut warm = Driver::new(cfg, mode, make_program(), Some(plan), None);
         warm.run_until(warmup, None);
-        // Attached only now, so the span table holds just the encode (and
-        // the simulated outcome is bit-identical either way).
-        warm.attach_prof();
+        let t_encode = std::time::Instant::now();
         let snap = warm.snapshot();
-        if let Some(p) = warm.prof() {
-            codec.merge(&p.report());
-        }
-        {
-            let mut probe = Driver::restore(cfg, mode, make_program(), &snap)
-                .expect("restoring shared warm-up checkpoint");
-            probe.attach_prof();
-            if let Some(p) = probe.prof() {
-                codec.merge(&p.report());
-            }
-        }
+        encode_secs += t_encode.elapsed().as_secs_f64();
+        payload_bytes += snap.payload_bytes();
+        // The probe's program is built outside the stopwatch.
+        let program = make_program();
+        let t_decode = std::time::Instant::now();
+        let probe = Driver::restore(cfg, mode, program, &snap);
+        decode_secs += t_decode.elapsed().as_secs_f64();
+        drop(probe.expect("restoring shared warm-up checkpoint"));
         // Fan the seed sweep out over the campaign worker pool: its width
         // bounds in-flight simulations to the host (each seed owns a full
         // Machine — oversubscribing interleaves their working sets through
@@ -138,7 +132,7 @@ fn main() {
                             Driver::restore(cfg, mode, all_benchmarks(scale)[b].build(), &snap)
                                 .expect("restoring shared warm-up checkpoint");
                         *slots[i as usize].lock().unwrap() =
-                            Some(cell(&finish_seeded(driver, seed, engine)));
+                            Some(cell(&finish_seeded(driver, seed)));
                     }),
                 }
             })
@@ -173,9 +167,7 @@ fn main() {
             for (i, warm_cell) in results.iter().enumerate() {
                 let mut driver = Driver::new(cfg, mode, make_program(), Some(plan), None);
                 driver.run_until(warmup, None);
-                // The cold baseline always finishes serially, so `--cold
-                // --engine parallel` doubles as a differential check.
-                let c = cell(&finish_seeded(driver, i as u64 + 1, Engine::Serial));
+                let c = cell(&finish_seeded(driver, i as u64 + 1));
                 assert_eq!(c.cycles, warm_cell.cycles, "{} seed {}", names[b], i + 1);
                 assert_eq!(
                     c.injected,
@@ -197,19 +189,12 @@ fn main() {
         }
     }
     eprintln!("warm-start sweep: {warm_secs:.2}s");
-    let (enc, dec) = (
-        codec.get(raccd_prof::Site::SnapEncode),
-        codec.get(raccd_prof::Site::SnapDecode),
+    eprintln!(
+        "snapshot codec:   encode {}B/s decode {}B/s ({} checkpoints, {payload_bytes} payload bytes)",
+        fmt_si(payload_bytes as f64 / encode_secs),
+        fmt_si(payload_bytes as f64 / decode_secs),
+        bench_sel.len(),
     );
-    if let (Some(e), Some(d)) = (enc.units_per_sec(), dec.units_per_sec()) {
-        eprintln!(
-            "snapshot codec:   encode {}B/s decode {}B/s ({} checkpoints, {} payload bytes)",
-            raccd_prof::fmt_si(e),
-            raccd_prof::fmt_si(d),
-            enc.count,
-            enc.units
-        );
-    }
     if cold {
         eprintln!(
             "cold baseline:    {cold_secs:.2}s (warm start {:.1}x faster, results identical)",

@@ -1,23 +1,16 @@
 //! One argv parser for the five bench binaries. A binary lists the flags
 //! it accepts; anything else on the command line is an error, never a
-//! silent default, and the machine, scale and engine every run derives
-//! from are parsed here exactly once.
+//! silent default, and the machine and scale every run derives from are
+//! parsed here exactly once.
 
-use raccd_core::{CoherenceMode, Engine};
+use raccd_core::CoherenceMode;
 use raccd_sim::{MachineConfig, ProtocolKind, SchedKind, Topology};
 use raccd_workloads::Scale;
 use std::path::PathBuf;
 
 /// The value flags of every binary that simulates: scale and base
-/// machine, then how (never what) a run is advanced.
-pub const SIM_FLAGS: [&str; 6] = [
-    "--scale",
-    "--protocol",
-    "--topology",
-    "--sched",
-    "--engine",
-    "--threads",
-];
+/// machine.
+pub const SIM_FLAGS: [&str; 4] = ["--scale", "--protocol", "--topology", "--sched"];
 
 /// Machine preset matching a scale: `paper` scale → Table I machine,
 /// otherwise the proportionally scaled machine.
@@ -37,9 +30,6 @@ pub struct Cli {
     /// overrides applied (defaults: MESI, mesh, fifo). A `numa2` topology
     /// doubles `ncores` (two sockets of the scale's mesh).
     pub cfg: MachineConfig,
-    /// `--engine serial|parallel` and `--threads N` (default: serial;
-    /// `--threads` alone implies the parallel engine).
-    pub engine: Engine,
     /// `--telemetry <dir>`.
     pub telemetry: Option<PathBuf>,
     /// Arguments that are neither a flag nor a flag's value, in order.
@@ -92,7 +82,6 @@ impl Cli {
         let mut cli = Cli {
             scale: Scale::Bench,
             cfg: MachineConfig::scaled(),
-            engine: Engine::Serial,
             telemetry: None,
             positional,
             values,
@@ -120,14 +109,6 @@ impl Cli {
             let s = choice("--sched", "policy", &SchedKind::ALL, v, SchedKind::parse)?;
             cli.cfg = cli.cfg.with_sched(s);
         }
-        let threads = cli.number("--threads")?;
-        cli.engine = match cli.value("--engine") {
-            Some(v) => Engine::parse(v, threads.unwrap_or(4))
-                .ok_or_else(|| format!("--engine: unknown engine `{v}` (serial|parallel)"))?,
-            None => threads.map_or(Engine::Serial, |t| Engine::EpochParallel {
-                threads: t.max(1),
-            }),
-        };
         cli.telemetry = cli.value("--telemetry").map(PathBuf::from);
         Ok(cli)
     }
@@ -213,13 +194,12 @@ pub fn die(msg: &str) -> ! {
 mod tests {
     use super::*;
 
-    const FLAGS: [&str; 7] = [
+    const FLAGS: [&str; 6] = [
         "--scale",
         "--protocol",
         "--topology",
         "--sched",
-        "--engine",
-        "--threads",
+        "--seeds",
         "--out",
     ];
 
@@ -230,55 +210,65 @@ mod tests {
 
     #[test]
     fn scale_parsing() {
-        let par2 = Engine::EpochParallel { threads: 2 };
-        let accepted: [(&[&str], (Scale, Engine)); 6] = [
-            (&["--scale", "test"], (Scale::Test, Engine::Serial)),
-            (&["--scale", "bench"], (Scale::Bench, Engine::Serial)),
-            (&["--scale", "paper"], (Scale::Paper, Engine::Serial)),
-            (&[], (Scale::Bench, Engine::Serial)),
-            // `--threads` without `--engine` implies the parallel engine.
-            (&["--scale", "test", "--threads", "2"], (Scale::Test, par2)),
+        let accepted: [(&[&str], Scale); 5] = [
+            (&["--scale", "test"], Scale::Test),
+            (&["--scale", "bench"], Scale::Bench),
+            (&["--scale", "paper"], Scale::Paper),
+            (&[], Scale::Bench),
             // Positionals and switches mix freely with flags.
             (
                 &["fig7", "--scale", "test", "accesses", "--chart"],
-                (Scale::Test, Engine::Serial),
+                Scale::Test,
             ),
         ];
         for (argv, want) in accepted {
             let cli = parse(argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
-            assert_eq!((cli.scale, cli.engine), want, "{argv:?}");
+            assert_eq!(cli.scale, want, "{argv:?}");
         }
-        let rejected: [(&[&str], &str); 8] = [
+        const VALID: &str = "--chart --out --protocol --scale --sched --seeds --topology";
+        let unknown = |flag: &str| format!("unknown flag `{flag}` (valid: {VALID})");
+        let rejected: [(&[&str], String); 10] = [
             (
                 &["--scale", "tset"],
-                "--scale: unknown scale `tset` (test|bench|paper)",
+                "--scale: unknown scale `tset` (test|bench|paper)".into(),
             ),
-            (&["--threads", "2", "--scale"], "--scale: missing value"),
+            (
+                &["--seeds", "2", "--scale"],
+                "--scale: missing value".into(),
+            ),
             // A flag is never taken as another flag's value.
-            (&["--out", "--scale", "test"], "--out: missing value"),
+            (&["--out", "--scale", "test"], "--out: missing value".into()),
             (
                 &["fig8", "--scale", "test", "--protcol", "moesi"],
-                "unknown flag `--protcol` (valid: --chart --engine --out --protocol --scale \
-                 --sched --threads --topology)",
+                unknown("--protcol"),
             ),
+            // The second engine and the self-profiler are gone, and so are
+            // their flags.
+            (&["--engine", "parallel"], unknown("--engine")),
+            (&["--scale", "test", "--threads", "2"], unknown("--threads")),
+            (&["--profile"], unknown("--profile")),
             (
                 &["--protocol", "mosi"],
-                "--protocol: unknown protocol `mosi` (mesi|mesif|moesi)",
+                "--protocol: unknown protocol `mosi` (mesi|mesif|moesi)".into(),
             ),
             (
                 &["--topology", "ring"],
-                "--topology: unknown topology `ring` (mesh|numa2)",
+                "--topology: unknown topology `ring` (mesh|numa2)".into(),
             ),
             (
                 &["--sched", "lifo"],
-                "--sched: unknown policy `lifo` (fifo|steal|priority|locality|quantum)",
+                "--sched: unknown policy `lifo` (fifo|steal|priority|locality|quantum)".into(),
             ),
-            (&["--threads", "two"], "--threads: bad number `two`"),
         ];
         for (argv, want) in rejected {
             let got = parse(argv).map(|cli| cli.positional);
-            assert_eq!(got, Err(want.to_string()), "{argv:?}");
+            assert_eq!(got, Err(want), "{argv:?}");
         }
+        let cli = parse(&["--seeds", "two"]).unwrap();
+        assert_eq!(
+            cli.number::<u64>("--seeds"),
+            Err("--seeds: bad number `two`".to_string())
+        );
     }
 
     #[test]
@@ -290,28 +280,6 @@ mod tests {
         assert_eq!(cli.value("--scale"), None);
         assert!(!cli.has("--chart"));
         assert!(parse(&["--chart"]).unwrap().has("--chart"));
-    }
-
-    #[test]
-    fn engine_parsing() {
-        let engine = |argv: &[&str]| parse(argv).unwrap().engine;
-        assert_eq!(engine(&[]), Engine::Serial);
-        assert_eq!(
-            engine(&["--engine", "parallel", "--threads", "8"]),
-            Engine::EpochParallel { threads: 8 }
-        );
-        assert_eq!(
-            engine(&["--threads", "2"]),
-            Engine::EpochParallel { threads: 2 }
-        );
-        assert_eq!(
-            engine(&["--engine", "serial", "--threads", "2"]),
-            Engine::Serial
-        );
-        assert_eq!(
-            parse(&["--engine", "warp"]).map(|c| c.engine),
-            Err("--engine: unknown engine `warp` (serial|parallel)".to_string())
-        );
     }
 
     #[test]

@@ -13,7 +13,7 @@ mod paper;
 use crate::cli::Cli;
 use crate::{bench_names, write_telemetry};
 use raccd_campaign::{PoolTask, WorkerPool};
-use raccd_core::{CoherenceMode, Engine, Experiment, RunResult};
+use raccd_core::{CoherenceMode, Experiment, RunResult};
 use raccd_obs::{Recorder, RecorderConfig};
 use raccd_sim::MachineConfig;
 use raccd_workloads::{all_benchmarks, Scale};
@@ -77,10 +77,8 @@ impl Results {
     }
 
     /// Deterministic FNV-1a checksum over the protocol-visible counters
-    /// of `cells`, folded in that order. The engine never changes
-    /// simulated outcomes, so the value is identical for every
-    /// `--engine`/`--threads` combination (`tests/engine_determinism.rs`
-    /// pins the serial value as a golden).
+    /// of `cells`, folded in that order (`tests/fig7_golden.rs` pins the
+    /// fig7 sweep's value as a golden).
     pub fn checksum(&self, cells: &[Cell]) -> u64 {
         let folded: Vec<u8> = cells
             .iter()
@@ -94,14 +92,13 @@ impl Results {
 /// return the store. The evaluation matrix is embarrassingly parallel
 /// across simulations, so cells fan out over the campaign worker pool
 /// (each worker builds its own workload instance; simulations never
-/// share state). `engine` is a property of the run, not of a cell: it
-/// never changes results. With `telemetry: Some(dir)` each simulation
+/// share state). With `telemetry: Some(dir)` each simulation
 /// runs with a [`Recorder`] attached and writes the standard artifact
 /// set into `dir/NNN_<bench>_<mode>_1-<ratio>[_adr]/`, `NNN` counting
 /// distinct cells in request order. A cell that panics (verification
 /// failure, simulator bug) is captured by the pool and re-raised here
 /// with its label.
-pub fn simulate(cells: &[Cell], scale: Scale, engine: Engine, telemetry: Option<&Path>) -> Results {
+pub fn simulate(cells: &[Cell], scale: Scale, telemetry: Option<&Path>) -> Results {
     let mut seen = HashSet::new();
     let distinct: Vec<Cell> = cells
         .iter()
@@ -130,12 +127,9 @@ pub fn simulate(cells: &[Cell], scale: Scale, engine: Engine, telemetry: Option<
             let sub = telemetry.map(|dir| dir.join(format!("{i:03}_{}", cell.stem(name))));
             let adr = if cell.cfg.adr { " adr" } else { "" };
             PoolTask {
-                label: format!(
-                    "{name} [{} 1:{}{adr} {engine}]",
-                    cell.mode, cell.cfg.dir_ratio
-                ),
+                label: format!("{name} [{} 1:{}{adr}]", cell.mode, cell.cfg.dir_ratio),
                 run: Box::new(move |_| {
-                    let out = run_cell(scale, cell, engine, sub.as_deref());
+                    let out = run_cell(scale, cell, sub.as_deref());
                     executed.fetch_add(1, Ordering::Relaxed);
                     *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
                 }),
@@ -171,15 +165,13 @@ pub fn simulate(cells: &[Cell], scale: Scale, engine: Engine, telemetry: Option<
 }
 
 /// Simulate one cell (with optional telemetry capture) and verify it.
-fn run_cell(scale: Scale, cell: Cell, engine: Engine, telemetry: Option<&Path>) -> RunResult {
+fn run_cell(scale: Scale, cell: Cell, telemetry: Option<&Path>) -> RunResult {
     let workloads = all_benchmarks(scale);
     let w = &workloads[cell.bench];
     let mut cfg = cell.cfg;
     cfg.record_events |= telemetry.is_some();
     let mut rec = telemetry.map(|_| Recorder::new(RecorderConfig::default()));
-    let result = Experiment::new(cfg, cell.mode)
-        .with_engine(engine)
-        .run_with_recorder(w.as_ref(), rec.as_mut());
+    let result = Experiment::new(cfg, cell.mode).run_with_recorder(w.as_ref(), rec.as_mut());
     if let (Some(rec), Some(dir)) = (&rec, telemetry) {
         write_telemetry(rec, dir)
             .unwrap_or_else(|e| panic!("writing telemetry to {}: {e}", dir.display()));

@@ -13,7 +13,7 @@ fn run(argv: &[&str]) -> (Vec<Selected>, Vec<Cell>, Results) {
     let cli = Cli::parse(&argv, &["--scale"], &[]).expect("valid command line");
     let plan = select(&cli).expect("valid study selection");
     let cells: Vec<Cell> = plan.iter().flat_map(Selected::cells).collect();
-    let results = simulate(&cells, cli.scale, cli.engine, None);
+    let results = simulate(&cells, cli.scale, None);
     (plan, cells, results)
 }
 

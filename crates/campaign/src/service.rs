@@ -11,8 +11,8 @@
 //!    it. Every decision is a durable ledger record before it takes
 //!    effect.
 //! 2. **Execution** ([`Campaign::run`]): admitted jobs are leased to the
-//!    worker pool. A job simulates under its spec's engine, warm-starting
-//!    from the shared [`SnapshotPool`] when the spec has a warm-up phase.
+//!    worker pool. A job warm-starts from the shared [`SnapshotPool`] when
+//!    its spec has a warm-up phase.
 //!    Failures (fault detection, per-job timeout, worker panic) burn one
 //!    attempt; attempts below the retry budget are requeued after a
 //!    bounded-exponential backoff, the rest become terminal `failed`
@@ -31,7 +31,7 @@ use crate::pool::{panic_message, CancelToken, PoolCtx, PoolTask, WorkerPool};
 use crate::snappool::{SnapPoolStats, SnapshotPool};
 use crate::spec::{JobKey, JobSpec};
 use crate::stats_digest;
-use raccd_core::{Driver, Engine};
+use raccd_core::Driver;
 use raccd_fault::{Backoff, Watchdog};
 use raccd_obs::json::Obj;
 use raccd_obs::{CampaignAction, Event};
@@ -95,6 +95,11 @@ pub struct SubmitSummary {
 struct CampState {
     /// Configuration per fingerprint (for scheduling and resume).
     specs: BTreeMap<u64, JobSpec>,
+    /// Today's fingerprint of a replayed spec → the fingerprint the ledger
+    /// knows it by, where the two differ: an older build fingerprinted
+    /// the line with `engine=parallel:<n>` in it, which names the same
+    /// work as `engine=serial` now that there is one event loop.
+    legacy_fp: BTreeMap<u64, u64>,
     /// Last-known status per key.
     status: BTreeMap<JobKey, JobStatus>,
     /// Attempts started per key (survives resume).
@@ -172,6 +177,10 @@ impl Campaign {
         for (fp, canonical) in &replayed.specs {
             let spec = JobSpec::parse(canonical)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            let today = spec.fingerprint();
+            if today != *fp && !replayed.specs.contains_key(&today) {
+                st.legacy_fp.insert(today, *fp);
+            }
             st.specs.insert(*fp, spec);
         }
         for (key, job) in &replayed.jobs {
@@ -212,8 +221,11 @@ impl Campaign {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let canonical = spec.canonical();
         let mut out = SubmitSummary::default();
-        for key in spec.keys() {
+        for mut key in spec.keys() {
             let mut st = self.inner.state();
+            if let Some(&known) = st.legacy_fp.get(&key.fingerprint) {
+                key.fingerprint = known;
+            }
             st.specs
                 .entry(key.fingerprint)
                 .or_insert_with(|| JobSpec::parse(&canonical).expect("canonical form parses"));
@@ -514,7 +526,6 @@ fn execute_job(
     finish_supervised(
         driver,
         seed,
-        spec.engine,
         inner.config.slice,
         inner.config.timeout_ms,
         Some(cancel),
@@ -532,7 +543,6 @@ fn execute_job(
 fn finish_supervised(
     mut driver: Driver,
     seed: u64,
-    engine: Engine,
     slice: u64,
     timeout_ms: u64,
     cancel: Option<&CancelToken>,
@@ -541,7 +551,6 @@ fn finish_supervised(
     let started = Instant::now();
     let mut watchdog = (timeout_ms > 0).then(|| Watchdog::new(timeout_ms));
     let mut last_done = 0usize;
-    driver.set_engine(engine);
     while let Some(t) = driver.next_time() {
         if !driver.run_until(t.saturating_add(slice.max(1)), None) {
             break;
@@ -590,7 +599,7 @@ pub fn execute_job_direct(spec: &JobSpec, seed: u64) -> Result<JobDigest, String
     if spec.warmup > 0 {
         driver.run_until(spec.warmup, None);
     }
-    finish_supervised(driver, seed, Engine::Serial, u64::MAX, 0, None)
+    finish_supervised(driver, seed, u64::MAX, 0, None)
 }
 
 /// Ledger-versus-results consistency proof (see [`Campaign::reconcile`]).

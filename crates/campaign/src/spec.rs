@@ -2,13 +2,13 @@
 //! identical work is identical text — the dedup fingerprint is a hash of
 //! the canonical form.
 //!
-//! One [`JobSpec`] names a *batch*: a (workload, machine, mode, engine,
-//! fault plan, warm-up) configuration plus an inclusive seed range. Each
+//! One [`JobSpec`] names a *batch*: a (workload, machine, mode, fault
+//! plan, warm-up) configuration plus an inclusive seed range. Each
 //! seed is an independent execution keyed by [`JobKey`] = (configuration
 //! fingerprint, seed); the fingerprint deliberately excludes the seed
 //! range so overlapping batches dedup seed-by-seed.
 
-use raccd_core::{CoherenceMode, Engine};
+use raccd_core::CoherenceMode;
 use raccd_fault::FaultPlan;
 use raccd_sim::{MachineConfig, ProtocolKind, SchedKind, Topology};
 use raccd_snap::fnv1a64;
@@ -50,8 +50,6 @@ pub struct JobSpec {
     pub topology: Topology,
     /// Ready-queue scheduling policy.
     pub sched: SchedKind,
-    /// Simulation engine (results are engine-independent by construction).
-    pub engine: Engine,
     /// Cycles of warm-up shared through the snapshot pool (0 = cold).
     pub warmup: u64,
     /// Fault plan spec (`raccd_fault::FaultPlan::from_spec` grammar), or
@@ -75,25 +73,16 @@ pub fn mode_label(mode: CoherenceMode) -> &'static str {
     }
 }
 
-fn engine_token(engine: Engine) -> String {
-    match engine {
-        Engine::Serial => "serial".to_string(),
-        Engine::EpochParallel { threads } => format!("parallel:{threads}"),
-    }
-}
-
-fn parse_engine(s: &str) -> Option<Engine> {
-    match s {
-        "serial" => Some(Engine::Serial),
-        _ => {
-            let threads = s.strip_prefix("parallel:")?.parse().ok()?;
-            Some(Engine::EpochParallel { threads })
-        }
-    }
+/// Whether `s` is a value older builds wrote for the reserved `engine=`
+/// field of the line format: `serial` or `parallel:<n>`.
+fn engine_token_is_valid(s: &str) -> bool {
+    s == "serial"
+        || s.strip_prefix("parallel:")
+            .is_some_and(|n| n.parse::<usize>().is_ok())
 }
 
 impl JobSpec {
-    /// A fault-free serial default for `bench` at `scale` (seed 1 only).
+    /// A fault-free default for `bench` at `scale` (seed 1 only).
     pub fn new(bench: &str, scale: Scale, mode: CoherenceMode) -> JobSpec {
         JobSpec {
             bench: bench.to_string(),
@@ -104,7 +93,6 @@ impl JobSpec {
             protocol: ProtocolKind::Mesi,
             topology: Topology::Mesh,
             sched: SchedKind::Fifo,
-            engine: Engine::Serial,
             warmup: 0,
             fault: None,
             seed_lo: 1,
@@ -115,6 +103,9 @@ impl JobSpec {
     /// The canonical *configuration* line — everything except the seed
     /// range, in fixed field order. Two specs describing the same work
     /// render identically, so [`JobSpec::fingerprint`] dedups them.
+    /// `engine=serial` is a reserved field of the line format: a literal
+    /// since there is one event loop, kept so the fingerprints in every
+    /// existing ledger still match.
     pub fn canonical(&self) -> String {
         let fault = match &self.fault {
             // Normalise through the plan grammar so `drop=0.02` and
@@ -125,7 +116,7 @@ impl JobSpec {
             None => "-".to_string(),
         };
         format!(
-            "bench={} scale={} mode={} ratio={} adr={} protocol={} topology={} sched={} engine={} warmup={} fault={}",
+            "bench={} scale={} mode={} ratio={} adr={} protocol={} topology={} sched={} engine=serial warmup={} fault={}",
             self.bench.to_ascii_lowercase(),
             self.scale,
             mode_label(self.mode),
@@ -134,7 +125,6 @@ impl JobSpec {
             self.protocol.label(),
             self.topology.label(),
             self.sched.label(),
-            engine_token(self.engine),
             self.warmup,
             fault,
         )
@@ -194,8 +184,12 @@ impl JobSpec {
                     spec.sched =
                         SchedKind::parse(val).ok_or_else(|| format!("bad sched `{val}`"))?;
                 }
+                // Reserved: validated and ignored, so lines older builds
+                // wrote with `engine=parallel:<n>` still parse.
                 "engine" => {
-                    spec.engine = parse_engine(val).ok_or_else(|| format!("bad engine `{val}`"))?;
+                    if !engine_token_is_valid(val) {
+                        return Err(format!("bad engine `{val}`"));
+                    }
                 }
                 "warmup" => {
                     spec.warmup = val.parse().map_err(|_| format!("bad warmup `{val}`"))?;
@@ -290,7 +284,6 @@ mod tests {
             protocol: ProtocolKind::Mesi,
             topology: Topology::Mesh,
             sched: SchedKind::Fifo,
-            engine: Engine::EpochParallel { threads: 4 },
             warmup: 5_000,
             fault: Some("drop=0.02;dup=0.01".into()),
             seed_lo: 1,
@@ -305,7 +298,32 @@ mod tests {
         assert_eq!(parsed.fingerprint(), s.fingerprint());
         assert_eq!(parsed.seed_lo, 1);
         assert_eq!(parsed.seed_hi, 8);
-        assert_eq!(parsed.engine, s.engine);
+    }
+
+    /// The fingerprint of the default Jacobi spec as the parent of the
+    /// engine deletion computed it: ledgers written before still dedup.
+    #[test]
+    fn default_fingerprint_is_pinned_and_engine_tokens_are_ignored() {
+        let s = JobSpec::new("Jacobi", Scale::Test, CoherenceMode::Raccd);
+        assert_eq!(s.fingerprint(), 0x5c96_3c91_8ec1_3400);
+        assert!(s.canonical().contains(" engine=serial "));
+        for token in ["serial", "parallel:2", "parallel:64"] {
+            let line = s
+                .render()
+                .replace("engine=serial", &format!("engine={token}"));
+            let parsed = JobSpec::parse(&line).expect(token);
+            assert_eq!(parsed.render(), s.render(), "{token}");
+        }
+        for token in ["warp", "parallel", "parallel:", "parallel:x", ""] {
+            let line = s
+                .render()
+                .replace("engine=serial", &format!("engine={token}"));
+            assert_eq!(
+                JobSpec::parse(&line),
+                Err(format!("bad engine `{token}`")),
+                "{token}"
+            );
+        }
     }
 
     #[test]

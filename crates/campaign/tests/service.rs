@@ -187,6 +187,58 @@ fn torn_tail_resume_is_clean() {
     assert!(report.reconcile.consistent, "{}", report.to_json());
 }
 
+/// A ledger written before the epoch-parallel engine was deleted: its
+/// spec lines say `engine=parallel:2` and its keys carry the fingerprint
+/// of that line (computed on the last build that had the engine). It
+/// reopens, its jobs run on the one event loop, and the same work
+/// submitted today dedups against it instead of running twice.
+#[test]
+fn ledger_with_parallel_engine_spec_lines_resumes_and_dedups() {
+    use raccd_campaign::{execute_job_direct, JobKey, Ledger, Record};
+    const LEGACY_FP: u64 = 0x821e_ff80_fbf7_2bbd;
+    let path = scratch("legacy-engine.jsonl");
+    let today = spec("Jacobi", 2);
+    let legacy_line = today
+        .canonical()
+        .replace("engine=serial", "engine=parallel:2");
+    assert_ne!(today.fingerprint(), LEGACY_FP);
+    {
+        let (mut ledger, _) = Ledger::open(&path).unwrap();
+        for seed in 1..=2 {
+            let key = JobKey {
+                fingerprint: LEGACY_FP,
+                seed,
+            };
+            let spec = legacy_line.clone();
+            ledger.append(&Record::Enqueued { key, spec }).unwrap();
+        }
+    }
+    let camp = Campaign::open(&path, quick_config()).unwrap();
+    assert_eq!(
+        camp.submit(&today).unwrap(),
+        SubmitSummary {
+            admitted: 0,
+            deduped: 2,
+            shed: 0
+        }
+    );
+    let report = camp.run().unwrap();
+    assert_eq!((report.done, report.executions), (2, 2));
+    assert!(report.reconcile.consistent, "{}", report.to_json());
+    for (key, digest) in camp.results() {
+        assert_eq!(key.fingerprint, LEGACY_FP, "the ledger's key is kept");
+        assert_eq!(digest, execute_job_direct(&today, key.seed).unwrap());
+    }
+    drop(camp);
+
+    // And once more over the completed ledger: pure cache hits.
+    let camp = Campaign::open(&path, quick_config()).unwrap();
+    assert_eq!(camp.submit(&today).unwrap().deduped, 2);
+    let report = camp.run().unwrap();
+    assert_eq!((report.done, report.executions), (2, 0));
+    assert!(report.reconcile.consistent, "{}", report.to_json());
+}
+
 #[test]
 fn lifecycle_events_track_queue_depth() {
     let path = scratch("events.jsonl");

@@ -1,11 +1,11 @@
 //! Campaign-versus-oracle differential: every digest a campaign caches
 //! must be bit-identical (`Stats` digest + shadow state key) to a cold
 //! serial run of the same `(spec, seed)` — across coherence modes, warm
-//! starts from the shared snapshot pool, the parallel engine, and a
+//! starts from the shared snapshot pool, a live fault plane, and a
 //! crash/resume in the middle of the campaign.
 
 use raccd_campaign::{execute_job_direct, Campaign, CampaignConfig, JobDigest, JobKey, JobSpec};
-use raccd_core::{CoherenceMode, Engine};
+use raccd_core::CoherenceMode;
 use raccd_fault::Backoff;
 use raccd_workloads::Scale;
 use std::collections::BTreeMap;
@@ -32,8 +32,7 @@ fn config() -> CampaignConfig {
 
 /// A spread of specs covering the paths that could plausibly diverge:
 /// all three coherence modes, a warm-started batch (snapshot-pool restore
-/// versus the oracle's cold warm-up), the parallel engine, and a live
-/// fault plane.
+/// versus the oracle's cold warm-up) and a live fault plane.
 fn matrix() -> Vec<JobSpec> {
     let mut specs = Vec::new();
     for mode in [
@@ -49,10 +48,6 @@ fn matrix() -> Vec<JobSpec> {
     warm.warmup = 2_000;
     warm.seed_hi = 3;
     specs.push(warm);
-    let mut par = JobSpec::new("Histo", Scale::Test, CoherenceMode::Raccd);
-    par.engine = Engine::EpochParallel { threads: 2 };
-    par.seed_hi = 2;
-    specs.push(par);
     let mut faulty = JobSpec::new("Jacobi", Scale::Test, CoherenceMode::Raccd);
     faulty.fault = Some("delay=5e-4:16;dup=1e-4".to_string());
     faulty.seed_hi = 2;

@@ -1,28 +1,21 @@
-//! Per-scheduler engine differential.
+//! Per-scheduler sweep under the shadow checker.
 //!
-//! The engine bit-identity contract is scheduler-blind: for every
-//! scheduling policy (`SchedKind::ALL`) the epoch-parallel engine must
-//! reproduce the serial oracle exactly — same `Stats`, same
-//! shadow-checker `state_key`, same telemetry stream. Scheduling (and
-//! quantum preemption) happens on the serial commit path, so a policy can
-//! reorder work but never break determinism. Any divergence dumps a
-//! replayable counterexample recipe to `$RACCD_CHECK_DUMP_DIR` (or
-//! `target/raccd-check-counterexamples/`).
+//! For every scheduling policy (`SchedKind::ALL`) each workload under
+//! RaCCD and under full coherence runs to the end with the fail-fast
+//! shadow checker attached and the recorder on, and must finish with a
+//! clean report and a verified result: a policy can reorder work, never
+//! break coherence.
 //!
-//! On top of the engine differential this suite proves the policies are
-//! *interchangeable in outcome*: every policy drives each workload to the
-//! same final memory image (same program, different interleaving), the
-//! quantum policy's preemption audit log replays deterministically, and
-//! the locality policy actually reduces migrations versus the central
-//! FIFO queue.
+//! On top of that this suite proves the policies are *interchangeable in
+//! outcome*: every policy drives each workload to the same final memory
+//! image (same program, different interleaving), the quantum policy's
+//! preemption audit log replays deterministically, and the locality
+//! policy actually reduces migrations versus the central FIFO queue.
 
-use raccd_core::{CoherenceMode, Driver, DriverOutput, Engine, Recorder};
+use raccd_core::{CoherenceMode, Driver, DriverOutput, Recorder};
 use raccd_runtime::Workload;
 use raccd_sim::{MachineConfig, SchedKind};
 use raccd_workloads::{histo::Histo, jacobi::Jacobi, Scale};
-use std::path::PathBuf;
-
-const THREADS: [usize; 2] = [2, 4];
 
 /// Quantum small enough that the tiny workloads' tasks actually expire
 /// mid-trace (tasks here run a few hundred cycles per batch window).
@@ -49,25 +42,21 @@ fn workloads() -> Vec<Box<dyn Workload>> {
     ]
 }
 
-struct EngineRun {
+struct CheckedRun {
     key: Option<String>,
     out: DriverOutput,
-    rec: Recorder,
 }
 
-fn run_engine(
-    w: &dyn Workload,
-    cfg: MachineConfig,
-    mode: CoherenceMode,
-    engine: Engine,
-) -> EngineRun {
+/// Run `w` to the end with the recorder on; the shadow `state_key` is
+/// read before `finish` tears the machine down.
+fn run_checked(w: &dyn Workload, cfg: MachineConfig, mode: CoherenceMode) -> CheckedRun {
     let mut rec = Recorder::default();
     let mut driver = Driver::new(cfg, mode, w.build(), None, Some(&mut rec));
-    driver.set_engine(engine);
     while driver.step(Some(&mut rec)) {}
     let key = driver.shadow_state_key();
     let out = driver.finish(Some(&mut rec));
-    EngineRun { key, out, rec }
+    assert!(!rec.events().is_empty(), "recorder was on");
+    CheckedRun { key, out }
 }
 
 /// FNV-1a-64 over the run's final memory image, allocation by allocation.
@@ -82,111 +71,43 @@ fn mem_checksum(out: &DriverOutput) -> u64 {
     raccd_snap::fnv1a64(&image)
 }
 
-fn dump_dir() -> PathBuf {
-    match std::env::var_os("RACCD_CHECK_DUMP_DIR") {
-        Some(d) if !d.is_empty() => PathBuf::from(d),
-        _ => PathBuf::from("target").join("raccd-check-counterexamples"),
-    }
-}
-
-fn dump_counterexample(
-    w: &dyn Workload,
-    sched: SchedKind,
-    mode: CoherenceMode,
-    threads: usize,
-    detail: &str,
-) -> String {
-    let dir = dump_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join(format!(
-        "sched-diff-{}-{}-{mode}-t{threads}-{}.txt",
-        w.name(),
-        sched.label(),
-        std::process::id()
-    ));
-    let text = format!(
-        "# parallel-vs-serial divergence (scheduler policy)\n\
-         workload = {}\nsched = {sched}\nmode = {mode}\nthreads = {threads}\n\
-         quantum = {TINY_QUANTUM}\n\
-         # reproduce: cargo test -p raccd-check --test sched_differential\n\
-         {detail}\n",
-        w.name(),
-    );
-    let _ = std::fs::write(&path, text);
-    format!("{} (counterexample: {})", detail, path.display())
-}
-
 fn sweep(sched: SchedKind) {
     let cfg = tiny(sched);
-    let mut failures = String::new();
     for w in workloads() {
         for mode in [CoherenceMode::Raccd, CoherenceMode::FullCoh] {
-            let serial = run_engine(w.as_ref(), cfg, mode, Engine::Serial);
-            assert!(serial.key.is_some(), "shadow checker attached");
-            assert!(
-                w.verify(&serial.out.mem).is_ok(),
-                "{} under {sched}/{mode}: wrong functional output",
-                w.name()
-            );
-            for threads in THREADS {
-                let par = run_engine(w.as_ref(), cfg, mode, Engine::EpochParallel { threads });
-                let mut detail = String::new();
-                if par.out.stats != serial.out.stats {
-                    detail.push_str(&format!(
-                        "Stats diverged:\n  serial: {:?}\n  par{threads}: {:?}\n",
-                        serial.out.stats, par.out.stats
-                    ));
-                }
-                if par.key != serial.key {
-                    detail.push_str(&format!(
-                        "shadow state_key diverged:\n  serial: {:?}\n  par{threads}: {:?}\n",
-                        serial.key, par.key
-                    ));
-                }
-                if par.out.audit != serial.out.audit {
-                    detail.push_str(&format!(
-                        "preemption audit log diverged:\n  serial: {:?}\n  par{threads}: {:?}\n",
-                        serial.out.audit, par.out.audit
-                    ));
-                }
-                if par.rec.events() != serial.rec.events() {
-                    detail.push_str("telemetry event stream diverged\n");
-                }
-                if !detail.is_empty() {
-                    failures.push_str(&format!(
-                        "{} {sched} under {mode}: {}\n",
-                        w.name(),
-                        dump_counterexample(w.as_ref(), sched, mode, threads, &detail)
-                    ));
-                }
-            }
+            let what = format!("{} under {sched}/{mode}", w.name());
+            let run = run_checked(w.as_ref(), cfg, mode);
+            assert!(run.key.is_some(), "{what}: shadow checker attached");
+            let report = run.out.check.expect("shadow checker attached");
+            assert!(report.clean(), "{what}: {:?}", report.violations);
+            w.verify(&run.out.mem)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
         }
     }
-    assert!(failures.is_empty(), "{failures}");
 }
 
 #[test]
-fn fifo_parallel_matches_serial() {
+fn fifo_runs_clean_under_the_checker() {
     sweep(SchedKind::Fifo);
 }
 
 #[test]
-fn steal_parallel_matches_serial() {
+fn steal_runs_clean_under_the_checker() {
     sweep(SchedKind::Steal);
 }
 
 #[test]
-fn priority_parallel_matches_serial() {
+fn priority_runs_clean_under_the_checker() {
     sweep(SchedKind::Priority);
 }
 
 #[test]
-fn locality_parallel_matches_serial() {
+fn locality_runs_clean_under_the_checker() {
     sweep(SchedKind::Locality);
 }
 
 #[test]
-fn quantum_parallel_matches_serial() {
+fn quantum_runs_clean_under_the_checker() {
     sweep(SchedKind::Quantum);
 }
 
@@ -199,7 +120,7 @@ fn all_policies_reach_the_same_final_memory() {
         for mode in [CoherenceMode::Raccd, CoherenceMode::FullCoh] {
             let mut sums = Vec::new();
             for sched in SchedKind::ALL {
-                let run = run_engine(w.as_ref(), tiny(sched), mode, Engine::Serial);
+                let run = run_checked(w.as_ref(), tiny(sched), mode);
                 assert!(
                     w.verify(&run.out.mem).is_ok(),
                     "{} under {sched}/{mode}: wrong functional output",
@@ -217,8 +138,7 @@ fn all_policies_reach_the_same_final_memory() {
 }
 
 /// The quantum policy must actually preempt on this configuration, and
-/// its append-only audit log must replay identically run over run (and
-/// under the epoch-parallel engine — checked in the sweep above).
+/// its append-only audit log must replay identically run over run.
 #[test]
 fn quantum_audit_log_replays_deterministically() {
     let w = Jacobi {
@@ -227,18 +147,8 @@ fn quantum_audit_log_replays_deterministically() {
         blocks: 4,
         ..Jacobi::new(Scale::Test)
     };
-    let a = run_engine(
-        &w,
-        tiny(SchedKind::Quantum),
-        CoherenceMode::Raccd,
-        Engine::Serial,
-    );
-    let b = run_engine(
-        &w,
-        tiny(SchedKind::Quantum),
-        CoherenceMode::Raccd,
-        Engine::Serial,
-    );
+    let a = run_checked(&w, tiny(SchedKind::Quantum), CoherenceMode::Raccd);
+    let b = run_checked(&w, tiny(SchedKind::Quantum), CoherenceMode::Raccd);
     assert!(
         !a.out.audit.is_empty(),
         "quantum {TINY_QUANTUM} never preempted — audit log is empty"
@@ -266,12 +176,7 @@ fn quantum_audit_log_replays_deterministically() {
         );
     }
     // Non-quantum policies never preempt and keep an empty log.
-    let fifo = run_engine(
-        &w,
-        tiny(SchedKind::Fifo),
-        CoherenceMode::Raccd,
-        Engine::Serial,
-    );
+    let fifo = run_checked(&w, tiny(SchedKind::Fifo), CoherenceMode::Raccd);
     assert!(fifo.out.audit.is_empty());
     assert_eq!(fifo.out.stats.preemptions, 0);
 }
@@ -287,7 +192,7 @@ fn policies_differentiate() {
         blocks: 4,
         ..Jacobi::new(Scale::Test)
     };
-    let run = |sched| run_engine(&w, tiny(sched), CoherenceMode::Raccd, Engine::Serial);
+    let run = |sched| run_checked(&w, tiny(sched), CoherenceMode::Raccd);
     let fifo = run(SchedKind::Fifo);
     let steal = run(SchedKind::Steal);
     let loc = run(SchedKind::Locality);

@@ -17,7 +17,6 @@
 //! on the interleaving being simulated.
 
 use crate::census::Census;
-use crate::engine::{Engine, WorkerPool};
 use crate::mode::CoherenceMode;
 use crate::ncrt::Ncrt;
 use crate::pt::{PageClassifier, PtDecision};
@@ -25,12 +24,11 @@ use crate::resilience::{DegradeController, DetectReason, FaultReport};
 use crate::tlbclass::TlbClassifier;
 use raccd_mem::{SimMemory, VAddr};
 use raccd_obs::{Event, Gauges, Recorder};
-use raccd_prof::{Prof, ProfReport, Site};
 use raccd_runtime::{MemRef, Program, RetryBook, RetryDecision, TaskCtx, TaskGraph, TaskId};
 use raccd_sched::{PreemptRecord, ReadyQueue, SchedKind, SchedParams};
 use raccd_sim::{
-    CheckEvent, CheckReport, CoherenceEvent, FaultPlan, FaultPlane, HitPrefix, L1LookupResult,
-    Machine, MachineConfig, Stats, TimedEvent, Watchdog,
+    CheckEvent, CheckReport, CoherenceEvent, FaultPlan, FaultPlane, L1LookupResult, Machine,
+    MachineConfig, Stats, TimedEvent, Watchdog,
 };
 use raccd_snap::{SnapError, Snapshot};
 use std::cmp::Reverse;
@@ -38,7 +36,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 
 /// References processed per core turn before re-entering the heap.
 /// Small enough to interleave finely, large enough to amortise heap cost.
-pub(crate) const BATCH: usize = 64;
+const BATCH: usize = 64;
 
 /// Deterministic scheduling jitter (cycles), modelling the wake-up/IPI
 /// latency variation of a real runtime. Without it the simulator's
@@ -51,12 +49,12 @@ fn sched_jitter(core: usize, salt: u64) -> u64 {
     h.next_below(48)
 }
 
-pub(crate) struct Running {
+struct Running {
     tid: TaskId,
-    pub(crate) trace: Vec<MemRef>,
-    pub(crate) pos: usize,
+    trace: Vec<MemRef>,
+    pos: usize,
     /// Fault plane: the trace index at which this attempt aborts, if any.
-    pub(crate) fail_at: Option<usize>,
+    fail_at: Option<usize>,
 }
 
 /// The hardware context a turn runs on — thread `tid` of `core` — and the
@@ -146,21 +144,15 @@ pub struct DriverOutput {
     /// Fault-plane outcome, when a plane was attached
     /// ([`RunOptions::faults`] or `RACCD_FAULT_SPEC`). `None` otherwise.
     pub fault: Option<FaultReport>,
-    /// Self-profiler span table, when a profiler was attached
-    /// ([`RunOptions::profile`] or [`Driver::attach_prof`]). `None`
-    /// otherwise. Host wall-time attribution only — never affects the
-    /// simulated outcome.
-    pub prof: Option<ProfReport>,
     /// The scheduler's append-only quantum-preemption audit log (empty
     /// for every policy but `quantum`). Deterministic: identical runs
-    /// produce identical logs, serial or epoch-parallel.
+    /// produce identical logs.
     pub audit: Vec<PreemptRecord>,
 }
 
-/// Host-side choices for one [`run`]. Each field is independent of the
-/// others, and only `faults` can change the simulated outcome: the
-/// recorder and the profiler only observe, and every engine is
-/// bit-identical to [`Engine::Serial`].
+/// Host-side choices for one [`run`]. The two fields are independent, and
+/// only `faults` can change the simulated outcome: the recorder only
+/// observes.
 #[derive(Default)]
 pub struct RunOptions<'a> {
     /// Telemetry sink. With `Some(recorder)` the driver emits the full
@@ -170,15 +162,6 @@ pub struct RunOptions<'a> {
     /// With `None` every hook is a single branch on a niche pointer,
     /// keeping the disabled path within the telemetry overhead budget.
     pub recorder: Option<&'a mut Recorder>,
-    /// Attach the self-profiler: `output.prof` then attributes host
-    /// wall-time to the fixed site registry (cache lookups, directory
-    /// accesses, NoC transmits, TLB walks, runtime scheduling, snapshot
-    /// codecs; under the parallel engine also `engine/epoch_barrier` and
-    /// `engine/epoch_merge`). The profiler reads only host clocks — never
-    /// simulated state — so the simulated outcome (Stats, memory image,
-    /// `state_key`) is bit-identical to an unprofiled run; the
-    /// differential suite asserts this.
-    pub profile: bool,
     /// Build a fault plane from this plan. The run then either completes
     /// with every injected fault recovered (`fault.detected == None`) or
     /// is aborted as *detected* — by the progress watchdog, a message
@@ -186,12 +169,10 @@ pub struct RunOptions<'a> {
     /// Sustained NCRT/retry pressure may downgrade RaCCD to full coherence
     /// mid-run (`fault.degraded`).
     pub faults: Option<FaultPlan>,
-    /// The simulation loop that advances the run.
-    pub engine: Engine,
 }
 
 /// Run a program to completion on a machine configured per `cfg` under the
-/// given coherence mode: [`Driver::new`], the options applied, then
+/// given coherence mode: [`Driver::new`] with the options, then
 /// [`Driver::finish`].
 pub fn run(
     cfg: MachineConfig,
@@ -200,12 +181,7 @@ pub fn run(
     opts: RunOptions<'_>,
 ) -> DriverOutput {
     let mut rec = opts.recorder;
-    let mut driver = Driver::new(cfg, mode, program, opts.faults, rec.as_deref_mut());
-    if opts.profile {
-        driver.attach_prof();
-    }
-    driver.set_engine(opts.engine);
-    driver.finish(rec)
+    Driver::new(cfg, mode, program, opts.faults, rec.as_deref_mut()).finish(rec)
 }
 
 /// Rollback-recovery knobs for [`run_resilient`].
@@ -291,9 +267,9 @@ raccd_snap::snap_record!(
 /// bodies of already-dispatched tasks whose functional effect is already
 /// in the restored memory image.
 pub struct Driver {
-    pub(crate) cfg: MachineConfig,
-    pub(crate) mode: CoherenceMode,
-    pub(crate) machine: Machine,
+    cfg: MachineConfig,
+    mode: CoherenceMode,
+    machine: Machine,
     mem: SimMemory,
     graph: TaskGraph,
     edges: usize,
@@ -312,13 +288,13 @@ pub struct Driver {
     /// Cycle at which each context's current task was (re)dispatched —
     /// the quantum clock for [`SchedKind::Quantum`].
     quantum_start: Vec<u64>,
-    pub(crate) running: Vec<Option<Running>>,
+    running: Vec<Option<Running>>,
     waker_core: Vec<Option<u32>>,
     wake_time: Vec<u64>,
     trace_pool: Vec<Vec<MemRef>>,
     core_time: Vec<u64>,
     idle: Vec<usize>,
-    pub(crate) heap: BinaryHeap<Reverse<(u64, usize)>>,
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
     /// Tasks in the order they completed (the graph replay script).
     completion_order: Vec<TaskId>,
     end_time: u64,
@@ -326,12 +302,6 @@ pub struct Driver {
     next_ckpt: u64,
     last_ckpt: Option<Snapshot>,
     rollbacks: u32,
-    /// Decode time and payload bytes measured during [`Driver::restore`],
-    /// held until a profiler is attached (restore runs before
-    /// [`Driver::attach_prof`] can), then credited to `snap/decode`.
-    pending_decode: Option<(u64, u64)>,
-    /// The epoch-parallel engine's workers; `None` is [`Engine::Serial`].
-    pub(crate) pool: Option<WorkerPool>,
 }
 
 impl Driver {
@@ -431,26 +401,7 @@ impl Driver {
             next_ckpt: 0,
             last_ckpt: None,
             rollbacks: 0,
-            pending_decode: None,
-            pool: None,
         }
-    }
-
-    /// Attach the self-profiler (host wall-time attribution per
-    /// [`raccd_prof::Site`]; see [`RunOptions::profile`]). A decode
-    /// measurement pending from [`Driver::restore`] is credited to the
-    /// fresh profiler's `snap/decode` site.
-    pub fn attach_prof(&mut self) {
-        let p = Box::new(Prof::new());
-        if let Some((ns, bytes)) = self.pending_decode.take() {
-            p.rec_ns(Site::SnapDecode, ns, bytes);
-        }
-        self.machine.attach_prof(p);
-    }
-
-    /// The attached profiler, if any.
-    pub fn prof(&self) -> Option<&Prof> {
-        self.machine.prof()
     }
 
     /// Auto-checkpoint every `cycles` heap cycles; the latest snapshot is
@@ -495,29 +446,8 @@ impl Driver {
         }
     }
 
-    /// Select the engine that advances the run (default
-    /// [`Engine::Serial`]). The engine is a host-side choice and is never
-    /// serialized: a restored driver is serial until this is called.
-    /// [`Engine::EpochParallel`] gives the driver its own worker pool.
-    pub fn set_engine(&mut self, engine: Engine) {
-        self.pool = match engine {
-            Engine::Serial => None,
-            Engine::EpochParallel { threads } => Some(WorkerPool::new(threads)),
-        };
-    }
-
-    /// The epoch-parallel engine's worker pool (`None` under
-    /// [`Engine::Serial`]); the property tests reach
-    /// [`WorkerPool::set_shuffle`] through it.
-    pub fn worker_pool_mut(&mut self) -> Option<&mut WorkerPool> {
-        self.pool.as_mut()
-    }
-
     /// Step until the next heap entry lies beyond `cycle`. Returns `true`
-    /// while the run is still live (more work pending). Under the parallel
-    /// engine a step is a whole epoch, so planned turns may commit past
-    /// `cycle`; the pause point is still a state a serial run reaches, so
-    /// snapshots taken there are byte-identical to serial snapshots.
+    /// while the run is still live (more work pending).
     pub fn run_until(&mut self, cycle: u64, mut rec: Option<&mut Recorder>) -> bool {
         while self.next_time().is_some_and(|t| t <= cycle) {
             if !self.step(rec.as_deref_mut()) {
@@ -527,35 +457,17 @@ impl Driver {
         self.detection.is_none() && self.next_time().is_some()
     }
 
-    /// Advance the run by one step of the selected engine: one heap entry
-    /// (one core turn) under [`Engine::Serial`], one epoch of turns under
-    /// [`Engine::EpochParallel`]. Returns `false` when the run is over —
-    /// the heap drained or a detection aborted it — and from then on
-    /// touches no state, so a run's output does not depend on how often
-    /// its caller paused or polled it.
-    pub fn step(&mut self, rec: Option<&mut Recorder>) -> bool {
+    /// Advance the run by one heap entry — one turn of one hardware
+    /// context through Figure 3's phases. An idle context dispatches; a
+    /// running one replays a batch of its task's references and then
+    /// retries, retires, is preempted, or keeps running. Returns `false`
+    /// when the run is over — the heap drained or a detection aborted it —
+    /// and from then on touches no state, so a run's output does not
+    /// depend on how often its caller paused or polled it.
+    pub fn step(&mut self, mut rec: Option<&mut Recorder>) -> bool {
         if self.detection.is_some() {
             return false;
         }
-        match self.pool {
-            None => self.turn(None, rec),
-            Some(_) => self.step_epoch(rec),
-        }
-    }
-
-    /// Process one heap entry — one turn of one hardware context through
-    /// Figure 3's phases. An idle context [dispatches](Self::dispatch); a
-    /// running one replays a batch of its task's references and then
-    /// retries, retires, is preempted, or keeps running.
-    ///
-    /// With `Some(prefix)` the turn's leading private hits were
-    /// pre-executed off-thread on a shard clone (see [`raccd_sim::spec`])
-    /// and are committed first; the rest of the batch runs through the
-    /// unchanged serial path. The epoch-parallel engine is the only caller
-    /// that passes `Some`; it guarantees the shard is still current
-    /// (heap-agreement + the machine's spec-touch mask).
-    pub(crate) fn turn(&mut self, spec: Option<HitPrefix>, mut rec: Option<&mut Recorder>) -> bool {
-        let t_step = raccd_prof::t0(self.machine.prof());
         let Some((t, ctx)) = self.prologue(rec.as_deref_mut()) else {
             return false;
         };
@@ -569,11 +481,7 @@ impl Driver {
             None => self.dispatch(at, t, rec),
             Some(mut run) => {
                 let end = (run.pos + BATCH).min(run.trace.len());
-                let now = match spec {
-                    Some(prefix) => self.commit_prefix(at, &mut run, prefix, t, rec.as_deref_mut()),
-                    None => t,
-                };
-                let (now, failed) = self.replay_batch(at, &mut run, end, now, rec.as_deref_mut());
+                let (now, failed) = self.replay_batch(at, &mut run, end, t, rec.as_deref_mut());
                 if failed {
                     self.retry(at, run, now, rec)
                 } else if run.pos == run.trace.len() {
@@ -590,7 +498,6 @@ impl Driver {
         self.machine.stats.busy_cycles += now - t;
         self.core_time[ctx] = now;
         self.end_time = self.end_time.max(now);
-        raccd_prof::rec(self.machine.prof(), Site::Step, t_step);
         self.detection.is_none()
     }
 
@@ -701,10 +608,8 @@ impl Driver {
     /// its body — or pick its parked trace back up.
     fn dispatch(&mut self, at: Turn, t: u64, mut rec: Option<&mut Recorder>) -> u64 {
         let Turn { ctx, core, .. } = at;
-        let t_sched = raccd_prof::t0(self.machine.prof());
         let Some(task) = self.ready.pop(ctx) else {
             // Nothing ready: park until a wake-up re-arms us.
-            raccd_prof::rec(self.machine.prof(), Site::Schedule, t_sched);
             self.idle.push(ctx);
             return t;
         };
@@ -740,7 +645,6 @@ impl Driver {
                 wait_cycles: wait,
             });
         }
-        raccd_prof::rec(self.machine.prof(), Site::Schedule, t_sched);
         if at.mode == CoherenceMode::Raccd {
             now = self.register_deps(at, task, now, rec);
         }
@@ -779,10 +683,8 @@ impl Driver {
                 self.machine.stats.ncrt_overflows += 1;
                 continue;
             }
-            let t_reg = raccd_prof::t0(self.machine.prof());
             let out =
                 self.ncrts[ctx].register_region(&mut self.machine, core, range, &self.cfg.runtime);
-            raccd_prof::rec(self.machine.prof(), Site::NcrtRegister, t_reg);
             self.machine.stats.register_cycles += out.cycles;
             if out.overflowed {
                 self.machine.stats.ncrt_overflows += 1;
@@ -821,7 +723,6 @@ impl Driver {
     /// roll the dispatch for injected faults (a straggler delay advances
     /// `now`).
     fn run_body(&mut self, ctx: usize, task: TaskId, now: &mut u64) -> Running {
-        let t_body = raccd_prof::t0(self.machine.prof());
         let body = self.graph.take_body(task);
         let mut trace = std::mem::take(&mut self.trace_pool[ctx]);
         trace.clear();
@@ -830,7 +731,6 @@ impl Driver {
             body(&mut tcx);
             tcx.stack_traffic(self.cfg.runtime.stack_words_per_task);
         }
-        raccd_prof::rec(self.machine.prof(), Site::TaskBody, t_body);
         self.machine.stats.tasks_executed += 1;
         let mut fail_at = None;
         let trace_len = trace.len();
@@ -853,38 +753,6 @@ impl Driver {
         }
     }
 
-    /// Commit a speculated hit prefix: adopt the shard (the exact state
-    /// the serial hit path would have produced), then replay the deferred
-    /// per-reference side effects — checker events, refs counter, latency
-    /// histograms — in serial order. Hits never touch a bank, so the
-    /// bank-wait histogram records zeros.
-    fn commit_prefix(
-        &mut self,
-        at: Turn,
-        run: &mut Running,
-        prefix: HitPrefix,
-        mut now: u64,
-        mut rec: Option<&mut Recorder>,
-    ) -> u64 {
-        debug_assert!(run.pos + prefix.refs.len() <= run.trace.len().min(run.pos + BATCH));
-        debug_assert!(run.fail_at.is_none_or(|f| f >= run.pos + prefix.refs.len()));
-        let t_merge = raccd_prof::t0(self.machine.prof());
-        let nrefs = prefix.refs.len() as u64;
-        self.machine.adopt_core_shard(at.core, prefix.shard);
-        for s in &prefix.refs {
-            self.machine.note_spec_hit(at.core, s.block, s.write, s.nc);
-            self.machine.stats.refs_processed += 1;
-            now += s.cycles;
-            if let Some(rr) = rec.as_deref_mut() {
-                rr.hist_mem_latency.record(s.cycles);
-                rr.hist_bank_wait.record(0);
-            }
-        }
-        run.pos += prefix.refs.len();
-        raccd_prof::rec_units(self.machine.prof(), Site::EpochMerge, t_merge, nrefs);
-        now
-    }
-
     /// Task execution phase: replay `run`'s references up to `end`
     /// through the memory system. Returns the advanced clock and whether
     /// the attempt hit its injected failure point.
@@ -903,9 +771,7 @@ impl Driver {
             let r = run.trace[run.pos];
             run.pos += 1;
             let bank_wait_before = self.machine.stats.bank_wait_cycles;
-            let t_ref = raccd_prof::t0(self.machine.prof());
             let cycles = self.process_ref(at, r, now, rec.as_deref_mut());
-            raccd_prof::rec(self.machine.prof(), Site::MemRef, t_ref);
             now += cycles;
             if let Some(rr) = rec.as_deref_mut() {
                 rr.hist_mem_latency.record(cycles);
@@ -935,11 +801,9 @@ impl Driver {
         let Turn { ctx, core, tid, .. } = at;
         let selective = self.cfg.smt_ways > 1 && self.cfg.smt_selective_flush;
         let flushed_before = self.machine.stats.nc_lines_flushed;
-        let t_inv = raccd_prof::t0(self.machine.prof());
         let cycles = self
             .machine
             .flush_nc_filtered(core, selective.then_some(tid), now);
-        raccd_prof::rec(self.machine.prof(), Site::NcInvalidate, t_inv);
         self.machine.stats.invalidate_cycles += cycles;
         if self.machine.has_checker() && self.cfg.smt_ways == 1 {
             self.machine.check_note(CheckEvent::NcInvalidate { core });
@@ -1088,7 +952,6 @@ impl Driver {
     /// Capture the entire run as a [`Snapshot`]: every machine section
     /// (see [`Machine::snapshot`]) plus the driver's runtime state.
     pub fn snapshot(&self) -> Snapshot {
-        let t = raccd_prof::t0(self.machine.prof());
         let mut s = self.machine.snapshot();
         s.put("driver/mode", &self.mode);
         s.put("driver/mem", &self.mem);
@@ -1118,7 +981,6 @@ impl Driver {
         s.put("driver/heap", &heap);
         s.put("driver/end_time", &self.end_time);
         s.put("driver/rollbacks", &self.rollbacks);
-        raccd_prof::rec_units(self.machine.prof(), Site::SnapEncode, t, s.payload_bytes());
         s
     }
 
@@ -1132,10 +994,6 @@ impl Driver {
         program: Program,
         s: &Snapshot,
     ) -> Result<Driver, SnapError> {
-        // Decode time is measured unconditionally (restore is rare and the
-        // clock reads touch no simulated state); the measurement is parked
-        // in `pending_decode` and credited iff a profiler is attached.
-        let t_decode = std::time::Instant::now();
         let smode: CoherenceMode = s.get("driver/mode")?;
         if smode != mode {
             return Err(SnapError::Invalid("coherence mode mismatch"));
@@ -1250,8 +1108,6 @@ impl Driver {
             next_ckpt: 0,
             last_ckpt: None,
             rollbacks: s.get("driver/rollbacks")?,
-            pending_decode: Some((t_decode.elapsed().as_nanos() as u64, s.payload_bytes())),
-            pool: None,
         })
     }
 
@@ -1293,7 +1149,6 @@ impl Driver {
             };
             r.finish(self.end_time, &stats, gauges);
         }
-        let prof = self.machine.take_prof().map(|p| p.report());
         let check = self.machine.detach_checker();
         let fault = self.machine.fault_stats().map(|fs| FaultReport {
             stats: fs,
@@ -1312,7 +1167,6 @@ impl Driver {
             edges: self.edges,
             check,
             fault,
-            prof,
             audit: self.ready.audit().to_vec(),
         }
     }
@@ -1723,7 +1577,7 @@ mod tests {
     /// The census as it was taken before it moved to fill time and off
     /// SipHash: one record per reference, hit or fill, read off the
     /// checker's event stream (which carries exactly one of the two per
-    /// reference, also for speculated hits) into a std-hashed map.
+    /// reference) into a std-hashed map.
     type ModelCensus = std::collections::HashMap<u64, bool>;
     struct PerRefCensus(std::rc::Rc<std::cell::RefCell<ModelCensus>>);
 
@@ -1755,7 +1609,6 @@ mod tests {
         mode: CoherenceMode,
         program: Program,
         plan: Option<FaultPlan>,
-        engine: Engine,
         midway: impl FnOnce(Driver) -> Driver,
     ) -> DriverOutput {
         let per_ref = std::rc::Rc::new(std::cell::RefCell::new(ModelCensus::new()));
@@ -1765,8 +1618,6 @@ mod tests {
         };
         let mut driver = Driver::new(MachineConfig::scaled(), mode, program, plan, None);
         listen(&mut driver);
-        driver.attach_prof();
-        driver.set_engine(engine);
         for _ in 0..100 {
             assert!(driver.step(None), "{what}: over before midway");
         }
@@ -1806,25 +1657,20 @@ mod tests {
         for w in &benches {
             for mode in CoherenceMode::EXTENDED {
                 let what = format!("{} / {mode:?}", w.name());
-                assert_census_exact(&what, mode, w.build(), None, Engine::Serial, |d| d);
+                assert_census_exact(&what, mode, w.build(), None, |d| d);
             }
         }
         let mode = CoherenceMode::Raccd;
-
-        let parallel = Engine::EpochParallel { threads: 2 };
-        let out = assert_census_exact("parallel", mode, jacobi(), None, parallel, |d| d);
-        let speculated = out.prof.expect("attached").get(Site::EpochMerge).units;
-        assert!(speculated > 0, "no hit prefix was committed");
 
         let plan = FaultPlan {
             seed: 9,
             task_fail: 0.3,
             ..FaultPlan::default()
         };
-        let out = assert_census_exact("retry", mode, jacobi(), Some(plan), Engine::Serial, |d| d);
+        let out = assert_census_exact("retry", mode, jacobi(), Some(plan), |d| d);
         assert!(out.fault.expect("plane attached").task_retries > 0);
 
-        assert_census_exact("restore", mode, jacobi(), None, Engine::Serial, |d| {
+        assert_census_exact("restore", mode, jacobi(), None, |d| {
             let bytes = d.snapshot().to_bytes();
             let snap = Snapshot::from_bytes(&bytes).expect("own archive loads");
             Driver::restore(MachineConfig::scaled(), mode, jacobi(), &snap).expect("restores")

@@ -26,10 +26,8 @@
 
 use crate::census::CensusSummary;
 use crate::driver::{run, DriverOutput, RunOptions};
-use crate::engine::Engine;
 use crate::mode::CoherenceMode;
 use raccd_obs::Recorder;
-use raccd_prof::ProfReport;
 use raccd_runtime::Workload;
 use raccd_sim::{MachineConfig, Stats};
 
@@ -40,8 +38,20 @@ pub struct Experiment {
     pub config: MachineConfig,
     /// System under evaluation.
     pub mode: CoherenceMode,
-    /// Simulation engine advancing the run (default [`Engine::Serial`]).
-    pub engine: Engine,
+}
+
+// benchmark/ compat: the name `benchmark/src/sim.rs` imports and the
+// variant its engine twin constructs. Delete with the first `benchmark` PR.
+/// Accepted, runs serially: there is one event loop, whatever is named here.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Engine {
+    /// The event loop.
+    Serial,
+    /// Accepted, runs serially; `threads` is ignored.
+    EpochParallel {
+        /// Ignored.
+        threads: usize,
+    },
 }
 
 /// Results of an [`Experiment::run`].
@@ -59,25 +69,17 @@ pub struct RunResult {
     pub tasks: usize,
     /// TDG edges.
     pub edges: usize,
-    /// Self-profiler span table ([`Experiment::run_profiled`] only).
-    pub prof: Option<ProfReport>,
 }
 
 impl Experiment {
     /// Describe an experiment.
     pub fn new(config: MachineConfig, mode: CoherenceMode) -> Self {
-        Experiment {
-            config,
-            mode,
-            engine: Engine::Serial,
-        }
+        Experiment { config, mode }
     }
 
-    /// Select the simulation engine. Any engine produces bit-identical
-    /// results; [`Engine::EpochParallel`] trades coordinator work for
-    /// concurrent hit-prefix speculation.
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
+    // benchmark/ compat: the engine twin's builder call.
+    /// Accepted, runs serially: returns `self` unchanged.
+    pub fn with_engine(self, _: Engine) -> Self {
         self
     }
 
@@ -92,29 +94,11 @@ impl Experiment {
     pub fn run_with_recorder(
         &self,
         workload: &dyn Workload,
-        rec: Option<&mut Recorder>,
-    ) -> RunResult {
-        self.simulate(workload, rec, false)
-    }
-
-    /// [`Experiment::run`] with the self-profiler attached: the result's
-    /// `prof` holds the span table. The simulated outcome is bit-identical
-    /// to an unprofiled run (the profiler reads only host clocks).
-    pub fn run_profiled(&self, workload: &dyn Workload) -> RunResult {
-        self.simulate(workload, None, true)
-    }
-
-    fn simulate(
-        &self,
-        workload: &dyn Workload,
         recorder: Option<&mut Recorder>,
-        profile: bool,
     ) -> RunResult {
         let opts = RunOptions {
             recorder,
-            profile,
             faults: None,
-            engine: self.engine,
         };
         let DriverOutput {
             stats,
@@ -126,7 +110,6 @@ impl Experiment {
             check: _,
             fault: _,
             audit: _,
-            prof,
         } = run(self.config, self.mode, workload.build(), opts);
         let verify = workload.verify(&mem);
         RunResult {
@@ -136,8 +119,13 @@ impl Experiment {
             verify_error: verify.err(),
             tasks,
             edges,
-            prof,
         }
+    }
+
+    // benchmark/ compat: the profiler twin's call.
+    /// [`Experiment::run`]: there is no profiler to attach.
+    pub fn run_profiled(&self, workload: &dyn Workload) -> RunResult {
+        self.run(workload)
     }
 }
 
@@ -196,6 +184,36 @@ mod tests {
             assert!(r.verified, "{mode}: {:?}", r.verify_error);
             assert_eq!(r.tasks, 1);
             assert!(r.stats.refs_processed >= 1001);
+        }
+    }
+
+    /// "Accepted, runs serially", executably: the two compat entry points
+    /// are `run`, field for field.
+    #[test]
+    fn compat_surface_runs_serially() {
+        let w = Summer { n: 1000 };
+        for mode in CoherenceMode::ALL {
+            let exp = Experiment::new(raccd_sim::MachineConfig::scaled(), mode);
+            let RunResult {
+                stats,
+                census,
+                verified,
+                verify_error,
+                tasks,
+                edges,
+            } = exp.run(&w);
+            let twins = [
+                exp.with_engine(Engine::EpochParallel { threads: 8 })
+                    .run(&w),
+                exp.with_engine(Engine::Serial).run(&w),
+                exp.run_profiled(&w),
+            ];
+            for r in twins {
+                assert_eq!(r.stats, stats, "{mode}");
+                assert_eq!(r.census, census, "{mode}");
+                assert_eq!((r.verified, &r.verify_error), (verified, &verify_error));
+                assert_eq!((r.tasks, r.edges), (tasks, edges), "{mode}");
+            }
         }
     }
 

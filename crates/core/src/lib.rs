@@ -19,22 +19,18 @@
 //!   (timed replay under interleaving), then `retry` / `preempt` /
 //!   `retire`, which share one `flush_nc` (`raccd_invalidate`) before the
 //!   wake-up.
-//! * [`engine`] — the selectable simulation loop: the serial oracle and
-//!   the epoch-parallel engine (speculative hit prefixes committed in heap
-//!   order, bit-identical to serial for any thread count; DESIGN.md §12).
 //! * [`experiment`] — the top-level [`Experiment`] API and [`RunResult`].
 //!
-//! There are two ways to run a program. [`run`] takes every host-side
-//! option at once ([`RunOptions`]: recorder, profiler, fault plan,
-//! engine); [`run_resilient`] adds checkpoint-rollback recovery and is
-//! separate only because it needs a program *factory*. Both are thin
-//! loops over the resumable [`Driver`], whose stepping surface is
-//! [`Driver::step`], [`Driver::run_until`], [`Driver::finish`] and
-//! [`Driver::set_engine`].
+//! There are two ways to run a program. [`run`] takes both host-side
+//! options at once ([`RunOptions`]: recorder, fault plan);
+//! [`run_resilient`] adds checkpoint-rollback recovery and is separate
+//! only because it needs a program *factory*. Both are thin loops over
+//! the resumable [`Driver`], whose stepping surface is [`Driver::step`],
+//! [`Driver::run_until`] and [`Driver::finish`]. One event loop advances
+//! every core's clock (DESIGN.md §12).
 
 pub mod census;
 pub mod driver;
-pub mod engine;
 pub mod experiment;
 pub mod mode;
 pub mod ncrt;
@@ -44,8 +40,7 @@ pub mod tlbclass;
 
 pub use census::{Census, CensusSummary};
 pub use driver::{run, run_resilient, Driver, DriverOutput, RollbackPolicy, RunOptions};
-pub use engine::{plan_epoch, Engine, PlanTurn, WorkerPool};
-pub use experiment::{Experiment, RunResult};
+pub use experiment::{Engine, Experiment, RunResult};
 pub use mode::CoherenceMode;
 pub use ncrt::Ncrt;
 pub use pt::{PageClassifier, PtDecision};

@@ -82,8 +82,7 @@ impl Tlb {
         }
     }
 
-    /// Peek without touching LRU or counters (hit-prefix speculation looks
-    /// before it commits to a counted [`Tlb::lookup`]).
+    /// Peek without touching LRU or counters.
     pub fn peek(&self, vpage: PageNum) -> Option<PageNum> {
         self.find(vpage).map(|i| self.slots[i].ppage)
     }

@@ -4,11 +4,10 @@
 //! simulator's own speed; it never touches simulated semantics.
 //!
 //! The one export is [`RunMetrics::summary_line`], the `# perf:` line the
-//! figure binaries print into `results/*.txt` and `trace --profile` prints
-//! under its span table. Timed measurements that back a performance claim
+//! figure binaries print into `results/*.txt` and `trace` prints after
+//! its event summary. Timed measurements that back a performance claim
 //! come from the repo benchmark (`benchmark/`), not from here.
 
-use raccd_prof::fmt_si;
 use raccd_sim::Stats;
 
 /// Derived performance metrics of one simulated run.
@@ -93,6 +92,19 @@ pub fn peak_rss_bytes() -> u64 {
     0
 }
 
+/// Format a rate with an SI suffix (K/M/G).
+pub fn fmt_si(v: f64) -> String {
+    if v >= 1e9 {
+        format!("{:.2}G", v / 1e9)
+    } else if v >= 1e6 {
+        format!("{:.2}M", v / 1e6)
+    } else if v >= 1e3 {
+        format!("{:.2}K", v / 1e3)
+    } else {
+        format!("{:.1}", v)
+    }
+}
+
 fn rate(count: u64, seconds: f64) -> f64 {
     if seconds > 0.0 {
         count as f64 / seconds
@@ -134,6 +146,8 @@ mod tests {
             line,
             "# perf: jacobi/raccd wall=0.500s cycles/s=2.00M refs/s=500.00K events/s=80.00K"
         );
+        assert_eq!(fmt_si(3.5e9), "3.50G");
+        assert_eq!(fmt_si(12.5), "12.5");
     }
 
     #[test]

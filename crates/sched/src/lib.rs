@@ -133,8 +133,8 @@ impl SchedParams {
 /// The driver calls `push(ctx, task)` with the *waker's* context (or a
 /// round-robin seed for initially-ready tasks) and `pop(ctx)` with the
 /// context looking for work. All state is deterministic: no policy
-/// consults wall-clock time or OS identity, so serial and epoch-parallel
-/// executions observe identical pop sequences.
+/// consults wall-clock time or OS identity, so identical runs observe
+/// identical pop sequences.
 #[derive(Clone, Debug)]
 pub struct ReadyQueue {
     kind: SchedKind,

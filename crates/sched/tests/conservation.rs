@@ -1,7 +1,6 @@
 //! Property tests: no scheduling policy loses or duplicates tasks, and
 //! every pop sequence is a deterministic function of the operation
-//! sequence — including under adversarial (shuffled) worker pop order,
-//! the scheduler-side mirror of the engine's `set_shuffle` stress.
+//! sequence — including under adversarial (shuffled) worker pop order.
 
 use proptest::prelude::*;
 use raccd_sched::{build, PreemptRecord, SchedKind, SchedParams};

@@ -226,7 +226,9 @@ pub enum CheckEvent {
     OpEnd,
 }
 
-/// Receiver of [`CheckEvent`]s, attached to a machine.
+/// Receiver of [`CheckEvent`]s, attached to a machine. A trait so that a
+/// test can listen with a reference model of its own: `raccd-core`'s
+/// per-reference census model is the second implementor.
 pub trait CheckSink: Any {
     /// Process one event, in machine emission order.
     fn on_event(&mut self, ev: &CheckEvent);

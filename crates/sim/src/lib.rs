@@ -26,15 +26,13 @@
 pub mod check;
 pub mod config;
 pub mod machine;
-pub mod spec;
 pub mod stats;
 
 pub use check::{CheckEvent, CheckReport, CheckSink, CheckStats, ShadowChecker, Violation};
 pub use config::{Latencies, MachineConfig, RuntimeCosts, DIR_RATIOS};
-pub use machine::{CoherenceEvent, CoreShard, L1LookupResult, Machine, TimedEvent};
+pub use machine::{CoherenceEvent, L1LookupResult, Machine, TimedEvent};
 pub use raccd_fault::{Backoff, FaultPlan, FaultPlane, FaultSite, FaultStats, Watchdog};
 pub use raccd_noc::Topology;
 pub use raccd_protocol::ProtocolKind;
 pub use raccd_sched::{SchedCounters, SchedKind};
-pub use spec::{speculate_hit_prefix, HitPrefix, SpecRef};
 pub use stats::Stats;

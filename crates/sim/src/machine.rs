@@ -33,12 +33,10 @@ use raccd_cache::{L1Cache, L1Line, L1State, LlcBank, LlcLine};
 use raccd_fault::{FaultPlan, FaultPlane, FaultSite, FaultStats, MsgOutcome};
 use raccd_mem::{BlockAddr, PAddr, PageNum, PageTable, Tlb, VAddr};
 use raccd_noc::{Mesh, MsgClass};
-use raccd_prof::{Prof, Site};
 use raccd_protocol::{
     victim_action, write_hit_is_local, Adr, AdrConfig, DirEntry, DirEviction, DirMsg,
     DirectoryBank, ProtocolError, ResizeDirection, VictimAction,
 };
-use std::time::Instant;
 
 /// A protocol-level event, recorded when `MachineConfig::record_events`
 /// is set. Used by protocol-conformance tests and the `trace` binary.
@@ -197,20 +195,6 @@ struct CoreSlice {
     l1: L1Cache,
 }
 
-/// A clone of one core's private state (TLB + L1), detachable from the
-/// machine so the epoch-parallel engine can speculate a turn's hit prefix
-/// off-thread without touching shared structures. Adopting the shard back
-/// (see [`Machine::adopt_core_shard`]) is bit-identical to having replayed
-/// the same hits in place, because private-cache hits mutate nothing
-/// outside the core slice.
-#[derive(Clone)]
-pub struct CoreShard {
-    /// The core's TLB.
-    pub tlb: Tlb,
-    /// The core's private L1.
-    pub l1: L1Cache,
-}
-
 /// The simulated machine.
 pub struct Machine {
     /// Configuration in force.
@@ -236,20 +220,6 @@ pub struct Machine {
     /// path on a single never-taken branch — the zero-fault configuration
     /// is perf-neutral, same as the `checker` and recorder patterns.
     faults: Option<Box<FaultPlane>>,
-    /// Optional self-profiler (host wall-time attribution per
-    /// [`raccd_prof::Site`]). Host-side only: it reads monotonic clocks,
-    /// never simulated state, so a profiled run is bit-identical to an
-    /// unprofiled one. Never serialized into snapshots.
-    prof: Option<Box<Prof>>,
-    /// Transient per-core "externally touched" bitmask for the
-    /// epoch-parallel engine: set whenever a core's private state (L1 or
-    /// TLB) is mutated by a protocol action (invalidation, downgrade,
-    /// flush, classifier shootdown) rather than by the core's own hit
-    /// path. A speculated hit prefix for a core is only committed when
-    /// this bit stayed clear since the epoch was planned; otherwise the
-    /// turn is replayed serially. Never serialized (speculation state is
-    /// re-derived after restore).
-    spec_touch: u64,
 }
 
 impl Machine {
@@ -319,8 +289,6 @@ impl Machine {
             stats: Stats::default(),
             checker: None,
             faults: None,
-            prof: None,
-            spec_touch: 0,
         };
         if m.cfg.shadow_collect {
             m.checker = Some(Box::new(ShadowChecker::collecting(&m.cfg)));
@@ -368,11 +336,9 @@ impl Machine {
         let Some(mut sink) = self.checker.take() else {
             return;
         };
-        let t = self.p0();
         if let Some(sc) = sink.as_any_mut().downcast_mut::<ShadowChecker>() {
             sc.run_audit(self);
         }
-        self.pend(Site::ShadowCheck, t);
         self.checker = Some(sink);
     }
 
@@ -392,9 +358,7 @@ impl Machine {
     #[inline]
     fn check_ev(&mut self, ev: CheckEvent) {
         if let Some(c) = self.checker.as_mut() {
-            let t = raccd_prof::t0(self.prof.as_deref());
             c.on_event(&ev);
-            raccd_prof::rec(self.prof.as_deref(), Site::ShadowCheck, t);
         }
     }
 
@@ -427,107 +391,16 @@ impl Machine {
         self.faults.as_deref_mut()
     }
 
-    /// Clone a core's private state (TLB + L1) into a detachable
-    /// [`CoreShard`] for off-thread hit-prefix speculation.
-    pub fn core_shard(&self, core: usize) -> CoreShard {
-        CoreShard {
-            tlb: self.cores[core].tlb.clone(),
-            l1: self.cores[core].l1.clone(),
-        }
-    }
-
-    /// Replace a core's private state with a speculated shard. Only sound
-    /// when [`Machine::spec_touched`] stayed `false` for `core` since the
-    /// shard was cloned — the epoch-parallel engine checks this before
-    /// every adoption.
-    pub fn adopt_core_shard(&mut self, core: usize, shard: CoreShard) {
-        self.cores[core].tlb = shard.tlb;
-        self.cores[core].l1 = shard.l1;
-    }
-
-    /// Mark a core's private state as mutated by a protocol action (not by
-    /// its own in-turn hit path). Cores beyond the mask width poison every
-    /// bit, conservatively discarding all outstanding speculation.
-    #[inline]
-    fn touch_core(&mut self, core: usize) {
-        self.spec_touch |= if core < 64 { 1 << core } else { u64::MAX };
-    }
-
-    /// Whether `core`'s private state was externally mutated since the
-    /// last [`Machine::clear_spec_touch`].
-    pub fn spec_touched(&self, core: usize) -> bool {
-        if core < 64 {
-            self.spec_touch & (1 << core) != 0
-        } else {
-            self.spec_touch != 0
-        }
-    }
-
-    /// Reset the externally-touched mask (called when an epoch is planned).
-    pub fn clear_spec_touch(&mut self) {
-        self.spec_touch = 0;
-    }
-
-    /// Emit the checker event sequence of one speculated L1 hit, exactly
-    /// as the serial hit path does ([`CheckEvent::L1Hit`] then
-    /// [`CheckEvent::OpEnd`]). The epoch-parallel engine calls this while
-    /// committing a hit prefix, after adopting the speculated shard — the
-    /// shadow checker is purely event-driven, so the combined order is
-    /// bit-identical to the serial interleaving.
-    pub fn note_spec_hit(&mut self, core: usize, block: BlockAddr, write: bool, nc: bool) {
-        self.check_ev(CheckEvent::L1Hit {
-            core,
-            block,
-            write,
-            nc,
-        });
-        self.check_ev(CheckEvent::OpEnd);
-    }
-
-    /// Attach the self-profiler (replacing any existing one). Mirrors the
-    /// checker/fault-plane discipline: with `None` every hook is a single
-    /// never-taken branch. The profiler is host-side state and is never
-    /// serialized into snapshots.
-    pub fn attach_prof(&mut self, p: Box<Prof>) {
-        self.prof = Some(p);
-    }
-
-    /// The attached profiler (driver-level sites record through this).
-    pub fn prof(&self) -> Option<&Prof> {
-        self.prof.as_deref()
-    }
-
-    /// Detach the profiler, handing its accumulators to the caller.
-    pub fn take_prof(&mut self) -> Option<Box<Prof>> {
-        self.prof.take()
-    }
-
-    /// Start a site measurement iff a profiler is attached (one branch,
-    /// no clock read, when detached).
-    #[inline]
-    fn p0(&self) -> Option<Instant> {
-        raccd_prof::t0(self.prof.as_deref())
-    }
-
-    /// Close a [`Machine::p0`] measurement at `site`.
-    #[inline]
-    fn pend(&self, site: Site, t: Option<Instant>) {
-        raccd_prof::rec(self.prof.as_deref(), site, t);
-    }
-
     /// Send one protocol message, routing through the fault plane when
     /// one is attached. Without a plane this is exactly `noc.send` plus
     /// one untaken branch.
     #[inline]
     fn xmit(&mut self, from: usize, to: usize, class: MsgClass, now: u64) -> u64 {
-        let t = self.p0();
-        let lat = if self.faults.is_none() {
+        if self.faults.is_none() {
             self.noc.send(from, to, class)
         } else {
             self.xmit_faulty(from, to, class, now)
-        };
-        self.pend(Site::NocXmit, t);
-        lat
+        }
     }
 
     /// The faulty transmit path: one seeded draw decides the message's
@@ -782,11 +655,9 @@ impl Machine {
         let ppage = match self.cores[core].tlb.lookup(vpage) {
             Some(p) => p,
             None => {
-                let t = self.p0();
                 cycles += self.cfg.lat.page_walk;
                 let p = self.page_table.translate_page(vpage);
                 self.cores[core].tlb.fill(vpage, p);
-                self.pend(Site::TlbWalk, t);
                 p
             }
         };
@@ -817,10 +688,8 @@ impl Machine {
 
     /// A core's TLB for the TLB-based classifiers (§II-B), which look up,
     /// fill (flushing the evicted page from the L1 to keep TLB–L1
-    /// inclusivity) and decay-invalidate entries themselves. Marks the
-    /// core's private state as externally touched.
+    /// inclusivity) and decay-invalidate entries themselves.
     pub fn tlb_mut(&mut self, core: usize) -> &mut Tlb {
-        self.touch_core(core);
         &mut self.cores[core].tlb
     }
 
@@ -833,10 +702,8 @@ impl Machine {
             if other == core {
                 continue;
             }
-            let t = self.p0();
             let go = self.noc.send(core, other, MsgClass::Control);
             let back = self.noc.send(other, core, MsgClass::Control);
-            self.pend(Site::NocXmit, t);
             worst = worst.max(go + back);
         }
         worst
@@ -852,11 +719,9 @@ impl Machine {
         write: bool,
         now: u64,
     ) -> L1LookupResult {
-        let t = self.p0();
         let lat_l1 = self.cfg.lat.l1;
         let wt = self.cfg.l1_write_through;
         let Some(line) = self.cores[core].l1.access(block) else {
-            self.pend(Site::CacheLookup, t);
             return L1LookupResult::Miss;
         };
         let nc = line.nc;
@@ -889,7 +754,6 @@ impl Machine {
             self.write_through_update(core, block, now);
         }
         self.check_ev(CheckEvent::OpEnd);
-        self.pend(Site::CacheLookup, t);
         result
     }
 
@@ -919,14 +783,11 @@ impl Machine {
 
     /// One directory-bank touch: record the access (feeding the occupancy
     /// integrals and access histogram) and bump the counter. Every
-    /// `dir_accesses` increment goes through here, so the profiler's
-    /// `dir/access` count matches the Stats counter exactly.
+    /// `dir_accesses` increment goes through here.
     #[inline]
     fn dir_touch(&mut self, home: usize, now: u64) {
-        let t = self.p0();
         self.dir[home].record_access(now);
         self.stats.dir_accesses += 1;
-        self.pend(Site::DirAccess, t);
     }
 
     /// Upgrade (GetX on an S line): directory access + invalidations.
@@ -1012,7 +873,6 @@ impl Machine {
             m &= m - 1;
             let mut lat = self.xmit(home, holder, MsgClass::Control, now);
             self.stats.invalidations_sent += 1;
-            self.touch_core(holder);
             let invalidated = self.cores[holder].l1.invalidate(block);
             let present = invalidated.is_some();
             let dirty = invalidated.is_some_and(|line| line.dirty());
@@ -1066,7 +926,6 @@ impl Machine {
         nc: bool,
         now: u64,
     ) -> u64 {
-        let t = self.p0();
         // NC fills take E (or M on write) and never come from an owner; a
         // coherent GetS may be granted S — or F under MESIF.
         let grant = if nc {
@@ -1113,7 +972,6 @@ impl Machine {
             self.handle_l1_victim(core, vblock, vline, now);
         }
         self.check_ev(CheckEvent::OpEnd);
-        self.pend(Site::MissFill, t);
         grant.cycles
     }
 
@@ -1219,7 +1077,6 @@ impl Machine {
                 // owner keeps the only up-to-date copy in Owned — no
                 // write-back — and stays the directory owner.
                 cycles += self.xmit(home, o, MsgClass::Control, now);
-                self.touch_core(o);
                 let (dg_state, wb) = if owner_dirty {
                     (rules.dirty_downgrade, rules.downgrade_writes_back)
                 } else {
@@ -1253,7 +1110,6 @@ impl Machine {
                     .filter(|&fc| fc != core && self.cores[fc].l1.probe(block).is_some());
                 if let Some(fc) = supplier {
                     cycles += self.xmit(home, fc, MsgClass::Control, now);
-                    self.touch_core(fc);
                     if let Some(was_dirty) = self.cores[fc].l1.downgrade_to(block, L1State::Shared)
                     {
                         debug_assert!(!was_dirty, "Forward lines are clean");
@@ -1438,7 +1294,6 @@ impl Machine {
     /// SMT-aware `raccd_invalidate`: with `tid = Some(t)` only thread `t`'s
     /// NC lines are flushed (§III-E's selective invalidation).
     pub fn flush_nc_filtered(&mut self, core: usize, tid: Option<u8>, now: u64) -> u64 {
-        self.touch_core(core);
         let mut cycles = self.cores[core].l1.num_lines() as u64;
         let flushed = match tid {
             Some(t) => self.cores[core].l1.flush_nc_thread(t),
@@ -1476,7 +1331,6 @@ impl Machine {
     /// OS-triggered flush (§II-B).
     pub fn flush_page(&mut self, core: usize, page: PageNum, vpage: PageNum, now: u64) -> u64 {
         let mut cycles = 200; // OS/IPI round trip
-        self.touch_core(core);
         let flushed = self.cores[core].l1.flush_page(page);
         self.stats.pt_flush_lines += flushed.len() as u64;
         self.cores[core].tlb.invalidate(vpage);

@@ -62,7 +62,6 @@ pub use raccd_energy as energy;
 pub use raccd_mem as mem;
 pub use raccd_noc as noc;
 pub use raccd_obs as obs;
-pub use raccd_prof as prof;
 pub use raccd_protocol as protocol;
 pub use raccd_runtime as runtime;
 pub use raccd_sched as sched;

@@ -1,11 +1,11 @@
 //! Tier-1 reach: one cheap case per oracle layer, so the root
 //! `cargo test -q` (which runs only this facade package) drives the driver
 //! through every layer the workspace suites cover in depth — the shadow
-//! checker, the fault plane, snapshot/restore, the engine differential
-//! and the run-option lattice. Test-scale Jacobi under RaCCD throughout;
+//! checker, the fault plane, snapshot/restore and the run options.
+//! Test-scale Jacobi under RaCCD throughout;
 //! the deep versions live in `crates/check/tests` and `crates/core/tests`.
 
-use raccd::core::{run, CoherenceMode, Driver, DriverOutput, Engine, RunOptions};
+use raccd::core::{run, CoherenceMode, Driver, DriverOutput, RunOptions};
 use raccd::obs::Recorder;
 use raccd::runtime::Program;
 use raccd::sim::{FaultPlan, MachineConfig};
@@ -29,13 +29,13 @@ fn finish_keyed(mut d: Driver) -> (Option<String>, DriverOutput) {
     (key, d.finish(None))
 }
 
-fn serial() -> (Option<String>, DriverOutput) {
+fn reference() -> (Option<String>, DriverOutput) {
     finish_keyed(Driver::new(cfg(), MODE, program(), None, None))
 }
 
 #[test]
 fn shadow_checked_run_is_clean_and_verifies() {
-    let (key, out) = serial();
+    let (key, out) = reference();
     assert!(key.is_some(), "checker attached");
     let report = out.check.expect("checker attached");
     assert!(report.clean(), "violations: {:?}", report.violations);
@@ -44,7 +44,7 @@ fn shadow_checked_run_is_clean_and_verifies() {
 
 #[test]
 fn recovered_faults_leave_the_outcome_alone() {
-    let (_, clean) = serial();
+    let (_, clean) = reference();
     // A zero-rate plan arms the whole resilience machinery and must be
     // neutral to the last counter.
     let armed = RunOptions {
@@ -71,7 +71,7 @@ fn recovered_faults_leave_the_outcome_alone() {
 
 #[test]
 fn mid_run_snapshot_restores_to_the_same_end() {
-    let (key, whole) = serial();
+    let (key, whole) = reference();
     let mut paused = Driver::new(cfg(), MODE, program(), None, None);
     assert!(paused.run_until(whole.stats.cycles / 2, None), "mid-run");
     let snap = paused.snapshot();
@@ -83,29 +83,16 @@ fn mid_run_snapshot_restores_to_the_same_end() {
     }
 }
 
+/// The recorder only observes.
 #[test]
-fn epoch_parallel_engine_equals_serial() {
-    let (key, serial) = serial();
-    let mut d = Driver::new(cfg(), MODE, program(), None, None);
-    d.set_engine(Engine::EpochParallel { threads: 2 });
-    let (pkey, parallel) = finish_keyed(d);
-    assert_eq!(parallel.stats, serial.stats);
-    assert_eq!(pkey, key);
-}
-
-/// A lattice point no entry point could spell before `RunOptions`:
-/// profiler and recorder together. Both only observe.
-#[test]
-fn profiled_and_recorded_run_equals_plain() {
-    let (_, plain) = serial();
+fn recorded_run_equals_plain() {
+    let (_, plain) = reference();
     let mut rec = Recorder::default();
     let opts = RunOptions {
         recorder: Some(&mut rec),
-        profile: true,
         ..RunOptions::default()
     };
     let out = run(cfg(), MODE, program(), opts);
     assert_eq!(out.stats, plain.stats);
-    assert!(out.prof.is_some(), "profiler attached");
     assert_eq!(rec.hist_mem_latency.count(), out.stats.refs_processed);
 }
