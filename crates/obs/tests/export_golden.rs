@@ -1,8 +1,9 @@
 //! Golden-file tests of the telemetry exporters.
 //!
-//! A fixed, hand-built recorder (every event variant, two samples, three
-//! histograms) is exported through each writer and compared byte-for-byte
-//! against the files committed under `tests/golden/`. Each export is then
+//! A fixed, hand-built recorder (every variant of `Event`, `CoherenceEvent`
+//! and `CampaignAction`, three samples, four histograms) is exported through
+//! each writer and compared byte-for-byte against the files committed under
+//! `tests/golden/`. Each export is then
 //! re-read through the dependency-free JSON parser (`raccd_obs::json`) to
 //! prove the round trip: what the exporters emit, the parser recovers —
 //! values, nulls and escapes included.
@@ -11,12 +12,13 @@
 //! `RACCD_UPDATE_GOLDEN=1 cargo test -p raccd-obs --test export_golden`
 //! and commit the diff.
 
+use raccd_mem::BlockAddr;
 use raccd_obs::json::{self, Value};
 use raccd_obs::{
     chrome_trace_json, write_campaign_depth_csv, write_events_jsonl, write_histograms,
     write_series_csv, CampaignAction, Event, Gauges, Recorder,
 };
-use raccd_sim::{CoherenceEvent, Stats};
+use raccd_sim::{CoherenceEvent, FaultSite, Stats};
 use std::path::Path;
 
 /// Build the fixed telemetry fixture: one tiny "run" touching every event
@@ -71,7 +73,7 @@ fn fixture() -> Recorder {
         cycle: 150,
         ev: CoherenceEvent::CoherentFill {
             core: 0,
-            block: raccd_mem::BlockAddr(0x40),
+            block: BlockAddr(0x40),
             write: true,
             from_owner: false,
         },
@@ -110,21 +112,97 @@ fn fixture() -> Recorder {
         page: 0x40,
         flushed_lines: 5,
     });
-    // Campaign-plane lifecycle (host-ms clock, not simulated cycles).
-    rec.record(Event::Campaign {
-        cycle: 500,
-        action: CampaignAction::Enqueue,
-        fingerprint: 0xdead_beef_cafe_f00d,
-        seed: 7,
-        queue_depth: 1,
+    // The remaining driver-plane variants (fault recovery).
+    rec.record(Event::TaskRetry {
+        cycle: 410,
+        task: 1,
+        ctx: 2,
+        attempt: 1,
     });
-    rec.record(Event::Campaign {
-        cycle: 512,
-        action: CampaignAction::Complete,
-        fingerprint: 0xdead_beef_cafe_f00d,
-        seed: 7,
-        queue_depth: 0,
+    rec.record(Event::TaskScheduled {
+        cycle: 415,
+        task: 1,
+        name: t1,
+        ctx: 2,
+        core: 1,
+        wait_cycles: 75,
     });
+    rec.record(Event::ModeDowngrade {
+        cycle: 420,
+        overflows: 12,
+        retries: 30,
+    });
+    rec.record(Event::WatchdogFired {
+        cycle: 425,
+        last_progress: 340,
+        threshold: 64,
+    });
+    // Every remaining machine-plane variant, in tag order.
+    let block = BlockAddr(0x1_0000_0040);
+    for (i, ev) in [
+        CoherenceEvent::NcFill {
+            core: 1,
+            block,
+            write: false,
+        },
+        CoherenceEvent::Upgrade { core: 1, block },
+        CoherenceEvent::DirEviction { block },
+        CoherenceEvent::NcToCoherent { block },
+        CoherenceEvent::CoherentToNc { block },
+        CoherenceEvent::FlushNc { core: 3, lines: 17 },
+        CoherenceEvent::AdrResize {
+            bank: 2,
+            grow: true,
+            new_entries: 2048,
+            blocked_cycles: 192,
+        },
+        CoherenceEvent::FaultInjected {
+            site: FaultSite::NocDrop,
+            from: 0,
+            to: 3,
+        },
+        CoherenceEvent::Nack { from: 3, to: 0 },
+        CoherenceEvent::RetryRecovered {
+            attempts: 2,
+            delay: 96,
+        },
+        CoherenceEvent::RetryExhausted {
+            from: 0,
+            to: 3,
+            attempts: 9,
+        },
+        CoherenceEvent::DirEntryLost { block },
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        rec.record(Event::Coherence {
+            cycle: 430 + 5 * i as u64,
+            ev,
+        });
+    }
+    // Campaign-plane lifecycle (host-ms clock, not simulated cycles): every
+    // action, with a seed and a fingerprint that need all 64 bits.
+    for (i, action) in [
+        CampaignAction::Enqueue,
+        CampaignAction::Dedup,
+        CampaignAction::Shed,
+        CampaignAction::Lease,
+        CampaignAction::Retry,
+        CampaignAction::Fail,
+        CampaignAction::Complete,
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        rec.record(Event::Campaign {
+            cycle: 500 + 12 * i as u64,
+            action,
+            fingerprint: 0xdead_beef_cafe_f00d >> (4 * i),
+            seed: if i == 0 { 7 } else { u64::MAX - i as u64 },
+            queue_depth: [1, 1, 1, 1, 1, 1, 0][i],
+        });
+    }
 
     rec.hist_mem_latency.record(2);
     rec.hist_mem_latency.record(120);
@@ -148,7 +226,30 @@ fn fixture() -> Recorder {
         sched_steals: 0,
     };
     rec.maybe_sample(4096, &stats, gauges);
-    rec.finish(8000, &stats, gauges);
+    // ADR halved the powered capacity between the two interval samples.
+    let later = Stats {
+        dir_accesses: 40,
+        nc_fills: 10,
+        coherent_fills: 25,
+        invalidations_sent: 6,
+        l1_writebacks: 4,
+        mem_reads: 11,
+        mem_writes: 3,
+        bank_wait_cycles: 77,
+        refs_processed: 1000,
+        tasks_executed: 2,
+        ..stats
+    };
+    let shrunk = Gauges {
+        dir_occupied: 700,
+        dir_capacity: 1024,
+        ready_tasks: 0,
+        busy_contexts: 3,
+        sched_popped: 2,
+        sched_steals: 1,
+    };
+    rec.maybe_sample(8200, &later, shrunk);
+    rec.finish(9000, &later, shrunk);
     rec
 }
 
@@ -257,7 +358,7 @@ fn series_csv_matches_golden() {
     let mut lines = text.lines();
     let header = lines.next().expect("header row");
     assert!(header.starts_with("cycle,"));
-    assert_eq!(lines.count(), 2, "one interval sample + the finish sample");
+    assert_eq!(lines.count(), 3, "two interval samples + the finish sample");
 }
 
 #[test]
@@ -270,8 +371,11 @@ fn campaign_depth_csv_matches_golden() {
     let mut lines = text.lines();
     assert_eq!(lines.next(), Some("ms,action,fp,seed,queue_depth"));
     assert_eq!(lines.next(), Some("500,enqueue,deadbeefcafef00d,7,1"));
-    assert_eq!(lines.next(), Some("512,complete,deadbeefcafef00d,7,0"));
-    assert_eq!(lines.next(), None, "non-campaign events are filtered out");
+    assert_eq!(
+        lines.next(),
+        Some("512,dedup,0deadbeefcafef00,18446744073709551614,1")
+    );
+    assert_eq!(lines.count(), 5, "non-campaign events are filtered out");
 }
 
 #[test]
