@@ -9,175 +9,20 @@
 
 use std::io::{self, Write};
 
-use raccd_sim::CoherenceEvent;
+use raccd_sim::Field;
 
 use crate::event::Event;
-use crate::json::Obj;
+use crate::json::{self, Obj};
 use crate::recorder::Recorder;
 use crate::sampler::Sample;
+pub use crate::sampler::CSV_COLUMNS;
 
-/// Render one event as a single-line JSON object. Task names are resolved
+/// Render one event as a single-line JSON object: `kind`, `cycle`, then
+/// the event's fields in declaration order. Task names are resolved
 /// through `names` (the recorder's intern table).
 pub fn event_json(names: &[String], ev: &Event) -> String {
-    let name_of = |id: u32| names.get(id as usize).map(String::as_str).unwrap_or("");
-    let o = Obj::new().str("kind", ev.kind()).u64("cycle", ev.cycle());
-    let o = match *ev {
-        Event::TaskCreated {
-            task, name, deps, ..
-        } => o
-            .u64("task", task as u64)
-            .str("name", name_of(name))
-            .u64("deps", deps as u64),
-        Event::TaskWoken {
-            task, waker_core, ..
-        } => {
-            let o = o.u64("task", task as u64);
-            match waker_core {
-                Some(c) => o.u64("waker_core", c as u64),
-                None => o.raw("waker_core", "null"),
-            }
-        }
-        Event::TaskScheduled {
-            task,
-            name,
-            ctx,
-            core,
-            wait_cycles,
-            ..
-        } => o
-            .u64("task", task as u64)
-            .str("name", name_of(name))
-            .u64("ctx", ctx as u64)
-            .u64("core", core as u64)
-            .u64("wait_cycles", wait_cycles),
-        Event::TaskCompleted {
-            task, ctx, refs, ..
-        } => o
-            .u64("task", task as u64)
-            .u64("ctx", ctx as u64)
-            .u64("refs", refs),
-        Event::TaskMigrated {
-            task,
-            from_core,
-            to_core,
-            ..
-        } => o
-            .u64("task", task as u64)
-            .u64("from_core", from_core as u64)
-            .u64("to_core", to_core as u64),
-        Event::NcrtRegister {
-            ctx,
-            core,
-            task,
-            dur,
-            entries_added,
-            tlb_lookups,
-            overflowed,
-            ..
-        } => o
-            .u64("ctx", ctx as u64)
-            .u64("core", core as u64)
-            .u64("task", task as u64)
-            .u64("dur", dur)
-            .u64("entries_added", entries_added as u64)
-            .u64("tlb_lookups", tlb_lookups as u64)
-            .bool("overflowed", overflowed),
-        Event::NcrtInvalidate {
-            ctx,
-            core,
-            task,
-            dur,
-            lines_flushed,
-            ..
-        } => o
-            .u64("ctx", ctx as u64)
-            .u64("core", core as u64)
-            .u64("task", task as u64)
-            .u64("dur", dur)
-            .u64("lines_flushed", lines_flushed),
-        Event::PtTransition {
-            prev_owner,
-            page,
-            flushed_lines,
-            ..
-        } => o
-            .u64("prev_owner", prev_owner as u64)
-            .u64("page", page)
-            .u64("flushed_lines", flushed_lines),
-        Event::TaskRetry {
-            task, ctx, attempt, ..
-        } => o
-            .u64("task", task as u64)
-            .u64("ctx", ctx as u64)
-            .u64("attempt", attempt as u64),
-        Event::WatchdogFired {
-            last_progress,
-            threshold,
-            ..
-        } => o
-            .u64("last_progress", last_progress)
-            .u64("threshold", threshold),
-        Event::ModeDowngrade {
-            overflows, retries, ..
-        } => o.u64("overflows", overflows).u64("retries", retries),
-        Event::Campaign {
-            fingerprint,
-            seed,
-            queue_depth,
-            ..
-        } => o
-            .str("fp", &format!("{fingerprint:016x}"))
-            .u64("seed", seed)
-            .u64("queue_depth", queue_depth as u64),
-        Event::Coherence { ref ev, .. } => match *ev {
-            CoherenceEvent::CoherentFill {
-                core,
-                block,
-                write,
-                from_owner,
-            } => o
-                .u64("core", core as u64)
-                .u64("block", block.0)
-                .bool("write", write)
-                .bool("from_owner", from_owner),
-            CoherenceEvent::NcFill { core, block, write } => o
-                .u64("core", core as u64)
-                .u64("block", block.0)
-                .bool("write", write),
-            CoherenceEvent::Upgrade { core, block } => {
-                o.u64("core", core as u64).u64("block", block.0)
-            }
-            CoherenceEvent::DirEviction { block }
-            | CoherenceEvent::NcToCoherent { block }
-            | CoherenceEvent::CoherentToNc { block } => o.u64("block", block.0),
-            CoherenceEvent::FlushNc { core, lines } => {
-                o.u64("core", core as u64).u64("lines", lines as u64)
-            }
-            CoherenceEvent::AdrResize {
-                bank,
-                grow,
-                new_entries,
-                blocked_cycles,
-            } => o
-                .u64("bank", bank as u64)
-                .bool("grow", grow)
-                .u64("new_entries", new_entries as u64)
-                .u64("blocked_cycles", blocked_cycles),
-            CoherenceEvent::FaultInjected { site, from, to } => o
-                .str("site", site.label())
-                .u64("from", from as u64)
-                .u64("to", to as u64),
-            CoherenceEvent::Nack { from, to } => o.u64("from", from as u64).u64("to", to as u64),
-            CoherenceEvent::RetryRecovered { attempts, delay } => {
-                o.u64("attempts", attempts as u64).u64("delay", delay)
-            }
-            CoherenceEvent::RetryExhausted { from, to, attempts } => o
-                .u64("from", from as u64)
-                .u64("to", to as u64)
-                .u64("attempts", attempts as u64),
-            CoherenceEvent::DirEntryLost { block } => o.u64("block", block.0),
-        },
-    };
+    let mut o = Obj::new().str("kind", ev.kind()).u64("cycle", ev.cycle());
+    ev.fields(names, &mut |key, v| o.push(key, v));
     o.render()
 }
 
@@ -189,56 +34,18 @@ pub fn write_events_jsonl(names: &[String], events: &[Event], w: &mut dyn Write)
     Ok(())
 }
 
-/// Column order of [`write_series_csv`].
-pub const CSV_COLUMNS: &[&str] = &[
-    "cycle",
-    "dir_occupancy",
-    "dir_occupied",
-    "dir_capacity",
-    "ready_tasks",
-    "busy_contexts",
-    "sched_popped",
-    "sched_steals",
-    "nc_fill_frac",
-    "d_dir_accesses",
-    "d_nc_fills",
-    "d_coherent_fills",
-    "d_invalidations",
-    "d_l1_writebacks",
-    "d_mem_reads",
-    "d_mem_writes",
-    "d_bank_wait_cycles",
-    "d_refs",
-    "d_tasks",
-];
-
 /// Write the interval time-series as CSV with a header row.
 pub fn write_series_csv(samples: &[Sample], w: &mut dyn Write) -> io::Result<()> {
     writeln!(w, "{}", CSV_COLUMNS.join(","))?;
     for s in samples {
-        writeln!(
-            w,
-            "{},{:.6},{},{},{},{},{},{},{:.6},{},{},{},{},{},{},{},{},{},{}",
-            s.cycle,
-            s.dir_occupancy,
-            s.dir_occupied,
-            s.dir_capacity,
-            s.ready_tasks,
-            s.busy_contexts,
-            s.sched_popped,
-            s.sched_steals,
-            s.nc_fill_frac,
-            s.d_dir_accesses,
-            s.d_nc_fills,
-            s.d_coherent_fills,
-            s.d_invalidations,
-            s.d_l1_writebacks,
-            s.d_mem_reads,
-            s.d_mem_writes,
-            s.d_bank_wait_cycles,
-            s.d_refs,
-            s.d_tasks
-        )?;
+        let mut cells = Vec::with_capacity(CSV_COLUMNS.len());
+        s.fields(&mut |_, v| {
+            cells.push(match v {
+                Field::F64(x) => format!("{x:.6}"),
+                v => json::field(v),
+            })
+        });
+        writeln!(w, "{}", cells.join(","))?;
     }
     Ok(())
 }
@@ -298,6 +105,59 @@ fn trace_base(ph: &str, name: &str, ts: u64, pid: u64, tid: u64) -> Obj {
         .u64("tid", tid)
 }
 
+/// How one event kind appears in the Chrome trace: `(kind, ph, name, cat,
+/// on_ctx, args)`.
+///
+/// - `ph`: `B`/`E` task span, `X` complete slice (the event's `dur` field
+///   is the slice length), `i` instant.
+/// - `name`: the display name; empty shows the event's own `name` field,
+///   if it has one.
+/// - `on_ctx`: on the per-context track of the tasks process named by the
+///   event's `ctx` field (instants are thread-scoped), or on the machine
+///   track (instants are global).
+/// - `args`: the fields that go into `args`, in declaration order.
+///
+/// Kinds without a row (task creation and wake-up, per-reference fills
+/// and upgrades, per-message fault outcomes) would dwarf the trace; they
+/// live in the JSONL dump and the counter tracks.
+type TraceRow = (
+    &'static str,
+    &'static str,
+    &'static str,
+    &'static str,
+    bool,
+    &'static [&'static str],
+);
+
+#[rustfmt::skip]
+const TRACE_ROWS: [TraceRow; 16] = [
+    ("task_scheduled", "B", "", "task", true, &["task", "wait_cycles"]),
+    ("task_completed", "E", "", "", true, &["task", "refs"]),
+    ("task_retry", "i", "task_retry", "task", true, &["task", "attempt"]),
+    ("ncrt_register", "X", "raccd_register", "raccd", true, &["entries_added", "tlb_lookups", "overflowed"]),
+    ("ncrt_invalidate", "X", "raccd_invalidate", "raccd", true, &["lines_flushed"]),
+    ("task_migrated", "i", "task_migrated", "machine", false, &["task", "from_core", "to_core"]),
+    ("pt_transition", "i", "pt_private_to_shared", "machine", false, &["prev_owner", "page", "flushed_lines"]),
+    ("watchdog_fired", "i", "watchdog_fired", "machine", false, &["last_progress", "threshold"]),
+    ("mode_downgrade", "i", "mode_downgrade", "machine", false, &["overflows", "retries"]),
+    ("dir_eviction", "i", "dir_eviction", "machine", false, &["block"]),
+    ("nc_to_coherent", "i", "nc_to_coherent", "machine", false, &["block"]),
+    ("coherent_to_nc", "i", "coherent_to_nc", "machine", false, &["block"]),
+    ("flush_nc", "i", "flush_nc", "machine", false, &["core", "lines"]),
+    // Named `adr_double` / `adr_halve` by its `grow` field.
+    ("adr_resize", "i", "", "machine", false, &["bank", "new_entries", "blocked_cycles"]),
+    ("retry_exhausted", "i", "retry_exhausted", "machine", false, &["from", "to", "attempts"]),
+    ("dir_entry_lost", "i", "dir_entry_lost", "machine", false, &["block"]),
+];
+
+/// The sample columns drawn as `C` counter tracks.
+const COUNTER_TRACKS: [&str; 4] = [
+    "dir_occupancy",
+    "ready_tasks",
+    "busy_contexts",
+    "nc_fill_frac",
+];
+
 /// Build the Chrome Trace Format document for a finished run.
 ///
 /// Layout:
@@ -306,8 +166,7 @@ fn trace_base(ph: &str, name: &str, ts: u64, pid: u64, tid: u64) -> Obj {
 ///   `raccd_invalidate`.
 /// - `pid 1` ("machine"): instant events for rare protocol transitions
 ///   (directory evictions, NC↔coherent flips, ADR resizes, PT flushes) and
-///   `C` counter tracks from the interval samples. High-volume fill and
-///   upgrade events are deliberately left to the JSONL dump.
+///   `C` counter tracks from the interval samples and the campaign queue.
 ///
 /// Events are stably sorted by `ts`, so per-track timestamps are monotone
 /// and a `B` precedes its matching same-cycle `E`.
@@ -316,272 +175,75 @@ pub fn chrome_trace_json(rec: &Recorder) -> String {
     // record order, which is causally correct per track.
     let mut entries: Vec<(u64, usize, String)> = Vec::new();
     let mut ctxs: Vec<u64> = Vec::new();
-    let mut seq = 0usize;
-    let mut push = |entries: &mut Vec<(u64, usize, String)>, ts: u64, o: Obj| {
-        entries.push((ts, seq, o.render()));
-        seq += 1;
-    };
+    let mut push = |ts: u64, o: Obj| entries.push((ts, entries.len(), o.render()));
 
     for ev in rec.events() {
         let ts = ev.cycle();
-        match *ev {
-            Event::TaskScheduled {
-                task,
-                name,
-                ctx,
-                wait_cycles,
-                ..
-            } => {
-                if !ctxs.contains(&(ctx as u64)) {
-                    ctxs.push(ctx as u64);
-                }
-                let o = trace_base("B", rec.name(name), ts, PID_TASKS, ctx as u64)
-                    .str("cat", "task")
-                    .raw(
-                        "args",
-                        Obj::new()
-                            .u64("task", task as u64)
-                            .u64("wait_cycles", wait_cycles)
-                            .render(),
-                    );
-                push(&mut entries, ts, o);
-            }
-            Event::TaskCompleted {
-                task, ctx, refs, ..
-            } => {
-                let o = trace_base("E", "", ts, PID_TASKS, ctx as u64).raw(
-                    "args",
-                    Obj::new()
-                        .u64("task", task as u64)
-                        .u64("refs", refs)
-                        .render(),
-                );
-                push(&mut entries, ts, o);
-            }
-            Event::NcrtRegister {
-                ctx,
-                dur,
-                entries_added,
-                tlb_lookups,
-                overflowed,
-                ..
-            } => {
-                let o = trace_base("X", "raccd_register", ts, PID_TASKS, ctx as u64)
-                    .str("cat", "raccd")
-                    .u64("dur", dur)
-                    .raw(
-                        "args",
-                        Obj::new()
-                            .u64("entries_added", entries_added as u64)
-                            .u64("tlb_lookups", tlb_lookups as u64)
-                            .bool("overflowed", overflowed)
-                            .render(),
-                    );
-                push(&mut entries, ts, o);
-            }
-            Event::NcrtInvalidate {
-                ctx,
-                dur,
-                lines_flushed,
-                ..
-            } => {
-                let o = trace_base("X", "raccd_invalidate", ts, PID_TASKS, ctx as u64)
-                    .str("cat", "raccd")
-                    .u64("dur", dur)
-                    .raw(
-                        "args",
-                        Obj::new().u64("lines_flushed", lines_flushed).render(),
-                    );
-                push(&mut entries, ts, o);
-            }
-            Event::PtTransition {
-                prev_owner,
-                page,
-                flushed_lines,
-                ..
-            } => {
-                let o = trace_base("i", "pt_private_to_shared", ts, PID_MACHINE, 0)
-                    .str("cat", "machine")
-                    .str("s", "g")
-                    .raw(
-                        "args",
-                        Obj::new()
-                            .u64("prev_owner", prev_owner as u64)
-                            .u64("page", page)
-                            .u64("flushed_lines", flushed_lines)
-                            .render(),
-                    );
-                push(&mut entries, ts, o);
-            }
-            Event::Coherence { ref ev, .. } => {
-                let inst = |name: &str, args: Obj| {
-                    trace_base("i", name, ts, PID_MACHINE, 0)
-                        .str("cat", "machine")
-                        .str("s", "g")
-                        .raw("args", args.render())
-                };
-                match *ev {
-                    CoherenceEvent::DirEviction { block } => {
-                        let o = inst("dir_eviction", Obj::new().u64("block", block.0));
-                        push(&mut entries, ts, o);
-                    }
-                    CoherenceEvent::NcToCoherent { block } => {
-                        let o = inst("nc_to_coherent", Obj::new().u64("block", block.0));
-                        push(&mut entries, ts, o);
-                    }
-                    CoherenceEvent::CoherentToNc { block } => {
-                        let o = inst("coherent_to_nc", Obj::new().u64("block", block.0));
-                        push(&mut entries, ts, o);
-                    }
-                    CoherenceEvent::FlushNc { core, lines } => {
-                        let o = inst(
-                            "flush_nc",
-                            Obj::new()
-                                .u64("core", core as u64)
-                                .u64("lines", lines as u64),
-                        );
-                        push(&mut entries, ts, o);
-                    }
-                    CoherenceEvent::AdrResize {
-                        bank,
-                        grow,
-                        new_entries,
-                        blocked_cycles,
-                    } => {
-                        let o = inst(
-                            if grow { "adr_double" } else { "adr_halve" },
-                            Obj::new()
-                                .u64("bank", bank as u64)
-                                .u64("new_entries", new_entries as u64)
-                                .u64("blocked_cycles", blocked_cycles),
-                        );
-                        push(&mut entries, ts, o);
-                    }
-                    CoherenceEvent::RetryExhausted { from, to, attempts } => {
-                        let o = inst(
-                            "retry_exhausted",
-                            Obj::new()
-                                .u64("from", from as u64)
-                                .u64("to", to as u64)
-                                .u64("attempts", attempts as u64),
-                        );
-                        push(&mut entries, ts, o);
-                    }
-                    CoherenceEvent::DirEntryLost { block } => {
-                        let o = inst("dir_entry_lost", Obj::new().u64("block", block.0));
-                        push(&mut entries, ts, o);
-                    }
-                    // Per-reference fills/upgrades (and per-message fault
-                    // outcomes) would dwarf the trace; they live in the
-                    // JSONL dump and the counters below.
-                    CoherenceEvent::CoherentFill { .. }
-                    | CoherenceEvent::NcFill { .. }
-                    | CoherenceEvent::Upgrade { .. }
-                    | CoherenceEvent::FaultInjected { .. }
-                    | CoherenceEvent::Nack { .. }
-                    | CoherenceEvent::RetryRecovered { .. } => {}
-                }
-            }
-            Event::WatchdogFired {
-                last_progress,
-                threshold,
-                ..
-            } => {
-                let o = trace_base("i", "watchdog_fired", ts, PID_MACHINE, 0)
-                    .str("cat", "machine")
-                    .str("s", "g")
-                    .raw(
-                        "args",
-                        Obj::new()
-                            .u64("last_progress", last_progress)
-                            .u64("threshold", threshold)
-                            .render(),
-                    );
-                push(&mut entries, ts, o);
-            }
-            Event::ModeDowngrade {
-                overflows, retries, ..
-            } => {
-                let o = trace_base("i", "mode_downgrade", ts, PID_MACHINE, 0)
-                    .str("cat", "machine")
-                    .str("s", "g")
-                    .raw(
-                        "args",
-                        Obj::new()
-                            .u64("overflows", overflows)
-                            .u64("retries", retries)
-                            .render(),
-                    );
-                push(&mut entries, ts, o);
-            }
-            Event::TaskRetry {
-                task, ctx, attempt, ..
-            } => {
-                let o = trace_base("i", "task_retry", ts, PID_TASKS, ctx as u64)
-                    .str("cat", "task")
-                    .str("s", "t")
-                    .raw(
-                        "args",
-                        Obj::new()
-                            .u64("task", task as u64)
-                            .u64("attempt", attempt as u64)
-                            .render(),
-                    );
-                push(&mut entries, ts, o);
-            }
-            Event::Campaign {
-                action,
-                queue_depth,
-                ..
-            } => {
-                // Queue-depth counter track (campaign time is host ms, so
-                // 1 ms = 1 µs of trace time on the machine pid).
-                let o = trace_base("C", "campaign_queue", ts, PID_MACHINE, 0).raw(
-                    "args",
-                    Obj::new()
-                        .u64("depth", queue_depth as u64)
-                        .str("last", action.label())
-                        .render(),
-                );
-                push(&mut entries, ts, o);
-            }
-            Event::TaskMigrated {
-                task,
-                from_core,
-                to_core,
-                ..
-            } => {
-                let o = trace_base("i", "task_migrated", ts, PID_MACHINE, 0)
-                    .str("cat", "machine")
-                    .str("s", "g")
-                    .raw(
-                        "args",
-                        Obj::new()
-                            .u64("task", task as u64)
-                            .u64("from_core", from_core as u64)
-                            .u64("to_core", to_core as u64)
-                            .render(),
-                    );
-                push(&mut entries, ts, o);
-            }
-            Event::TaskCreated { .. } | Event::TaskWoken { .. } => {}
+        if let Event::Campaign {
+            action,
+            queue_depth,
+            ..
+        } = *ev
+        {
+            // Queue-depth counter track (campaign time is host ms, so
+            // 1 ms = 1 µs of trace time on the machine pid).
+            let args = Obj::new()
+                .u64("depth", queue_depth as u64)
+                .str("last", action.label());
+            push(
+                ts,
+                trace_base("C", "campaign_queue", ts, PID_MACHINE, 0).raw("args", args.render()),
+            );
+            continue;
         }
+        let Some(&(_, ph, shown, cat, on_ctx, arg_keys)) =
+            TRACE_ROWS.iter().find(|row| row.0 == ev.kind())
+        else {
+            continue;
+        };
+        let (mut name, mut tid, mut dur) = (shown.to_string(), 0, None);
+        let mut args = Obj::new();
+        ev.fields(rec.names(), &mut |key, v| {
+            match (key, v) {
+                ("ctx", Field::U64(ctx)) if on_ctx => tid = ctx,
+                ("dur", Field::U64(d)) if ph == "X" => dur = Some(d),
+                ("name", Field::Str(task)) if shown.is_empty() => name = task.to_string(),
+                ("grow", Field::Bool(true)) => name = "adr_double".to_string(),
+                ("grow", Field::Bool(false)) => name = "adr_halve".to_string(),
+                _ => {}
+            }
+            if arg_keys.contains(&key) {
+                args.push(key, v);
+            }
+        });
+        if ph == "B" && !ctxs.contains(&tid) {
+            ctxs.push(tid);
+        }
+        let pid = if on_ctx { PID_TASKS } else { PID_MACHINE };
+        let mut o = trace_base(ph, &name, ts, pid, tid);
+        if !cat.is_empty() {
+            o = o.str("cat", cat);
+        }
+        if ph == "i" {
+            o = o.str("s", if on_ctx { "t" } else { "g" });
+        }
+        if let Some(d) = dur {
+            o = o.u64("dur", d);
+        }
+        push(ts, o.raw("args", args.render()));
     }
 
     for s in rec.samples() {
-        let counter = |name: &str, value: String| {
-            trace_base("C", name, s.cycle, PID_MACHINE, 0)
-                .raw("args", Obj::new().raw("value", value).render())
-        };
-        let ts = s.cycle;
-        let o = counter("dir_occupancy", crate::json::num(s.dir_occupancy));
-        push(&mut entries, ts, o);
-        let o = counter("ready_tasks", s.ready_tasks.to_string());
-        push(&mut entries, ts, o);
-        let o = counter("busy_contexts", (s.busy_contexts as u64).to_string());
-        push(&mut entries, ts, o);
-        let o = counter("nc_fill_frac", crate::json::num(s.nc_fill_frac));
-        push(&mut entries, ts, o);
+        s.fields(&mut |key, v| {
+            if COUNTER_TRACKS.contains(&key) {
+                let mut args = Obj::new();
+                args.push("value", v);
+                push(
+                    s.cycle,
+                    trace_base("C", key, s.cycle, PID_MACHINE, 0).raw("args", args.render()),
+                );
+            }
+        });
     }
 
     entries.sort_by_key(|e| (e.0, e.1));
@@ -710,32 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_lines_parse_and_roundtrip_kinds() {
-        let r = demo_recorder();
-        let mut buf = Vec::new();
-        write_events_jsonl(r.names(), r.events(), &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let mut kinds = Vec::new();
-        for line in text.lines() {
-            let v = json::parse(line).expect("every JSONL line is valid JSON");
-            kinds.push(v.get("kind").unwrap().as_str().unwrap().to_string());
-            assert!(v.get("cycle").unwrap().as_f64().is_some());
-        }
-        assert_eq!(
-            kinds,
-            vec![
-                "task_created",
-                "task_woken",
-                "task_scheduled",
-                "task_migrated",
-                "ncrt_register",
-                "ncrt_invalidate",
-                "task_completed"
-            ]
-        );
-    }
-
-    #[test]
     fn absent_waker_core_renders_as_null() {
         let line = event_json(
             &[],
@@ -812,85 +448,5 @@ mod tests {
         assert!(text.contains("wake_to_dispatch_cycles"));
         assert!(text.contains("bank_wait_cycles"));
         assert!(text.contains("retry_latency_cycles"));
-    }
-
-    #[test]
-    fn fault_events_export_to_jsonl_and_trace() {
-        use raccd_sim::FaultSite;
-        let mut r = Recorder::new(RecorderConfig {
-            sample_interval: 10,
-            buffer_events: true,
-        });
-        r.record(Event::Coherence {
-            cycle: 5,
-            ev: CoherenceEvent::FaultInjected {
-                site: FaultSite::NocDrop,
-                from: 0,
-                to: 3,
-            },
-        });
-        r.record(Event::Coherence {
-            cycle: 6,
-            ev: CoherenceEvent::Nack { from: 3, to: 0 },
-        });
-        r.record(Event::Coherence {
-            cycle: 7,
-            ev: CoherenceEvent::RetryRecovered {
-                attempts: 2,
-                delay: 96,
-            },
-        });
-        r.record(Event::Coherence {
-            cycle: 8,
-            ev: CoherenceEvent::RetryExhausted {
-                from: 0,
-                to: 3,
-                attempts: 9,
-            },
-        });
-        r.record(Event::TaskRetry {
-            cycle: 9,
-            task: 4,
-            ctx: 1,
-            attempt: 1,
-        });
-        r.record(Event::WatchdogFired {
-            cycle: 10,
-            last_progress: 2,
-            threshold: 5,
-        });
-        r.record(Event::ModeDowngrade {
-            cycle: 11,
-            overflows: 12,
-            retries: 30,
-        });
-        let mut buf = Vec::new();
-        write_events_jsonl(r.names(), r.events(), &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let mut kinds = Vec::new();
-        for line in text.lines() {
-            let v = json::parse(line).expect("fault JSONL lines are valid");
-            kinds.push(v.get("kind").unwrap().as_str().unwrap().to_string());
-        }
-        assert_eq!(
-            kinds,
-            vec![
-                "fault_injected",
-                "nack",
-                "retry_recovered",
-                "retry_exhausted",
-                "task_retry",
-                "watchdog_fired",
-                "mode_downgrade"
-            ]
-        );
-        assert!(text.contains("\"site\":\"noc_drop\""));
-        r.finish(20, &Stats::default(), Gauges::default());
-        let trace = chrome_trace_json(&r);
-        json::parse(&trace).expect("trace with fault events is valid JSON");
-        assert!(trace.contains("retry_exhausted"));
-        assert!(trace.contains("watchdog_fired"));
-        assert!(trace.contains("mode_downgrade"));
-        assert!(trace.contains("task_retry"));
     }
 }

@@ -6,6 +6,7 @@
 //! so tests and the CI artifact check can prove exported files are
 //! well-formed without a serde dependency (unavailable offline).
 
+use raccd_sim::Field;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -40,6 +41,17 @@ pub fn num(v: f64) -> String {
         }
     } else {
         "0".to_string()
+    }
+}
+
+/// Render one [`Field`] of a telemetry record as a JSON value.
+pub fn field(value: Field) -> String {
+    match value {
+        Field::U64(n) => n.to_string(),
+        Field::F64(x) => num(x),
+        Field::Bool(b) => b.to_string(),
+        Field::Str(s) => escape(s),
+        Field::Null => "null".to_string(),
     }
 }
 
@@ -82,6 +94,11 @@ impl Obj {
         self.raw(key, if value { "true" } else { "false" })
     }
 
+    /// Append one field of a telemetry record's name/value walk.
+    pub fn push(&mut self, key: &str, value: Field) {
+        self.fields.push((key.to_string(), field(value)));
+    }
+
     /// Render as `{"k":v,...}`.
     pub fn render(&self) -> String {
         let mut out = String::from("{");
@@ -105,7 +122,10 @@ pub enum Value {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number.
+    /// A number written as a plain non-negative integer that fits a
+    /// `u64` (ledger sequence numbers, seeds, cycle counts): kept exact.
+    Int(u64),
+    /// Any other JSON number.
     Num(f64),
     /// A string.
     Str(String),
@@ -135,7 +155,16 @@ impl Value {
     /// Numeric value, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Value::Int(n) => Some(*n as f64),
             Value::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// Exact integer value, if the number was written as one.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::Int(n) => Some(*n),
             _ => None,
         }
     }
@@ -364,6 +393,9 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Value::Int(n));
+        }
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|e| format!("bad number {text:?}: {e}"))
@@ -419,6 +451,21 @@ mod tests {
             Some("B")
         );
         assert_eq!(v.get("n").unwrap().as_f64(), Some(-300.0));
+    }
+
+    #[test]
+    fn integer_tokens_are_exact_over_the_whole_u64_range() {
+        for n in [0, 1 << 53, (1 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            let v = parse(&Obj::new().u64("n", n).render()).unwrap();
+            assert_eq!(v.get("n").unwrap().as_u64(), Some(n));
+            assert_eq!(v.get("n").unwrap().as_f64(), Some(n as f64));
+        }
+        // Fractions, exponents, negatives and overflow stay floats.
+        for text in ["1.0", "1e3", "-1", "18446744073709551616"] {
+            let v = parse(text).unwrap();
+            assert_eq!(v.as_u64(), None, "{text}");
+            assert!(v.as_f64().is_some(), "{text}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! occupancy, ready-queue depth, busy contexts), producing a real
 //! time-series from a single simulation pass.
 
-use raccd_sim::Stats;
+use raccd_sim::{Field, Stats};
 
 /// Instantaneous machine/runtime state the driver supplies per sample.
 #[derive(Clone, Copy, Debug, Default)]
@@ -26,80 +26,101 @@ pub struct Gauges {
     pub sched_steals: u64,
 }
 
-/// One point of the interval time-series.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Sample {
-    /// Cycle at which the sample was taken.
-    pub cycle: u64,
-    /// Directory occupancy fraction (occupied / powered capacity).
-    pub dir_occupancy: f64,
-    /// Directory entries resident.
-    pub dir_occupied: u64,
-    /// Directory entries powered (tracks ADR reconfigurations).
-    pub dir_capacity: u64,
-    /// Ready-queue depth.
-    pub ready_tasks: u64,
-    /// Contexts executing a task.
-    pub busy_contexts: u32,
-    /// Cumulative scheduler pops at this sample.
-    pub sched_popped: u64,
-    /// Cumulative cross-context steals at this sample.
-    pub sched_steals: u64,
-    /// Fraction of this interval's L1 fills that were non-coherent.
-    pub nc_fill_frac: f64,
-    /// Directory bank accesses in this interval.
-    pub d_dir_accesses: u64,
-    /// Non-coherent L1 fills in this interval.
-    pub d_nc_fills: u64,
-    /// Coherent L1 fills in this interval.
-    pub d_coherent_fills: u64,
-    /// Invalidation messages sent in this interval.
-    pub d_invalidations: u64,
-    /// L1 write-backs in this interval.
-    pub d_l1_writebacks: u64,
-    /// Main-memory reads in this interval.
-    pub d_mem_reads: u64,
-    /// Main-memory writes in this interval.
-    pub d_mem_writes: u64,
-    /// Cycles requests spent queued at banks in this interval.
-    pub d_bank_wait_cycles: u64,
-    /// Memory references replayed in this interval.
-    pub d_refs: u64,
-    /// Tasks dispatched in this interval.
-    pub d_tasks: u64,
+/// What one sample is read from: the cycle, the live gauges, and the
+/// counters now and at the previous sample.
+struct Reading<'a> {
+    cycle: u64,
+    gauges: Gauges,
+    stats: &'a Stats,
+    prev: &'a Stats,
 }
 
-/// Live counters we difference between samples (the subset of [`Stats`]
-/// that is updated during the run rather than in `finalize`).
-#[derive(Clone, Copy, Debug, Default)]
-struct Snapshot {
-    dir_accesses: u64,
-    nc_fills: u64,
-    coherent_fills: u64,
-    invalidations_sent: u64,
-    l1_writebacks: u64,
-    mem_reads: u64,
-    mem_writes: u64,
-    bank_wait_cycles: u64,
-    refs_processed: u64,
-    tasks_executed: u64,
-}
-
-impl Snapshot {
-    fn of(stats: &Stats) -> Self {
-        Snapshot {
-            dir_accesses: stats.dir_accesses,
-            nc_fills: stats.nc_fills,
-            coherent_fills: stats.coherent_fills,
-            invalidations_sent: stats.invalidations_sent,
-            l1_writebacks: stats.l1_writebacks,
-            mem_reads: stats.mem_reads,
-            mem_writes: stats.mem_writes,
-            bank_wait_cycles: stats.bank_wait_cycles,
-            refs_processed: stats.refs_processed,
-            tasks_executed: stats.tasks_executed,
-        }
+impl Reading<'_> {
+    /// How far a live counter moved since the previous sample.
+    fn delta(&self, counter: fn(&Stats) -> u64) -> u64 {
+        counter(self.stats) - counter(self.prev)
     }
+}
+
+/// `num / den`, 0 when there is nothing to divide by.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
+/// Declare [`Sample`]: one line per column gives its name, its type and
+/// how it is read. The struct, [`CSV_COLUMNS`], the sampler's reading and
+/// the [`Sample::fields`] walk behind the CSV row and the Chrome counter
+/// tracks all come from this list, in this order.
+macro_rules! sample_columns {
+    (|$r:ident| $($(#[$m:meta])* $name:ident: $ty:ty = $read:expr),* $(,)?) => {
+        /// One point of the interval time-series.
+        #[derive(Clone, Copy, Debug, Default)]
+        pub struct Sample {
+            $($(#[$m])* pub $name: $ty),*
+        }
+
+        /// Column order of [`crate::write_series_csv`].
+        pub const CSV_COLUMNS: &[&str] = &[$(stringify!($name)),*];
+
+        impl Sample {
+            fn read($r: &Reading) -> Sample {
+                Sample { $($name: $read),* }
+            }
+
+            /// Walk the columns by name, in CSV order.
+            pub fn fields(&self, f: &mut dyn FnMut(&'static str, Field<'_>)) {
+                $(f(stringify!($name), Field::from(self.$name));)*
+            }
+        }
+    };
+}
+
+sample_columns! { |r|
+    /// Cycle at which the sample was taken.
+    cycle: u64 = r.cycle,
+    /// Directory occupancy fraction (occupied / powered capacity).
+    dir_occupancy: f64 = ratio(r.gauges.dir_occupied, r.gauges.dir_capacity),
+    /// Directory entries resident.
+    dir_occupied: u64 = r.gauges.dir_occupied,
+    /// Directory entries powered (tracks ADR reconfigurations).
+    dir_capacity: u64 = r.gauges.dir_capacity,
+    /// Ready-queue depth.
+    ready_tasks: u64 = r.gauges.ready_tasks,
+    /// Contexts executing a task.
+    busy_contexts: u32 = r.gauges.busy_contexts,
+    /// Cumulative scheduler pops at this sample.
+    sched_popped: u64 = r.gauges.sched_popped,
+    /// Cumulative cross-context steals at this sample.
+    sched_steals: u64 = r.gauges.sched_steals,
+    /// Fraction of this interval's L1 fills that were non-coherent.
+    nc_fill_frac: f64 = ratio(
+        r.delta(|s| s.nc_fills),
+        r.delta(|s| s.nc_fills + s.coherent_fills),
+    ),
+    /// Directory bank accesses in this interval.
+    d_dir_accesses: u64 = r.delta(|s| s.dir_accesses),
+    /// Non-coherent L1 fills in this interval.
+    d_nc_fills: u64 = r.delta(|s| s.nc_fills),
+    /// Coherent L1 fills in this interval.
+    d_coherent_fills: u64 = r.delta(|s| s.coherent_fills),
+    /// Invalidation messages sent in this interval.
+    d_invalidations: u64 = r.delta(|s| s.invalidations_sent),
+    /// L1 write-backs in this interval.
+    d_l1_writebacks: u64 = r.delta(|s| s.l1_writebacks),
+    /// Main-memory reads in this interval.
+    d_mem_reads: u64 = r.delta(|s| s.mem_reads),
+    /// Main-memory writes in this interval.
+    d_mem_writes: u64 = r.delta(|s| s.mem_writes),
+    /// Cycles requests spent queued at banks in this interval.
+    d_bank_wait_cycles: u64 = r.delta(|s| s.bank_wait_cycles),
+    /// Memory references replayed in this interval.
+    d_refs: u64 = r.delta(|s| s.refs_processed),
+    /// Tasks dispatched in this interval.
+    d_tasks: u64 = r.delta(|s| s.tasks_executed),
 }
 
 /// Snapshots [`Stats`] deltas every `interval` cycles.
@@ -107,7 +128,8 @@ impl Snapshot {
 pub struct IntervalSampler {
     interval: u64,
     next_due: u64,
-    prev: Snapshot,
+    /// The counters as the previous sample saw them.
+    prev: Stats,
     samples: Vec<Sample>,
 }
 
@@ -118,7 +140,7 @@ impl IntervalSampler {
         IntervalSampler {
             interval,
             next_due: interval,
-            prev: Snapshot::default(),
+            prev: Stats::default(),
             samples: Vec::new(),
         }
     }
@@ -149,41 +171,13 @@ impl IntervalSampler {
 
     /// Record a sample unconditionally (used for the end-of-run point).
     pub fn force_sample(&mut self, cycle: u64, stats: &Stats, gauges: Gauges) {
-        let cur = Snapshot::of(stats);
-        let p = self.prev;
-        let d_nc = cur.nc_fills - p.nc_fills;
-        let d_coh = cur.coherent_fills - p.coherent_fills;
-        let fills = d_nc + d_coh;
-        self.samples.push(Sample {
+        self.samples.push(Sample::read(&Reading {
             cycle,
-            dir_occupancy: if gauges.dir_capacity == 0 {
-                0.0
-            } else {
-                gauges.dir_occupied as f64 / gauges.dir_capacity as f64
-            },
-            dir_occupied: gauges.dir_occupied,
-            dir_capacity: gauges.dir_capacity,
-            ready_tasks: gauges.ready_tasks,
-            busy_contexts: gauges.busy_contexts,
-            sched_popped: gauges.sched_popped,
-            sched_steals: gauges.sched_steals,
-            nc_fill_frac: if fills == 0 {
-                0.0
-            } else {
-                d_nc as f64 / fills as f64
-            },
-            d_dir_accesses: cur.dir_accesses - p.dir_accesses,
-            d_nc_fills: d_nc,
-            d_coherent_fills: d_coh,
-            d_invalidations: cur.invalidations_sent - p.invalidations_sent,
-            d_l1_writebacks: cur.l1_writebacks - p.l1_writebacks,
-            d_mem_reads: cur.mem_reads - p.mem_reads,
-            d_mem_writes: cur.mem_writes - p.mem_writes,
-            d_bank_wait_cycles: cur.bank_wait_cycles - p.bank_wait_cycles,
-            d_refs: cur.refs_processed - p.refs_processed,
-            d_tasks: cur.tasks_executed - p.tasks_executed,
-        });
-        self.prev = cur;
+            gauges,
+            stats,
+            prev: &self.prev,
+        }));
+        self.prev.clone_from(stats);
     }
 
     /// The collected time-series.

@@ -147,7 +147,7 @@ pub struct MachineConfig {
     /// flushes only the finishing thread's lines (§III-E). When false the
     /// whole NC contents are flushed, penalising the sibling thread.
     pub smt_selective_flush: bool,
-    /// Record protocol-level [`crate::machine::CoherenceEvent`]s (testing
+    /// Record protocol-level [`crate::event::CoherenceEvent`]s (testing
     /// and trace tooling; off for performance).
     pub record_events: bool,
     /// Task-scheduling policy (§II-C; default: the paper's central FIFO

@@ -13,6 +13,8 @@
 //!   reproduces Table I, [`config::MachineConfig::scaled`] is the
 //!   proportionally scaled default used by tests and benches (DESIGN.md §2).
 //! * [`stats`] — counters for every metric the evaluation reports.
+//! * [`event`] — the protocol-event record and the name/value [`Field`]
+//!   walk the text exporters render every telemetry record through.
 //! * [`machine`] — the machine state and access paths.
 //! * [`check`] — the shadow golden-memory coherence checker (SWMR,
 //!   data-value, inclusion and RaCCD-safety invariants), attachable to any
@@ -25,12 +27,14 @@
 
 pub mod check;
 pub mod config;
+pub mod event;
 pub mod machine;
 pub mod stats;
 
 pub use check::{CheckEvent, CheckReport, CheckSink, CheckStats, ShadowChecker, Violation};
 pub use config::{Latencies, MachineConfig, RuntimeCosts, DIR_RATIOS};
-pub use machine::{CoherenceEvent, L1LookupResult, Machine, TimedEvent};
+pub use event::{CoherenceEvent, Field, TimedEvent};
+pub use machine::{L1LookupResult, Machine};
 pub use raccd_fault::{Backoff, FaultPlan, FaultPlane, FaultSite, FaultStats, Watchdog};
 pub use raccd_noc::Topology;
 pub use raccd_protocol::ProtocolKind;

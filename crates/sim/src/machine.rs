@@ -28,6 +28,7 @@
 
 use crate::check::{shadow_check_forced, CheckEvent, CheckReport, CheckSink, ShadowChecker};
 use crate::config::MachineConfig;
+use crate::event::{CoherenceEvent, TimedEvent};
 use crate::stats::Stats;
 use raccd_cache::{L1Cache, L1Line, L1State, LlcBank, LlcLine};
 use raccd_fault::{FaultPlan, FaultPlane, FaultSite, FaultStats, MsgOutcome};
@@ -37,121 +38,6 @@ use raccd_protocol::{
     victim_action, write_hit_is_local, Adr, AdrConfig, DirEntry, DirEviction, DirMsg,
     DirectoryBank, ProtocolError, ResizeDirection, VictimAction,
 };
-
-/// A protocol-level event, recorded when `MachineConfig::record_events`
-/// is set. Used by protocol-conformance tests and the `trace` binary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CoherenceEvent {
-    /// A coherent fill into a private cache.
-    CoherentFill {
-        /// Requesting core.
-        core: usize,
-        /// Block filled.
-        block: BlockAddr,
-        /// Store (GetX) vs load (GetS).
-        write: bool,
-        /// Data supplied cache-to-cache by the previous owner.
-        from_owner: bool,
-    },
-    /// A non-coherent fill (directory bypassed).
-    NcFill {
-        /// Requesting core.
-        core: usize,
-        /// Block filled.
-        block: BlockAddr,
-        /// Store vs load.
-        write: bool,
-    },
-    /// A write upgrade on a Shared line.
-    Upgrade {
-        /// Writing core.
-        core: usize,
-        /// Block upgraded.
-        block: BlockAddr,
-    },
-    /// A directory entry evicted for capacity (inclusion victim).
-    DirEviction {
-        /// Block whose entry was evicted.
-        block: BlockAddr,
-    },
-    /// Block transitioned NC → coherent (§III-E).
-    NcToCoherent {
-        /// The block.
-        block: BlockAddr,
-    },
-    /// Block transitioned coherent → NC (§III-E).
-    CoherentToNc {
-        /// The block.
-        block: BlockAddr,
-    },
-    /// `raccd_invalidate` flushed a core's NC lines.
-    FlushNc {
-        /// The core flushed.
-        core: usize,
-        /// NC lines removed.
-        lines: u32,
-    },
-    /// The ADR controller resized a directory bank (§III-D).
-    AdrResize {
-        /// Bank index (home tile).
-        bank: usize,
-        /// Grow (double) vs shrink (halve).
-        grow: bool,
-        /// New powered capacity in entries.
-        new_entries: usize,
-        /// Cycles the bank port was blocked for the rebuild.
-        blocked_cycles: u64,
-    },
-    /// The fault plane injected a fault into a NoC transfer.
-    FaultInjected {
-        /// The injection site.
-        site: FaultSite,
-        /// Sending tile.
-        from: usize,
-        /// Receiving tile.
-        to: usize,
-    },
-    /// The receiver's checksum rejected a corrupted payload and NACKed.
-    Nack {
-        /// The NACKing tile (original receiver).
-        from: usize,
-        /// The original sender, which will retry.
-        to: usize,
-    },
-    /// A faulted message was eventually delivered after retries.
-    RetryRecovered {
-        /// Retries it took.
-        attempts: u32,
-        /// Total extra latency paid (timeouts + backoff + retransmits).
-        delay: u64,
-    },
-    /// The bounded retry budget ran out; the message was force-delivered
-    /// and the run flagged fatal (detection, not silent corruption).
-    RetryExhausted {
-        /// Sending tile.
-        from: usize,
-        /// Receiving tile.
-        to: usize,
-        /// Attempts made before giving up.
-        attempts: u32,
-    },
-    /// The fault plane dropped a resident directory entry (SRAM upset);
-    /// recovery runs the inclusion-eviction path.
-    DirEntryLost {
-        /// The block whose entry was lost.
-        block: BlockAddr,
-    },
-}
-
-/// A [`CoherenceEvent`] stamped with the cycle it occurred at (the
-/// requesting core's local time when the transaction issued).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TimedEvent {
-    /// Cycle stamp.
-    pub cycle: u64,
-    /// The protocol event.
-    pub ev: CoherenceEvent,
-}
 
 /// Result of a private-cache lookup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1497,22 +1383,6 @@ impl Machine {
 }
 
 raccd_snap::snap_record!(CoreSlice { tlb, l1 });
-raccd_snap::snap_enum!(CoherenceEvent, "coherence event tag" {
-    0 => CoherentFill { core, block, write, from_owner },
-    1 => NcFill { core, block, write },
-    2 => Upgrade { core, block },
-    3 => DirEviction { block },
-    4 => NcToCoherent { block },
-    5 => CoherentToNc { block },
-    6 => FlushNc { core, lines },
-    7 => AdrResize { bank, grow, new_entries, blocked_cycles },
-    8 => FaultInjected { site, from, to },
-    9 => Nack { from, to },
-    10 => RetryRecovered { attempts, delay },
-    11 => RetryExhausted { from, to, attempts },
-    12 => DirEntryLost { block },
-});
-raccd_snap::snap_record!(TimedEvent { cycle, ev });
 
 /// Whole-machine snapshot/restore (the `raccd-snap` integration).
 ///

@@ -1,157 +1,197 @@
 //! Statistics for every metric the paper's evaluation reports.
 
-/// Counters accumulated over one simulation run.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Stats {
-    /// Execution cycles (Figure 6: "normalised cycles").
-    pub cycles: u64,
+/// Declare [`Stats`]: every counter is named once, with the rule
+/// [`Stats::merge`] combines it by (`sum`; `max`; `by_hand` for the two
+/// fields `merge_occupancy_and_hist` recombines). The struct, `merge` and
+/// the `raccd_snap::Snap` layout (the fields in this order) all come from
+/// the one list, so a field without a rule does not compile.
+macro_rules! stats_record {
+    ($(#[$sm:meta])* pub struct $name:ident {
+        $($(#[$fm:meta])* pub $field:ident: $ty:ty => $rule:ident),* $(,)?
+    }) => {
+        $(#[$sm])*
+        pub struct $name {
+            $($(#[$fm])* pub $field: $ty),*
+        }
 
-    // --- L1 ---
-    /// L1 data cache hits.
-    pub l1_hits: u64,
-    /// L1 data cache misses.
-    pub l1_misses: u64,
-    /// Dirty L1 lines written back to the LLC (coherent PutM + NC
-    /// write-backs). §V-A1 tracks this for the Kmeans discussion.
-    pub l1_writebacks: u64,
-    /// Store-driven LLC updates under write-through private caches
-    /// (§III-C3's write-through variant; 0 under write-back).
-    pub write_throughs: u64,
+        impl $name {
+            /// Accumulate another run's counters into this one (multi-run
+            /// aggregation in `bench`, shard merging in tests).
+            ///
+            /// Counters, cycle totals and integrals add. `dir_avg_occupancy` is
+            /// recombined weighted by each side's capacity integral, so the result
+            /// is still the time-weighted mean over the union of both runs (cycle
+            /// totals are the fallback weight when integrals are absent).
+            /// `dir_access_hist` merges by capacity key. `contexts` keeps the max:
+            /// merged runs describe the same machine, not a bigger one.
+            pub fn merge(&mut self, other: &$name) {
+                // First: the weights are this side's totals before they grow.
+                self.merge_occupancy_and_hist(other);
+                $(stats_record!(@$rule self.$field, other.$field);)*
+            }
+        }
 
-    // --- TLB ---
-    /// DTLB hits.
-    pub tlb_hits: u64,
-    /// DTLB misses (page walks).
-    pub tlb_misses: u64,
+        raccd_snap::snap_record!($name { $($field),* });
+    };
+    (@sum $a:expr, $b:expr) => { $a += $b };
+    (@max $a:expr, $b:expr) => { $a = $a.max($b) };
+    (@by_hand $a:expr, $b:expr) => {};
+}
 
-    // --- Directory (Figure 7a / 8) ---
-    /// Directory bank accesses.
-    pub dir_accesses: u64,
-    /// Directory entry allocations.
-    pub dir_allocations: u64,
-    /// Directory entries evicted for capacity (inclusion victims).
-    pub dir_evictions: u64,
-    /// Time-weighted average directory occupancy fraction over the whole
-    /// run: ∫occupancy dt / ∫capacity dt, accumulated by the per-bank
-    /// occupancy integrals on every directory state change (Figure 8).
-    pub dir_avg_occupancy: f64,
-    /// Access histogram by directory capacity `(entries_per_bank, count)` —
-    /// feeds the size-dependent energy model (Figures 7d, 10).
-    pub dir_access_hist: Vec<(u64, u64)>,
-    /// ∫ powered directory capacity dt (entry·cycles), for leakage.
-    pub dir_capacity_integral: u128,
-    /// ADR reconfigurations performed (Figure 9 discussion: "low number of
-    /// reconfigurations").
-    pub adr_reconfigs: u64,
-    /// Cycles directory banks spent blocked in ADR reconfigurations.
-    pub adr_blocked_cycles: u64,
+stats_record! {
+    /// Counters accumulated over one simulation run.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct Stats {
+        /// Execution cycles (Figure 6: "normalised cycles").
+        pub cycles: u64 => sum,
 
-    // --- LLC (Figure 7b) ---
-    /// LLC hits.
-    pub llc_hits: u64,
-    /// LLC misses.
-    pub llc_misses: u64,
-    /// LLC lines invalidated because their directory entry was evicted
-    /// (the Directory→LLC inclusivity effect of §V-A3).
-    pub llc_inclusion_invalidations: u64,
+        // --- L1 ---
+        /// L1 data cache hits.
+        pub l1_hits: u64 => sum,
+        /// L1 data cache misses.
+        pub l1_misses: u64 => sum,
+        /// Dirty L1 lines written back to the LLC (coherent PutM + NC
+        /// write-backs). §V-A1 tracks this for the Kmeans discussion.
+        pub l1_writebacks: u64 => sum,
+        /// Store-driven LLC updates under write-through private caches
+        /// (§III-C3's write-through variant; 0 under write-back).
+        pub write_throughs: u64 => sum,
 
-    // --- Coherence actions ---
-    /// Invalidation messages sent to private caches.
-    pub invalidations_sent: u64,
-    /// Owner-forwarded requests (dirty data supplied by a peer L1).
-    pub owner_forwards: u64,
-    /// L1 fills performed with the NC bit set.
-    pub nc_fills: u64,
-    /// L1 fills performed coherently.
-    pub coherent_fills: u64,
+        // --- TLB ---
+        /// DTLB hits.
+        pub tlb_hits: u64 => sum,
+        /// DTLB misses (page walks).
+        pub tlb_misses: u64 => sum,
 
-    /// Cycles requests spent queued behind busy LLC/directory banks
-    /// (only non-zero with `MachineConfig::bank_contention`).
-    pub bank_wait_cycles: u64,
+        // --- Directory (Figure 7a / 8) ---
+        /// Directory bank accesses.
+        pub dir_accesses: u64 => sum,
+        /// Directory entry allocations.
+        pub dir_allocations: u64 => sum,
+        /// Directory entries evicted for capacity (inclusion victims).
+        pub dir_evictions: u64 => sum,
+        /// Time-weighted average directory occupancy fraction over the whole
+        /// run: ∫occupancy dt / ∫capacity dt, accumulated by the per-bank
+        /// occupancy integrals on every directory state change (Figure 8).
+        pub dir_avg_occupancy: f64 => by_hand,
+        /// Access histogram by directory capacity `(entries_per_bank, count)` —
+        /// feeds the size-dependent energy model (Figures 7d, 10).
+        pub dir_access_hist: Vec<(u64, u64)> => by_hand,
+        /// ∫ powered directory capacity dt (entry·cycles), for leakage.
+        pub dir_capacity_integral: u128 => sum,
+        /// ADR reconfigurations performed (Figure 9 discussion: "low number of
+        /// reconfigurations").
+        pub adr_reconfigs: u64 => sum,
+        /// Cycles directory banks spent blocked in ADR reconfigurations.
+        pub adr_blocked_cycles: u64 => sum,
 
-    // --- NoC (Figure 7c) ---
-    /// Total flit·hops injected into the mesh.
-    pub noc_traffic: u64,
-    /// Total flits injected.
-    pub noc_flits: u64,
+        // --- LLC (Figure 7b) ---
+        /// LLC hits.
+        pub llc_hits: u64 => sum,
+        /// LLC misses.
+        pub llc_misses: u64 => sum,
+        /// LLC lines invalidated because their directory entry was evicted
+        /// (the Directory→LLC inclusivity effect of §V-A3).
+        pub llc_inclusion_invalidations: u64 => sum,
 
-    // --- Memory ---
-    /// Main-memory fetches.
-    pub mem_reads: u64,
-    /// Main-memory write-backs.
-    pub mem_writes: u64,
+        // --- Coherence actions ---
+        /// Invalidation messages sent to private caches.
+        pub invalidations_sent: u64 => sum,
+        /// Owner-forwarded requests (dirty data supplied by a peer L1).
+        pub owner_forwards: u64 => sum,
+        /// L1 fills performed with the NC bit set.
+        pub nc_fills: u64 => sum,
+        /// L1 fills performed coherently.
+        pub coherent_fills: u64 => sum,
 
-    // --- RaCCD / PT mechanism costs ---
-    /// Cycles spent in `raccd_register` (iterative TLB translation).
-    pub register_cycles: u64,
-    /// Cycles spent in `raccd_invalidate` cache walks + flush write-backs.
-    pub invalidate_cycles: u64,
-    /// NC lines flushed by `raccd_invalidate`.
-    pub nc_lines_flushed: u64,
-    /// NCRT registrations that were dropped because the table was full.
-    pub ncrt_overflows: u64,
-    /// PT baseline: pages that transitioned private→shared.
-    pub pt_shared_transitions: u64,
-    /// PT baseline: L1 lines flushed by private→shared transitions.
-    pub pt_flush_lines: u64,
+        /// Cycles requests spent queued behind busy LLC/directory banks
+        /// (only non-zero with `MachineConfig::bank_contention`).
+        pub bank_wait_cycles: u64 => sum,
 
-    // --- Runtime ---
-    /// Tasks executed.
-    pub tasks_executed: u64,
-    /// Memory references replayed through the timing model.
-    pub refs_processed: u64,
-    /// Cycles hardware contexts spent non-idle (scheduling, registering,
-    /// executing, invalidating, waking) summed over contexts.
-    pub busy_cycles: u64,
-    /// Hardware contexts the run used (cores × SMT ways).
-    pub contexts: u64,
-    /// Tasks that executed on a different core than the task that woke
-    /// them (dynamic-scheduler migration — what makes data *temporarily
-    /// private*, §II-B).
-    pub task_migrations: u64,
-    /// Migrations that forced an NCRT hand-off under RaCCD: the task's
-    /// regions re-registered on a core other than its waker's (the
-    /// re-registration churn a migratory scheduler costs RaCCD).
-    pub ncrt_migrations: u64,
-    /// Quantum preemptions (SchedKind::Quantum): tasks descheduled at a
-    /// batch boundary after exhausting their cycle quantum.
-    pub preemptions: u64,
-    /// Tasks pushed into the ready structure (unified across policies).
-    pub sched_pushed: u64,
-    /// Tasks popped out of the ready structure (unified across policies).
-    pub sched_popped: u64,
-    /// Pops served from the popping context's own queue (central
-    /// policies count every pop here).
-    pub sched_local_pops: u64,
-    /// Pops served by raiding another context's queue.
-    pub sched_steals: u64,
+        // --- NoC (Figure 7c) ---
+        /// Total flit·hops injected into the mesh.
+        pub noc_traffic: u64 => sum,
+        /// Total flits injected.
+        pub noc_flits: u64 => sum,
 
-    // --- Fault plane / resilience (all zero without an attached plane) ---
-    /// Faults injected across every site.
-    pub faults_injected: u64,
-    /// Message retransmissions (drop timeouts + corrupt NACK retries).
-    pub msg_retries: u64,
-    /// NACKs returned by the checksum model for corrupted payloads.
-    pub msg_nacks: u64,
-    /// Times the message retry budget ran out (run flagged fatal).
-    pub retry_budget_exhausted: u64,
-    /// Directory entries lost to injected upsets (recovered via the
-    /// inclusion-eviction path).
-    pub dir_entries_lost: u64,
-    /// Extra latency cycles charged by injected delays, timeouts and
-    /// backoff waits.
-    pub fault_delay_cycles: u64,
-    /// Malformed protocol transitions recovered via `ProtocolError`
-    /// handling instead of aborting.
-    pub protocol_recoveries: u64,
-    /// Task re-executions after injected mid-task failures.
-    pub task_retries: u64,
-    /// Tasks delayed by injected straggle at dispatch.
-    pub task_straggles: u64,
-    /// Progress-watchdog firings (hung-run detections).
-    pub watchdog_fires: u64,
-    /// RaCCD → full-coherence degradations under sustained fault pressure.
-    pub mode_downgrades: u64,
+        // --- Memory ---
+        /// Main-memory fetches.
+        pub mem_reads: u64 => sum,
+        /// Main-memory write-backs.
+        pub mem_writes: u64 => sum,
+
+        // --- RaCCD / PT mechanism costs ---
+        /// Cycles spent in `raccd_register` (iterative TLB translation).
+        pub register_cycles: u64 => sum,
+        /// Cycles spent in `raccd_invalidate` cache walks + flush write-backs.
+        pub invalidate_cycles: u64 => sum,
+        /// NC lines flushed by `raccd_invalidate`.
+        pub nc_lines_flushed: u64 => sum,
+        /// NCRT registrations that were dropped because the table was full.
+        pub ncrt_overflows: u64 => sum,
+        /// PT baseline: pages that transitioned private→shared.
+        pub pt_shared_transitions: u64 => sum,
+        /// PT baseline: L1 lines flushed by private→shared transitions.
+        pub pt_flush_lines: u64 => sum,
+
+        // --- Runtime ---
+        /// Tasks executed.
+        pub tasks_executed: u64 => sum,
+        /// Memory references replayed through the timing model.
+        pub refs_processed: u64 => sum,
+        /// Cycles hardware contexts spent non-idle (scheduling, registering,
+        /// executing, invalidating, waking) summed over contexts.
+        pub busy_cycles: u64 => sum,
+        /// Hardware contexts the run used (cores × SMT ways).
+        pub contexts: u64 => max,
+        /// Tasks that executed on a different core than the task that woke
+        /// them (dynamic-scheduler migration — what makes data *temporarily
+        /// private*, §II-B).
+        pub task_migrations: u64 => sum,
+        /// Migrations that forced an NCRT hand-off under RaCCD: the task's
+        /// regions re-registered on a core other than its waker's (the
+        /// re-registration churn a migratory scheduler costs RaCCD).
+        pub ncrt_migrations: u64 => sum,
+        /// Quantum preemptions (SchedKind::Quantum): tasks descheduled at a
+        /// batch boundary after exhausting their cycle quantum.
+        pub preemptions: u64 => sum,
+        /// Tasks pushed into the ready structure (unified across policies).
+        pub sched_pushed: u64 => sum,
+        /// Tasks popped out of the ready structure (unified across policies).
+        pub sched_popped: u64 => sum,
+        /// Pops served from the popping context's own queue (central
+        /// policies count every pop here).
+        pub sched_local_pops: u64 => sum,
+        /// Pops served by raiding another context's queue.
+        pub sched_steals: u64 => sum,
+
+        // --- Fault plane / resilience (all zero without an attached plane) ---
+        /// Faults injected across every site.
+        pub faults_injected: u64 => sum,
+        /// Message retransmissions (drop timeouts + corrupt NACK retries).
+        pub msg_retries: u64 => sum,
+        /// NACKs returned by the checksum model for corrupted payloads.
+        pub msg_nacks: u64 => sum,
+        /// Times the message retry budget ran out (run flagged fatal).
+        pub retry_budget_exhausted: u64 => sum,
+        /// Directory entries lost to injected upsets (recovered via the
+        /// inclusion-eviction path).
+        pub dir_entries_lost: u64 => sum,
+        /// Extra latency cycles charged by injected delays, timeouts and
+        /// backoff waits.
+        pub fault_delay_cycles: u64 => sum,
+        /// Malformed protocol transitions recovered via `ProtocolError`
+        /// handling instead of aborting.
+        pub protocol_recoveries: u64 => sum,
+        /// Task re-executions after injected mid-task failures.
+        pub task_retries: u64 => sum,
+        /// Tasks delayed by injected straggle at dispatch.
+        pub task_straggles: u64 => sum,
+        /// Progress-watchdog firings (hung-run detections).
+        pub watchdog_fires: u64 => sum,
+        /// RaCCD → full-coherence degradations under sustained fault pressure.
+        pub mode_downgrades: u64 => sum,
+    }
 }
 
 impl Stats {
@@ -226,206 +266,27 @@ impl Stats {
         }
     }
 
-    /// Accumulate another run's counters into this one (multi-run
-    /// aggregation in `bench`, shard merging in tests).
-    ///
-    /// Counters, cycle totals and integrals add. `dir_avg_occupancy` is
-    /// recombined weighted by each side's capacity integral, so the result
-    /// is still the time-weighted mean over the union of both runs (cycle
-    /// totals are the fallback weight when integrals are absent).
-    /// `dir_access_hist` merges by capacity key. `contexts` keeps the max:
-    /// merged runs describe the same machine, not a bigger one.
-    pub fn merge(&mut self, other: &Stats) {
-        // Exhaustive destructure: adding a Stats field without deciding
-        // its merge rule becomes a compile error here.
-        let Stats {
-            cycles,
-            l1_hits,
-            l1_misses,
-            l1_writebacks,
-            write_throughs,
-            tlb_hits,
-            tlb_misses,
-            dir_accesses,
-            dir_allocations,
-            dir_evictions,
-            dir_avg_occupancy,
-            dir_access_hist: ref other_hist,
-            dir_capacity_integral,
-            adr_reconfigs,
-            adr_blocked_cycles,
-            llc_hits,
-            llc_misses,
-            llc_inclusion_invalidations,
-            invalidations_sent,
-            owner_forwards,
-            nc_fills,
-            coherent_fills,
-            bank_wait_cycles,
-            noc_traffic,
-            noc_flits,
-            mem_reads,
-            mem_writes,
-            register_cycles,
-            invalidate_cycles,
-            nc_lines_flushed,
-            ncrt_overflows,
-            pt_shared_transitions,
-            pt_flush_lines,
-            tasks_executed,
-            refs_processed,
-            busy_cycles,
-            contexts,
-            task_migrations,
-            ncrt_migrations,
-            preemptions,
-            sched_pushed,
-            sched_popped,
-            sched_local_pops,
-            sched_steals,
-            faults_injected,
-            msg_retries,
-            msg_nacks,
-            retry_budget_exhausted,
-            dir_entries_lost,
-            fault_delay_cycles,
-            protocol_recoveries,
-            task_retries,
-            task_straggles,
-            watchdog_fires,
-            mode_downgrades,
-        } = *other;
-
-        let (wa, wb) = (self.dir_capacity_integral, dir_capacity_integral);
+    /// The two fields of [`Stats::merge`] that do not simply add.
+    fn merge_occupancy_and_hist(&mut self, other: &Stats) {
+        let (wa, wb) = (self.dir_capacity_integral, other.dir_capacity_integral);
+        let (oa, ob) = (self.dir_avg_occupancy, other.dir_avg_occupancy);
         self.dir_avg_occupancy = if wa + wb > 0 {
-            (self.dir_avg_occupancy * wa as f64 + dir_avg_occupancy * wb as f64) / (wa + wb) as f64
-        } else if self.cycles + cycles > 0 {
-            (self.dir_avg_occupancy * self.cycles as f64 + dir_avg_occupancy * cycles as f64)
-                / (self.cycles + cycles) as f64
+            (oa * wa as f64 + ob * wb as f64) / (wa + wb) as f64
+        } else if self.cycles + other.cycles > 0 {
+            (oa * self.cycles as f64 + ob * other.cycles as f64)
+                / (self.cycles + other.cycles) as f64
         } else {
-            (self.dir_avg_occupancy + dir_avg_occupancy) / 2.0
+            (oa + ob) / 2.0
         };
-        for &(cap, count) in other_hist {
+        for &(cap, count) in &other.dir_access_hist {
             match self.dir_access_hist.iter_mut().find(|e| e.0 == cap) {
                 Some(e) => e.1 += count,
                 None => self.dir_access_hist.push((cap, count)),
             }
         }
         self.dir_access_hist.sort_unstable_by_key(|e| e.0);
-
-        self.cycles += cycles;
-        self.l1_hits += l1_hits;
-        self.l1_misses += l1_misses;
-        self.l1_writebacks += l1_writebacks;
-        self.write_throughs += write_throughs;
-        self.tlb_hits += tlb_hits;
-        self.tlb_misses += tlb_misses;
-        self.dir_accesses += dir_accesses;
-        self.dir_allocations += dir_allocations;
-        self.dir_evictions += dir_evictions;
-        self.dir_capacity_integral += dir_capacity_integral;
-        self.adr_reconfigs += adr_reconfigs;
-        self.adr_blocked_cycles += adr_blocked_cycles;
-        self.llc_hits += llc_hits;
-        self.llc_misses += llc_misses;
-        self.llc_inclusion_invalidations += llc_inclusion_invalidations;
-        self.invalidations_sent += invalidations_sent;
-        self.owner_forwards += owner_forwards;
-        self.nc_fills += nc_fills;
-        self.coherent_fills += coherent_fills;
-        self.bank_wait_cycles += bank_wait_cycles;
-        self.noc_traffic += noc_traffic;
-        self.noc_flits += noc_flits;
-        self.mem_reads += mem_reads;
-        self.mem_writes += mem_writes;
-        self.register_cycles += register_cycles;
-        self.invalidate_cycles += invalidate_cycles;
-        self.nc_lines_flushed += nc_lines_flushed;
-        self.ncrt_overflows += ncrt_overflows;
-        self.pt_shared_transitions += pt_shared_transitions;
-        self.pt_flush_lines += pt_flush_lines;
-        self.tasks_executed += tasks_executed;
-        self.refs_processed += refs_processed;
-        self.busy_cycles += busy_cycles;
-        self.contexts = self.contexts.max(contexts);
-        self.task_migrations += task_migrations;
-        self.ncrt_migrations += ncrt_migrations;
-        self.preemptions += preemptions;
-        self.sched_pushed += sched_pushed;
-        self.sched_popped += sched_popped;
-        self.sched_local_pops += sched_local_pops;
-        self.sched_steals += sched_steals;
-        self.faults_injected += faults_injected;
-        self.msg_retries += msg_retries;
-        self.msg_nacks += msg_nacks;
-        self.retry_budget_exhausted += retry_budget_exhausted;
-        self.dir_entries_lost += dir_entries_lost;
-        self.fault_delay_cycles += fault_delay_cycles;
-        self.protocol_recoveries += protocol_recoveries;
-        self.task_retries += task_retries;
-        self.task_straggles += task_straggles;
-        self.watchdog_fires += watchdog_fires;
-        self.mode_downgrades += mode_downgrades;
     }
 }
-
-raccd_snap::snap_record!(Stats {
-    cycles,
-    l1_hits,
-    l1_misses,
-    l1_writebacks,
-    write_throughs,
-    tlb_hits,
-    tlb_misses,
-    dir_accesses,
-    dir_allocations,
-    dir_evictions,
-    dir_avg_occupancy,
-    dir_access_hist,
-    dir_capacity_integral,
-    adr_reconfigs,
-    adr_blocked_cycles,
-    llc_hits,
-    llc_misses,
-    llc_inclusion_invalidations,
-    invalidations_sent,
-    owner_forwards,
-    nc_fills,
-    coherent_fills,
-    bank_wait_cycles,
-    noc_traffic,
-    noc_flits,
-    mem_reads,
-    mem_writes,
-    register_cycles,
-    invalidate_cycles,
-    nc_lines_flushed,
-    ncrt_overflows,
-    pt_shared_transitions,
-    pt_flush_lines,
-    tasks_executed,
-    refs_processed,
-    busy_cycles,
-    contexts,
-    task_migrations,
-    ncrt_migrations,
-    preemptions,
-    sched_pushed,
-    sched_popped,
-    sched_local_pops,
-    sched_steals,
-    faults_injected,
-    msg_retries,
-    msg_nacks,
-    retry_budget_exhausted,
-    dir_entries_lost,
-    fault_delay_cycles,
-    protocol_recoveries,
-    task_retries,
-    task_straggles,
-    watchdog_fires,
-    mode_downgrades,
-});
 
 #[cfg(test)]
 mod tests {
