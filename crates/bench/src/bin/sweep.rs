@@ -20,6 +20,15 @@ use raccd_bench::cli::{die, Cli, SIM_FLAGS};
 use raccd_bench::figures::{machine_header, simulate, Cell};
 use raccd_core::CoherenceMode;
 
+/// A `flag` value that counts something the machine divides by
+/// (`--ratios`, `--smt`): an integer of at least 1, or exit 2.
+fn positive(flag: &str, text: &str) -> usize {
+    match text.parse() {
+        Ok(n) if n > 0 => n,
+        _ => die(&format!("{flag}: bad number `{text}` (want 1 or more)")),
+    }
+}
+
 fn main() {
     let own = ["--telemetry", "--bench", "--ratios", "--modes", "--smt"];
     let flags = [&SIM_FLAGS[..], &own].concat();
@@ -30,13 +39,7 @@ fn main() {
         .benches(&names)
         .unwrap_or_else(|| (0..names.len()).collect());
     let ratios: Vec<usize> = match cli.value("--ratios") {
-        Some(sel) => sel
-            .split(',')
-            .map(|x| {
-                x.parse()
-                    .unwrap_or_else(|_| die(&format!("--ratios: bad number `{x}`")))
-            })
-            .collect(),
+        Some(sel) => sel.split(',').map(|x| positive("--ratios", x)).collect(),
         None => raccd_sim::DIR_RATIOS.to_vec(),
     };
     let modes = cli
@@ -46,7 +49,10 @@ fn main() {
     let mut base_cfg = cli
         .cfg
         .with_adr(cli.has("--adr"))
-        .with_smt(cli.number_or("--smt", cli.cfg.smt_ways))
+        .with_smt(
+            cli.value("--smt")
+                .map_or(cli.cfg.smt_ways, |v| positive("--smt", v)),
+        )
         .with_write_through(cli.has("--wt"))
         .with_contention(cli.has("--contention"));
     base_cfg.permuted_pages = cli.has("--permuted");

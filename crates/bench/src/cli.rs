@@ -1,4 +1,4 @@
-//! One argv parser for the five bench binaries. A binary lists the flags
+//! One argv parser for the four bench binaries. A binary lists the flags
 //! it accepts; anything else on the command line is an error, never a
 //! silent default, and the machine and scale every run derives from are
 //! parsed here exactly once.

@@ -47,11 +47,6 @@ pub fn write_telemetry(rec: &Recorder, dir: &Path) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Format a TSV row.
-pub fn tsv_row(cells: &[String]) -> String {
-    cells.join("\t")
-}
-
 /// Arithmetic mean.
 pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {

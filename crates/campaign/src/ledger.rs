@@ -216,8 +216,8 @@ impl Record {
             "shed" => Record::Shed { key: key()? },
             "leased" => Record::Leased {
                 key: key()?,
-                attempt: field_u64(&v, "attempt")? as u32,
-                worker: field_u64(&v, "worker")? as u32,
+                attempt: field_u32(&v, "attempt")?,
+                worker: field_u32(&v, "worker")?,
             },
             "done" => Record::Done {
                 key: key()?,
@@ -231,12 +231,12 @@ impl Record {
             },
             "failed" => Record::Failed {
                 key: key()?,
-                attempt: field_u64(&v, "attempt")? as u32,
+                attempt: field_u32(&v, "attempt")?,
                 err: field_str(&v, "err")?,
             },
             "retry" => Record::Retry {
                 key: key()?,
-                attempt: field_u64(&v, "attempt")? as u32,
+                attempt: field_u32(&v, "attempt")?,
                 delay_ms: field_u64(&v, "delay_ms")?,
             },
             "note" => Record::Note {
@@ -248,11 +248,16 @@ impl Record {
     }
 }
 
+/// An integer field, exact over the whole `u64` range (seeds and cycle
+/// counts above 2^53 must come back as they were written).
 fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
     v.get(key)
-        .and_then(Value::as_f64)
-        .map(|f| f as u64)
-        .ok_or_else(|| format!("missing/non-numeric `{key}`"))
+        .and_then(Value::as_u64)
+        .ok_or_else(|| format!("missing/non-integer `{key}`"))
+}
+
+fn field_u32(v: &Value, key: &str) -> Result<u32, String> {
+    u32::try_from(field_u64(v, key)?).map_err(|_| format!("`{key}` out of range"))
 }
 
 fn field_str(v: &Value, key: &str) -> Result<String, String> {
@@ -587,6 +592,66 @@ mod tests {
             assert_eq!(seq, i as u64);
             assert_eq!(parsed, rec);
         }
+    }
+
+    /// Every integer field of every record kind comes back exactly, at
+    /// the ends of its range and just past the 53 bits an `f64` holds.
+    #[test]
+    fn integer_fields_roundtrip_over_their_whole_range() {
+        for n in [0, (1 << 53) + 1, u64::MAX] {
+            let small = n.min(u32::MAX as u64) as u32;
+            let k = key(n, n);
+            let records = [
+                Record::Enqueued {
+                    key: k,
+                    spec: "bench=jacobi".into(),
+                },
+                Record::Deduped { key: k },
+                Record::Shed { key: k },
+                Record::Leased {
+                    key: k,
+                    attempt: small,
+                    worker: small,
+                },
+                Record::Done {
+                    key: k,
+                    digest: JobDigest {
+                        cycles: n,
+                        tasks: n,
+                        stats_digest: n,
+                        state_key: None,
+                    },
+                },
+                Record::Failed {
+                    key: k,
+                    attempt: small,
+                    err: "e".into(),
+                },
+                Record::Retry {
+                    key: k,
+                    attempt: small,
+                    delay_ms: n,
+                },
+                Record::Note { text: "n".into() },
+            ];
+            for rec in records {
+                assert_eq!(Record::parse_line(&rec.to_line(n)), Ok((n, rec)));
+            }
+        }
+        // A u32 field that does not fit is a parse error, not a truncation.
+        let wide = Record::Retry {
+            key: key(1, 1),
+            attempt: 7,
+            delay_ms: 0,
+        }
+        .to_line(0)
+        .replace("\"attempt\":7", "\"attempt\":4294967296");
+        let body = &wide[1..wide.rfind(",\"sum\"").unwrap()];
+        let line = format!("{{{body},\"sum\":\"{:08x}\"}}", crc32(body.as_bytes()));
+        assert_eq!(
+            Record::parse_line(&line),
+            Err("`attempt` out of range".to_string())
+        );
     }
 
     /// The line checksum is `raccd_snap::crc32` of the body: a ledger

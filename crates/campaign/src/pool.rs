@@ -3,8 +3,8 @@
 //!
 //! This is the *one* host-parallel fan-out implementation in the repo —
 //! the campaign service schedules leased jobs through it, and
-//! `raccd-bench`'s `figures` cell store and `warmstart` seed sweep ride
-//! the same pool instead of hand-rolling `std::thread::scope` loops.
+//! `raccd-bench`'s `figures` cell store rides the same pool instead of
+//! hand-rolling a `std::thread::scope` loop.
 //! Properties the callers rely on:
 //!
 //! - **Bounded queue with deterministic saturation**: [`WorkerPool::try_submit`]

@@ -533,8 +533,8 @@ fn execute_job(
 }
 
 /// Shared tail of the warm and cold execution paths: reseed the fault
-/// plane at the warm-up boundary (the convention `warmstart` proves
-/// bit-identical between restored and cold drivers) and run to the end
+/// plane at the warm-up boundary (the convention `campaign_differential`
+/// proves bit-identical between restored and cold drivers) and run to the end
 /// under supervision: between slices of at most `slice` heap cycles the
 /// cancel token and the per-job progress watchdog are polled on the
 /// simulating thread. An abort stops the driver at a slice boundary and

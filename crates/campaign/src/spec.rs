@@ -163,7 +163,12 @@ impl JobSpec {
                         CoherenceMode::parse(val).ok_or_else(|| format!("bad mode `{val}`"))?;
                 }
                 "ratio" => {
-                    spec.ratio = val.parse().map_err(|_| format!("bad ratio `{val}`"))?;
+                    // `1:0` would divide the directory by zero.
+                    spec.ratio = val
+                        .parse()
+                        .ok()
+                        .filter(|&n: &usize| n > 0)
+                        .ok_or_else(|| format!("bad ratio `{val}`"))?;
                 }
                 "adr" => {
                     spec.adr = match val {
@@ -410,6 +415,15 @@ mod tests {
         assert!(JobSpec::parse("bench=Jacobi seeds=5..2").is_err());
         assert!(JobSpec::parse("bench=Jacobi bogus=1").is_err());
         assert!(JobSpec::parse("bench=Jacobi fault=drop=9").is_err());
+        assert_eq!(
+            JobSpec::parse("bench=Jacobi ratio=0"),
+            Err("bad ratio `0`".to_string())
+        );
+        // A budget that does not fit is refused, not enqueued as budget 0.
+        assert_eq!(
+            JobSpec::parse("bench=Jacobi fault=retry_budget=4294967296"),
+            Err("fault: fault spec `retry_budget`: 4294967296 out of range".to_string())
+        );
     }
 
     #[test]

@@ -239,6 +239,23 @@ fn ledger_with_parallel_engine_spec_lines_resumes_and_dedups() {
     assert!(report.reconcile.consistent, "{}", report.to_json());
 }
 
+/// A seed above 2^53 is the same job when the ledger is read back: the
+/// first process reconciles, and a second process over the same ledger
+/// finds the result cached and executes nothing.
+#[test]
+fn seed_beyond_f64_precision_resumes_from_the_cache() {
+    let path = scratch("wide-seed.jsonl");
+    let mut s = spec("Jacobi", 1);
+    (s.seed_lo, s.seed_hi) = ((1 << 53) + 1, (1 << 53) + 1);
+    for executions in [1, 0] {
+        let camp = Campaign::open(&path, quick_config()).unwrap();
+        camp.submit(&s).unwrap();
+        let report = camp.run().unwrap();
+        assert_eq!((report.done, report.executions), (1, executions));
+        assert!(report.reconcile.consistent, "{}", report.to_json());
+    }
+}
+
 #[test]
 fn lifecycle_events_track_queue_depth() {
     let path = scratch("events.jsonl");

@@ -32,7 +32,8 @@ fn config() -> CampaignConfig {
 
 /// A spread of specs covering the paths that could plausibly diverge:
 /// all three coherence modes, a warm-started batch (snapshot-pool restore
-/// versus the oracle's cold warm-up) and a live fault plane.
+/// versus the oracle's cold warm-up), a live fault plane, and both at
+/// once (every seed reseeds the plane at the shared warm-up boundary).
 fn matrix() -> Vec<JobSpec> {
     let mut specs = Vec::new();
     for mode in [
@@ -51,6 +52,9 @@ fn matrix() -> Vec<JobSpec> {
     let mut faulty = JobSpec::new("Jacobi", Scale::Test, CoherenceMode::Raccd);
     faulty.fault = Some("delay=5e-4:16;dup=1e-4".to_string());
     faulty.seed_hi = 2;
+    specs.push(faulty.clone());
+    faulty.warmup = 2_000;
+    faulty.seed_hi = 3;
     specs.push(faulty);
     specs
 }

@@ -245,6 +245,9 @@ impl FaultPlan {
             }
             let rate = |v: &str| rate(key, v);
             let int = |v: &str| int(key, v);
+            let int32 = |v: &str| {
+                u32::try_from(int(v)?).map_err(|_| format!("fault spec `{key}`: {v} out of range"))
+            };
             match key {
                 "seed" => p.seed = int(val)?,
                 "drop" => p.drop = rate(val)?,
@@ -275,14 +278,14 @@ impl FaultPlan {
                     }
                     p.window = Some((s, e));
                 }
-                "retry_budget" => p.retry_budget = int(val)? as u32,
+                "retry_budget" => p.retry_budget = int32(val)?,
                 "backoff" => {
                     let (b, c) = pair(key, val)?;
                     p.backoff_base = int(b)?.max(1);
                     p.backoff_cap = int(c)?.max(p.backoff_base);
                 }
                 "timeout" => p.drop_timeout = int(val)?,
-                "task_budget" => p.task_retry_budget = int(val)? as u32,
+                "task_budget" => p.task_retry_budget = int32(val)?,
                 "watchdog" => p.watchdog_cycles = int(val)?.max(1),
                 "degrade" => {
                     let (w, rest) = pair(key, val)?;
@@ -712,6 +715,14 @@ mod tests {
         assert!(FaultPlan::from_spec("nosuchkey=1").is_err());
         assert!(FaultPlan::from_spec("window=9:3").is_err());
         assert!(FaultPlan::from_spec("drop=0.6;dup=0.6").is_err());
+        // The u32 budgets are range-checked, not truncated to 0.
+        for key in ["retry_budget", "task_budget"] {
+            assert_eq!(
+                FaultPlan::from_spec(&format!("{key}=4294967296")),
+                Err(format!("fault spec `{key}`: 4294967296 out of range"))
+            );
+            assert!(FaultPlan::from_spec(&format!("{key}=4294967295")).is_ok());
+        }
         assert!(
             FaultPlan::from_spec("delay=0.1").is_err(),
             "delay needs RATE:MAX"

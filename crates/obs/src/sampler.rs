@@ -177,7 +177,7 @@ impl IntervalSampler {
             stats,
             prev: &self.prev,
         }));
-        self.prev.clone_from(stats);
+        self.prev = stats.clone();
     }
 
     /// The collected time-series.

@@ -709,8 +709,8 @@ impl Snapshot {
         self.sections.iter().map(|s| s.tag.as_str()).collect()
     }
 
-    /// Total payload bytes across all sections (the denominator of
-    /// `warmstart`'s snapshot-throughput line).
+    /// Total payload bytes across all sections (the denominator of the
+    /// benchmark's `snap.*_mb_per_s` rows).
     pub fn payload_bytes(&self) -> u64 {
         self.sections.iter().map(|s| s.payload.len() as u64).sum()
     }

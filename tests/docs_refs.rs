@@ -3,7 +3,8 @@
 //! those names no longer has a source file or a row in the study table,
 //! when a doc cites a `BENCH_<n>.json` performance file or a `cargo
 //! bench` target that does not exist (the repo benchmark under
-//! `benchmark/` is the only measurement of record).
+//! `benchmark/` is the only measurement of record), or when the telemetry
+//! schema declares an event kind DESIGN.md §7 does not list.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -227,5 +228,27 @@ fn bench_flags_name_a_workload_or_a_bench_target() {
     assert!(
         checked >= 10,
         "the docs run `--bench Jacobi` more often: {checked}"
+    );
+}
+
+#[test]
+fn every_declared_event_kind_is_listed_in_design_section_7() {
+    use raccd::obs::{CampaignAction, Event};
+    use raccd::sim::CoherenceEvent;
+    let design = fs::read_to_string(root().join("DESIGN.md")).expect("DESIGN.md is readable");
+    let start = design.find("\n## 7. ").expect("DESIGN.md has a section 7");
+    let len = design[start..].find("\n## 8. ").expect("and a section 8");
+    let section = &design[start..start + len];
+    let campaign = CampaignAction::ALL.map(CampaignAction::kind);
+    let kinds = Event::KINDS
+        .iter()
+        .chain(CoherenceEvent::KINDS)
+        .chain(&campaign);
+    let missing: Vec<_> = kinds
+        .filter(|k| !section.contains(&format!("`{k}`")))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "kinds DESIGN.md §7 does not list: {missing:?}"
     );
 }
