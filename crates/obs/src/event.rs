@@ -157,7 +157,10 @@ macro_rules! event_schema {
         $f(stringify!($field), Field::from(*$field))
     };
     (@emit $f:ident $names:ident $field:ident interned) => {
-        $f(stringify!($field), Field::Str($names.get(*$field as usize).map_or("", String::as_str)))
+        $f(
+            stringify!($field),
+            Field::Str($names.get(*$field as usize).map_or("", String::as_str)),
+        )
     };
 }
 

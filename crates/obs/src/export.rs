@@ -208,8 +208,9 @@ pub fn chrome_trace_json(rec: &Recorder) -> String {
                 ("ctx", Field::U64(ctx)) if on_ctx => tid = ctx,
                 ("dur", Field::U64(d)) if ph == "X" => dur = Some(d),
                 ("name", Field::Str(task)) if shown.is_empty() => name = task.to_string(),
-                ("grow", Field::Bool(true)) => name = "adr_double".to_string(),
-                ("grow", Field::Bool(false)) => name = "adr_halve".to_string(),
+                ("grow", Field::Bool(grow)) => {
+                    name = if grow { "adr_double" } else { "adr_halve" }.to_string()
+                }
                 _ => {}
             }
             if arg_keys.contains(&key) {

@@ -18,12 +18,13 @@ macro_rules! stats_record {
             /// Accumulate another run's counters into this one (multi-run
             /// aggregation in `bench`, shard merging in tests).
             ///
-            /// Counters, cycle totals and integrals add. `dir_avg_occupancy` is
-            /// recombined weighted by each side's capacity integral, so the result
-            /// is still the time-weighted mean over the union of both runs (cycle
-            /// totals are the fallback weight when integrals are absent).
-            /// `dir_access_hist` merges by capacity key. `contexts` keeps the max:
-            /// merged runs describe the same machine, not a bigger one.
+            /// Counters, cycle totals and integrals add. `dir_avg_occupancy`
+            /// is recombined weighted by each side's capacity integral, so
+            /// the result is still the time-weighted mean over the union of
+            /// both runs (cycle totals are the fallback weight when
+            /// integrals are absent). `dir_access_hist` merges by capacity
+            /// key. `contexts` keeps the max: merged runs describe the same
+            /// machine, not a bigger one.
             pub fn merge(&mut self, other: &$name) {
                 // First: the weights are this side's totals before they grow.
                 self.merge_occupancy_and_hist(other);
