@@ -31,6 +31,8 @@ use raccd_campaign::{Campaign, CampaignConfig, JobSpec};
 use raccd_core::CoherenceMode;
 use raccd_obs::{write_campaign_depth_csv, write_events_jsonl};
 use raccd_workloads::Scale;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 
 /// Deterministic `--gen` matrix: spread `n` seeded jobs evenly over the
@@ -102,20 +104,22 @@ fn main() {
         specs.push(JobSpec::parse(line).unwrap_or_else(|e| die(&format!("--spec: {e}"))));
     }
     if let Some(f) = cli.value("--spec-file") {
-        let text = std::fs::read_to_string(f).unwrap_or_else(|e| panic!("--spec-file {f}: {e}"));
+        let text =
+            std::fs::read_to_string(f).unwrap_or_else(|e| die(&format!("--spec-file {f}: {e}")));
         for line in text.lines() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            specs.push(JobSpec::parse(line).unwrap_or_else(|e| panic!("{f}: {e}")));
+            specs.push(
+                JobSpec::parse(line).unwrap_or_else(|e| die(&format!("--spec-file {f}: {e}"))),
+            );
         }
     }
     specs.extend(gen_matrix(scale, cli.number_or("--gen", 0)));
 
-    let campaign = Campaign::open(&ledger, config).unwrap_or_else(|e| {
-        panic!("opening ledger {}: {e}", ledger.display());
-    });
+    let campaign = Campaign::open(&ledger, config)
+        .unwrap_or_else(|e| die(&format!("opening ledger {}: {e}", ledger.display())));
 
     let mut admitted = 0u64;
     let mut deduped = 0u64;
@@ -123,7 +127,7 @@ fn main() {
     let mut submit = |spec: &JobSpec| {
         let s = campaign
             .submit(spec)
-            .unwrap_or_else(|e| panic!("submit {}: {e}", spec.render()));
+            .unwrap_or_else(|e| die(&format!("submit {}: {e}", spec.render())));
         admitted += s.admitted;
         deduped += s.deduped;
         shed += s.shed;
@@ -147,26 +151,26 @@ fn main() {
 
     let report = campaign
         .run()
-        .unwrap_or_else(|e| panic!("campaign run: {e}"));
+        .unwrap_or_else(|e| die(&format!("campaign run: {e}")));
     println!("{}", report.to_json());
     if let Some(p) = cli.value("--report") {
         std::fs::write(p, report.to_json() + "\n")
-            .unwrap_or_else(|e| panic!("writing report {p}: {e}"));
+            .unwrap_or_else(|e| die(&format!("--report {p}: {e}")));
     }
-    if let Some(p) = cli.value("--events") {
-        let mut w = std::io::BufWriter::new(
-            std::fs::File::create(p).unwrap_or_else(|e| panic!("creating {p}: {e}")),
-        );
-        write_events_jsonl(&[], &campaign.events(), &mut w)
-            .unwrap_or_else(|e| panic!("writing events {p}: {e}"));
-    }
-    if let Some(p) = cli.value("--depth-csv") {
-        let mut w = std::io::BufWriter::new(
-            std::fs::File::create(p).unwrap_or_else(|e| panic!("creating {p}: {e}")),
-        );
-        write_campaign_depth_csv(&campaign.events(), &mut w)
-            .unwrap_or_else(|e| panic!("writing depth csv {p}: {e}"));
-    }
+    let export = |flag: &str, write: &dyn Fn(&mut BufWriter<File>) -> std::io::Result<()>| {
+        if let Some(p) = cli.value(flag) {
+            File::create(p)
+                .map(BufWriter::new)
+                .and_then(|mut w| write(&mut w).and_then(|()| w.flush()))
+                .unwrap_or_else(|e| die(&format!("{flag} {p}: {e}")));
+        }
+    };
+    export("--events", &|w| {
+        write_events_jsonl(&[], &campaign.events(), w)
+    });
+    export("--depth-csv", &|w| {
+        write_campaign_depth_csv(&campaign.events(), w)
+    });
 
     if !report.reconcile.consistent {
         eprintln!("campaign: reconciliation FAILED: {}", report.to_json());

@@ -17,16 +17,19 @@
 //! boundary and asserts exactly that.
 //!
 //! Writes go through a single [`Ledger`] handle (the campaign serialises
-//! them behind a mutex), are flushed per record, and carry strictly
-//! increasing sequence numbers — a seq discontinuity ends replay just
-//! like a checksum failure.
+//! them behind a mutex), one `write` per record with its newline, and
+//! carry strictly increasing sequence numbers — a seq discontinuity ends
+//! replay just like a checksum failure. A write that fails is taken back
+//! and closes the handle, so a fragment never sits in front of a record.
 
 use crate::spec::JobKey;
-use raccd_obs::json::{self, Obj, Value};
+use raccd_obs::json::{self, escape_into, Scalar, Value};
 use raccd_snap::crc32;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, Write};
+use std::io::{self, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 
 /// One ledger record: a job state transition (or a campaign-level note).
@@ -135,59 +138,64 @@ impl Record {
         }
     }
 
-    /// Render the record body (no `sum`, no braces) in stable key order.
-    fn body(&self, seq: u64) -> String {
-        let base = |o: Obj, key: &JobKey| {
-            o.str("fp", &format!("{:016x}", key.fingerprint))
-                .u64("seed", key.seed)
-        };
-        let o = Obj::new().u64("seq", seq).str("kind", self.kind());
-        let o = match self {
-            Record::Enqueued { key, spec } => base(o, key).str("spec", spec),
-            Record::Deduped { key } | Record::Shed { key } => base(o, key),
-            Record::Leased {
-                key,
-                attempt,
-                worker,
-            } => base(o, key)
-                .u64("attempt", *attempt as u64)
-                .u64("worker", *worker as u64),
-            Record::Done { key, digest } => {
-                let o = base(o, key)
-                    .u64("cycles", digest.cycles)
-                    .u64("tasks", digest.tasks)
-                    .str("digest", &format!("{:016x}", digest.stats_digest));
-                match &digest.state_key {
-                    Some(k) => o.str("key", k),
-                    None => o.raw("key", "null"),
+    /// Append the record's durable line (no newline) to `out`: the body
+    /// in stable key order, then the CRC-32 of what stands between the
+    /// braces before `,"sum"`. A kind's one free-text member is its last.
+    /// (The `Result` is `fmt::Write`'s; writing to a `String` cannot fail.)
+    fn render(&self, seq: u64, out: &mut String) -> std::fmt::Result {
+        let start = out.len() + 1;
+        write!(out, "{{\"seq\":{seq},\"kind\":\"{}\"", self.kind())?;
+        if let Some(JobKey { fingerprint, seed }) = self.key() {
+            write!(out, ",\"fp\":\"{fingerprint:016x}\",\"seed\":{seed}")?;
+        }
+        if let Record::Leased { attempt, .. }
+        | Record::Failed { attempt, .. }
+        | Record::Retry { attempt, .. } = self
+        {
+            write!(out, ",\"attempt\":{attempt}")?;
+        }
+        let mut text = None;
+        match self {
+            Record::Enqueued { spec, .. } => text = Some(("spec", spec)),
+            Record::Deduped { .. } | Record::Shed { .. } => {}
+            Record::Leased { worker, .. } => write!(out, ",\"worker\":{worker}")?,
+            Record::Done { digest: d, .. } => {
+                write!(out, ",\"cycles\":{},\"tasks\":{}", d.cycles, d.tasks)?;
+                write!(out, ",\"digest\":\"{:016x}\"", d.stats_digest)?;
+                match &d.state_key {
+                    Some(k) => text = Some(("key", k)),
+                    None => out.push_str(",\"key\":null"),
                 }
             }
-            Record::Failed { key, attempt, err } => {
-                base(o, key).u64("attempt", *attempt as u64).str("err", err)
-            }
-            Record::Retry {
-                key,
-                attempt,
-                delay_ms,
-            } => base(o, key)
-                .u64("attempt", *attempt as u64)
-                .u64("delay_ms", *delay_ms),
-            Record::Note { text } => o.str("text", text),
-        };
-        // Obj renders `{…}`; the checksum covers the inner body.
-        let s = o.render();
-        s[1..s.len() - 1].to_string()
+            Record::Failed { err, .. } => text = Some(("err", err)),
+            Record::Retry { delay_ms, .. } => write!(out, ",\"delay_ms\":{delay_ms}")?,
+            Record::Note { text: t } => text = Some(("text", t)),
+        }
+        if let Some((name, value)) = text {
+            write!(out, ",\"{name}\":")?;
+            escape_into(out, value);
+        }
+        let sum = crc32(&out.as_bytes()[start..]);
+        write!(out, ",\"sum\":\"{sum:08x}\"}}")
     }
 
     /// Render one durable ledger line (no trailing newline).
     pub fn to_line(&self, seq: u64) -> String {
-        let body = self.body(seq);
-        format!("{{{body},\"sum\":\"{:08x}\"}}", crc32(body.as_bytes()))
+        let mut line = String::new();
+        let _ = self.render(seq, &mut line);
+        line
     }
 
     /// Parse and verify one ledger line. `Err` distinguishes corruption
     /// (checksum/format) for the caller's replay-stop decision.
     pub fn parse_line(line: &str) -> Result<(u64, Record), String> {
+        Self::parse_with(line, &mut Vec::new())
+    }
+
+    /// [`Record::parse_line`] over a caller-kept scratch list: one CRC
+    /// pass over the body, one borrowed member walk, and no allocation
+    /// beyond the strings the record owns.
+    fn parse_with<'a>(line: &'a str, m: &mut Vec<Member<'a>>) -> Result<(u64, Record), String> {
         let (prefix, tail) = line
             .rsplit_once(",\"sum\":\"")
             .ok_or("missing checksum field")?;
@@ -197,50 +205,45 @@ impl Record {
         if crc32(body.as_bytes()) != sum {
             return Err("checksum mismatch".into());
         }
-        let v = json::parse(&format!("{{{body}}}")).map_err(|e| format!("bad json: {e}"))?;
-        let seq = field_u64(&v, "seq")?;
-        let kind = field_str(&v, "kind")?;
-        let key = || -> Result<JobKey, String> {
-            Ok(JobKey {
-                fingerprint: u64::from_str_radix(&field_str(&v, "fp")?, 16)
-                    .map_err(|_| "bad fp hex".to_string())?,
-                seed: field_u64(&v, "seed")?,
-            })
-        };
-        let rec = match kind.as_str() {
+        json::members(body, m).map_err(|e| format!("bad json: {e}"))?;
+        let seq = field_u64(m, "seq")?;
+        let key = field_hex(m, "fp").and_then(|fingerprint| {
+            let seed = field_u64(m, "seed")?;
+            Ok(JobKey { fingerprint, seed })
+        });
+        let rec = match field_str(m, "kind")? {
             "enqueued" => Record::Enqueued {
-                key: key()?,
-                spec: field_str(&v, "spec")?,
+                key: key?,
+                spec: field_str(m, "spec")?.to_string(),
             },
-            "deduped" => Record::Deduped { key: key()? },
-            "shed" => Record::Shed { key: key()? },
+            "deduped" => Record::Deduped { key: key? },
+            "shed" => Record::Shed { key: key? },
             "leased" => Record::Leased {
-                key: key()?,
-                attempt: field_u32(&v, "attempt")?,
-                worker: field_u32(&v, "worker")?,
+                key: key?,
+                attempt: field_u32(m, "attempt")?,
+                worker: field_u32(m, "worker")?,
             },
             "done" => Record::Done {
-                key: key()?,
+                key: key?,
                 digest: JobDigest {
-                    cycles: field_u64(&v, "cycles")?,
-                    tasks: field_u64(&v, "tasks")?,
-                    stats_digest: u64::from_str_radix(&field_str(&v, "digest")?, 16)
-                        .map_err(|_| "bad digest hex".to_string())?,
-                    state_key: v.get("key").and_then(Value::as_str).map(str::to_string),
+                    cycles: field_u64(m, "cycles")?,
+                    tasks: field_u64(m, "tasks")?,
+                    stats_digest: field_hex(m, "digest")?,
+                    state_key: field_str(m, "key").ok().map(str::to_string),
                 },
             },
             "failed" => Record::Failed {
-                key: key()?,
-                attempt: field_u32(&v, "attempt")?,
-                err: field_str(&v, "err")?,
+                key: key?,
+                attempt: field_u32(m, "attempt")?,
+                err: field_str(m, "err")?.to_string(),
             },
             "retry" => Record::Retry {
-                key: key()?,
-                attempt: field_u32(&v, "attempt")?,
-                delay_ms: field_u64(&v, "delay_ms")?,
+                key: key?,
+                attempt: field_u32(m, "attempt")?,
+                delay_ms: field_u64(m, "delay_ms")?,
             },
             "note" => Record::Note {
-                text: field_str(&v, "text")?,
+                text: field_str(m, "text")?.to_string(),
             },
             other => return Err(format!("unknown record kind `{other}`")),
         };
@@ -248,23 +251,36 @@ impl Record {
     }
 }
 
+/// One `(key, value)` of a ledger line, strings borrowed from the line.
+type Member<'a> = (Cow<'a, str>, Scalar<'a>);
+
+fn field<'m, 'a>(m: &'m [Member<'a>], key: &str) -> Option<&'m Scalar<'a>> {
+    m.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
 /// An integer field, exact over the whole `u64` range (seeds and cycle
 /// counts above 2^53 must come back as they were written).
-fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing/non-integer `{key}`"))
+fn field_u64(m: &[Member], key: &str) -> Result<u64, String> {
+    match field(m, key) {
+        Some(Scalar::Plain(Value::Int(n))) => Ok(*n),
+        _ => Err(format!("missing/non-integer `{key}`")),
+    }
 }
 
-fn field_u32(v: &Value, key: &str) -> Result<u32, String> {
-    u32::try_from(field_u64(v, key)?).map_err(|_| format!("`{key}` out of range"))
+fn field_u32(m: &[Member], key: &str) -> Result<u32, String> {
+    u32::try_from(field_u64(m, key)?).map_err(|_| format!("`{key}` out of range"))
 }
 
-fn field_str(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing/non-string `{key}`"))
+fn field_str<'m>(m: &'m [Member], key: &str) -> Result<&'m str, String> {
+    match field(m, key) {
+        Some(Scalar::Str(s)) => Ok(s),
+        _ => Err(format!("missing/non-string `{key}`")),
+    }
+}
+
+/// A 64-bit value written as a hex string (`fp`, `digest`).
+fn field_hex(m: &[Member], key: &str) -> Result<u64, String> {
+    u64::from_str_radix(field_str(m, key)?, 16).map_err(|_| format!("bad {key} hex"))
 }
 
 /// Recovered status of one job after replay.
@@ -322,6 +338,7 @@ impl LedgerState {
     pub fn replay(bytes: &[u8]) -> LedgerState {
         let mut st = LedgerState::default();
         let mut offset = 0usize;
+        let mut members = Vec::new();
         for line in bytes.split_inclusive(|&b| b == b'\n') {
             let complete = line.ends_with(b"\n");
             let text = match std::str::from_utf8(line) {
@@ -331,7 +348,7 @@ impl LedgerState {
             if !complete {
                 break; // torn final line: no newline commit
             }
-            let Ok((seq, rec)) = Record::parse_line(text) else {
+            let Ok((seq, rec)) = Record::parse_with(text, &mut members) else {
                 break;
             };
             if seq != st.next_seq {
@@ -463,11 +480,23 @@ impl Drop for LockGuard {
     }
 }
 
+/// How a rendered record reaches the file: `write_all`, except under the
+/// failing writer the append-failure tests inject.
+type WriteFn = Box<dyn FnMut(&mut File, &[u8]) -> io::Result<()> + Send>;
+
 /// An open, append-only ledger file.
 pub struct Ledger {
     file: File,
+    write: WriteFn,
     path: PathBuf,
     next_seq: u64,
+    /// Byte length of the records written so far.
+    committed: u64,
+    /// The one buffer every record is rendered into.
+    line: String,
+    /// The first failed append. It closed the handle: every later append,
+    /// and `sync`, reports it again.
+    failed: Option<(io::ErrorKind, String)>,
     _lock: LockGuard,
 }
 
@@ -476,7 +505,7 @@ impl Ledger {
     /// any torn tail, and positions appends after the valid prefix. Fails
     /// with [`std::io::ErrorKind::WouldBlock`] if another live process
     /// holds the ledger.
-    pub fn open(path: &Path) -> std::io::Result<(Ledger, LedgerState)> {
+    pub fn open(path: &Path) -> io::Result<(Ledger, LedgerState)> {
         let lock = LockGuard::acquire(path)?;
         let mut file = OpenOptions::new()
             .read(true)
@@ -488,30 +517,60 @@ impl Ledger {
         file.read_to_end(&mut bytes)?;
         let state = LedgerState::replay(&bytes);
         file.set_len(state.valid_bytes)?;
-        file.seek(std::io::SeekFrom::End(0))?;
+        file.seek(io::SeekFrom::End(0))?;
         let ledger = Ledger {
             file,
+            write: Box::new(|file, bytes| file.write_all(bytes)),
             path: path.to_path_buf(),
             next_seq: state.next_seq,
+            committed: state.valid_bytes,
+            line: String::new(),
+            failed: None,
             _lock: lock,
         };
         Ok((ledger, state))
     }
 
-    /// Append one record durably (flushed before return).
-    pub fn append(&mut self, rec: &Record) -> std::io::Result<u64> {
+    /// Append one record: the line and its newline go out in one write, so
+    /// this process never tears a record from its commit. If the write
+    /// fails, whatever part of it reached the file is truncated away (the
+    /// file still ends on a record) and the handle is closed: no later
+    /// record can land behind a fragment, and reopening resumes. The error
+    /// names the record.
+    pub fn append(&mut self, rec: &Record) -> io::Result<u64> {
+        self.check()?;
         let seq = self.next_seq;
-        let line = rec.to_line(seq);
-        self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")?;
-        self.file.flush()?;
+        self.line.clear();
+        let _ = rec.render(seq, &mut self.line);
+        self.line.push('\n');
+        if let Err(e) = (self.write)(&mut self.file, self.line.as_bytes()) {
+            let _ = self.file.set_len(self.committed);
+            let job = rec.key().map_or(String::new(), |k| k.label() + " ");
+            let what = format!(
+                "ledger append of `{}` {job}failed: {e}; every earlier record is intact, \
+                 reopening the ledger resumes",
+                rec.kind()
+            );
+            self.failed = Some((e.kind(), what));
+            self.check()?; // which it now is
+        }
+        self.committed += self.line.len() as u64;
         self.next_seq = seq + 1;
         Ok(seq)
     }
 
+    fn check(&self) -> io::Result<()> {
+        match &self.failed {
+            Some((kind, what)) => Err(io::Error::new(*kind, what.clone())),
+            None => Ok(()),
+        }
+    }
+
     /// Force the file contents to stable storage (used at campaign
-    /// milestones; per-record appends are flush-only for throughput).
-    pub fn sync(&mut self) -> std::io::Result<()> {
+    /// milestones; a per-record append is one plain `write`, for
+    /// throughput). Like `fsync`, it reports an append that failed before it.
+    pub fn sync(&mut self) -> io::Result<()> {
+        self.check()?;
         self.file.sync_data()
     }
 
@@ -523,6 +582,28 @@ impl Ledger {
     /// Next sequence number to be written.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
+    }
+}
+
+#[cfg(test)]
+impl Ledger {
+    /// [`Ledger::open`], on a disk that fills up: appends reach the file
+    /// until `budget` bytes have gone out, then the write fails mid-record.
+    pub(crate) fn open_failing_after(
+        path: &Path,
+        mut budget: usize,
+    ) -> io::Result<(Ledger, LedgerState)> {
+        let (mut ledger, state) = Ledger::open(path)?;
+        ledger.write = Box::new(move |file, bytes| {
+            let n = budget.min(bytes.len());
+            budget -= n;
+            file.write_all(&bytes[..n])?;
+            if n < bytes.len() {
+                return Err(io::Error::new(io::ErrorKind::StorageFull, "injected"));
+            }
+            Ok(())
+        });
+        Ok((ledger, state))
     }
 }
 
@@ -582,6 +663,427 @@ mod tests {
                 text: "reconciled".into(),
             },
         ]
+    }
+
+    /// The line parser this file shipped until the borrowed member walk
+    /// replaced it, kept as the reference model: copy the body, build
+    /// `json::parse`'s tree, clone the fields out of it.
+    fn model_parse_line(line: &str) -> Result<(u64, Record), String> {
+        fn u64_of(v: &Value, key: &str) -> Result<u64, String> {
+            v.get(key)
+                .and_then(Value::as_u64)
+                .ok_or_else(|| format!("missing/non-integer `{key}`"))
+        }
+        fn u32_of(v: &Value, key: &str) -> Result<u32, String> {
+            u32::try_from(u64_of(v, key)?).map_err(|_| format!("`{key}` out of range"))
+        }
+        fn str_of(v: &Value, key: &str) -> Result<String, String> {
+            v.get(key)
+                .and_then(Value::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("missing/non-string `{key}`"))
+        }
+        let (prefix, tail) = line
+            .rsplit_once(",\"sum\":\"")
+            .ok_or("missing checksum field")?;
+        let sum_hex = tail.strip_suffix("\"}").ok_or("malformed checksum tail")?;
+        let sum = u32::from_str_radix(sum_hex, 16).map_err(|_| "bad checksum hex")?;
+        let body = prefix.strip_prefix('{').ok_or("missing opening brace")?;
+        if crc32(body.as_bytes()) != sum {
+            return Err("checksum mismatch".into());
+        }
+        let v = json::parse(&format!("{{{body}}}")).map_err(|e| format!("bad json: {e}"))?;
+        let seq = u64_of(&v, "seq")?;
+        let kind = str_of(&v, "kind")?;
+        let key = || -> Result<JobKey, String> {
+            Ok(JobKey {
+                fingerprint: u64::from_str_radix(&str_of(&v, "fp")?, 16)
+                    .map_err(|_| "bad fp hex".to_string())?,
+                seed: u64_of(&v, "seed")?,
+            })
+        };
+        let rec = match kind.as_str() {
+            "enqueued" => Record::Enqueued {
+                key: key()?,
+                spec: str_of(&v, "spec")?,
+            },
+            "deduped" => Record::Deduped { key: key()? },
+            "shed" => Record::Shed { key: key()? },
+            "leased" => Record::Leased {
+                key: key()?,
+                attempt: u32_of(&v, "attempt")?,
+                worker: u32_of(&v, "worker")?,
+            },
+            "done" => Record::Done {
+                key: key()?,
+                digest: JobDigest {
+                    cycles: u64_of(&v, "cycles")?,
+                    tasks: u64_of(&v, "tasks")?,
+                    stats_digest: u64::from_str_radix(&str_of(&v, "digest")?, 16)
+                        .map_err(|_| "bad digest hex".to_string())?,
+                    state_key: v.get("key").and_then(Value::as_str).map(str::to_string),
+                },
+            },
+            "failed" => Record::Failed {
+                key: key()?,
+                attempt: u32_of(&v, "attempt")?,
+                err: str_of(&v, "err")?,
+            },
+            "retry" => Record::Retry {
+                key: key()?,
+                attempt: u32_of(&v, "attempt")?,
+                delay_ms: u64_of(&v, "delay_ms")?,
+            },
+            "note" => Record::Note {
+                text: str_of(&v, "text")?,
+            },
+            other => return Err(format!("unknown record kind `{other}`")),
+        };
+        Ok((seq, rec))
+    }
+
+    /// `LedgerState::replay` over the model parser, check for check.
+    fn model_replay(bytes: &[u8]) -> LedgerState {
+        let mut st = LedgerState::default();
+        let mut offset = 0usize;
+        for line in bytes.split_inclusive(|&b| b == b'\n') {
+            let Ok(text) = std::str::from_utf8(line) else {
+                break;
+            };
+            let Some(text) = text.strip_suffix('\n') else {
+                break;
+            };
+            match model_parse_line(text) {
+                Ok((seq, rec)) if seq == st.next_seq => st.apply(&rec),
+                _ => break,
+            }
+            st.next_seq += 1;
+            st.records += 1;
+            offset += line.len();
+        }
+        st.valid_bytes = offset as u64;
+        st.tail_dropped = offset < bytes.len();
+        st
+    }
+
+    /// Model and implementation recover the same state from `bytes`.
+    fn assert_same_replay(bytes: &[u8]) -> LedgerState {
+        let (real, model) = (LedgerState::replay(bytes), model_replay(bytes));
+        assert_eq!(format!("{real:?}"), format!("{model:?}"));
+        real
+    }
+
+    /// `{body,"sum":"<crc of body>"}`: a line whose checksum holds, so the
+    /// parser under it is what decides.
+    fn sealed(body: &str) -> String {
+        format!("{{{body},\"sum\":\"{:08x}\"}}", crc32(body.as_bytes()))
+    }
+
+    /// The members of a rendered line, as text (split at the commas that
+    /// stand outside a string).
+    fn members_of(line: &str) -> Vec<String> {
+        let body = &line[1..line.rfind(",\"sum\":\"").unwrap()];
+        let (mut out, mut cur) = (Vec::new(), String::new());
+        let (mut quoted, mut escaped) = (false, false);
+        for c in body.chars() {
+            if c == ',' && !quoted {
+                out.push(std::mem::take(&mut cur));
+                continue;
+            }
+            quoted ^= c == '"' && !escaped;
+            escaped = c == '\\' && !escaped;
+            cur.push(c);
+        }
+        out.push(cur);
+        out
+    }
+
+    /// `"name":value` → `("\"name\"", "value")`; record keys hold no colon.
+    fn split_member(m: &str) -> (&str, &str) {
+        m.split_once(':').unwrap()
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Free text that leans on everything a JSON string has to carry,
+        /// and on the checksum separator itself.
+        fn text() -> impl Strategy<Value = String> {
+            let pieces = vec![
+                "a",
+                "Z9",
+                " ",
+                "\"",
+                "\\",
+                "\\\"",
+                "/",
+                "\n",
+                "\r",
+                "\t",
+                "\u{0}",
+                "\u{1}",
+                "\u{8}",
+                "\u{c}",
+                "\u{1f}",
+                "\u{7f}",
+                "é",
+                "漢",
+                "🦀",
+                ",\"sum\":\"",
+                "\"}",
+                "{",
+                "}",
+                "[",
+                ":",
+                ",",
+                "\\u0041",
+                "null",
+            ];
+            proptest::collection::vec(proptest::sample::select(pieces), 0..8)
+                .prop_map(|v| v.concat())
+        }
+
+        /// Integers at the ends of the range and just past an `f64`'s 53 bits.
+        fn int() -> impl Strategy<Value = u64> {
+            prop_oneof![
+                0u64..4,
+                Just((1 << 53) + 1),
+                Just(u64::MAX - 1),
+                Just(u64::MAX),
+                any::<u64>(),
+            ]
+        }
+
+        fn record() -> impl Strategy<Value = Record> {
+            let key = (int(), int()).prop_map(|(fingerprint, seed)| JobKey { fingerprint, seed });
+            (0u8..8, key, text(), (int(), int(), int()), any::<bool>()).prop_map(
+                |(kind, key, text, (a, b, c), flag)| match kind {
+                    0 => Record::Enqueued { key, spec: text },
+                    1 => Record::Deduped { key },
+                    2 => Record::Shed { key },
+                    3 => Record::Leased {
+                        key,
+                        attempt: a as u32,
+                        worker: b as u32,
+                    },
+                    4 => Record::Done {
+                        key,
+                        digest: JobDigest {
+                            cycles: a,
+                            tasks: b,
+                            stats_digest: c,
+                            state_key: flag.then_some(text),
+                        },
+                    },
+                    5 => Record::Failed {
+                        key,
+                        attempt: a as u32,
+                        err: text,
+                    },
+                    6 => Record::Retry {
+                        key,
+                        attempt: a as u32,
+                        delay_ms: b,
+                    },
+                    _ => Record::Note { text },
+                },
+            )
+        }
+
+        /// Values a mutation puts in a member's place, or adds under an
+        /// unknown name: wide and non-integer numbers, the other scalar
+        /// types, nested values.
+        const VALUES: [&str; 14] = [
+            "9007199254740993",
+            "18446744073709551615",
+            "18446744073709551616",
+            "4294967296",
+            "1.0",
+            "1e3",
+            "-1",
+            "null",
+            "true",
+            "\"7\"",
+            "\"zz\"",
+            "[1,{\"a\":\"b,c\"}]",
+            "{\"a\":[],\"a2\":{}}",
+            "[",
+        ];
+
+        /// One rewrite of a line's member list; the caller reseals it.
+        fn mutate(mut m: Vec<String>, op: u8, i: usize, j: usize) -> String {
+            let (i, v) = (i % m.len(), VALUES[j % VALUES.len()]);
+            match op % 9 {
+                0 => m.rotate_left(i),
+                1 => m.reverse(),
+                2 => {
+                    let ws = [" ", "\t", "\n", "\r ", "  "][j % 5];
+                    for x in &mut m {
+                        let (k, val) = split_member(x);
+                        *x = format!("{ws}{k}{ws}:{ws}{val}{ws}");
+                    }
+                }
+                3 => m.push(m[i].clone()),
+                4 => m.insert(i, format!("\"zzz\":{v}")),
+                5 => m[i] = format!("{}:{v}", split_member(&m[i]).0),
+                6 => drop(m.remove(i)),
+                7 => m.push(format!("\"key\":{v}")),
+                _ => m.retain(|x| split_member(x).0 != "\"key\""),
+            }
+            sealed(&m.join(","))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Every record of every kind, at any sequence number: the
+            /// line parses back to itself, through both parsers.
+            #[test]
+            fn every_record_roundtrips_through_both_parsers(rec in record(), seq in int()) {
+                let line = rec.to_line(seq);
+                prop_assert_eq!(&members_of(&line).join(","), &line[1..line.rfind(",\"sum\":\"").unwrap()]);
+                prop_assert_eq!(Record::parse_line(&line), Ok((seq, rec.clone())));
+                prop_assert_eq!(model_parse_line(&line), Ok((seq, rec)));
+            }
+
+            /// Mutated lines whose checksum still holds: same `Ok`, or
+            /// both `Err`.
+            #[test]
+            fn mutated_lines_get_the_model_s_verdict(
+                rec in record(),
+                seq in int(),
+                // A record has three members or more: two rewrites leave one.
+                ops in proptest::collection::vec((any::<u8>(), 0usize..16, 0usize..64), 1..3),
+            ) {
+                let mut line = rec.to_line(seq);
+                for (op, i, j) in ops {
+                    line = mutate(members_of(&line), op, i, j);
+                    let (real, model) = (Record::parse_line(&line), model_parse_line(&line));
+                    prop_assert_eq!(real.clone().ok(), model.clone().ok(), "{}: {:?} / {:?}", line, real, model);
+                    prop_assert_eq!(real.is_err(), model.is_err(), "{}", line);
+                }
+            }
+
+            /// Arbitrary bytes, and a valid ledger with bytes of it
+            /// overwritten: replay never panics and agrees with the model.
+            #[test]
+            fn replay_is_total_and_agrees_with_the_model(
+                noise in proptest::collection::vec(any::<u8>(), 0..200),
+                recs in proptest::collection::vec(record(), 0..6),
+                hits in proptest::collection::vec((0usize..4096, any::<u8>()), 0..3),
+            ) {
+                assert_same_replay(&noise);
+                let mut image = Vec::new();
+                for (seq, rec) in recs.iter().enumerate() {
+                    image.extend_from_slice(rec.to_line(seq as u64).as_bytes());
+                    image.push(b'\n');
+                }
+                prop_assert_eq!(assert_same_replay(&image).records, recs.len() as u64);
+                for (at, byte) in hits {
+                    if !image.is_empty() {
+                        let at = at % image.len();
+                        image[at] = byte;
+                    }
+                }
+                assert_same_replay(&image);
+                image.extend_from_slice(&noise);
+                assert_same_replay(&image);
+            }
+        }
+    }
+
+    /// The shape `campaign-dedup` replays: 500 jobs enqueued, leased and
+    /// done, then resume rounds of 500 `deduped` and a reconcile note.
+    #[test]
+    fn benchmark_shaped_ledger_replays_as_the_model_does() {
+        let jobs: Vec<JobKey> = (0..500u64)
+            .map(|i| {
+                key(
+                    0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i / 9 + 1),
+                    10_000 + i % 9,
+                )
+            })
+            .collect();
+        let mut records = Vec::new();
+        for k in &jobs {
+            records.push(Record::Enqueued {
+                key: *k,
+                spec: "bench=Jacobi scale=test mode=raccd ratio=4 warmup=2000".into(),
+            });
+        }
+        for (i, k) in jobs.iter().enumerate() {
+            records.push(Record::Leased {
+                key: *k,
+                attempt: 1,
+                worker: i as u32 % 2,
+            });
+            records.push(Record::Done {
+                key: *k,
+                digest: JobDigest {
+                    cycles: 100_000 + i as u64,
+                    tasks: 64,
+                    stats_digest: k.fingerprint ^ k.seed,
+                    state_key: None,
+                },
+            });
+        }
+        for _ in 0..3 {
+            records.extend(jobs.iter().map(|k| Record::Deduped { key: *k }));
+            records.push(Record::Note {
+                text: "reconciled done=500 failed=0 shed=0 dup=0 lost=0 mismatch=0".into(),
+            });
+        }
+        let mut image = Vec::new();
+        for (seq, rec) in records.iter().enumerate() {
+            image.extend_from_slice(rec.to_line(seq as u64).as_bytes());
+            image.push(b'\n');
+        }
+        let st = assert_same_replay(&image);
+        assert_eq!(st.records as usize, records.len());
+        assert_eq!((st.jobs.len(), st.dedup_hits), (500, 1500));
+        assert!(st.pending(3).is_empty() && !st.tail_dropped);
+    }
+
+    /// A write that fails after any number of a record's bytes: the
+    /// append is an `Err`, the file ends on the record before it, the
+    /// handle takes no more, and a reopen finds every earlier record.
+    #[test]
+    fn failed_append_is_taken_back_at_every_byte() {
+        let dir = std::env::temp_dir().join(format!("raccd-ledger-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("full-disk.jsonl");
+        let recs = sample_records();
+        let first: usize = recs[..3]
+            .iter()
+            .zip(0..)
+            .map(|(r, i)| r.to_line(i).len() + 1)
+            .sum();
+        let torn = recs[3].to_line(3).len() + 1;
+        for n in 0..torn {
+            let _ = std::fs::remove_file(&path);
+            let (mut led, _) = Ledger::open_failing_after(&path, first + n).unwrap();
+            for rec in &recs[..3] {
+                led.append(rec).unwrap();
+            }
+            let err = led.append(&recs[3]).expect_err("the disk is full");
+            assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+            assert_eq!(
+                std::fs::metadata(&path).unwrap().len() as usize,
+                first,
+                "cut {n}"
+            );
+            assert!(
+                led.append(&recs[4]).is_err(),
+                "a closed ledger appends no more"
+            );
+            assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, first);
+            drop(led);
+            let (mut led, st) = Ledger::open(&path).unwrap();
+            assert_eq!((st.records, st.tail_dropped), (3, false));
+            assert_eq!(led.append(&recs[3]).unwrap(), 3);
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -25,6 +25,9 @@
 //! `done` records, so a `kill -9` anywhere leaves each job either
 //! completed-with-result or recoverable-as-queued. [`Campaign::open`] on
 //! the survivor ledger resumes with zero duplicated and zero lost work.
+//! A ledger append that fails (a full disk) is the same crash, met in
+//! person: memory changes only after its record is written, the failure
+//! closes the ledger and stops the pool, and [`Campaign::run`] returns it.
 
 use crate::ledger::{JobDigest, JobStatus, Ledger, LedgerState, Record};
 use crate::pool::{panic_message, CancelToken, PoolCtx, PoolTask, WorkerPool};
@@ -133,17 +136,13 @@ impl Inner {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Append a ledger record; worker threads have no error channel, so
-    /// callers there use [`Inner::append_or_panic`].
+    /// Append a ledger record. A failure closes the ledger for good (see
+    /// [`Ledger::append`]); the error names the record.
     fn append(&self, rec: &Record) -> io::Result<u64> {
         self.ledger
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .append(rec)
-    }
-
-    fn append_or_panic(&self, rec: &Record) {
-        self.append(rec).expect("ledger append failed");
     }
 
     fn emit(&self, action: CampaignAction, key: JobKey) {
@@ -169,7 +168,11 @@ impl Campaign {
     /// attempt counts carry over so retry budgets keep their meaning
     /// across the crash.
     pub fn open(path: &Path, config: CampaignConfig) -> io::Result<Campaign> {
-        let (ledger, replayed) = Ledger::open(path)?;
+        Campaign::resume(Ledger::open(path)?, config)
+    }
+
+    fn resume(opened: (Ledger, LedgerState), config: CampaignConfig) -> io::Result<Campaign> {
+        let (ledger, replayed) = opened;
         let mut st = CampState {
             dedup_hits: replayed.dedup_hits,
             ..CampState::default()
@@ -230,26 +233,26 @@ impl Campaign {
                 .entry(key.fingerprint)
                 .or_insert_with(|| JobSpec::parse(&canonical).expect("canonical form parses"));
             if st.status.contains_key(&key) {
+                self.inner.append(&Record::Deduped { key })?;
                 st.dedup_hits += 1;
                 drop(st);
-                self.inner.append(&Record::Deduped { key })?;
                 self.inner.emit(CampaignAction::Dedup, key);
                 out.deduped += 1;
             } else if st.pending >= self.inner.config.queue_cap as u64 {
+                self.inner.append(&Record::Shed { key })?;
                 st.status.insert(key, JobStatus::Shed);
                 st.shed += 1;
                 drop(st);
-                self.inner.append(&Record::Shed { key })?;
                 self.inner.emit(CampaignAction::Shed, key);
                 out.shed += 1;
             } else {
-                st.status.insert(key, JobStatus::Queued);
-                st.pending += 1;
-                drop(st);
                 self.inner.append(&Record::Enqueued {
                     key,
                     spec: canonical.clone(),
                 })?;
+                st.status.insert(key, JobStatus::Queued);
+                st.pending += 1;
+                drop(st);
                 self.inner.emit(CampaignAction::Enqueue, key);
                 out.admitted += 1;
             }
@@ -274,7 +277,8 @@ impl Campaign {
         }
         self.inner.pool.drain();
         // `run_one` catches job panics itself; anything surfacing here
-        // escaped the per-job boundary (ledger I/O, bookkeeping bugs).
+        // escaped the per-job boundary (bookkeeping bugs). A worker's
+        // failed append closed the ledger: the note or the `sync` reports it.
         for (label, msg) in self.inner.pool.take_panics() {
             self.inner.append(&Record::Note {
                 text: format!("worker panic [{label}]: {msg}"),
@@ -421,27 +425,33 @@ fn schedule(inner: &Arc<Inner>, key: JobKey, attempt: u32) {
     // the in-flight volume is already capped at `queue_cap × retry_budget`.
     inner.pool.submit_unbounded(PoolTask {
         label: format!("campaign {}", key.label()),
-        run: Box::new(move |ctx| run_one(&captured, ctx, key, attempt)),
+        run: Box::new(move |ctx| {
+            // A failed append closed the ledger, and `Campaign::run` will
+            // say so; workers have no error channel, they stop leasing.
+            if run_one(&captured, ctx, key, attempt).is_err() {
+                captured.pool.cancel();
+            }
+        }),
     });
 }
 
 /// One execution attempt, on a worker thread: lease → run → done/retry.
-fn run_one(inner: &Arc<Inner>, ctx: &PoolCtx, key: JobKey, attempt: u32) {
+/// Each record is written before memory learns of it; `Err` is a failed
+/// ledger append, after which nothing more is recorded.
+fn run_one(inner: &Arc<Inner>, ctx: &PoolCtx, key: JobKey, attempt: u32) -> io::Result<()> {
     if ctx.cancel.cancelled() {
-        return; // lease never taken; resumes as queued
+        return Ok(()); // lease never taken; resumes as queued
     }
     let spec = inner.state().specs.get(&key.fingerprint).cloned();
     let Some(spec) = spec else {
-        inner.append_or_panic(&Record::Note {
-            text: format!("no spec for {}", key.label()),
-        });
-        return;
+        let text = format!("no spec for {}", key.label());
+        return inner.append(&Record::Note { text }).map(drop);
     };
-    inner.append_or_panic(&Record::Leased {
+    inner.append(&Record::Leased {
         key,
         attempt,
         worker: ctx.worker,
-    });
+    })?;
     {
         let mut st = inner.state();
         st.executions += 1;
@@ -456,34 +466,35 @@ fn run_one(inner: &Arc<Inner>, ctx: &PoolCtx, key: JobKey, attempt: u32) {
 
     match result {
         Ok(digest) => {
+            let status = JobStatus::Done(digest.clone());
+            inner.append(&Record::Done { key, digest })?;
             {
                 let mut st = inner.state();
-                st.status.insert(key, JobStatus::Done(digest.clone()));
+                st.status.insert(key, status);
                 st.pending -= 1;
             }
-            inner.append_or_panic(&Record::Done { key, digest });
             inner.emit(CampaignAction::Complete, key);
         }
         // Cancellation is crash-shaped on purpose: no terminal record,
         // the dangling lease recovers to queued on resume.
         Err(e) if e == "cancelled" => {}
         Err(err) => {
-            inner.append_or_panic(&Record::Failed {
+            inner.append(&Record::Failed {
                 key,
                 attempt,
                 err: err.clone(),
-            });
+            })?;
             if attempt < inner.config.retry_budget {
                 let delay_ms = inner.config.backoff.delay(attempt);
                 if delay_ms > 0 {
                     std::thread::sleep(std::time::Duration::from_millis(delay_ms));
                 }
-                inner.state().retries += 1;
-                inner.append_or_panic(&Record::Retry {
+                inner.append(&Record::Retry {
                     key,
                     attempt: attempt + 1,
                     delay_ms,
-                });
+                })?;
+                inner.state().retries += 1;
                 inner.emit(CampaignAction::Retry, key);
                 schedule(inner, key, attempt + 1);
             } else {
@@ -496,6 +507,7 @@ fn run_one(inner: &Arc<Inner>, ctx: &PoolCtx, key: JobKey, attempt: u32) {
             }
         }
     }
+    Ok(())
 }
 
 /// Execute one seeded job under campaign supervision, warm-starting from
@@ -669,5 +681,76 @@ impl CampaignReport {
             .u64("mismatches", self.reconcile.mismatches)
             .bool("consistent", self.reconcile.consistent)
             .render()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use raccd_core::CoherenceMode;
+    use raccd_workloads::Scale;
+
+    /// A disk that fills up at any byte of any record of a two-job run:
+    /// `run` (or the `submit` before it) returns the error naming the
+    /// record, the file ends on a record, and rerunning on the same ledger
+    /// finishes with nothing lost and nothing executed twice.
+    #[test]
+    fn a_failed_append_at_every_byte_is_a_typed_resumable_error() {
+        let dir = std::env::temp_dir().join(format!("raccd-campaign-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("full-disk.jsonl");
+        let config = CampaignConfig {
+            workers: 1,
+            ..CampaignConfig::default()
+        };
+        let mut spec = JobSpec::new("MD5", Scale::Test, CoherenceMode::Raccd);
+        spec.seed_hi = 2;
+        // What one attempt leaves behind: `Err` with the ledger's bytes, or
+        // the report of a run that got through.
+        let attempt = |budget: Option<usize>| -> Result<CampaignReport, (io::Error, Vec<u8>)> {
+            let opened = match budget {
+                Some(n) => Ledger::open_failing_after(&path, n),
+                None => Ledger::open(&path),
+            };
+            let camp = Campaign::resume(opened.unwrap(), config.clone()).unwrap();
+            let report = camp.submit(&spec).and_then(|_| camp.run());
+            drop(camp);
+            report.map_err(|e| (e, std::fs::read(&path).unwrap()))
+        };
+
+        let _ = std::fs::remove_file(&path);
+        let clean = attempt(None).expect("an unfailing disk");
+        assert_eq!((clean.done, clean.executions), (2, 2));
+        let image = std::fs::read(&path).unwrap();
+        // enqueued ×2, (leased, done) ×2, the reconcile note.
+        assert_eq!(LedgerState::replay(&image).records, 7);
+
+        for budget in 0..image.len() {
+            std::fs::remove_file(&path).unwrap();
+            let (err, left) = attempt(Some(budget)).expect_err("the disk is full");
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::StorageFull,
+                "cut {budget}: {err}"
+            );
+            assert!(err.to_string().contains("ledger append of `"), "{err}");
+            // The file holds whole records only: all that fit the budget.
+            let kept = LedgerState::replay(&left);
+            assert!(!kept.tail_dropped && left.len() <= budget, "cut {budget}");
+            assert_eq!(left, image[..left.len()], "cut {budget}");
+            let next = image[left.len()..].iter().position(|&b| b == b'\n');
+            assert!(left.len() + next.unwrap() + 1 > budget, "cut {budget}");
+
+            let done_before = kept.jobs.values().filter(|j| j.done_records > 0).count() as u64;
+            let resumed = attempt(None).expect("the rerun has room");
+            assert!(
+                resumed.reconcile.consistent,
+                "cut {budget}: {}",
+                resumed.to_json()
+            );
+            assert_eq!((resumed.jobs, resumed.done), (2, 2), "cut {budget}");
+            assert_eq!(resumed.executions, 2 - done_before, "cut {budget}");
+        }
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -5,14 +5,28 @@
 //! recursive-descent parser is all the subsystem needs. The parser exists
 //! so tests and the CI artifact check can prove exported files are
 //! well-formed without a serde dependency (unavailable offline).
+//!
+//! Two ways in, one grammar (both run the same `Parser` routines):
+//! [`parse`] is for **documents**: it builds an owned [`Value`] tree of
+//! any depth, which is what a validator walking a `trace.json` wants.
+//! [`members`] is for **flat records** read by the million (a campaign
+//! ledger line): it lists one object's `(key, scalar)` pairs in input
+//! order with strings borrowed from the input, and builds no tree.
 
 use raccd_sim::Field;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Escape a string into a JSON string literal (including the quotes).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
+}
+
+/// [`escape`], appended to `out`.
+pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -28,7 +42,6 @@ pub fn escape(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// Render an `f64` as a JSON number (JSON has no NaN/Inf: mapped to 0).
@@ -180,10 +193,7 @@ impl Value {
 
 /// Parse a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser::new(text);
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -193,12 +203,53 @@ pub fn parse(text: &str) -> Result<Value, String> {
     Ok(v)
 }
 
+/// One member value of a flat record, as [`members`] reports it.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Scalar<'a> {
+    /// A string: borrowed from the input unless it holds an escape.
+    Str(Cow<'a, str>),
+    /// `null`, a boolean or a number, as the [`Value`] variant [`parse`]
+    /// would give it (never `Str`, `Arr` or `Obj`).
+    Plain(Value),
+    /// An array or an object: well-formed, consumed, not a scalar.
+    Nested,
+}
+
+/// List the members of one flat object into `out` (cleared first), in
+/// input order. `inner` is the text *between* the object's braces, which
+/// is what a checksummed ledger line has in hand; the language is exactly
+/// that of `parse("{inner}")`, duplicate keys rejected included.
+pub fn members<'a>(
+    inner: &'a str,
+    out: &mut Vec<(Cow<'a, str>, Scalar<'a>)>,
+) -> Result<(), String> {
+    out.clear();
+    Parser::new(inner).list(None, |p| {
+        let key = p.key()?;
+        if out.iter().any(|(k, _)| *k == key) {
+            return Err(format!("duplicate key {key:?}"));
+        }
+        let val = match p.peek() {
+            Some(b'"') => Scalar::Str(p.string()?),
+            Some(b'{' | b'[') => p.value().map(|_| Scalar::Nested)?,
+            _ => Scalar::Plain(p.value()?),
+        };
+        out.push((key, val));
+        Ok(())
+    })
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        let bytes = text.as_bytes();
+        Parser { bytes, pos: 0 }
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -231,7 +282,7 @@ impl Parser<'_> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b'"') => Ok(Value::Str(self.string()?.into_owned())),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
@@ -256,116 +307,112 @@ impl Parser<'_> {
     fn object(&mut self) -> Result<Value, String> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            if map.insert(key.clone(), val).is_some() {
-                return Err(format!("duplicate key {key:?}"));
+        self.list(Some(b'}'), |p| {
+            let key = p.key()?;
+            match map.insert(key.to_string(), p.value()?) {
+                None => Ok(()),
+                Some(_) => Err(format!("duplicate key {key:?}")),
             }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(map));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
+        })?;
+        Ok(Value::Obj(map))
     }
 
     fn array(&mut self) -> Result<Value, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, found {:?}",
-                        self.pos,
-                        other.map(|c| c as char)
-                    ))
-                }
-            }
-        }
+        self.list(Some(b']'), |p| p.value().map(|v| items.push(v)))?;
+        Ok(Value::Arr(items))
     }
 
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            // Surrogate pairs are not needed by our writers.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
+    /// Comma-separated items whose opening bracket is behind us, up to
+    /// and over `close` (`None`: up to the end of the input); `item`
+    /// consumes one.
+    fn list(
+        &mut self,
+        close: Option<u8>,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.skip_ws();
+        if self.peek() != close {
+            loop {
+                self.skip_ws();
+                item(self)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    c if c == close => break,
+                    c => {
+                        let c = c.map(|c| c as char);
+                        return Err(format!(
+                            "expected ',' or the end of the list at byte {}, found {c:?}",
+                            self.pos
+                        ));
                     }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
+        }
+        self.pos += close.is_some() as usize;
+        Ok(())
+    }
+
+    /// `"key" :` of an object member, up to its value.
+    fn key(&mut self) -> Result<Cow<'a, str>, String> {
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(key)
+    }
+
+    /// A string literal: a slice of the input when it holds no escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.expect(b'"')?;
+        let mut out = Cow::Borrowed("");
+        loop {
+            // The run up to the next quote or escape, validated once
+            // (per character, this was quadratic in the document).
+            let rest = &self.bytes[self.pos..];
+            let n = rest
+                .iter()
+                .position(|b| matches!(b, b'"' | b'\\'))
+                .ok_or("unterminated string")?;
+            let run = std::str::from_utf8(&rest[..n]).map_err(|e| e.to_string())?;
+            if out.is_empty() {
+                out = Cow::Borrowed(run);
+            } else {
+                out.to_mut().push_str(run);
+            }
+            self.pos += n + 1;
+            if rest[n] == b'"' {
+                return Ok(out);
+            }
+            let c = match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or("truncated \\u escape")?;
+                    let code = u32::from_str_radix(
+                        std::str::from_utf8(hex).map_err(|e| e.to_string())?,
+                        16,
+                    )
+                    .map_err(|e| e.to_string())?;
+                    self.pos += 4;
+                    // Surrogate pairs are not needed by our writers.
+                    char::from_u32(code).unwrap_or('\u{fffd}')
+                }
+                other => return Err(format!("bad escape {other:?}")),
+            };
+            out.to_mut().push(c);
+            self.pos += 1;
         }
     }
 
@@ -466,6 +513,77 @@ mod tests {
             assert_eq!(v.as_u64(), None, "{text}");
             assert!(v.as_f64().is_some(), "{text}");
         }
+    }
+
+    /// `Parser::string` used to re-validate the whole rest of the input per
+    /// character: 1.25 MB took 9.4 s, and 4 MB would take minutes. Linear,
+    /// this is tens of milliseconds.
+    #[test]
+    fn a_large_string_heavy_document_parses_in_linear_time() {
+        let event = r#"{"name":"task_start","cat":"core é","ph":"B","args":{"why":"a\"b"}},"#;
+        let mut doc = String::from("[");
+        while doc.len() < 4 << 20 {
+            doc.push_str(event);
+        }
+        doc.push_str("null]");
+        let t = std::time::Instant::now();
+        let v = parse(&doc).expect("parses");
+        assert!(t.elapsed().as_secs() < 5, "took {:?}", t.elapsed());
+        assert_eq!(v.items().len(), doc.len() / event.len() + 1);
+        assert_eq!(
+            v.items()[0]
+                .get("args")
+                .unwrap()
+                .get("why")
+                .unwrap()
+                .as_str(),
+            Some("a\"b")
+        );
+    }
+
+    /// `members` is `parse` without the tree: same verdict on every
+    /// input, same values member by member, strings borrowed when plain.
+    #[test]
+    fn members_agree_with_parse() {
+        let mut out = Vec::new();
+        for inner in [
+            "",
+            "  ",
+            r#""a":1"#,
+            r#" "a" : 1 , "b" : "x" "#,
+            r#""s":"pl\u0061in","t":"é","n":null,"b":true,"f":-1.5e3,"u":18446744073709551615"#,
+            r#""a":[1,{"b":2}],"c":{"d":[]},"e":"f""#,
+            r#""a":1,"#,
+            r#","a":1"#,
+            r#""a":1,"a":2"#,
+            r#""a":1}"#,
+            r#""a":1 "b":2"#,
+            r#""a":[1,"#,
+            r#""a":"unterminated"#,
+            r#""a":"bad \x escape""#,
+            r#"a:1"#,
+            r#""a":nul"#,
+        ] {
+            let tree = parse(&format!("{{{inner}}}"));
+            let flat = members(inner, &mut out);
+            assert_eq!(tree.is_ok(), flat.is_ok(), "{inner:?}: {tree:?} / {flat:?}");
+            let Ok(Value::Obj(map)) = tree else { continue };
+            assert_eq!(map.len(), out.len(), "{inner:?}");
+            for (key, val) in &out {
+                match (val, &map[&**key]) {
+                    (Scalar::Str(s), Value::Str(t)) => assert_eq!(s, t),
+                    (Scalar::Nested, Value::Arr(_) | Value::Obj(_)) => {}
+                    (Scalar::Plain(v), t) => assert_eq!(v, t),
+                    (v, t) => panic!("{inner:?}: {v:?} against {t:?}"),
+                }
+            }
+        }
+        members(r#""plain":"as is","esc":"a\nb""#, &mut out).unwrap();
+        assert!(matches!(
+            &out[0],
+            (Cow::Borrowed("plain"), Scalar::Str(Cow::Borrowed("as is")))
+        ));
+        assert!(matches!(&out[1].1, Scalar::Str(Cow::Owned(s)) if s == "a\nb"));
     }
 
     #[test]
