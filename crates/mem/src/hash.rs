@@ -1,6 +1,6 @@
 //! The one hasher behind every map keyed by simulated addresses.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Fibonacci (multiply-xor) hashing for maps keyed by simulated page and
@@ -15,6 +15,12 @@ pub struct FibHasher(u64);
 /// `usize` fields only.
 pub type FibMap<K, V> = HashMap<K, V, BuildHasherDefault<FibHasher>>;
 
+/// The set twin of [`FibMap`].
+pub type FibSet<K> = HashSet<K, BuildHasherDefault<FibHasher>>;
+
+/// 2⁶⁴ / φ, the Fibonacci multiplier.
+pub(crate) const FIB_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
 impl Hasher for FibHasher {
     fn finish(&self) -> u64 {
         self.0
@@ -25,7 +31,7 @@ impl Hasher for FibHasher {
     fn write_u64(&mut self, v: u64) {
         // Folding the state in lets a `(core, page)` tuple hash field by
         // field; a lone `u64` starts from zero.
-        let h = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let h = (self.0 ^ v).wrapping_mul(FIB_MUL);
         self.0 = h ^ (h >> 32);
     }
     fn write_usize(&mut self, v: usize) {
@@ -60,7 +66,7 @@ mod tests {
         // did when the TLB owned this hasher.
         let h = std::hash::BuildHasherDefault::<FibHasher>::default();
         assert_ne!(h.hash_one((1usize, 2u64)), h.hash_one((2usize, 1u64)));
-        let m = 5u64.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let m = 5u64.wrapping_mul(FIB_MUL);
         assert_eq!(h.hash_one(5u64), m ^ (m >> 32));
     }
 }

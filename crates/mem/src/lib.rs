@@ -20,8 +20,8 @@
 //!   results (MD5 digests, stencil values, cluster assignments…) can be
 //!   checked against host references in tests.
 //! * [`hash`] — [`FibHasher`] / [`FibMap`], the one non-SipHash hasher for
-//!   maps keyed by simulated page and block numbers (TLB index, block
-//!   census, page classifiers).
+//!   maps keyed by simulated page and block numbers (TLB index, page
+//!   table, block census, page classifiers).
 //! * [`rng`] — a tiny deterministic SplitMix64/xoshiro generator so workload
 //!   data is bit-reproducible regardless of external crate versions.
 

@@ -8,8 +8,8 @@
 //! and benches can exercise the NCRT region-collapsing path of Figure 5.
 
 use crate::addr::{PAddr, PageNum, VAddr};
+use crate::hash::{FibMap, FibSet};
 use crate::rng::SplitMix64;
-use std::collections::{HashMap, HashSet};
 
 /// How virtual pages are assigned physical frames on first touch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,10 +31,10 @@ pub enum FrameAllocPolicy {
 /// `raccd-sim` charges it on TLB misses.
 #[derive(Clone, Debug)]
 pub struct PageTable {
-    map: HashMap<u64, u64>,
+    map: FibMap<u64, u64>,
     /// The frames the permuted allocator handed out (the values of `map`),
     /// for its reuse check; not saved, rebuilt on load.
-    used: HashSet<u64>,
+    used: FibSet<u64>,
     policy: FrameAllocPolicy,
     next_frame: u64,
     rng: SplitMix64,
@@ -47,8 +47,8 @@ impl PageTable {
     /// Create a page table with the given allocation policy.
     pub fn new(policy: FrameAllocPolicy) -> Self {
         PageTable {
-            map: HashMap::new(),
-            used: HashSet::new(),
+            map: FibMap::default(),
+            used: FibSet::default(),
             policy,
             next_frame: 0,
             rng: SplitMix64::new(0xD15E_A5E0_0FAC_CDD0),
@@ -120,7 +120,7 @@ impl raccd_snap::Snap for PageTable {
     }
     fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
         use raccd_snap::Snap;
-        let map: HashMap<u64, u64> = Snap::load(r)?;
+        let map: FibMap<u64, u64> = Snap::load(r)?;
         Ok(PageTable {
             used: map.values().copied().collect(),
             map,

@@ -6,13 +6,14 @@
 //! a functional simulator.
 //!
 //! The TLB is consulted once per simulated reference, so the host-side
-//! layout is built for that path: a flat slot array, a most-recently-used
-//! slot checked first (a same-page streak never hashes), and a
-//! [`FibMap`] index for everything else. The victim scan over
-//! the slots runs only on a fill into a full TLB.
+//! layout is built for that path: a flat slot array, a table of slot hints
+//! indexed by a hash of the page number and checked first (a page used
+//! since its hint was overwritten never probes a map), and a [`FibMap`]
+//! index for everything else. The victim scan over the slots runs only on
+//! a fill into a full TLB.
 
 use crate::addr::PageNum;
-use crate::hash::FibMap;
+use crate::hash::{FibMap, FIB_MUL};
 use raccd_snap::SnapError;
 
 /// One resident translation.
@@ -32,12 +33,26 @@ pub struct Tlb {
     slots: Vec<Slot>,
     /// vpage → position in `slots`.
     index: FibMap<PageNum, usize>,
-    /// Position of the slot used last. Only a hint: [`Tlb::find`] checks
-    /// the slot's page, so removals need not repair it.
-    mru: usize,
+    /// Position, truncated, of the slot used last among the pages sharing
+    /// a [`hint_of`] value. Only a hint: [`Tlb::find`] checks the slot's
+    /// page, so removals need not repair it.
+    hints: [u16; HINTS],
     stamp: u64,
     hits: u64,
     misses: u64,
+}
+
+/// Size of the hint table: Table I's entry count, so a full TLB has one
+/// hint per resident page on average.
+const HINTS: usize = 256;
+
+/// A page's place in the hint table: the top eight bits of its Fibonacci
+/// product, which every bit of the page number reaches. The low bits are
+/// the page number's own, permuted: arrays a multiple of 256 pages apart
+/// would share hints row for row.
+#[inline]
+fn hint_of(vpage: PageNum) -> usize {
+    (vpage.0.wrapping_mul(FIB_MUL) >> 56) as usize
 }
 
 impl Tlb {
@@ -50,7 +65,7 @@ impl Tlb {
             capacity,
             slots: Vec::with_capacity(capacity),
             index: FibMap::with_capacity_and_hasher(capacity, Default::default()),
-            mru: 0,
+            hints: [0; HINTS],
             stamp: 0,
             hits: 0,
             misses: 0,
@@ -60,8 +75,9 @@ impl Tlb {
     /// Position of `vpage`'s slot, if resident.
     #[inline]
     fn find(&self, vpage: PageNum) -> Option<usize> {
-        match self.slots.get(self.mru) {
-            Some(s) if s.vpage == vpage => Some(self.mru),
+        let i = self.hints[hint_of(vpage)] as usize;
+        match self.slots.get(i) {
+            Some(s) if s.vpage == vpage => Some(i),
             _ => self.index.get(&vpage).copied(),
         }
     }
@@ -72,7 +88,7 @@ impl Tlb {
     pub fn lookup(&mut self, vpage: PageNum) -> Option<PageNum> {
         self.stamp += 1;
         if let Some(i) = self.find(vpage) {
-            self.mru = i;
+            self.hints[hint_of(vpage)] = i as u16;
             self.slots[i].stamp = self.stamp;
             self.hits += 1;
             Some(self.slots[i].ppage)
@@ -104,7 +120,7 @@ impl Tlb {
         };
         if let Some(i) = self.find(vpage) {
             self.slots[i] = new;
-            self.mru = i;
+            self.hints[hint_of(vpage)] = i as u16;
             return None;
         }
         let mut evicted = None;
@@ -114,8 +130,9 @@ impl Tlb {
             self.invalidate(lru.vpage);
             evicted = Some((lru.vpage, lru.ppage));
         }
-        self.mru = self.slots.len();
-        self.index.insert(vpage, self.mru);
+        let i = self.slots.len();
+        self.hints[hint_of(vpage)] = i as u16;
+        self.index.insert(vpage, i);
         self.slots.push(new);
         evicted
     }
@@ -167,9 +184,9 @@ impl Tlb {
 
 /// Wire format: capacity, the entries as a map `vpage → (ppage, stamp)` in
 /// ascending vpage order, then stamp, hits, misses. The slot order and the
-/// MRU hint are host-side layout and are not saved.
+/// hint table are host-side layout and are not saved.
 // Hand-written: a format trick (slots saved as a sorted map) and derived
-// fields (`index`, the MRU hint).
+// fields (`index`, the hint table).
 impl raccd_snap::Snap for Tlb {
     fn save(&self, w: &mut raccd_snap::SnapWriter) {
         self.capacity.save(w);
@@ -286,65 +303,165 @@ mod tests {
         }
     }
 
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Lookup(u64),
+        Fill(u64, u64),
+        Peek(u64),
+        LastUse(u64),
+        Invalidate(u64),
+        Flush,
+        /// Replace the TLB by its own archive, loaded: another slot order
+        /// and an empty hint table, on which nothing may depend.
+        Reload,
+    }
+
+    /// Apply `ops` to a `Tlb` and to the model side by side: results,
+    /// victims, counters, stamps and archive bytes agree after every one.
+    fn run_against_model(capacity: usize, ops: impl IntoIterator<Item = Op>) {
+        let mut tlb = Tlb::new(capacity);
+        let mut model = ModelTlb::new(capacity);
+        for (step, op) in ops.into_iter().enumerate() {
+            let ctx = format!("capacity {capacity}, step {step}: {op:?}");
+            match op {
+                Op::Lookup(v) => {
+                    assert_eq!(tlb.lookup(PageNum(v)), model.lookup(PageNum(v)), "{ctx}")
+                }
+                Op::Fill(v, p) => assert_eq!(
+                    tlb.fill_evicting(PageNum(v), PageNum(p)),
+                    model.fill_evicting(PageNum(v), PageNum(p)),
+                    "{ctx}"
+                ),
+                Op::Peek(v) => assert_eq!(tlb.peek(PageNum(v)), model.peek(PageNum(v)), "{ctx}"),
+                Op::LastUse(v) => assert_eq!(
+                    tlb.last_use(PageNum(v)),
+                    model.last_use(PageNum(v)),
+                    "{ctx}"
+                ),
+                Op::Invalidate(v) => assert_eq!(
+                    tlb.invalidate(PageNum(v)),
+                    model.invalidate(PageNum(v)),
+                    "{ctx}"
+                ),
+                Op::Flush => {
+                    tlb.flush_all();
+                    model.entries.clear();
+                }
+                Op::Reload => tlb = decode(&encode(&tlb)).expect("own archive loads"),
+            }
+            assert_eq!(tlb.stats(), (model.hits, model.misses), "{ctx}");
+            assert_eq!(tlb.stamp(), model.stamp, "{ctx}");
+            assert_eq!(tlb.len(), model.entries.len(), "{ctx}");
+            assert_eq!(encode(&tlb), model.bytes(), "{ctx}");
+        }
+    }
+
+    /// The first `n` pages that share page 0's entry of the hint table.
+    fn colliding_pages(n: usize) -> Vec<u64> {
+        (0..)
+            .filter(|&p| hint_of(PageNum(p)) == 0)
+            .take(n)
+            .collect()
+    }
+
     #[test]
     fn flat_tlb_matches_the_hashmap_model_step_for_step() {
-        for (capacity, pages, seed) in [(1, 4, 1), (2, 6, 2), (256, 400, 3), (256, 64, 4)] {
+        let colliding = colliding_pages(12);
+        for (capacity, pages, seed) in [
+            (1, (0..4).collect(), 1),
+            (2, (0..6).collect(), 2),
+            (256, (0..400).collect(), 3),
+            (256, (0..64).collect::<Vec<u64>>(), 4),
+            (1, colliding.clone(), 5),
+            (2, colliding.clone(), 6),
+            (4, colliding.clone(), 7),
+            (256, colliding, 8),
+        ] {
             let mut rng = SplitMix64::new(seed);
-            let mut tlb = Tlb::new(capacity);
-            let mut model = ModelTlb::new(capacity);
-            for step in 0..6000 {
-                // Streaks of one page, as reference streams have, between
-                // uniformly drawn ones.
-                let v = PageNum(if rng.next_below(3) == 0 {
-                    7
-                } else {
-                    rng.next_below(pages)
-                });
-                let what = match rng.next_below(40) {
-                    0..=19 => {
-                        assert_eq!(tlb.lookup(v), model.lookup(v));
-                        "lookup"
-                    }
-                    20..=29 => {
-                        let p = PageNum(v.0 + 0x1000 + rng.next_below(2));
-                        assert_eq!(tlb.fill_evicting(v, p), model.fill_evicting(v, p));
-                        "fill_evicting"
-                    }
-                    30..=33 => {
-                        assert_eq!(tlb.peek(v), model.peek(v));
-                        "peek"
-                    }
-                    34..=36 => {
-                        assert_eq!(tlb.last_use(v), model.last_use(v));
-                        "last_use"
-                    }
-                    37..=38 => {
-                        assert_eq!(tlb.invalidate(v), model.invalidate(v));
-                        "invalidate"
-                    }
-                    _ => {
+            run_against_model(
+                capacity,
+                (0..6000).map(|step| {
+                    // Streaks of one page, as reference streams have,
+                    // between uniformly drawn ones.
+                    let v = match rng.next_below(3) {
+                        0 => pages[0],
+                        _ => pages[rng.next_below(pages.len() as u64) as usize],
+                    };
+                    match rng.next_below(40) {
+                        _ if step % 97 == 96 => Op::Reload,
+                        0..=19 => Op::Lookup(v),
+                        20..=29 => Op::Fill(v, v + 0x1000 + rng.next_below(2)),
+                        30..=33 => Op::Peek(v),
+                        34..=36 => Op::LastUse(v),
+                        37..=38 => Op::Invalidate(v),
                         // Rare enough that a 256-entry TLB still fills up.
-                        if rng.next_below(20) == 0 {
-                            tlb.flush_all();
-                            model.entries.clear();
-                        }
-                        "flush_all"
+                        _ if rng.next_below(20) == 0 => Op::Flush,
+                        _ => Op::Peek(v),
                     }
-                };
-                let ctx = format!("capacity {capacity}, step {step}: {what} {v:?}");
-                assert_eq!(tlb.stats(), (model.hits, model.misses), "{ctx}");
-                assert_eq!(tlb.stamp(), model.stamp, "{ctx}");
-                assert_eq!(tlb.len(), model.entries.len(), "{ctx}");
-                let bytes = encode(&tlb);
-                assert_eq!(bytes, model.bytes(), "{ctx}");
-                if step % 97 == 0 {
-                    // A restored TLB has another slot order; nothing may
-                    // depend on it.
-                    tlb = decode(&bytes).expect("own archive loads");
-                    assert_eq!(encode(&tlb), bytes, "{ctx}: re-encode");
-                }
+                }),
+            );
+        }
+    }
+
+    /// The cases a hint can go stale in, spelled out: the page it names is
+    /// invalidated and `swap_remove` moves another into its slot, the TLB
+    /// is flushed and refilled, an archive is loaded.
+    #[test]
+    fn stale_hints_are_caught_by_the_page_compare() {
+        let c = colliding_pages(3);
+        for [a, b, c] in [[c[0], c[1], c[2]], [1, 2, 3]] {
+            let script = [
+                Op::Fill(a, 101),
+                Op::Fill(b, 102),
+                Op::Fill(c, 103),
+                Op::Lookup(a),
+                // `c` moves into the slot `a`'s hint names.
+                Op::Invalidate(a),
+                Op::Lookup(a),
+                Op::Lookup(c),
+                Op::Lookup(b),
+                Op::Peek(a),
+                Op::Fill(a, 104),
+                Op::LastUse(c),
+                // Every hint now names a slot that is gone.
+                Op::Flush,
+                Op::Lookup(b),
+                Op::Fill(b, 105),
+                Op::Fill(c, 106),
+                Op::Lookup(b),
+                Op::Reload,
+                Op::Lookup(b),
+                Op::Lookup(c),
+                Op::Lookup(a),
+                Op::Fill(a, 107),
+                Op::Invalidate(c),
+                Op::Lookup(a),
+            ];
+            for capacity in [1, 2, 4] {
+                run_against_model(capacity, script);
             }
         }
+    }
+
+    /// A hint is sixteen bits whatever capacity a TLB or an archive names;
+    /// past that it names the wrong slot, which the page compare refuses.
+    #[test]
+    fn hints_truncate_harmlessly_in_an_oversized_tlb() {
+        let n = (1 << 16) + 5000;
+        let mut tlb = Tlb::new(1 << 17);
+        for p in 0..n {
+            tlb.fill(PageNum(p), PageNum(p + 1));
+        }
+        tlb = decode(&encode(&tlb)).expect("own archive loads");
+        for p in (0..n).rev() {
+            assert_eq!(tlb.lookup(PageNum(p)), Some(PageNum(p + 1)));
+            assert_eq!(
+                tlb.lookup(PageNum(p)),
+                Some(PageNum(p + 1)),
+                "through its hint"
+            );
+        }
+        assert_eq!(tlb.stats(), (2 * n, 0));
     }
 
     /// An archive with the given entries, as the encoder lays it out.

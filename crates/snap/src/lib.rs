@@ -244,6 +244,7 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Take `n` raw bytes.
+    #[inline]
     pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
         if self.remaining() < n {
             return Err(SnapError::Eof);
@@ -254,16 +255,19 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Take one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, SnapError> {
         Ok(self.bytes(1)?[0])
     }
 
     /// Take a little-endian u32.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, SnapError> {
         Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
     }
 
     /// Take a little-endian u64.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, SnapError> {
         Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }

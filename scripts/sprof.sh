@@ -1,0 +1,100 @@
+#!/usr/bin/env bash
+# A sampling profiler for hosts without `perf`: scripts/sprof.sh <command…>
+# runs the command with a SIGPROF preload (250 Hz of process CPU time) and
+# prints where the samples of its busiest executable fell: by innermost
+# inlined function, by out-of-line symbol and by file:line. Name a release
+# binary (they carry line tables), not `cargo run`. Needs gcc, python3, nm
+# and llvm-addr2line or addr2line (GNU's 2.40 names the enclosing symbol
+# for an inlined frame, so with it the first table repeats the second);
+# everything it writes goes under target/sprof/.
+set -euo pipefail
+[ $# -gt 0 ] || { echo "usage: scripts/sprof.sh <command…>" >&2; exit 2; }
+dir="$(cd "$(dirname "$0")/.." && pwd)/target/sprof"
+mkdir -p "$dir" && rm -f "$dir"/pcs.*
+cat > "$dir/sprof.c" <<'EOF'
+#define _GNU_SOURCE
+#include <link.h>
+#include <signal.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <sys/time.h>
+#include <ucontext.h>
+#include <unistd.h>
+#define CAP (1 << 20)
+static unsigned long pcs[CAP], base;
+static volatile unsigned long n;
+static void on_prof(int sig, siginfo_t *si, void *uc) {
+    if (n < CAP) pcs[n++] = ((ucontext_t *)uc)->uc_mcontext.gregs[REG_RIP];
+}
+/* The first object dl_iterate_phdr reports is the executable itself. */
+static int first(struct dl_phdr_info *info, size_t size, void *out) {
+    *(unsigned long *)out = info->dlpi_addr;
+    return 1;
+}
+static void timer(long usec) {
+    struct itimerval it = {{0, usec}, {0, usec}};
+    setitimer(ITIMER_PROF, &it, 0);
+}
+__attribute__((constructor)) static void start(void) {
+    struct sigaction sa = {.sa_sigaction = on_prof, .sa_flags = SA_SIGINFO | SA_RESTART};
+    dl_iterate_phdr(first, &base);
+    sigaction(SIGPROF, &sa, 0);
+    timer(4000);
+}
+/* One file per process: the executable's path, then one offset a line. */
+__attribute__((destructor)) static void stop(void) {
+    char path[4096], exe[4096] = {0};
+    timer(0);
+    snprintf(path, sizeof path, "%s/pcs.%d", getenv("SPROF_DIR"), (int)getpid());
+    FILE *f = fopen(path, "w");
+    if (!f || readlink("/proc/self/exe", exe, sizeof exe - 1) < 0) return;
+    fprintf(f, "%s\n", exe);
+    for (unsigned long i = 0; i < n; i++) fprintf(f, "%lx\n", pcs[i] - base);
+    fclose(f);
+}
+EOF
+gcc -O2 -shared -fPIC -o "$dir/sprof.so" "$dir/sprof.c"
+status=0
+SPROF_DIR="$dir" LD_PRELOAD="$dir/sprof.so" "$@" || status=$?
+python3 - "$dir" "$(command -v llvm-addr2line || command -v addr2line)" <<'EOF'
+import bisect, collections, glob, re, subprocess, sys
+by_exe = collections.defaultdict(list)
+for path in glob.glob(sys.argv[1] + "/pcs.*"):
+    exe, *pcs = open(path).read().splitlines() or [""]
+    by_exe[exe] += [int(pc, 16) for pc in pcs]
+if not any(by_exe.values()):
+    sys.exit("sprof: no samples (under 4 ms of CPU time, or a static executable, which ignores LD_PRELOAD)")
+exe, pcs = max(by_exe.items(), key=lambda kv: len(kv[1]))
+hits = collections.Counter(pcs)
+# Out-of-line symbols from nm: (start, size, name), sorted by start.
+syms = []
+for line in subprocess.run(["nm", "-C", "-S", "-n", "--defined-only", exe], capture_output=True, text=True).stdout.splitlines():
+    f = line.split(None, 3)
+    if len(f) == 4 and f[2] in "tTwW":
+        syms.append((int(f[0], 16), int(f[1], 16), f[3]))
+starts = [s[0] for s in syms]
+def symbol(pc):
+    i = bisect.bisect_right(starts, pc) - 1
+    inside = i >= 0 and pc < syms[i][0] + syms[i][1]
+    return syms[i][2] if inside else "[outside the executable: libc, vdso]"
+# Innermost inlined frame from addr2line -i: the first function / file:line
+# pair after each address line.
+out = subprocess.run([sys.argv[2], "-e", exe, "-a", "-f", "-i", "-C"], input="".join(f"{pc:x}\n" for pc in hits),
+                     capture_output=True, text=True).stdout.splitlines()
+inlined, lines = collections.Counter(), collections.Counter()
+for i, line in enumerate(out):
+    if line.startswith("0x") and i + 2 < len(out):
+        pc = int(line, 16)
+        name = re.sub(r"::h[0-9a-f]{16}$", "", out[i + 1])
+        inlined[name if name != "??" else symbol(pc)] += hits[pc]
+        lines[out[i + 2].split(" (discriminator")[0]] += hits[pc]
+outer = collections.Counter()
+for pc, n in hits.items():
+    outer[symbol(pc)] += n
+print(f"# sprof: {len(pcs)} samples at 250 Hz in {exe}")
+for title, table in [("innermost inlined function", inlined), ("out-of-line symbol", outer), ("file:line", lines)]:
+    print(f"\n# self time by {title}")
+    for name, n in table.most_common(15):
+        print(f"{100 * n / len(pcs):5.1f} %  {n:6d}  {name}")
+EOF
+exit "$status"
