@@ -143,6 +143,10 @@ fn campaign_refuses_a_malformed_spec_before_the_ledger_exists() {
             "bench=Jacobi scale=test fault=task_budget=4294967296",
             "`task_budget`: 4294967296 out of range",
         ),
+        (
+            "bench=Jacobi scale=test fault=delay=0.1:4294967297",
+            "`delay`: 4294967297 cycles > 2^32",
+        ),
     ] {
         let out = campaign(&["--ledger", ledger.to_str().unwrap(), "--spec", spec]);
         let line = refused(&out);

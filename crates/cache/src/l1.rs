@@ -93,11 +93,19 @@ impl L1Cache {
     /// Look up a block, updating PLRU and hit/miss counters.
     #[inline]
     pub fn access(&mut self, block: BlockAddr) -> Option<&mut L1Line> {
+        self.access_n(block, 1)
+    }
+
+    /// Look up a block for `n` consecutive references: what `n`
+    /// [`L1Cache::access`]es leave, `n` hits with one PLRU touch (a repeat
+    /// touch of one way changes nothing), or `n` misses.
+    #[inline]
+    pub fn access_n(&mut self, block: BlockAddr, n: u64) -> Option<&mut L1Line> {
         let hit = self.arr.get_mut(block.0);
         if hit.is_some() {
-            self.hits += 1;
+            self.hits += n;
         } else {
-            self.misses += 1;
+            self.misses += n;
         }
         hit
     }

@@ -165,7 +165,8 @@ pub fn parse_faulty(
                 saw_cfg = true;
             }
             "fault" => {
-                plan = Some(FaultPlan::from_spec(field(&tokens, "spec")?)?);
+                let spec = FaultPlan::from_spec(field(&tokens, "spec")?);
+                plan = Some(spec.map_err(|e| e.to_string())?);
             }
             "op" => {
                 let op = match tokens.get(1).copied() {

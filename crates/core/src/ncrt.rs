@@ -15,7 +15,7 @@
 use raccd_mem::addr::VRange;
 #[cfg(test)]
 use raccd_mem::PageNum;
-use raccd_mem::{PAddr, VAddr, PAGE_SHIFT, PAGE_SIZE};
+use raccd_mem::{PAddr, VAddr, PAGE_SIZE};
 use raccd_sim::{Machine, RuntimeCosts};
 
 /// Per-core Non-Coherent Region Table.
@@ -146,14 +146,13 @@ impl Ncrt {
             };
 
         for vpage in range.pages() {
-            let (ppage, cycles) = machine.translate_page_for_register(core, vpage);
-            out.cycles += cycles + costs.register_per_page;
-            out.tlb_lookups += 1;
-
-            // Byte range this vpage contributes.
+            // Byte range this vpage contributes, translated with one
+            // TLB access (a page walk on a miss), as Figure 5 walks.
             let page_lo = vpage.base_vaddr().0.max(range.start.0);
             let page_hi = (vpage.base_vaddr().0 + PAGE_SIZE).min(end_vaddr.0);
-            let p_lo = (ppage.0 << PAGE_SHIFT) | (page_lo & (PAGE_SIZE - 1));
+            let (PAddr(p_lo), cycles) = machine.translate(core, VAddr(page_lo));
+            out.cycles += cycles + costs.register_per_page;
+            out.tlb_lookups += 1;
             let p_hi = p_lo + (page_hi - page_lo);
 
             match run {

@@ -155,6 +155,31 @@ mod tests {
         assert!(!pt.is_private_to(1, PageNum(5)));
     }
 
+    /// Once `core` has touched `page`, its next touch returns Private or
+    /// Shared and changes no state, whatever other cores did before: the
+    /// driver accounts the rest of a same-block run without calling it.
+    #[test]
+    fn a_repeat_touch_by_the_same_core_changes_nothing() {
+        let mut pt = PageClassifier::new();
+        let touches = [
+            (0, 1),
+            (1, 1),
+            (1, 1),
+            (0, 1),
+            (2, 3),
+            (2, 3),
+            (1, 3),
+            (3, 2),
+        ];
+        for (core, page) in touches {
+            pt.on_access(core, PageNum(page));
+            let before = raccd_snap::encode(&pt);
+            let again = pt.on_access(core, PageNum(page));
+            assert!(matches!(again, PtDecision::Private | PtDecision::Shared));
+            assert_eq!(raccd_snap::encode(&pt), before, "core {core} page {page}");
+        }
+    }
+
     #[test]
     fn pages_independent() {
         let mut pt = PageClassifier::new();

@@ -244,6 +244,33 @@ mod tests {
         assert!(!out.private, "stale entry causes the §II-B dead-time error");
     }
 
+    /// On a TLB hit the classifier is `Machine::translate` plus a read of
+    /// the page's class: same address, cycles and machine state, and no
+    /// state of its own changed. The driver accounts the rest of a
+    /// same-block run without calling it.
+    #[test]
+    fn a_hit_is_a_plain_translate_and_a_class_read() {
+        let mut m = machine();
+        let mut c = TlbClassifier::new();
+        for (now, (core, addr)) in [(0, 0x40_0000), (1, 0x40_0000), (0, 0x41_0000)]
+            .into_iter()
+            .enumerate()
+        {
+            let head = c.translate(&mut m, core, VAddr(addr), now as u64);
+            let (mine, archive) = (raccd_snap::encode(&c), m.snapshot());
+            let mut plain = machine();
+            plain.restore(&archive).expect("own archive");
+            let hit = c.translate(&mut m, core, VAddr(addr + 8), 9);
+            assert_eq!(
+                (hit.paddr, hit.cycles),
+                plain.translate(core, VAddr(addr + 8))
+            );
+            assert_eq!(hit.private, head.private);
+            assert_eq!(raccd_snap::encode(&c), mine);
+            assert!(m.snapshot().to_bytes() == plain.snapshot().to_bytes());
+        }
+    }
+
     #[test]
     fn resolution_costs_more_than_plain_walk() {
         let mut m = machine();

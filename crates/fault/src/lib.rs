@@ -26,7 +26,38 @@
 //! replayable bit-for-bit.
 
 use raccd_mem::rng::SplitMix64;
+use std::fmt;
 use std::sync::OnceLock;
+
+/// The largest cycle count a spec may give `delay`, `storm`, `straggle`,
+/// `timeout` or `backoff`. Each is added to a simulated clock, which a
+/// larger one could wrap; 2³² cycles is two seconds of a 2 GHz core per
+/// injection.
+pub const MAX_SPEC_CYCLES: u64 = 1 << 32;
+
+/// Why [`FaultPlan::from_spec`] refused a spec.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SpecError {
+    /// The key named gave a cycle count above [`MAX_SPEC_CYCLES`].
+    CyclesAboveBound(&'static str, u64),
+    /// Any other malformed item, described.
+    Malformed(String),
+}
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpecError::CyclesAboveBound(k, v) => write!(f, "fault spec `{k}`: {v} cycles > 2^32"),
+            SpecError::Malformed(why) => f.write_str(why),
+        }
+    }
+}
+
+impl From<String> for SpecError {
+    fn from(why: String) -> Self {
+        SpecError::Malformed(why)
+    }
+}
 
 /// Where a fault was injected. Carried on telemetry events so traces can
 /// attribute every anomaly to its injection site.
@@ -215,8 +246,9 @@ impl FaultPlan {
     /// Unset keys keep their [`Default`] values. Two-part values use `:`
     /// (`delay=RATE:MAX`, `storm=RATE:LEN`, `straggle=RATE:CYCLES`,
     /// `window=START:END`, `backoff=BASE:CAP`,
-    /// `degrade=WINDOW:OVERFLOWS:RETRIES`).
-    pub fn from_spec(spec: &str) -> Result<FaultPlan, String> {
+    /// `degrade=WINDOW:OVERFLOWS:RETRIES`). Cycle magnitudes added to the
+    /// clock are bounded by [`MAX_SPEC_CYCLES`].
+    pub fn from_spec(spec: &str) -> Result<FaultPlan, SpecError> {
         let mut p = FaultPlan::default();
         for item in spec.split(';') {
             let item = item.trim();
@@ -248,6 +280,10 @@ impl FaultPlan {
             let int32 = |v: &str| {
                 u32::try_from(int(v)?).map_err(|_| format!("fault spec `{key}`: {v} out of range"))
             };
+            let cycles = |key: &'static str, v: &str| match int(v)? {
+                n if n > MAX_SPEC_CYCLES => Err(SpecError::CyclesAboveBound(key, n)),
+                n => Ok(n),
+            };
             match key {
                 "seed" => p.seed = int(val)?,
                 "drop" => p.drop = rate(val)?,
@@ -256,35 +292,35 @@ impl FaultPlan {
                 "delay" => {
                     let (r, m) = pair(key, val)?;
                     p.delay = rate(r)?;
-                    p.delay_max = int(m)?.max(1);
+                    p.delay_max = cycles("delay", m)?.max(1);
                 }
                 "dirloss" => p.dir_loss = rate(val)?,
                 "storm" => {
                     let (r, l) = pair(key, val)?;
                     p.storm = rate(r)?;
-                    p.storm_len = int(l)?;
+                    p.storm_len = cycles("storm", l)?;
                 }
                 "taskfail" => p.task_fail = rate(val)?,
                 "straggle" => {
                     let (r, c) = pair(key, val)?;
                     p.straggle = rate(r)?;
-                    p.straggle_cycles = int(c)?;
+                    p.straggle_cycles = cycles("straggle", c)?;
                 }
                 "window" => {
                     let (s, e) = pair(key, val)?;
                     let (s, e) = (int(s)?, int(e)?);
                     if s >= e {
-                        return Err(format!("fault spec window: start {s} >= end {e}"));
+                        return Err(format!("fault spec window: start {s} >= end {e}").into());
                     }
                     p.window = Some((s, e));
                 }
                 "retry_budget" => p.retry_budget = int32(val)?,
                 "backoff" => {
                     let (b, c) = pair(key, val)?;
-                    p.backoff_base = int(b)?.max(1);
-                    p.backoff_cap = int(c)?.max(p.backoff_base);
+                    p.backoff_base = cycles("backoff", b)?.max(1);
+                    p.backoff_cap = cycles("backoff", c)?.max(p.backoff_base);
                 }
-                "timeout" => p.drop_timeout = int(val)?,
+                "timeout" => p.drop_timeout = cycles("timeout", val)?,
                 "task_budget" => p.task_retry_budget = int32(val)?,
                 "watchdog" => p.watchdog_cycles = int(val)?.max(1),
                 "degrade" => {
@@ -294,12 +330,12 @@ impl FaultPlan {
                     p.degrade_overflows = int(o)?;
                     p.degrade_retries = int(r)?;
                 }
-                _ => return Err(format!("fault spec: unknown key `{key}`")),
+                _ => return Err(format!("fault spec: unknown key `{key}`").into()),
             }
         }
         let total = p.drop + p.dup + p.corrupt + p.delay;
         if total > 1.0 {
-            return Err(format!("fault spec: message rates sum to {total} > 1"));
+            return Err(format!("fault spec: message rates sum to {total} > 1").into());
         }
         Ok(p)
     }
@@ -719,7 +755,9 @@ mod tests {
         for key in ["retry_budget", "task_budget"] {
             assert_eq!(
                 FaultPlan::from_spec(&format!("{key}=4294967296")),
-                Err(format!("fault spec `{key}`: 4294967296 out of range"))
+                Err(SpecError::Malformed(format!(
+                    "fault spec `{key}`: 4294967296 out of range"
+                )))
             );
             assert!(FaultPlan::from_spec(&format!("{key}=4294967295")).is_ok());
         }
@@ -727,6 +765,31 @@ mod tests {
             FaultPlan::from_spec("delay=0.1").is_err(),
             "delay needs RATE:MAX"
         );
+    }
+
+    /// Every cycle magnitude the clock adds is accepted up to the bound
+    /// and refused, naming its key and value, one past it.
+    #[test]
+    fn spec_cycles_are_bounded() {
+        let (at, over) = (MAX_SPEC_CYCLES, MAX_SPEC_CYCLES + 1);
+        for (key, spec) in [
+            ("delay", "delay=0.1:{}"),
+            ("storm", "storm=0.1:{}"),
+            ("straggle", "straggle=0.1:{}"),
+            ("timeout", "timeout={}"),
+            ("backoff", "backoff=1:{}"),
+            ("backoff", "backoff={}:{}"),
+        ] {
+            let with = |v: u64| FaultPlan::from_spec(&spec.replace("{}", &v.to_string()));
+            let plan = with(at).unwrap_or_else(|e| panic!("{spec} at the bound: {e}"));
+            assert_eq!(FaultPlan::from_spec(&plan.to_spec()), Ok(plan), "{spec}");
+            let refused = SpecError::CyclesAboveBound(key, over);
+            assert_eq!(with(over), Err(refused.clone()), "{spec}");
+            let message = format!("fault spec `{key}`: 4294967297 cycles > 2^32");
+            assert_eq!(refused.to_string(), message);
+        }
+        let wrapped = FaultPlan::from_spec("seed=1;delay=1:18446744073709551615");
+        assert_eq!(wrapped, Err(SpecError::CyclesAboveBound("delay", u64::MAX)));
     }
 
     #[test]

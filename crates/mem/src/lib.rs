@@ -22,6 +22,8 @@
 //! * [`hash`] — [`FibHasher`] / [`FibMap`], the one non-SipHash hasher for
 //!   maps keyed by simulated page and block numbers (TLB index, page
 //!   table, block census, page classifiers).
+//! * [`trace`] — [`MemRef`], the packed memory-reference record task
+//!   bodies emit and the machine replays.
 //! * [`rng`] — a tiny deterministic SplitMix64/xoshiro generator so workload
 //!   data is bit-reproducible regardless of external crate versions.
 
@@ -31,6 +33,7 @@ pub mod memory;
 pub mod page_table;
 pub mod rng;
 pub mod tlb;
+pub mod trace;
 
 pub use addr::{
     BlockAddr, PAddr, PageNum, VAddr, VRange, BLOCK_SHIFT, BLOCK_SIZE, PAGE_SHIFT, PAGE_SIZE,
@@ -40,3 +43,4 @@ pub use memory::SimMemory;
 pub use page_table::{FrameAllocPolicy, PageTable};
 pub use rng::SplitMix64;
 pub use tlb::Tlb;
+pub use trace::MemRef;

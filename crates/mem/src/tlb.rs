@@ -86,16 +86,25 @@ impl Tlb {
     /// Returns the cached physical page on a hit.
     #[inline]
     pub fn lookup(&mut self, vpage: PageNum) -> Option<PageNum> {
-        self.stamp += 1;
-        if let Some(i) = self.find(vpage) {
-            self.hints[hint_of(vpage)] = i as u16;
-            self.slots[i].stamp = self.stamp;
-            self.hits += 1;
-            Some(self.slots[i].ppage)
-        } else {
+        let hit = self.hit_n(vpage, 1);
+        if hit.is_none() {
+            self.stamp += 1;
             self.misses += 1;
-            None
         }
+        hit
+    }
+
+    /// If `vpage` is resident, leave what `n` hitting [`Tlb::lookup`]s
+    /// would (the stamp and the slot's last use advanced by `n`, `n` more
+    /// hits) and return the physical page; otherwise change nothing.
+    #[inline]
+    pub fn hit_n(&mut self, vpage: PageNum, n: u64) -> Option<PageNum> {
+        let i = self.find(vpage)?;
+        self.stamp += n;
+        self.hints[hint_of(vpage)] = i as u16;
+        self.slots[i].stamp = self.stamp;
+        self.hits += n;
+        Some(self.slots[i].ppage)
     }
 
     /// Peek without touching LRU or counters.

@@ -13,7 +13,7 @@
 //!                RaCCD but typically private under the PT baseline)
 //! ```
 
-use raccd_mem::VAddr;
+use crate::addr::{VAddr, BLOCK_SIZE};
 use raccd_snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// One memory reference of a task body.
@@ -70,6 +70,14 @@ impl MemRef {
     #[inline]
     pub fn is_stack(self) -> bool {
         self.0 & STACK_BIT != 0
+    }
+
+    /// Whether `other` starts in the 64-byte block `self` starts in, in the
+    /// same address space. A stack region starts on a page boundary, so
+    /// two offsets in one block are two addresses in one block.
+    #[inline]
+    pub fn same_block(self, other: MemRef) -> bool {
+        (self.0 ^ other.0) & (ADDR_MASK & !(BLOCK_SIZE - 1) | STACK_BIT) == 0
     }
 
     /// The packed representation, for serialization.
@@ -129,6 +137,29 @@ mod tests {
         assert!(!r.is_write());
         assert_eq!(r.addr(), VAddr(0x40));
         assert_eq!(r.size(), 8);
+    }
+
+    #[test]
+    fn same_block_ignores_offset_size_and_direction_but_not_the_space() {
+        let at = |a: u64, write, size| MemRef::heap(VAddr(a), write, size);
+        let head = at(0x40_0040, false, 8);
+        for other in [
+            at(0x40_0040, true, 1),
+            at(0x40_007F, false, 1),
+            at(0x40_0078, true, 8),
+        ] {
+            assert!(head.same_block(other), "{other:?}");
+        }
+        for other in [
+            at(0x40_003F, false, 8),
+            at(0x40_0080, false, 8),
+            at(0x80_0040, false, 8),
+            MemRef::stack(0x40_0040, false),
+        ] {
+            assert!(!head.same_block(other), "{other:?}");
+        }
+        assert!(MemRef::stack(0x48, true).same_block(MemRef::stack(0x40, false)));
+        assert!(!MemRef::stack(0x80, true).same_block(MemRef::stack(0x40, false)));
     }
 
     #[test]

@@ -51,10 +51,16 @@ impl Log2Hist {
     /// Record one value.
     #[inline]
     pub fn record(&mut self, v: u64) {
-        self.buckets[Self::bucket_of(v)] += 1;
-        self.count += 1;
-        self.sum += v as u128;
-        self.max = self.max.max(v);
+        self.record_n(v, 1);
+    }
+
+    /// Record `v` `n` times.
+    #[inline]
+    pub fn record_n(&mut self, v: u64, n: u64) {
+        self.buckets[Self::bucket_of(v)] += n;
+        self.count += n;
+        self.sum += v as u128 * n as u128;
+        self.max = self.max.max(if n > 0 { v } else { 0 });
     }
 
     /// Total recorded values.
@@ -204,6 +210,20 @@ mod tests {
         assert_eq!(a.max(), 700);
         let buckets: Vec<_> = a.nonzero_buckets().collect();
         assert_eq!(buckets, vec![(4, 2), (512, 1)]);
+    }
+
+    #[test]
+    fn record_n_is_n_records() {
+        for (v, n) in [(0, 3), (3, 1), (3, 0), (700, 5), (u64::MAX, 2)] {
+            let (mut once, mut each) = (Log2Hist::new(), Log2Hist::new());
+            once.record(9);
+            each.record(9);
+            once.record_n(v, n);
+            for _ in 0..n {
+                each.record(v);
+            }
+            assert_eq!(once, each, "{v} × {n}");
+        }
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //! onto threads and wakes dependents when a task finishes (Figure 3).
 //!
 //! * [`region`] — dependence directions and annotated ranges.
-//! * [`trace`] — the packed memory-reference records task bodies emit.
 //! * [`task`] — task bodies and the [`task::TaskCtx`] they run against:
 //!   every typed read/write *actually happens* on the byte-accurate
-//!   [`raccd_mem::SimMemory`] **and** is recorded for the timing model, so
-//!   functional results and simulated traffic can never diverge.
+//!   [`raccd_mem::SimMemory`] **and** is recorded as a [`MemRef`] for the
+//!   timing model, so functional results and simulated traffic can never
+//!   diverge.
 //! * [`graph`] — TDG construction (last-writer/reader tracking over runs
 //!   of blocks touched alike, like Nanos++'s region maps) and completion
 //!   wake-up.
@@ -29,13 +29,12 @@ pub mod graph;
 pub mod region;
 pub mod retry;
 pub mod task;
-pub mod trace;
 pub mod workload;
 
 pub use builder::{Program, ProgramBuilder};
 pub use graph::{TaskGraph, TaskId};
+pub use raccd_mem::MemRef;
 pub use region::{Dep, DepDir};
 pub use retry::{RetryBook, RetryDecision};
 pub use task::TaskCtx;
-pub use trace::MemRef;
 pub use workload::Workload;

@@ -7,8 +7,7 @@
 //! (§II-D), running the body functionally at dispatch time and replaying
 //! its trace under contention is exact.
 
-use crate::trace::MemRef;
-use raccd_mem::{SimMemory, VAddr};
+use raccd_mem::{MemRef, SimMemory, VAddr};
 
 /// A task body: consumes a [`TaskCtx`] once.
 pub type TaskBody = Box<dyn FnOnce(&mut TaskCtx<'_>)>;

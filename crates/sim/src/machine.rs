@@ -32,7 +32,7 @@ use crate::event::{CoherenceEvent, TimedEvent};
 use crate::stats::Stats;
 use raccd_cache::{L1Cache, L1Line, L1State, LlcBank, LlcLine};
 use raccd_fault::{FaultPlan, FaultPlane, FaultSite, FaultStats, MsgOutcome};
-use raccd_mem::{BlockAddr, PAddr, PageNum, PageTable, Tlb, VAddr};
+use raccd_mem::{BlockAddr, MemRef, PAddr, PageNum, PageTable, Tlb, VAddr};
 use raccd_noc::{Mesh, MsgClass};
 use raccd_protocol::{
     victim_action, write_hit_is_local, Adr, AdrConfig, DirEntry, DirEviction, DirMsg,
@@ -550,22 +550,6 @@ impl Machine {
         (vaddr.on_frame(ppage), cycles)
     }
 
-    /// TLB-charged translation used by `raccd_register`'s iterative walk
-    /// (Figure 5): one TLB access per virtual page, with page walks on
-    /// misses.
-    pub fn translate_page_for_register(&mut self, core: usize, vpage: PageNum) -> (PageNum, u64) {
-        let mut cycles = self.cfg.lat.tlb;
-        match self.cores[core].tlb.lookup(vpage) {
-            Some(p) => (p, cycles),
-            None => {
-                cycles += self.cfg.lat.page_walk;
-                let p = self.page_table.translate_page(vpage);
-                self.cores[core].tlb.fill(vpage, p);
-                (p, cycles)
-            }
-        }
-    }
-
     /// A core's TLB, read-only: the probe half of TLB-to-TLB miss
     /// resolution (§II-B) peeks other cores' entries and last-use stamps.
     pub fn tlb(&self, core: usize) -> &Tlb {
@@ -641,6 +625,42 @@ impl Machine {
         }
         self.check_ev(CheckEvent::OpEnd);
         result
+    }
+
+    /// Account `refs`, references to the block `vaddr` lies in, as
+    /// `refs.len()` calls of [`Machine::translate`] + [`Machine::l1_lookup`]
+    /// that all hit would: the same TLB, L1, statistics and checker state
+    /// (each reference's `L1Hit` and `OpEnd`, in order), `refs_processed`
+    /// advanced, and their cycles returned. `None`, with nothing changed,
+    /// when they would not all be plain hits: the page is not in the TLB,
+    /// the block is not in the L1, or a store meets a coherent line it must
+    /// upgrade or a write-through L1.
+    pub fn hit_run(&mut self, core: usize, vaddr: VAddr, refs: &[MemRef]) -> Option<u64> {
+        let slice = &mut self.cores[core];
+        let block = vaddr.on_frame(slice.tlb.peek(vaddr.page())?).block();
+        let line = *slice.l1.probe(block)?;
+        let stores = refs.iter().any(|r| r.is_write());
+        // A store to a coherent S/F/O line upgrades, and a write-through
+        // store propagates: both stay per reference.
+        let local = line.nc || write_hit_is_local(line.state);
+        (!stores || local && !self.cfg.l1_write_through).then_some(())?;
+        let n = refs.len() as u64;
+        slice.tlb.hit_n(vaddr.page(), n);
+        let hit = slice.l1.access_n(block, n).expect("probed above");
+        if stores {
+            hit.state = L1State::Modified;
+        }
+        for r in refs {
+            self.check_ev(CheckEvent::L1Hit {
+                core,
+                block,
+                write: r.is_write(),
+                nc: line.nc,
+            });
+            self.check_ev(CheckEvent::OpEnd);
+        }
+        self.stats.refs_processed += n;
+        Some(n * (self.cfg.lat.tlb + self.cfg.lat.l1))
     }
 
     /// Write-through store propagation: push the written line to the home

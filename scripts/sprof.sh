@@ -2,7 +2,12 @@
 # A sampling profiler for hosts without `perf`: scripts/sprof.sh <command…>
 # runs the command with a SIGPROF preload (250 Hz of process CPU time) and
 # prints where the samples of its busiest executable fell: by innermost
-# inlined function, by out-of-line symbol and by file:line. Name a release
+# inlined function, by out-of-line symbol and by file:line, then inclusive
+# time by function (a sample counts once for every function any of its
+# inlined frames names, so a callee inlined into its caller shows under
+# both). Under `benchmark run`, raccd_benchmark::probe::Probe::after_rep
+# (7-12 % of the samples) is the harness's host-speed probe between reps,
+# not the simulator. Name a release
 # binary (they carry line tables), not `cargo run`. Needs gcc, python3, nm
 # and llvm-addr2line or addr2line (GNU's 2.40 names the enclosing symbol
 # for an inlined frame, so with it the first table repeats the second);
@@ -81,19 +86,25 @@ def symbol(pc):
 # pair after each address line.
 out = subprocess.run([sys.argv[2], "-e", exe, "-a", "-f", "-i", "-C"], input="".join(f"{pc:x}\n" for pc in hits),
                      capture_output=True, text=True).stdout.splitlines()
-inlined, lines = collections.Counter(), collections.Counter()
-for i, line in enumerate(out):
-    if line.startswith("0x") and i + 2 < len(out):
-        pc = int(line, 16)
-        name = re.sub(r"::h[0-9a-f]{16}$", "", out[i + 1])
-        inlined[name if name != "??" else symbol(pc)] += hits[pc]
-        lines[out[i + 2].split(" (discriminator")[0]] += hits[pc]
+inlined, lines, inclusive = collections.Counter(), collections.Counter(), collections.Counter()
+heads = [i for i, line in enumerate(out) if line.startswith("0x")] + [len(out)]
+for a, b in zip(heads, heads[1:]):
+    pc, chain = int(out[a], 16), out[a + 1:b]
+    if len(chain) < 2:
+        continue
+    # The chain is (function, file:line) pairs, innermost frame first.
+    names = [re.sub(r"::h[0-9a-f]{16}$", "", f) if f != "??" else symbol(pc) for f in chain[0::2]]
+    inlined[names[0]] += hits[pc]
+    lines[chain[1].split(" (discriminator")[0]] += hits[pc]
+    for name in set(names):
+        inclusive[name] += hits[pc]
 outer = collections.Counter()
 for pc, n in hits.items():
     outer[symbol(pc)] += n
 print(f"# sprof: {len(pcs)} samples at 250 Hz in {exe}")
-for title, table in [("innermost inlined function", inlined), ("out-of-line symbol", outer), ("file:line", lines)]:
-    print(f"\n# self time by {title}")
+for title, table in [("self time by innermost inlined function", inlined), ("self time by out-of-line symbol", outer),
+                     ("self time by file:line", lines), ("inclusive time by function", inclusive)]:
+    print(f"\n# {title}")
     for name, n in table.most_common(15):
         print(f"{100 * n / len(pcs):5.1f} %  {n:6d}  {name}")
 EOF
