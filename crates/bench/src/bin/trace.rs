@@ -29,6 +29,7 @@ use raccd_bench::cli::{die, Cli, SIM_FLAGS};
 use raccd_bench::{bench_names, write_telemetry};
 use raccd_core::{CoherenceMode, Driver};
 use raccd_obs::{event_json, json, Recorder, RecorderConfig};
+use raccd_sim::Stats;
 use raccd_snap::Snapshot;
 use std::collections::BTreeMap;
 
@@ -129,12 +130,10 @@ fn main() {
         rec.hist_wake_to_dispatch.quantile_ceil(0.5),
         rec.hist_bank_wait.quantile_ceil(0.5),
     );
-    let metrics = raccd_obs::RunMetrics::from_stats(
-        &format!("{}/{mode}", names[bench_idx]),
-        &out.stats,
-        wall,
+    println!(
+        "{}",
+        perf_line(&format!("{}/{mode}", names[bench_idx]), &out.stats, wall)
     );
-    println!("{}", metrics.summary_line());
     println!();
     println!("# first {head} events (JSONL)");
     for ev in rec.events().iter().take(head) {
@@ -166,5 +165,56 @@ fn main() {
             rec.samples().len()
         );
         println!("load trace.json at https://ui.perfetto.dev");
+    }
+}
+
+/// The `# perf:` line: the run's wall time and its simulated cycles,
+/// replayed references and NoC messages per host second.
+fn perf_line(name: &str, stats: &Stats, wall: f64) -> String {
+    let rate = |n: u64| fmt_si(if wall > 0.0 { n as f64 / wall } else { 0.0 });
+    format!(
+        "# perf: {name} wall={wall:.3}s cycles/s={} refs/s={} events/s={}",
+        rate(stats.cycles),
+        rate(stats.refs_processed),
+        rate(stats.noc_traffic),
+    )
+}
+
+/// A rate with an SI suffix (K/M/G).
+fn fmt_si(v: f64) -> String {
+    if v >= 1e9 {
+        format!("{:.2}G", v / 1e9)
+    } else if v >= 1e6 {
+        format!("{:.2}M", v / 1e6)
+    } else if v >= 1e3 {
+        format!("{:.2}K", v / 1e3)
+    } else {
+        format!("{:.1}", v)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn perf_line_is_a_comment_with_si_rates() {
+        let stats = Stats {
+            cycles: 1_000_000,
+            refs_processed: 250_000,
+            noc_traffic: 40_000,
+            ..Stats::default()
+        };
+        assert_eq!(
+            perf_line("jacobi/raccd", &stats, 0.5),
+            "# perf: jacobi/raccd wall=0.500s cycles/s=2.00M refs/s=500.00K events/s=80.00K"
+        );
+        // A zero wall time never divides by zero.
+        assert_eq!(
+            perf_line("z", &stats, 0.0),
+            "# perf: z wall=0.000s cycles/s=0.0 refs/s=0.0 events/s=0.0"
+        );
+        assert_eq!(fmt_si(3.5e9), "3.50G");
+        assert_eq!(fmt_si(12.5), "12.5");
     }
 }

@@ -4,27 +4,6 @@
 //! line families (Figures 6, 7). A horizontal-bar rendering keeps both
 //! readable in a terminal and in committed text output.
 
-/// Render a horizontal bar chart. `rows` are `(label, value)`; values are
-/// scaled so the largest bar spans `width` characters.
-pub fn bar_chart(title: &str, rows: &[(String, f64)], width: usize) -> String {
-    let mut out = format!("{title}\n");
-    let max = rows.iter().map(|&(_, v)| v).fold(0.0f64, f64::max);
-    let label_w = rows.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
-    for (label, value) in rows {
-        let filled = if max > 0.0 {
-            ((value / max) * width as f64).round() as usize
-        } else {
-            0
-        };
-        out.push_str(&format!(
-            "{label:<label_w$} |{}{} {value:.1}\n",
-            "█".repeat(filled),
-            " ".repeat(width - filled.min(width)),
-        ));
-    }
-    out
-}
-
 /// Render a grouped bar chart: one block per group, one bar per series.
 /// `groups` are `(group_label, values)` with `values.len() == series.len()`.
 pub fn grouped_bar_chart(
@@ -61,25 +40,6 @@ pub fn grouped_bar_chart(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bars_scale_to_max() {
-        let rows = vec![("a".to_string(), 50.0), ("bb".to_string(), 100.0)];
-        let c = bar_chart("t", &rows, 10);
-        let lines: Vec<&str> = c.lines().collect();
-        assert_eq!(lines[0], "t");
-        assert!(lines[1].contains(&"█".repeat(5)));
-        assert!(!lines[1].contains(&"█".repeat(6)));
-        assert!(lines[2].contains(&"█".repeat(10)));
-        assert!(lines[2].contains("100.0"));
-    }
-
-    #[test]
-    fn zero_values_render_empty_bars() {
-        let rows = vec![("x".to_string(), 0.0)];
-        let c = bar_chart("t", &rows, 8);
-        assert!(c.contains("| "), "no fill for zero");
-    }
 
     #[test]
     fn grouped_chart_emits_all_series() {

@@ -1095,13 +1095,8 @@ impl Driver {
             drop(graph.take_body(run.tid));
         }
         // Quantum-preempted tasks: dispatched (body consumed) but neither
-        // running nor complete. Sections are optional so pre-scheduler
-        // snapshots restore with the empty defaults.
-        let parked: BTreeMap<TaskId, Running> = if s.has("driver/parked") {
-            s.get("driver/parked")?
-        } else {
-            BTreeMap::new()
-        };
+        // running nor complete.
+        let parked: BTreeMap<TaskId, Running> = s.get("driver/parked")?;
         for (&id, run) in &parked {
             if id >= ntasks || seen[id] || run.tid != id {
                 return Err(SnapError::Invalid("parked task id"));
@@ -1109,11 +1104,7 @@ impl Driver {
             seen[id] = true;
             drop(graph.take_body(id));
         }
-        let quantum_start: Vec<u64> = if s.has("driver/quantum_start") {
-            s.get("driver/quantum_start")?
-        } else {
-            vec![0u64; nctx]
-        };
+        let quantum_start: Vec<u64> = s.get("driver/quantum_start")?;
         if quantum_start.len() != nctx {
             return Err(SnapError::Invalid("quantum clock geometry"));
         }
@@ -1602,6 +1593,33 @@ mod tests {
         assert_eq!(mem_words(&idle), mem_words(&clean));
         let report = idle.fault.expect("plane attached");
         assert_eq!(report.stats.injected, 0);
+    }
+
+    /// Every `driver/*` section is required: an archive without the
+    /// scheduler's `parked` or `quantum_start` is refused by name, not
+    /// restored with defaults.
+    #[test]
+    fn restore_refuses_an_archive_missing_a_scheduler_section() {
+        let (cfg, mode) = (MachineConfig::scaled(), CoherenceMode::Raccd);
+        let mut d = Driver::new(cfg, mode, two_phase_program(), None, None);
+        for _ in 0..100 {
+            assert!(d.step(None));
+        }
+        let full = Snapshot::from_bytes(&d.snapshot().to_bytes()).expect("own archive loads");
+        assert!(Driver::restore(cfg, mode, two_phase_program(), &full).is_ok());
+        for missing in ["driver/parked", "driver/quantum_start"] {
+            let mut s = Snapshot::new();
+            for tag in full.tags().into_iter().filter(|&t| t != missing) {
+                s.put_raw(tag, full.raw(tag).unwrap().to_vec());
+            }
+            let s = Snapshot::from_bytes(&s.to_bytes()).expect("a well-formed archive");
+            assert_eq!(
+                Driver::restore(cfg, mode, two_phase_program(), &s).err(),
+                Some(SnapError::MissingSection {
+                    tag: missing.to_string()
+                }),
+            );
+        }
     }
 
     #[test]

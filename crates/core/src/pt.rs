@@ -82,14 +82,6 @@ impl PageClassifier {
     pub fn transitions(&self) -> u64 {
         self.transitions
     }
-
-    /// Count of pages currently classified shared.
-    pub fn shared_pages(&self) -> usize {
-        self.pages
-            .values()
-            .filter(|s| matches!(s, PageState::Shared))
-            .count()
-    }
 }
 
 // Hand-written: a tuple variant (`snap_enum!` lists fields by name).
@@ -138,7 +130,6 @@ mod tests {
         assert_eq!(pt.on_access(2, PageNum(9)), PtDecision::Shared);
         assert_eq!(pt.on_access(1, PageNum(9)), PtDecision::Shared);
         assert_eq!(pt.transitions(), 1);
-        assert_eq!(pt.shared_pages(), 1);
     }
 
     #[test]
@@ -188,6 +179,5 @@ mod tests {
         assert!(pt.is_private_to(0, PageNum(1)));
         assert!(pt.is_private_to(1, PageNum(2)));
         assert_eq!(pt.pages.len(), 2);
-        assert_eq!(pt.shared_pages(), 0);
     }
 }

@@ -70,12 +70,6 @@ impl PAddr {
     pub fn page(self) -> PageNum {
         PageNum(self.0 >> PAGE_SHIFT)
     }
-
-    /// Byte offset within the cache block.
-    #[inline]
-    pub fn block_offset(self) -> u64 {
-        self.0 & (BLOCK_SIZE - 1)
-    }
 }
 
 impl BlockAddr {
@@ -93,12 +87,6 @@ impl BlockAddr {
 }
 
 impl PageNum {
-    /// First byte address of the page (as a physical address).
-    #[inline]
-    pub fn base_paddr(self) -> PAddr {
-        PAddr(self.0 << PAGE_SHIFT)
-    }
-
     /// First byte address of the page (as a virtual address).
     #[inline]
     pub fn base_vaddr(self) -> VAddr {
@@ -209,9 +197,7 @@ mod tests {
         let a = PAddr(0x1_2345);
         assert_eq!(a.block(), BlockAddr(0x1_2345 >> 6));
         assert_eq!(a.page(), PageNum(0x12));
-        assert_eq!(a.block_offset(), 0x1_2345 & 63);
         assert_eq!(BlockAddr(5).base(), PAddr(5 * 64));
-        assert_eq!(PageNum(3).base_paddr(), PAddr(3 * 4096));
     }
 
     #[test]

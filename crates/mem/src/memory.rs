@@ -52,11 +52,6 @@ impl SimMemory {
         &self.allocs
     }
 
-    /// Total allocated bytes (padded to pages).
-    pub fn footprint(&self) -> u64 {
-        self.data.len() as u64
-    }
-
     #[inline]
     fn index(&self, addr: VAddr, len: usize) -> usize {
         let off = addr
@@ -211,13 +206,5 @@ mod tests {
     fn below_heap_base_panics() {
         let m = SimMemory::new();
         let _ = m.read_u8(VAddr(0));
-    }
-
-    #[test]
-    fn footprint_counts_pages() {
-        let mut m = SimMemory::new();
-        m.alloc("a", 1);
-        m.alloc("b", PAGE_SIZE + 1);
-        assert_eq!(m.footprint(), 3 * PAGE_SIZE);
     }
 }

@@ -71,16 +71,6 @@ impl PageTable {
         vaddr.on_frame(self.translate_page(vaddr.page()))
     }
 
-    /// Look up a mapping without creating it.
-    pub fn lookup_page(&self, vpage: PageNum) -> Option<PageNum> {
-        self.map.get(&vpage.0).map(|&f| PageNum(f))
-    }
-
-    /// Number of mapped pages.
-    pub fn mapped_pages(&self) -> usize {
-        self.map.len()
-    }
-
     fn alloc_frame(&mut self) -> u64 {
         match self.policy {
             FrameAllocPolicy::Contiguous => {
@@ -154,7 +144,6 @@ mod tests {
         let a = pt.translate(VAddr(0x12345));
         let b = pt.translate(VAddr(0x12345));
         assert_eq!(a, b);
-        assert_eq!(pt.mapped_pages(), 1);
     }
 
     #[test]
@@ -214,12 +203,5 @@ mod tests {
         let frames: Vec<u64> = r.pages().map(|p| pt.translate_page(p).0).collect();
         assert_eq!(frames.len(), 4);
         assert!(frames.windows(2).all(|w| w[1] == w[0] + 1));
-    }
-
-    #[test]
-    fn lookup_does_not_map() {
-        let pt = PageTable::new(FrameAllocPolicy::Contiguous);
-        assert!(pt.lookup_page(PageNum(7)).is_none());
-        assert_eq!(pt.mapped_pages(), 0);
     }
 }

@@ -19,14 +19,12 @@
 //! * [`export`] — JSONL event dump, CSV time-series, histogram text
 //!   report, and Chrome Trace Format output loadable in Perfetto.
 //! * [`recorder`] — the [`Recorder`] that ties these together. Hook sites
-//!   take `Option<&mut Recorder>`; passing `None` compiles the hooks down
-//!   to a single branch, keeping the disabled path within the <2 %
-//!   overhead budget (DESIGN.md §Observability).
+//!   take `Option<&mut Recorder>`; with `None` each hook is one branch on
+//!   a niche pointer (DESIGN.md §7 "Overhead budget" has the measured
+//!   cost).
 //! * [`json`] — dependency-free JSON writer and strict parser used by the
 //!   exporters and their validation tests.
-//! * [`metrics`] — [`RunMetrics`]: host-throughput rates (cycles/sec,
-//!   refs/sec, protocol events/sec, peak RSS) derived from `Stats` and a
-//!   wall time, rendered as the `# perf:` line of `results/*.txt`.
+//! * [`metrics`] — [`peak_rss_bytes`], the process's peak RSS.
 
 pub mod event;
 pub mod export;
@@ -42,6 +40,6 @@ pub use export::{
     write_events_jsonl, write_histograms, write_series_csv,
 };
 pub use hist::Log2Hist;
-pub use metrics::{peak_rss_bytes, RunMetrics};
+pub use metrics::peak_rss_bytes;
 pub use recorder::{Recorder, RecorderConfig};
 pub use sampler::{Gauges, IntervalSampler, Sample};

@@ -2,10 +2,10 @@
 //! histograms; the exporters read it after the run.
 //!
 //! Instrumentation sites hold an `Option<&mut Recorder>`; with `None` the
-//! hooks compile down to a branch on a niche-optimised pointer, keeping the
-//! telemetry-disabled hot path within the <2 % overhead budget (the
+//! hooks compile down to a branch on a niche-optimised pointer. DESIGN.md
+//! §7 "Overhead budget" has what those branches measure at; the
 //! benchmark's `obs.recorder_overhead_pct` row reads what attaching a
-//! recorder costs).
+//! recorder costs.
 
 use crate::event::{Event, NameId};
 use crate::hist::Log2Hist;

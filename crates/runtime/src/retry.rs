@@ -50,14 +50,6 @@ impl RetryBook {
     pub fn attempts(&self, task: TaskId) -> u32 {
         self.attempts[task]
     }
-
-    /// Total re-executions granted across all tasks.
-    pub fn total_retries(&self) -> u64 {
-        self.attempts
-            .iter()
-            .map(|&a| a.min(self.budget) as u64)
-            .sum()
-    }
 }
 
 raccd_snap::snap_record!(RetryBook { budget, attempts });
@@ -76,7 +68,6 @@ mod tests {
         // Exhaustion is per task, not global.
         assert_eq!(b.note_failure(1), RetryDecision::Retry(1));
         assert_eq!(b.attempts(0), 4);
-        assert_eq!(b.total_retries(), 4);
     }
 
     #[test]

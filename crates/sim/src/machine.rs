@@ -293,20 +293,19 @@ impl Machine {
     /// fate; drops and corruptions loop through the bounded-backoff retry
     /// machinery until delivery or budget exhaustion (then the message is
     /// force-delivered and the plane latched fatal, so the protocol state
-    /// stays consistent while the run is flagged as detected).
+    /// stays consistent while the run is flagged as detected). The plane
+    /// is held out of the machine for the path and put back at its end;
+    /// nothing on the path reaches it through `self`.
     #[cold]
     fn xmit_faulty(&mut self, from: usize, to: usize, class: MsgClass, now: u64) -> u64 {
-        let plan = self.faults.as_ref().expect("fault path").plan;
-        let backoff = self.faults.as_ref().expect("fault path").backoff();
+        let Some(mut f) = self.faults.take() else {
+            return self.noc.send(from, to, class);
+        };
         let base = self.noc.latency(from, to);
         let mut total = 0u64;
         let mut attempt: u32 = 0;
         loop {
-            let outcome = self
-                .faults
-                .as_mut()
-                .expect("fault path")
-                .roll_msg(now + total);
+            let outcome = f.roll_msg(now + total);
             // Injection bookkeeping shared by all faulty outcomes.
             if outcome != MsgOutcome::Deliver {
                 self.stats.faults_injected += 1;
@@ -357,10 +356,10 @@ impl Machine {
                     );
                     // The flits die on the wire; the sender discovers the
                     // loss by timeout.
-                    total += self.noc.send_dropped(from, to, class) + plan.drop_timeout;
-                    self.stats.fault_delay_cycles += plan.drop_timeout;
+                    total += self.noc.send_dropped(from, to, class) + f.plan.drop_timeout;
+                    self.stats.fault_delay_cycles += f.plan.drop_timeout;
                     attempt += 1;
-                    if !self.charge_retry(from, to, attempt, &mut total, backoff, now) {
+                    if !self.charge_retry(&mut f, from, to, attempt, &mut total, now) {
                         total += self.noc.send(from, to, class);
                         break;
                     }
@@ -381,7 +380,7 @@ impl Machine {
                     self.stats.msg_nacks += 1;
                     self.event(now, CoherenceEvent::Nack { from: to, to: from });
                     attempt += 1;
-                    if !self.charge_retry(from, to, attempt, &mut total, backoff, now) {
+                    if !self.charge_retry(&mut f, from, to, attempt, &mut total, now) {
                         total += self.noc.send(from, to, class);
                         break;
                     }
@@ -389,7 +388,6 @@ impl Machine {
             }
         }
         if attempt > 0 && total > base {
-            let f = self.faults.as_mut().expect("fault path");
             if !f.fatal() {
                 f.stats.recovered += 1;
             }
@@ -402,24 +400,24 @@ impl Machine {
                 },
             );
         }
+        self.faults = Some(f);
         total
     }
 
-    /// Charge one retry: backoff wait + counters. Returns false when the
-    /// budget is exhausted — the caller force-delivers and the run is
-    /// latched fatal (detected).
+    /// Charge one retry on `f`: backoff wait + counters. Returns false
+    /// when the budget is exhausted — the caller force-delivers and the
+    /// run is latched fatal (detected).
     fn charge_retry(
         &mut self,
+        f: &mut FaultPlane,
         from: usize,
         to: usize,
         attempt: u32,
         total: &mut u64,
-        backoff: raccd_fault::Backoff,
         now: u64,
     ) -> bool {
-        let budget = self.faults.as_ref().expect("fault path").plan.retry_budget;
-        if attempt > budget {
-            self.faults.as_mut().expect("fault path").mark_fatal();
+        if attempt > f.plan.retry_budget {
+            f.mark_fatal();
             self.stats.retry_budget_exhausted += 1;
             self.event(
                 now,
@@ -431,11 +429,11 @@ impl Machine {
             );
             return false;
         }
-        let wait = backoff.delay(attempt);
+        let wait = f.backoff().delay(attempt);
         *total += wait;
         self.stats.fault_delay_cycles += wait;
         self.stats.msg_retries += 1;
-        self.faults.as_mut().expect("fault path").stats.retries += 1;
+        f.stats.retries += 1;
         self.noc.note_retry();
         true
     }
@@ -447,17 +445,14 @@ impl Machine {
     /// same machinery a capacity eviction uses, so the shadow checker
     /// observes a legal (if spurious) eviction.
     fn maybe_dir_loss(&mut self, home: usize, now: u64) {
-        let Some(f) = self.faults.as_mut() else {
+        let Some(f) = self.faults.as_deref_mut() else {
             return;
         };
-        if !f.roll_dir_loss(now) {
-            return;
-        }
         let occ = self.dir[home].occupancy();
-        if occ == 0 {
+        if !f.roll_dir_loss(now) || occ == 0 {
             return;
         }
-        let victim_idx = self.faults.as_mut().expect("fault path").pick(occ as u64) as usize;
+        let victim_idx = f.pick(occ as u64) as usize;
         let Some((block, entry)) = self.dir[home].iter().nth(victim_idx).map(|(b, e)| (b, *e))
         else {
             return;
@@ -500,11 +495,6 @@ impl Machine {
     /// consumers call this periodically to bound memory).
     pub fn take_events(&mut self) -> Vec<TimedEvent> {
         std::mem::take(&mut self.events)
-    }
-
-    /// Drop recorded events.
-    pub fn clear_events(&mut self) {
-        self.events.clear();
     }
 
     /// Resident directory entries summed across banks (telemetry gauge).

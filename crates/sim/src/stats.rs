@@ -257,16 +257,6 @@ impl Stats {
         }
     }
 
-    /// Fraction of L1 fills that were non-coherent.
-    pub fn nc_fill_fraction(&self) -> f64 {
-        let total = self.nc_fills + self.coherent_fills;
-        if total == 0 {
-            0.0
-        } else {
-            self.nc_fills as f64 / total as f64
-        }
-    }
-
     /// The two fields of [`Stats::merge`] that do not simply add.
     fn merge_occupancy_and_hist(&mut self, other: &Stats) {
         let (wa, wb) = (self.dir_capacity_integral, other.dir_capacity_integral);
@@ -298,7 +288,6 @@ mod tests {
         let s = Stats::default();
         assert_eq!(s.llc_hit_ratio(), 0.0);
         assert_eq!(s.l1_hit_ratio(), 0.0);
-        assert_eq!(s.nc_fill_fraction(), 0.0);
     }
 
     #[test]
@@ -496,12 +485,9 @@ mod tests {
             llc_misses: 1,
             l1_hits: 9,
             l1_misses: 1,
-            nc_fills: 1,
-            coherent_fills: 3,
             ..Stats::default()
         };
         assert!((s.llc_hit_ratio() - 0.75).abs() < 1e-12);
         assert!((s.l1_hit_ratio() - 0.9).abs() < 1e-12);
-        assert!((s.nc_fill_fraction() - 0.25).abs() < 1e-12);
     }
 }

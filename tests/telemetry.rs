@@ -5,11 +5,11 @@
 //! actually needs to render the file: the document is valid JSON, every
 //! track's timestamps are monotone, and every `B` has a matching `E`.
 
-use raccd::core::{run, CoherenceMode, RunOptions};
+use raccd::core::{run, CoherenceMode, DriverOutput, RunOptions};
 use raccd::mem::{SimMemory, VRange};
 use raccd::obs::{json, Recorder, RecorderConfig};
 use raccd::runtime::{Dep, Program, ProgramBuilder};
-use raccd::sim::MachineConfig;
+use raccd::sim::{FaultPlan, MachineConfig};
 use std::collections::HashMap;
 
 /// Smallest legal machine: the mesh is square, so 4 cores on a 2×2 mesh.
@@ -158,21 +158,74 @@ fn jsonl_csv_and_series_are_consistent() {
     assert_eq!(rec.hist_wake_to_dispatch.count() as usize, 4);
 }
 
+/// The recorder only observes: under every coherence mode, with no fault
+/// plan and with one that injects at every site, a recorded run ends with
+/// the same `Stats`, fault counters and memory image as an unrecorded one.
+/// The toy is small, so the faulty plan is swept over seeds until every
+/// site has fired.
 #[test]
 fn toy_run_is_identical_with_and_without_recorder() {
-    let (_, with_rec) = record_toy();
-    let without = run(
-        tiny_machine(),
-        CoherenceMode::Raccd,
-        toy_program(),
-        RunOptions::default(),
-    );
-    assert_eq!(
-        with_rec.cycles, without.stats.cycles,
-        "telemetry is passive"
-    );
-    assert_eq!(with_rec.refs_processed, without.stats.refs_processed);
-    assert_eq!(with_rec.dir_accesses, without.stats.dir_accesses);
+    // Every injection site, at the rates `archive_bytes_are_pinned` uses.
+    let all_sites = |seed| FaultPlan {
+        seed,
+        drop: 0.01,
+        dup: 0.005,
+        corrupt: 0.005,
+        delay: 0.02,
+        dir_loss: 0.002,
+        storm: 0.01,
+        task_fail: 0.02,
+        straggle: 0.05,
+        ..FaultPlan::default()
+    };
+    let image = |mem: &SimMemory| -> Vec<u8> {
+        let allocs = mem.allocations().iter();
+        allocs
+            .flat_map(|(_, r)| mem.bytes(r.start, r.len as usize).to_vec())
+            .collect()
+    };
+    let plans = std::iter::once(None).chain((0..32).map(|s| Some(all_sites(s))));
+    let mut fired = [0u64; 8];
+    for mode in CoherenceMode::EXTENDED {
+        for faults in plans.clone() {
+            let mut rec = Recorder::default();
+            let opts = RunOptions {
+                recorder: Some(&mut rec),
+                faults,
+            };
+            let with_rec = run(tiny_machine(), mode, toy_program(), opts);
+            let opts = RunOptions {
+                recorder: None,
+                faults,
+            };
+            let without = run(tiny_machine(), mode, toy_program(), opts);
+            let what = format!("{mode:?}, {faults:?}");
+            assert!(!rec.events().is_empty(), "{what}: the recorder listened");
+            assert_eq!(
+                with_rec.stats, without.stats,
+                "{what}: telemetry is passive"
+            );
+            let faulted = |out: &DriverOutput| out.fault.map(|f| (f.stats, f.detected));
+            assert_eq!(faulted(&with_rec), faulted(&without), "{what}");
+            assert_eq!(image(&with_rec.mem), image(&without.mem), "{what}");
+            if let Some(f) = without.fault.map(|f| f.stats) {
+                let sites = [
+                    f.drops,
+                    f.dups,
+                    f.corrupts,
+                    f.delays,
+                    f.dir_losses,
+                    f.storms,
+                    f.task_fails,
+                    f.straggles,
+                ];
+                for (n, s) in fired.iter_mut().zip(sites) {
+                    *n += s;
+                }
+            }
+        }
+    }
+    assert!(fired.iter().all(|&n| n > 0), "every site fired: {fired:?}");
 }
 
 #[test]
