@@ -122,6 +122,7 @@ impl L1Cache {
     }
 
     /// Install a block after a miss. Returns the evicted victim, if any.
+    #[inline]
     pub fn fill(&mut self, block: BlockAddr, line: L1Line) -> Option<(BlockAddr, L1Line)> {
         self.arr
             .insert(block.0, line)
@@ -130,6 +131,7 @@ impl L1Cache {
 
     /// Invalidate one block (directory-initiated Inv, LLC inclusion victim,
     /// PT page flush member). Returns the line if it was present.
+    #[inline]
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<L1Line> {
         self.arr.remove(block.0)
     }

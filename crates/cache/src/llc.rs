@@ -53,6 +53,7 @@ impl LlcBank {
     }
 
     /// Look up a block, updating PLRU and counters.
+    #[inline]
     pub fn access(&mut self, block: BlockAddr) -> Option<&mut LlcLine> {
         let hit = self.arr.get_mut(block.0);
         if hit.is_some() {
@@ -63,6 +64,18 @@ impl LlcBank {
         hit
     }
 
+    /// Count a miss the caller already knows of, without the tag scan:
+    /// what [`LlcBank::access`] leaves for an absent block (a miss changes
+    /// no replacement state).
+    #[inline]
+    pub fn note_miss(&mut self, block: BlockAddr) {
+        debug_assert!(
+            self.arr.probe(block.0).is_none(),
+            "noted a miss on resident {block:?}"
+        );
+        self.misses += 1;
+    }
+
     /// Probe without statistics.
     pub fn probe(&self, block: BlockAddr) -> Option<&LlcLine> {
         self.arr.probe(block.0)
@@ -71,11 +84,13 @@ impl LlcBank {
     /// Mutable probe without hit/miss accounting or PLRU update — used for
     /// off-critical-path state updates (write-back dirty marking,
     /// NC-attribute transitions).
+    #[inline]
     pub fn probe_mut(&mut self, block: BlockAddr) -> Option<&mut LlcLine> {
         self.arr.probe_mut(block.0)
     }
 
     /// Install a block, returning the replaced victim if the set was full.
+    #[inline]
     pub fn fill(&mut self, block: BlockAddr, line: LlcLine) -> Option<(BlockAddr, LlcLine)> {
         self.arr
             .insert(block.0, line)
@@ -83,6 +98,7 @@ impl LlcBank {
     }
 
     /// Remove a block (directory-inclusion victim or NC→coherent overhaul).
+    #[inline]
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<LlcLine> {
         self.arr.remove(block.0)
     }
@@ -147,6 +163,27 @@ mod tests {
         );
         assert!(bank.access(BlockAddr(5)).is_some());
         assert_eq!(bank.stats(), (1, 1));
+        let before = raccd_snap::encode(&bank.arr);
+        bank.note_miss(BlockAddr(6));
+        assert_eq!(bank.stats(), (1, 2));
+        assert_eq!(
+            raccd_snap::encode(&bank.arr),
+            before,
+            "a miss moves no line"
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "noted a miss on resident")]
+    fn note_miss_on_a_resident_block_trips_the_debug_check() {
+        let mut bank = LlcBank::new(64, 8, 0);
+        let line = LlcLine {
+            dirty: false,
+            nc: false,
+        };
+        bank.fill(BlockAddr(5), line);
+        bank.note_miss(BlockAddr(5));
     }
 
     #[test]

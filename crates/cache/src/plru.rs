@@ -23,41 +23,35 @@ impl TreePlru {
     }
 
     /// Record a use of `way`, steering the tree away from it.
-    /// `ways` must be a power of two and the same value on every call.
+    /// `ways` must be a power of two, at most 64, and the same value on
+    /// every call. The walk goes up from the leaf, node `ways + way`: each
+    /// ancestor's bit is set (cold side right) and then cleared again when
+    /// the path came from its right child, with a mask and a shift per
+    /// level and no branch on the way.
     #[inline]
     pub fn touch(&mut self, way: usize, ways: usize) {
-        debug_assert!(ways.is_power_of_two() && way < ways);
-        let mut node = 1usize;
-        let mut span = ways;
-        while span > 1 {
-            span /= 2;
-            let right = way & span != 0;
-            // Point the bit at the *other* half (the cold side).
-            if right {
-                self.bits &= !(1 << node); // cold side: left
-            } else {
-                self.bits |= 1 << node; // cold side: right
-            }
-            node = 2 * node + usize::from(right);
+        debug_assert!(ways.is_power_of_two() && ways <= 64 && way < ways);
+        let mut child = ways + way;
+        let mut bits = self.bits;
+        while child > 1 {
+            let node = child >> 1;
+            bits = (bits | (1 << node)) ^ (((child & 1) as u64) << node);
+            child = node;
         }
+        self.bits = bits;
     }
 
-    /// The way the tree currently designates as victim.
+    /// The way the tree currently designates as victim: follow the bits
+    /// down from the root, appending each to the node index, until a leaf,
+    /// node `ways + way`.
     #[inline]
     pub fn victim(&self, ways: usize) -> usize {
-        debug_assert!(ways.is_power_of_two());
+        debug_assert!(ways.is_power_of_two() && ways <= 64);
         let mut node = 1usize;
-        let mut way = 0usize;
-        let mut span = ways;
-        while span > 1 {
-            span /= 2;
-            let right = self.bits & (1 << node) != 0;
-            if right {
-                way |= span;
-            }
-            node = 2 * node + usize::from(right);
+        while node < ways {
+            node = 2 * node + ((self.bits >> node) & 1) as usize;
         }
-        way
+        node - ways
     }
 }
 

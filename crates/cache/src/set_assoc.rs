@@ -46,12 +46,23 @@ fn set_mask(sets: usize) -> Option<u64> {
     sets.is_power_of_two().then(|| sets as u64 - 1)
 }
 
+/// Widest set a [`TreePlru`] can order: its 63 internal nodes fit a `u64`.
+const MAX_WAYS: usize = 64;
+
+fn valid_ways(ways: usize) -> bool {
+    ways.is_power_of_two() && ways <= MAX_WAYS
+}
+
 impl<T> SetAssoc<T> {
     /// Create an array. `sets` and `ways` must be non-zero; `ways` a power
-    /// of two. `index_shift` strips bank-select bits before set indexing.
+    /// of two no larger than 64 (the PLRU tree's width). `index_shift`
+    /// strips bank-select bits before set indexing.
     pub fn new(sets: usize, ways: usize, index_shift: u32) -> Self {
         assert!(sets > 0, "sets must be non-zero");
-        assert!(ways.is_power_of_two(), "ways must be a power of two");
+        assert!(
+            valid_ways(ways),
+            "ways must be a power of two no larger than {MAX_WAYS}"
+        );
         SetAssoc {
             sets,
             set_mask: set_mask(sets),
@@ -135,11 +146,24 @@ impl<T> SetAssoc<T> {
     pub fn insert(&mut self, key: u64, data: T) -> Option<(u64, T)> {
         let set = self.set_of(key);
         let range = self.slot_range(set);
-        // The way holding `key`, else an invalid way, else the PLRU victim.
-        let present = self.find(key).map(|(_, at)| at - range.start);
         let lines = &mut self.lines[range];
+        // The way holding `key`, else the first invalid way, else the PLRU
+        // victim, from one scan: it runs to the end of the set unless it
+        // meets `key`, which may sit behind an invalid way.
+        let mut free = None;
+        let mut present = None;
+        for (w, slot) in lines.iter().enumerate() {
+            match slot {
+                Some(l) if l.key == key => {
+                    present = Some(w);
+                    break;
+                }
+                None if free.is_none() => free = Some(w),
+                _ => {}
+            }
+        }
         let w = present
-            .or_else(|| lines.iter().position(Option::is_none))
+            .or(free)
             .unwrap_or_else(|| self.plru[set].victim(self.ways));
         let old = lines[w].replace(Line { key, data });
         self.plru[set].touch(w, self.ways);
@@ -221,7 +245,8 @@ impl<T: raccd_snap::Snap> raccd_snap::Snap for Line<T> {
     }
 }
 
-// Hand-written: `set_mask` is derived from `sets`, not saved.
+// Hand-written: `set_mask` is derived from `sets`, not saved, and the
+// geometry is checked before any lookup can index with it.
 impl<T: raccd_snap::Snap> raccd_snap::Snap for SetAssoc<T> {
     fn save(&self, w: &mut raccd_snap::SnapWriter) {
         self.sets.save(w);
@@ -240,8 +265,8 @@ impl<T: raccd_snap::Snap> raccd_snap::Snap for SetAssoc<T> {
         let plru: Vec<TreePlru> = Snap::load(r)?;
         let occupied: usize = Snap::load(r)?;
         if sets == 0
-            || !ways.is_power_of_two()
-            || lines.len() != sets * ways
+            || !valid_ways(ways)
+            || sets.checked_mul(ways) != Some(lines.len())
             || plru.len() != sets
             || occupied != lines.iter().filter(|l| l.is_some()).count()
         {
@@ -365,6 +390,41 @@ mod tests {
         );
         assert_eq!(a.insert(8, 80), None, "set 0 of 8 has a free way");
         assert_eq!(a.probe(8), Some(&80));
+    }
+
+    /// An archive can name a geometry the array cannot run: a `sets ×
+    /// ways` that overflows (its empty line vector then matches the wrapped
+    /// product, and the first lookup indexes past it), or a set wider than
+    /// the PLRU tree (whose touch would shift past its 64 bits). Both are
+    /// refused as a typed error.
+    #[test]
+    fn load_refuses_geometries_it_cannot_run() {
+        use raccd_snap::{Snap, SnapError, SnapWriter};
+        let payload = |sets: usize, ways: usize, lines: usize| {
+            let mut w = SnapWriter::new();
+            sets.save(&mut w);
+            ways.save(&mut w);
+            w.u32(0);
+            vec![None::<Line<u32>>; lines].save(&mut w);
+            vec![TreePlru::new(); sets].save(&mut w);
+            0usize.save(&mut w);
+            w.into_bytes()
+        };
+        for (sets, ways, lines) in [(2, 1 << 63, 0), (1, 128, 128)] {
+            assert_eq!(
+                raccd_snap::decode::<SetAssoc<u32>>(&payload(sets, ways, lines)).err(),
+                Some(SnapError::Invalid("set-assoc geometry")),
+                "{sets} sets × {ways} ways"
+            );
+        }
+        let widest: SetAssoc<u32> = raccd_snap::decode(&payload(2, 64, 128)).expect("64 ways load");
+        assert_eq!(widest.capacity(), 128);
+    }
+
+    #[test]
+    #[should_panic(expected = "no larger than 64")]
+    fn new_refuses_sets_wider_than_the_plru_tree() {
+        let _ = SetAssoc::<u32>::new(1, 128, 0);
     }
 
     #[test]

@@ -91,6 +91,7 @@ impl DirectoryBank {
     }
 
     /// Advance the occupancy/capacity integrals to `now`.
+    #[inline]
     pub fn tick(&mut self, now: u64) {
         if now > self.last_event {
             let dt = (now - self.last_event) as u128;
@@ -101,6 +102,7 @@ impl DirectoryBank {
     }
 
     /// Record one directory access (lookup or update) at time `now`.
+    #[inline]
     pub fn record_access(&mut self, now: u64) {
         self.tick(now);
         self.accesses += 1;
@@ -113,6 +115,7 @@ impl DirectoryBank {
 
     /// Look up an entry, updating replacement state (does not count an
     /// access — callers decide what constitutes a protocol access).
+    #[inline]
     pub fn lookup(&mut self, block: BlockAddr) -> Option<&mut DirEntry> {
         self.arr.get_mut(block.0)
     }
@@ -125,6 +128,7 @@ impl DirectoryBank {
     /// Allocate an entry for `block` (installing a coherent line in the
     /// LLC). If the set is full the PLRU victim is evicted and returned;
     /// the caller must invalidate the victim's LLC line and private copies.
+    #[inline]
     pub fn allocate(&mut self, block: BlockAddr, now: u64, entry: DirEntry) -> Option<DirEviction> {
         self.tick(now);
         self.allocations += 1;
@@ -140,6 +144,7 @@ impl DirectoryBank {
 
     /// Remove the entry for `block` (LLC eviction of a coherent line, or a
     /// coherent→non-coherent transition, §III-E).
+    #[inline]
     pub fn deallocate(&mut self, block: BlockAddr, now: u64) -> Option<DirEntry> {
         self.tick(now);
         self.arr.remove(block.0)

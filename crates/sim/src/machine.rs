@@ -240,9 +240,19 @@ impl Machine {
         Some(sc.state_key(self))
     }
 
-    /// Forward an event to the attached checker, if any.
-    #[inline]
+    /// Forward an event to the attached checker, if any. The hooks are
+    /// one inlined branch around a cold, out-of-line body, so a body never
+    /// grows the path it is called from (DESIGN.md §7 "Overhead budget").
+    #[inline(always)]
     fn check_ev(&mut self, ev: CheckEvent) {
+        if self.checker.is_some() {
+            self.forward_check_ev(ev);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn forward_check_ev(&mut self, ev: CheckEvent) {
         if let Some(c) = self.checker.as_mut() {
             c.on_event(&ev);
         }
@@ -444,7 +454,16 @@ impl Machine {
     /// LLC line and every private copy and writes dirty data back — the
     /// same machinery a capacity eviction uses, so the shadow checker
     /// observes a legal (if spurious) eviction.
+    #[inline(always)]
     fn maybe_dir_loss(&mut self, home: usize, now: u64) {
+        if self.faults.is_some() {
+            self.roll_dir_loss(home, now);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn roll_dir_loss(&mut self, home: usize, now: u64) {
         let Some(f) = self.faults.as_deref_mut() else {
             return;
         };
@@ -479,11 +498,17 @@ impl Machine {
     }
 
     /// Record a protocol event when event recording is enabled.
-    #[inline]
+    #[inline(always)]
     fn event(&mut self, now: u64, ev: CoherenceEvent) {
         if self.cfg.record_events {
-            self.events.push(TimedEvent { cycle: now, ev });
+            self.record_event(now, ev);
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn record_event(&mut self, now: u64, ev: CoherenceEvent) {
+        self.events.push(TimedEvent { cycle: now, ev });
     }
 
     /// Recorded protocol events (empty unless `cfg.record_events`).
@@ -1029,14 +1054,19 @@ impl Machine {
             }
             cycles += self.xmit(supplier.unwrap_or(home), core, MsgClass::DataResponse, now);
         } else {
-            // Directory miss.
-            let llc_has = self.llc[home].access(block).is_some();
-            if llc_has {
+            // Directory miss. A coherent LLC line always has an entry, and
+            // until the first NC fill every LLC line is coherent, so the
+            // LLC misses too: count it without the tag scan.
+            let llc_line = if self.stats.nc_fills == 0 {
+                self.llc[home].note_miss(block);
+                None
+            } else {
+                self.llc[home].access(block)
+            };
+            if let Some(l) = llc_line {
                 // NC → coherent transition (§III-E): clear the bit and
                 // allocate an entry.
-                if let Some(l) = self.llc[home].probe_mut(block) {
-                    l.nc = false;
-                }
+                l.nc = false;
                 self.event(now, CoherenceEvent::NcToCoherent { block });
                 self.check_ev(CheckEvent::NcToCoherent { block });
             } else {
@@ -1704,6 +1734,48 @@ mod tests {
         assert!(m.dir_bank(home).probe(paddr.block()).is_some());
         assert!(!m.llc_bank(home).probe(paddr.block()).unwrap().nc);
         m.check_invariants();
+    }
+
+    /// Until the first NC fill a directory miss counts its LLC miss
+    /// without the tag scan (`note_miss` checks, in a debug build, that the
+    /// block is absent); after it an LLC line may be NC with no entry, and
+    /// the miss scans again. Cross that point and count both sides.
+    #[test]
+    fn llc_probe_elision_holds_on_both_sides_of_the_first_nc_fill() {
+        let mut m = machine();
+        let llc = |m: &Machine| {
+            m.llc
+                .iter()
+                .map(LlcBank::stats)
+                .fold((0, 0), |(h, n), (a, b)| (h + a, n + b))
+        };
+        let (shared, private, fresh) = (0x10_0000u64, 0x20_0000u64, 0x30_0000u64);
+        let mut now = 0;
+        let run = |m: &mut Machine, now: &mut u64, core, base: u64, nc| {
+            for i in 0..8 {
+                *now += 1 + access(m, core, base + i * 64, false, nc, *now);
+            }
+            m.check_invariants();
+        };
+        // Directory misses before any NC fill: elided LLC misses.
+        run(&mut m, &mut now, 0, shared, false);
+        assert_eq!((m.stats.nc_fills, llc(&m)), (0, (0, 8)));
+        // Directory hits: the LLC line is looked up and hits.
+        run(&mut m, &mut now, 1, shared, false);
+        assert_eq!(llc(&m), (8, 8));
+        // The first NC fills miss in the LLC and leave NC lines there.
+        run(&mut m, &mut now, 2, private, true);
+        assert_eq!((m.stats.nc_fills, llc(&m)), (8, (8, 16)));
+        m.flush_nc(2, now);
+        // Directory misses on NC lines: scanned, they hit and turn coherent.
+        run(&mut m, &mut now, 3, private, false);
+        assert_eq!(llc(&m), (16, 16));
+        // Directory misses on absent blocks after the first NC fill.
+        run(&mut m, &mut now, 3, fresh, false);
+        assert_eq!(llc(&m), (16, 24));
+        let stats = m.finalize(now);
+        assert_eq!((stats.llc_hits, stats.llc_misses), (16, 24));
+        assert_eq!(stats.coherent_fills, 32);
     }
 
     #[test]

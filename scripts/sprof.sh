@@ -2,7 +2,9 @@
 # A sampling profiler for hosts without `perf`: scripts/sprof.sh <command…>
 # runs the command with a SIGPROF preload (250 Hz of process CPU time) and
 # prints where the samples of its busiest executable fell: by innermost
-# inlined function, by out-of-line symbol and by file:line, then inclusive
+# inlined function, by out-of-line symbol (keyed by address, so each
+# monomorphised copy of a generic function is its own row, labelled with
+# the payload type its inlined frames name) and by file:line, then inclusive
 # time by function (a sample counts once for every function any of its
 # inlined frames names, so a callee inlined into its caller shows under
 # both). Under `benchmark run`, raccd_benchmark::probe::Probe::after_rep
@@ -80,27 +82,47 @@ for line in subprocess.run(["nm", "-C", "-S", "-n", "--defined-only", exe], capt
 starts = [s[0] for s in syms]
 def symbol(pc):
     i = bisect.bisect_right(starts, pc) - 1
-    inside = i >= 0 and pc < syms[i][0] + syms[i][1]
-    return syms[i][2] if inside else "[outside the executable: libc, vdso]"
-# Innermost inlined frame from addr2line -i: the first function / file:line
-# pair after each address line.
-out = subprocess.run([sys.argv[2], "-e", exe, "-a", "-f", "-i", "-C"], input="".join(f"{pc:x}\n" for pc in hits),
-                     capture_output=True, text=True).stdout.splitlines()
-inlined, lines, inclusive = collections.Counter(), collections.Counter(), collections.Counter()
-heads = [i for i, line in enumerate(out) if line.startswith("0x")] + [len(out)]
-for a, b in zip(heads, heads[1:]):
-    pc, chain = int(out[a], 16), out[a + 1:b]
-    if len(chain) < 2:
-        continue
-    # The chain is (function, file:line) pairs, innermost frame first.
-    names = [re.sub(r"::h[0-9a-f]{16}$", "", f) if f != "??" else symbol(pc) for f in chain[0::2]]
-    inlined[names[0]] += hits[pc]
-    lines[chain[1].split(" (discriminator")[0]] += hits[pc]
-    for name in set(names):
-        inclusive[name] += hits[pc]
+    return i if i >= 0 and pc < syms[i][0] + syms[i][1] else None
+def chains(pcs):
+    """Inlined-frame chain per address from addr2line -i: (function,
+    file:line) pairs, innermost frame first."""
+    out = subprocess.run([sys.argv[2], "-e", exe, "-a", "-f", "-i", "-C"], input="".join(f"{pc:x}\n" for pc in pcs),
+                         capture_output=True, text=True).stdout.splitlines()
+    heads = [i for i, line in enumerate(out) if line.startswith("0x")] + [len(out)]
+    return {int(out[a], 16): list(zip(out[a + 1:b:2], out[a + 2:b:2])) for a, b in zip(heads, heads[1:])}
+# Out-of-line time is keyed by symbol address: monomorphised copies of one
+# generic function demangle to one name, so each copy that took samples is
+# labelled with the generic frame from the repo's own sources its code
+# inlines most often, e.g. `set_of<raccd_cache::llc::LlcLine>`.
+outside = "[outside the executable: libc, vdso]"
+copies = collections.Counter(s[2] for s in syms)
+probe = {i: range(syms[i][0], syms[i][0] + syms[i][1], 4)[:4096]
+         for i in set(map(symbol, hits)) if i is not None and copies[syms[i][2]] > 1}
+framed = chains(pc for r in probe.values() for pc in r)
+def own(f, at):
+    """A named generic function (not a closure) from a source file of the repo."""
+    return ("<" in f and not f.startswith("{") and at.startswith("/") and not at.startswith("/rustc/")
+            and "/deps/" not in at and "/.cargo/" not in at)
+def label(i):
+    if i is None:
+        return outside
+    if i not in probe:
+        return syms[i][2]
+    generic = collections.Counter(f for pc in probe[i] for f, at in framed.get(pc, []) if own(f, at))
+    return f"{syms[i][2]} [{generic.most_common(1)[0][0] if generic else 'copy'} @{syms[i][0]:#x}]"
+labels = {i: label(i) for i in set(map(symbol, hits))}
 outer = collections.Counter()
 for pc, n in hits.items():
-    outer[symbol(pc)] += n
+    outer[labels[symbol(pc)]] += n
+inlined, lines, inclusive = collections.Counter(), collections.Counter(), collections.Counter()
+for pc, chain in chains(hits).items():
+    if not chain:
+        continue
+    names = [re.sub(r"::h[0-9a-f]{16}$", "", f) if f != "??" else labels[symbol(pc)] for f, _ in chain]
+    inlined[names[0]] += hits[pc]
+    lines[chain[0][1].split(" (discriminator")[0]] += hits[pc]
+    for name in set(names):
+        inclusive[name] += hits[pc]
 print(f"# sprof: {len(pcs)} samples at 250 Hz in {exe}")
 for title, table in [("self time by innermost inlined function", inlined), ("self time by out-of-line symbol", outer),
                      ("self time by file:line", lines), ("inclusive time by function", inclusive)]:
