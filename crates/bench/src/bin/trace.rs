@@ -23,7 +23,9 @@
 //! normally. With `--restore <file>` the run revives that checkpoint —
 //! same benchmark, scale and mode required — and finishes from there;
 //! final stats and the shadow state key are identical to the uninterrupted
-//! run (telemetry covers only the resumed half).
+//! run (telemetry covers only the resumed half). Its `restored …` line on
+//! stderr gives the host time `Driver::restore` took to decode the archive
+//! into a driver.
 
 use raccd_bench::cli::{die, Cli, SIM_FLAGS};
 use raccd_bench::{bench_names, write_telemetry};
@@ -78,12 +80,17 @@ fn main() {
         let bytes = std::fs::read(path).unwrap_or_else(|e| die(&format!("--restore {path}: {e}")));
         let snap = Snapshot::from_bytes(&bytes)
             .unwrap_or_else(|e| die(&format!("--restore {path}: not a usable snapshot: {e}")));
+        let started = std::time::Instant::now();
         let driver = Driver::restore(cfg, mode, program, &snap)
             .unwrap_or_else(|e| die(&format!("--restore {path}: does not fit this run: {e}")));
         eprintln!(
-            "restored {path}: {} tasks done, resuming at cycle {}",
-            driver.completed_tasks(),
-            driver.next_time().unwrap_or(0)
+            "{}",
+            restored_line(
+                path,
+                driver.completed_tasks(),
+                driver.next_time().unwrap_or(0),
+                started.elapsed().as_secs_f64(),
+            )
         );
         driver.finish(Some(&mut rec))
     } else {
@@ -180,6 +187,15 @@ fn perf_line(name: &str, stats: &Stats, wall: f64) -> String {
     )
 }
 
+/// The line a `--restore` run opens with: what the archive resumes and
+/// the host time `Driver::restore` took to decode and construct it.
+fn restored_line(path: &str, tasks: usize, cycle: u64, restore_s: f64) -> String {
+    format!(
+        "restored {path}: {tasks} tasks done, resuming at cycle {cycle} (restore {:.3} ms)",
+        restore_s * 1e3
+    )
+}
+
 /// A rate with an SI suffix (K/M/G).
 fn fmt_si(v: f64) -> String {
     if v >= 1e9 {
@@ -216,5 +232,13 @@ mod tests {
         );
         assert_eq!(fmt_si(3.5e9), "3.50G");
         assert_eq!(fmt_si(12.5), "12.5");
+    }
+
+    #[test]
+    fn restored_line_reports_the_restore_host_time() {
+        assert_eq!(
+            restored_line("j.rsnp", 12, 5003, 0.001_25),
+            "restored j.rsnp: 12 tasks done, resuming at cycle 5003 (restore 1.250 ms)"
+        );
     }
 }

@@ -80,6 +80,14 @@ impl L1Cache {
         }
     }
 
+    /// Whether this cache has the sets, ways and index shift that
+    /// [`L1Cache::new`]`(size_bytes, ways)` builds (a restored cache is
+    /// checked against its machine's configuration).
+    pub fn has_geometry(&self, size_bytes: u64, ways: usize) -> bool {
+        let lines = (size_bytes / raccd_mem::BLOCK_SIZE) as usize;
+        self.arr.ways() == ways && self.arr.capacity() == lines && self.arr.index_shift() == 0
+    }
+
     /// Total line slots (the length of a `raccd_invalidate` cache walk).
     pub fn num_lines(&self) -> usize {
         self.arr.capacity()

@@ -42,6 +42,15 @@ impl LlcBank {
         }
     }
 
+    /// Whether this bank has the sets, ways and index shift that
+    /// [`LlcBank::new`]`(entries, ways, bank_bits)` builds (a restored bank
+    /// is checked against its machine's configuration).
+    pub fn has_geometry(&self, entries: usize, ways: usize, bank_bits: u32) -> bool {
+        self.arr.ways() == ways
+            && self.arr.capacity() == entries
+            && self.arr.index_shift() == bank_bits
+    }
+
     /// Lines this bank can hold.
     pub fn capacity(&self) -> usize {
         self.arr.capacity()

@@ -55,7 +55,30 @@ impl TreePlru {
     }
 }
 
-raccd_snap::snap_record!(TreePlru { bits });
+// Hand-written: one `u64` per set, so a set-assoc array's trees go as one
+// bulk copy of the same bytes, the way `u64` slices do.
+impl raccd_snap::Snap for TreePlru {
+    fn save(&self, w: &mut raccd_snap::SnapWriter) {
+        w.u64(self.bits);
+    }
+    fn load(r: &mut raccd_snap::SnapReader) -> Result<Self, raccd_snap::SnapError> {
+        Ok(TreePlru { bits: r.u64()? })
+    }
+    fn save_slice(vs: &[Self], w: &mut raccd_snap::SnapWriter) {
+        w.words(vs.iter().map(|p| p.bits.to_le_bytes()));
+    }
+    fn load_vec(
+        r: &mut raccd_snap::SnapReader,
+        n: usize,
+    ) -> Result<Vec<Self>, raccd_snap::SnapError> {
+        Ok(r.words(n)?
+            .iter()
+            .map(|w| TreePlru {
+                bits: u64::from_le_bytes(*w),
+            })
+            .collect())
+    }
+}
 
 #[cfg(test)]
 mod tests {

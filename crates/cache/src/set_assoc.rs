@@ -84,6 +84,11 @@ impl<T> SetAssoc<T> {
         self.ways
     }
 
+    /// Key bits stripped before set indexing (the bank-select bits).
+    pub fn index_shift(&self) -> u32 {
+        self.index_shift
+    }
+
     /// Total line slots.
     pub fn capacity(&self) -> usize {
         self.sets * self.ways
@@ -245,8 +250,37 @@ impl<T: raccd_snap::Snap> raccd_snap::Snap for Line<T> {
     }
 }
 
-// Hand-written: `set_mask` is derived from `sets`, not saved, and the
-// geometry is checked before any lookup can index with it.
+/// An array's line slots, set after set.
+type Slots<T> = Vec<Option<Line<T>>>;
+
+/// Decode the `Vec<Option<Line<T>>>` of an array in place, counting its
+/// occupied slots as it goes: the bytes `Vec::load` reads, with each run
+/// of empty slots (one `0` byte apiece, almost every slot of a warm-start
+/// archive) consumed by [`raccd_snap::SnapReader::zeros`] and appended
+/// with one `resize_with`. The reservation is `load_vec`'s cap, so the
+/// stream's length prefix never sizes an allocation by itself.
+fn load_lines<T: raccd_snap::Snap>(
+    r: &mut raccd_snap::SnapReader,
+) -> Result<(Slots<T>, usize), raccd_snap::SnapError> {
+    use raccd_snap::Snap;
+    let n = r.len_prefix()?;
+    let mut lines = Vec::with_capacity(raccd_snap::reserve_cap::<Option<Line<T>>>(n));
+    let mut occupied = 0;
+    while lines.len() < n {
+        let empty = r.zeros(n - lines.len());
+        lines.resize_with(lines.len() + empty, || None);
+        if lines.len() < n {
+            let slot: Option<Line<T>> = Snap::load(r)?;
+            occupied += usize::from(slot.is_some());
+            lines.push(slot);
+        }
+    }
+    Ok((lines, occupied))
+}
+
+// Hand-written: `set_mask` is derived from `sets`, not saved, the line
+// vector decodes its empty slots in bulk, and the geometry is checked
+// before any lookup can index with it.
 impl<T: raccd_snap::Snap> raccd_snap::Snap for SetAssoc<T> {
     fn save(&self, w: &mut raccd_snap::SnapWriter) {
         self.sets.save(w);
@@ -261,14 +295,14 @@ impl<T: raccd_snap::Snap> raccd_snap::Snap for SetAssoc<T> {
         let sets: usize = Snap::load(r)?;
         let ways: usize = Snap::load(r)?;
         let index_shift = r.u32()?;
-        let lines: Vec<Option<Line<T>>> = Snap::load(r)?;
+        let (lines, counted) = load_lines(r)?;
         let plru: Vec<TreePlru> = Snap::load(r)?;
         let occupied: usize = Snap::load(r)?;
         if sets == 0
             || !valid_ways(ways)
             || sets.checked_mul(ways) != Some(lines.len())
             || plru.len() != sets
-            || occupied != lines.iter().filter(|l| l.is_some()).count()
+            || occupied != counted
         {
             return Err(raccd_snap::SnapError::Invalid("set-assoc geometry"));
         }

@@ -1043,8 +1043,7 @@ impl Driver {
         if smode != mode {
             return Err(SnapError::Invalid("coherence mode mismatch"));
         }
-        let mut machine = Machine::new(cfg);
-        machine.restore(s)?;
+        let machine = Machine::restore(cfg, s)?;
         let Program { mem: _, mut graph } = program;
         let edges = graph.edges();
         let ntasks: usize = s.get("driver/ntasks")?;
@@ -1620,6 +1619,41 @@ mod tests {
                 }),
             );
         }
+    }
+
+    /// A CRC-valid archive whose first directory bank says 3 ways over
+    /// its 8-way array is refused at restore. Accepted, the bank panics at
+    /// the first ADR resize, which divides its capacity by 3.
+    #[test]
+    fn restore_refuses_a_directory_bank_its_array_contradicts() {
+        let cfg = MachineConfig {
+            adr: true,
+            ..MachineConfig::scaled()
+        };
+        let mode = CoherenceMode::FullCoh;
+        let mut d = Driver::new(cfg, mode, two_phase_program(), None, None);
+        for _ in 0..100 {
+            assert!(d.step(None));
+        }
+        let full = d.snapshot();
+        let bank = d.machine.dir_bank(0);
+        // The bank's record after its array: ways (8 bytes), bank_bits (4),
+        // three u64 counters, the access histogram, two u128 integrals and
+        // the last event cycle.
+        let tail = 8 + 4 + 3 * 8 + 8 + 16 * bank.access_histogram().len() + 2 * 16 + 8;
+        let ways_at = 8 + raccd_snap::encode(bank).len() - tail;
+        let mut dir = full.raw("machine/dir").unwrap().to_vec();
+        assert_eq!(dir[ways_at..ways_at + 8], 8u64.to_le_bytes());
+        dir[ways_at] = 3;
+        let mut crafted = full.clone();
+        crafted.put_raw("machine/dir", dir);
+        let crafted = Snapshot::from_bytes(&crafted.to_bytes()).expect("CRC-valid archive");
+        let resumed = Driver::restore(cfg, mode, two_phase_program(), &crafted)
+            .map(|d| d.finish(None).stats.cycles);
+        assert_eq!(
+            resumed.err(),
+            Some(SnapError::Invalid("directory geometry"))
+        );
     }
 
     #[test]

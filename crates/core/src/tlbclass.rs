@@ -258,8 +258,7 @@ mod tests {
         {
             let head = c.translate(&mut m, core, VAddr(addr), now as u64);
             let (mine, archive) = (raccd_snap::encode(&c), m.snapshot());
-            let mut plain = machine();
-            plain.restore(&archive).expect("own archive");
+            let mut plain = Machine::restore(m.cfg, &archive).expect("own archive");
             let hit = c.translate(&mut m, core, VAddr(addr + 8), 9);
             assert_eq!(
                 (hit.paddr, hit.cycles),

@@ -19,7 +19,7 @@
 use crate::directory::{DirEviction, DirectoryBank};
 
 /// ADR tuning knobs.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AdrConfig {
     /// Grow when occupancy/capacity ≥ this (paper: 0.80).
     pub theta_inc: f64,

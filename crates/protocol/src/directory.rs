@@ -229,20 +229,32 @@ impl DirectoryBank {
     pub fn bank_bits(&self) -> u32 {
         self.bank_bits
     }
+
+    /// Associativity (constant across ADR resizes).
+    pub fn ways(&self) -> usize {
+        self.ways
+    }
 }
 
-raccd_snap::snap_record!(DirectoryBank {
-    arr,
-    ways,
-    bank_bits,
-    accesses,
-    allocations,
-    evictions,
-    access_hist,
-    occ_integral,
-    cap_integral,
-    last_event,
-});
+// `ways` and `bank_bits` are saved beside the array they describe: an ADR
+// resize divides by `ways` and rebuilds the array with `bank_bits`, so a
+// bank whose copies disagree with its array's is refused.
+raccd_snap::snap_record!(
+    DirectoryBank {
+        arr,
+        ways,
+        bank_bits,
+        accesses,
+        allocations,
+        evictions,
+        access_hist,
+        occ_integral,
+        cap_integral,
+        last_event,
+    }
+    where |d| d.ways == d.arr.ways() && d.bank_bits == d.arr.index_shift(),
+    "directory geometry"
+);
 
 #[cfg(test)]
 mod tests {
@@ -340,6 +352,29 @@ mod tests {
         // The bank is untouched after a rejected resize.
         assert_eq!(d.capacity(), 16);
         assert!(d.try_resize(8, 0).is_ok());
+    }
+
+    /// A bank's `ways` and `bank_bits` must describe its array: a bank
+    /// that says 3 ways over an 8-way array, or another shift than its
+    /// array's, would panic at its first ADR resize and is refused.
+    #[test]
+    fn load_refuses_a_geometry_its_array_contradicts() {
+        use raccd_snap::{decode, encode, SnapError};
+        let mut d = DirectoryBank::new(64, 8, 4);
+        d.allocate(BlockAddr(0x30), 1, DirEntry::uncached());
+        let bytes = encode(&d);
+        let at = encode(&d.arr).len();
+        assert!(decode::<DirectoryBank>(&bytes).is_ok());
+        let mut three_ways = bytes.clone();
+        three_ways[at] = 3;
+        let mut shift = bytes.clone();
+        shift[at + 8] = 5;
+        for bad in [three_ways, shift] {
+            assert_eq!(
+                decode::<DirectoryBank>(&bad).err(),
+                Some(SnapError::Invalid("directory geometry"))
+            );
+        }
     }
 
     #[test]

@@ -81,6 +81,33 @@ struct CoreSlice {
     l1: L1Cache,
 }
 
+/// Bank-select bits of a machine shaped per `cfg`, which must have one
+/// core per tile and a power-of-two core count.
+fn bank_bits(cfg: &MachineConfig) -> u32 {
+    assert_eq!(
+        cfg.ncores,
+        cfg.topology.sockets() * cfg.mesh_k * cfg.mesh_k,
+        "one core per tile across {} socket(s)",
+        cfg.topology.sockets()
+    );
+    assert!(cfg.ncores.is_power_of_two());
+    cfg.ncores.trailing_zeros()
+}
+
+/// The ADR controller configuration `cfg` gives every directory bank.
+fn adr_config(cfg: &MachineConfig) -> AdrConfig {
+    AdrConfig {
+        theta_inc: cfg.adr_theta_inc,
+        theta_dec: cfg.adr_theta_dec,
+        ..AdrConfig::paper_defaults(cfg.dir_entries_per_bank(), cfg.dir_ways)
+    }
+}
+
+/// Fingerprint of the configuration a snapshot is only valid for.
+fn cfg_fingerprint(cfg: &MachineConfig) -> String {
+    format!("{cfg:?}")
+}
+
 /// The simulated machine.
 pub struct Machine {
     /// Configuration in force.
@@ -122,14 +149,7 @@ impl Machine {
 
     /// Build with an explicit page table (tests use permuted frames).
     pub fn with_page_table(cfg: MachineConfig, page_table: PageTable) -> Self {
-        assert_eq!(
-            cfg.ncores,
-            cfg.topology.sockets() * cfg.mesh_k * cfg.mesh_k,
-            "one core per tile across {} socket(s)",
-            cfg.topology.sockets()
-        );
-        assert!(cfg.ncores.is_power_of_two());
-        let bank_bits = cfg.ncores.trailing_zeros();
+        let bank_bits = bank_bits(&cfg);
         let cores = (0..cfg.ncores)
             .map(|_| CoreSlice {
                 tlb: Tlb::new(cfg.tlb_entries),
@@ -144,13 +164,7 @@ impl Machine {
             .collect();
         let adr = if cfg.adr {
             (0..cfg.ncores)
-                .map(|_| {
-                    let mut ac =
-                        AdrConfig::paper_defaults(cfg.dir_entries_per_bank(), cfg.dir_ways);
-                    ac.theta_inc = cfg.adr_theta_inc;
-                    ac.theta_dec = cfg.adr_theta_dec;
-                    Adr::new(ac)
-                })
+                .map(|_| Adr::new(adr_config(&cfg)))
                 .collect()
         } else {
             Vec::new()
@@ -1434,14 +1448,9 @@ raccd_snap::snap_record!(CoreSlice { tlb, l1 });
 /// written before fills returned their grant also carry a three-flag
 /// `machine/scratch` section; it held nothing a later transaction reads
 /// and is ignored). The configuration itself is *not* serialized:
-/// restore targets a machine built with an identical `MachineConfig`, and a
-/// config fingerprint section rejects mismatches up front.
+/// restore is handed the identical `MachineConfig`, and a config
+/// fingerprint section rejects mismatches up front.
 impl Machine {
-    /// Fingerprint of the configuration a snapshot is only valid for.
-    fn cfg_fingerprint(&self) -> String {
-        format!("{:?}", self.cfg)
-    }
-
     /// Capture the entire machine state. When a [`ShadowChecker`] is
     /// attached, its mirror state and its canonical
     /// [`ShadowChecker::state_key`] are captured too, so
@@ -1449,7 +1458,7 @@ impl Machine {
     /// bit-identical to the captured one.
     pub fn snapshot(&self) -> raccd_snap::Snapshot {
         let mut s = raccd_snap::Snapshot::new();
-        s.put_raw("machine/cfg", self.cfg_fingerprint().into_bytes());
+        s.put_raw("machine/cfg", cfg_fingerprint(&self.cfg).into_bytes());
         s.put("machine/page_table", &self.page_table);
         s.put("machine/cores", &self.cores);
         s.put("machine/llc", &self.llc);
@@ -1473,36 +1482,63 @@ impl Machine {
         s
     }
 
-    /// Restore a snapshot taken from a machine with an identical
-    /// configuration. The checker and fault plane are restored to exactly
-    /// the captured attachment state (detached if the snapshot carried
-    /// none); a section count that does not fit the machine, or a
-    /// directory entry naming a core it lacks, is refused before any state
-    /// is adopted. When the snapshot recorded a shadow `state_key`, the
-    /// restored state is re-fingerprinted and compared as an end-to-end
-    /// integrity check beyond the per-section CRCs.
-    pub fn restore(&mut self, s: &raccd_snap::Snapshot) -> Result<(), raccd_snap::SnapError> {
-        if s.raw("machine/cfg")? != self.cfg_fingerprint().as_bytes() {
+    /// Build the machine a snapshot captured, decoding each section
+    /// straight into the machine returned: no array is built twice. The
+    /// snapshot must come from a machine with configuration `cfg`. The
+    /// checker and fault plane are exactly the captured ones (detached if
+    /// the snapshot carried none), whatever `RACCD_SHADOW_CHECK` or
+    /// `RACCD_FAULT_SPEC` say. Before the machine is assembled, every
+    /// section count, every L1, LLC and directory array and every ADR
+    /// configuration is checked against `cfg`, and every directory entry
+    /// against the cores it may name. When the snapshot recorded a shadow
+    /// `state_key`, the restored state is re-fingerprinted and compared as
+    /// an end-to-end integrity check beyond the per-section CRCs.
+    pub fn restore(
+        cfg: MachineConfig,
+        s: &raccd_snap::Snapshot,
+    ) -> Result<Machine, raccd_snap::SnapError> {
+        if s.raw("machine/cfg")? != cfg_fingerprint(&cfg).as_bytes() {
             return Err(raccd_snap::SnapError::Invalid("machine config mismatch"));
         }
+        let bank_bits = bank_bits(&cfg);
         let cores: Vec<CoreSlice> = s.get("machine/cores")?;
         let llc: Vec<LlcBank> = s.get("machine/llc")?;
         let dir: Vec<DirectoryBank> = s.get("machine/dir")?;
         let adr: Vec<Adr> = s.get("machine/adr")?;
         let bank_busy: Vec<u64> = s.get("machine/bank_busy")?;
         let noc: Mesh = s.get("machine/noc")?;
-        let n = self.cfg.ncores;
-        let nadr = if self.cfg.adr { n } else { 0 };
+        let n = cfg.ncores;
+        let nadr = if cfg.adr { n } else { 0 };
+        // A directory is built at its full size and ADR only halves or
+        // doubles it within the controller's range.
+        let adr_cfg = adr_config(&cfg);
+        let dir_range = if cfg.adr {
+            adr_cfg.min_entries..=adr_cfg.max_entries
+        } else {
+            cfg.dir_entries_per_bank()..=cfg.dir_entries_per_bank()
+        };
         if cores.len() != n
             || llc.len() != n
             || dir.len() != n
             || adr.len() != nadr
             || bank_busy.len() != n
             || noc.tiles() != n
+            || cores
+                .iter()
+                .any(|c| !c.l1.has_geometry(cfg.l1_bytes, cfg.l1_ways))
+            || llc
+                .iter()
+                .any(|b| !b.has_geometry(cfg.llc_entries_per_bank, cfg.llc_ways, bank_bits))
+            || dir.iter().any(|d| {
+                d.ways() != cfg.dir_ways
+                    || d.bank_bits() != bank_bits
+                    || !dir_range.contains(&d.capacity())
+            })
+            || adr.iter().any(|a| *a.config() != adr_cfg)
         {
             return Err(raccd_snap::SnapError::Invalid("machine geometry"));
         }
-        // A directory entry's cores index `self.cores` when it is next
+        // A directory entry's cores index `cores` when it is next
         // downgraded or invalidated; the codec cannot know `ncores`.
         let absent = u64::MAX.checked_shl(n as u32).unwrap_or(0);
         let names_absent_core = |(_, e): (BlockAddr, &DirEntry)| {
@@ -1511,35 +1547,38 @@ impl Machine {
         if dir.iter().any(|b| b.iter().any(names_absent_core)) {
             return Err(raccd_snap::SnapError::Invalid("directory entry core"));
         }
-        self.page_table = s.get("machine/page_table")?;
-        self.cores = cores;
-        self.llc = llc;
-        self.dir = dir;
-        self.adr = adr;
-        self.noc = noc;
-        self.bank_busy = bank_busy;
-        self.events = s.get("machine/events")?;
-        self.stats = s.get("machine/stats")?;
-        self.faults = if s.has("machine/faults") {
-            Some(Box::new(s.get::<FaultPlane>("machine/faults")?))
-        } else {
-            None
-        };
-        self.checker = if s.has("machine/checker") {
-            Some(Box::new(s.get::<ShadowChecker>("machine/checker")?))
-        } else {
-            None
+        let m = Machine {
+            page_table: s.get("machine/page_table")?,
+            cores,
+            llc,
+            dir,
+            adr,
+            noc,
+            bank_busy,
+            events: s.get("machine/events")?,
+            stats: s.get("machine/stats")?,
+            faults: if s.has("machine/faults") {
+                Some(Box::new(s.get::<FaultPlane>("machine/faults")?))
+            } else {
+                None
+            },
+            checker: if s.has("machine/checker") {
+                Some(Box::new(s.get::<ShadowChecker>("machine/checker")?))
+            } else {
+                None
+            },
+            cfg,
         };
         if s.has("machine/state_key") {
             let want = s.raw("machine/state_key")?;
-            let got = self.shadow_state_key().unwrap_or_default();
+            let got = m.shadow_state_key().unwrap_or_default();
             if got.as_bytes() != want {
                 return Err(raccd_snap::SnapError::Invalid(
                     "restored state_key mismatch",
                 ));
             }
         }
-        Ok(())
+        Ok(m)
     }
 }
 
@@ -1612,6 +1651,13 @@ mod tests {
         }
     }
 
+    /// `snap` with section `tag` taken from `other`.
+    fn transplant(snap: &raccd_snap::Snapshot, other: &Machine, tag: &str) -> raccd_snap::Snapshot {
+        let mut s = snap.clone();
+        s.put_raw(tag, other.snapshot().raw(tag).unwrap().to_vec());
+        s
+    }
+
     /// The route table is indexed by tile, so a restored mesh has to be the
     /// size of the machine it is restored into.
     #[test]
@@ -1619,14 +1665,134 @@ mod tests {
         let mut m = machine();
         access(&mut m, 0, 0x10_0000, true, false, 0);
         let mut snap = m.snapshot();
-        assert_eq!(m.restore(&snap), Ok(()));
+        let mut back = Machine::restore(small_cfg(), &snap).expect("own archive");
         snap.put("machine/noc", &Mesh::new(2, 1, 1, 16));
         assert_eq!(
-            m.restore(&snap),
-            Err(raccd_snap::SnapError::Invalid("machine geometry"))
+            Machine::restore(small_cfg(), &snap).err(),
+            Some(raccd_snap::SnapError::Invalid("machine geometry"))
         );
-        access(&mut m, 1, 0x10_0000, true, false, 10);
-        m.check_invariants();
+        access(&mut back, 1, 0x10_0000, true, false, 10);
+        back.check_invariants();
+    }
+
+    /// An archive restores only under the configuration it was taken with.
+    #[test]
+    fn restore_refuses_another_config() {
+        let snap = machine().snapshot();
+        let other = MachineConfig {
+            l1_bytes: 2 * small_cfg().l1_bytes,
+            ..small_cfg()
+        };
+        assert_eq!(
+            Machine::restore(other, &snap).err(),
+            Some(raccd_snap::SnapError::Invalid("machine config mismatch"))
+        );
+    }
+
+    /// Restore builds no array of its own, so each decoded one is checked
+    /// against what `cfg` gives it: an L1, LLC or directory array or an
+    /// ADR controller taken from another machine of the same core count
+    /// is refused, and so is a directory outside its ADR range. A
+    /// directory ADR has shrunk restores.
+    #[test]
+    fn restore_refuses_arrays_the_config_does_not_build() {
+        let cfg = MachineConfig {
+            adr: true,
+            ..small_cfg()
+        };
+        let mut m = Machine::new(cfg);
+        for i in 0..64u64 {
+            access(&mut m, 0, 0x10_0000 + i * 64, false, false, i * 100);
+        }
+        assert!(m.stats.adr_reconfigs > 0, "ADR shrank a bank");
+        let snap = m.snapshot();
+        let back = Machine::restore(cfg, &snap).expect("own archive");
+        assert_eq!(back.snapshot().to_bytes(), snap.to_bytes());
+        let twice = |mut c: MachineConfig, f: fn(&mut MachineConfig)| {
+            f(&mut c);
+            Machine::new(c)
+        };
+        let cases = [
+            ("machine/cores", twice(cfg, |c| c.l1_bytes *= 2)),
+            ("machine/cores", twice(cfg, |c| c.l1_ways *= 2)),
+            ("machine/llc", twice(cfg, |c| c.llc_entries_per_bank *= 2)),
+            ("machine/llc", twice(cfg, |c| c.llc_ways *= 2)),
+            ("machine/dir", twice(cfg, |c| c.dir_ways *= 2)),
+            ("machine/dir", twice(cfg, |c| c.llc_entries_per_bank *= 2)),
+            ("machine/adr", twice(cfg, |c| c.adr_theta_dec /= 2.0)),
+        ];
+        for (tag, other) in &cases {
+            assert_eq!(
+                Machine::restore(cfg, &transplant(&snap, other, tag)).err(),
+                Some(raccd_snap::SnapError::Invalid("machine geometry")),
+                "{tag} of {:?}",
+                other.cfg
+            );
+        }
+        // Without ADR a directory keeps the size it was built with.
+        let fixed = small_cfg();
+        let shrunk = {
+            let mut s = Machine::new(fixed).snapshot();
+            s.put_raw("machine/dir", snap.raw("machine/dir").unwrap().to_vec());
+            s
+        };
+        assert_eq!(
+            Machine::restore(fixed, &shrunk).err(),
+            Some(raccd_snap::SnapError::Invalid("machine geometry"))
+        );
+    }
+
+    /// A directory entry naming a core the machine lacks (a sharer bit or
+    /// an owner past `ncores`) is refused before anything indexes with it.
+    #[test]
+    fn restore_refuses_a_directory_entry_naming_an_absent_core() {
+        let mut m = machine();
+        m.detach_checker();
+        access(&mut m, 0, 0x10_0000, true, false, 0);
+        let snap = m.snapshot();
+        let (paddr, _) = m.translate(0, VAddr(0x10_0000));
+        let block = paddr.block();
+        let home = m.home_of(block);
+        let n = m.cfg.ncores;
+        let name: [fn(&mut DirEntry, usize); 2] =
+            [|e, n| e.sharers |= 1 << n, |e, n| e.owner = Some(n as u8)];
+        for name in name {
+            let mut dir: Vec<DirectoryBank> = snap.get("machine/dir").unwrap();
+            name(dir[home].lookup(block).expect("entry"), n);
+            let mut s = snap.clone();
+            s.put("machine/dir", &dir);
+            assert_eq!(
+                Machine::restore(m.cfg, &s).err(),
+                Some(raccd_snap::SnapError::Invalid("directory entry core"))
+            );
+        }
+    }
+
+    /// The checker a restored machine carries is the archive's: none when
+    /// the archive had none, and the captured mirror (not a fresh one)
+    /// when it had one, also under `RACCD_SHADOW_CHECK=1`, where
+    /// `Machine::new` attaches a fresh checker to every machine.
+    #[test]
+    fn restore_adopts_the_archived_checker_and_no_other() {
+        let cfg = small_cfg();
+        let mut plain = Machine::new(cfg);
+        plain.detach_checker();
+        access(&mut plain, 0, 0x10_0000, true, false, 0);
+        let snap = plain.snapshot();
+        assert!(!snap.has("machine/checker"));
+        assert!(!Machine::restore(cfg, &snap).unwrap().has_checker());
+
+        let mut checked = Machine::new(cfg);
+        checked.attach_checker(Box::new(ShadowChecker::new(&cfg)));
+        access(&mut checked, 0, 0x10_0000, true, false, 0);
+        access(&mut checked, 1, 0x10_0000, false, false, 10);
+        let snap = checked.snapshot();
+        let back = Machine::restore(cfg, &snap).expect("own archive");
+        let archived = snap.raw("machine/checker").unwrap();
+        let fresh = raccd_snap::encode(&ShadowChecker::new(&cfg));
+        assert_ne!(archived, &fresh[..], "the run moved the mirror");
+        assert_eq!(back.snapshot().raw("machine/checker").unwrap(), archived);
+        assert_eq!(back.shadow_state_key(), checked.shadow_state_key());
     }
 
     #[test]

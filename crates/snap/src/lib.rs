@@ -280,6 +280,27 @@ impl<'a> SnapReader<'a> {
         Ok(bytes.as_chunks().0)
     }
 
+    /// Consume zero bytes, at most `max` of them, eight per step while
+    /// eight remain: stops at the first non-zero byte, at `max` or at the
+    /// end of the stream, and returns how many it consumed. A run of
+    /// empty `Option` slots is such a run of `0` tag bytes.
+    pub fn zeros(&mut self, max: usize) -> usize {
+        let start = self.pos;
+        let end = self.pos + max.min(self.remaining());
+        while end - self.pos >= 8 {
+            let word = u64::from_le_bytes(self.buf[self.pos..self.pos + 8].try_into().unwrap());
+            if word != 0 {
+                self.pos += word.trailing_zeros() as usize / 8;
+                return self.pos - start;
+            }
+            self.pos += 8;
+        }
+        while self.pos < end && self.buf[self.pos] == 0 {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
     /// Take a u64 length prefix, guarding against lengths that cannot fit in
     /// the remaining stream (so corrupt lengths fail fast, not via OOM).
     pub fn len_prefix(&mut self) -> Result<usize, SnapError> {
@@ -324,8 +345,9 @@ pub trait Snap: Sized {
 }
 
 /// How many `T`s a decoder may reserve ahead of decoding a claimed count of
-/// `n`: at most 1 MiB worth, whatever `size_of::<T>()` is.
-fn reserve_cap<T>(n: usize) -> usize {
+/// `n`: at most 1 MiB worth, whatever `size_of::<T>()` is. A hand-written
+/// `load` that decodes a sequence in place reserves through this too.
+pub fn reserve_cap<T>(n: usize) -> usize {
     n.min((1 << 20) / core::mem::size_of::<T>().max(1))
 }
 
@@ -901,6 +923,27 @@ mod tests {
         // stream: 2^20 bytes cannot hold 2^20 u64s.
         assert_eq!(decode::<Vec<u64>>(&bytes), Err(SnapError::Eof));
         assert_eq!(decode::<VecDeque<u16>>(&bytes), Err(SnapError::Eof));
+    }
+
+    /// `zeros` stops at the first non-zero byte, at `max` and at the end of
+    /// the stream, wherever each falls against the eight-byte steps.
+    #[test]
+    fn zeros_stops_at_a_nonzero_byte_the_cap_or_the_end() {
+        for len in 0..40 {
+            for one in (0..len).map(Some).chain([None]) {
+                let mut bytes = vec![0u8; len];
+                if let Some(at) = one {
+                    bytes[at] = 1;
+                }
+                let run = one.unwrap_or(len);
+                for max in [0, 1, 7, 8, 9, 16, 17, usize::MAX] {
+                    let mut r = SnapReader::new(&bytes);
+                    let n = r.zeros(max);
+                    assert_eq!(n, run.min(max), "len {len}, one at {one:?}, max {max}");
+                    assert_eq!(r.remaining(), len - n);
+                }
+            }
+        }
     }
 
     #[test]
