@@ -196,9 +196,14 @@ impl Record {
     /// pass over the body, one borrowed member walk, and no allocation
     /// beyond the strings the record owns.
     fn parse_with<'a>(line: &'a str, m: &mut Vec<Member<'a>>) -> Result<(u64, Record), String> {
-        let (prefix, tail) = line
-            .rsplit_once(",\"sum\":\"")
+        // The last `,"sum":"`, found from the end, where it stands.
+        const SUM: &[u8] = b",\"sum\":\"";
+        let at = line
+            .as_bytes()
+            .windows(SUM.len())
+            .rposition(|w| w == SUM)
             .ok_or("missing checksum field")?;
+        let (prefix, tail) = (&line[..at], &line[at + SUM.len()..]);
         let sum_hex = tail.strip_suffix("\"}").ok_or("malformed checksum tail")?;
         let sum = u32::from_str_radix(sum_hex, 16).map_err(|_| "bad checksum hex")?;
         let body = prefix.strip_prefix('{').ok_or("missing opening brace")?;
@@ -313,7 +318,7 @@ pub struct RecoveredJob {
 }
 
 /// Everything replay recovers from a ledger file.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct LedgerState {
     /// Per-job recovered state, in key order.
     pub jobs: BTreeMap<JobKey, RecoveredJob>,
@@ -337,31 +342,43 @@ impl LedgerState {
     /// Replay a ledger image: longest valid prefix wins.
     pub fn replay(bytes: &[u8]) -> LedgerState {
         let mut st = LedgerState::default();
-        let mut offset = 0usize;
+        st.fold(bytes);
+        st
+    }
+
+    /// Fold the lines of `bytes` past `self.valid_bytes` onto `self`,
+    /// which must be the replay of `bytes[..self.valid_bytes]` (the
+    /// default state is the replay of nothing). Replay is a left fold over
+    /// lines, so this is the replay of all of `bytes`.
+    fn fold(&mut self, bytes: &[u8]) {
+        let start = self.valid_bytes as usize;
+        let rest = &bytes[start..];
+        // One UTF-8 check for the whole rest: the first line holding an
+        // invalid byte is cut before it, loses its newline, and ends
+        // replay just where a per-line check would.
+        let text = match std::str::from_utf8(rest) {
+            Ok(text) => text,
+            Err(e) => std::str::from_utf8(&rest[..e.valid_up_to()]).unwrap_or_default(),
+        };
+        let mut offset = 0;
         let mut members = Vec::new();
-        for line in bytes.split_inclusive(|&b| b == b'\n') {
-            let complete = line.ends_with(b"\n");
-            let text = match std::str::from_utf8(line) {
-                Ok(t) => t.trim_end_matches('\n'),
-                Err(_) => break,
-            };
-            if !complete {
+        for line in text.split_inclusive('\n') {
+            let Some(body) = line.strip_suffix('\n') else {
                 break; // torn final line: no newline commit
-            }
-            let Ok((seq, rec)) = Record::parse_with(text, &mut members) else {
+            };
+            let Ok((seq, rec)) = Record::parse_with(body, &mut members) else {
                 break;
             };
-            if seq != st.next_seq {
+            if seq != self.next_seq {
                 break; // discontinuity: treat like corruption
             }
-            st.apply(&rec);
-            st.next_seq = seq + 1;
-            st.records += 1;
+            self.apply(&rec);
+            self.next_seq = seq + 1;
+            self.records += 1;
             offset += line.len();
         }
-        st.valid_bytes = offset as u64;
-        st.tail_dropped = offset < bytes.len();
-        st
+        self.valid_bytes = (start + offset) as u64;
+        self.tail_dropped = start + offset < bytes.len();
     }
 
     fn apply(&mut self, rec: &Record) {
@@ -494,6 +511,11 @@ pub struct Ledger {
     committed: u64,
     /// The one buffer every record is rendered into.
     line: String,
+    /// The file as the last replay (`open`'s, then each
+    /// [`Ledger::replay_file`]'s) read it, up to the end of its last
+    /// record, and the state those bytes give.
+    image: Vec<u8>,
+    state: LedgerState,
     /// The first failed append. It closed the handle: every later append,
     /// and `sync`, reports it again.
     failed: Option<(io::ErrorKind, String)>,
@@ -518,6 +540,7 @@ impl Ledger {
         let state = LedgerState::replay(&bytes);
         file.set_len(state.valid_bytes)?;
         file.seek(io::SeekFrom::End(0))?;
+        bytes.truncate(state.valid_bytes as usize);
         let ledger = Ledger {
             file,
             write: Box::new(|file, bytes| file.write_all(bytes)),
@@ -525,6 +548,11 @@ impl Ledger {
             next_seq: state.next_seq,
             committed: state.valid_bytes,
             line: String::new(),
+            image: bytes,
+            state: LedgerState {
+                tail_dropped: false, // the file ends where its replay did
+                ..state.clone()
+            },
             failed: None,
             _lock: lock,
         };
@@ -564,6 +592,26 @@ impl Ledger {
             Some((kind, what)) => Err(io::Error::new(*kind, what.clone())),
             None => Ok(()),
         }
+    }
+
+    /// Re-read the whole file and replay it: the state every byte on disk
+    /// gives, and how many records this call parsed. When the file still
+    /// starts with the bytes of the last replay, compared byte for byte,
+    /// the fold continues from that replay's state over the rest; when it
+    /// does not, it starts over. The state is the same either way.
+    pub(crate) fn replay_file(&mut self) -> io::Result<(LedgerState, u64)> {
+        let mut bytes = std::fs::read(&self.path)?;
+        if !bytes.starts_with(&self.image) {
+            self.state = LedgerState::default();
+        }
+        let reused = self.state.records;
+        self.state.fold(&bytes);
+        let state = self.state.clone();
+        bytes.truncate(state.valid_bytes as usize);
+        self.image = bytes;
+        self.state.tail_dropped = false;
+        let parsed = state.records - reused;
+        Ok((state, parsed))
     }
 
     /// Force the file contents to stable storage (used at campaign
@@ -989,6 +1037,40 @@ mod tests {
                 assert_same_replay(&image);
                 image.extend_from_slice(&noise);
                 assert_same_replay(&image);
+            }
+
+            /// Replay is a left fold over lines: the replay of a prefix cut
+            /// at any line boundary, folded on over the whole image, is the
+            /// replay of the image. So it stays with a seq gap, a torn tail,
+            /// and a byte flipped anywhere, inside the prefix included.
+            #[test]
+            fn a_continued_fold_is_the_full_replay(
+                recs in proptest::collection::vec(record(), 0..6),
+                gap in 0usize..8,
+                torn in (record(), 0usize..128),
+                flip in (any::<bool>(), 0usize..4096, 1u8..255),
+            ) {
+                let mut image = Vec::new();
+                for (i, rec) in recs.iter().enumerate() {
+                    let seq = i as u64 + u64::from(i >= gap);
+                    image.extend_from_slice(rec.to_line(seq).as_bytes());
+                    image.push(b'\n');
+                }
+                let tail = torn.0.to_line(recs.len() as u64);
+                image.extend_from_slice(&tail.as_bytes()[..torn.1 % (tail.len() + 1)]);
+                if flip.0 && !image.is_empty() {
+                    let at = flip.1 % image.len();
+                    image[at] ^= flip.2;
+                }
+                let whole = format!("{:?}", assert_same_replay(&image));
+                for k in 0..=image.len() {
+                    if k > 0 && image[k - 1] != b'\n' {
+                        continue;
+                    }
+                    let mut st = LedgerState::replay(&image[..k]);
+                    st.fold(&image);
+                    prop_assert_eq!(&format!("{st:?}"), &whole, "cut at {}", k);
+                }
             }
         }
     }

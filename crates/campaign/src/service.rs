@@ -18,7 +18,8 @@
 //!    bounded-exponential backoff, the rest become terminal `failed`
 //!    records.
 //! 3. **Reconciliation** ([`Campaign::reconcile`]): the ledger file is
-//!    re-replayed from disk and compared against the in-memory result
+//!    re-read from disk, its replay continued over what was appended
+//!    since the last one, and compared against the in-memory result
 //!    cache — at most one `done` per key, no admitted key unaccounted.
 //!
 //! Crash safety falls out of the record ordering: results exist only as
@@ -300,19 +301,20 @@ impl Campaign {
         self.inner.pool.cancel();
     }
 
-    /// Re-replay the ledger from disk and prove it consistent with the
-    /// in-memory result cache.
+    /// Replay the ledger from disk (every byte read and compared, only the
+    /// records appended since the last replay parsed) and prove it
+    /// consistent with the in-memory result cache.
     pub fn reconcile(&self) -> io::Result<ReconcileReport> {
-        let path = self
+        let (replay, replayed) = self
             .inner
             .ledger
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .path()
-            .to_path_buf();
-        let bytes = std::fs::read(&path)?;
-        let replay = LedgerState::replay(&bytes);
-        let mut rep = ReconcileReport::default();
+            .replay_file()?;
+        let mut rep = ReconcileReport {
+            replayed,
+            ..ReconcileReport::default()
+        };
         {
             let st = self.inner.state();
             for (key, job) in &replay.jobs {
@@ -632,6 +634,9 @@ pub struct ReconcileReport {
     pub mismatches: u64,
     /// All invariants held.
     pub consistent: bool,
+    /// Records this reconcile parsed rather than carried over from the
+    /// last replay of the same ledger handle.
+    pub replayed: u64,
 }
 
 /// End-of-run campaign summary.
@@ -680,6 +685,7 @@ impl CampaignReport {
             .u64("lost_jobs", self.reconcile.lost_jobs)
             .u64("mismatches", self.reconcile.mismatches)
             .bool("consistent", self.reconcile.consistent)
+            .u64("replayed", self.reconcile.replayed)
             .render()
     }
 }

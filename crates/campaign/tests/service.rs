@@ -3,7 +3,10 @@
 //! cooperative cancel + resume, and torn-tail resume — each reconciled
 //! against the ledger.
 
-use raccd_campaign::{Campaign, CampaignConfig, JobSpec, JobStatus, LedgerState, SubmitSummary};
+use raccd_campaign::{
+    Campaign, CampaignConfig, JobSpec, JobStatus, LedgerState, ReconcileReport, Record,
+    SubmitSummary,
+};
 use raccd_core::CoherenceMode;
 use raccd_fault::Backoff;
 use raccd_workloads::Scale;
@@ -254,6 +257,85 @@ fn seed_beyond_f64_precision_resumes_from_the_cache() {
         assert_eq!((report.done, report.executions), (1, executions));
         assert!(report.reconcile.consistent, "{}", report.to_json());
     }
+}
+
+fn lines(path: &std::path::Path) -> u64 {
+    let image = std::fs::read(path).unwrap();
+    image.iter().filter(|&&b| b == b'\n').count() as u64
+}
+
+/// The reconcile inside `run()` parses what was appended since the last
+/// replay and no more: everything on the cold run, only the resubmission's
+/// `deduped` records on a resume round.
+#[test]
+fn a_resume_round_parses_only_what_it_appended() {
+    let path = scratch("resume-round.jsonl");
+    let s = spec("Jacobi", 3);
+    let camp = Campaign::open(&path, quick_config()).unwrap();
+    camp.submit(&s).unwrap();
+    let cold = camp.run().unwrap();
+    // enqueued ×3, (leased, done) ×3, and the reconcile's own note after.
+    assert_eq!(cold.reconcile.replayed, 9, "{}", cold.to_json());
+    assert_eq!(lines(&path), 10);
+    drop(camp);
+    for round in 0..3 {
+        let opened = lines(&path);
+        let camp = Campaign::open(&path, quick_config()).unwrap();
+        assert_eq!(camp.submit(&s).unwrap().deduped, 3);
+        let report = camp.run().unwrap();
+        assert!(report.reconcile.consistent, "{}", report.to_json());
+        assert_eq!(report.executions, 0);
+        let appended = lines(&path) - opened - 1; // the note follows the replay
+        assert_eq!(
+            (appended, report.reconcile.replayed),
+            (3, 3),
+            "round {round}"
+        );
+        assert!(report.to_json().ends_with(",\"replayed\":3}"));
+    }
+}
+
+/// A `done` line rewritten on disk behind the campaign's back, with another
+/// digest and a resealed checksum, is a mismatch: the byte compare sees the
+/// file no longer starts with what the last replay read, and the replay
+/// starts over instead of continuing from a state the file no longer gives.
+#[test]
+fn a_rewritten_done_line_is_a_mismatch() {
+    let path = scratch("rewritten.jsonl");
+    let camp = Campaign::open(&path, quick_config()).unwrap();
+    camp.submit(&spec("MD5", 2)).unwrap();
+    let report = camp.run().unwrap();
+    assert!(report.reconcile.consistent, "{}", report.to_json());
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut image: Vec<String> = text.lines().map(str::to_string).collect();
+    let at = image
+        .iter()
+        .position(|l| l.contains("\"kind\":\"done\""))
+        .unwrap();
+    let Ok((seq, Record::Done { key, mut digest })) = Record::parse_line(&image[at]) else {
+        panic!("not a done line: {}", image[at]);
+    };
+    digest.stats_digest ^= 1;
+    image[at] = Record::Done { key, digest }.to_line(seq);
+    std::fs::write(&path, image.join("\n") + "\n").unwrap();
+    let mismatch = ReconcileReport {
+        done: 2,
+        mismatches: 1,
+        consistent: false,
+        replayed: 7,
+        ..ReconcileReport::default()
+    };
+    assert_eq!(camp.reconcile().unwrap(), mismatch);
+    // The rewritten file is now what the last replay read: the next one
+    // continues over the note the last one appended, with the same verdict.
+    let again = camp.reconcile().unwrap();
+    assert_eq!(
+        again,
+        ReconcileReport {
+            replayed: 1,
+            ..mismatch
+        }
+    );
 }
 
 #[test]

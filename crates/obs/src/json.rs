@@ -239,7 +239,10 @@ pub fn members<'a>(
     })
 }
 
+/// The input is a `&str`, valid UTF-8 already: strings and numbers are
+/// sliced from it, never validated again.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -247,7 +250,11 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
         let bytes = text.as_bytes();
-        Parser { bytes, pos: 0 }
+        Parser {
+            text,
+            bytes,
+            pos: 0,
+        }
     }
 
     fn skip_ws(&mut self) {
@@ -367,25 +374,12 @@ impl<'a> Parser<'a> {
     /// A string literal: a slice of the input when it holds no escape.
     fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = Cow::Borrowed("");
+        let run = self.run()?;
+        if self.bytes[self.pos - 1] == b'"' {
+            return Ok(Cow::Borrowed(run));
+        }
+        let mut out = String::from(run);
         loop {
-            // The run up to the next quote or escape, validated once
-            // (per character, this was quadratic in the document).
-            let rest = &self.bytes[self.pos..];
-            let n = rest
-                .iter()
-                .position(|b| matches!(b, b'"' | b'\\'))
-                .ok_or("unterminated string")?;
-            let run = std::str::from_utf8(&rest[..n]).map_err(|e| e.to_string())?;
-            if out.is_empty() {
-                out = Cow::Borrowed(run);
-            } else {
-                out.to_mut().push_str(run);
-            }
-            self.pos += n + 1;
-            if rest[n] == b'"' {
-                return Ok(out);
-            }
             let c = match self.peek() {
                 Some(b'"') => '"',
                 Some(b'\\') => '\\',
@@ -396,56 +390,86 @@ impl<'a> Parser<'a> {
                 Some(b'b') => '\u{8}',
                 Some(b'f') => '\u{c}',
                 Some(b'u') => {
+                    // Exactly four hex digits, no sign.
                     let hex = self
                         .bytes
                         .get(self.pos + 1..self.pos + 5)
                         .ok_or("truncated \\u escape")?;
-                    let code = u32::from_str_radix(
-                        std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                        16,
-                    )
-                    .map_err(|e| e.to_string())?;
+                    let mut code = 0;
+                    for &h in hex {
+                        let Some(digit) = char::from(h).to_digit(16) else {
+                            return Err(format!("bad \\u escape at byte {}", self.pos));
+                        };
+                        code = code * 16 + digit;
+                    }
                     self.pos += 4;
                     // Surrogate pairs are not needed by our writers.
                     char::from_u32(code).unwrap_or('\u{fffd}')
                 }
                 other => return Err(format!("bad escape {other:?}")),
             };
-            out.to_mut().push(c);
+            out.push(c);
             self.pos += 1;
+            out.push_str(self.run()?);
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(Cow::Owned(out));
+            }
         }
     }
 
+    /// The run of a string up to the next quote or escape, and over it.
+    /// That byte is ASCII: both ends of the slice are character boundaries.
+    fn run(&mut self) -> Result<&'a str, String> {
+        let start = self.pos;
+        let n = self.bytes[start..]
+            .iter()
+            .position(|b| matches!(b, b'"' | b'\\'))
+            .ok_or("unterminated string")?;
+        self.pos += n + 1;
+        Ok(&self.text[start..start + n])
+    }
+
+    /// RFC 8259's `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
+        let bad = || format!("bad number at byte {start}");
+        self.pos += (self.peek() == Some(b'-')) as usize;
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(bad()),
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(bad());
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            self.pos += matches!(self.peek(), Some(b'+' | b'-')) as usize;
+            if self.digits() == 0 {
+                return Err(bad());
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         if let Ok(n) = text.parse::<u64>() {
             return Ok(Value::Int(n));
         }
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|e| format!("bad number {text:?}: {e}"))
+    }
+
+    /// Consume a run of decimal digits; how many.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 }
 
@@ -483,6 +507,29 @@ mod tests {
         assert!(parse("{\"a\":1} x").is_err());
         assert!(parse("{\"a\":1,\"a\":2}").is_err(), "duplicate keys");
         assert!(parse("nul").is_err());
+        // RFC 8259 numbers: no leading zero, a digit after `.` and after
+        // the exponent (sign); a `\u` escape is exactly four hex digits.
+        for text in [
+            "{\"a\":01}",
+            "00",
+            "-01",
+            "1.",
+            "1.e5",
+            "1e",
+            "1e+",
+            "-",
+            "-a",
+            ".5",
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u04g1\"",
+            "\"\\u04\"",
+        ] {
+            assert!(parse(text).is_err(), "{text}");
+        }
+        for text in ["0", "-0", "0.5", "-0.0e-0", "10", "1E+2", "\"\\u00E9\""] {
+            assert!(parse(text).is_ok(), "{text}");
+        }
     }
 
     #[test]
