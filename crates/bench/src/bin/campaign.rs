@@ -36,8 +36,8 @@ use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 
 /// Deterministic `--gen` matrix: spread `n` seeded jobs evenly over the
-/// benchmark × mode × ratio grid, warm-started so the snapshot pool earns
-/// its keep.
+/// benchmark × mode × ratio grid, warm-started and fault-free, so each
+/// configuration is one driver run whose digest its seeds share.
 fn gen_matrix(scale: Scale, n: u64) -> Vec<JobSpec> {
     let names = bench_names(scale);
     let modes = [

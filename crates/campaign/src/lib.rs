@@ -19,8 +19,9 @@
 //!   queue with deterministic shedding, labelled panic capture and
 //!   cooperative cancellation. `raccd-bench`'s batch helpers ride the same
 //!   pool.
-//! * [`snappool`] — the shared warm-start [`SnapshotPool`]: each
-//!   configuration's warm-up is simulated once and restored per seed.
+//! * [`snappool`] — the shared [`SnapshotPool`]: each configuration's
+//!   warm-up is simulated once and restored per seed, and a fault-free
+//!   configuration's whole run is simulated once and shared by its seeds.
 //! * [`service`] — the [`Campaign`] orchestrator tying the above together,
 //!   plus [`execute_job_direct`], the cold serial oracle the differential
 //!   suite compares campaign results against bit-for-bit.

@@ -11,8 +11,12 @@
 //!    it. Every decision is a durable ledger record before it takes
 //!    effect.
 //! 2. **Execution** ([`Campaign::run`]): admitted jobs are leased to the
-//!    worker pool. A job warm-starts from the shared [`SnapshotPool`] when
-//!    its spec has a warm-up phase.
+//!    worker pool seed-major, so the workers start on different
+//!    configurations. A job warm-starts from the shared [`SnapshotPool`]
+//!    when its spec has a warm-up phase; with no fault plane attached,
+//!    every seed of a configuration is the same simulation, so the pool
+//!    runs it once per process and answers the other seeds' attempts
+//!    with its digest.
 //!    Failures (fault detection, per-job timeout, worker panic) burn one
 //!    attempt; attempts below the retry budget are requeued after a
 //!    bounded-exponential backoff, the rest become terminal `failed`
@@ -36,10 +40,11 @@ use crate::snappool::{SnapPoolStats, SnapshotPool};
 use crate::spec::{JobKey, JobSpec};
 use crate::stats_digest;
 use raccd_core::Driver;
-use raccd_fault::{Backoff, Watchdog};
+use raccd_fault::{Backoff, FaultPlan, Watchdog};
 use raccd_obs::json::Obj;
 use raccd_obs::{CampaignAction, Event};
 use raccd_workloads::all_benchmarks;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -112,7 +117,7 @@ struct CampState {
     pending: u64,
     dedup_hits: u64,
     shed: u64,
-    /// Driver runs actually performed by *this process*.
+    /// Execution attempts leased by *this process*.
     executions: u64,
     retries: u64,
 }
@@ -220,9 +225,13 @@ impl Campaign {
     /// Submit a batch: dedup against everything the ledger knows, admit
     /// up to the backpressure bound, shed the rest. Each decision is
     /// durable before this returns.
+    ///
+    /// A spec the campaign cannot run (an unknown bench, a fault plan or a
+    /// field that does not parse) is refused with `InvalidInput` before
+    /// any record is written.
     pub fn submit(&self, spec: &JobSpec) -> io::Result<SubmitSummary> {
-        spec.bench_idx()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        let invalid = |e| io::Error::new(io::ErrorKind::InvalidInput, e);
+        spec.bench_idx().map_err(invalid)?;
         let canonical = spec.canonical();
         let mut out = SubmitSummary::default();
         for mut key in spec.keys() {
@@ -230,9 +239,12 @@ impl Campaign {
             if let Some(&known) = st.legacy_fp.get(&key.fingerprint) {
                 key.fingerprint = known;
             }
-            st.specs
-                .entry(key.fingerprint)
-                .or_insert_with(|| JobSpec::parse(&canonical).expect("canonical form parses"));
+            // Every key shares the fingerprint, so only the first can be
+            // new. `canonical` keeps a fault plan that does not parse
+            // verbatim; parsing the line back refuses it with its error.
+            if let Entry::Vacant(slot) = st.specs.entry(key.fingerprint) {
+                slot.insert(JobSpec::parse(&canonical).map_err(invalid)?);
+            }
             if st.status.contains_key(&key) {
                 self.inner.append(&Record::Deduped { key })?;
                 st.dedup_hits += 1;
@@ -265,7 +277,7 @@ impl Campaign {
     /// with the retry budget spent), then reconcile ledger against
     /// results and return the campaign report.
     pub fn run(&self) -> io::Result<CampaignReport> {
-        let queued: Vec<(JobKey, u32)> = {
+        let mut queued: Vec<(JobKey, u32)> = {
             let st = self.inner.state();
             st.status
                 .iter()
@@ -273,6 +285,9 @@ impl Campaign {
                 .map(|(k, _)| (*k, st.attempts.get(k).copied().unwrap_or(0) + 1))
                 .collect()
         };
+        // Seed-major: concurrent workers start on different configurations,
+        // and a configuration's later seeds find its run pooled.
+        queued.sort_unstable_by_key(|(k, _)| (k.seed, k.fingerprint));
         for (key, attempt) in queued {
             schedule(&self.inner, key, attempt);
         }
@@ -513,37 +528,47 @@ fn run_one(inner: &Arc<Inner>, ctx: &PoolCtx, key: JobKey, attempt: u32) -> io::
 }
 
 /// Execute one seeded job under campaign supervision, warm-starting from
-/// the shared snapshot pool when the spec has a warm-up phase.
+/// the shared pool's image when the spec has a warm-up phase. A seed acts
+/// only through the fault plane, so with no plane attached (by the spec or
+/// by `RACCD_FAULT_SPEC`, as `Machine::fault_plan` would report) every
+/// seed is the same run: the pool runs it once and shares its digest.
 fn execute_job(
     inner: &Inner,
     spec: &JobSpec,
     seed: u64,
     cancel: &CancelToken,
 ) -> Result<JobDigest, String> {
-    let idx = spec.bench_idx()?;
-    let scale = spec.scale;
-    let cfg = spec.machine_config();
-    let mode = spec.mode;
-    let build = move || all_benchmarks(scale)[idx].build();
-    let driver = if spec.warmup > 0 {
-        let warmup = spec.warmup;
-        let plan = spec.fault_plan();
-        let snap = inner.snaps.get_or_build(spec.fingerprint(), || {
-            let mut warm = Driver::new(cfg, mode, build(), plan, None);
-            warm.run_until(warmup, None);
-            warm.snapshot()
-        });
-        Driver::restore(cfg, mode, build(), &snap).map_err(|e| format!("restore: {e:?}"))?
-    } else {
-        Driver::new(cfg, mode, build(), spec.fault_plan(), None)
+    let fingerprint = spec.fingerprint();
+    let plan = spec.fault_plan();
+    let run = || {
+        let idx = spec.bench_idx()?;
+        let scale = spec.scale;
+        let cfg = spec.machine_config();
+        let mode = spec.mode;
+        let build = move || all_benchmarks(scale)[idx].build();
+        let driver = if spec.warmup > 0 {
+            let warmup = spec.warmup;
+            let snap = inner.snaps.get_or_build(fingerprint, || {
+                let mut warm = Driver::new(cfg, mode, build(), plan, None);
+                warm.run_until(warmup, None);
+                warm.snapshot()
+            });
+            Driver::restore(cfg, mode, build(), &snap).map_err(|e| format!("restore: {e:?}"))?
+        } else {
+            Driver::new(cfg, mode, build(), plan, None)
+        };
+        finish_supervised(
+            driver,
+            seed,
+            inner.config.slice,
+            inner.config.timeout_ms,
+            Some(cancel),
+        )
     };
-    finish_supervised(
-        driver,
-        seed,
-        inner.config.slice,
-        inner.config.timeout_ms,
-        Some(cancel),
-    )
+    if plan.or_else(FaultPlan::forced_from_env).is_some() {
+        return run();
+    }
+    inner.snaps.get_or_run(fingerprint, run)
 }
 
 /// Shared tail of the warm and cold execution paths: reseed the fault
@@ -652,11 +677,12 @@ pub struct CampaignReport {
     pub shed: u64,
     /// Submissions answered from the cache/queue.
     pub dedup_hits: u64,
-    /// Driver runs this process actually performed.
+    /// Execution attempts this process leased. `snap.shared` of them were
+    /// answered from the pool; the rest ran the driver.
     pub executions: u64,
     /// Campaign-level retries performed.
     pub retries: u64,
-    /// Warm-start snapshot pool counters.
+    /// Shared-pool counters: image hits and misses, and shared runs.
     pub snap: SnapPoolStats,
     /// Host wall-clock since [`Campaign::open`], in milliseconds.
     pub elapsed_ms: u64,
@@ -674,6 +700,7 @@ impl CampaignReport {
             .u64("shed", self.shed)
             .u64("dedup_hits", self.dedup_hits)
             .u64("executions", self.executions)
+            .u64("shared", self.snap.shared)
             .u64("retries", self.retries)
             .u64("snap_hits", self.snap.hits)
             .u64("snap_misses", self.snap.misses)
@@ -695,6 +722,38 @@ mod tests {
     use super::*;
     use raccd_core::CoherenceMode;
     use raccd_workloads::Scale;
+
+    /// An attempt that fails pools nothing: the next seed of the same
+    /// fault-free configuration runs the driver, and only after its success
+    /// are later seeds answered from the pool.
+    #[test]
+    fn a_failed_attempt_is_not_pooled() {
+        let dir = std::env::temp_dir().join(format!("raccd-campaign-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = CampaignConfig {
+            workers: 1,
+            slice: 1,
+            ..CampaignConfig::default()
+        };
+        let camp = Campaign::open(&dir.join("unpooled.jsonl"), config).unwrap();
+        let spec = JobSpec::new("Jacobi", Scale::Test, CoherenceMode::Raccd);
+        let inner = &camp.inner;
+        let cancelled = CancelToken::default();
+        cancelled.cancel();
+        let live = CancelToken::default();
+        let shared = || inner.snaps.stats().shared;
+        assert_eq!(
+            execute_job(inner, &spec, 1, &cancelled),
+            Err("cancelled".into())
+        );
+        let second = execute_job(inner, &spec, 2, &live).unwrap();
+        assert_eq!(second, execute_job_direct(&spec, 2).unwrap());
+        assert_eq!(shared(), 0, "the failed attempt pooled a run");
+        let third = execute_job(inner, &spec, 3, &cancelled);
+        let sharing = FaultPlan::forced_from_env().is_none();
+        assert_eq!(third.is_ok(), sharing, "{third:?}");
+        assert_eq!(shared(), u64::from(sharing));
+    }
 
     /// A disk that fills up at any byte of any record of a two-job run:
     /// `run` (or the `submit` before it) returns the error naming the

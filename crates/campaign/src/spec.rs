@@ -3,10 +3,13 @@
 //! the canonical form.
 //!
 //! One [`JobSpec`] names a *batch*: a (workload, machine, mode, fault
-//! plan, warm-up) configuration plus an inclusive seed range. Each
-//! seed is an independent execution keyed by [`JobKey`] = (configuration
-//! fingerprint, seed); the fingerprint deliberately excludes the seed
-//! range so overlapping batches dedup seed-by-seed.
+//! plan, warm-up) configuration plus an inclusive seed range. Each seed
+//! is its own job, keyed by [`JobKey`] = (configuration fingerprint,
+//! seed) with its own ledger records; the fingerprint deliberately
+//! excludes the seed range so overlapping batches dedup seed-by-seed. A
+//! seed acts only through the fault plane, reseeded at the warm-up
+//! boundary: the seeds of a configuration share its warm-up image, and
+//! with no fault plane attached they share the whole run.
 
 use raccd_core::CoherenceMode;
 use raccd_fault::FaultPlan;
@@ -267,11 +270,15 @@ impl JobSpec {
             .with_sched(self.sched)
     }
 
-    /// The parsed fault plan, if any (validated at parse time).
+    /// The parsed fault plan, if any. Panics on a plan that does not parse,
+    /// which no spec parsed from a line or admitted by a campaign holds.
     pub fn fault_plan(&self) -> Option<FaultPlan> {
         self.fault
             .as_deref()
-            .map(|s| FaultPlan::from_spec(s).expect("fault spec validated at construction"))
+            .map(|s| {
+                FaultPlan::from_spec(s)
+                    .expect("fault plan parses: `JobSpec::parse` and `Campaign::submit` refuse one that does not")
+            })
     }
 }
 

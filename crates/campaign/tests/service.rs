@@ -1,15 +1,17 @@
-//! Integration tests of the campaign orchestrator: dedup, deterministic
-//! backpressure shedding at 10k+ submissions, retry-to-terminal failure,
-//! cooperative cancel + resume, and torn-tail resume — each reconciled
-//! against the ledger.
+//! Integration tests of the campaign orchestrator: dedup, shared runs of
+//! fault-free seeds, refused specs, deterministic backpressure shedding at
+//! 10k+ submissions, retry-to-terminal failure, cooperative cancel +
+//! resume, and torn-tail resume — each reconciled against the ledger.
 
+use raccd_campaign::execute_job_direct;
 use raccd_campaign::{
     Campaign, CampaignConfig, JobSpec, JobStatus, LedgerState, ReconcileReport, Record,
     SubmitSummary,
 };
 use raccd_core::CoherenceMode;
-use raccd_fault::Backoff;
+use raccd_fault::{Backoff, FaultPlan};
 use raccd_workloads::Scale;
+use std::collections::HashSet;
 use std::path::PathBuf;
 
 fn scratch(name: &str) -> PathBuf {
@@ -63,6 +65,68 @@ fn dedup_answers_resubmission_from_the_cache() {
     assert_eq!(report.done, 3);
     assert_eq!(report.executions, 3, "completed jobs were re-executed");
     assert_eq!(report.dedup_hits, 6);
+}
+
+/// With no fault plane attached a seed changes nothing, so one driver run
+/// answers every seed of the configuration; a plane, even a delay-only one
+/// that is never detected, gives each seed its own run and digest. The
+/// environment's plane counts as attached, as it does for the machine.
+#[test]
+fn fault_free_seeds_share_one_run_and_faulty_seeds_run_their_own() {
+    let config = CampaignConfig {
+        workers: 1,
+        ..quick_config()
+    };
+    let shares = FaultPlan::forced_from_env().is_none();
+    let free = spec("Jacobi", 4);
+    let mut delayed = free.clone();
+    delayed.fault = Some("delay=0.005:16".into());
+    for (name, s, shared) in [
+        ("shared.jsonl", &free, if shares { 3 } else { 0 }),
+        ("unshared.jsonl", &delayed, 0),
+    ] {
+        let camp = Campaign::open(&scratch(name), config.clone()).unwrap();
+        camp.submit(s).unwrap();
+        let report = camp.run().unwrap();
+        assert!(report.reconcile.consistent, "{}", report.to_json());
+        assert_eq!((report.done, report.executions), (4, 4), "{name}");
+        assert_eq!(report.snap.shared, shared, "{name}");
+        assert!(report.to_json().contains(&format!("\"shared\":{shared},")));
+        let results = camp.results();
+        for (key, digest) in &results {
+            assert_eq!(*digest, execute_job_direct(s, key.seed).unwrap(), "{name}");
+        }
+        let distinct: HashSet<_> = results.iter().map(|(_, d)| d.stats_digest).collect();
+        let expect = if s.fault.is_some() || !shares { 4 } else { 1 };
+        assert_eq!(distinct.len(), expect, "{name}: distinct digests");
+    }
+}
+
+/// A fault plan that does not parse is refused with its own error before
+/// any record is written, not carried to a panic.
+#[test]
+fn an_unparseable_fault_plan_is_refused_without_a_record() {
+    let path = scratch("bad-fault.jsonl");
+    let camp = Campaign::open(&path, quick_config()).unwrap();
+    let mut s = spec("MD5", 2);
+    s.fault = Some("drop=banana".into());
+    let err = camp.submit(&s).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    let plan_err = FaultPlan::from_spec("drop=banana").unwrap_err();
+    assert_eq!(err.to_string(), format!("fault: {plan_err}"));
+    s.fault = None;
+    s.ratio = 0;
+    let err = camp.submit(&s).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert_eq!(err.to_string(), "bad ratio `0`");
+    let report = camp.run().unwrap();
+    assert_eq!((report.jobs, report.executions), (0, 0));
+    assert!(report.reconcile.consistent, "{}", report.to_json());
+    // Only the reconcile's own note reached the ledger.
+    assert_eq!(
+        LedgerState::replay(&std::fs::read(&path).unwrap()).records,
+        1
+    );
 }
 
 #[test]
@@ -197,7 +261,7 @@ fn torn_tail_resume_is_clean() {
 /// submitted today dedups against it instead of running twice.
 #[test]
 fn ledger_with_parallel_engine_spec_lines_resumes_and_dedups() {
-    use raccd_campaign::{execute_job_direct, JobKey, Ledger, Record};
+    use raccd_campaign::{JobKey, Ledger, Record};
     const LEGACY_FP: u64 = 0x821e_ff80_fbf7_2bbd;
     let path = scratch("legacy-engine.jsonl");
     let today = spec("Jacobi", 2);
