@@ -18,7 +18,7 @@
 //! `fig2` and `fig8` draw bar charts on `--chart`; `--telemetry DIR`
 //! dumps one artifact set per simulation.
 
-use raccd_bench::cli::{die, Cli, SIM_FLAGS};
+use raccd_bench::cli::{check_fault_env, die, Cli, SIM_FLAGS};
 use raccd_bench::figures::{select, simulate, Cell, Selected};
 use std::io::Write;
 use std::path::Path;
@@ -27,6 +27,7 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let flags = [&SIM_FLAGS[..], &["--telemetry", "--out"]].concat();
     let cli = Cli::parse(&argv, &flags, &["--chart"]).unwrap_or_else(|e| die(&e));
+    check_fault_env();
     let plan = select(&cli).unwrap_or_else(|e| die(&e));
     let cells: Vec<Cell> = plan.iter().flat_map(Selected::cells).collect();
 

@@ -4,6 +4,7 @@
 //! parsed here exactly once.
 
 use raccd_core::CoherenceMode;
+use raccd_fault::FaultPlan;
 use raccd_sim::{MachineConfig, ProtocolKind, SchedKind, Topology};
 use raccd_workloads::Scale;
 use std::path::PathBuf;
@@ -115,13 +116,14 @@ impl Cli {
 
     /// [`Cli::parse`] over the process arguments for a binary that takes
     /// no positional arguments; prints the error and exits 2 on a bad
-    /// command line.
+    /// command line or a bad `RACCD_FAULT_SPEC` ([`check_fault_env`]).
     pub fn from_env(value_flags: &[&str], switches: &[&str]) -> Cli {
         let argv: Vec<String> = std::env::args().skip(1).collect();
         let cli = Cli::parse(&argv, value_flags, switches).unwrap_or_else(|e| die(&e));
         if let Some(p) = cli.positional.first() {
             die(&format!("unexpected argument `{p}`"));
         }
+        check_fault_env();
         cli
     }
 
@@ -188,6 +190,14 @@ impl Cli {
 pub fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2)
+}
+
+/// Exit through [`die`] when `RACCD_FAULT_SPEC` is set but does not
+/// parse, before the first machine would panic on it.
+pub fn check_fault_env() {
+    if let Err(e) = FaultPlan::from_env() {
+        die(&format!("RACCD_FAULT_SPEC: {e}"));
+    }
 }
 
 #[cfg(test)]

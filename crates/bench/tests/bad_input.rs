@@ -169,3 +169,26 @@ fn sweep_refuses_a_zero_ratio_and_zero_smt_ways() {
         assert!(line.contains(want), "{flag}: {line}");
     }
 }
+
+#[test]
+fn every_bin_refuses_a_malformed_fault_spec_env() {
+    let plan_err = raccd_fault::FaultPlan::from_spec("drop=banana").unwrap_err();
+    let ledger = scratch_dir().join("env-fault.jsonl");
+    let campaign_args = format!("--ledger {}", ledger.display());
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_campaign"), campaign_args.as_str()),
+        (env!("CARGO_BIN_EXE_figures"), "fig8 --scale test"),
+        (env!("CARGO_BIN_EXE_sweep"), "--scale test --bench MD5"),
+        (env!("CARGO_BIN_EXE_trace"), "--scale test --bench MD5"),
+    ] {
+        let out = Command::new(bin)
+            .args(args.split_whitespace())
+            .env("RACCD_FAULT_SPEC", "drop=banana")
+            .output()
+            .expect("binary runs");
+        let want = format!("error: RACCD_FAULT_SPEC: {plan_err}");
+        assert_eq!(refused(&out), want, "{bin}");
+        assert!(out.stdout.is_empty(), "{bin} printed before refusing");
+    }
+    assert!(!ledger.exists(), "a ledger was written");
+}

@@ -527,11 +527,18 @@ fn run_one(inner: &Arc<Inner>, ctx: &PoolCtx, key: JobKey, attempt: u32) -> io::
     Ok(())
 }
 
+/// The seed a job's fault plane is reseeded with, `None` when no plane is
+/// attached, by the spec's `plan` or by `RACCD_FAULT_SPEC` (as
+/// `Machine::fault_plan` would report). This is the one place a job's seed
+/// reaches its run.
+fn reseed(plan: Option<FaultPlan>, seed: u64) -> Option<u64> {
+    plan.or_else(FaultPlan::forced_from_env).map(|_| seed)
+}
+
 /// Execute one seeded job under campaign supervision, warm-starting from
 /// the shared pool's image when the spec has a warm-up phase. A seed acts
-/// only through the fault plane, so with no plane attached (by the spec or
-/// by `RACCD_FAULT_SPEC`, as `Machine::fault_plan` would report) every
-/// seed is the same run: the pool runs it once and shares its digest.
+/// only through [`reseed`], so when that is `None` every seed is the same
+/// run: the pool runs it once and shares its digest.
 fn execute_job(
     inner: &Inner,
     spec: &JobSpec,
@@ -540,6 +547,7 @@ fn execute_job(
 ) -> Result<JobDigest, String> {
     let fingerprint = spec.fingerprint();
     let plan = spec.fault_plan();
+    let reseed = reseed(plan, seed);
     let run = || {
         let idx = spec.bench_idx()?;
         let scale = spec.scale;
@@ -559,21 +567,22 @@ fn execute_job(
         };
         finish_supervised(
             driver,
-            seed,
+            reseed,
             inner.config.slice,
             inner.config.timeout_ms,
             Some(cancel),
         )
     };
-    if plan.or_else(FaultPlan::forced_from_env).is_some() {
-        return run();
+    match reseed {
+        Some(_) => run(),
+        None => inner.snaps.get_or_run(fingerprint, run),
     }
-    inner.snaps.get_or_run(fingerprint, run)
 }
 
 /// Shared tail of the warm and cold execution paths: reseed the fault
-/// plane at the warm-up boundary (the convention `campaign_differential`
-/// proves bit-identical between restored and cold drivers) and run to the end
+/// plane, if [`reseed`] gave a seed, at the warm-up boundary (the
+/// convention `campaign_differential` proves bit-identical between
+/// restored and cold drivers) and run to the end
 /// under supervision: between slices of at most `slice` heap cycles the
 /// cancel token and the per-job progress watchdog are polled on the
 /// simulating thread. An abort stops the driver at a slice boundary and
@@ -581,12 +590,14 @@ fn execute_job(
 /// an aborted attempt yields nothing, exactly like a crash at that point.
 fn finish_supervised(
     mut driver: Driver,
-    seed: u64,
+    reseed: Option<u64>,
     slice: u64,
     timeout_ms: u64,
     cancel: Option<&CancelToken>,
 ) -> Result<JobDigest, String> {
-    driver.reseed_faults(seed);
+    if let Some(seed) = reseed {
+        driver.reseed_faults(seed);
+    }
     let started = Instant::now();
     let mut watchdog = (timeout_ms > 0).then(|| Watchdog::new(timeout_ms));
     let mut last_done = 0usize;
@@ -628,17 +639,13 @@ fn finish_supervised(
 pub fn execute_job_direct(spec: &JobSpec, seed: u64) -> Result<JobDigest, String> {
     let idx = spec.bench_idx()?;
     let cfg = spec.machine_config();
-    let mut driver = Driver::new(
-        cfg,
-        spec.mode,
-        all_benchmarks(spec.scale)[idx].build(),
-        spec.fault_plan(),
-        None,
-    );
+    let plan = spec.fault_plan();
+    let build = all_benchmarks(spec.scale)[idx].build();
+    let mut driver = Driver::new(cfg, spec.mode, build, plan, None);
     if spec.warmup > 0 {
         driver.run_until(spec.warmup, None);
     }
-    finish_supervised(driver, seed, u64::MAX, 0, None)
+    finish_supervised(driver, reseed(plan, seed), u64::MAX, 0, None)
 }
 
 /// Ledger-versus-results consistency proof (see [`Campaign::reconcile`]).

@@ -415,17 +415,24 @@ impl FaultPlan {
         out.join(";")
     }
 
-    /// The plan forced by the `RACCD_FAULT_SPEC` environment variable, if
-    /// set and non-empty. Parsed once per process; a malformed spec
-    /// panics with the parse error (it is a user configuration mistake).
+    /// The plan the `RACCD_FAULT_SPEC` environment variable names, if set
+    /// and non-empty, or its parse error. The bins call this at startup
+    /// and exit on the error, so [`FaultPlan::forced_from_env`] never
+    /// meets a malformed spec there.
+    pub fn from_env() -> Result<Option<FaultPlan>, SpecError> {
+        match std::env::var("RACCD_FAULT_SPEC") {
+            Ok(s) if !s.trim().is_empty() => FaultPlan::from_spec(&s).map(Some),
+            _ => Ok(None),
+        }
+    }
+
+    /// [`FaultPlan::from_env`], parsed once per process. A malformed spec
+    /// panics with the parse error: a caller that takes outside input
+    /// checks [`FaultPlan::from_env`] first.
     pub fn forced_from_env() -> Option<FaultPlan> {
         static FORCED: OnceLock<Option<FaultPlan>> = OnceLock::new();
-        *FORCED.get_or_init(|| match std::env::var("RACCD_FAULT_SPEC") {
-            Ok(s) if !s.trim().is_empty() => Some(
-                FaultPlan::from_spec(&s)
-                    .unwrap_or_else(|e| panic!("RACCD_FAULT_SPEC invalid: {e}")),
-            ),
-            _ => None,
+        *FORCED.get_or_init(|| {
+            FaultPlan::from_env().unwrap_or_else(|e| panic!("RACCD_FAULT_SPEC invalid: {e}"))
         })
     }
 }

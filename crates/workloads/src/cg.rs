@@ -12,6 +12,7 @@
 //! All reductions fold partials in chunk order with f64 accumulators, so
 //! the simulated result is bit-identical to the host reference.
 
+use crate::reference;
 use crate::scale::Scale;
 use crate::util::{chunk_ranges, write_slice};
 use raccd_mem::addr::VRange;
@@ -19,6 +20,7 @@ use raccd_mem::{SimMemory, SplitMix64};
 use raccd_runtime::{Dep, Program, ProgramBuilder, Workload};
 
 /// The conjugate-gradient benchmark.
+#[derive(Debug)]
 pub struct Cg {
     /// Grid edge; the matrix has `g³` rows.
     pub g: u64,
@@ -347,7 +349,8 @@ impl Workload for Cg {
     }
 
     fn verify(&self, mem: &SimMemory) -> Result<(), String> {
-        let (x, r, history) = self.reference();
+        let expect = reference::shared(self, Cg::reference);
+        let (x, r, history) = &*expect;
         let x_base = mem.allocations()[3].1.start;
         let r_base = mem.allocations()[4].1.start;
         for i in 0..self.n() {

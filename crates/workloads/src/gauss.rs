@@ -8,12 +8,14 @@
 //! yields the classic pipelined-wavefront TDG across iterations and is
 //! bit-identical to the sequential algorithm.
 
+use crate::reference;
 use crate::scale::Scale;
 use crate::util::{write_slice, GridF32};
 use raccd_mem::{SimMemory, SplitMix64};
 use raccd_runtime::{Dep, Program, ProgramBuilder, Workload};
 
 /// The Gauss-Seidel benchmark.
+#[derive(Debug)]
 pub struct Gauss {
     /// Grid is `n × n` f32.
     pub n: u64,
@@ -105,7 +107,7 @@ impl Workload for Gauss {
     }
 
     fn verify(&self, mem: &SimMemory) -> Result<(), String> {
-        let expect = self.reference();
+        let expect = reference::shared(self, Gauss::reference);
         let n = self.n;
         let base = mem.allocations()[0].1.start;
         let g = GridF32::new(raccd_mem::addr::VRange::new(base, n * n * 4), n);

@@ -10,12 +10,14 @@
 //! temporarily-private/shared pattern that makes PT classify Histo's data
 //! coherent while RaCCD keeps it non-coherent (Figure 2).
 
+use crate::reference;
 use crate::scale::Scale;
 use raccd_mem::addr::VRange;
 use raccd_mem::{SimMemory, SplitMix64};
 use raccd_runtime::{Dep, Program, ProgramBuilder, Workload};
 
 /// The cumulative-histogram benchmark.
+#[derive(Debug)]
 pub struct Histo {
     /// Image side (pixels); the image is `side × side` bytes.
     pub side: u64,
@@ -198,7 +200,7 @@ impl Workload for Histo {
     }
 
     fn verify(&self, mem: &SimMemory) -> Result<(), String> {
-        let expect = self.reference();
+        let expect = reference::shared(self, Histo::reference);
         let base = mem.allocations()[3].1.start;
         for (i, &want) in expect.iter().enumerate() {
             let got = mem.read_u32(base.offset(i as u64 * 4));

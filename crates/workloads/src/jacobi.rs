@@ -8,12 +8,14 @@
 //! produced by *different* cores under the dynamic scheduler — the
 //! temporarily-private pattern that separates RaCCD from PT in Figure 2.
 
+use crate::reference;
 use crate::scale::Scale;
 use crate::util::{write_slice, GridF32};
 use raccd_mem::{SimMemory, SplitMix64};
 use raccd_runtime::{Dep, Program, ProgramBuilder, Workload};
 
 /// The Jacobi benchmark.
+#[derive(Debug)]
 pub struct Jacobi {
     /// Grid is `n × n` f32.
     pub n: u64,
@@ -124,7 +126,7 @@ impl Workload for Jacobi {
     }
 
     fn verify(&self, mem: &SimMemory) -> Result<(), String> {
-        let expect = self.reference();
+        let expect = reference::shared(self, Jacobi::reference);
         let n = self.n;
         // After `iters` sweeps the result lives in A if iters is even
         // (final swap semantics), else in B.

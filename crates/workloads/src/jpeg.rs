@@ -12,6 +12,7 @@
 //! quantised coefficients directly (the role Huffman decoding plays in a
 //! real bitstream — the substitution is documented in DESIGN.md §2).
 
+use crate::reference;
 use crate::scale::Scale;
 use crate::util::write_slice;
 use raccd_mem::{SimMemory, SplitMix64, VAddr};
@@ -99,6 +100,7 @@ fn decode_mcu(coeffs: &[i16]) -> Vec<u8> {
 }
 
 /// The JPEG-decode benchmark.
+#[derive(Debug)]
 pub struct Jpeg {
     /// MCU columns (image width = 16·mcus_x).
     pub mcus_x: u64,
@@ -146,6 +148,15 @@ impl Jpeg {
 
     fn total_mcus(&self) -> u64 {
         self.mcus_x * self.mcus_y
+    }
+
+    /// Host reference: every MCU decoded, in MCU order.
+    fn reference(&self) -> Vec<u8> {
+        let mut image = Vec::with_capacity((self.total_mcus() * MCU_RGB_BYTES) as usize);
+        for m in 0..self.total_mcus() {
+            image.extend(decode_mcu(&self.mcu_coeffs(m)));
+        }
+        image
     }
 }
 
@@ -201,10 +212,11 @@ impl Workload for Jpeg {
     }
 
     fn verify(&self, mem: &SimMemory) -> Result<(), String> {
+        let expect = reference::shared(self, Jpeg::reference);
         let image_base = mem.allocations()[1].1.start;
-        for m in 0..self.total_mcus() {
-            let want = decode_mcu(&self.mcu_coeffs(m));
-            let got = mem.bytes(image_base.offset(m * MCU_RGB_BYTES), MCU_RGB_BYTES as usize);
+        for (m, want) in expect.chunks_exact(MCU_RGB_BYTES as usize).enumerate() {
+            let at = image_base.offset(m as u64 * MCU_RGB_BYTES);
+            let got = mem.bytes(at, MCU_RGB_BYTES as usize);
             if got != want {
                 return Err(format!("MCU {m}: pixel mismatch"));
             }

@@ -10,6 +10,7 @@
 //! which is why Kmeans is the paper's one benchmark where RaCCD 1:1 loses
 //! a few percent (§V-A1).
 
+use crate::reference;
 use crate::scale::Scale;
 use crate::util::write_slice;
 use raccd_mem::addr::VRange;
@@ -17,6 +18,7 @@ use raccd_mem::{SimMemory, SplitMix64};
 use raccd_runtime::{Dep, Program, ProgramBuilder, Workload};
 
 /// The K-means benchmark.
+#[derive(Debug)]
 pub struct Kmeans {
     /// Number of points.
     pub n: u64,
@@ -233,7 +235,8 @@ impl Workload for Kmeans {
     }
 
     fn verify(&self, mem: &SimMemory) -> Result<(), String> {
-        let (cents, assign) = self.reference();
+        let expect = reference::shared(self, Kmeans::reference);
+        let (cents, assign) = &*expect;
         let cent_base = mem.allocations()[1].1.start;
         for (i, &want) in cents.iter().enumerate() {
             let got = mem.read_f32(cent_base.offset(i as u64 * 4));

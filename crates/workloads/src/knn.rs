@@ -6,6 +6,7 @@
 //! core touches them; RaCCD registers them as task inputs and keeps them
 //! non-coherent — one of the structural differences Figure 2 measures.
 
+use crate::reference;
 use crate::scale::Scale;
 use crate::util::write_slice;
 use raccd_mem::addr::VRange;
@@ -13,6 +14,7 @@ use raccd_mem::{SimMemory, SplitMix64};
 use raccd_runtime::{Dep, Program, ProgramBuilder, Workload};
 
 /// The k-nearest-neighbours benchmark.
+#[derive(Debug)]
 pub struct Knn {
     /// Training points.
     pub train: u64,
@@ -157,7 +159,7 @@ impl Workload for Knn {
     }
 
     fn verify(&self, mem: &SimMemory) -> Result<(), String> {
-        let expect = self.reference();
+        let expect = reference::shared(self, Knn::reference);
         let base = mem.allocations()[3].1.start;
         let chunk_list = crate::util::chunk_ranges(self.queries, self.chunks);
         let max_chunk = chunk_list.iter().map(|&(a, z)| z - a).max().unwrap();

@@ -23,6 +23,10 @@
 //! Problem sizes come in three [`Scale`]s; `Paper` matches Table II,
 //! `Bench` is the proportionally scaled default (DESIGN.md §2), `Test` is
 //! tiny for unit tests.
+//!
+//! The nine Table II benchmarks compute each input's host reference once
+//! per process and share it between every run verified against it
+//! (`reference.rs`); Cholesky checks its residual on the simulated output.
 
 pub mod cg;
 pub mod cholesky;
@@ -34,6 +38,7 @@ pub mod kmeans;
 pub mod knn;
 pub mod md5;
 pub mod redblack;
+mod reference;
 pub mod scale;
 pub mod util;
 

@@ -6,6 +6,7 @@
 //! The digest implementation is a from-scratch RFC 1321 MD5, validated
 //! against the RFC's official test vectors.
 
+use crate::reference;
 use crate::scale::Scale;
 use raccd_mem::addr::VRange;
 use raccd_mem::{SimMemory, SplitMix64};
@@ -91,6 +92,7 @@ pub fn md5(data: &[u8]) -> [u8; 16] {
 }
 
 /// The MD5 benchmark: one task per buffer.
+#[derive(Debug)]
 pub struct Md5Bench {
     /// Buffers to hash.
     pub buffers: u64,
@@ -113,6 +115,11 @@ impl Md5Bench {
     fn buffer(&self, i: u64) -> Vec<u8> {
         let mut rng = SplitMix64::new(self.seed.wrapping_add(i * 7919));
         (0..self.buf_len).map(|_| rng.next_u32() as u8).collect()
+    }
+
+    /// Host reference: the digest of every buffer.
+    fn reference(&self) -> Vec<[u8; 16]> {
+        (0..self.buffers).map(|i| md5(&self.buffer(i))).collect()
     }
 }
 
@@ -171,10 +178,10 @@ impl Workload for Md5Bench {
     }
 
     fn verify(&self, mem: &SimMemory) -> Result<(), String> {
+        let expect = reference::shared(self, Md5Bench::reference);
         let base = mem.allocations()[1].1.start;
-        for i in 0..self.buffers {
-            let want = md5(&self.buffer(i));
-            let got = mem.bytes(base.offset(i * 64), 16);
+        for (i, want) in expect.iter().enumerate() {
+            let got = mem.bytes(base.offset(i as u64 * 64), 16);
             if got != want {
                 return Err(format!("buffer {i}: digest mismatch"));
             }

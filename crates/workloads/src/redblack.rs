@@ -8,12 +8,14 @@
 //! halo rows), so each phase is embarrassingly parallel and the result is
 //! order-independent — bit-identical to the sequential reference.
 
+use crate::reference;
 use crate::scale::Scale;
 use crate::util::{write_slice, GridF32};
 use raccd_mem::{SimMemory, SplitMix64};
 use raccd_runtime::{Dep, Program, ProgramBuilder, Workload};
 
 /// The red-black Gauss-Seidel benchmark.
+#[derive(Debug)]
 pub struct RedBlack {
     /// Grid is `n × n` f32.
     pub n: u64,
@@ -114,7 +116,7 @@ impl Workload for RedBlack {
     }
 
     fn verify(&self, mem: &SimMemory) -> Result<(), String> {
-        let expect = self.reference();
+        let expect = reference::shared(self, RedBlack::reference);
         let n = self.n;
         let base = mem.allocations()[0].1.start;
         let g = GridF32::new(raccd_mem::addr::VRange::new(base, n * n * 4), n);
