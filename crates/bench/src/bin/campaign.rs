@@ -92,7 +92,7 @@ fn main() {
     );
 
     let ledger = PathBuf::from(cli.value("--ledger").unwrap_or("campaign.jsonl"));
-    let scale = cli.scale;
+    let scale = cli.spec.scale;
     let mut config = CampaignConfig::default();
     config.workers = cli.number_or("--workers", config.workers);
     config.queue_cap = cli.number_or("--queue-cap", config.queue_cap);

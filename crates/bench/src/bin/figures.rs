@@ -32,7 +32,7 @@ fn main() {
     let cells: Vec<Cell> = plan.iter().flat_map(Selected::cells).collect();
 
     let t0 = std::time::Instant::now();
-    let results = simulate(&cells, cli.scale, cli.telemetry.as_deref());
+    let results = simulate(&cells, cli.telemetry.as_deref());
     eprintln!(
         "figures: {} simulations for {} requested cells in {:.1}s",
         results.executed(),

@@ -48,7 +48,7 @@ fn main() {
     ];
     let flags = [&SIM_FLAGS[..], &own].concat();
     let cli = Cli::from_env(&flags, &[]);
-    let scale = cli.scale;
+    let scale = cli.spec.scale;
     let names = bench_names(scale);
     let bench_idx = cli.benches(&names).map_or(3, |b| b[0]); // default: Jacobi
     let mode = cli.modes("--mode").map_or(CoherenceMode::Raccd, |m| m[0]);
@@ -56,7 +56,7 @@ fn main() {
     let interval: u64 = cli.number_or("--interval", RecorderConfig::default().sample_interval);
     let telemetry = cli.telemetry.clone();
 
-    let mut cfg = cli.cfg;
+    let mut cfg = cli.spec.machine_config();
     cfg.record_events = true;
 
     let snapshot_path = cli.value("--snapshot");

@@ -1,11 +1,13 @@
 //! One argv parser for the four bench binaries. A binary lists the flags
 //! it accepts; anything else on the command line is an error, never a
-//! silent default, and the machine and scale every run derives from are
-//! parsed here exactly once.
+//! silent default. A flag that names a machine key of the job-spec
+//! grammar (`--scale`, `--protocol`, `--smt`, `--adr`, …) is read by
+//! [`JobSpec::set_machine`], so a command line and a campaign line name a
+//! machine in one language and refuse a bad value with one text.
 
+use raccd_campaign::JobSpec;
 use raccd_core::CoherenceMode;
 use raccd_fault::FaultPlan;
-use raccd_sim::{MachineConfig, ProtocolKind, SchedKind, Topology};
 use raccd_workloads::Scale;
 use std::path::PathBuf;
 
@@ -13,24 +15,16 @@ use std::path::PathBuf;
 /// machine.
 pub const SIM_FLAGS: [&str; 4] = ["--scale", "--protocol", "--topology", "--sched"];
 
-/// Machine preset matching a scale: `paper` scale → Table I machine,
-/// otherwise the proportionally scaled machine.
-fn config_for_scale(scale: Scale) -> MachineConfig {
-    match scale {
-        Scale::Paper => MachineConfig::paper(),
-        _ => MachineConfig::scaled(),
-    }
-}
-
 /// A parsed command line.
 #[derive(Debug)]
 pub struct Cli {
-    /// `--scale test|bench|paper` (default: bench).
-    pub scale: Scale,
-    /// [`config_for_scale`] with the `--protocol`/`--topology`/`--sched`
-    /// overrides applied (defaults: MESI, mesh, fifo). A `numa2` topology
-    /// doubles `ncores` (two sockets of the scale's mesh).
-    pub cfg: MachineConfig,
+    /// The machine the command line names, without benchmark or mode:
+    /// the scale's base machine at 1:1 (`--scale test|bench|paper`,
+    /// default bench), with every machine flag set through
+    /// [`JobSpec::set_machine`] (a switch sets `1`) and
+    /// [`JobSpec::check`]ed. A `numa2` topology doubles `ncores` (two
+    /// sockets of the scale's mesh).
+    pub spec: JobSpec,
     /// `--telemetry <dir>`.
     pub telemetry: Option<PathBuf>,
     /// Arguments that are neither a flag nor a flag's value, in order.
@@ -39,26 +33,12 @@ pub struct Cli {
     switches: Vec<String>,
 }
 
-/// `parse(v)`, or the standard "unknown <what>" message listing the
-/// labels of `all`.
-fn choice<T: std::fmt::Display>(
-    flag: &str,
-    what: &str,
-    all: &[T],
-    v: &str,
-    parse: fn(&str) -> Option<T>,
-) -> Result<T, String> {
-    parse(v).ok_or_else(|| {
-        let valid: Vec<String> = all.iter().map(T::to_string).collect();
-        format!("{flag}: unknown {what} `{v}` ({})", valid.join("|"))
-    })
-}
-
 impl Cli {
     /// Parse `argv` (without the program name). `value_flags` take the
     /// next argument as their value, `switches` take none; an unknown
     /// `--flag`, a value flag at the end of the line or followed by
-    /// another flag, and a malformed value are errors.
+    /// another flag, a machine flag given twice and a malformed machine
+    /// value are errors.
     pub fn parse(argv: &[String], value_flags: &[&str], switches: &[&str]) -> Result<Cli, String> {
         let mut values: Vec<(String, String)> = Vec::new();
         let mut seen = Vec::new();
@@ -80,36 +60,27 @@ impl Cli {
                 positional.push(a.clone());
             }
         }
+        let mut spec = JobSpec::new("", Scale::Bench, CoherenceMode::Raccd);
+        spec.ratio = 1;
+        let given = values.iter().map(|(f, v)| (f, v.as_str()));
+        let given = given.chain(seen.iter().map(|s| (s, "1")));
+        let given = given.map(|(f, v)| (f, f.trim_start_matches('-'), v));
+        let mut read = Vec::new();
+        for (flag, key, value) in given {
+            let flagged = |e| format!("{flag}: {e}");
+            if spec.set_machine(key, value).map_err(flagged)? && read.contains(&key) {
+                return Err(format!("`{flag}` given twice"));
+            }
+            read.push(key);
+        }
+        spec.check()?;
         let mut cli = Cli {
-            scale: Scale::Bench,
-            cfg: MachineConfig::scaled(),
+            spec,
             telemetry: None,
             positional,
             values,
             switches: seen,
         };
-        if let Some(v) = cli.value("--scale") {
-            cli.scale = choice("--scale", "scale", &Scale::ALL, v, Scale::parse)?;
-        }
-        cli.cfg = config_for_scale(cli.scale);
-        if let Some(v) = cli.value("--protocol") {
-            let p = choice(
-                "--protocol",
-                "protocol",
-                &ProtocolKind::ALL,
-                v,
-                ProtocolKind::parse,
-            )?;
-            cli.cfg = cli.cfg.with_protocol(p);
-        }
-        if let Some(v) = cli.value("--topology") {
-            let t = choice("--topology", "topology", &Topology::ALL, v, Topology::parse)?;
-            cli.cfg = cli.cfg.with_topology(t);
-        }
-        if let Some(v) = cli.value("--sched") {
-            let s = choice("--sched", "policy", &SchedKind::ALL, v, SchedKind::parse)?;
-            cli.cfg = cli.cfg.with_sched(s);
-        }
         cli.telemetry = cli.value("--telemetry").map(PathBuf::from);
         Ok(cli)
     }
@@ -203,6 +174,7 @@ pub fn check_fault_env() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use raccd_sim::{MachineConfig, ProtocolKind, SchedKind, Topology};
 
     const FLAGS: [&str; 6] = [
         "--scale",
@@ -233,14 +205,19 @@ mod tests {
         ];
         for (argv, want) in accepted {
             let cli = parse(argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
-            assert_eq!(cli.scale, want, "{argv:?}");
+            assert_eq!(cli.spec.scale, want, "{argv:?}");
         }
         const VALID: &str = "--chart --out --protocol --scale --sched --seeds --topology";
         let unknown = |flag: &str| format!("unknown flag `{flag}` (valid: {VALID})");
-        let rejected: [(&[&str], String); 10] = [
+        let rejected: [(&[&str], String); 11] = [
             (
                 &["--scale", "tset"],
-                "--scale: unknown scale `tset` (test|bench|paper)".into(),
+                "--scale: bad scale `tset` (test|bench|paper)".into(),
+            ),
+            // A machine flag is read once, not first-one-wins.
+            (
+                &["--scale", "test", "--scale", "bench"],
+                "`--scale` given twice".into(),
             ),
             (
                 &["--seeds", "2", "--scale"],
@@ -259,15 +236,15 @@ mod tests {
             (&["--profile"], unknown("--profile")),
             (
                 &["--protocol", "mosi"],
-                "--protocol: unknown protocol `mosi` (mesi|mesif|moesi)".into(),
+                "--protocol: bad protocol `mosi` (mesi|mesif|moesi)".into(),
             ),
             (
                 &["--topology", "ring"],
-                "--topology: unknown topology `ring` (mesh|numa2)".into(),
+                "--topology: bad topology `ring` (mesh|numa2)".into(),
             ),
             (
                 &["--sched", "lifo"],
-                "--sched: unknown policy `lifo` (fifo|steal|priority|locality|quantum)".into(),
+                "--sched: bad sched `lifo` (fifo|steal|priority|locality|quantum)".into(),
             ),
         ];
         for (argv, want) in rejected {
@@ -294,7 +271,7 @@ mod tests {
 
     #[test]
     fn machine_parsing() {
-        let cfg = |argv: &[&str]| parse(argv).unwrap().cfg;
+        let cfg = |argv: &[&str]| parse(argv).unwrap().spec.machine_config();
         let base = cfg(&[]);
         assert_eq!(
             (base.protocol, base.topology, base.sched),

@@ -19,8 +19,9 @@
 //!   agree exactly.
 
 use super::paper::dir_energy_pj;
-use super::{Cell, Ctx, Results};
+use super::{with, Cell, Ctx, Results};
 use crate::mean;
+use raccd_campaign::JobSpec;
 use raccd_core::CoherenceMode::{self, FullCoh, PageTable, Raccd};
 use raccd_core::RunResult;
 use raccd_sim::{MachineConfig, SchedKind};
@@ -44,31 +45,26 @@ pub(super) const SECTION_NAMES: [&str; 9] = [
 ];
 
 /// One machine variant of a section, simulated on every ablation
-/// benchmark.
+/// benchmark: a line without a benchmark.
 struct Variant {
     label: String,
-    mode: CoherenceMode,
-    cfg: MachineConfig,
+    spec: JobSpec,
 }
 
-fn variant(label: impl ToString, mode: CoherenceMode, cfg: MachineConfig) -> Variant {
+/// `spec` under `mode`, labelled `label`.
+fn variant(label: impl ToString, mode: CoherenceMode, mut spec: JobSpec) -> Variant {
+    spec.mode = mode;
     let label = label.to_string();
-    Variant { label, mode, cfg }
+    Variant { label, spec }
 }
 
 impl Variant {
-    fn cells(&self, rep: u32) -> [Cell; 3] {
-        let Variant { mode, cfg, .. } = *self;
-        ABLATION_BENCHES.map(|bench| Cell {
-            bench,
-            mode,
-            cfg,
-            rep,
-        })
+    fn cells(&self, ctx: &Ctx, rep: u32) -> [Cell; 3] {
+        ABLATION_BENCHES.map(|bench| ctx.run(self.spec.clone(), bench, rep))
     }
 
-    fn runs<'a>(&self, res: &'a Results) -> [&'a RunResult; 3] {
-        self.cells(0).map(|c| res.get(&c))
+    fn runs<'a>(&self, ctx: &Ctx, res: &'a Results) -> [&'a RunResult; 3] {
+        self.cells(ctx, 0).map(|c| res.get(&c))
     }
 }
 
@@ -98,7 +94,7 @@ struct Section {
     /// Header of the variant-label column(s).
     label: &'static str,
     cols: &'static [Col],
-    variants: fn(MachineConfig) -> Vec<Variant>,
+    variants: fn(&JobSpec) -> Vec<Variant>,
     /// The variant `Rel` columns are relative to, and whether it gets a
     /// row of its own.
     reference: (usize, bool),
@@ -118,12 +114,9 @@ static TABLES: [Section; 8] = [
             Rel("dir_accesses_vs_32", 3, DIR_ACCESSES),
         ],
         variants: |base| {
-            let entries = [4usize, 8, 16, 32, 64];
-            let cfg = |ncrt_entries| MachineConfig {
-                ncrt_entries,
-                ..base
-            };
-            entries.map(|n| variant(n, Raccd, cfg(n))).into()
+            [4, 8, 16, 32, 64]
+                .map(|n| variant(n, Raccd, with(base.clone(), "ncrt", n)))
+                .into()
         },
         reference: (3, true),
         notes: &[],
@@ -141,8 +134,8 @@ static TABLES: [Section; 8] = [
             }),
         ],
         variants: |base| {
-            [("write-back", false), ("write-through", true)]
-                .map(|(label, wt)| variant(label, Raccd, base.with_write_through(wt)))
+            [("write-back", 0), ("write-through", 1)]
+                .map(|(label, wt)| variant(label, Raccd, with(base.clone(), "wt", wt)))
                 .into()
         },
         reference: (0, true),
@@ -159,12 +152,12 @@ static TABLES: [Section; 8] = [
             }),
         ],
         variants: |base| {
-            let mut vs = vec![variant("fixed", Raccd, base)];
+            let mut vs = vec![variant("fixed", Raccd, base.clone())];
             for (inc, dec) in [(0.9, 0.1), (0.8, 0.2), (0.7, 0.3), (0.6, 0.4)] {
-                let mut cfg = base.with_adr(true);
-                cfg.adr_theta_inc = inc;
-                cfg.adr_theta_dec = dec;
-                vs.push(variant(format!("{inc:.1}/{dec:.1}"), Raccd, cfg));
+                let mut spec = with(base.clone(), "theta_inc", inc);
+                spec.adr = true;
+                let spec = with(spec, "theta_dec", dec);
+                vs.push(variant(format!("{inc:.1}/{dec:.1}"), Raccd, spec));
             }
             vs
         },
@@ -181,12 +174,8 @@ static TABLES: [Section; 8] = [
             Avg("nc_block_pct", 1, NC_PCT),
         ],
         variants: |base| {
-            [0u64, 16, 64, 256, 1024]
-                .map(|words| {
-                    let mut cfg = base;
-                    cfg.runtime.stack_words_per_task = words;
-                    variant(words, Raccd, cfg)
-                })
+            [0, 16, 64, 256, 1024]
+                .map(|words| variant(words, Raccd, with(base.clone(), "stack", words)))
                 .into()
         },
         reference: (0, true),
@@ -203,13 +192,10 @@ static TABLES: [Section; 8] = [
             Avg("l1_hit_ratio", 4, |r, _| r.stats.l1_hit_ratio()),
         ],
         variants: |base| {
-            [("selective", true), ("full-flush", false)]
-                .map(|(label, smt_selective_flush)| {
-                    let cfg = MachineConfig {
-                        smt_selective_flush,
-                        ..base.with_smt(2)
-                    };
-                    variant(label, Raccd, cfg)
+            [("selective", 1), ("full-flush", 0)]
+                .map(|(label, selective)| {
+                    let spec = with(with(base.clone(), "smt", 2), "smt_flush", selective);
+                    variant(label, Raccd, spec)
                 })
                 .into()
         },
@@ -227,7 +213,7 @@ static TABLES: [Section; 8] = [
         ],
         variants: |base| {
             CoherenceMode::EXTENDED
-                .map(|mode| variant(mode, mode, base))
+                .map(|mode| variant(mode, mode, base.clone()))
                 .into()
         },
         reference: (0, true),
@@ -249,7 +235,9 @@ static TABLES: [Section; 8] = [
             for policy in SchedKind::ALL {
                 for mode in [PageTable, Raccd] {
                     let label = format!("{policy}\t{mode}");
-                    vs.push(variant(label, mode, base.with_sched(policy)));
+                    let mut spec = base.clone();
+                    spec.sched = policy;
+                    vs.push(variant(label, mode, spec));
                 }
             }
             vs
@@ -268,10 +256,11 @@ static TABLES: [Section; 8] = [
         ],
         variants: |base| {
             let mut vs = Vec::new();
-            for (label, contention) in [("ideal", false), ("queued", true)] {
+            for (label, contention) in [("ideal", 0), ("queued", 1)] {
                 for (mode, ratio) in [(FullCoh, 1usize), (FullCoh, 256), (Raccd, 256)] {
-                    let cfg = base.with_dir_ratio(ratio).with_contention(contention);
-                    vs.push(variant(format!("{label}\t{mode}\t1:{ratio}"), mode, cfg));
+                    let mut spec = with(base.clone(), "contention", contention);
+                    spec.ratio = ratio;
+                    vs.push(variant(format!("{label}\t{mode}\t1:{ratio}"), mode, spec));
                 }
             }
             vs
@@ -282,7 +271,7 @@ static TABLES: [Section; 8] = [
 ];
 
 impl Section {
-    fn render(&self, base: &MachineConfig, res: &Results, out: &mut dyn Write) -> io::Result<()> {
+    fn render(&self, ctx: &Ctx, res: &Results, out: &mut dyn Write) -> io::Result<()> {
         writeln!(out, "# Ablation: {}", self.title)?;
         write!(out, "{}", self.label)?;
         for col in self.cols {
@@ -290,8 +279,8 @@ impl Section {
             write!(out, "\t{name}")?;
         }
         writeln!(out)?;
-        let variants = (self.variants)(*base);
-        let avg = |v: &Variant, m: Metric| mean(&v.runs(res).map(|r| m(r, base)));
+        let variants = (self.variants)(&ctx.spec);
+        let avg = |v: &Variant, m: Metric| mean(&v.runs(ctx, res).map(|r| m(r, &ctx.cfg)));
         let (reference, shown) = self.reference;
         for (i, v) in variants.iter().enumerate() {
             if i == reference && !shown {
@@ -304,7 +293,7 @@ impl Section {
                     Rel(_, prec, m) => {
                         write!(out, "\t{:.prec$}", avg(v, m) / avg(&variants[reference], m))?
                     }
-                    Sum(_, f) => write!(out, "\t{}", v.runs(res).map(f).iter().sum::<u64>())?,
+                    Sum(_, f) => write!(out, "\t{}", v.runs(ctx, res).map(f).iter().sum::<u64>())?,
                 }
             }
             writeln!(out)?;
@@ -331,30 +320,30 @@ fn chosen(ctx: &Ctx) -> impl Iterator<Item = &'static Section> + '_ {
 fn jitterless(ctx: &Ctx) -> Option<Variant> {
     ctx.sections
         .contains(&"jitterless")
-        .then(|| variant("", Raccd, ctx.cfg))
+        .then(|| variant("", Raccd, ctx.spec.clone()))
 }
 
 pub(super) fn cells(ctx: &Ctx) -> Vec<Cell> {
-    let tables = chosen(ctx).flat_map(|s| (s.variants)(ctx.cfg));
-    let mut cells: Vec<Cell> = tables.flat_map(|v| v.cells(0)).collect();
+    let tables = chosen(ctx).flat_map(|s| (s.variants)(&ctx.spec));
+    let mut cells: Vec<Cell> = tables.flat_map(|v| v.cells(ctx, 0)).collect();
     cells.extend(
         jitterless(ctx)
             .iter()
-            .flat_map(|v| [v.cells(0), v.cells(1)].concat()),
+            .flat_map(|v| [v.cells(ctx, 0), v.cells(ctx, 1)].concat()),
     );
     cells
 }
 
 pub(super) fn render(ctx: &Ctx, res: &Results, out: &mut dyn Write) -> io::Result<()> {
     for section in chosen(ctx) {
-        section.render(&ctx.cfg, res, out)?;
+        section.render(ctx, res, out)?;
     }
     if let Some(v) = jitterless(ctx) {
         writeln!(
             out,
             "# Determinism check: two identical runs must agree exactly"
         )?;
-        let same = v.cells(0).iter().zip(v.cells(1)).all(|(a, b)| {
+        let same = v.cells(ctx, 0).iter().zip(v.cells(ctx, 1)).all(|(a, b)| {
             let (x, y) = (&res.get(a).stats, &res.get(&b).stats);
             x.cycles == y.cycles && x.dir_accesses == y.dir_accesses
         });

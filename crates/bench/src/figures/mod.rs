@@ -12,46 +12,53 @@ mod paper;
 
 use crate::cli::Cli;
 use crate::{bench_names, write_telemetry};
-use raccd_campaign::{PoolTask, WorkerPool};
+use raccd_campaign::{JobSpec, PoolTask, WorkerPool};
 use raccd_core::{CoherenceMode, Experiment, RunResult};
 use raccd_obs::{Recorder, RecorderConfig};
 use raccd_sim::MachineConfig;
-use raccd_workloads::{all_benchmarks, Scale};
+use raccd_workloads::all_benchmarks;
 use std::collections::{HashMap, HashSet};
+use std::fmt::Display;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One simulation a study asks for.
-#[derive(Clone, Copy, Debug)]
+/// One simulation a study asks for: a campaign line, so
+/// `campaign --spec "<line> seeds=1..1"` reruns it.
+#[derive(Clone, Debug)]
 pub struct Cell {
-    /// Index into [`all_benchmarks`].
-    pub bench: usize,
-    /// System under test.
-    pub mode: CoherenceMode,
-    /// The complete machine, variant knobs included.
-    pub cfg: MachineConfig,
-    /// Which independent execution of this (bench, mode, machine) the
-    /// study wants. Everything uses 0 and shares one run; the
-    /// determinism check asks for 0 and 1, the one way to get two real
-    /// runs of the same machine.
+    /// Benchmark, scale, system and machine; its machine is
+    /// [`JobSpec::machine_config`].
+    pub spec: JobSpec,
+    /// Which independent execution of this line the study wants.
+    /// Everything uses 0 and shares one run; the determinism check asks
+    /// for 0 and 1, the one way to get two real runs of the same machine.
     pub rep: u32,
 }
 
 impl Cell {
-    /// Store key: the machine's `Debug` fingerprint (the string
-    /// `Machine::cfg_fingerprint` trusts for snapshots) plus benchmark,
-    /// mode and repetition.
+    /// Store key: the spec's canonical line plus the repetition.
     pub fn key(&self) -> String {
-        format!("{}#{} {} {:?}", self.bench, self.rep, self.mode, self.cfg)
+        format!("{}#{}", self.spec.canonical(), self.rep)
     }
 
     /// `<bench>_<mode>_1-<ratio>[_adr]`, the stem of a telemetry directory.
-    fn stem(&self, bench: &str) -> String {
-        let adr = if self.cfg.adr { "_adr" } else { "" };
-        format!("{bench}_{}_1-{}{adr}", self.mode, self.cfg.dir_ratio)
+    fn stem(&self) -> String {
+        let s = &self.spec;
+        let adr = if s.adr { "_adr" } else { "" };
+        format!("{}_{}_1-{}{adr}", s.bench, s.mode, s.ratio)
     }
+}
+
+/// `spec` with knob `key` set to a value the study knows the grammar
+/// takes. Only for the ten keys past the typed fields, which a study
+/// assigns directly.
+fn with(mut spec: JobSpec, key: &str, value: impl Display) -> JobSpec {
+    let value = value.to_string();
+    spec.set(key, &value)
+        .unwrap_or_else(|e| panic!("{key}={value}: {e}"));
+    spec
 }
 
 /// The finished simulations of one [`simulate`] call, by [`Cell::key`].
@@ -98,13 +105,9 @@ impl Results {
 /// distinct cells in request order. A cell that panics (verification
 /// failure, simulator bug) is captured by the pool and re-raised here
 /// with its label.
-pub fn simulate(cells: &[Cell], scale: Scale, telemetry: Option<&Path>) -> Results {
+pub fn simulate(cells: &[Cell], telemetry: Option<&Path>) -> Results {
     let mut seen = HashSet::new();
-    let distinct: Vec<Cell> = cells
-        .iter()
-        .filter(|c| seen.insert(c.key()))
-        .copied()
-        .collect();
+    let distinct: Vec<&Cell> = cells.iter().filter(|c| seen.insert(c.key())).collect();
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(4)
@@ -115,7 +118,6 @@ pub fn simulate(cells: &[Cell], scale: Scale, telemetry: Option<&Path>) -> Resul
     let slots: Arc<Vec<Mutex<Option<RunResult>>>> =
         Arc::new(distinct.iter().map(|_| Mutex::new(None)).collect());
     let executed = Arc::new(AtomicUsize::new(0));
-    let names = bench_names(scale);
 
     let tasks: Vec<PoolTask> = distinct
         .iter()
@@ -123,13 +125,13 @@ pub fn simulate(cells: &[Cell], scale: Scale, telemetry: Option<&Path>) -> Resul
         .map(|(i, &cell)| {
             let slots = Arc::clone(&slots);
             let executed = Arc::clone(&executed);
-            let name = &names[cell.bench];
-            let sub = telemetry.map(|dir| dir.join(format!("{i:03}_{}", cell.stem(name))));
-            let adr = if cell.cfg.adr { " adr" } else { "" };
+            let sub = telemetry.map(|dir| dir.join(format!("{i:03}_{}", cell.stem())));
+            let spec = cell.spec.clone();
+            let adr = if spec.adr { " adr" } else { "" };
             PoolTask {
-                label: format!("{name} [{} 1:{}{adr}]", cell.mode, cell.cfg.dir_ratio),
+                label: format!("{} [{} 1:{}{adr}]", spec.bench, spec.mode, spec.ratio),
                 run: Box::new(move |_| {
-                    let out = run_cell(scale, cell, sub.as_deref());
+                    let out = run_cell(&spec, sub.as_deref());
                     executed.fetch_add(1, Ordering::Relaxed);
                     *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
                 }),
@@ -164,14 +166,17 @@ pub fn simulate(cells: &[Cell], scale: Scale, telemetry: Option<&Path>) -> Resul
     }
 }
 
-/// Simulate one cell (with optional telemetry capture) and verify it.
-fn run_cell(scale: Scale, cell: Cell, telemetry: Option<&Path>) -> RunResult {
-    let workloads = all_benchmarks(scale);
-    let w = &workloads[cell.bench];
-    let mut cfg = cell.cfg;
+/// Simulate one cell's line (with optional telemetry capture) and verify
+/// it.
+fn run_cell(spec: &JobSpec, telemetry: Option<&Path>) -> RunResult {
+    let idx = spec
+        .bench_idx()
+        .expect("a study names a benchmark of its scale");
+    let w = &all_benchmarks(spec.scale)[idx];
+    let mut cfg = spec.machine_config();
     cfg.record_events |= telemetry.is_some();
     let mut rec = telemetry.map(|_| Recorder::new(RecorderConfig::default()));
-    let result = Experiment::new(cfg, cell.mode).run_with_recorder(w.as_ref(), rec.as_mut());
+    let result = Experiment::new(cfg, spec.mode).run_with_recorder(w.as_ref(), rec.as_mut());
     if let (Some(rec), Some(dir)) = (&rec, telemetry) {
         write_telemetry(rec, dir)
             .unwrap_or_else(|e| panic!("writing telemetry to {}: {e}", dir.display()));
@@ -180,7 +185,7 @@ fn run_cell(scale: Scale, cell: Cell, telemetry: Option<&Path>) -> RunResult {
         result.verified,
         "{} [{} 1:{}] failed verification: {:?}",
         w.name(),
-        cell.mode,
+        spec.mode,
         cfg.dir_ratio,
         result.verify_error
     );
@@ -202,7 +207,10 @@ pub fn machine_header(cfg: &MachineConfig) -> String {
 
 /// What a study sees of the command line.
 pub struct Ctx {
-    /// The base machine every cell of every study derives from.
+    /// The base machine every cell of every study derives from, as a line
+    /// without a benchmark ([`Cli::spec`]).
+    pub spec: JobSpec,
+    /// Its machine, for renderers that read the geometry.
     pub cfg: MachineConfig,
     /// Benchmark names at `scale`, in paper order.
     pub names: Vec<String>,
@@ -214,14 +222,18 @@ pub struct Ctx {
 }
 
 impl Ctx {
+    /// Benchmark `bench` (an index into [`Ctx::names`]) on `machine`, a
+    /// line without a benchmark.
+    fn run(&self, mut machine: JobSpec, bench: usize, rep: u32) -> Cell {
+        machine.bench.clone_from(&self.names[bench]);
+        Cell { spec: machine, rep }
+    }
+
     /// The base machine at directory ratio `1:ratio`, ADR on or off.
     pub fn cell(&self, bench: usize, mode: CoherenceMode, ratio: usize, adr: bool) -> Cell {
-        Cell {
-            bench,
-            mode,
-            cfg: self.cfg.with_dir_ratio(ratio).with_adr(adr),
-            rep: 0,
-        }
+        let mut machine = self.spec.clone();
+        (machine.mode, machine.ratio, machine.adr) = (mode, ratio, adr);
+        self.run(machine, bench, 0)
     }
 
     /// Every benchmark × (mode, adr) × ratio, benchmark slowest-varying.
@@ -352,8 +364,9 @@ pub fn select(cli: &Cli) -> Result<Vec<Selected>, String> {
             sections = study.sections.to_vec();
         }
         let ctx = Ctx {
-            cfg: cli.cfg,
-            names: bench_names(cli.scale),
+            spec: cli.spec.clone(),
+            cfg: cli.spec.machine_config(),
+            names: bench_names(cli.spec.scale),
             sections,
             chart: cli.has("--chart"),
         };

@@ -1,7 +1,7 @@
 //! The paper's tables and figures: Tables I–III, Figures 2 and 6–10, the
 //! §V-C overheads and the §V-A5 energy report.
 
-use super::{Cell, Ctx, Results};
+use super::{with, Cell, Ctx, Results};
 use crate::chart::grouped_bar_chart;
 use crate::mean;
 use raccd_core::CoherenceMode::{self, FullCoh, PageTable, Raccd, TlbClass};
@@ -345,7 +345,7 @@ const NCRT_LATENCIES: [u64; 6] = [0, 1, 2, 3, 5, 10];
 
 fn ncrt_latency_cell(ctx: &Ctx, bench: usize, lat: u64) -> Cell {
     let mut cell = ctx.cell(bench, Raccd, 1, false);
-    cell.cfg.lat.ncrt = lat;
+    cell.spec = with(cell.spec, "ncrt_lat", lat);
     cell
 }
 

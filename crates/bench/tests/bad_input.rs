@@ -158,8 +158,8 @@ fn campaign_refuses_a_malformed_spec_before_the_ledger_exists() {
 #[test]
 fn sweep_refuses_a_zero_ratio_and_zero_smt_ways() {
     for (flag, want) in [
-        ("--ratios", "--ratios: bad number `0`"),
-        ("--smt", "--smt: bad number `0`"),
+        ("--ratios", "--ratios: bad ratio `0`"),
+        ("--smt", "--smt: bad smt `0`"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
             .args(["--scale", "test", "--bench", "MD5", flag, "0"])
@@ -168,6 +168,50 @@ fn sweep_refuses_a_zero_ratio_and_zero_smt_ways() {
         let line = refused(&out);
         assert!(line.contains(want), "{flag}: {line}");
     }
+}
+
+fn sweep(args: &str) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .args(args.split_whitespace())
+        .output()
+        .expect("sweep binary runs")
+}
+
+#[test]
+fn a_machine_whose_stacks_reach_the_heap_is_refused() {
+    let limit = "hardware contexts (cores x SMT ways); 255 stacks fit below the heap";
+    for (args, want) in [
+        ("--scale test --bench Jacobi --topology numa2 --smt 8", 256),
+        ("--scale test --bench Jacobi --smt 300", 4800),
+    ] {
+        let line = refused(&sweep(args));
+        assert_eq!(line, format!("error: {want} {limit}"), "{args}");
+    }
+    let ledger = scratch_dir().join("smt.jsonl");
+    let out = campaign(&[
+        "--ledger",
+        ledger.to_str().unwrap(),
+        "--spec",
+        "bench=Jacobi scale=test smt=16",
+    ]);
+    let want = format!("error: --spec: 256 {limit}");
+    assert_eq!(refused(&out), want);
+    assert!(!ledger.exists(), "a ledger was written");
+}
+
+#[test]
+fn a_key_or_machine_flag_given_twice_is_refused() {
+    let ledger = scratch_dir().join("twice.jsonl");
+    let out = campaign(&[
+        "--ledger",
+        ledger.to_str().unwrap(),
+        "--spec",
+        "bench=MD5 scale=test mode=raccd ratio=4 ratio=256",
+    ]);
+    assert_eq!(refused(&out), "error: --spec: `ratio` given twice");
+    assert!(!ledger.exists(), "a ledger was written");
+    let out = sweep("--scale test --scale bench --bench MD5");
+    assert_eq!(refused(&out), "error: `--scale` given twice");
 }
 
 #[test]

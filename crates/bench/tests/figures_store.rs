@@ -5,6 +5,7 @@
 
 use raccd_bench::cli::Cli;
 use raccd_bench::figures::{select, simulate, Cell, Results, Selected, STUDIES};
+use raccd_campaign::JobSpec;
 use std::collections::HashSet;
 
 /// The studies `argv` selects, their pooled cells, and the store.
@@ -13,7 +14,7 @@ fn run(argv: &[&str]) -> (Vec<Selected>, Vec<Cell>, Results) {
     let cli = Cli::parse(&argv, &["--scale"], &[]).expect("valid command line");
     let plan = select(&cli).expect("valid study selection");
     let cells: Vec<Cell> = plan.iter().flat_map(Selected::cells).collect();
-    let results = simulate(&cells, cli.scale, None);
+    let results = simulate(&cells, None);
     (plan, cells, results)
 }
 
@@ -53,7 +54,7 @@ fn jitterless_runs_its_machine_twice() {
     // Three ablation benchmarks, each asked for twice.
     assert_eq!(cells.len(), 6);
     assert_eq!(results.executed(), 6);
-    let machines: HashSet<String> = cells.iter().map(|c| Cell { rep: 0, ..*c }.key()).collect();
+    let machines: HashSet<String> = cells.iter().map(|c| c.spec.canonical()).collect();
     assert_eq!(machines.len(), 3, "two requests per (benchmark, machine)");
     let text = String::from_utf8(plan[0].render(&results)).unwrap();
     assert!(text.ends_with("identical: true\n"), "{text}");
@@ -72,5 +73,29 @@ fn selection_rejects_unknown_names() {
     for bad in [&["fig99"][..], &["fig8", "accesses"], &["fig7", "ncrt"]] {
         let err = select_of(bad).expect_err("must be rejected");
         assert!(err.contains("fig7 [accesses|llc|noc|energy]"), "{err}");
+    }
+}
+
+/// Every cell of every study is a campaign line: at test and at bench
+/// scale its line parses back to itself, and the cells name exactly the
+/// simulations a figures run executes.
+#[test]
+fn every_cell_is_a_line_that_parses_back() {
+    for scale in ["test", "bench"] {
+        let argv = ["--scale", scale].map(String::from);
+        let cli = Cli::parse(&argv, &["--scale"], &[]).expect("valid command line");
+        let plan = select(&cli).expect("all studies");
+        let cells: Vec<Cell> = plan.iter().flat_map(Selected::cells).collect();
+        for cell in &cells {
+            let line = cell.spec.render();
+            let parsed = JobSpec::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(parsed.render(), line);
+        }
+        let lines: HashSet<String> = cells.iter().map(|c| c.spec.canonical()).collect();
+        assert_eq!(cells.len(), 681, "{scale}");
+        assert_eq!(distinct(&cells), 330, "{scale}");
+        // The determinism check's second runs are the only keys that
+        // share a line.
+        assert_eq!(lines.len(), 330 - 3, "{scale}");
     }
 }

@@ -535,10 +535,11 @@ fn reseed(plan: Option<FaultPlan>, seed: u64) -> Option<u64> {
     plan.or_else(FaultPlan::forced_from_env).map(|_| seed)
 }
 
-/// Execute one seeded job under campaign supervision, warm-starting from
-/// the shared pool's image when the spec has a warm-up phase. A seed acts
-/// only through [`reseed`], so when that is `None` every seed is the same
-/// run: the pool runs it once and shares its digest.
+/// Execute one seeded job under campaign supervision. A seed acts only
+/// through [`reseed`], so when that is `None` every seed is the same run:
+/// the pool runs it once, cold, and shares its digest. Otherwise a spec
+/// with a warm-up phase starts from the shared pool's image, the prefix
+/// its seeds have in common.
 fn execute_job(
     inner: &Inner,
     spec: &JobSpec,
@@ -554,7 +555,7 @@ fn execute_job(
         let cfg = spec.machine_config();
         let mode = spec.mode;
         let build = move || all_benchmarks(scale)[idx].build();
-        let driver = if spec.warmup > 0 {
+        let driver = if spec.warmup > 0 && reseed.is_some() {
             let warmup = spec.warmup;
             let snap = inner.snaps.get_or_build(fingerprint, || {
                 let mut warm = Driver::new(cfg, mode, build(), plan, None);

@@ -1,16 +1,16 @@
-//! Shared per-configuration pool: the warm-up image always, and the whole
-//! run when no fault plane is attached.
+//! Shared per-configuration pool: the whole run when no fault plane is
+//! attached, the warm-up image when one is.
 //!
 //! Seeds of one configuration diverge only where the fault plane is
-//! reseeded, at the warm-up boundary, so every seed shares the warm-up
-//! prefix: the first worker to need it simulates the warm-up, snapshots,
-//! and parks the image here; later seeds restore from the shared image for
-//! nearly free (`raccd-snap` round-trips are byte-identical by the snapshot
-//! e2e suite). With no fault plane the reseed does nothing and every seed
-//! is the same simulation end to end: the first successful run parks its
-//! digest here and later seeds are answered with it. A run in flight is
-//! waited for, not duplicated; a failed one pools nothing, so the next
-//! attempt runs again.
+//! reseeded, at the warm-up boundary. With no fault plane the reseed does
+//! nothing and every seed is the same simulation end to end: the first
+//! successful run, cold, parks its digest here and later seeds are
+//! answered with it. With one, every seed shares the warm-up prefix: the
+//! first worker to need it simulates the warm-up, snapshots, and parks the
+//! image here; later seeds restore from the shared image for nearly free
+//! (`raccd-snap` round-trips are byte-identical by the snapshot e2e
+//! suite). A run in flight is waited for, not duplicated; a failed one
+//! pools nothing, so the next attempt runs again.
 
 use crate::ledger::JobDigest;
 use raccd_snap::Snapshot;

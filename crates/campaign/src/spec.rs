@@ -8,14 +8,19 @@
 //! seed) with its own ledger records; the fingerprint deliberately
 //! excludes the seed range so overlapping batches dedup seed-by-seed. A
 //! seed acts only through the fault plane, reseeded at the warm-up
-//! boundary: the seeds of a configuration share its warm-up image, and
-//! with no fault plane attached they share the whole run.
+//! boundary: with no fault plane attached the seeds of a configuration
+//! share the whole run, and with one they share its warm-up image.
+//!
+//! The line is also the one grammar of a machine: [`JobSpec::set`] reads
+//! each key, and the `raccd-bench` command lines send their machine flags
+//! through it.
 
 use raccd_core::CoherenceMode;
 use raccd_fault::FaultPlan;
 use raccd_sim::{MachineConfig, ProtocolKind, SchedKind, Topology};
 use raccd_snap::fnv1a64;
 use raccd_workloads::Scale;
+use std::fmt::Display;
 
 /// The unit of dedup and ledger accounting: one seeded execution of one
 /// configuration.
@@ -33,6 +38,50 @@ impl JobKey {
         format!("{:016x}/{}", self.fingerprint, self.seed)
     }
 }
+
+/// A switch value: `0`/`false` or `1`/`true`, rendered `0`/`1`.
+fn flag(s: &str) -> Option<bool> {
+    matches!(s, "0" | "1" | "false" | "true").then(|| s == "1" || s == "true")
+}
+
+/// A machine key past the five typed fields of [`JobSpec`]: the
+/// [`MachineConfig`] field it names, read and written as line text.
+struct Knob {
+    key: &'static str,
+    get: fn(&MachineConfig) -> String,
+    /// Store a value; `None` when the key refuses it.
+    set: fn(&mut MachineConfig, &str) -> Option<()>,
+}
+
+/// One [`Knob`] row: key and field path, then the field's type and the
+/// values it takes for a number, nothing for a switch.
+macro_rules! knob {
+    ($key:literal, $($f:ident).+ : $ty:ty, $ok:expr) => {
+        Knob { key: $key, get: |c| c.$($f).+.to_string(),
+               set: |c, v| Some(c.$($f).+ = v.parse::<$ty>().ok().filter($ok)?) }
+    };
+    ($key:literal, $($f:ident).+) => {
+        Knob { key: $key, get: |c| u8::from(c.$($f).+).to_string(),
+               set: |c, v| Some(c.$($f).+ = flag(v)?) }
+    };
+}
+
+/// Every machine field a study or a flag varies past the typed five, in
+/// the order a line renders them. The bounds keep an outside line from
+/// building a machine that cannot run: a table the host cannot allocate,
+/// a latency that overflows the clock, a trace that never ends.
+const KNOBS: [Knob; 10] = [
+    knob!("smt", smt_ways: usize, |&n| n > 0),
+    knob!("smt_flush", smt_selective_flush),
+    knob!("wt", l1_write_through),
+    knob!("contention", bank_contention),
+    knob!("permuted", permuted_pages),
+    knob!("ncrt", ncrt_entries: usize, |n| (1..=1024).contains(n)),
+    knob!("ncrt_lat", lat.ncrt: u64, |&n| n <= u64::from(u32::MAX)),
+    knob!("theta_inc", adr_theta_inc: f64, |x| (0.0..=1.0).contains(x)),
+    knob!("theta_dec", adr_theta_dec: f64, |x| (0.0..=1.0).contains(x)),
+    knob!("stack", runtime.stack_words_per_task: u64, |&n| n <= 1 << 16),
+];
 
 /// A batch of simulation jobs: configuration plus seed range.
 #[derive(Clone, Debug, PartialEq)]
@@ -63,6 +112,9 @@ pub struct JobSpec {
     pub seed_lo: u64,
     /// Last seed of the sweep (inclusive).
     pub seed_hi: u64,
+    /// Each [`KNOBS`] key's value as a line renders it, `None` where it
+    /// is the scale's base machine's.
+    knobs: [Option<String>; KNOBS.len()],
 }
 
 /// Canonical mode label used in spec lines (round-trips through
@@ -84,6 +136,15 @@ fn engine_token_is_valid(s: &str) -> bool {
             .is_some_and(|n| n.parse::<usize>().is_ok())
 }
 
+/// `p(v)`, or the error text of enumerated key `k`: the refused value and
+/// the labels the key takes.
+fn pick<T>(k: &str, v: &str, p: fn(&str) -> Option<T>, all: &[impl Display]) -> Result<T, String> {
+    p(v).ok_or_else(|| {
+        let labels: Vec<String> = all.iter().map(ToString::to_string).collect();
+        format!("bad {k} `{v}` ({})", labels.join("|"))
+    })
+}
+
 impl JobSpec {
     /// A fault-free default for `bench` at `scale` (seed 1 only).
     pub fn new(bench: &str, scale: Scale, mode: CoherenceMode) -> JobSpec {
@@ -100,6 +161,7 @@ impl JobSpec {
             fault: None,
             seed_lo: 1,
             seed_hi: 1,
+            knobs: Default::default(),
         }
     }
 
@@ -108,7 +170,9 @@ impl JobSpec {
     /// render identically, so [`JobSpec::fingerprint`] dedups them.
     /// `engine=serial` is a reserved field of the line format: a literal
     /// since there is one event loop, kept so the fingerprints in every
-    /// existing ledger still match.
+    /// existing ledger still match. A [`KNOBS`] key follows, in table
+    /// order, only where it differs from the scale's base machine, so a
+    /// line that sets none keeps the fingerprint it always had.
     pub fn canonical(&self) -> String {
         let fault = match &self.fault {
             // Normalise through the plan grammar so `drop=0.02` and
@@ -118,7 +182,7 @@ impl JobSpec {
                 .unwrap_or_else(|_| s.clone()),
             None => "-".to_string(),
         };
-        format!(
+        let mut line = format!(
             "bench={} scale={} mode={} ratio={} adr={} protocol={} topology={} sched={} engine=serial warmup={} fault={}",
             self.bench.to_ascii_lowercase(),
             self.scale,
@@ -130,103 +194,122 @@ impl JobSpec {
             self.sched.label(),
             self.warmup,
             fault,
-        )
+        );
+        let knobs = KNOBS.iter().zip(&self.knobs);
+        line.extend(knobs.filter_map(|(k, v)| Some(format!(" {}={}", k.key, v.as_ref()?))));
+        line
     }
 
     /// One-line render including the seed range (parseable back via
     /// [`JobSpec::parse`]).
     pub fn render(&self) -> String {
-        format!(
-            "{} seeds={}..{}",
-            self.canonical(),
-            self.seed_lo,
-            self.seed_hi
-        )
+        let (lo, hi) = (self.seed_lo, self.seed_hi);
+        format!("{} seeds={lo}..{hi}", self.canonical())
     }
 
-    /// Parse a [`JobSpec::render`] line (whitespace-separated `key=value`
-    /// items; unknown keys rejected so typos fail loudly).
+    /// Parse a [`JobSpec::render`] line: whitespace-separated `key=value`
+    /// items, each read by [`JobSpec::set`], then [`JobSpec::check`]ed. A
+    /// key given twice is refused rather than one of its values dropped.
     pub fn parse(line: &str) -> Result<JobSpec, String> {
         let mut spec = JobSpec::new("", Scale::Test, CoherenceMode::Raccd);
-        let mut saw_bench = false;
+        let mut given = Vec::new();
         for item in line.split_whitespace() {
             let (key, val) = item
                 .split_once('=')
                 .ok_or_else(|| format!("spec item `{item}` is not key=value"))?;
-            match key {
-                "bench" => {
-                    spec.bench = val.to_string();
-                    saw_bench = true;
-                }
-                "scale" => {
-                    spec.scale = Scale::parse(val).ok_or_else(|| format!("bad scale `{val}`"))?;
-                }
-                "mode" => {
-                    spec.mode =
-                        CoherenceMode::parse(val).ok_or_else(|| format!("bad mode `{val}`"))?;
-                }
-                "ratio" => {
-                    // `1:0` would divide the directory by zero.
-                    spec.ratio = val
-                        .parse()
-                        .ok()
-                        .filter(|&n: &usize| n > 0)
-                        .ok_or_else(|| format!("bad ratio `{val}`"))?;
-                }
-                "adr" => {
-                    spec.adr = match val {
-                        "0" | "false" => false,
-                        "1" | "true" => true,
-                        _ => return Err(format!("bad adr `{val}`")),
-                    };
-                }
-                "protocol" => {
-                    spec.protocol =
-                        ProtocolKind::parse(val).ok_or_else(|| format!("bad protocol `{val}`"))?;
-                }
-                "topology" => {
-                    spec.topology =
-                        Topology::parse(val).ok_or_else(|| format!("bad topology `{val}`"))?;
-                }
-                "sched" => {
-                    spec.sched =
-                        SchedKind::parse(val).ok_or_else(|| format!("bad sched `{val}`"))?;
-                }
-                // Reserved: validated and ignored, so lines older builds
-                // wrote with `engine=parallel:<n>` still parse.
-                "engine" => {
-                    if !engine_token_is_valid(val) {
-                        return Err(format!("bad engine `{val}`"));
-                    }
-                }
-                "warmup" => {
-                    spec.warmup = val.parse().map_err(|_| format!("bad warmup `{val}`"))?;
-                }
-                "fault" => {
-                    spec.fault = if val == "-" {
-                        None
-                    } else {
-                        FaultPlan::from_spec(val).map_err(|e| format!("fault: {e}"))?;
-                        Some(val.to_string())
-                    };
-                }
-                "seeds" => {
-                    let (lo, hi) = val
-                        .split_once("..")
-                        .ok_or_else(|| format!("bad seeds `{val}` (want LO..HI)"))?;
-                    spec.seed_lo = lo.parse().map_err(|_| format!("bad seed `{lo}`"))?;
-                    spec.seed_hi = hi.parse().map_err(|_| format!("bad seed `{hi}`"))?;
-                    if spec.seed_lo > spec.seed_hi {
-                        return Err(format!("empty seed range `{val}`"));
-                    }
-                }
-                _ => return Err(format!("unknown spec key `{key}`")),
+            if given.contains(&key) {
+                return Err(format!("`{key}` given twice"));
             }
+            given.push(key);
+            spec.set(key, val)?;
         }
-        if !saw_bench || spec.bench.is_empty() {
+        if spec.bench.is_empty() {
             return Err("spec missing bench=".into());
         }
-        Ok(spec)
+        spec.check().map(|()| spec)
+    }
+
+    /// Set one key of the line grammar from its text: `bench`, `mode`,
+    /// the machine keys ([`JobSpec::set_machine`]), `engine` (reserved:
+    /// validated and ignored, so lines older builds wrote with
+    /// `engine=parallel:<n>` still parse), `warmup`, `fault` and `seeds`.
+    /// An unknown key is refused so typos fail loudly.
+    pub fn set(&mut self, key: &str, v: &str) -> Result<(), String> {
+        let bad = || format!("bad {key} `{v}`");
+        match key {
+            "bench" => self.bench = v.to_string(),
+            "mode" => {
+                let labels = CoherenceMode::EXTENDED.map(mode_label);
+                self.mode = pick(key, v, CoherenceMode::parse, &labels)?;
+            }
+            "engine" => engine_token_is_valid(v).then_some(()).ok_or_else(bad)?,
+            "warmup" => self.warmup = v.parse().map_err(|_| bad())?,
+            "fault" if v == "-" => self.fault = None,
+            "fault" => {
+                FaultPlan::from_spec(v).map_err(|e| format!("fault: {e}"))?;
+                self.fault = Some(v.to_string());
+            }
+            "seeds" => {
+                let (lo, hi) = v
+                    .split_once("..")
+                    .ok_or_else(|| format!("bad seeds `{v}` (want LO..HI)"))?;
+                self.seed_lo = lo.parse().map_err(|_| format!("bad seed `{lo}`"))?;
+                self.seed_hi = hi.parse().map_err(|_| format!("bad seed `{hi}`"))?;
+                if self.seed_lo > self.seed_hi {
+                    return Err(format!("empty seed range `{v}`"));
+                }
+            }
+            _ if self.set_machine(key, v)? => {}
+            _ => return Err(format!("unknown spec key `{key}`")),
+        }
+        Ok(())
+    }
+
+    /// Set one machine key, returning whether `key` is one: `scale`, one
+    /// of the five typed machine fields (`ratio`, `adr`, `protocol`,
+    /// `topology`, `sched`) or a field a study varies (`smt`, `smt_flush`,
+    /// `wt`, `contention`, `permuted`, `ncrt`, `ncrt_lat`, `theta_inc`,
+    /// `theta_dec`, `stack`). These are the keys a command-line flag
+    /// `--<key>` sets.
+    pub fn set_machine(&mut self, key: &str, v: &str) -> Result<bool, String> {
+        let bad = || format!("bad {key} `{v}`");
+        match key {
+            "scale" => self.scale = pick(key, v, Scale::parse, &Scale::ALL)?,
+            // `1:0` would divide the directory by zero.
+            "ratio" => self.ratio = v.parse().ok().filter(|&n| n > 0).ok_or_else(bad)?,
+            "adr" => self.adr = flag(v).ok_or_else(bad)?,
+            "protocol" => self.protocol = pick(key, v, ProtocolKind::parse, &ProtocolKind::ALL)?,
+            "topology" => self.topology = pick(key, v, Topology::parse, &Topology::ALL)?,
+            "sched" => self.sched = pick(key, v, SchedKind::parse, &SchedKind::ALL)?,
+            _ => {
+                let Some(i) = KNOBS.iter().position(|k| k.key == key) else {
+                    return Ok(false);
+                };
+                let (mut cfg, Knob { get, set, .. }) = (self.base(), &KNOBS[i]);
+                let base = get(&cfg);
+                set(&mut cfg, v).ok_or_else(bad)?;
+                self.knobs[i] = Some(get(&cfg)).filter(|s| *s != base);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Refuse a machine no run could use: more hardware contexts than
+    /// have room for a stack below the heap, or an ADR shrink threshold
+    /// not below its grow threshold.
+    pub fn check(&self) -> Result<(), String> {
+        let c = self.machine_config();
+        let (n, max) = (c.ncontexts(), MachineConfig::MAX_CONTEXTS);
+        let (inc, dec) = (c.adr_theta_inc, c.adr_theta_dec);
+        if n > max {
+            Err(format!(
+                "{n} hardware contexts (cores x SMT ways); {max} stacks fit below the heap"
+            ))
+        } else if dec >= inc {
+            Err(format!("theta_dec {dec} is not below theta_inc {inc}"))
+        } else {
+            Ok(())
+        }
     }
 
     /// Configuration fingerprint: FNV-1a-64 of [`JobSpec::canonical`].
@@ -257,17 +340,25 @@ impl JobSpec {
             .ok_or_else(|| format!("unknown benchmark `{}`; have {names:?}", self.bench))
     }
 
-    /// The machine configuration this spec describes.
-    pub fn machine_config(&self) -> MachineConfig {
-        let base = match self.scale {
+    /// The scale's base machine: the Table I machine at `paper` scale,
+    /// the proportionally scaled one otherwise.
+    fn base(&self) -> MachineConfig {
+        match self.scale {
             Scale::Paper => MachineConfig::paper(),
             _ => MachineConfig::scaled(),
-        };
-        base.with_dir_ratio(self.ratio)
-            .with_adr(self.adr)
-            .with_protocol(self.protocol)
-            .with_topology(self.topology)
-            .with_sched(self.sched)
+        }
+    }
+
+    /// The machine configuration this spec describes.
+    pub fn machine_config(&self) -> MachineConfig {
+        let mut cfg = self.base().with_topology(self.topology);
+        (cfg.dir_ratio, cfg.adr) = (self.ratio, self.adr);
+        (cfg.protocol, cfg.sched) = (self.protocol, self.sched);
+        let knobs = KNOBS.iter().zip(&self.knobs);
+        for (set, v) in knobs.filter_map(|(k, v)| Some((k.set, v.as_ref()?))) {
+            set(&mut cfg, v).expect("a stored value is one its key took");
+        }
+        cfg
     }
 
     /// The parsed fault plan, if any. Panics on a plan that does not parse,
@@ -300,6 +391,7 @@ mod tests {
             fault: Some("drop=0.02;dup=0.01".into()),
             seed_lo: 1,
             seed_hi: 8,
+            knobs: Default::default(),
         }
     }
 
@@ -318,6 +410,24 @@ mod tests {
     fn default_fingerprint_is_pinned_and_engine_tokens_are_ignored() {
         let s = JobSpec::new("Jacobi", Scale::Test, CoherenceMode::Raccd);
         assert_eq!(s.fingerprint(), 0x5c96_3c91_8ec1_3400);
+        // Each typed machine key off its default, and the paper scale, as
+        // the parent of the ten machine knobs fingerprinted them.
+        for (items, pinned) in [
+            ("ratio=256", 0xc5b8_6416_ac40_9609u64),
+            ("adr=1", 0x6282_90e6_15eb_22c7),
+            ("protocol=moesi", 0x0ea4_84f3_e2c6_ed4b),
+            ("topology=numa2", 0xb32b_7614_2c18_0810),
+            ("sched=steal", 0xd0c8_7bd5_c92d_3213),
+            (
+                "ratio=256 adr=1 protocol=moesi topology=numa2 sched=steal",
+                0x8c75_64c3_bad8_43fe,
+            ),
+            ("scale=paper", 0x14fa_dfc3_99a9_0460),
+        ] {
+            let line = format!("bench=Jacobi mode=raccd {items}");
+            let parsed = JobSpec::parse(&line).expect(items);
+            assert_eq!(parsed.fingerprint(), pinned, "{items}");
+        }
         assert!(s.canonical().contains(" engine=serial "));
         for token in ["serial", "parallel:2", "parallel:64"] {
             let line = s
@@ -431,6 +541,111 @@ mod tests {
             JobSpec::parse("bench=Jacobi fault=retry_budget=4294967296"),
             Err("fault: fault spec `retry_budget`: 4294967296 out of range".to_string())
         );
+    }
+
+    #[test]
+    fn a_knob_at_its_base_value_renders_nothing() {
+        let plain = JobSpec::parse("bench=Jacobi scale=test").unwrap();
+        for items in ["smt=1", "smt_flush=1 wt=0 ncrt=32 theta_inc=0.80 stack=64"] {
+            let line = format!("bench=Jacobi scale=test {items}");
+            let s = JobSpec::parse(&line).expect(items);
+            assert_eq!(s.fingerprint(), plain.fingerprint(), "{items}");
+            assert_eq!(s.canonical(), plain.canonical(), "{items}");
+        }
+    }
+
+    /// `set` renders a knob against the base machine of the scale it
+    /// sees so far; that is the final scale's because the presets agree
+    /// on every knob field.
+    #[test]
+    fn every_base_machine_has_the_same_knob_values() {
+        let (paper, scaled) = (MachineConfig::paper(), MachineConfig::scaled());
+        for knob in &KNOBS {
+            assert_eq!((knob.get)(&paper), (knob.get)(&scaled), "{}", knob.key);
+        }
+        let a = JobSpec::parse("bench=MD5 smt=1 scale=paper").unwrap();
+        assert_eq!(a, JobSpec::parse("bench=MD5 scale=paper").unwrap());
+    }
+
+    #[test]
+    fn knobs_render_in_table_order_and_reach_the_machine() {
+        let line = "bench=Jacobi scale=paper stack=16 theta_dec=2e-1 theta_inc=0.9 ncrt_lat=10 \
+                    ncrt=8 permuted=true contention=1 wt=1 smt_flush=0 smt=2 seeds=1..1";
+        let s = JobSpec::parse(line).unwrap();
+        let tail = "smt=2 smt_flush=0 wt=1 contention=1 permuted=1 ncrt=8 ncrt_lat=10 \
+                    theta_inc=0.9 stack=16";
+        assert!(
+            s.canonical().ends_with(&format!("fault=- {tail}")),
+            "{}",
+            s.canonical()
+        );
+        let again = JobSpec::parse(&s.render()).unwrap();
+        assert_eq!(again.render(), s.render());
+        let cfg = s.machine_config();
+        assert_eq!((cfg.smt_ways, cfg.smt_selective_flush), (2, false));
+        assert!(cfg.l1_write_through && cfg.bank_contention && cfg.permuted_pages);
+        assert_eq!((cfg.ncrt_entries, cfg.lat.ncrt), (8, 10));
+        assert_eq!((cfg.adr_theta_inc, cfg.adr_theta_dec), (0.9, 0.2));
+        assert_eq!(cfg.runtime.stack_words_per_task, 16);
+        assert_eq!(
+            cfg.llc_entries_per_bank,
+            MachineConfig::paper().llc_entries_per_bank
+        );
+        for key in [
+            "scale", "ratio", "adr", "protocol", "topology", "sched", "smt", "stack",
+        ] {
+            assert!(spec().set_machine(key, "").is_err(), "{key}");
+        }
+        for key in [
+            "bench", "mode", "warmup", "fault", "seeds", "engine", "l1_bytes",
+        ] {
+            assert_eq!(spec().set_machine(key, ""), Ok(false), "{key}");
+        }
+    }
+
+    #[test]
+    fn a_key_given_twice_is_refused() {
+        for (line, key) in [
+            ("bench=MD5 scale=test mode=raccd ratio=4 ratio=256", "ratio"),
+            ("bench=MD5 bench=CG", "bench"),
+            ("bench=MD5 smt=2 smt=2", "smt"),
+            ("bench=MD5 seeds=1..2 seeds=3..4", "seeds"),
+        ] {
+            assert_eq!(JobSpec::parse(line), Err(format!("`{key}` given twice")));
+        }
+    }
+
+    #[test]
+    fn machine_values_that_cannot_run_are_refused() {
+        let err = |items: &str| JobSpec::parse(&format!("bench=MD5 {items}")).unwrap_err();
+        // 16 cores at 16 ways, or 32 at 8, leave no stack room below the
+        // heap; 15 ways on one socket still fit.
+        let full = "hardware contexts (cores x SMT ways); 255 stacks fit below the heap";
+        assert_eq!(err("smt=16"), format!("256 {full}"));
+        assert_eq!(err("smt=8 topology=numa2"), format!("256 {full}"));
+        assert_eq!(err("topology=numa2 smt=300"), format!("9600 {full}"));
+        assert!(JobSpec::parse("bench=MD5 smt=15").is_ok());
+        assert!(JobSpec::parse("bench=MD5 smt=7 topology=numa2").is_ok());
+        for (items, want) in [
+            ("smt=0", "bad smt `0`"),
+            ("wt=2", "bad wt `2`"),
+            ("ncrt=0", "bad ncrt `0`"),
+            ("ncrt=1025", "bad ncrt `1025`"),
+            ("ncrt_lat=4294967296", "bad ncrt_lat `4294967296`"),
+            ("theta_inc=NaN", "bad theta_inc `NaN`"),
+            ("theta_dec=-0.1", "bad theta_dec `-0.1`"),
+            ("stack=65537", "bad stack `65537`"),
+            ("theta_inc=0.1", "theta_dec 0.2 is not below theta_inc 0.1"),
+            (
+                "theta_inc=0.5 theta_dec=0.5",
+                "theta_dec 0.5 is not below theta_inc 0.5",
+            ),
+            ("protocol=mosi", "bad protocol `mosi` (mesi|mesif|moesi)"),
+            ("mode=coh", "bad mode `coh` (fullcoh|pt|tlbclass|raccd)"),
+            ("scale=huge", "bad scale `huge` (test|bench|paper)"),
+        ] {
+            assert_eq!(err(items), want, "{items}");
+        }
     }
 
     #[test]

@@ -288,13 +288,16 @@ impl MachineConfig {
         self.ncores * self.smt_ways
     }
 
-    /// Per-context private stack region base (timing-only references).
-    /// 16 KiB strides keep all stacks below the simulated heap even at
-    /// 8-way SMT on 16 cores is not supported; up to 60 contexts fit.
+    /// Hardware contexts whose stacks fit below the simulated heap: each
+    /// gets 16 KiB from `0x1000` up, so 255 of them.
+    pub const MAX_CONTEXTS: usize = ((raccd_mem::SimMemory::HEAP_BASE - 0x1000) / 0x4000) as usize;
+
+    /// Per-context private stack region base (timing-only references): a
+    /// 16 KiB stride per context. `Machine::new` refuses a machine with
+    /// more than [`MachineConfig::MAX_CONTEXTS`] contexts, whose stacks
+    /// would overlap the heap.
     pub fn stack_base(&self, ctx: usize) -> u64 {
-        let base = 0x1000 + ctx as u64 * 0x4000;
-        debug_assert!(base + 0x4000 <= raccd_mem::SimMemory::HEAP_BASE);
-        base
+        0x1000 + ctx as u64 * 0x4000
     }
 
     /// Select SMT ways per core.
@@ -473,13 +476,16 @@ mod tests {
     #[test]
     fn stacks_are_disjoint_and_below_heap() {
         let c = MachineConfig::paper();
-        let c2 = c.with_smt(2);
-        for i in 0..c2.ncontexts() {
-            assert!(c2.stack_base(i) + 0x4000 <= raccd_mem::SimMemory::HEAP_BASE);
+        let heap = raccd_mem::SimMemory::HEAP_BASE;
+        assert_eq!(MachineConfig::MAX_CONTEXTS, 255);
+        for i in 0..MachineConfig::MAX_CONTEXTS {
+            assert!(c.stack_base(i) + 0x4000 <= heap);
             for j in 0..i {
-                assert!(c2.stack_base(i) >= c2.stack_base(j) + 0x4000);
+                assert!(c.stack_base(i) >= c.stack_base(j) + 0x4000);
             }
         }
+        // One context more would reach into the heap.
+        assert!(c.stack_base(MachineConfig::MAX_CONTEXTS) + 0x4000 > heap);
     }
 
     #[test]

@@ -150,6 +150,12 @@ impl Machine {
     /// Build with an explicit page table (tests use permuted frames).
     pub fn with_page_table(cfg: MachineConfig, page_table: PageTable) -> Self {
         let bank_bits = bank_bits(&cfg);
+        assert!(
+            cfg.ncontexts() <= MachineConfig::MAX_CONTEXTS,
+            "{} hardware contexts: the 16 KiB stacks of at most {} fit below the heap",
+            cfg.ncontexts(),
+            MachineConfig::MAX_CONTEXTS
+        );
         let cores = (0..cfg.ncores)
             .map(|_| CoreSlice {
                 tlb: Tlb::new(cfg.tlb_entries),

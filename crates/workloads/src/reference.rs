@@ -5,8 +5,9 @@
 //! A host reference is a pure function of the workload's parameter
 //! struct, so the store keys it by the struct's type and its derived
 //! `Debug` string. That string lists every field by construction, the
-//! same rule `figures::Cell::key` uses for `MachineConfig`: two instances
-//! share a reference exactly when no field tells them apart. Each key is
+//! same rule a snapshot's `machine/cfg` fingerprint uses for
+//! `MachineConfig`: two instances share a reference exactly when no field
+//! tells them apart. Each key is
 //! computed once per process behind its own `OnceLock`, so concurrent
 //! askers of one key wait for that one computation while askers of other
 //! keys go on. Entries live until the process exits (DESIGN.md §12, "One
