@@ -41,8 +41,9 @@ fn main() {
             for ratio in ratios.split(',') {
                 let mut spec = cli.spec.clone();
                 (spec.bench, spec.mode) = (names[bench].clone(), mode);
-                spec.set("ratio", ratio)
-                    .unwrap_or_else(|e| die(&format!("--ratios: {e}")));
+                let checked = spec.set("ratio", ratio);
+                let checked = checked.and_then(|()| spec.machine_config().check());
+                checked.unwrap_or_else(|e| die(&format!("--ratios: {e}")));
                 cells.push(Cell { spec, rep: 0 });
             }
         }

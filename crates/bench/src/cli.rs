@@ -21,8 +21,8 @@ pub struct Cli {
     /// The machine the command line names, without benchmark or mode:
     /// the scale's base machine at 1:1 (`--scale test|bench|paper`,
     /// default bench), with every machine flag set through
-    /// [`JobSpec::set_machine`] (a switch sets `1`) and
-    /// [`JobSpec::check`]ed. A `numa2` topology doubles `ncores` (two
+    /// [`JobSpec::set_machine`] (a switch sets `1`) and its machine
+    /// [`raccd_sim::MachineConfig::check`]ed. A `numa2` topology doubles `ncores` (two
     /// sockets of the scale's mesh).
     pub spec: JobSpec,
     /// `--telemetry <dir>`.
@@ -73,7 +73,7 @@ impl Cli {
             }
             read.push(key);
         }
-        spec.check()?;
+        spec.machine_config().check()?;
         let mut cli = Cli {
             spec,
             telemetry: None,

@@ -236,3 +236,40 @@ fn every_bin_refuses_a_malformed_fault_spec_env() {
     }
     assert!(!ledger.exists(), "a ledger was written");
 }
+
+/// A directory bank that is not whole sets, or that ADR would halve to
+/// one that is not, is refused before any simulation; 1:85 without ADR
+/// (three 8-way sets a bank) runs.
+#[test]
+fn a_directory_no_bank_can_have_is_refused() {
+    let geometry = "directory geometry";
+    for (args, want) in [
+        (
+            "--scale test --bench MD5 --ratios 3 --modes RaCCD",
+            format!("error: --ratios: 1:3 directory: {geometry} 682 entries / 8 ways"),
+        ),
+        (
+            "--scale test --bench Jacobi --ratios 85 --adr",
+            format!(
+                "error: --ratios: 1:85 directory halved by ADR: {geometry} 12 entries / 8 ways"
+            ),
+        ),
+    ] {
+        let out = sweep(args);
+        let line = refused(&out);
+        assert!(line.starts_with(&want), "{args}: {line}");
+        assert!(out.stdout.is_empty(), "{args}: wrote a table");
+    }
+    let ledger = scratch_dir().join("ratio3.jsonl");
+    let spec = "bench=MD5 scale=test mode=raccd ratio=3 seeds=1..1";
+    let out = campaign(&["--ledger", ledger.to_str().unwrap(), "--spec", spec]);
+    let line = refused(&out);
+    assert!(line.starts_with("error: --spec: 1:3 directory: "), "{line}");
+    assert!(!ledger.exists(), "a ledger was written");
+    let out = sweep("--scale test --bench Jacobi --ratios 85 --modes RaCCD");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}

@@ -13,7 +13,10 @@ use raccd_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use raccd_workloads::{all_benchmarks, Scale};
 
 fn cfg() -> MachineConfig {
-    MachineConfig::scaled().with_shadow_check(true)
+    MachineConfig {
+        shadow_check: true,
+        ..MachineConfig::scaled()
+    }
 }
 
 /// Run to completion, returning (state key, output) — the key must be read
@@ -192,7 +195,10 @@ fn restore_rejects_entries_naming_absent_cores() {
     };
 
     // Directory entries: the owner, the MESIF forwarder, one sharer bit.
-    let mesif = base.with_protocol(ProtocolKind::Mesif);
+    let mesif = MachineConfig {
+        protocol: ProtocolKind::Mesif,
+        ..base
+    };
     type Edit = fn(&mut DirEntry) -> bool;
     let edits: [(MachineConfig, Edit); 3] = [
         (base, |e| e.owner.replace(200).is_some()),
@@ -255,25 +261,34 @@ fn restore_rejects_entries_naming_absent_cores() {
 /// bank contention, permuted frames and recorded events.
 fn pinned_machines() -> [MachineConfig; 5] {
     let base = cfg();
-    let mut quantum = base
-        .with_protocol(ProtocolKind::Mesif)
-        .with_sched(SchedKind::Quantum)
-        .with_write_through(true);
-    quantum.sched_quantum = 500;
-    quantum.record_events = true;
-    let mut numa = base
-        .with_topology(Topology::Numa2)
-        .with_sched(SchedKind::Locality)
-        .with_contention(true);
-    numa.permuted_pages = true;
+    let quantum = MachineConfig {
+        protocol: ProtocolKind::Mesif,
+        sched: SchedKind::Quantum,
+        l1_write_through: true,
+        sched_quantum: 500,
+        record_events: true,
+        ..base
+    };
+    let numa = MachineConfig {
+        sched: SchedKind::Locality,
+        bank_contention: true,
+        permuted_pages: true,
+        ..base.with_topology(Topology::Numa2)
+    };
     [
         base,
-        base.with_adr(true)
-            .with_dir_ratio(16)
-            .with_sched(SchedKind::Priority),
-        base.with_protocol(ProtocolKind::Moesi)
-            .with_sched(SchedKind::Steal)
-            .with_smt(2),
+        MachineConfig {
+            adr: true,
+            dir_ratio: 16,
+            sched: SchedKind::Priority,
+            ..base
+        },
+        MachineConfig {
+            protocol: ProtocolKind::Moesi,
+            sched: SchedKind::Steal,
+            smt_ways: 2,
+            ..base
+        },
         quantum,
         numa,
     ]

@@ -17,6 +17,7 @@
 
 use raccd_core::CoherenceMode;
 use raccd_fault::FaultPlan;
+use raccd_sim::config::{refused, Key, JOB_KEYS, KEYS};
 use raccd_sim::{MachineConfig, ProtocolKind, SchedKind, Topology};
 use raccd_snap::fnv1a64;
 use raccd_workloads::Scale;
@@ -38,50 +39,6 @@ impl JobKey {
         format!("{:016x}/{}", self.fingerprint, self.seed)
     }
 }
-
-/// A switch value: `0`/`false` or `1`/`true`, rendered `0`/`1`.
-fn flag(s: &str) -> Option<bool> {
-    matches!(s, "0" | "1" | "false" | "true").then(|| s == "1" || s == "true")
-}
-
-/// A machine key past the five typed fields of [`JobSpec`]: the
-/// [`MachineConfig`] field it names, read and written as line text.
-struct Knob {
-    key: &'static str,
-    get: fn(&MachineConfig) -> String,
-    /// Store a value; `None` when the key refuses it.
-    set: fn(&mut MachineConfig, &str) -> Option<()>,
-}
-
-/// One [`Knob`] row: key and field path, then the field's type and the
-/// values it takes for a number, nothing for a switch.
-macro_rules! knob {
-    ($key:literal, $($f:ident).+ : $ty:ty, $ok:expr) => {
-        Knob { key: $key, get: |c| c.$($f).+.to_string(),
-               set: |c, v| Some(c.$($f).+ = v.parse::<$ty>().ok().filter($ok)?) }
-    };
-    ($key:literal, $($f:ident).+) => {
-        Knob { key: $key, get: |c| u8::from(c.$($f).+).to_string(),
-               set: |c, v| Some(c.$($f).+ = flag(v)?) }
-    };
-}
-
-/// Every machine field a study or a flag varies past the typed five, in
-/// the order a line renders them. The bounds keep an outside line from
-/// building a machine that cannot run: a table the host cannot allocate,
-/// a latency that overflows the clock, a trace that never ends.
-const KNOBS: [Knob; 10] = [
-    knob!("smt", smt_ways: usize, |&n| n > 0),
-    knob!("smt_flush", smt_selective_flush),
-    knob!("wt", l1_write_through),
-    knob!("contention", bank_contention),
-    knob!("permuted", permuted_pages),
-    knob!("ncrt", ncrt_entries: usize, |n| (1..=1024).contains(n)),
-    knob!("ncrt_lat", lat.ncrt: u64, |&n| n <= u64::from(u32::MAX)),
-    knob!("theta_inc", adr_theta_inc: f64, |x| (0.0..=1.0).contains(x)),
-    knob!("theta_dec", adr_theta_dec: f64, |x| (0.0..=1.0).contains(x)),
-    knob!("stack", runtime.stack_words_per_task: u64, |&n| n <= 1 << 16),
-];
 
 /// A batch of simulation jobs: configuration plus seed range.
 #[derive(Clone, Debug, PartialEq)]
@@ -112,10 +69,18 @@ pub struct JobSpec {
     pub seed_lo: u64,
     /// Last seed of the sweep (inclusive).
     pub seed_hi: u64,
-    /// Each [`KNOBS`] key's value as a line renders it, `None` where it
-    /// is the scale's base machine's.
-    knobs: [Option<String>; KNOBS.len()],
+    /// The value of each key of [`KNOBS`] as a line renders it, `None`
+    /// where it is the scale's base machine's.
+    knobs: [Option<String>; JOB_KEYS - TYPED],
 }
+
+/// How many leading keys of [`KEYS`] a spec holds as typed fields
+/// (`ratio adr protocol topology sched`): a line renders them always,
+/// and the [`KNOBS`] after them only off the base machine.
+const TYPED: usize = 5;
+
+/// The job keys past the typed five: the machine fields a study varies.
+const KNOBS: &[Key] = KEYS.split_at(JOB_KEYS).0.split_at(TYPED).1;
 
 /// Canonical mode label used in spec lines (round-trips through
 /// [`CoherenceMode::parse`]).
@@ -136,13 +101,9 @@ fn engine_token_is_valid(s: &str) -> bool {
             .is_some_and(|n| n.parse::<usize>().is_ok())
 }
 
-/// `p(v)`, or the error text of enumerated key `k`: the refused value and
-/// the labels the key takes.
+/// `p(v)`, or the error text of enumerated key `k` refusing `v`.
 fn pick<T>(k: &str, v: &str, p: fn(&str) -> Option<T>, all: &[impl Display]) -> Result<T, String> {
-    p(v).ok_or_else(|| {
-        let labels: Vec<String> = all.iter().map(ToString::to_string).collect();
-        format!("bad {k} `{v}` ({})", labels.join("|"))
-    })
+    p(v).ok_or_else(|| refused(k, v, all))
 }
 
 impl JobSpec {
@@ -170,9 +131,9 @@ impl JobSpec {
     /// render identically, so [`JobSpec::fingerprint`] dedups them.
     /// `engine=serial` is a reserved field of the line format: a literal
     /// since there is one event loop, kept so the fingerprints in every
-    /// existing ledger still match. A [`KNOBS`] key follows, in table
-    /// order, only where it differs from the scale's base machine, so a
-    /// line that sets none keeps the fingerprint it always had.
+    /// existing ledger still match. A key past the typed five follows, in
+    /// table order, only where it differs from the scale's base machine,
+    /// so a line that sets none keeps the fingerprint it always had.
     pub fn canonical(&self) -> String {
         let fault = match &self.fault {
             // Normalise through the plan grammar so `drop=0.02` and
@@ -183,20 +144,22 @@ impl JobSpec {
             None => "-".to_string(),
         };
         let mut line = format!(
-            "bench={} scale={} mode={} ratio={} adr={} protocol={} topology={} sched={} engine=serial warmup={} fault={}",
+            "bench={} scale={} mode={}",
             self.bench.to_ascii_lowercase(),
             self.scale,
             mode_label(self.mode),
-            self.ratio,
-            self.adr as u8,
-            self.protocol.label(),
-            self.topology.label(),
-            self.sched.label(),
-            self.warmup,
-            fault,
         );
+        let typed = self.typed();
+        for key in &KEYS[..TYPED] {
+            line.extend([" ", key.name, "="]);
+            (key.write)(&typed, &mut line);
+        }
+        line.push_str(&format!(
+            " engine=serial warmup={} fault={fault}",
+            self.warmup
+        ));
         let knobs = KNOBS.iter().zip(&self.knobs);
-        line.extend(knobs.filter_map(|(k, v)| Some(format!(" {}={}", k.key, v.as_ref()?))));
+        line.extend(knobs.filter_map(|(k, v)| Some(format!(" {}={}", k.name, v.as_ref()?))));
         line
     }
 
@@ -208,8 +171,9 @@ impl JobSpec {
     }
 
     /// Parse a [`JobSpec::render`] line: whitespace-separated `key=value`
-    /// items, each read by [`JobSpec::set`], then [`JobSpec::check`]ed. A
-    /// key given twice is refused rather than one of its values dropped.
+    /// items, each read by [`JobSpec::set`], then its machine
+    /// [`MachineConfig::check`]ed. A key given twice is refused rather
+    /// than one of its values dropped.
     pub fn parse(line: &str) -> Result<JobSpec, String> {
         let mut spec = JobSpec::new("", Scale::Test, CoherenceMode::Raccd);
         let mut given = Vec::new();
@@ -226,7 +190,7 @@ impl JobSpec {
         if spec.bench.is_empty() {
             return Err("spec missing bench=".into());
         }
-        spec.check().map(|()| spec)
+        spec.machine_config().check().map(|()| spec)
     }
 
     /// Set one key of the line grammar from its text: `bench`, `mode`,
@@ -265,51 +229,30 @@ impl JobSpec {
         Ok(())
     }
 
-    /// Set one machine key, returning whether `key` is one: `scale`, one
-    /// of the five typed machine fields (`ratio`, `adr`, `protocol`,
-    /// `topology`, `sched`) or a field a study varies (`smt`, `smt_flush`,
-    /// `wt`, `contention`, `permuted`, `ncrt`, `ncrt_lat`, `theta_inc`,
-    /// `theta_dec`, `stack`). These are the keys a command-line flag
-    /// `--<key>` sets.
+    /// Set one machine key, returning whether `key` is one: `scale` or
+    /// one of the [`JOB_KEYS`] of [`raccd_sim::config::KEYS`]. These are
+    /// the keys a command-line flag `--<key>` sets. The key is set on a
+    /// copy of the scale's base machine with the typed fields, whose
+    /// typed fields and, for a key past the typed five, that key's value
+    /// are read back.
     pub fn set_machine(&mut self, key: &str, v: &str) -> Result<bool, String> {
-        let bad = || format!("bad {key} `{v}`");
-        match key {
-            "scale" => self.scale = pick(key, v, Scale::parse, &Scale::ALL)?,
-            // `1:0` would divide the directory by zero.
-            "ratio" => self.ratio = v.parse().ok().filter(|&n| n > 0).ok_or_else(bad)?,
-            "adr" => self.adr = flag(v).ok_or_else(bad)?,
-            "protocol" => self.protocol = pick(key, v, ProtocolKind::parse, &ProtocolKind::ALL)?,
-            "topology" => self.topology = pick(key, v, Topology::parse, &Topology::ALL)?,
-            "sched" => self.sched = pick(key, v, SchedKind::parse, &SchedKind::ALL)?,
-            _ => {
-                let Some(i) = KNOBS.iter().position(|k| k.key == key) else {
-                    return Ok(false);
-                };
-                let (mut cfg, Knob { get, set, .. }) = (self.base(), &KNOBS[i]);
-                let base = get(&cfg);
-                set(&mut cfg, v).ok_or_else(bad)?;
-                self.knobs[i] = Some(get(&cfg)).filter(|s| *s != base);
-            }
+        if key == "scale" {
+            self.scale = pick(key, v, Scale::parse, &Scale::ALL)?;
+            return Ok(true);
+        }
+        let Some(i) = KEYS[..JOB_KEYS].iter().position(|k| k.name == key) else {
+            return Ok(false);
+        };
+        let base = self.typed();
+        let mut cfg = base;
+        KEYS[i].set(&mut cfg, v)?;
+        (self.ratio, self.adr, self.protocol) = (cfg.dir_ratio, cfg.adr, cfg.protocol);
+        (self.topology, self.sched) = (cfg.topology, cfg.sched);
+        if let Some(j) = i.checked_sub(TYPED) {
+            let value = KNOBS[j].get(&cfg);
+            self.knobs[j] = (value != KNOBS[j].get(&base)).then_some(value);
         }
         Ok(true)
-    }
-
-    /// Refuse a machine no run could use: more hardware contexts than
-    /// have room for a stack below the heap, or an ADR shrink threshold
-    /// not below its grow threshold.
-    pub fn check(&self) -> Result<(), String> {
-        let c = self.machine_config();
-        let (n, max) = (c.ncontexts(), MachineConfig::MAX_CONTEXTS);
-        let (inc, dec) = (c.adr_theta_inc, c.adr_theta_dec);
-        if n > max {
-            Err(format!(
-                "{n} hardware contexts (cores x SMT ways); {max} stacks fit below the heap"
-            ))
-        } else if dec >= inc {
-            Err(format!("theta_dec {dec} is not below theta_inc {inc}"))
-        } else {
-            Ok(())
-        }
     }
 
     /// Configuration fingerprint: FNV-1a-64 of [`JobSpec::canonical`].
@@ -349,14 +292,22 @@ impl JobSpec {
         }
     }
 
-    /// The machine configuration this spec describes.
-    pub fn machine_config(&self) -> MachineConfig {
+    /// The scale's base machine with the typed fields set.
+    fn typed(&self) -> MachineConfig {
         let mut cfg = self.base().with_topology(self.topology);
         (cfg.dir_ratio, cfg.adr) = (self.ratio, self.adr);
         (cfg.protocol, cfg.sched) = (self.protocol, self.sched);
-        let knobs = KNOBS.iter().zip(&self.knobs);
-        for (set, v) in knobs.filter_map(|(k, v)| Some((k.set, v.as_ref()?))) {
-            set(&mut cfg, v).expect("a stored value is one its key took");
+        cfg
+    }
+
+    /// The machine configuration this spec describes.
+    pub fn machine_config(&self) -> MachineConfig {
+        let mut cfg = self.typed();
+        for (key, v) in KNOBS.iter().zip(&self.knobs) {
+            if let Some(v) = v {
+                key.set(&mut cfg, v)
+                    .expect("a stored value is one its key took");
+            }
         }
         cfg
     }
@@ -560,8 +511,8 @@ mod tests {
     #[test]
     fn every_base_machine_has_the_same_knob_values() {
         let (paper, scaled) = (MachineConfig::paper(), MachineConfig::scaled());
-        for knob in &KNOBS {
-            assert_eq!((knob.get)(&paper), (knob.get)(&scaled), "{}", knob.key);
+        for knob in KNOBS {
+            assert_eq!(knob.get(&paper), knob.get(&scaled), "{}", knob.name);
         }
         let a = JobSpec::parse("bench=MD5 smt=1 scale=paper").unwrap();
         assert_eq!(a, JobSpec::parse("bench=MD5 scale=paper").unwrap());
@@ -596,8 +547,10 @@ mod tests {
         ] {
             assert!(spec().set_machine(key, "").is_err(), "{key}");
         }
+        // The geometry keys of a trace `cfg` line are no job keys.
         for key in [
-            "bench", "mode", "warmup", "fault", "seeds", "engine", "l1_bytes",
+            "bench", "mode", "warmup", "fault", "seeds", "engine", "mesh_k", "l1_bytes", "llc",
+            "dir_ways",
         ] {
             assert_eq!(spec().set_machine(key, ""), Ok(false), "{key}");
         }
@@ -625,6 +578,9 @@ mod tests {
         assert_eq!(err("smt=8 topology=numa2"), format!("256 {full}"));
         assert_eq!(err("topology=numa2 smt=300"), format!("9600 {full}"));
         assert!(JobSpec::parse("bench=MD5 smt=15").is_ok());
+        // 2048 / 85 = 24 entries a bank is three 8-way sets, which runs;
+        // ADR would halve it to 12.
+        assert!(JobSpec::parse("bench=MD5 ratio=85").is_ok());
         assert!(JobSpec::parse("bench=MD5 smt=7 topology=numa2").is_ok());
         for (items, want) in [
             ("smt=0", "bad smt `0`"),
@@ -639,6 +595,15 @@ mod tests {
             (
                 "theta_inc=0.5 theta_dec=0.5",
                 "theta_dec 0.5 is not below theta_inc 0.5",
+            ),
+            (
+                "ratio=3",
+                "1:3 directory: directory geometry 682 entries / 8 ways is not a positive multiple",
+            ),
+            (
+                "ratio=85 adr=1",
+                "1:85 directory halved by ADR: directory geometry 12 entries / 8 ways is not a \
+                 positive multiple",
             ),
             ("protocol=mosi", "bad protocol `mosi` (mesi|mesif|moesi)"),
             ("mode=coh", "bad mode `coh` (fullcoh|pt|tlbclass|raccd)"),

@@ -16,10 +16,8 @@ use raccd_sim::{MachineConfig, ProtocolKind};
 use std::time::Instant;
 
 fn tiny(dir_ratio: usize, dir_ways: usize, wt: bool, adr: bool) -> MachineConfig {
-    let mut cfg = MachineConfig::scaled()
-        .with_dir_ratio(dir_ratio)
-        .with_write_through(wt)
-        .with_adr(adr);
+    let mut cfg = MachineConfig::scaled().with_dir_ratio(dir_ratio);
+    (cfg.l1_write_through, cfg.adr) = (wt, adr);
     cfg.ncores = 4;
     cfg.mesh_k = 2;
     cfg.llc_entries_per_bank = 32;
@@ -115,7 +113,10 @@ fn main() {
                 Box::leak(name.into_boxed_str()),
                 states,
                 ExploreConfig {
-                    cfg: tiny(32, 1, false, false).with_protocol(protocol),
+                    cfg: MachineConfig {
+                        protocol,
+                        ..tiny(32, 1, false, false)
+                    },
                     cores: vec![0, 1],
                     blocks,
                     flush_nc: true,

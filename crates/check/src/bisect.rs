@@ -24,7 +24,7 @@
 //! dumped to `$RACCD_CHECK_DUMP_DIR` (or `target/raccd-check-counterexamples/`)
 //! so CI can attach the counterexample as an artifact.
 
-use crate::trace::dump_dir;
+use crate::trace::{cfg_line, dump_dir};
 use raccd_core::{CoherenceMode, Driver};
 use raccd_fault::FaultPlan;
 use raccd_runtime::Program;
@@ -48,23 +48,19 @@ pub struct BisectSide<'a> {
 }
 
 impl BisectSide<'_> {
+    /// The side's machine, shadow checked.
+    fn cfg(&self) -> MachineConfig {
+        let mut cfg = self.cfg;
+        cfg.shadow_check = true;
+        cfg
+    }
+
     fn fresh(&self) -> Driver {
-        Driver::new(
-            self.cfg.with_shadow_check(true),
-            self.mode,
-            (self.make)(),
-            self.plan,
-            None,
-        )
+        Driver::new(self.cfg(), self.mode, (self.make)(), self.plan, None)
     }
 
     fn revive(&self, snap: &Snapshot) -> Result<Driver, raccd_snap::SnapError> {
-        Driver::restore(
-            self.cfg.with_shadow_check(true),
-            self.mode,
-            (self.make)(),
-            snap,
-        )
+        Driver::restore(self.cfg(), self.mode, (self.make)(), snap)
     }
 }
 
@@ -159,8 +155,13 @@ fn dump_divergence(
              first divergent probe: cycle {cycle}\n\
              key A: {key_a}\n\
              key B: {key_b}\n\
-             checkpoints of the last agreeing state: {stem}_a.rsnp / {stem}_b.rsnp\n",
-            a.label, b.label,
+             checkpoints of the last agreeing state: {stem}_a.rsnp / {stem}_b.rsnp\n\
+             # machine of {stem}_a.rsnp (shadow checked)\n{}\n\
+             # machine of {stem}_b.rsnp (shadow checked)\n{}\n",
+            a.label,
+            b.label,
+            cfg_line(&a.cfg),
+            cfg_line(&b.cfg),
         ),
     )?;
     Ok(report)

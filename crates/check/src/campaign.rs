@@ -24,7 +24,7 @@
 
 use crate::diff::first_mem_diff;
 use crate::taskgen::{GraphParams, RandomGraph};
-use crate::trace::dump_dir;
+use crate::trace::{cfg_line, dump_dir};
 use raccd_core::{run, CoherenceMode, DetectReason, FaultReport, RunOptions};
 use raccd_mem::SimMemory;
 use raccd_sim::{CheckReport, FaultPlan, MachineConfig};
@@ -199,12 +199,7 @@ struct Twin {
 fn run_twin(cfg: MachineConfig, params: GraphParams) -> Twin {
     let log = Rc::new(RefCell::new(Vec::new()));
     let program = RandomGraph::new(params).build_logged(Rc::clone(&log));
-    let out = run(
-        cfg.with_shadow_collect(true),
-        CoherenceMode::Raccd,
-        program,
-        RunOptions::default(),
-    );
+    let out = run(cfg, CoherenceMode::Raccd, program, RunOptions::default());
     let mut reads = log.borrow().clone();
     reads.sort();
     Twin {
@@ -230,18 +225,13 @@ fn run_one(
         faults: Some(plan),
         ..RunOptions::default()
     };
-    let out = run(
-        cfg.with_shadow_collect(true),
-        CoherenceMode::Raccd,
-        program,
-        opts,
-    );
+    let out = run(cfg, CoherenceMode::Raccd, program, opts);
     let report = out.fault;
     let spec = plan.to_spec();
 
     let verdict = match report.as_ref().and_then(|r| r.detected) {
         Some(reason) => {
-            let _ = dump_detection(params, &spec, cplan.name, reason);
+            let _ = dump_detection(&cfg, params, &spec, cplan.name, reason);
             Verdict::Detected(reason)
         }
         None => {
@@ -284,8 +274,10 @@ fn run_one(
 }
 
 /// Dump a replayable description of a detected combination next to the
-/// trace-level counterexamples: workload shape + fault spec + reason.
+/// trace-level counterexamples: machine (a trace `cfg` line), workload
+/// shape, fault spec and reason.
 fn dump_detection(
+    cfg: &MachineConfig,
     params: GraphParams,
     spec: &str,
     plan_name: &str,
@@ -296,10 +288,16 @@ fn dump_detection(
     let text = format!(
         "# raccd-check campaign detection\n\
          # rerun: RandomGraph(GraphParams below) under CoherenceMode::Raccd\n\
+         {}\n\
          graph seed={} layers={} width={} fan_in={} words={}\n\
          fault spec={spec}\n\
          # detected: {reason:?}\n",
-        params.seed, params.layers, params.width, params.fan_in, params.words,
+        cfg_line(cfg),
+        params.seed,
+        params.layers,
+        params.width,
+        params.fan_in,
+        params.words,
     );
     let path = dir.join(format!(
         "campaign-{plan_name}-seed{}-{}.txt",
@@ -315,11 +313,13 @@ fn dump_detection(
 /// runs share an injection stream; one fault-free twin per workload seed
 /// serves as the bit-identity reference for all its combinations.
 pub fn run_campaign(
-    cfg: MachineConfig,
+    mut cfg: MachineConfig,
     base: GraphParams,
     seeds: &[u64],
     plans: &[CampaignPlan],
 ) -> CampaignReport {
+    // A detected corruption is reported, not a panic of the harness.
+    cfg.shadow_collect = true;
     let mut report = CampaignReport::default();
     for &seed in seeds {
         let params = GraphParams { seed, ..base };

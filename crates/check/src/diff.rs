@@ -92,18 +92,14 @@ pub(crate) fn first_mem_diff(a: &SimMemory, b: &SimMemory) -> Option<String> {
 }
 
 fn run_one(
-    cfg: MachineConfig,
+    mut cfg: MachineConfig,
     mode: CoherenceMode,
     params: GraphParams,
 ) -> (SimMemory, Vec<(String, u64)>, Option<CheckReport>) {
     let log = Rc::new(RefCell::new(Vec::new()));
     let program = RandomGraph::new(params).build_logged(Rc::clone(&log));
-    let out = run(
-        cfg.with_shadow_check(true),
-        mode,
-        program,
-        RunOptions::default(),
-    );
+    cfg.shadow_check = true;
+    let out = run(cfg, mode, program, RunOptions::default());
     let mut reads = log.borrow().clone();
     reads.sort();
     (out.mem, reads, out.check)

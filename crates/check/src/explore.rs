@@ -139,7 +139,7 @@ pub fn explore(ec: &ExploreConfig) -> ExploreResult {
             if !violations.is_empty() {
                 let mut seq = prefix.clone();
                 seq.push(op);
-                let _ = write_counterexample(&ec.cfg, &seq, "explore", &violations);
+                let _ = write_counterexample(&ec.cfg, None, &seq, "explore", &violations);
                 for v in violations {
                     result.violations.push((seq.clone(), v));
                 }

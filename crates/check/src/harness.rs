@@ -17,7 +17,6 @@ use raccd_sim::{
 /// A [`Machine`] plus collecting shadow checker plus recorded trace.
 pub struct CheckedMachine {
     machine: Machine,
-    cfg: MachineConfig,
     trace: Vec<TraceOp>,
     now: u64,
 }
@@ -31,7 +30,6 @@ impl CheckedMachine {
         machine.attach_checker(Box::new(ShadowChecker::collecting(&cfg)));
         CheckedMachine {
             machine,
-            cfg,
             trace: Vec::new(),
             now: 0,
         }
@@ -45,11 +43,6 @@ impl CheckedMachine {
         let mut cm = CheckedMachine::new(cfg);
         cm.machine.attach_faults(FaultPlane::new(plan));
         cm
-    }
-
-    /// The configuration the machine was built with.
-    pub fn cfg(&self) -> &MachineConfig {
-        &self.cfg
     }
 
     /// Whether the fault plane latched its fatal flag: some message

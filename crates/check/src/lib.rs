@@ -47,7 +47,4 @@ pub use diff::{run_differential, DiffOutcome};
 pub use explore::{explore, ExploreConfig, ExploreResult};
 pub use harness::CheckedMachine;
 pub use taskgen::{GraphParams, RandomGraph};
-pub use trace::{
-    minimize, parse, parse_faulty, replay, replay_faulty, serialize, serialize_faulty,
-    write_counterexample, write_counterexample_faulty, TraceOp,
-};
+pub use trace::{cfg_line, minimize, parse, replay, serialize, write_counterexample, TraceOp};

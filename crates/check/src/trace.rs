@@ -5,24 +5,26 @@
 //! into a small text file that [`replay`] can re-run verbatim:
 //!
 //! ```text
-//! # raccd-check trace v1
-//! cfg ncores=4 mesh_k=2 l1_bytes=512 l1_ways=2 llc=32 llc_ways=8 \
-//!     dir_ratio=32 dir_ways=1 wt=0 adr=0
+//! # raccd-check trace v2
+//! cfg protocol=moesi topology=numa2 mesh_k=2 llc=32 dir_ways=1
 //! fault spec=seed=7;drop=1;retry_budget=2
 //! op access core=0 block=0x40 write=1 nc=0
 //! op flushnc core=1
 //! op flushpage core=0 page=0x1
 //! ```
 //!
-//! Only the knobs that distinguish the run from [`MachineConfig::scaled`]
-//! are recorded; everything else (latencies, runtime costs) is irrelevant
-//! to the protocol state space. The optional `fault` directive carries a
-//! [`FaultPlan`] spec (see [`FaultPlan::from_spec`]); replaying such a
-//! trace re-attaches the plane, so fault-induced stuck states reproduce
-//! bit-for-bit. [`minimize`] greedily drops operations while the
-//! violation persists, so dumps are usually near-minimal.
+//! The `cfg` line holds every machine key ([`raccd_sim::config::KEYS`])
+//! on which the run differs from [`MachineConfig::scaled`], in table
+//! order, and is read back through the same keys and
+//! [`MachineConfig::check`]; everything else (latencies, runtime costs)
+//! is irrelevant to the protocol state space. The optional `fault`
+//! directive carries a [`FaultPlan`] spec (see [`FaultPlan::from_spec`]);
+//! replaying such a trace re-attaches the plane, so fault-induced stuck
+//! states reproduce bit-for-bit. [`minimize`] greedily drops operations
+//! while the violation persists, so dumps are usually near-minimal.
 
 use crate::harness::CheckedMachine;
+use raccd_sim::config::KEYS;
 use raccd_sim::{FaultPlan, MachineConfig, Violation};
 use std::fmt;
 use std::path::PathBuf;
@@ -81,29 +83,23 @@ impl fmt::Display for TraceOp {
     }
 }
 
-/// Serialise a configuration + operation sequence into trace text.
-pub fn serialize(cfg: &MachineConfig, ops: &[TraceOp]) -> String {
-    serialize_faulty(cfg, None, ops)
+/// The first line of a trace file.
+const HEADER: &str = "# raccd-check trace v2";
+
+/// The `cfg` line naming `cfg`: `cfg` and the keys on which it differs
+/// from [`MachineConfig::scaled`].
+pub fn cfg_line(cfg: &MachineConfig) -> String {
+    let keys = cfg.render_keys(&MachineConfig::scaled());
+    std::iter::once("cfg".to_string())
+        .chain(keys)
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
-/// [`serialize`] plus an optional `fault` directive carrying the plan the
-/// trace was produced under.
-pub fn serialize_faulty(cfg: &MachineConfig, plan: Option<&FaultPlan>, ops: &[TraceOp]) -> String {
-    let mut s = String::from("# raccd-check trace v1\n");
-    s.push_str(&format!(
-        "cfg ncores={} mesh_k={} l1_bytes={} l1_ways={} llc={} llc_ways={} \
-         dir_ratio={} dir_ways={} wt={} adr={}\n",
-        cfg.ncores,
-        cfg.mesh_k,
-        cfg.l1_bytes,
-        cfg.l1_ways,
-        cfg.llc_entries_per_bank,
-        cfg.llc_ways,
-        cfg.dir_ratio,
-        cfg.dir_ways,
-        cfg.l1_write_through as u8,
-        cfg.adr as u8,
-    ));
+/// Serialise a configuration, the fault plan the trace was produced
+/// under (a `fault` directive) and an operation sequence into trace text.
+pub fn serialize(cfg: &MachineConfig, plan: Option<&FaultPlan>, ops: &[TraceOp]) -> String {
+    let mut s = format!("{HEADER}\n{}\n", cfg_line(cfg));
     if let Some(p) = plan {
         s.push_str(&format!("fault spec={}\n", p.to_spec()));
     }
@@ -129,22 +125,24 @@ fn num(tokens: &[&str], key: &str) -> Result<u64, String> {
     parsed.map_err(|e| format!("bad value for `{key}`: {e}"))
 }
 
-/// Parse trace text back into a configuration and operation sequence,
-/// discarding any `fault` directive (see [`parse_faulty`]).
-pub fn parse(text: &str) -> Result<(MachineConfig, Vec<TraceOp>), String> {
-    parse_faulty(text).map(|(cfg, _, ops)| (cfg, ops))
-}
-
 /// Parse trace text back into a configuration, an optional fault plan and
-/// an operation sequence.
-pub fn parse_faulty(
-    text: &str,
-) -> Result<(MachineConfig, Option<FaultPlan>, Vec<TraceOp>), String> {
-    let mut cfg = MachineConfig::scaled();
-    let mut saw_cfg = false;
+/// an operation sequence. Anything [`replay`] could not run is refused:
+/// a file that is not v2, a `cfg` line with an unknown key, a bad value
+/// or a machine [`MachineConfig::check`] refuses, and an op before the
+/// `cfg` line or naming a core the machine does not have.
+pub fn parse(text: &str) -> Result<(MachineConfig, Option<FaultPlan>, Vec<TraceOp>), String> {
+    let mut lines = text.lines();
+    match lines.next().map(str::trim) {
+        Some(HEADER) => {}
+        Some(h) if h.starts_with("# raccd-check trace ") => {
+            return Err(format!("`{h}`: this build reads trace format v2 only"));
+        }
+        _ => return Err(format!("trace does not start with `{HEADER}`")),
+    }
+    let mut cfg = None;
     let mut plan = None;
     let mut ops = Vec::new();
-    for line in text.lines() {
+    for line in lines {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -152,35 +150,36 @@ pub fn parse_faulty(
         let tokens: Vec<&str> = line.split_whitespace().collect();
         match tokens[0] {
             "cfg" => {
-                cfg.ncores = num(&tokens, "ncores")? as usize;
-                cfg.mesh_k = num(&tokens, "mesh_k")? as usize;
-                cfg.l1_bytes = num(&tokens, "l1_bytes")?;
-                cfg.l1_ways = num(&tokens, "l1_ways")? as usize;
-                cfg.llc_entries_per_bank = num(&tokens, "llc")? as usize;
-                cfg.llc_ways = num(&tokens, "llc_ways")? as usize;
-                cfg.dir_ratio = num(&tokens, "dir_ratio")? as usize;
-                cfg.dir_ways = num(&tokens, "dir_ways")? as usize;
-                cfg.l1_write_through = num(&tokens, "wt")? != 0;
-                cfg.adr = num(&tokens, "adr")? != 0;
-                saw_cfg = true;
+                let mut c = MachineConfig::scaled();
+                for item in &tokens[1..] {
+                    let (k, v) = item.split_once('=').unwrap_or((item, ""));
+                    let key = KEYS.iter().find(|key| key.name == k);
+                    key.ok_or_else(|| format!("unknown cfg key `{k}`"))?
+                        .set(&mut c, v)?;
+                }
+                c.check()?;
+                cfg = Some(c);
             }
             "fault" => {
                 let spec = FaultPlan::from_spec(field(&tokens, "spec")?);
                 plan = Some(spec.map_err(|e| e.to_string())?);
             }
             "op" => {
+                let cores = cfg.as_ref().ok_or("op before the cfg line")?.ncores;
+                let core = num(&tokens, "core")? as usize;
+                if core >= cores {
+                    return Err(format!("`{line}`: the machine has {cores} cores"));
+                }
                 let op = match tokens.get(1).copied() {
                     Some("access") => TraceOp::Access {
-                        core: num(&tokens, "core")? as usize,
+                        core,
                         block: num(&tokens, "block")?,
                         write: num(&tokens, "write")? != 0,
                         nc: num(&tokens, "nc")? != 0,
                     },
-                    Some("flushnc") => TraceOp::FlushNc {
-                        core: num(&tokens, "core")? as usize,
-                    },
+                    Some("flushnc") => TraceOp::FlushNc { core },
                     Some("flushpage") => TraceOp::FlushPage {
-                        core: num(&tokens, "core")? as usize,
+                        core,
                         page: num(&tokens, "page")?,
                     },
                     other => return Err(format!("unknown op {other:?}")),
@@ -190,28 +189,16 @@ pub fn parse_faulty(
             other => return Err(format!("unknown directive `{other}`")),
         }
     }
-    if !saw_cfg {
-        return Err("trace has no cfg line".into());
-    }
-    Ok((cfg, plan, ops))
+    Ok((cfg.ok_or("trace has no cfg line")?, plan, ops))
 }
 
-/// Replay a trace on a fresh machine with a collecting shadow checker,
-/// returning every invariant violation it produces (empty = clean).
-pub fn replay(cfg: MachineConfig, ops: &[TraceOp]) -> Vec<Violation> {
-    replay_faulty(cfg, None, ops).into_violations()
-}
-
-/// Replay a trace with an optional fault plane attached, returning the
-/// harness itself so callers can inspect the reached state (fingerprint,
-/// stall flag, violations). Same plan + same ops ⇒ same end state.
-pub fn replay_faulty(
-    cfg: MachineConfig,
-    plan: Option<FaultPlan>,
-    ops: &[TraceOp],
-) -> CheckedMachine {
+/// Replay a trace on a fresh machine with a collecting shadow checker and
+/// the fault plane of `plan`, if any, returning the harness so callers
+/// can inspect the reached state (violations, fingerprint, stall flag).
+/// Same plan + same ops ⇒ same end state.
+pub fn replay(cfg: MachineConfig, plan: Option<&FaultPlan>, ops: &[TraceOp]) -> CheckedMachine {
     let mut m = match plan {
-        Some(p) => CheckedMachine::with_faults(cfg, p),
+        Some(&p) => CheckedMachine::with_faults(cfg, p),
         None => CheckedMachine::new(cfg),
     };
     for &op in ops {
@@ -225,7 +212,8 @@ pub fn replay_faulty(
 /// The result still violates at least one invariant (assuming `ops` did).
 pub fn minimize(cfg: MachineConfig, ops: &[TraceOp]) -> Vec<TraceOp> {
     let mut cur: Vec<TraceOp> = ops.to_vec();
-    if replay(cfg, &cur).is_empty() {
+    let fails = |ops: &[TraceOp]| !replay(cfg, None, ops).into_violations().is_empty();
+    if !fails(&cur) {
         return cur;
     }
     let mut shrunk = true;
@@ -235,7 +223,7 @@ pub fn minimize(cfg: MachineConfig, ops: &[TraceOp]) -> Vec<TraceOp> {
         while i < cur.len() {
             let mut cand = cur.clone();
             cand.remove(i);
-            if !replay(cfg, &cand).is_empty() {
+            if fails(&cand) {
                 cur = cand;
                 shrunk = true;
             } else {
@@ -256,21 +244,10 @@ pub(crate) fn dump_dir() -> PathBuf {
 }
 
 /// Write a failing trace to the dump directory and return its path. The
-/// file is a valid input to [`parse`] + [`replay`]; the violations are
-/// appended as comments for human readers.
+/// file is a valid input to [`parse`] + [`replay`], carrying `plan` as a
+/// `fault` directive so a stuck state reproduces exactly; the violations
+/// are appended as comments for human readers.
 pub fn write_counterexample(
-    cfg: &MachineConfig,
-    ops: &[TraceOp],
-    tag: &str,
-    violations: &[Violation],
-) -> std::io::Result<PathBuf> {
-    write_counterexample_faulty(cfg, None, ops, tag, violations)
-}
-
-/// [`write_counterexample`] for fault-plane runs: the dump carries the
-/// plan as a `fault` directive so [`parse_faulty`] + [`replay_faulty`]
-/// reproduce the stuck state exactly.
-pub fn write_counterexample_faulty(
     cfg: &MachineConfig,
     plan: Option<&FaultPlan>,
     ops: &[TraceOp],
@@ -279,7 +256,7 @@ pub fn write_counterexample_faulty(
 ) -> std::io::Result<PathBuf> {
     let dir = dump_dir();
     std::fs::create_dir_all(&dir)?;
-    let mut text = serialize_faulty(cfg, plan, ops);
+    let mut text = serialize(cfg, plan, ops);
     for v in violations {
         text.push_str(&format!("# violation: {v}\n"));
     }
@@ -292,15 +269,21 @@ pub fn write_counterexample_faulty(
 mod tests {
     use super::*;
 
+    fn tiny() -> MachineConfig {
+        let mut cfg = MachineConfig {
+            mesh_k: 2,
+            llc_entries_per_bank: 32,
+            dir_ways: 1,
+            l1_write_through: true,
+            ..MachineConfig::scaled().with_dir_ratio(8)
+        };
+        cfg.ncores = 4;
+        cfg
+    }
+
     #[test]
     fn round_trip_preserves_cfg_and_ops() {
-        let mut cfg = MachineConfig::scaled()
-            .with_dir_ratio(8)
-            .with_write_through(true);
-        cfg.ncores = 4;
-        cfg.mesh_k = 2;
-        cfg.llc_entries_per_bank = 32;
-        cfg.dir_ways = 1;
+        let cfg = tiny();
         let ops = vec![
             TraceOp::Access {
                 core: 1,
@@ -311,35 +294,96 @@ mod tests {
             TraceOp::FlushNc { core: 0 },
             TraceOp::FlushPage { core: 3, page: 0x1 },
         ];
-        let text = serialize(&cfg, &ops);
-        let (cfg2, ops2) = parse(&text).expect("parse");
+        let text = serialize(&cfg, None, &ops);
+        assert!(
+            text.starts_with(
+                "# raccd-check trace v2\ncfg ratio=8 wt=1 mesh_k=2 llc=32 dir_ways=1\n"
+            ),
+            "{text}"
+        );
+        let (cfg2, plan, ops2) = parse(&text).expect("parse");
         assert_eq!(ops, ops2);
-        assert_eq!(cfg2.ncores, 4);
-        assert_eq!(cfg2.mesh_k, 2);
-        assert_eq!(cfg2.llc_entries_per_bank, 32);
-        assert_eq!(cfg2.dir_ratio, 8);
-        assert_eq!(cfg2.dir_ways, 1);
-        assert!(cfg2.l1_write_through);
-        assert!(!cfg2.adr);
+        assert_eq!(plan, None);
+        assert_eq!(format!("{cfg2:?}"), format!("{cfg:?}"));
     }
 
+    /// `parse` refuses each row with an error, never a panic. The third
+    /// column marks the rows whose machine or op, spelled in trace v1,
+    /// panicked the v1 reader's `parse` + `replay`.
     #[test]
-    fn parse_rejects_garbage() {
-        assert!(parse("nonsense line").is_err());
-        assert!(parse("op access core=0").is_err());
-        assert!(parse("").is_err(), "missing cfg line");
-        assert!(parse(
-            "cfg ncores=4 mesh_k=2 l1_bytes=512 l1_ways=2 llc=32 llc_ways=8 \
-                       dir_ratio=32 dir_ways=1 wt=0 adr=0\nfault spec=drop=2.0"
-        )
-        .is_err());
+    fn parse_refuses_what_replay_cannot_run() {
+        let v2 = |body: &str| format!("# raccd-check trace v2\n{body}\n");
+        let op = "op access core=0 block=0x40 write=1 nc=0";
+        let on = |cfg: &str| v2(&format!("cfg {cfg}\n{op}"));
+        let v1_cfg = "cfg ncores=4 mesh_k=2 l1_bytes=512 l1_ways=2 llc=32 llc_ways=8 \
+                      dir_ratio=32 dir_ways=1 wt=0 adr=0";
+        let four = |op: &str| v2(&format!("cfg mesh_k=2\n{op}"));
+        for (text, want, panicked_in_v1) in [
+            (String::new(), "does not start with", false),
+            (format!("{v1_cfg}\n{op}\n"), "does not start with", false),
+            (
+                format!("# raccd-check trace v1\n{v1_cfg}\n{op}\n"),
+                "`# raccd-check trace v1`: this build reads trace format v2 only",
+                false,
+            ),
+            (v2(op), "op before the cfg line", false),
+            (v2("fault spec=drop=0.1"), "no cfg line", false),
+            (on("mesh_k=3"), "9 cores on 1 socket(s) of 3x3 tiles", true),
+            (on("mesh_k=0"), "bad mesh_k `0`", true),
+            (
+                v2("cfg topology=numa2 mesh_k=8\nop access core=100 block=0x40 write=0 nc=0"),
+                "128 cores",
+                true,
+            ),
+            (on("ratio=0"), "bad ratio `0`", true),
+            (
+                on("ratio=3"),
+                "1:3 directory: directory geometry 682 entries / 8 ways",
+                true,
+            ),
+            (
+                on("ratio=85 adr=1"),
+                "1:85 directory halved by ADR: directory geometry 12 entries / 8 ways",
+                true,
+            ),
+            (on("llc=12"), "LLC bank of 12 / 8 is not whole sets", true),
+            (on("l1_bytes=320"), "L1 of 5 lines / 2 ways", true),
+            (on("dir_ways=3"), "bad dir_ways `3`", true),
+            (on("dir_ways=0"), "bad dir_ways `0`", true),
+            (on("wt=2"), "bad wt `2`", false),
+            (
+                on("protocol=mosi"),
+                "bad protocol `mosi` (mesi|mesif|moesi)",
+                false,
+            ),
+            (on("l1_ways=4"), "unknown cfg key `l1_ways`", false),
+            (
+                four("op access core=4 block=0x40 write=1 nc=0"),
+                "has 4 cores",
+                true,
+            ),
+            (four("op flushnc core=99"), "`op flushnc core=99`", true),
+            (four("op flushpage core=7 page=0x1"), "has 4 cores", true),
+            (four("op access core=0"), "missing field `block`", false),
+            (four("op evict core=0"), "unknown op", false),
+            (four("fault spec=drop=2.0"), "drop", false),
+            (four("nonsense line"), "unknown directive `nonsense`", false),
+        ] {
+            let err = parse(&text).expect_err(&text);
+            assert!(
+                err.contains(want),
+                "{text:?} (panicked in v1: {panicked_in_v1}): {err}"
+            );
+        }
     }
 
     #[test]
     fn fault_directive_round_trips() {
-        let mut cfg = MachineConfig::scaled();
-        cfg.ncores = 2;
-        cfg.mesh_k = 2;
+        let cfg = MachineConfig {
+            mesh_k: 2,
+            ..MachineConfig::scaled()
+        }
+        .with_topology(raccd_sim::Topology::Mesh);
         let plan = FaultPlan::from_spec("seed=7;drop=1;retry_budget=2").unwrap();
         let ops = vec![TraceOp::Access {
             core: 0,
@@ -347,14 +391,11 @@ mod tests {
             write: true,
             nc: false,
         }];
-        let text = serialize_faulty(&cfg, Some(&plan), &ops);
+        let text = serialize(&cfg, Some(&plan), &ops);
         assert!(text.contains("fault spec=seed=7;drop=1;retry_budget=2"));
-        let (cfg2, plan2, ops2) = parse_faulty(&text).expect("parse");
+        let (cfg2, plan2, ops2) = parse(&text).expect("parse");
         assert_eq!(plan2, Some(plan));
         assert_eq!(ops2, ops);
-        assert_eq!(cfg2.ncores, 2);
-        // The plain parser still accepts the same text, dropping the plan.
-        let (_, ops3) = parse(&text).expect("parse");
-        assert_eq!(ops3, ops);
+        assert_eq!(cfg2.ncores, 4);
     }
 }

@@ -8,8 +8,8 @@
 //!   a fault that is baked into every checkpoint (so replay cannot dodge
 //!   it) exhausts the rollback budget and surfaces the detection.
 
-use raccd_check::{bisect_divergence, BisectSide, GraphParams, RandomGraph};
-use raccd_core::{run_resilient, CoherenceMode, DetectReason, RollbackPolicy};
+use raccd_check::{bisect_divergence, parse, BisectSide, GraphParams, RandomGraph};
+use raccd_core::{run_resilient, CoherenceMode, DetectReason, Driver, RollbackPolicy};
 use raccd_runtime::Program;
 use raccd_sim::{FaultPlan, MachineConfig};
 
@@ -43,9 +43,10 @@ fn different_fault_seeds_diverge_and_dump() {
         dir_loss: 1e-3,
         ..FaultPlan::default()
     };
+    let cfg = MachineConfig::scaled().with_dir_ratio(4);
     let side = |label, seed| BisectSide {
         label,
-        cfg: MachineConfig::scaled(),
+        cfg,
         mode: CoherenceMode::Raccd,
         plan: Some(plan(seed)),
         make: &make,
@@ -57,14 +58,24 @@ fn different_fault_seeds_diverge_and_dump() {
     let report = div.dump.expect("counterexample dumped");
     let text = std::fs::read_to_string(&report).expect("report readable");
     assert!(text.contains("first divergent probe"));
-    // Both last-agreeing checkpoints sit next to the report, decodable.
+    // Both last-agreeing checkpoints sit next to the report, decodable,
+    // and restore on the machine its `cfg` line names.
+    let mut machines = text.lines().filter(|l| l.starts_with("cfg"));
     for side in ["a", "b"] {
         let snap = report.with_file_name(format!(
             "{}_{side}.rsnp",
             report.file_stem().unwrap().to_str().unwrap()
         ));
         let bytes = std::fs::read(&snap).expect("checkpoint dumped");
-        raccd_snap::Snapshot::from_bytes(&bytes).expect("checkpoint decodes");
+        let snap = raccd_snap::Snapshot::from_bytes(&bytes).expect("checkpoint decodes");
+        let line = machines.next().expect("a cfg line per checkpoint");
+        assert_eq!(line, "cfg ratio=4");
+        let (named, _, _) = parse(&format!("# raccd-check trace v2\n{line}\n")).expect("parses");
+        let named = MachineConfig {
+            shadow_check: true,
+            ..named
+        };
+        Driver::restore(named, CoherenceMode::Raccd, make(), &snap).expect("restores");
     }
 }
 

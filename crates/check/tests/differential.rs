@@ -54,7 +54,10 @@ fn stressed_graphs_stay_differentially_clean() {
 /// must not change a single architectural value.
 #[test]
 fn write_through_differential_clean() {
-    let cfg = quad_core().with_write_through(true);
+    let cfg = MachineConfig {
+        l1_write_through: true,
+        ..quad_core()
+    };
     for seed in 100..110 {
         let out = run_differential(cfg, GraphParams::small(seed));
         assert!(out.is_clean(), "{}", out.describe());
@@ -65,7 +68,10 @@ fn write_through_differential_clean() {
 /// §III-D) must also preserve the differential.
 #[test]
 fn adr_differential_clean() {
-    let cfg = quad_core().with_dir_ratio(8).with_adr(true);
+    let cfg = MachineConfig {
+        adr: true,
+        ..quad_core().with_dir_ratio(8)
+    };
     for seed in 200..210 {
         let out = run_differential(cfg, GraphParams::small(seed));
         assert!(out.is_clean(), "{}", out.describe());

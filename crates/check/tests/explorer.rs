@@ -10,10 +10,8 @@ use raccd_check::{explore, ExploreConfig};
 use raccd_sim::MachineConfig;
 
 fn tiny(dir_ratio: usize, dir_ways: usize, wt: bool, adr: bool) -> MachineConfig {
-    let mut cfg = MachineConfig::scaled()
-        .with_dir_ratio(dir_ratio)
-        .with_write_through(wt)
-        .with_adr(adr);
+    let mut cfg = MachineConfig::scaled().with_dir_ratio(dir_ratio);
+    (cfg.l1_write_through, cfg.adr) = (wt, adr);
     cfg.ncores = 4;
     cfg.mesh_k = 2;
     cfg.llc_entries_per_bank = 32;

@@ -14,9 +14,8 @@ use raccd_check::{explore, ExploreConfig};
 use raccd_sim::{MachineConfig, ProtocolKind, Topology};
 
 fn tiny(protocol: ProtocolKind) -> MachineConfig {
-    let mut cfg = MachineConfig::scaled()
-        .with_dir_ratio(32)
-        .with_protocol(protocol);
+    let mut cfg = MachineConfig::scaled().with_dir_ratio(32);
+    cfg.protocol = protocol;
     cfg.ncores = 4;
     cfg.mesh_k = 2;
     cfg.llc_entries_per_bank = 32;

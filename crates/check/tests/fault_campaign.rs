@@ -10,8 +10,8 @@
 //! Silent corruption — a completed run whose memory, read checksums or
 //! checker report differ from the twin — fails the campaign.
 
-use raccd_check::{run_campaign, standard_plans, Expectation, GraphParams, Verdict};
-use raccd_sim::MachineConfig;
+use raccd_check::{parse, run_campaign, standard_plans, Expectation, GraphParams, Verdict};
+use raccd_sim::{MachineConfig, ProtocolKind};
 
 fn small_cfg() -> MachineConfig {
     let mut cfg = MachineConfig::scaled();
@@ -54,6 +54,33 @@ fn campaign_yields_zero_silent_corruptions() {
         recovered >= (plans.len() - detect_plans) * seeds.len() / 2,
         "most recoverable plans should actually recover ({recovered} recovered)"
     );
+}
+
+/// A detection dump names the machine it ran on in a trace `cfg` line
+/// that reads back to that machine.
+#[test]
+fn a_detection_dump_names_its_machine() {
+    let pid = std::process::id();
+    let dir = std::env::temp_dir().join(format!("raccd-detection-dump-{pid}"));
+    std::env::set_var("RACCD_CHECK_DUMP_DIR", &dir);
+    let cfg = MachineConfig {
+        protocol: ProtocolKind::Moesi,
+        ..small_cfg()
+    };
+    let mut plans = standard_plans();
+    plans.retain(|p| p.name == "drop-storm");
+    let rep = run_campaign(cfg, GraphParams::small(0), &[1], &plans);
+    assert_eq!(rep.counts().1, 1, "drop-storm is detected");
+    let dump = dir.join(format!("campaign-drop-storm-seed1-{pid}.txt"));
+    let dump = std::fs::read_to_string(dump).expect("detection dumped");
+    let line = dump
+        .lines()
+        .find(|l| l.starts_with("cfg"))
+        .expect("a cfg line");
+    assert_eq!(line, "cfg protocol=moesi mesh_k=2");
+    let (back, _, _) = parse(&format!("# raccd-check trace v2\n{line}\n")).expect("parses");
+    assert_eq!(format!("{back:?}"), format!("{cfg:?}"));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -13,7 +13,10 @@ use raccd_sim::MachineConfig;
 use raccd_workloads::{cholesky::Cholesky, histo::Histo, jacobi::Jacobi, Scale};
 
 fn shadow_cfg() -> MachineConfig {
-    MachineConfig::scaled().with_shadow_check(true)
+    MachineConfig {
+        shadow_check: true,
+        ..MachineConfig::scaled()
+    }
 }
 
 fn run_checked(w: &dyn Workload, cfg: MachineConfig, mode: CoherenceMode) {
@@ -65,7 +68,10 @@ fn cholesky_shadow_clean() {
 #[test]
 fn histo_reduced_directory_adr_shadow_clean() {
     let w = Histo::new(Scale::Test);
-    let cfg = shadow_cfg().with_dir_ratio(16).with_adr(true);
+    let cfg = MachineConfig {
+        adr: true,
+        ..shadow_cfg().with_dir_ratio(16)
+    };
     run_checked(&w, cfg, CoherenceMode::Raccd);
 }
 

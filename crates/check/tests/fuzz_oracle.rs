@@ -15,9 +15,8 @@ use raccd_mem::{BLOCK_SHIFT, PAGE_SHIFT};
 use raccd_sim::MachineConfig;
 
 fn tiny(dir_ratio: usize, wt: bool) -> MachineConfig {
-    let mut cfg = MachineConfig::scaled()
-        .with_dir_ratio(dir_ratio)
-        .with_write_through(wt);
+    let mut cfg = MachineConfig::scaled().with_dir_ratio(dir_ratio);
+    cfg.l1_write_through = wt;
     cfg.ncores = 4;
     cfg.mesh_k = 2;
     cfg.llc_entries_per_bank = 32; // small enough to force LLC replacement
@@ -76,12 +75,12 @@ fn run_and_report(cfg: MachineConfig, ops: &[TraceOp]) {
     let violations = m.into_violations();
     if !violations.is_empty() {
         let minimal = minimize(cfg, ops);
-        let remaining = replay(cfg, &minimal);
-        let path = write_counterexample(&cfg, &minimal, "fuzz", &remaining).ok();
+        let remaining = replay(cfg, None, &minimal).into_violations();
+        let path = write_counterexample(&cfg, None, &minimal, "fuzz", &remaining).ok();
         panic!(
             "oracle violations {violations:?}\nminimised to {} ops (dump: {path:?}):\n{}",
             minimal.len(),
-            serialize(&cfg, &minimal)
+            serialize(&cfg, None, &minimal)
         );
     }
 }
@@ -110,6 +109,7 @@ proptest! {
     /// With ADR resizing the directory mid-traffic.
     #[test]
     fn random_traffic_adr_oracle_clean(ops in scenario()) {
-        run_and_report(tiny(8, false).with_adr(true), &ops);
+        let cfg = MachineConfig { adr: true, ..tiny(8, false) };
+        run_and_report(cfg, &ops);
     }
 }

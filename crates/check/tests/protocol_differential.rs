@@ -16,10 +16,13 @@ use raccd_workloads::{histo::Histo, jacobi::Jacobi, Scale};
 /// Tiny shadow-checked machine: 2×2 mesh per socket, so `numa2` runs
 /// eight cores split across the inter-socket link.
 fn tiny(protocol: ProtocolKind, topology: Topology) -> MachineConfig {
-    let mut cfg = MachineConfig::scaled().with_shadow_check(true);
-    cfg.ncores = 4;
-    cfg.mesh_k = 2;
-    cfg.with_protocol(protocol).with_topology(topology)
+    let cfg = MachineConfig {
+        shadow_check: true,
+        mesh_k: 2,
+        protocol,
+        ..MachineConfig::scaled()
+    };
+    cfg.with_topology(topology)
 }
 
 fn workloads() -> Vec<Box<dyn Workload>> {

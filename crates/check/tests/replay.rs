@@ -1,7 +1,7 @@
 //! Counterexample trace round-trips, replay determinism and minimisation.
 
 use raccd_check::{minimize, parse, replay, serialize, CheckedMachine, TraceOp};
-use raccd_sim::MachineConfig;
+use raccd_sim::{MachineConfig, ProtocolKind, Topology};
 
 fn tiny() -> MachineConfig {
     let mut cfg = MachineConfig::scaled().with_dir_ratio(32);
@@ -57,8 +57,8 @@ fn serialized_trace_replays_to_identical_state() {
     let want_key = direct.state_key();
     assert!(direct.drain_violations().is_empty());
 
-    let text = serialize(&cfg, &ops);
-    let (cfg2, ops2) = parse(&text).expect("own output must parse");
+    let text = serialize(&cfg, None, &ops);
+    let (cfg2, _, ops2) = parse(&text).expect("own output must parse");
     assert_eq!(ops, ops2);
     let mut replayed = CheckedMachine::new(cfg2);
     for &op in &ops2 {
@@ -67,14 +67,54 @@ fn serialized_trace_replays_to_identical_state() {
     assert_eq!(replayed.state_key(), want_key, "replay diverged");
 }
 
+/// A trace keeps the protocol and the topology it ran on: a MOESI run on
+/// two sockets (eight cores, a dirty line owned across the link) replays
+/// to the state it reached, where a trace without them replayed MESI on
+/// one socket or could not build the machine at all.
+#[test]
+fn moesi_on_numa2_replays_to_its_own_state() {
+    let cfg = MachineConfig {
+        protocol: ProtocolKind::Moesi,
+        ..tiny()
+    }
+    .with_topology(Topology::Numa2);
+    let access = |core, block, write| TraceOp::Access {
+        core,
+        block,
+        write,
+        nc: false,
+    };
+    let ops = [
+        access(0, 0x40, true),
+        access(5, 0x40, false),
+        access(7, 0x48, true),
+        access(2, 0x48, false),
+        access(6, 0x40, false),
+    ];
+    let mut direct = CheckedMachine::new(cfg);
+    for &op in &ops {
+        direct.apply(op);
+    }
+    let text = serialize(&cfg, None, &ops);
+    assert!(
+        text.contains("\ncfg ratio=32 protocol=moesi topology=numa2 mesh_k=2 llc=32 dir_ways=1\n"),
+        "{text}"
+    );
+    let (cfg2, plan, ops2) = parse(&text).expect("own output must parse");
+    assert_eq!(format!("{cfg2:?}"), format!("{cfg:?}"));
+    let mut replayed = replay(cfg2, plan.as_ref(), &ops2);
+    assert_eq!(replayed.state_key(), direct.state_key());
+    assert!(replayed.drain_violations().is_empty());
+}
+
 /// `replay` on a clean trace returns no violations, twice in a row
 /// (replays must not perturb global state).
 #[test]
 fn replay_is_deterministic_and_clean() {
     let cfg = tiny();
     let ops = sample_ops();
-    assert!(replay(cfg, &ops).is_empty());
-    assert!(replay(cfg, &ops).is_empty());
+    assert!(replay(cfg, None, &ops).into_violations().is_empty());
+    assert!(replay(cfg, None, &ops).into_violations().is_empty());
 }
 
 /// Minimising a clean trace is the identity (nothing to shrink toward).
@@ -94,11 +134,11 @@ fn dumped_counterexample_round_trips_through_disk() {
     std::env::set_var("RACCD_CHECK_DUMP_DIR", &dir);
     let cfg = tiny();
     let ops = sample_ops();
-    let path =
-        raccd_check::write_counterexample(&cfg, &ops, "roundtrip", &[]).expect("dump must succeed");
+    let path = raccd_check::write_counterexample(&cfg, None, &ops, "roundtrip", &[])
+        .expect("dump must succeed");
     let text = std::fs::read_to_string(&path).expect("dump file exists");
-    let (cfg2, ops2) = parse(&text).expect("dump must parse");
+    let (cfg2, _, ops2) = parse(&text).expect("dump must parse");
     assert_eq!(ops, ops2);
-    assert!(replay(cfg2, &ops2).is_empty());
+    assert!(replay(cfg2, None, &ops2).into_violations().is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -23,11 +23,14 @@ const TINY_QUANTUM: u64 = 200;
 
 /// Tiny shadow-checked machine: 2×2 mesh, four single-thread contexts.
 fn tiny(sched: SchedKind) -> MachineConfig {
-    let mut cfg = MachineConfig::scaled().with_shadow_check(true);
-    cfg.ncores = 4;
-    cfg.mesh_k = 2;
-    cfg.sched_quantum = TINY_QUANTUM;
-    cfg.with_sched(sched)
+    MachineConfig {
+        shadow_check: true,
+        ncores: 4,
+        mesh_k: 2,
+        sched_quantum: TINY_QUANTUM,
+        sched,
+        ..MachineConfig::scaled()
+    }
 }
 
 fn workloads() -> Vec<Box<dyn Workload>> {

@@ -15,7 +15,10 @@ use raccd_sim::{FaultPlan, MachineConfig, SchedKind};
 
 fn roundtrip(seed: u64, k: u64, plan: Option<FaultPlan>) -> (Vec<u8>, Vec<u8>) {
     let make = || RandomGraph::new(GraphParams::small(seed)).build();
-    let cfg = MachineConfig::scaled().with_shadow_check(true);
+    let cfg = MachineConfig {
+        shadow_check: true,
+        ..MachineConfig::scaled()
+    };
     let mut d = Driver::new(cfg, CoherenceMode::Raccd, make(), plan, None);
     d.run_until(k, None);
     let s1 = d.snapshot();
@@ -54,11 +57,12 @@ proptest! {
 /// `driver/sched`, `driver/parked` and `driver/quantum_start` sections all
 /// carry live (non-default) state at the pause point.
 fn sched_cfg(sched: SchedKind) -> MachineConfig {
-    let mut cfg = MachineConfig::scaled()
-        .with_shadow_check(true)
-        .with_sched(sched);
-    cfg.sched_quantum = 300;
-    cfg
+    MachineConfig {
+        shadow_check: true,
+        sched,
+        sched_quantum: 300,
+        ..MachineConfig::scaled()
+    }
 }
 
 /// Per-policy variant of the byte-identity property: every scheduler's

@@ -9,8 +9,8 @@
 //! cycle time past the no-progress threshold before any task can retire.
 
 use raccd_check::{
-    parse_faulty, replay_faulty, serialize_faulty, write_counterexample_faulty, CheckedMachine,
-    GraphParams, RandomGraph, TraceOp,
+    parse, replay, serialize, write_counterexample, CheckedMachine, GraphParams, RandomGraph,
+    TraceOp,
 };
 use raccd_core::{run, CoherenceMode, DetectReason, RunOptions};
 use raccd_sim::{FaultPlan, MachineConfig};
@@ -98,10 +98,10 @@ fn dumped_deadlock_trace_replays_to_same_stuck_state() {
     // Dump with the fault directive, parse the dump back, replay: the
     // replay must reach the same stuck state (same fingerprint, same
     // fatal latch, still invariant-clean).
-    let text = serialize_faulty(&cfg, Some(&plan), &deadlock_ops());
-    let (cfg2, plan2, ops2) = parse_faulty(&text).expect("own dump must parse");
+    let text = serialize(&cfg, Some(&plan), &deadlock_ops());
+    let (cfg2, plan2, ops2) = parse(&text).expect("own dump must parse");
     assert_eq!(plan2, Some(plan), "fault directive survives the round trip");
-    let mut replayed = replay_faulty(cfg2, plan2, &ops2);
+    let mut replayed = replay(cfg2, plan2.as_ref(), &ops2);
     assert!(replayed.stalled());
     assert_eq!(replayed.state_key(), key);
     assert!(replayed.drain_violations().is_empty());
@@ -113,12 +113,12 @@ fn deadlock_counterexample_file_round_trips() {
     let plan = FaultPlan::from_spec("seed=7;drop=1;retry_budget=2").unwrap();
     let ops = deadlock_ops();
 
-    let path = write_counterexample_faulty(&cfg, Some(&plan), &ops, "deadlock", &[])
-        .expect("dump must succeed");
+    let path =
+        write_counterexample(&cfg, Some(&plan), &ops, "deadlock", &[]).expect("dump must succeed");
     let text = std::fs::read_to_string(&path).expect("dump must be readable");
-    let (cfg2, plan2, ops2) = parse_faulty(&text).expect("dump must parse");
+    let (cfg2, plan2, ops2) = parse(&text).expect("dump must parse");
     assert_eq!(ops2, ops);
-    let mut replayed = replay_faulty(cfg2, plan2, &ops2);
+    let mut replayed = replay(cfg2, plan2.as_ref(), &ops2);
     assert!(replayed.stalled());
     assert!(replayed.drain_violations().is_empty());
     std::fs::remove_file(path).ok();

@@ -77,7 +77,10 @@ fn run(
     plan: Option<FaultPlan>,
 ) -> (DriverOutput, u64, u64) {
     let mut d = Driver::new(
-        cfg.with_shadow_check(true),
+        MachineConfig {
+            shadow_check: true,
+            ..cfg
+        },
         mode,
         byte_stream_program(),
         plan,
@@ -94,9 +97,27 @@ fn machines() -> [(&'static str, MachineConfig); 4] {
     base.record_events = true;
     [
         ("mesi", base),
-        ("moesi", base.with_protocol(ProtocolKind::Moesi)),
-        ("write-through", base.with_write_through(true)),
-        ("smt2", base.with_smt(2)),
+        (
+            "moesi",
+            MachineConfig {
+                protocol: ProtocolKind::Moesi,
+                ..base
+            },
+        ),
+        (
+            "write-through",
+            MachineConfig {
+                l1_write_through: true,
+                ..base
+            },
+        ),
+        (
+            "smt2",
+            MachineConfig {
+                smt_ways: 2,
+                ..base
+            },
+        ),
     ]
 }
 

@@ -153,7 +153,7 @@ proptest! {
         let mut reference = build(&specs);
         reference.run_functional();
         let want = memory_image(&reference.mem);
-        let cfg = MachineConfig::scaled().with_smt(2);
+        let cfg = MachineConfig { smt_ways: 2, ..MachineConfig::scaled() };
         let out = simulate(cfg, CoherenceMode::Raccd, build(&specs));
         prop_assert_eq!(memory_image(&out.mem), want);
     }

@@ -60,12 +60,20 @@ impl DirectoryBank {
         Self::try_new(entries, ways, bank_bits).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`DirectoryBank::new`]: rejects a geometry whose entry
-    /// count is not a positive multiple of the associativity.
-    pub fn try_new(entries: usize, ways: usize, bank_bits: u32) -> Result<Self, ProtocolError> {
+    /// Whether a bank of `entries` at `ways` can exist: the entry count a
+    /// positive multiple of the associativity. [`DirectoryBank::try_new`]
+    /// and [`DirectoryBank::try_resize`] refuse exactly what this does.
+    pub fn geometry(entries: usize, ways: usize) -> Result<(), ProtocolError> {
         if ways == 0 || entries < ways || !entries.is_multiple_of(ways) {
             return Err(ProtocolError::BadGeometry { entries, ways });
         }
+        Ok(())
+    }
+
+    /// Fallible [`DirectoryBank::new`]: rejects what
+    /// [`DirectoryBank::geometry`] does.
+    pub fn try_new(entries: usize, ways: usize, bank_bits: u32) -> Result<Self, ProtocolError> {
+        Self::geometry(entries, ways)?;
         Ok(DirectoryBank {
             arr: SetAssoc::new(entries / ways, ways, bank_bits),
             ways,
@@ -160,19 +168,14 @@ impl DirectoryBank {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`DirectoryBank::resize`]: rejects a geometry whose entry
-    /// count is not a positive multiple of the associativity.
+    /// Fallible [`DirectoryBank::resize`]: rejects what
+    /// [`DirectoryBank::geometry`] does.
     pub fn try_resize(
         &mut self,
         new_entries: usize,
         now: u64,
     ) -> Result<Vec<DirEviction>, ProtocolError> {
-        if new_entries < self.ways || !new_entries.is_multiple_of(self.ways) {
-            return Err(ProtocolError::BadGeometry {
-                entries: new_entries,
-                ways: self.ways,
-            });
-        }
+        Self::geometry(new_entries, self.ways)?;
         self.tick(now);
         let evicted = self.arr.resize_sets(new_entries / self.ways);
         self.evictions += evicted.len() as u64;

@@ -13,8 +13,9 @@
 //!   simulations laptop-fast (DESIGN.md §2).
 
 use raccd_noc::Topology;
-use raccd_protocol::ProtocolKind;
+use raccd_protocol::{DirectoryBank, ProtocolKind};
 use raccd_sched::SchedKind;
+use std::fmt::Display;
 
 /// The seven directory-size configurations of the evaluation: `1:N` means
 /// the directory has `N×` fewer entries than the LLC (§V-A).
@@ -248,24 +249,6 @@ impl MachineConfig {
         self
     }
 
-    /// Enable/disable ADR.
-    pub fn with_adr(mut self, adr: bool) -> Self {
-        self.adr = adr;
-        self
-    }
-
-    /// Select write-through private caches.
-    pub fn with_write_through(mut self, wt: bool) -> Self {
-        self.l1_write_through = wt;
-        self
-    }
-
-    /// Select the coherence protocol variant.
-    pub fn with_protocol(mut self, protocol: ProtocolKind) -> Self {
-        self.protocol = protocol;
-        self
-    }
-
     /// Select the interconnect topology. `mesh_k` stays the *per-socket*
     /// dimension and `ncores` is re-derived as `sockets · mesh_k²`:
     /// `numa2` on the Table I machine means *two* 4×4-mesh sockets
@@ -274,12 +257,6 @@ impl MachineConfig {
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.topology = topology;
         self.ncores = topology.sockets() * self.mesh_k * self.mesh_k;
-        self
-    }
-
-    /// Select the task-scheduling policy.
-    pub fn with_sched(mut self, sched: SchedKind) -> Self {
-        self.sched = sched;
         self
     }
 
@@ -300,29 +277,57 @@ impl MachineConfig {
         0x1000 + ctx as u64 * 0x4000
     }
 
-    /// Select SMT ways per core.
-    pub fn with_smt(mut self, ways: usize) -> Self {
-        self.smt_ways = ways;
-        self
+    /// Refuse a machine no run could use, with the reason: more hardware
+    /// contexts than have stacks below the heap, an ADR shrink threshold
+    /// not below its grow threshold, a core count that is not one core
+    /// per tile, a power of two and within the directory's 64-bit sharer
+    /// vector, an L1 or LLC bank that is not a whole number of sets, or a
+    /// directory bank that [`DirectoryBank::geometry`] refuses at its
+    /// size or, under ADR, at any size halving it reaches.
+    pub fn check(&self) -> Result<(), String> {
+        let (n, max) = (self.ncontexts(), Self::MAX_CONTEXTS);
+        let (inc, dec) = (self.adr_theta_inc, self.adr_theta_dec);
+        let (cores, k, sockets) = (self.ncores, self.mesh_k, self.topology.sockets());
+        let whole = |lines: usize, ways| lines >= ways && lines.is_multiple_of(ways);
+        let l1 = (self.l1_bytes / raccd_mem::BLOCK_SIZE) as usize;
+        let llc = self.llc_entries_per_bank;
+        if n > max {
+            Err(format!(
+                "{n} hardware contexts (cores x SMT ways); {max} stacks fit below the heap"
+            ))
+        } else if dec >= inc {
+            Err(format!("theta_dec {dec} is not below theta_inc {inc}"))
+        } else if cores != sockets * k * k || !cores.is_power_of_two() || cores > 64 {
+            Err(format!(
+                "{cores} cores on {sockets} socket(s) of {k}x{k} tiles; a machine has one per \
+                 tile, a power of two up to 64"
+            ))
+        } else if !whole(l1, self.l1_ways) || !whole(llc, self.llc_ways) {
+            Err(format!(
+                "L1 of {l1} lines / {} ways or LLC bank of {llc} / {} is not whole sets",
+                self.l1_ways, self.llc_ways
+            ))
+        } else {
+            let (ways, mut entries, mut adr) = (self.dir_ways, self.dir_entries_per_bank(), "");
+            loop {
+                DirectoryBank::geometry(entries, ways)
+                    .map_err(|e| format!("1:{} directory{adr}: {e}", self.dir_ratio))?;
+                // `Adr::maybe_resize` halves while a half holds one set;
+                // doubling back up passes the same sizes.
+                if !self.adr || entries / 2 < ways {
+                    return Ok(());
+                }
+                (entries, adr) = (entries / 2, " halved by ADR");
+            }
+        }
     }
 
-    /// Enable/disable bank-contention modelling.
-    pub fn with_contention(mut self, on: bool) -> Self {
-        self.bank_contention = on;
-        self
-    }
-
-    /// Enable/disable the shadow coherence checker for machines built from
-    /// this configuration.
-    pub fn with_shadow_check(mut self, on: bool) -> Self {
-        self.shadow_check = on;
-        self
-    }
-
-    /// Enable/disable the collecting shadow checker (fault campaigns).
-    pub fn with_shadow_collect(mut self, on: bool) -> Self {
-        self.shadow_collect = on;
-        self
+    /// The [`KEYS`] on which `self` differs from `base`, as `key=value`
+    /// items in table order: the text [`Key::set`] reads back onto `base`.
+    pub fn render_keys(&self, base: &MachineConfig) -> Vec<String> {
+        let item =
+            |k: &Key| (k.get(self) != k.get(base)).then(|| format!("{}={}", k.name, k.get(self)));
+        KEYS.iter().filter_map(item).collect()
     }
 
     /// Render the configuration as the rows of Table I.
@@ -380,9 +385,195 @@ impl MachineConfig {
     }
 }
 
+/// One machine key of every text form (job lines, bench flags, trace
+/// `cfg` lines): the [`MachineConfig`] field it names, read and written
+/// as text.
+pub struct Key {
+    /// The key as a line spells it.
+    pub name: &'static str,
+    /// Append the field's value as a line writes it.
+    pub write: fn(&MachineConfig, &mut String),
+    /// Store a value; `None` when the key refuses it.
+    put: fn(&mut MachineConfig, &str) -> Option<()>,
+    /// The values an enumerated key takes; none for any other.
+    labels: fn() -> Vec<&'static str>,
+}
+
+impl Key {
+    /// The field's value as a line writes it.
+    pub fn get(&self, cfg: &MachineConfig) -> String {
+        let mut s = String::new();
+        (self.write)(cfg, &mut s);
+        s
+    }
+
+    /// Set the field from its text, keeping `ncores` at
+    /// `sockets · mesh_k²` as [`MachineConfig::with_topology`] does. A
+    /// value out of the key's bounds is refused with [`refused`]'s text.
+    pub fn set(&self, cfg: &mut MachineConfig, v: &str) -> Result<(), String> {
+        (self.put)(cfg, v).ok_or_else(|| refused(self.name, v, &(self.labels)()))?;
+        cfg.ncores = cfg.topology.sockets() * cfg.mesh_k * cfg.mesh_k;
+        Ok(())
+    }
+}
+
+/// The error text of value `v` refused by key `key`, naming the `labels`
+/// an enumerated key takes.
+pub fn refused(key: &str, v: &str, labels: &[impl Display]) -> String {
+    let labels: Vec<String> = labels.iter().map(ToString::to_string).collect();
+    match labels[..] {
+        [] => format!("bad {key} `{v}`"),
+        _ => format!("bad {key} `{v}` ({})", labels.join("|")),
+    }
+}
+
+/// One [`Key`] row: name and field path, then the field's type and the
+/// values it takes for a number, `in` its type for an enumerated value,
+/// nothing for a switch (`0`/`false` or `1`/`true`, written `0`/`1`).
+macro_rules! key {
+    ($name:literal, $($f:ident).+ : $ty:ty, $ok:expr) => {
+        Key { name: $name, labels: Vec::new,
+              write: |c, s| { let _ = std::fmt::Write::write_fmt(s, format_args!("{}", c.$($f).+)); },
+              put: |c, v| Some(c.$($f).+ = v.parse::<$ty>().ok().filter($ok)?) }
+    };
+    ($name:literal, $f:ident in $ty:ident) => {
+        Key { name: $name, labels: || $ty::ALL.map($ty::label).to_vec(),
+              write: |c, s| s.push_str(c.$f.label()),
+              put: |c, v| Some(c.$f = $ty::parse(v)?) }
+    };
+    ($name:literal, $f:ident) => {
+        Key { name: $name, labels: Vec::new,
+              write: |c, s| s.push(if c.$f { '1' } else { '0' }),
+              put: |c, v| Some(c.$f = matches!(v, "0" | "1" | "false" | "true")
+                  .then(|| v == "1" || v == "true")?) }
+    };
+}
+
+/// Every machine key, in the order a line writes them: the
+/// [`JOB_KEYS`] a job line and a bench flag set, then the geometry a
+/// counterexample producer varies. The bounds keep an outside line from
+/// building a machine that cannot run: a table the host cannot allocate,
+/// a latency that overflows the clock, a trace that never ends;
+/// [`MachineConfig::check`] refuses what only a combination makes so.
+pub const KEYS: [Key; 19] = [
+    // `1:0` would divide the directory by zero.
+    key!("ratio", dir_ratio: usize, |&n| n > 0),
+    key!("adr", adr),
+    key!("protocol", protocol in ProtocolKind),
+    key!("topology", topology in Topology),
+    key!("sched", sched in SchedKind),
+    key!("smt", smt_ways: usize, |&n| n > 0),
+    key!("smt_flush", smt_selective_flush),
+    key!("wt", l1_write_through),
+    key!("contention", bank_contention),
+    key!("permuted", permuted_pages),
+    key!("ncrt", ncrt_entries: usize, |n| (1..=1024).contains(n)),
+    key!("ncrt_lat", lat.ncrt: u64, |&n| n <= u64::from(u32::MAX)),
+    key!("theta_inc", adr_theta_inc: f64, |x| (0.0..=1.0).contains(x)),
+    key!("theta_dec", adr_theta_dec: f64, |x| (0.0..=1.0).contains(x)),
+    key!("stack", runtime.stack_words_per_task: u64, |&n| n <= 1 << 16),
+    key!("mesh_k", mesh_k: usize, |n| (1..=8).contains(n)),
+    key!("l1_bytes", l1_bytes: u64, |n| (64..=1 << 20).contains(n)),
+    key!("llc", llc_entries_per_bank: usize, |n| (1..=1 << 16).contains(n)),
+    key!("dir_ways", dir_ways: usize, |&n| n.is_power_of_two() && n <= 64),
+];
+
+/// How many leading [`KEYS`] a job line reads.
+pub const JOB_KEYS: usize = 15;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Values off [`MachineConfig::scaled`]'s for each of [`KEYS`], in
+    /// table order.
+    const OFF_BASE: [&[&str]; 19] = [
+        &["2", "3", "85", "256"],
+        &["1", "true"],
+        &["mesif", "moesi"],
+        &["numa2"],
+        &["steal", "priority", "locality", "quantum"],
+        &["2", "4", "300"],
+        &["0", "false"],
+        &["1"],
+        &["1"],
+        &["1"],
+        &["1", "8", "1024"],
+        &["0", "10", "4294967295"],
+        &["0.9", "1", "0.123456789"],
+        &["0", "0.1", "1e-3"],
+        &["0", "16", "65536"],
+        &["1", "2", "8"],
+        &["64", "512", "1048576"],
+        &["1", "32", "65536"],
+        &["1", "2", "16", "64"],
+    ];
+
+    proptest! {
+        /// A machine with every keyed field moved off the scaled one
+        /// renders every key, and setting the rendered items on the
+        /// scaled machine gives it back: the same archive
+        /// `cfg_fingerprint`, its `Debug` string.
+        #[test]
+        fn rendered_keys_set_back_the_same_machine(
+            picks in proptest::collection::vec(0usize..12, 19..20),
+        ) {
+            let (base, mut cfg) = (MachineConfig::scaled(), MachineConfig::scaled());
+            for ((key, values), pick) in KEYS.iter().zip(OFF_BASE).zip(&picks) {
+                key.set(&mut cfg, values[pick % values.len()]).unwrap();
+            }
+            let items = cfg.render_keys(&base);
+            prop_assert_eq!(items.len(), KEYS.len(), "{:?}", items);
+            let mut back = base;
+            for item in &items {
+                let (k, v) = item.split_once('=').unwrap();
+                KEYS.iter().find(|key| key.name == k).unwrap().set(&mut back, v).unwrap();
+            }
+            prop_assert_eq!(format!("{back:?}"), format!("{cfg:?}"));
+        }
+    }
+
+    /// `check` refuses a directory ratio exactly when the directory bank
+    /// or one of ADR's halvings could not exist, and every machine it
+    /// admits builds and resizes its banks through ADR's whole range.
+    #[test]
+    fn check_refuses_exactly_the_directories_that_cannot_exist() {
+        use raccd_protocol::{Adr, AdrConfig};
+        let mut admitted = [0, 0];
+        for adr in [false, true] {
+            for ratio in 1..=512 {
+                let cfg = MachineConfig {
+                    adr,
+                    ..MachineConfig::scaled().with_dir_ratio(ratio)
+                };
+                let (entries, ways) = (cfg.dir_entries_per_bank(), cfg.dir_ways);
+                let what = format!("1:{ratio} adr={adr}");
+                if cfg.check().is_err() {
+                    // The bank, or a size ADR halves it to, cannot exist.
+                    let mut sizes = std::iter::successors(Some(entries), |&n| {
+                        (adr && n / 2 >= ways).then_some(n / 2)
+                    });
+                    let bad = sizes.find(|&n| DirectoryBank::geometry(n, ways).is_err());
+                    assert!(bad.is_some(), "{what} refused");
+                    continue;
+                }
+                admitted[usize::from(adr)] += 1;
+                crate::Machine::new(cfg);
+                // ADR halves an empty bank to one set; growing doubles back.
+                let mut bank = DirectoryBank::new(entries, ways, 4);
+                let mut ctl = Adr::new(AdrConfig::paper_defaults(entries, ways));
+                while adr && ctl.maybe_resize(&mut bank, 0).is_some() {}
+                assert!(!adr || bank.capacity() / 2 < ways, "{what}");
+                while bank.capacity() < entries {
+                    bank.resize(bank.capacity() * 2, 0);
+                }
+                assert_eq!(bank.capacity(), entries, "{what}");
+            }
+        }
+        // Of 512 ratios, 311 leave whole sets and 301 halve to one set.
+        assert_eq!(admitted, [311, 301]);
+    }
 
     /// `SetAssoc` indexes power-of-two set counts with a mask. Nothing
     /// makes a geometry have one, so check every array of every shipped
@@ -518,9 +709,11 @@ mod tests {
 
     #[test]
     fn protocol_choice_renders_in_table1() {
-        let t = MachineConfig::paper()
-            .with_protocol(ProtocolKind::Moesi)
-            .table1();
+        let t = MachineConfig {
+            protocol: ProtocolKind::Moesi,
+            ..MachineConfig::paper()
+        }
+        .table1();
         assert!(t.contains("MOESI,"), "{t}");
     }
 }

@@ -18,10 +18,12 @@ fn cfg(moesi: bool, write_through: bool) -> MachineConfig {
     } else {
         ProtocolKind::Mesi
     };
-    MachineConfig::scaled()
-        .with_protocol(protocol)
-        .with_write_through(write_through)
-        .with_shadow_check(true)
+    MachineConfig {
+        protocol,
+        l1_write_through: write_through,
+        shadow_check: true,
+        ..MachineConfig::scaled()
+    }
 }
 
 /// Slots three blocks apart over two pages.

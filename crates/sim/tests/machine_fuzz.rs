@@ -36,9 +36,8 @@ fn slot_addr(slot: u64) -> u64 {
 }
 
 fn tiny_cfg(dir_ratio: usize, write_through: bool) -> MachineConfig {
-    let mut cfg = MachineConfig::scaled()
-        .with_dir_ratio(dir_ratio)
-        .with_write_through(write_through);
+    let mut cfg = MachineConfig::scaled().with_dir_ratio(dir_ratio);
+    cfg.l1_write_through = write_through;
     cfg.llc_entries_per_bank = 32; // force LLC replacement too
     cfg.l1_bytes = 512; // 8 lines: heavy L1 eviction traffic
     cfg

@@ -51,7 +51,8 @@ fn main() {
             .sum()
     };
     let fixed = Experiment::new(base, CoherenceMode::Raccd).run(&workload);
-    let adr = Experiment::new(base.with_adr(true), CoherenceMode::Raccd).run(&workload);
+    let adr =
+        Experiment::new(MachineConfig { adr: true, ..base }, CoherenceMode::Raccd).run(&workload);
     println!(
         "  fixed 1:1 : {} cycles, dir dynamic energy {:.0} pJ",
         fixed.stats.cycles,

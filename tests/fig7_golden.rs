@@ -7,7 +7,7 @@
 //! is a model change.
 
 use raccd::core::{CoherenceMode, Experiment};
-use raccd::sim::DIR_RATIOS;
+use raccd::sim::{MachineConfig, DIR_RATIOS};
 use raccd::workloads::{all_benchmarks, Scale};
 use raccd_bench::figures::{simulate, Cell};
 use raccd_campaign::JobSpec;
@@ -58,7 +58,10 @@ fn sweep_checksum_holds_under_shadow_checking() {
     assert_eq!(plain.checksum(&cells), GOLDEN_CHECKSUM);
     let workloads = all_benchmarks(Scale::Test);
     for cell in &cells {
-        let cfg = cell.spec.machine_config().with_shadow_check(true);
+        let cfg = MachineConfig {
+            shadow_check: true,
+            ..cell.spec.machine_config()
+        };
         let w = &workloads[cell.spec.bench_idx().unwrap()];
         let run = Experiment::new(cfg, cell.spec.mode).run(w.as_ref());
         assert!(run.verified, "{}: {:?}", cell.key(), run.verify_error);

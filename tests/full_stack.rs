@@ -65,7 +65,10 @@ fn runs_are_deterministic() {
 #[test]
 fn adr_preserves_functional_results() {
     for w in all_benchmarks(Scale::Test) {
-        let cfg = MachineConfig::scaled().with_adr(true);
+        let cfg = MachineConfig {
+            adr: true,
+            ..MachineConfig::scaled()
+        };
         let run = Experiment::new(cfg, CoherenceMode::Raccd).run(w.as_ref());
         assert!(run.verified, "{} + ADR: {:?}", w.name(), run.verify_error);
     }

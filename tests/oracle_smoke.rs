@@ -14,7 +14,10 @@ use raccd::workloads::{jacobi::Jacobi, Scale, Workload};
 const MODE: CoherenceMode = CoherenceMode::Raccd;
 
 fn cfg() -> MachineConfig {
-    MachineConfig::scaled().with_shadow_check(true)
+    MachineConfig {
+        shadow_check: true,
+        ..MachineConfig::scaled()
+    }
 }
 
 fn program() -> Program {

@@ -148,7 +148,7 @@ fn fig9_10_shape_adr_saves_energy_without_hurting_performance() {
     let w = pressured_jacobi();
     let cfg = MachineConfig::scaled();
     let fixed = Experiment::new(cfg, CoherenceMode::Raccd).run(&w);
-    let adr = Experiment::new(cfg.with_adr(true), CoherenceMode::Raccd).run(&w);
+    let adr = Experiment::new(MachineConfig { adr: true, ..cfg }, CoherenceMode::Raccd).run(&w);
     // Performance within 2 %.
     let perf = adr.stats.cycles as f64 / fixed.stats.cycles as f64;
     assert!(perf < 1.02, "ADR slowdown {perf:.4}");

@@ -7,7 +7,10 @@ use raccd::workloads::{all_benchmarks, jacobi::Jacobi, Scale};
 
 #[test]
 fn smt2_all_benchmarks_verify() {
-    let cfg = MachineConfig::scaled().with_smt(2);
+    let cfg = MachineConfig {
+        smt_ways: 2,
+        ..MachineConfig::scaled()
+    };
     for w in all_benchmarks(Scale::Test) {
         for mode in CoherenceMode::ALL {
             let run = Experiment::new(cfg, mode).run(w.as_ref());
@@ -23,7 +26,10 @@ fn smt2_all_benchmarks_verify() {
 
 #[test]
 fn smt4_runs_and_verifies() {
-    let cfg = MachineConfig::scaled().with_smt(4);
+    let cfg = MachineConfig {
+        smt_ways: 4,
+        ..MachineConfig::scaled()
+    };
     let w = Jacobi::new(Scale::Test);
     let run = Experiment::new(cfg, CoherenceMode::Raccd).run(&w);
     assert!(run.verified, "{:?}", run.verify_error);
@@ -35,7 +41,10 @@ fn selective_flush_preserves_sibling_lines() {
     // survives task boundaries, so strictly fewer NC lines are flushed
     // in total than with a whole-cache flush (§III-E's motivation).
     let w = Jacobi::new(Scale::Test);
-    let base = MachineConfig::scaled().with_smt(2);
+    let base = MachineConfig {
+        smt_ways: 2,
+        ..MachineConfig::scaled()
+    };
 
     let mut sel = base;
     sel.smt_selective_flush = true;
@@ -55,7 +64,10 @@ fn selective_flush_preserves_sibling_lines() {
 
 #[test]
 fn smt_is_deterministic() {
-    let cfg = MachineConfig::scaled().with_smt(2);
+    let cfg = MachineConfig {
+        smt_ways: 2,
+        ..MachineConfig::scaled()
+    };
     let w = Jacobi::new(Scale::Test);
     let a = Experiment::new(cfg, CoherenceMode::Raccd).run(&w);
     let b = Experiment::new(cfg, CoherenceMode::Raccd).run(&w);
