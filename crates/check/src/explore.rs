@@ -2,10 +2,9 @@
 //!
 //! Breadth-first enumeration of **all** interleavings of a small alphabet
 //! of operations (a few cores × a few blocks × {coherent read, coherent
-//! write, NC read, NC write} plus `raccd_invalidate` and page flushes)
-//! against the real MESI + RaCCD machine, with the shadow checker
-//! asserting every invariant after every operation in every reachable
-//! state.
+//! write, NC read, NC write} plus `raccd_invalidate` and, optionally, page
+//! flushes) against the real machine, with the shadow checker asserting
+//! every invariant after every operation in every reachable state.
 //!
 //! States are deduplicated by the shadow checker's canonical fingerprint
 //! (`ShadowChecker::state_key`): it covers the L1/LLC/memory version
@@ -18,14 +17,21 @@
 //! space: when the frontier empties, every reachable protocol state has
 //! been visited and checked.
 //!
-//! [`Machine`](raccd_sim::Machine) is deliberately not `Clone` (it owns
-//! telemetry hooks), so expansion replays each frontier prefix from
-//! scratch — cheap at these depths, and itself a continuous test of
-//! replay determinism: a prefix that was clean when discovered must be
-//! clean again on re-execution.
+//! A frontier state is its operation sequence, and expanding it replays
+//! that sequence on a fresh machine with [`replay`] — the function a
+//! dumped counterexample is re-run with — plus one operation. Forking
+//! instead (one `Machine` snapshot per frontier state, expanded by
+//! `Machine::restore` plus one op) was measured and is slower: restore
+//! decodes every L1 set, re-renders the configuration fingerprint and
+//! recomputes `state_key` for its integrity check, which together cost
+//! more than `Machine::new` plus the few-op prefix they replace. On a
+//! 2-vCPU VM, release build, it took ×1.4–2.4 the wall on the 2-core ×
+//! 2-block rows, and the 3-core frontier's 82 051 snapshots of ~14 KB
+//! each took peak RSS from 51 MB to 1.75 GB. Replay also re-checks
+//! determinism on every expansion: a prefix that was clean when
+//! discovered must be clean again on re-execution.
 
-use crate::harness::CheckedMachine;
-use crate::trace::{write_counterexample, TraceOp};
+use crate::trace::{replay, write_counterexample, TraceOp};
 use raccd_mem::{BLOCK_SHIFT, PAGE_SHIFT};
 use raccd_sim::{MachineConfig, Violation};
 use std::collections::{HashSet, VecDeque};
@@ -40,8 +46,6 @@ pub struct ExploreConfig {
     pub cores: Vec<usize>,
     /// Physical block numbers the cores touch.
     pub blocks: Vec<u64>,
-    /// Include per-core `raccd_invalidate` (NC flush) in the alphabet.
-    pub flush_nc: bool,
     /// Include PT-style page flushes of the blocks' pages in the alphabet.
     pub flush_pages: bool,
     /// Stop enqueueing continuations beyond this many operations. A full
@@ -69,9 +73,7 @@ impl ExploreConfig {
                     }
                 }
             }
-            if self.flush_nc {
-                ops.push(TraceOp::FlushNc { core });
-            }
+            ops.push(TraceOp::FlushNc { core });
             if self.flush_pages {
                 let mut pages: Vec<u64> = self
                     .blocks
@@ -92,16 +94,16 @@ impl ExploreConfig {
 /// Outcome of an exploration.
 #[derive(Debug)]
 pub struct ExploreResult {
-    /// Distinct protocol states reached (including the initial state).
+    /// Distinct clean protocol states reached (including the initial
+    /// state).
     pub states: usize,
-    /// Total operations executed across all replays (work measure).
-    pub ops_applied: u64,
     /// `true` when the frontier emptied before hitting `max_depth` /
     /// `max_states`: the state space is fully closed — every reachable
     /// state was visited and every invariant held in all of them.
     pub exhausted: bool,
-    /// Invariant violations, each with the full operation sequence that
-    /// produced it (already written to the counterexample dump directory).
+    /// Invariant violations, each with the shortest operation sequence
+    /// that reaches its violating state (already written to the
+    /// counterexample dump directory, one file per violating state).
     pub violations: Vec<(Vec<TraceOp>, Violation)>,
 }
 
@@ -109,52 +111,48 @@ pub struct ExploreResult {
 pub fn explore(ec: &ExploreConfig) -> ExploreResult {
     let alphabet = ec.alphabet();
     let mut seen: HashSet<String> = HashSet::new();
+    // Violating states are reported once, by the first (shortest) path
+    // that reaches them. Their keys live apart from `seen` because the
+    // key is mostly the checker's mirror: a machine that keeps a line it
+    // reported invalidated leaves the mirror, and so the key, of a clean
+    // state, and neither state may hide the other.
+    let mut broken: HashSet<String> = HashSet::new();
     let mut frontier: VecDeque<Vec<TraceOp>> = VecDeque::new();
     let mut result = ExploreResult {
-        states: 0,
-        ops_applied: 0,
+        states: 1,
         exhausted: true,
         violations: Vec::new(),
     };
 
-    let initial = CheckedMachine::new(ec.cfg);
-    seen.insert(initial.state_key());
-    result.states = 1;
+    seen.insert(replay(ec.cfg, None, &[]).state_key());
     frontier.push_back(Vec::new());
 
-    while let Some(prefix) = frontier.pop_front() {
-        if prefix.len() >= ec.max_depth {
+    while let Some(mut seq) = frontier.pop_front() {
+        if seq.len() >= ec.max_depth {
             result.exhausted = false;
             continue;
         }
         for &op in &alphabet {
-            // Machines are not Clone: rebuild the (known-clean) prefix.
-            let mut m = CheckedMachine::new(ec.cfg);
-            for &p in &prefix {
-                m.apply(p);
-            }
-            m.apply(op);
-            result.ops_applied += prefix.len() as u64 + 1;
+            seq.push(op);
+            let mut m = replay(ec.cfg, None, &seq);
             let violations = m.drain_violations();
             if !violations.is_empty() {
-                let mut seq = prefix.clone();
-                seq.push(op);
-                let _ = write_counterexample(&ec.cfg, None, &seq, "explore", &violations);
-                for v in violations {
-                    result.violations.push((seq.clone(), v));
+                // Don't expand past a broken state.
+                if broken.insert(m.state_key()) {
+                    let _ = write_counterexample(&ec.cfg, None, &seq, "explore", &violations);
+                    for v in violations {
+                        result.violations.push((seq.clone(), v));
+                    }
                 }
-                continue; // don't expand past a broken state
-            }
-            if seen.insert(m.state_key()) {
+            } else if seen.insert(m.state_key()) {
                 result.states += 1;
                 if result.states >= ec.max_states {
                     result.exhausted = false;
                     return result;
                 }
-                let mut seq = prefix.clone();
-                seq.push(op);
-                frontier.push_back(seq);
+                frontier.push_back(seq.clone());
             }
+            seq.pop();
         }
     }
     result

@@ -1,12 +1,12 @@
 //! A machine wrapped in a violation-collecting shadow checker.
 //!
 //! [`CheckedMachine`] is the execution vehicle shared by the explorer, the
-//! trace replayer and the property tests: every operation applied to it is
-//! recorded, the shadow checker runs in *collecting* mode (violations
-//! become data instead of panics), and at any point the accumulated
-//! violations — including a full mirror-versus-machine audit — can be
-//! drained. A failure therefore always comes with a replayable
-//! [`TraceOp`] sequence.
+//! trace replayer and the property tests: it applies [`TraceOp`]s, the
+//! shadow checker runs in *collecting* mode (violations become data
+//! instead of panics), and at any point the accumulated violations —
+//! including a full mirror-versus-machine audit — can be drained. Its
+//! callers hold the operation sequence they applied, so a failure always
+//! comes with a replayable trace.
 
 use crate::trace::TraceOp;
 use raccd_mem::{BlockAddr, PageNum};
@@ -14,10 +14,9 @@ use raccd_sim::{
     FaultPlan, FaultPlane, L1LookupResult, Machine, MachineConfig, ShadowChecker, Violation,
 };
 
-/// A [`Machine`] plus collecting shadow checker plus recorded trace.
+/// A [`Machine`] plus a collecting shadow checker.
 pub struct CheckedMachine {
     machine: Machine,
-    trace: Vec<TraceOp>,
     now: u64,
 }
 
@@ -28,11 +27,7 @@ impl CheckedMachine {
     pub fn new(cfg: MachineConfig) -> Self {
         let mut machine = Machine::new(cfg);
         machine.attach_checker(Box::new(ShadowChecker::collecting(&cfg)));
-        CheckedMachine {
-            machine,
-            trace: Vec::new(),
-            now: 0,
-        }
+        CheckedMachine { machine, now: 0 }
     }
 
     /// [`CheckedMachine::new`] plus a seeded fault plane: every applied
@@ -53,15 +48,9 @@ impl CheckedMachine {
         self.machine.fault_fatal()
     }
 
-    /// The operations applied so far, in order.
-    pub fn trace(&self) -> &[TraceOp] {
-        &self.trace
-    }
-
     /// Apply one trace operation. Time advances a fixed stride per
     /// operation so replays are cycle-deterministic.
     pub fn apply(&mut self, op: TraceOp) {
-        self.trace.push(op);
         self.now += 100;
         let now = self.now;
         match op {
@@ -142,7 +131,6 @@ mod tests {
             write: true,
             nc: false,
         });
-        assert!(m.trace().len() == 5);
         assert!(m.drain_violations().is_empty());
     }
 

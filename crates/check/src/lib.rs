@@ -6,8 +6,8 @@
 //! lives inside `raccd-sim` ([`raccd_sim::ShadowChecker`]):
 //!
 //! * [`harness`] — a [`harness::CheckedMachine`] wraps a machine with a
-//!   violation-collecting shadow checker and records every applied
-//!   operation, so any failure is immediately a replayable trace.
+//!   violation-collecting shadow checker and applies trace operations,
+//!   so any failure is immediately a replayable trace.
 //! * [`trace`] — the counterexample format: a tiny text serialisation of
 //!   (machine knobs, operation sequence) with parse / replay / greedy
 //!   minimisation / dump-to-disk helpers. A violation anywhere in this

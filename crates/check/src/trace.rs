@@ -28,6 +28,7 @@ use raccd_sim::config::KEYS;
 use raccd_sim::{FaultPlan, MachineConfig, Violation};
 use std::fmt;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One machine-level operation of a counterexample trace.
 ///
@@ -243,10 +244,12 @@ pub(crate) fn dump_dir() -> PathBuf {
     }
 }
 
-/// Write a failing trace to the dump directory and return its path. The
-/// file is a valid input to [`parse`] + [`replay`], carrying `plan` as a
-/// `fault` directive so a stuck state reproduces exactly; the violations
-/// are appended as comments for human readers.
+/// Write a failing trace to the dump directory and return its path,
+/// `{tag}-{pid}-{n}.trace` with `n` counting this process's dumps, so no
+/// dump overwrites another. The file is a valid input to [`parse`] +
+/// [`replay`], carrying `plan` as a `fault` directive so a stuck state
+/// reproduces exactly; the violations are appended as comments for human
+/// readers.
 pub fn write_counterexample(
     cfg: &MachineConfig,
     plan: Option<&FaultPlan>,
@@ -260,7 +263,9 @@ pub fn write_counterexample(
     for v in violations {
         text.push_str(&format!("# violation: {v}\n"));
     }
-    let path = dir.join(format!("{tag}-{}.trace", std::process::id()));
+    static DUMPS: AtomicU64 = AtomicU64::new(0);
+    let n = DUMPS.fetch_add(1, Ordering::Relaxed);
+    let path = dir.join(format!("{tag}-{}-{n}.trace", std::process::id()));
     std::fs::write(&path, text)?;
     Ok(path)
 }
@@ -374,6 +379,30 @@ mod tests {
                 err.contains(want),
                 "{text:?} (panicked in v1: {panicked_in_v1}): {err}"
             );
+        }
+    }
+
+    /// Two dumps under one tag land in two files, each parsing back to
+    /// its own ops.
+    #[test]
+    fn dumps_under_one_tag_do_not_overwrite_each_other() {
+        let runs = [
+            vec![TraceOp::FlushNc { core: 0 }],
+            vec![TraceOp::FlushNc { core: 1 }],
+        ];
+        let paths: Vec<PathBuf> = runs
+            .iter()
+            .map(|ops| write_counterexample(&tiny(), None, ops, "twice", &[]).expect("dump"))
+            .collect();
+        for (ops, path) in runs.iter().zip(&paths) {
+            let text = std::fs::read_to_string(path).expect("dump file exists");
+            assert_eq!(
+                &parse(&text).expect("dump parses").2,
+                ops,
+                "{}",
+                path.display()
+            );
+            std::fs::remove_file(path).ok();
         }
     }
 
