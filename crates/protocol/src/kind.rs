@@ -20,8 +20,8 @@
 //!
 //! All three share the directory machinery ([`crate::mesi::EntryState`])
 //! and the RaCCD non-coherent paths unchanged; the record only decides
-//! fill states, downgrade targets and whether a clean forwarder is
-//! tracked. What a replacement owes the directory ([`victim_action`]) and
+//! fill states and downgrade targets (a `Forward` fill state is what
+//! makes the directory track a clean forwarder). What a replacement owes the directory ([`victim_action`]) and
 //! which write hits complete locally ([`write_hit_is_local`]) are the same
 //! for every protocol. The shadow checker's invariants (SWMR over writable
 //! states, data-value, NC-exclusivity) are protocol-agnostic and hold for
@@ -79,20 +79,14 @@ const RULES: [ProtocolRules; 3] = [
     ProtocolRules {
         shared_fill: L1State::Shared,
         dirty_downgrade: L1State::Shared,
-        downgrade_writes_back: true,
-        forwarder: false,
     },
     ProtocolRules {
         shared_fill: L1State::Forward,
         dirty_downgrade: L1State::Shared,
-        downgrade_writes_back: true,
-        forwarder: true,
     },
     ProtocolRules {
         shared_fill: L1State::Shared,
         dirty_downgrade: L1State::Owned,
-        downgrade_writes_back: false,
-        forwarder: false,
     },
 ];
 
@@ -101,19 +95,16 @@ const RULES: [ProtocolRules; 3] = [
 pub struct ProtocolRules {
     /// State a coherent read fill installs when other private copies
     /// exist (MESI/MOESI: `Shared`; MESIF: `Forward` — the newest sharer
-    /// becomes the designated clean supplier).
+    /// becomes the designated clean supplier, so the directory tracks a
+    /// forward pointer and its holder supplies read fills cache-to-cache
+    /// when no owner exists).
     pub shared_fill: L1State,
     /// Target state of a *dirty* owner downgraded by a remote read
     /// (MESI/MESIF: `Shared`; MOESI: `Owned` — the O copy stays the only
     /// up-to-date version on chip and the directory's owner pointer
-    /// survives). A clean owner always drops to `Shared`.
+    /// survives). A clean owner always drops to `Shared`. The downgrade
+    /// writes the dirty data back to the LLC unless the target is `Owned`.
     pub dirty_downgrade: L1State,
-    /// Whether that downgrade writes the dirty data back to the LLC.
-    pub downgrade_writes_back: bool,
-    /// Whether the directory tracks a designated clean forwarder (the
-    /// MESIF F pointer), who then supplies read fills cache-to-cache when
-    /// no owner exists.
-    pub forwarder: bool,
 }
 
 impl fmt::Display for ProtocolKind {
@@ -177,28 +168,17 @@ mod tests {
         assert_eq!(mesi.shared_fill, L1State::Shared);
         assert_eq!(mesif.shared_fill, L1State::Forward);
         assert_eq!(moesi.shared_fill, L1State::Shared);
-        assert_eq!(
-            (mesi.dirty_downgrade, mesi.downgrade_writes_back),
-            (L1State::Shared, true)
-        );
-        assert_eq!(
-            (moesi.dirty_downgrade, moesi.downgrade_writes_back),
-            (L1State::Owned, false)
-        );
-        assert_eq!(
-            [mesi.forwarder, mesif.forwarder, moesi.forwarder],
-            [false, true, false]
-        );
+        assert_eq!(mesi.dirty_downgrade, L1State::Shared);
+        assert_eq!(mesif.dirty_downgrade, L1State::Shared);
+        assert_eq!(moesi.dirty_downgrade, L1State::Owned);
         // Only those fields differ from the baseline.
         let like_mesi = ProtocolRules {
             shared_fill: L1State::Shared,
-            forwarder: false,
             ..mesif
         };
         assert_eq!(like_mesi, mesi);
         let like_mesi = ProtocolRules {
             dirty_downgrade: L1State::Shared,
-            downgrade_writes_back: true,
             ..moesi
         };
         assert_eq!(like_mesi, mesi);

@@ -130,7 +130,7 @@ impl EntryState {
                 // sharer takes the forward pointer.
                 None => {
                     self.sharers |= bit;
-                    if rules.forwarder {
+                    if rules.shared_fill == L1State::Forward {
                         self.fwd = me;
                     }
                 }

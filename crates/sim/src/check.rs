@@ -44,9 +44,9 @@
 use crate::config::MachineConfig;
 use crate::machine::Machine;
 use raccd_cache::L1State;
-use raccd_mem::{BlockAddr, BLOCK_SIZE};
+use raccd_mem::{BlockAddr, FibMap, BLOCK_SIZE};
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -318,6 +318,185 @@ struct ShadowLlc {
     ver: u64,
 }
 
+/// Everything the shadow knows about one block, so that an invariant over
+/// the block reads one map entry.
+#[derive(Clone, Debug, Default)]
+struct ShadowBlock {
+    /// Golden model: latest written version (`None` before the first
+    /// write).
+    cur: Option<u64>,
+    /// Version memory holds (`None` before data first reaches memory).
+    mem: Option<u64>,
+    llc: Option<ShadowLlc>,
+    /// Directory-presence mirror.
+    dir: bool,
+    /// The L1 copies as `(core, line)`, in core order: a short list, as
+    /// few cores share a block.
+    lines: Vec<(usize, ShadowLine)>,
+}
+
+impl ShadowBlock {
+    fn line(&self, core: usize) -> Option<&ShadowLine> {
+        self.lines.iter().find(|&&(c, _)| c == core).map(|(_, l)| l)
+    }
+
+    fn line_mut(&mut self, core: usize) -> Option<&mut ShadowLine> {
+        self.lines
+            .iter_mut()
+            .find(|(c, _)| *c == core)
+            .map(|(_, l)| l)
+    }
+
+    /// Install `core`'s copy, returning the one it replaces.
+    fn insert_line(&mut self, core: usize, line: ShadowLine) -> Option<ShadowLine> {
+        match self.lines.binary_search_by_key(&core, |&(c, _)| c) {
+            Ok(i) => Some(std::mem::replace(&mut self.lines[i].1, line)),
+            Err(i) => {
+                // Few cores share a block: grow by one, not by doubling.
+                self.lines.reserve_exact(1);
+                self.lines.insert(i, (core, line));
+                None
+            }
+        }
+    }
+
+    fn remove_line(&mut self, core: usize) -> Option<ShadowLine> {
+        let i = self.lines.iter().position(|&(c, _)| c == core)?;
+        Some(self.lines.remove(i).1)
+    }
+
+    /// Whether `state_key` lists the block: some version or copy of it
+    /// exists (a directory bit alone does not count).
+    fn keyed(&self) -> bool {
+        self.cur.is_some() || self.mem.is_some() || self.llc.is_some() || !self.lines.is_empty()
+    }
+
+    /// Is there an unflushed NC copy newer than version `v` (in an L1 or
+    /// the NC LLC line)? Such a copy excuses a stale observation: the
+    /// newer data is outside the coherent world.
+    fn nc_newer(&self, v: u64) -> bool {
+        self.llc.is_some_and(|l| l.nc && l.ver > v)
+            || self.lines.iter().any(|(_, l)| l.nc && l.ver > v)
+    }
+
+    /// Version of the data a fill by `core` receives, resolved along the
+    /// same path the machine serves it: previous owner's cache (owner
+    /// forward — necessarily a *coherent* copy; on a write forward the
+    /// owner was already invalidated and its dirty data folded into the
+    /// LLC), else the home LLC, else memory (an LLC refill always precedes
+    /// the response, so the LLC branch covers memory fetches too).
+    /// Returns `(version, excused)`: `excused` is set when the source line
+    /// itself holds excused-stale data (it read through an NC race) — the
+    /// taint travels with the forwarded data.
+    fn source(&self, core: usize, from_owner: bool) -> (u64, bool) {
+        if from_owner {
+            let best = self
+                .lines
+                .iter()
+                .filter(|&&(c, l)| c != core && !l.nc)
+                .max_by_key(|(_, l)| l.ver);
+            if let Some((_, l)) = best {
+                return (l.ver, l.stale_ok);
+            }
+        }
+        match self.llc {
+            Some(l) => (l.ver, false),
+            None => (self.mem.unwrap_or(0), false),
+        }
+    }
+
+    /// Structural invariants for block `b`, from the mirror alone.
+    fn violations(&self, b: u64, write_through: bool) -> Vec<Violation> {
+        let mut out = Vec::new();
+        let mut push = |code, detail| out.push(Violation { code, detail });
+        let mut coherent = 0usize;
+        let mut exclusive_holders = 0usize;
+        let mut dirty_holders = 0usize;
+        let mut forward_holders = 0usize;
+        for (c, l) in &self.lines {
+            if write_through && l.state == L1State::Modified {
+                push(
+                    "wt-dirty",
+                    format!("core {c} holds a Modified line {b:#x} under write-through"),
+                );
+            }
+            if !l.nc {
+                coherent += 1;
+                // M/E exclude every other coherent copy; MOESI Owned
+                // and MESIF Forward legally coexist with Shared.
+                if matches!(l.state, L1State::Modified | L1State::Exclusive) {
+                    exclusive_holders += 1;
+                }
+                if matches!(l.state, L1State::Modified | L1State::Owned) {
+                    dirty_holders += 1;
+                }
+                if l.state == L1State::Forward {
+                    forward_holders += 1;
+                }
+            }
+        }
+        if exclusive_holders > 1 || (exclusive_holders == 1 && coherent > 1) {
+            push(
+                "swmr",
+                format!(
+                    "block {b:#x}: {exclusive_holders} M/E holder(s) among \
+                     {coherent} coherent copies"
+                ),
+            );
+        }
+        if dirty_holders > 1 {
+            push(
+                "swmr",
+                format!("block {b:#x}: {dirty_holders} dirty (M/O) holders"),
+            );
+        }
+        if forward_holders > 1 {
+            push(
+                "fwd-unique",
+                format!("block {b:#x}: {forward_holders} Forward holders"),
+            );
+        }
+        if self.llc.is_some_and(|l| l.nc) {
+            if self.dir {
+                push(
+                    "nc-exclusivity",
+                    format!("directory entry for NC LLC line {b:#x}"),
+                );
+            }
+            if coherent > 0 {
+                push(
+                    "nc-exclusivity",
+                    format!("{coherent} coherent sharer(s) of NC LLC line {b:#x}"),
+                );
+            }
+        }
+        if self.dir && self.llc.is_none_or(|l| l.nc) {
+            push(
+                "dir-inclusion",
+                format!("directory entry without coherent LLC line for {b:#x}"),
+            );
+        }
+        if coherent > 0 {
+            if self.llc.is_none() {
+                push(
+                    "l1-inclusion",
+                    format!("coherent L1 line {b:#x} not resident in the LLC"),
+                );
+            }
+            if !self.dir {
+                push(
+                    "stranded-sharer",
+                    format!(
+                        "{coherent} coherent L1 cop(ies) of {b:#x} with no \
+                         directory entry tracking them"
+                    ),
+                );
+            }
+        }
+        out
+    }
+}
+
 /// The golden-memory shadow model. See the module docs for the invariant
 /// list. Construct with [`ShadowChecker::new`] (fail fast) or
 /// [`ShadowChecker::collecting`] (accumulate violations for harnesses),
@@ -327,16 +506,16 @@ pub struct ShadowChecker {
     write_through: bool,
     fail_fast: bool,
     discipline: bool,
-    l1: Vec<BTreeMap<u64, ShadowLine>>,
-    llc: BTreeMap<u64, ShadowLlc>,
-    mem: BTreeMap<u64, u64>,
-    /// Golden model: latest written version per block.
-    cur: BTreeMap<u64, u64>,
-    /// Directory-presence mirror (which blocks have an entry).
-    dir: BTreeSet<u64>,
+    /// The mirror, one record per block. Nothing depends on the map's
+    /// order: whatever is observable walks the blocks sorted.
+    blocks: FibMap<u64, ShadowBlock>,
+    /// NC lines per core, so that `raccd_invalidate`'s leftover check
+    /// scans the mirror only when the core still holds one.
+    nc_lines: Vec<u32>,
     /// Per-core registered physical ranges (mirror of the NCRT).
     ncrt: Vec<Vec<(u64, u64)>>,
-    touched: BTreeSet<u64>,
+    /// Blocks the current operation touched, checked at `OpEnd`.
+    touched: Vec<u64>,
     violations: Vec<Violation>,
     /// Recent events, for counterexample dumps.
     recent: VecDeque<CheckEvent>,
@@ -358,34 +537,33 @@ pub fn shadow_check_forced() -> bool {
 }
 
 impl ShadowChecker {
-    /// A fail-fast checker for `cfg`: the first violation panics with a
-    /// recent-event dump.
-    pub fn new(cfg: &MachineConfig) -> Self {
+    fn empty(ncores: usize, write_through: bool, fail_fast: bool) -> Self {
         ShadowChecker {
-            ncores: cfg.ncores,
-            write_through: cfg.l1_write_through,
-            fail_fast: true,
+            ncores,
+            write_through,
+            fail_fast,
             discipline: false,
-            l1: (0..cfg.ncores).map(|_| BTreeMap::new()).collect(),
-            llc: BTreeMap::new(),
-            mem: BTreeMap::new(),
-            cur: BTreeMap::new(),
-            dir: BTreeSet::new(),
-            ncrt: (0..cfg.ncores).map(|_| Vec::new()).collect(),
-            touched: BTreeSet::new(),
+            blocks: FibMap::default(),
+            nc_lines: vec![0; ncores],
+            ncrt: vec![Vec::new(); ncores],
+            touched: Vec::new(),
             violations: Vec::new(),
             recent: VecDeque::with_capacity(RECENT_EVENTS),
             stats: CheckStats::default(),
         }
     }
 
+    /// A fail-fast checker for `cfg`: the first violation panics with a
+    /// recent-event dump.
+    pub fn new(cfg: &MachineConfig) -> Self {
+        Self::empty(cfg.ncores, cfg.l1_write_through, true)
+    }
+
     /// A collecting checker: violations accumulate and are drained by the
     /// harness ([`ShadowChecker::take_violations`]) — used by the explorer
     /// and trace minimizer, which need to continue past a failure.
     pub fn collecting(cfg: &MachineConfig) -> Self {
-        let mut c = Self::new(cfg);
-        c.fail_fast = false;
-        c
+        Self::empty(cfg.ncores, cfg.l1_write_through, false)
     }
 
     /// Violations collected so far (collecting mode).
@@ -426,43 +604,46 @@ impl ShadowChecker {
         self.violations.push(v);
     }
 
-    #[inline]
-    fn cur_of(&self, b: u64) -> u64 {
-        self.cur.get(&b).copied().unwrap_or(0)
+    /// The shadow and the machine disagree on what a mutation found.
+    fn desync(&mut self, detail: String) {
+        self.violation("mirror-desync", detail);
     }
 
-    #[inline]
-    fn mem_of(&self, b: u64) -> u64 {
-        self.mem.get(&b).copied().unwrap_or(0)
+    /// Block `b`'s record, created empty on first use (`OpEnd` drops the
+    /// records an operation left empty).
+    fn block(&mut self, b: u64) -> &mut ShadowBlock {
+        self.blocks.entry(b).or_default()
     }
 
-    fn bump(&mut self, b: u64) -> u64 {
-        let e = self.cur.entry(b).or_insert(0);
-        *e += 1;
-        *e
+    /// Every record, sorted by block.
+    fn sorted(&self) -> Vec<(u64, &ShadowBlock)> {
+        let mut rows: Vec<_> = self.blocks.iter().map(|(&b, e)| (b, e)).collect();
+        rows.sort_unstable_by_key(|&(b, _)| b);
+        rows
     }
 
-    /// Is there an unflushed NC copy of `b` newer than version `v`
-    /// anywhere (another L1, or the NC LLC line)? Such a copy excuses a
-    /// stale observation: the newer data is outside the coherent world.
-    fn nc_newer_exists(&self, b: u64, v: u64) -> bool {
-        if let Some(l) = self.llc.get(&b) {
-            if l.nc && l.ver > v {
-                return true;
-            }
-        }
-        self.l1
-            .iter()
-            .any(|m| m.get(&b).is_some_and(|l| l.nc && l.ver > v))
+    /// Install `core`'s copy of `b`.
+    fn put_line(&mut self, core: usize, b: u64, line: ShadowLine) {
+        let old = self.block(b).insert_line(core, line);
+        self.nc_lines[core] += u32::from(line.nc);
+        self.nc_lines[core] -= old.map_or(0, |l| u32::from(l.nc));
+    }
+
+    /// Remove `core`'s copy of `b`.
+    fn take_line(&mut self, core: usize, b: u64) -> Option<ShadowLine> {
+        let line = self.blocks.get_mut(&b)?.remove_line(core)?;
+        self.nc_lines[core] -= u32::from(line.nc);
+        Some(line)
     }
 
     /// Check one observed version against the golden model.
     fn observe(&mut self, core: usize, b: u64, v: u64, line_excused: bool, what: &str) {
-        let cur = self.cur_of(b);
+        let e = self.blocks.get(&b);
+        let cur = e.and_then(|e| e.cur).unwrap_or(0);
         if v == cur {
             return;
         }
-        if line_excused || self.nc_newer_exists(b, v) {
+        if line_excused || e.is_some_and(|e| e.nc_newer(v)) {
             self.stats.stale_excused += 1;
         } else {
             self.violation(
@@ -475,25 +656,24 @@ impl ShadowChecker {
         }
     }
 
-    /// Record a write by `core`: a *coherent* write must have invalidated
-    /// every other coherent copy already (SWMR); surviving NC copies (and,
-    /// for NC writes, any surviving copy) are racing through the
-    /// non-coherent world — mark them excused and count the race.
+    /// Record a write by `core` and return its version: a *coherent* write
+    /// must have invalidated every other coherent copy already (SWMR);
+    /// surviving NC copies (and, for NC writes, any surviving copy) are
+    /// racing through the non-coherent world — mark them excused and count
+    /// the race.
     fn record_write(&mut self, core: usize, b: u64, coherent_write: bool) -> u64 {
+        let e = self.blocks.entry(b).or_default();
         let mut coherent_survivors = Vec::new();
-        let mut raced = Vec::new();
-        for c in 0..self.ncores {
-            if c == core {
-                continue;
-            }
-            if let Some(l) = self.l1[c].get(&b) {
-                if coherent_write && !l.nc {
-                    coherent_survivors.push(c);
-                } else {
-                    raced.push(c);
-                }
+        for (c, l) in e.lines.iter_mut().filter(|(c, _)| *c != core) {
+            if coherent_write && !l.nc {
+                coherent_survivors.push(*c);
+            } else {
+                l.stale_ok = true;
+                self.stats.nc_write_races += 1;
             }
         }
+        let ver = e.cur.map_or(1, |v| v + 1);
+        e.cur = Some(ver);
         for c in coherent_survivors {
             self.violation(
                 "swmr",
@@ -503,53 +683,19 @@ impl ShadowChecker {
                 ),
             );
         }
-        for c in raced {
-            if let Some(l) = self.l1[c].get_mut(&b) {
-                l.stale_ok = true;
-            }
-            self.stats.nc_write_races += 1;
-        }
-        self.bump(b)
-    }
-
-    /// Version of the data the fill response carries, resolved along the
-    /// same path the machine serves it: previous owner's cache (owner
-    /// forward — necessarily a *coherent* copy; on a write forward the
-    /// owner was already invalidated and its dirty data folded into the
-    /// LLC), else the home LLC, else memory (an LLC refill always precedes
-    /// the response, so the LLC branch covers memory fetches too).
-    /// Returns `(version, excused)`: `excused` is set when the source line
-    /// itself holds excused-stale data (it read through an NC race) — the
-    /// taint travels with the forwarded data.
-    fn source_version(&self, core: usize, b: u64, from_owner: bool) -> (u64, bool) {
-        if from_owner {
-            let best = (0..self.ncores)
-                .filter(|&c| c != core)
-                .filter_map(|c| self.l1[c].get(&b).filter(|l| !l.nc))
-                .max_by_key(|l| l.ver);
-            if let Some(l) = best {
-                return (l.ver, l.stale_ok);
-            }
-        }
-        match self.llc.get(&b) {
-            Some(l) => (l.ver, false),
-            None => (self.mem_of(b), false),
-        }
+        ver
     }
 
     /// Propagate a written-back version: into the LLC if the line is
     /// resident, else to memory when the machine path has a memory
     /// fallback, else the data was dropped — an inclusion violation.
     fn writeback(&mut self, b: u64, ver: u64, mem_fallback_ok: bool, what: &str) {
-        if let Some(l) = self.llc.get_mut(&b) {
-            if ver > l.ver {
-                l.ver = ver;
-            }
+        let e = self.block(b);
+        if let Some(l) = &mut e.llc {
+            l.ver = l.ver.max(ver);
         } else if mem_fallback_ok {
-            let m = self.mem.entry(b).or_insert(0);
-            if ver > *m {
-                *m = ver;
-            }
+            let m = e.mem.get_or_insert(0);
+            *m = (*m).max(ver);
         } else {
             self.violation(
                 "writeback-lost",
@@ -568,120 +714,32 @@ impl ShadowChecker {
         self.ncrt[core].iter().any(|&(s, e)| lo < e && hi > s)
     }
 
-    /// Structural invariants for one block, from the mirror alone.
-    fn block_violations(&self, b: u64) -> Vec<Violation> {
-        let mut out = Vec::new();
-        let mut push = |code, detail| out.push(Violation { code, detail });
-        let mut coherent = 0usize;
-        let mut exclusive_holders = 0usize;
-        let mut dirty_holders = 0usize;
-        let mut forward_holders = 0usize;
-        for (c, m) in self.l1.iter().enumerate() {
-            if let Some(l) = m.get(&b) {
-                if self.write_through && l.state == L1State::Modified {
-                    push(
-                        "wt-dirty",
-                        format!("core {c} holds a Modified line {b:#x} under write-through"),
-                    );
-                }
-                if !l.nc {
-                    coherent += 1;
-                    // M/E exclude every other coherent copy; MOESI Owned
-                    // and MESIF Forward legally coexist with Shared.
-                    if matches!(l.state, L1State::Modified | L1State::Exclusive) {
-                        exclusive_holders += 1;
-                    }
-                    if matches!(l.state, L1State::Modified | L1State::Owned) {
-                        dirty_holders += 1;
-                    }
-                    if l.state == L1State::Forward {
-                        forward_holders += 1;
-                    }
-                }
-            }
-        }
-        if exclusive_holders > 1 || (exclusive_holders == 1 && coherent > 1) {
-            push(
-                "swmr",
-                format!(
-                    "block {b:#x}: {exclusive_holders} M/E holder(s) among \
-                     {coherent} coherent copies"
-                ),
-            );
-        }
-        if dirty_holders > 1 {
-            push(
-                "swmr",
-                format!("block {b:#x}: {dirty_holders} dirty (M/O) holders"),
-            );
-        }
-        if forward_holders > 1 {
-            push(
-                "fwd-unique",
-                format!("block {b:#x}: {forward_holders} Forward holders"),
-            );
-        }
-        let llc = self.llc.get(&b);
-        let in_dir = self.dir_contains(b);
-        if let Some(l) = llc {
-            if l.nc {
-                if in_dir {
-                    push(
-                        "nc-exclusivity",
-                        format!("directory entry for NC LLC line {b:#x}"),
-                    );
-                }
-                if coherent > 0 {
-                    push(
-                        "nc-exclusivity",
-                        format!("{coherent} coherent sharer(s) of NC LLC line {b:#x}"),
-                    );
-                }
-            }
-        }
-        if in_dir && llc.is_none_or(|l| l.nc) {
-            push(
-                "dir-inclusion",
-                format!("directory entry without coherent LLC line for {b:#x}"),
-            );
-        }
-        if coherent > 0 {
-            if llc.is_none() {
-                push(
-                    "l1-inclusion",
-                    format!("coherent L1 line {b:#x} not resident in the LLC"),
-                );
-            }
-            if !in_dir {
-                push(
-                    "stranded-sharer",
-                    format!(
-                        "{coherent} coherent L1 cop(ies) of {b:#x} with no \
-                         directory entry tracking them"
-                    ),
-                );
-            }
-        }
-        out
-    }
-
-    fn dir_contains(&self, b: u64) -> bool {
-        self.dir.contains(&b)
-    }
-
     fn check_touched(&mut self) {
-        let touched = std::mem::take(&mut self.touched);
-        for b in touched {
-            for v in self.block_violations(b) {
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.sort_unstable();
+        touched.dedup();
+        for &b in &touched {
+            let Some(e) = self.blocks.get(&b) else {
+                continue;
+            };
+            if !e.keyed() && !e.dir {
+                // Empty, so invisible everywhere: drop it.
+                self.blocks.remove(&b);
+                continue;
+            }
+            for v in e.violations(b, self.write_through) {
                 self.violation(v.code, v.detail);
             }
         }
+        touched.clear();
+        self.touched = touched;
     }
 
     /// Full cross-validation of the shadow mirror against the real machine
     /// state, plus the structural invariants over every tracked block.
     /// Catches any machine mutation path that failed to emit its event.
     pub fn audit(&self, m: &Machine) -> Vec<Violation> {
+        let rows = self.sorted();
         let mut out = Vec::new();
         let mut push = |code, detail| out.push(Violation { code, detail });
         // L1 mirrors match exactly.
@@ -689,7 +747,7 @@ impl ShadowChecker {
             let mut machine_blocks = BTreeSet::new();
             for (block, line) in m.l1(c).iter() {
                 machine_blocks.insert(block.0);
-                match self.l1[c].get(&block.0) {
+                match self.blocks.get(&block.0).and_then(|e| e.line(c)) {
                     None => push(
                         "mirror-desync",
                         format!("core {c} holds {block:?} unknown to the shadow"),
@@ -708,8 +766,8 @@ impl ShadowChecker {
                     }
                 }
             }
-            for &b in self.l1[c].keys() {
-                if !machine_blocks.contains(&b) {
+            for &(b, e) in &rows {
+                if e.line(c).is_some() && !machine_blocks.contains(&b) {
                     push(
                         "mirror-desync",
                         format!("shadow thinks core {c} holds {b:#x}; machine does not"),
@@ -723,7 +781,8 @@ impl ShadowChecker {
         for bank in 0..self.ncores {
             for (block, line) in m.llc_bank(bank).iter() {
                 machine_llc.insert(block.0);
-                match self.llc.get(&block.0) {
+                let e = self.blocks.get(&block.0);
+                match e.and_then(|e| e.llc) {
                     None => push(
                         "mirror-desync",
                         format!("LLC holds {block:?} unknown to the shadow"),
@@ -738,7 +797,7 @@ impl ShadowChecker {
                                 ),
                             );
                         }
-                        if !line.dirty && sl.ver > self.mem_of(block.0) {
+                        if !line.dirty && sl.ver > e.and_then(|e| e.mem).unwrap_or(0) {
                             push(
                                 "lost-dirty",
                                 format!(
@@ -751,8 +810,8 @@ impl ShadowChecker {
                 }
             }
         }
-        for &b in self.llc.keys() {
-            if !machine_llc.contains(&b) {
+        for &(b, e) in &rows {
+            if e.llc.is_some() && !machine_llc.contains(&b) {
                 push(
                     "mirror-desync",
                     format!("shadow thinks the LLC holds {b:#x}; machine does not"),
@@ -767,51 +826,50 @@ impl ShadowChecker {
         for bank in 0..self.ncores {
             for (block, entry) in m.dir_bank(bank).iter() {
                 machine_dir.insert(block.0);
-                if !self.dir.contains(&block.0) {
+                let e = self.blocks.get(&block.0);
+                if !e.is_some_and(|e| e.dir) {
                     push(
                         "mirror-desync",
                         format!("directory holds {block:?} unknown to the shadow"),
                     );
                 }
                 let holders = entry.all_holders();
-                for (c, lm) in self.l1.iter().enumerate() {
-                    if let Some(l) = lm.get(&block.0) {
-                        if l.nc {
-                            continue;
-                        }
-                        if holders & (1u64 << c) == 0 {
-                            push(
-                                "stranded-sharer",
-                                format!(
-                                    "core {c} holds coherent {block:?} but the \
-                                     directory does not track it"
-                                ),
-                            );
-                        }
-                        if matches!(
-                            l.state,
-                            L1State::Modified | L1State::Exclusive | L1State::Owned
-                        ) && entry.owner != Some(c as u8)
-                        {
-                            push(
-                                "swmr",
-                                format!(
-                                    "core {c} holds {block:?} in {:?} but the \
-                                     directory owner is {:?}",
-                                    l.state, entry.owner
-                                ),
-                            );
-                        }
-                        if l.state == L1State::Forward && entry.fwd != Some(c as u8) {
-                            push(
-                                "fwd-desync",
-                                format!(
-                                    "core {c} holds {block:?} in Forward but the \
-                                     directory forward pointer is {:?}",
-                                    entry.fwd
-                                ),
-                            );
-                        }
+                for &(c, l) in e.iter().flat_map(|e| &e.lines) {
+                    if l.nc {
+                        continue;
+                    }
+                    if holders & (1u64 << c) == 0 {
+                        push(
+                            "stranded-sharer",
+                            format!(
+                                "core {c} holds coherent {block:?} but the \
+                                 directory does not track it"
+                            ),
+                        );
+                    }
+                    if matches!(
+                        l.state,
+                        L1State::Modified | L1State::Exclusive | L1State::Owned
+                    ) && entry.owner != Some(c as u8)
+                    {
+                        push(
+                            "swmr",
+                            format!(
+                                "core {c} holds {block:?} in {:?} but the \
+                                 directory owner is {:?}",
+                                l.state, entry.owner
+                            ),
+                        );
+                    }
+                    if l.state == L1State::Forward && entry.fwd != Some(c as u8) {
+                        push(
+                            "fwd-desync",
+                            format!(
+                                "core {c} holds {block:?} in Forward but the \
+                                 directory forward pointer is {:?}",
+                                entry.fwd
+                            ),
+                        );
                     }
                 }
                 if let Some(fc) = entry.fwd {
@@ -824,7 +882,7 @@ impl ShadowChecker {
                             ),
                         );
                     }
-                    if let Some(l) = self.l1[fc as usize].get(&block.0) {
+                    if let Some(l) = e.and_then(|e| e.line(fc as usize)) {
                         if !l.nc && l.state != L1State::Forward {
                             push(
                                 "fwd-desync",
@@ -839,8 +897,8 @@ impl ShadowChecker {
                 }
             }
         }
-        for &b in &self.dir {
-            if !machine_dir.contains(&b) {
+        for &(b, e) in &rows {
+            if e.dir && !machine_dir.contains(&b) {
                 push(
                     "mirror-desync",
                     format!("shadow thinks the directory holds {b:#x}; machine does not"),
@@ -848,14 +906,8 @@ impl ShadowChecker {
             }
         }
         // Structural invariants over every tracked block.
-        let mut blocks: BTreeSet<u64> = BTreeSet::new();
-        blocks.extend(self.llc.keys().copied());
-        blocks.extend(self.dir.iter().copied());
-        for lm in &self.l1 {
-            blocks.extend(lm.keys().copied());
-        }
-        for b in blocks {
-            out.extend(self.block_violations(b));
+        for (b, e) in rows {
+            out.extend(e.violations(b, self.write_through));
         }
         out
     }
@@ -878,36 +930,23 @@ impl ShadowChecker {
     /// can occur (directory conflicts use 1-way banks, which replace
     /// deterministically).
     pub fn state_key(&self, m: &Machine) -> String {
-        let mut blocks: BTreeSet<u64> = BTreeSet::new();
-        blocks.extend(self.cur.keys().copied());
-        blocks.extend(self.llc.keys().copied());
-        blocks.extend(self.mem.keys().copied());
-        for lm in &self.l1 {
-            blocks.extend(lm.keys().copied());
-        }
         let mut s = String::new();
-        for b in blocks {
-            let mut vers: BTreeSet<u64> = BTreeSet::new();
-            vers.insert(self.cur_of(b));
-            vers.insert(self.mem_of(b));
-            if let Some(l) = self.llc.get(&b) {
-                vers.insert(l.ver);
+        let mut vers = Vec::new();
+        for (b, e) in self.sorted() {
+            if !e.keyed() {
+                continue;
             }
-            for lm in &self.l1 {
-                if let Some(l) = lm.get(&b) {
-                    vers.insert(l.ver);
-                }
-            }
+            let (cur, mem) = (e.cur.unwrap_or(0), e.mem.unwrap_or(0));
+            vers.clear();
+            vers.extend([cur, mem]);
+            vers.extend(e.llc.map(|l| l.ver));
+            vers.extend(e.lines.iter().map(|(_, l)| l.ver));
+            vers.sort_unstable();
+            vers.dedup();
             let rank = |v: u64| vers.iter().position(|&x| x == v).unwrap_or(0);
-            let _ = write!(
-                s,
-                "b{:x}[cur{} mem{}",
-                b,
-                rank(self.cur_of(b)),
-                rank(self.mem_of(b))
-            );
+            let _ = write!(s, "b{:x}[cur{} mem{}", b, rank(cur), rank(mem));
             let home = m.home_of(BlockAddr(b));
-            if let Some(l) = self.llc.get(&b) {
+            if let Some(l) = e.llc {
                 let dirty = m
                     .llc_bank(home)
                     .probe(BlockAddr(b))
@@ -921,32 +960,30 @@ impl ShadowChecker {
                     rank(l.ver)
                 );
             }
-            if let Some(e) = m.dir_bank(home).probe(BlockAddr(b)) {
-                let _ = write!(s, " dir{:?}/{:x}", e.owner, e.all_holders());
-                if let Some(fc) = e.fwd {
+            if let Some(d) = m.dir_bank(home).probe(BlockAddr(b)) {
+                let _ = write!(s, " dir{:?}/{:x}", d.owner, d.all_holders());
+                if let Some(fc) = d.fwd {
                     // Rendered only when set, so MESI keys are unchanged.
                     let _ = write!(s, "f{fc}");
                 }
             }
-            for (c, lm) in self.l1.iter().enumerate() {
-                if let Some(l) = lm.get(&b) {
-                    let st = match l.state {
-                        L1State::Modified => 'M',
-                        L1State::Exclusive => 'E',
-                        L1State::Shared => 'S',
-                        L1State::Forward => 'F',
-                        L1State::Owned => 'O',
-                    };
-                    let _ = write!(
-                        s,
-                        " c{}{}{}{}{}",
-                        c,
-                        st,
-                        u8::from(l.nc),
-                        rank(l.ver),
-                        u8::from(l.stale_ok)
-                    );
-                }
+            for (c, l) in &e.lines {
+                let st = match l.state {
+                    L1State::Modified => 'M',
+                    L1State::Exclusive => 'E',
+                    L1State::Shared => 'S',
+                    L1State::Forward => 'F',
+                    L1State::Owned => 'O',
+                };
+                let _ = write!(
+                    s,
+                    " c{}{}{}{}{}",
+                    c,
+                    st,
+                    u8::from(l.nc),
+                    rank(l.ver),
+                    u8::from(l.stale_ok)
+                );
             }
             s.push(']');
         }
@@ -970,12 +1007,9 @@ impl ShadowChecker {
                 nc,
             } => {
                 let b = block.0;
-                self.touched.insert(b);
-                let Some(line) = self.l1[core].get(&b).copied() else {
-                    self.violation(
-                        "mirror-desync",
-                        format!("core {core} hit {block:?} absent from the shadow"),
-                    );
+                self.touched.push(b);
+                let Some(line) = self.blocks.get(&b).and_then(|e| e.line(core)).copied() else {
+                    self.desync(format!("core {core} hit {block:?} absent from the shadow"));
                     return;
                 };
                 // The shadow's `nc` is the installing `Fill`'s and is never
@@ -1000,7 +1034,7 @@ impl ShadowChecker {
                     } else {
                         L1State::Modified
                     };
-                    let l = self.l1[core].get_mut(&b).expect("line just seen");
+                    let l = self.block(b).line_mut(core).expect("line just seen");
                     l.ver = ver;
                     l.state = state;
                     l.stale_ok = false;
@@ -1018,14 +1052,13 @@ impl ShadowChecker {
                 from_owner,
             } => {
                 let b = block.0;
-                self.touched.insert(b);
-                if self.l1[core].contains_key(&b) {
-                    self.violation(
-                        "mirror-desync",
-                        format!("core {core} filled {block:?} it already holds"),
-                    );
+                self.touched.push(b);
+                let e = self.block(b);
+                let held = e.line(core).is_some();
+                let (v_src, src_excused) = e.source(core, from_owner);
+                if held {
+                    self.desync(format!("core {core} filled {block:?} it already holds"));
                 }
-                let (v_src, src_excused) = self.source_version(core, b, from_owner);
                 if write {
                     self.stats.writes_checked += 1;
                     self.observe(core, b, v_src, src_excused, "write base (fill)");
@@ -1048,9 +1081,11 @@ impl ShadowChecker {
                 let (ver, stale_ok) = if write {
                     (self.record_write(core, b, !nc), false)
                 } else {
-                    (v_src, src_excused || v_src != self.cur_of(b))
+                    let cur = self.block(b).cur.unwrap_or(0);
+                    (v_src, src_excused || v_src != cur)
                 };
-                self.l1[core].insert(
+                self.put_line(
+                    core,
                     b,
                     ShadowLine {
                         state,
@@ -1067,22 +1102,18 @@ impl ShadowChecker {
                 nc,
             } => {
                 let b = block.0;
-                self.touched.insert(b);
-                match self.l1[core].remove(&b) {
-                    None => self.violation(
-                        "mirror-desync",
-                        format!("core {core} evicted {block:?} absent from the shadow"),
-                    ),
+                self.touched.push(b);
+                match self.take_line(core, b) {
+                    None => self.desync(format!(
+                        "core {core} evicted {block:?} absent from the shadow"
+                    )),
                     Some(l) => {
                         if l.state != state || l.nc != nc {
-                            self.violation(
-                                "mirror-desync",
-                                format!(
-                                    "core {core} evicted {block:?} as {state:?}/nc={nc}, \
+                            self.desync(format!(
+                                "core {core} evicted {block:?} as {state:?}/nc={nc}, \
                                      shadow had {:?}/nc={}",
-                                    l.state, l.nc
-                                ),
-                            );
+                                l.state, l.nc
+                            ));
                         }
                         if matches!(l.state, L1State::Modified | L1State::Owned) {
                             // NC write-backs fall through to memory when the
@@ -1100,28 +1131,22 @@ impl ShadowChecker {
                 dirty,
             } => {
                 let b = block.0;
-                self.touched.insert(b);
-                let line = self.l1[core].remove(&b);
+                self.touched.push(b);
+                let line = self.take_line(core, b);
                 if line.is_some() != present {
-                    self.violation(
-                        "mirror-desync",
-                        format!(
-                            "invalidation of {block:?} at core {core}: machine \
+                    self.desync(format!(
+                        "invalidation of {block:?} at core {core}: machine \
                              present={present}, shadow present={}",
-                            line.is_some()
-                        ),
-                    );
+                        line.is_some()
+                    ));
                 }
                 if let Some(l) = line {
                     if matches!(l.state, L1State::Modified | L1State::Owned) != dirty {
-                        self.violation(
-                            "mirror-desync",
-                            format!(
-                                "invalidation of {block:?} at core {core}: machine \
+                        self.desync(format!(
+                            "invalidation of {block:?} at core {core}: machine \
                                  dirty={dirty}, shadow state {:?}",
-                                l.state
-                            ),
-                        );
+                            l.state
+                        ));
                     }
                     if dirty {
                         // Capacity/ADR eviction paths forward recovered dirty
@@ -1137,51 +1162,37 @@ impl ShadowChecker {
                 to,
             } => {
                 let b = block.0;
-                self.touched.insert(b);
-                let prev = match self.l1[core].get_mut(&b) {
-                    None => {
-                        self.violation(
-                            "mirror-desync",
-                            format!("downgrade of {block:?} at core {core}: no shadow line"),
-                        );
-                        return;
-                    }
-                    Some(l) => {
-                        let prev = *l;
-                        l.state = to;
-                        prev
-                    }
+                self.touched.push(b);
+                let Some(l) = self.blocks.get_mut(&b).and_then(|e| e.line_mut(core)) else {
+                    self.desync(format!(
+                        "downgrade of {block:?} at core {core}: no shadow line"
+                    ));
+                    return;
                 };
-                if matches!(prev.state, L1State::Modified | L1State::Owned) != was_dirty {
-                    self.violation(
-                        "mirror-desync",
-                        format!(
-                            "downgrade of {block:?} at core {core}: machine \
-                             dirty={was_dirty}, shadow state {:?}",
-                            prev.state
-                        ),
-                    );
+                let prev = std::mem::replace(&mut l.state, to);
+                let ver = l.ver;
+                if matches!(prev, L1State::Modified | L1State::Owned) != was_dirty {
+                    self.desync(format!(
+                        "downgrade of {block:?} at core {core}: machine \
+                             dirty={was_dirty}, shadow state {prev:?}"
+                    ));
                 }
                 if was_dirty && to != L1State::Owned {
                     // MOESI's Owned keeps the dirty data private; every
                     // other dirty downgrade pushes it into the LLC.
-                    self.writeback(b, prev.ver, false, "downgrade write-back");
+                    self.writeback(b, ver, false, "downgrade write-back");
                 }
             }
             CheckEvent::L1FlushedNc { core, block, state } => {
                 let b = block.0;
-                self.touched.insert(b);
-                match self.l1[core].remove(&b) {
-                    None => self.violation(
-                        "mirror-desync",
-                        format!("NC flush of {block:?} at core {core}: no shadow line"),
-                    ),
+                self.touched.push(b);
+                match self.take_line(core, b) {
+                    None => self.desync(format!(
+                        "NC flush of {block:?} at core {core}: no shadow line"
+                    )),
                     Some(l) => {
                         if !l.nc {
-                            self.violation(
-                                "mirror-desync",
-                                format!("NC flush removed coherent shadow line {block:?}"),
-                            );
+                            self.desync(format!("NC flush removed coherent shadow line {block:?}"));
                         }
                         if state == L1State::Modified {
                             self.writeback(b, l.ver, true, "raccd_invalidate write-back");
@@ -1196,12 +1207,11 @@ impl ShadowChecker {
                 nc: _,
             } => {
                 let b = block.0;
-                self.touched.insert(b);
-                match self.l1[core].remove(&b) {
-                    None => self.violation(
-                        "mirror-desync",
-                        format!("page flush of {block:?} at core {core}: no shadow line"),
-                    ),
+                self.touched.push(b);
+                match self.take_line(core, b) {
+                    None => self.desync(format!(
+                        "page flush of {block:?} at core {core}: no shadow line"
+                    )),
                     Some(l) => {
                         if matches!(state, L1State::Modified | L1State::Owned) {
                             self.writeback(b, l.ver, true, "page flush write-back");
@@ -1211,113 +1221,91 @@ impl ShadowChecker {
             }
             CheckEvent::LlcFill { block, nc } => {
                 let b = block.0;
-                self.touched.insert(b);
-                let ver = self.mem_of(b);
-                if self.llc.insert(b, ShadowLlc { nc, ver }).is_some() {
-                    self.violation(
-                        "mirror-desync",
-                        format!("LLC filled {block:?} it already holds"),
-                    );
+                self.touched.push(b);
+                let e = self.block(b);
+                let ver = e.mem.unwrap_or(0);
+                if e.llc.replace(ShadowLlc { nc, ver }).is_some() {
+                    self.desync(format!("LLC filled {block:?} it already holds"));
                 }
             }
             CheckEvent::LlcEvict { block, nc, dirty } => {
                 let b = block.0;
-                self.touched.insert(b);
-                match self.llc.remove(&b) {
-                    None => self.violation(
-                        "mirror-desync",
-                        format!("LLC evicted {block:?} absent from the shadow"),
-                    ),
-                    Some(l) => {
-                        if l.nc != nc {
-                            self.violation(
-                                "mirror-desync",
-                                format!(
-                                    "LLC evicted {block:?} with nc={nc}, shadow had nc={}",
-                                    l.nc
-                                ),
-                            );
-                        }
-                        if l.ver > self.mem_of(b) {
-                            if !dirty {
-                                self.violation(
-                                    "lost-dirty",
-                                    format!(
-                                        "LLC evicted {block:?} clean while holding data \
-                                         newer than memory"
-                                    ),
-                                );
-                            }
-                            self.mem.insert(b, l.ver);
-                        }
-                    }
+                self.touched.push(b);
+                let e = self.block(b);
+                let Some(l) = e.llc.take() else {
+                    self.desync(format!("LLC evicted {block:?} absent from the shadow"));
+                    return;
+                };
+                let newer = l.ver > e.mem.unwrap_or(0);
+                if newer {
+                    e.mem = Some(l.ver);
+                }
+                if l.nc != nc {
+                    self.desync(format!(
+                        "LLC evicted {block:?} with nc={nc}, shadow had nc={}",
+                        l.nc
+                    ));
+                }
+                if newer && !dirty {
+                    self.violation(
+                        "lost-dirty",
+                        format!(
+                            "LLC evicted {block:?} clean while holding data \
+                             newer than memory"
+                        ),
+                    );
                 }
             }
             CheckEvent::WriteThrough { core, block } => {
                 let b = block.0;
-                self.touched.insert(b);
-                let ver = match self.l1[core].get(&b) {
-                    Some(l) => l.ver,
-                    None => {
-                        self.violation(
-                            "mirror-desync",
-                            format!("write-through from core {core} without a shadow line"),
-                        );
-                        return;
-                    }
+                self.touched.push(b);
+                let Some(l) = self.blocks.get(&b).and_then(|e| e.line(core)) else {
+                    self.desync(format!(
+                        "write-through from core {core} without a shadow line"
+                    ));
+                    return;
                 };
-                self.writeback(b, ver, true, "write-through");
+                self.writeback(b, l.ver, true, "write-through");
             }
             CheckEvent::NcToCoherent { block } => {
                 let b = block.0;
-                self.touched.insert(b);
-                match self.llc.get_mut(&b) {
+                self.touched.push(b);
+                match &mut self.block(b).llc {
                     Some(l) if l.nc => l.nc = false,
-                    _ => self.violation(
-                        "mirror-desync",
-                        format!("NC→coherent transition on non-NC/absent LLC line {block:?}"),
-                    ),
+                    _ => self.desync(format!(
+                        "NC→coherent transition on non-NC/absent LLC line {block:?}"
+                    )),
                 }
             }
             CheckEvent::CoherentToNc { block } => {
                 let b = block.0;
-                self.touched.insert(b);
-                match self.llc.get_mut(&b) {
+                self.touched.push(b);
+                match &mut self.block(b).llc {
                     Some(l) if !l.nc => l.nc = true,
-                    _ => self.violation(
-                        "mirror-desync",
-                        format!("coherent→NC transition on NC/absent LLC line {block:?}"),
-                    ),
+                    _ => self.desync(format!(
+                        "coherent→NC transition on NC/absent LLC line {block:?}"
+                    )),
                 }
             }
             CheckEvent::DirAllocate { block, core: _ } => {
                 let b = block.0;
-                self.touched.insert(b);
-                if !self.dir.insert(b) {
-                    self.violation(
-                        "mirror-desync",
-                        format!("directory allocated {block:?} it already tracks"),
-                    );
+                self.touched.push(b);
+                if std::mem::replace(&mut self.block(b).dir, true) {
+                    self.desync(format!("directory allocated {block:?} it already tracks"));
                 }
             }
             CheckEvent::DirDeallocate { block } => {
                 let b = block.0;
-                self.touched.insert(b);
-                if !self.dir.remove(&b) {
-                    self.violation(
-                        "mirror-desync",
-                        format!("directory deallocated untracked {block:?}"),
-                    );
+                self.touched.push(b);
+                if !std::mem::replace(&mut self.block(b).dir, false) {
+                    self.desync(format!("directory deallocated untracked {block:?}"));
                 }
             }
             CheckEvent::DirEvicted { block, holders: _ } => {
                 let b = block.0;
-                self.touched.insert(b);
-                if !self.dir.remove(&b) {
-                    self.violation(
-                        "mirror-desync",
-                        format!("directory evicted untracked {block:?}"),
-                    );
+                self.touched.push(b);
+                if !std::mem::replace(&mut self.block(b).dir, false) {
+                    self.desync(format!("directory evicted untracked {block:?}"));
                 }
                 // The holder invalidations follow as events; OpEnd's
                 // stranded-sharer check over this touched block verifies
@@ -1329,11 +1317,16 @@ impl ShadowChecker {
             }
             CheckEvent::NcInvalidate { core } => {
                 self.ncrt[core].clear();
-                let leftover: Vec<u64> = self.l1[core]
+                if self.nc_lines[core] == 0 {
+                    return;
+                }
+                let mut leftover: Vec<u64> = self
+                    .blocks
                     .iter()
-                    .filter(|(_, l)| l.nc)
+                    .filter(|(_, e)| e.line(core).is_some_and(|l| l.nc))
                     .map(|(&b, _)| b)
                     .collect();
+                leftover.sort_unstable();
                 for b in leftover {
                     self.violation(
                         "nc-discipline",
@@ -1346,17 +1339,6 @@ impl ShadowChecker {
             }
             CheckEvent::DisciplineOn => self.discipline = true,
             CheckEvent::OpEnd => self.check_touched(),
-        }
-    }
-}
-
-/// Directory-presence mirror, stored separately so `block_violations` can
-/// borrow the rest of the checker immutably.
-impl ShadowChecker {
-    fn finish_report(&mut self) -> CheckReport {
-        CheckReport {
-            stats: self.stats,
-            violations: std::mem::take(&mut self.violations),
         }
     }
 }
@@ -1375,7 +1357,10 @@ impl CheckSink for ShadowChecker {
     }
 
     fn finish(&mut self) -> CheckReport {
-        self.finish_report()
+        CheckReport {
+            stats: self.stats,
+            violations: self.take_violations(),
+        }
     }
 }
 
@@ -1388,13 +1373,13 @@ const KNOWN_CODES: &[&str] = &[
     "fwd-desync",
     "fwd-unique",
     "l1-inclusion",
+    "l1-nc-mutated",
     "lost-dirty",
     "mirror-desync",
     "nc-discipline",
     "nc-exclusivity",
     "stranded-sharer",
     "swmr",
-    "write-through",
     "writeback-lost",
     "wt-dirty",
 ];
@@ -1436,21 +1421,41 @@ impl raccd_snap::Snap for Violation {
     }
 }
 
-// Hand-written: `recent` is a diagnostic-only window; it is not saved and
+/// One field of every record as a sorted `(block, value)` list, which
+/// encodes as the `BTreeMap<u64, T>` it stands for.
+fn column<T>(rows: &[(u64, &ShadowBlock)], f: impl Fn(&ShadowBlock) -> Option<T>) -> Vec<(u64, T)> {
+    rows.iter().filter_map(|&(b, e)| Some((b, f(e)?))).collect()
+}
+
+// Hand-written: the layout is column-major, one sorted map per core of L1
+// lines, then the LLC lines, the memory and golden versions and the
+// directory set; `recent` is a diagnostic-only window, not saved, that
 // restores empty.
 impl raccd_snap::Snap for ShadowChecker {
     fn save(&self, w: &mut raccd_snap::SnapWriter) {
+        let rows = self.sorted();
         self.ncores.save(w);
         self.write_through.save(w);
         self.fail_fast.save(w);
         self.discipline.save(w);
-        self.l1.save(w);
-        self.llc.save(w);
-        self.mem.save(w);
-        self.cur.save(w);
-        self.dir.save(w);
+        let l1: Vec<_> = (0..self.ncores)
+            .map(|c| column(&rows, |e| e.line(c).copied()))
+            .collect();
+        l1.save(w);
+        column(&rows, |e| e.llc).save(w);
+        column(&rows, |e| e.mem).save(w);
+        column(&rows, |e| e.cur).save(w);
+        let dir: Vec<u64> = rows
+            .iter()
+            .filter(|(_, e)| e.dir)
+            .map(|&(b, _)| b)
+            .collect();
+        dir.save(w);
         self.ncrt.save(w);
-        self.touched.save(w);
+        let mut touched = self.touched.clone();
+        touched.sort_unstable();
+        touched.dedup();
+        touched.save(w);
         self.violations.save(w);
         self.stats.save(w);
     }
@@ -1460,33 +1465,38 @@ impl raccd_snap::Snap for ShadowChecker {
         let write_through = Snap::load(r)?;
         let fail_fast = Snap::load(r)?;
         let discipline = Snap::load(r)?;
-        let l1: Vec<BTreeMap<u64, ShadowLine>> = Snap::load(r)?;
-        let llc = Snap::load(r)?;
-        let mem = Snap::load(r)?;
-        let cur = Snap::load(r)?;
-        let dir = Snap::load(r)?;
+        let l1: Vec<Vec<(u64, ShadowLine)>> = Snap::load(r)?;
+        let llc: Vec<(u64, ShadowLlc)> = Snap::load(r)?;
+        let mem: Vec<(u64, u64)> = Snap::load(r)?;
+        let cur: Vec<(u64, u64)> = Snap::load(r)?;
+        let dir: Vec<u64> = Snap::load(r)?;
         let ncrt: Vec<Vec<(u64, u64)>> = Snap::load(r)?;
-        let touched = Snap::load(r)?;
-        let violations = Snap::load(r)?;
-        let stats = Snap::load(r)?;
         if ncores == 0 || l1.len() != ncores || ncrt.len() != ncores {
             return Err(raccd_snap::SnapError::Invalid("shadow checker geometry"));
         }
-        Ok(ShadowChecker {
-            ncores,
-            write_through,
-            fail_fast,
-            discipline,
-            l1,
-            llc,
-            mem,
-            cur,
-            dir,
-            ncrt,
-            touched,
-            violations,
-            recent: VecDeque::with_capacity(RECENT_EVENTS),
-            stats,
-        })
+        let mut c = ShadowChecker::empty(ncores, write_through, fail_fast);
+        c.discipline = discipline;
+        c.ncrt = ncrt;
+        c.touched = Snap::load(r)?;
+        c.violations = Snap::load(r)?;
+        c.stats = Snap::load(r)?;
+        for (core, lines) in l1.into_iter().enumerate() {
+            for (b, line) in lines {
+                c.put_line(core, b, line);
+            }
+        }
+        for (b, l) in llc {
+            c.block(b).llc = Some(l);
+        }
+        for (b, v) in mem {
+            c.block(b).mem = Some(v);
+        }
+        for (b, v) in cur {
+            c.block(b).cur = Some(v);
+        }
+        for b in dir {
+            c.block(b).dir = true;
+        }
+        Ok(c)
     }
 }

@@ -1019,7 +1019,10 @@ impl Machine {
                 // write-back — and stays the directory owner.
                 cycles += self.xmit(home, o, MsgClass::Control, now);
                 let (dg_state, wb) = if owner_dirty {
-                    (rules.dirty_downgrade, rules.downgrade_writes_back)
+                    (
+                        rules.dirty_downgrade,
+                        rules.dirty_downgrade != L1State::Owned,
+                    )
                 } else {
                     (L1State::Shared, false)
                 };
@@ -1833,6 +1836,25 @@ mod tests {
         line.expect("resident").nc = true;
         access(&mut m, 0, 0x10_0000, false, false, 20);
         let codes: Vec<_> = take(&mut m).iter().map(|v| v.code).collect();
+        assert_eq!(codes, ["l1-nc-mutated"]);
+    }
+
+    /// A collecting checker's violations survive a snapshot round trip
+    /// under their own codes, not as `"restored"`.
+    #[test]
+    fn restored_checker_keeps_the_nc_mutation_code() {
+        let mut m = machine();
+        m.attach_checker(Box::new(ShadowChecker::collecting(&m.cfg)));
+        access(&mut m, 0, 0x10_0000, false, false, 0);
+        let (paddr, _) = m.translate(0, VAddr(0x10_0000));
+        let line = m.cores[0].l1.probe_mut(paddr.block());
+        line.expect("resident").nc = true;
+        access(&mut m, 0, 0x10_0000, false, false, 10);
+        let mut back = Machine::restore(m.cfg, &m.snapshot()).expect("own archive");
+        let sink = back.checker_mut().expect("the archived checker");
+        let sc = sink.as_any_mut().downcast_mut::<ShadowChecker>();
+        let violations = sc.expect("a ShadowChecker").take_violations();
+        let codes: Vec<_> = violations.iter().map(|v| v.code).collect();
         assert_eq!(codes, ["l1-nc-mutated"]);
     }
 
