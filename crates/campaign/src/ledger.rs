@@ -106,7 +106,10 @@ pub struct JobDigest {
     /// FNV-1a-64 over the full protocol-visible counter set
     /// ([`crate::stats_digest`]).
     pub stats_digest: u64,
-    /// Shadow-checker canonical state key, when a checker was attached.
+    /// FNV-1a-64, as 16 hex digits, of the shadow checker's canonical
+    /// state key, when a checker was attached. The digest, not the key:
+    /// the key lists every block the run touched, and a `done` record
+    /// carrying it grew the ledger thirtyfold.
     pub state_key: Option<String>,
 }
 

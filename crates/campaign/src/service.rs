@@ -43,6 +43,7 @@ use raccd_core::Driver;
 use raccd_fault::{Backoff, FaultPlan, Watchdog};
 use raccd_obs::json::Obj;
 use raccd_obs::{CampaignAction, Event};
+use raccd_snap::fnv1a64;
 use raccd_workloads::all_benchmarks;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -226,8 +227,8 @@ impl Campaign {
     /// up to the backpressure bound, shed the rest. Each decision is
     /// durable before this returns.
     ///
-    /// A spec the campaign cannot run (an unknown bench, a fault plan or a
-    /// field that does not parse) is refused with `InvalidInput` before
+    /// A spec the campaign cannot run (an unknown bench, or a machine its
+    /// line does not parse back to) is refused with `InvalidInput` before
     /// any record is written.
     pub fn submit(&self, spec: &JobSpec) -> io::Result<SubmitSummary> {
         let invalid = |e| io::Error::new(io::ErrorKind::InvalidInput, e);
@@ -240,8 +241,7 @@ impl Campaign {
                 key.fingerprint = known;
             }
             // Every key shares the fingerprint, so only the first can be
-            // new. `canonical` keeps a fault plan that does not parse
-            // verbatim; parsing the line back refuses it with its error.
+            // new; parsing its line back refuses a machine that cannot run.
             if let Entry::Vacant(slot) = st.specs.entry(key.fingerprint) {
                 slot.insert(JobSpec::parse(&canonical).map_err(invalid)?);
             }
@@ -547,7 +547,7 @@ fn execute_job(
     cancel: &CancelToken,
 ) -> Result<JobDigest, String> {
     let fingerprint = spec.fingerprint();
-    let plan = spec.fault_plan();
+    let plan = spec.fault;
     let reseed = reseed(plan, seed);
     let run = || {
         let idx = spec.bench_idx()?;
@@ -621,7 +621,9 @@ fn finish_supervised(
             }
         }
     }
-    let state_key = driver.shadow_state_key();
+    let state_key = driver
+        .shadow_state_key()
+        .map(|k| format!("{:016x}", fnv1a64(k.as_bytes())));
     let out = driver.finish(None);
     if let Some(d) = out.fault.as_ref().and_then(|f| f.detected) {
         return Err(format!("detected: {d:?}"));
@@ -640,7 +642,7 @@ fn finish_supervised(
 pub fn execute_job_direct(spec: &JobSpec, seed: u64) -> Result<JobDigest, String> {
     let idx = spec.bench_idx()?;
     let cfg = spec.machine_config();
-    let plan = spec.fault_plan();
+    let plan = spec.fault;
     let build = all_benchmarks(spec.scale)[idx].build();
     let mut driver = Driver::new(cfg, spec.mode, build, plan, None);
     if spec.warmup > 0 {

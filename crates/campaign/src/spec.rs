@@ -61,10 +61,11 @@ pub struct JobSpec {
     pub sched: SchedKind,
     /// Cycles of warm-up shared through the snapshot pool (0 = cold).
     pub warmup: u64,
-    /// Fault plan spec (`raccd_fault::FaultPlan::from_spec` grammar), or
-    /// `None` for a fault-free run. The per-seed fault RNG is reseeded at
-    /// the warm-up boundary, so every seed shares the warm-up prefix.
-    pub fault: Option<String>,
+    /// Fault plan, read from the `fault=` value by
+    /// [`FaultPlan::from_spec`], or `None` for a fault-free run. The
+    /// per-seed fault RNG is reseeded at the warm-up boundary, so every
+    /// seed shares the warm-up prefix.
+    pub fault: Option<FaultPlan>,
     /// First seed of the sweep (inclusive).
     pub seed_lo: u64,
     /// Last seed of the sweep (inclusive).
@@ -135,14 +136,9 @@ impl JobSpec {
     /// table order, only where it differs from the scale's base machine,
     /// so a line that sets none keeps the fingerprint it always had.
     pub fn canonical(&self) -> String {
-        let fault = match &self.fault {
-            // Normalise through the plan grammar so `drop=0.02` and
-            // `drop=2e-2` fingerprint identically.
-            Some(s) => FaultPlan::from_spec(s)
-                .map(|p| p.to_spec())
-                .unwrap_or_else(|_| s.clone()),
-            None => "-".to_string(),
-        };
+        // The plan renders in its canonical form, so `drop=0.02` and
+        // `drop=2e-2` fingerprint identically.
+        let fault = self.fault.map_or_else(|| "-".to_string(), |p| p.to_spec());
         let mut line = format!(
             "bench={} scale={} mode={}",
             self.bench.to_ascii_lowercase(),
@@ -210,8 +206,7 @@ impl JobSpec {
             "warmup" => self.warmup = v.parse().map_err(|_| bad())?,
             "fault" if v == "-" => self.fault = None,
             "fault" => {
-                FaultPlan::from_spec(v).map_err(|e| format!("fault: {e}"))?;
-                self.fault = Some(v.to_string());
+                self.fault = Some(FaultPlan::from_spec(v).map_err(|e| format!("fault: {e}"))?)
             }
             "seeds" => {
                 let (lo, hi) = v
@@ -311,17 +306,6 @@ impl JobSpec {
         }
         cfg
     }
-
-    /// The parsed fault plan, if any. Panics on a plan that does not parse,
-    /// which no spec parsed from a line or admitted by a campaign holds.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.fault
-            .as_deref()
-            .map(|s| {
-                FaultPlan::from_spec(s)
-                    .expect("fault plan parses: `JobSpec::parse` and `Campaign::submit` refuse one that does not")
-            })
-    }
 }
 
 #[cfg(test)]
@@ -339,7 +323,7 @@ mod tests {
             topology: Topology::Mesh,
             sched: SchedKind::Fifo,
             warmup: 5_000,
-            fault: Some("drop=0.02;dup=0.01".into()),
+            fault: Some(FaultPlan::from_spec("drop=0.02;dup=0.01").unwrap()),
             seed_lo: 1,
             seed_hi: 8,
             knobs: Default::default(),
@@ -416,8 +400,8 @@ mod tests {
     fn fingerprint_normalises_fault_spec() {
         let mut a = spec();
         let mut b = spec();
-        a.fault = Some("drop=0.02".into());
-        b.fault = Some("drop=2e-2".into());
+        a.set("fault", "drop=0.02").unwrap();
+        b.set("fault", "drop=2e-2").unwrap();
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
@@ -483,6 +467,11 @@ mod tests {
         assert!(JobSpec::parse("bench=Jacobi seeds=5..2").is_err());
         assert!(JobSpec::parse("bench=Jacobi bogus=1").is_err());
         assert!(JobSpec::parse("bench=Jacobi fault=drop=9").is_err());
+        // A plan that does not parse never reaches a spec.
+        assert_eq!(
+            JobSpec::parse("bench=Jacobi fault=drop=banana"),
+            Err("fault: fault spec `drop`: bad rate `banana`".to_string())
+        );
         assert_eq!(
             JobSpec::parse("bench=Jacobi ratio=0"),
             Err("bad ratio `0`".to_string())

@@ -24,7 +24,7 @@ fn seeds_differ_exactly_when_a_fault_plane_is_attached() {
                     spec.protocol = protocol;
                     spec.sched = sched;
                     for fault in [None, Some("delay=0.05:16")] {
-                        spec.fault = fault.map(String::from);
+                        spec.fault = fault.map(|f| FaultPlan::from_spec(f).unwrap());
                         let one = execute_job_direct(&spec, 1).unwrap();
                         let two = execute_job_direct(&spec, 2).unwrap();
                         let planned = fault.is_some() || env_plane;

@@ -80,7 +80,7 @@ fn fault_free_seeds_share_one_run_and_faulty_seeds_run_their_own() {
     let shares = FaultPlan::forced_from_env().is_none();
     let free = spec("Jacobi", 4);
     let mut delayed = free.clone();
-    delayed.fault = Some("delay=0.005:16".into());
+    delayed.set("fault", "delay=0.005:16").unwrap();
     for (name, s, shared) in [
         ("shared.jsonl", &free, if shares { 3 } else { 0 }),
         ("unshared.jsonl", &delayed, 0),
@@ -102,19 +102,14 @@ fn fault_free_seeds_share_one_run_and_faulty_seeds_run_their_own() {
     }
 }
 
-/// A fault plan that does not parse is refused with its own error before
-/// any record is written, not carried to a panic.
+/// A machine that cannot run is refused with its own error before any
+/// record is written, not carried to a panic. (A fault plan that does not
+/// parse never reaches a spec: `JobSpec::parse` refuses its text.)
 #[test]
-fn an_unparseable_fault_plan_is_refused_without_a_record() {
-    let path = scratch("bad-fault.jsonl");
+fn a_machine_that_cannot_run_is_refused_without_a_record() {
+    let path = scratch("bad-machine.jsonl");
     let camp = Campaign::open(&path, quick_config()).unwrap();
     let mut s = spec("MD5", 2);
-    s.fault = Some("drop=banana".into());
-    let err = camp.submit(&s).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    let plan_err = FaultPlan::from_spec("drop=banana").unwrap_err();
-    assert_eq!(err.to_string(), format!("fault: {plan_err}"));
-    s.fault = None;
     s.ratio = 0;
     let err = camp.submit(&s).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
@@ -180,7 +175,7 @@ fn failing_job_burns_retries_then_lands_terminal() {
     // Every message dropped with a one-retry budget: detection is
     // guaranteed and identical on every attempt.
     let mut s = spec("Jacobi", 1);
-    s.fault = Some("drop=1;retry_budget=1".to_string());
+    s.set("fault", "drop=1;retry_budget=1").unwrap();
     camp.submit(&s).unwrap();
     let report = camp.run().unwrap();
     assert_eq!(report.done, 0);

@@ -50,7 +50,7 @@ fn matrix() -> Vec<JobSpec> {
     warm.seed_hi = 3;
     specs.push(warm);
     let mut faulty = JobSpec::new("Jacobi", Scale::Test, CoherenceMode::Raccd);
-    faulty.fault = Some("delay=5e-4:16;dup=1e-4".to_string());
+    faulty.set("fault", "delay=5e-4:16;dup=1e-4").unwrap();
     faulty.seed_hi = 2;
     specs.push(faulty.clone());
     faulty.warmup = 2_000;

@@ -220,13 +220,18 @@ pub fn run_resilient(
     mut rec: Option<&mut Recorder>,
 ) -> DriverOutput {
     let mut driver = Driver::new(cfg, mode, make_program(), Some(plan), rec.as_deref_mut());
-    driver.set_checkpoint_interval(policy.checkpoint_interval);
+    let interval = policy.checkpoint_interval.max(1);
     let mut last_good: Option<Snapshot> = None;
     let mut rollbacks = 0u32;
     loop {
-        while driver.step(rec.as_deref_mut()) {}
-        if let Some(ck) = driver.take_last_checkpoint() {
-            last_good = Some(ck);
+        // Step to the mark, then checkpoint between turns once the next
+        // heap time reaches it; the next mark is an interval past that.
+        let mut mark = driver.next_time().unwrap_or(0) + interval;
+        while driver.run_until(mark - 1, rec.as_deref_mut()) {
+            if let Some(t) = driver.next_time() {
+                last_good = Some(driver.snapshot());
+                mark = t + interval;
+            }
         }
         if driver.detection().is_none() || rollbacks >= policy.max_rollbacks {
             break;
@@ -238,7 +243,6 @@ pub fn run_resilient(
             break;
         };
         rollbacks += 1;
-        restored.set_checkpoint_interval(policy.checkpoint_interval);
         restored.reseed_faults(rollbacks as u64);
         restored.rollbacks = rollbacks;
         driver = restored;
@@ -298,9 +302,6 @@ pub struct Driver {
     /// Tasks in the order they completed (the graph replay script).
     completion_order: Vec<TaskId>,
     end_time: u64,
-    ckpt_interval: Option<u64>,
-    next_ckpt: u64,
-    last_ckpt: Option<Snapshot>,
     rollbacks: u32,
 }
 
@@ -397,24 +398,8 @@ impl Driver {
             heap: (0..nctx).map(|c| Reverse((0u64, c))).collect(),
             completion_order: Vec::new(),
             end_time: 0,
-            ckpt_interval: None,
-            next_ckpt: 0,
-            last_ckpt: None,
             rollbacks: 0,
         }
-    }
-
-    /// Auto-checkpoint every `cycles` heap cycles; the latest snapshot is
-    /// retrievable via [`Driver::take_last_checkpoint`].
-    pub fn set_checkpoint_interval(&mut self, cycles: u64) {
-        let cycles = cycles.max(1);
-        self.ckpt_interval = Some(cycles);
-        self.next_ckpt = self.next_time().unwrap_or(0) + cycles;
-    }
-
-    /// Take the most recent auto-checkpoint, if one was captured.
-    pub fn take_last_checkpoint(&mut self) -> Option<Snapshot> {
-        self.last_ckpt.take()
     }
 
     /// Why the run was aborted as detected, if it was.
@@ -501,18 +486,10 @@ impl Driver {
         self.detection.is_none()
     }
 
-    /// Turn prologue: auto-checkpoint, pop the next heap entry, then
-    /// everything that rides the heap clock — detection, degrade
-    /// observation, telemetry sampling. `None` ends the run.
+    /// Turn prologue: pop the next heap entry, then everything that rides
+    /// the heap clock — detection, degrade observation, telemetry
+    /// sampling. `None` ends the run.
     fn prologue(&mut self, mut rec: Option<&mut Recorder>) -> Option<(u64, usize)> {
-        // State is consistent only between core turns, so this is where
-        // checkpoints are taken.
-        if let (Some(interval), Some(t)) = (self.ckpt_interval, self.next_time()) {
-            if t >= self.next_ckpt {
-                self.last_ckpt = Some(self.snapshot());
-                self.next_ckpt = t + interval;
-            }
-        }
         let Reverse((t, ctx)) = self.heap.pop()?;
         // Resilience checks are armed only with a fault plane attached. A
         // detection aborts the run *visibly*: the caller sees
@@ -1139,9 +1116,6 @@ impl Driver {
             heap: heap_vec.into_iter().map(Reverse).collect(),
             completion_order,
             end_time: s.get("driver/end_time")?,
-            ckpt_interval: None,
-            next_ckpt: 0,
-            last_ckpt: None,
             rollbacks: s.get("driver/rollbacks")?,
         })
     }

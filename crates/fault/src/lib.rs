@@ -246,91 +246,26 @@ impl FaultPlan {
     /// Unset keys keep their [`Default`] values. Two-part values use `:`
     /// (`delay=RATE:MAX`, `storm=RATE:LEN`, `straggle=RATE:CYCLES`,
     /// `window=START:END`, `backoff=BASE:CAP`,
-    /// `degrade=WINDOW:OVERFLOWS:RETRIES`). Cycle magnitudes added to the
-    /// clock are bounded by [`MAX_SPEC_CYCLES`].
+    /// `degrade=WINDOW:OVERFLOWS:RETRIES`). Each key is one row of
+    /// [`SPEC_KEYS`], which bounds and clamps its fields.
     pub fn from_spec(spec: &str) -> Result<FaultPlan, SpecError> {
         let mut p = FaultPlan::default();
-        for item in spec.split(';') {
-            let item = item.trim();
-            if item.is_empty() {
-                continue;
-            }
+        for item in spec.split(';').map(str::trim).filter(|i| !i.is_empty()) {
             let (key, val) = item
                 .split_once('=')
                 .ok_or_else(|| format!("fault spec item `{item}` is not key=value"))?;
-            fn rate(key: &str, v: &str) -> Result<f64, String> {
-                let r: f64 = v
-                    .parse()
-                    .map_err(|_| format!("fault spec `{key}`: bad rate `{v}`"))?;
-                if !(0.0..=1.0).contains(&r) {
-                    return Err(format!("fault spec `{key}`: rate {r} outside [0,1]"));
-                }
-                Ok(r)
-            }
-            fn int(key: &str, v: &str) -> Result<u64, String> {
-                v.parse()
-                    .map_err(|_| format!("fault spec `{key}`: bad integer `{v}`"))
-            }
-            fn pair<'a>(key: &str, v: &'a str) -> Result<(&'a str, &'a str), String> {
-                v.split_once(':')
-                    .ok_or_else(|| format!("fault spec `{key}`: expected A:B, got `{v}`"))
-            }
-            let rate = |v: &str| rate(key, v);
-            let int = |v: &str| int(key, v);
-            let int32 = |v: &str| {
-                u32::try_from(int(v)?).map_err(|_| format!("fault spec `{key}`: {v} out of range"))
+            let Some(row) = SPEC_KEYS.iter().find(|row| row.name == key) else {
+                return Err(format!("fault spec: unknown key `{key}`").into());
             };
-            let cycles = |key: &'static str, v: &str| match int(v)? {
-                n if n > MAX_SPEC_CYCLES => Err(SpecError::CyclesAboveBound(key, n)),
-                n => Ok(n),
-            };
-            match key {
-                "seed" => p.seed = int(val)?,
-                "drop" => p.drop = rate(val)?,
-                "dup" => p.dup = rate(val)?,
-                "corrupt" => p.corrupt = rate(val)?,
-                "delay" => {
-                    let (r, m) = pair(key, val)?;
-                    p.delay = rate(r)?;
-                    p.delay_max = cycles("delay", m)?.max(1);
-                }
-                "dirloss" => p.dir_loss = rate(val)?,
-                "storm" => {
-                    let (r, l) = pair(key, val)?;
-                    p.storm = rate(r)?;
-                    p.storm_len = cycles("storm", l)?;
-                }
-                "taskfail" => p.task_fail = rate(val)?,
-                "straggle" => {
-                    let (r, c) = pair(key, val)?;
-                    p.straggle = rate(r)?;
-                    p.straggle_cycles = cycles("straggle", c)?;
-                }
-                "window" => {
-                    let (s, e) = pair(key, val)?;
-                    let (s, e) = (int(s)?, int(e)?);
-                    if s >= e {
-                        return Err(format!("fault spec window: start {s} >= end {e}").into());
-                    }
-                    p.window = Some((s, e));
-                }
-                "retry_budget" => p.retry_budget = int32(val)?,
-                "backoff" => {
-                    let (b, c) = pair(key, val)?;
-                    p.backoff_base = cycles("backoff", b)?.max(1);
-                    p.backoff_cap = cycles("backoff", c)?.max(p.backoff_base);
-                }
-                "timeout" => p.drop_timeout = cycles("timeout", val)?,
-                "task_budget" => p.task_retry_budget = int32(val)?,
-                "watchdog" => p.watchdog_cycles = int(val)?.max(1),
-                "degrade" => {
-                    let (w, rest) = pair(key, val)?;
-                    let (o, r) = pair(key, rest)?;
-                    p.degrade_window = int(w)?;
-                    p.degrade_overflows = int(o)?;
-                    p.degrade_retries = int(r)?;
-                }
-                _ => return Err(format!("fault spec: unknown key `{key}`").into()),
+            // The value splits into the row's fields before any is read; a
+            // part short of its `:` is refused as `A:B` refuses it.
+            let parts: Vec<&str> = val.splitn(row.fields.len(), ':').collect();
+            if parts.len() < row.fields.len() {
+                pair(key, parts[parts.len() - 1])?;
+            }
+            for (field, text) in row.fields.iter().zip(parts) {
+                let floor = (field.floor)(&p);
+                (field.slot)(&mut p).read(row.name, text, floor)?;
             }
         }
         let total = p.drop + p.dup + p.corrupt + p.delay;
@@ -340,79 +275,21 @@ impl FaultPlan {
         Ok(p)
     }
 
-    /// Render back to the compact spec form. Only keys that differ from
-    /// [`Default`] are emitted; `from_spec(to_spec()) == self`.
+    /// Render back to the compact spec form: the rows of [`SPEC_KEYS`] on
+    /// which the plan differs from [`Default`], in table order;
+    /// `from_spec(to_spec()) == self`.
     pub fn to_spec(&self) -> String {
-        let d = FaultPlan::default();
-        let mut out: Vec<String> = Vec::new();
-        let mut kv = |cond: bool, s: String| {
-            if cond {
-                out.push(s);
+        // The plan is `Copy`: its slots are read through copies.
+        let (mut p, mut d) = (*self, FaultPlan::default());
+        let mut items = Vec::new();
+        for row in &SPEC_KEYS {
+            let fields = row.fields.iter();
+            if fields.clone().any(|f| (f.slot)(&mut p) != (f.slot)(&mut d)) {
+                let values: Vec<String> = fields.map(|f| (f.slot)(&mut p).to_string()).collect();
+                items.push(format!("{}={}", row.name, values.join(":")));
             }
-        };
-        kv(self.seed != d.seed, format!("seed={}", self.seed));
-        kv(self.drop != d.drop, format!("drop={}", self.drop));
-        kv(self.dup != d.dup, format!("dup={}", self.dup));
-        kv(
-            self.corrupt != d.corrupt,
-            format!("corrupt={}", self.corrupt),
-        );
-        kv(
-            self.delay != d.delay || self.delay_max != d.delay_max,
-            format!("delay={}:{}", self.delay, self.delay_max),
-        );
-        kv(
-            self.dir_loss != d.dir_loss,
-            format!("dirloss={}", self.dir_loss),
-        );
-        kv(
-            self.storm != d.storm || self.storm_len != d.storm_len,
-            format!("storm={}:{}", self.storm, self.storm_len),
-        );
-        kv(
-            self.task_fail != d.task_fail,
-            format!("taskfail={}", self.task_fail),
-        );
-        kv(
-            self.straggle != d.straggle || self.straggle_cycles != d.straggle_cycles,
-            format!("straggle={}:{}", self.straggle, self.straggle_cycles),
-        );
-        kv(
-            self.window.is_some(),
-            self.window
-                .map(|(s, e)| format!("window={s}:{e}"))
-                .unwrap_or_default(),
-        );
-        kv(
-            self.retry_budget != d.retry_budget,
-            format!("retry_budget={}", self.retry_budget),
-        );
-        kv(
-            self.backoff_base != d.backoff_base || self.backoff_cap != d.backoff_cap,
-            format!("backoff={}:{}", self.backoff_base, self.backoff_cap),
-        );
-        kv(
-            self.drop_timeout != d.drop_timeout,
-            format!("timeout={}", self.drop_timeout),
-        );
-        kv(
-            self.task_retry_budget != d.task_retry_budget,
-            format!("task_budget={}", self.task_retry_budget),
-        );
-        kv(
-            self.watchdog_cycles != d.watchdog_cycles,
-            format!("watchdog={}", self.watchdog_cycles),
-        );
-        kv(
-            self.degrade_window != d.degrade_window
-                || self.degrade_overflows != d.degrade_overflows
-                || self.degrade_retries != d.degrade_retries,
-            format!(
-                "degrade={}:{}:{}",
-                self.degrade_window, self.degrade_overflows, self.degrade_retries
-            ),
-        );
-        out.join(";")
+        }
+        items.join(";")
     }
 
     /// The plan the `RACCD_FAULT_SPEC` environment variable names, if set
@@ -436,6 +313,125 @@ impl FaultPlan {
         })
     }
 }
+
+/// `v` split at its first `:`, or the error naming `key`.
+fn pair<'a>(key: &str, v: &'a str) -> Result<(&'a str, &'a str), String> {
+    v.split_once(':')
+        .ok_or_else(|| format!("fault spec `{key}`: expected A:B, got `{v}`"))
+}
+
+/// A plan field as a spec reads and writes it: its place in the plan,
+/// whose variant is the field's kind and bound.
+#[derive(PartialEq)]
+enum Slot<'a> {
+    /// A probability in `[0, 1]`.
+    Rate(&'a mut f64),
+    /// Any `u64`.
+    U64(&'a mut u64),
+    /// Any `u32`.
+    U32(&'a mut u32),
+    /// A cycle count the clock adds, at most [`MAX_SPEC_CYCLES`].
+    Cycles(&'a mut u64),
+    /// An optional `START:END` pair of `u64`s, start below end.
+    Window(&'a mut Option<(u64, u64)>),
+}
+
+impl Slot<'_> {
+    /// Store the value `v` reads as, an integer raised to `floor`, or
+    /// refuse it in the words of spec key `key`.
+    fn read(self, key: &'static str, v: &str, floor: u64) -> Result<(), SpecError> {
+        let int = |v: &str| {
+            v.parse::<u64>()
+                .map_err(|_| format!("fault spec `{key}`: bad integer `{v}`"))
+        };
+        match self {
+            Slot::Rate(r) => match v.parse::<f64>() {
+                Ok(x) if (0.0..=1.0).contains(&x) => *r = x,
+                Ok(x) => return Err(format!("fault spec `{key}`: rate {x} outside [0,1]").into()),
+                Err(_) => return Err(format!("fault spec `{key}`: bad rate `{v}`").into()),
+            },
+            Slot::U64(n) => *n = int(v)?.max(floor),
+            Slot::U32(n) => {
+                *n = u32::try_from(int(v)?)
+                    .map_err(|_| format!("fault spec `{key}`: {v} out of range"))?;
+            }
+            Slot::Cycles(n) => match int(v)? {
+                c if c > MAX_SPEC_CYCLES => return Err(SpecError::CyclesAboveBound(key, c)),
+                c => *n = c.max(floor),
+            },
+            Slot::Window(w) => {
+                let (s, e) = pair(key, v)?;
+                match (int(s)?, int(e)?) {
+                    (s, e) if s < e => *w = Some((s, e)),
+                    (s, e) => return Err(format!("fault spec {key}: start {s} >= end {e}").into()),
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl fmt::Display for Slot<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Slot::Rate(r) => write!(f, "{r}"),
+            Slot::U64(n) | Slot::Cycles(n) => write!(f, "{n}"),
+            Slot::U32(n) => write!(f, "{n}"),
+            Slot::Window(w) => w.map_or(Ok(()), |(s, e)| write!(f, "{s}:{e}")),
+        }
+    }
+}
+
+/// One field of a spec key: where it lives, and the least value an
+/// integer is raised to, given the plan read so far.
+struct Field {
+    slot: fn(&mut FaultPlan) -> Slot<'_>,
+    floor: fn(&FaultPlan) -> u64,
+}
+
+/// One fault spec key and the plan fields its `:`-separated value sets,
+/// in order.
+pub struct SpecKey {
+    /// The key as a spec spells it.
+    pub name: &'static str,
+    fields: &'static [Field],
+}
+
+/// A [`SpecKey`]: the key, then each field as `name: Kind`, with
+/// `>= floor` (a function of the plan read so far) where an integer is
+/// clamped.
+macro_rules! row {
+    (@floor) => { |_| 0 };
+    (@floor $floor:expr) => { $floor };
+    ($key:literal, $($f:ident: $kind:ident $(>= $floor:expr)?),+) => {
+        SpecKey { name: $key, fields: &[$(Field {
+            slot: |p| Slot::$kind(&mut p.$f),
+            floor: row!(@floor $($floor)?),
+        }),+] }
+    };
+}
+
+/// Every fault spec key, in the order [`FaultPlan::to_spec`] renders
+/// them. A delay, a backoff base or a watchdog of 0 cycles reads as 1, and
+/// a backoff cap below its base as the base.
+pub const SPEC_KEYS: [SpecKey; 16] = [
+    row!("seed", seed: U64),
+    row!("drop", drop: Rate),
+    row!("dup", dup: Rate),
+    row!("corrupt", corrupt: Rate),
+    row!("delay", delay: Rate, delay_max: Cycles >= |_| 1),
+    row!("dirloss", dir_loss: Rate),
+    row!("storm", storm: Rate, storm_len: Cycles),
+    row!("taskfail", task_fail: Rate),
+    row!("straggle", straggle: Rate, straggle_cycles: Cycles),
+    row!("window", window: Window),
+    row!("retry_budget", retry_budget: U32),
+    row!("backoff", backoff_base: Cycles >= |_| 1, backoff_cap: Cycles >= |p| p.backoff_base),
+    row!("timeout", drop_timeout: Cycles),
+    row!("task_budget", task_retry_budget: U32),
+    row!("watchdog", watchdog_cycles: U64 >= |_| 1),
+    row!("degrade", degrade_window: U64, degrade_overflows: U64, degrade_retries: U64),
+];
 
 /// Bounded exponential backoff: `delay(n) = min(base << (n-1), cap)` for
 /// attempt `n >= 1`. Monotone non-decreasing in `n` and never exceeds
@@ -517,17 +513,9 @@ impl FaultPlane {
         }
     }
 
-    /// The plane from `RACCD_FAULT_SPEC`, if the variable is set.
-    pub fn from_env() -> Option<FaultPlane> {
-        FaultPlan::forced_from_env().map(FaultPlane::new)
-    }
-
     /// Is the plane injecting at cycle `now`? (Window gating.)
     pub fn active(&self, now: u64) -> bool {
-        match self.plan.window {
-            Some((s, e)) => now >= s && now < e,
-            None => true,
-        }
+        self.plan.window.is_none_or(|(s, e)| (s..e).contains(&now))
     }
 
     /// Decide the fate of one NoC message sent at `now`. A single
@@ -538,45 +526,35 @@ impl FaultPlane {
         if !self.active(now) || (p.drop + p.dup + p.corrupt + p.delay) == 0.0 {
             return MsgOutcome::Deliver;
         }
-        let r = self.rng.next_f64();
-        let mut cum = p.drop;
-        if r < cum {
-            self.stats.injected += 1;
-            self.stats.drops += 1;
-            return MsgOutcome::Drop;
-        }
-        cum += p.dup;
-        if r < cum {
-            self.stats.injected += 1;
-            self.stats.dups += 1;
-            return MsgOutcome::Duplicate;
-        }
-        cum += p.corrupt;
-        if r < cum {
-            self.stats.injected += 1;
-            self.stats.corrupts += 1;
-            return MsgOutcome::Corrupt;
-        }
-        cum += p.delay;
-        if r < cum {
-            self.stats.injected += 1;
-            self.stats.delays += 1;
+        let (r, s) = (self.rng.next_f64(), &mut self.stats);
+        let (outcome, count) = if r < p.drop {
+            (MsgOutcome::Drop, &mut s.drops)
+        } else if r < p.drop + p.dup {
+            (MsgOutcome::Duplicate, &mut s.dups)
+        } else if r < p.drop + p.dup + p.corrupt {
+            (MsgOutcome::Corrupt, &mut s.corrupts)
+        } else if r < p.drop + p.dup + p.corrupt + p.delay {
             let d = 1 + self.rng.next_below(p.delay_max);
-            return MsgOutcome::Delay(d);
-        }
-        MsgOutcome::Deliver
+            (MsgOutcome::Delay(d), &mut s.delays)
+        } else {
+            return MsgOutcome::Deliver;
+        };
+        *count += 1;
+        s.injected += 1;
+        outcome
+    }
+
+    /// One draw against `rate`; a hit counts as one injection.
+    fn hit(&mut self, rate: f64) -> bool {
+        let hit = self.rng.next_f64() < rate;
+        self.stats.injected += u64::from(hit);
+        hit
     }
 
     /// Roll directory-entry loss for one directory access at `now`.
     pub fn roll_dir_loss(&mut self, now: u64) -> bool {
-        if !self.active(now) || self.plan.dir_loss == 0.0 {
-            return false;
-        }
-        let hit = self.rng.next_f64() < self.plan.dir_loss;
-        if hit {
-            self.stats.injected += 1;
-            self.stats.dir_losses += 1;
-        }
+        let hit = self.active(now) && self.plan.dir_loss != 0.0 && self.hit(self.plan.dir_loss);
+        self.stats.dir_losses += u64::from(hit);
         hit
     }
 
@@ -588,16 +566,12 @@ impl FaultPlane {
             self.stats.storms += 1;
             return true;
         }
-        if !self.active(now) || self.plan.storm == 0.0 {
+        if !self.active(now) || self.plan.storm == 0.0 || !self.hit(self.plan.storm) {
             return false;
         }
-        if self.rng.next_f64() < self.plan.storm {
-            self.storm_until = now + self.plan.storm_len;
-            self.stats.injected += 1;
-            self.stats.storms += 1;
-            return true;
-        }
-        false
+        self.storm_until = now + self.plan.storm_len;
+        self.stats.storms += 1;
+        true
     }
 
     /// Decide task-level injections at dispatch: mid-execution failure
@@ -608,13 +582,11 @@ impl FaultPlane {
         if !self.active(now) {
             return inj;
         }
-        if self.plan.task_fail > 0.0 && self.rng.next_f64() < self.plan.task_fail {
-            self.stats.injected += 1;
+        if self.plan.task_fail > 0.0 && self.hit(self.plan.task_fail) {
             self.stats.task_fails += 1;
             inj.fail_at = Some(self.rng.next_below(trace_len.max(1) as u64) as usize);
         }
-        if self.plan.straggle > 0.0 && self.rng.next_f64() < self.plan.straggle {
-            self.stats.injected += 1;
+        if self.plan.straggle > 0.0 && self.hit(self.plan.straggle) {
             self.stats.straggles += 1;
             inj.straggle = self.plan.straggle_cycles;
         }

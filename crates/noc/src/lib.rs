@@ -54,13 +54,11 @@ impl Topology {
         }
     }
 
-    /// Parse a topology label (case-insensitive).
+    /// Parse a topology's [`label`](Topology::label) (case-insensitive).
     pub fn parse(s: &str) -> Option<Topology> {
-        match s.to_ascii_lowercase().as_str() {
-            "mesh" => Some(Topology::Mesh),
-            "numa2" => Some(Topology::Numa2),
-            _ => None,
-        }
+        Topology::ALL
+            .into_iter()
+            .find(|topology| topology.label().eq_ignore_ascii_case(s))
     }
 
     /// Number of mesh sockets.

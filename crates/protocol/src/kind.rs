@@ -58,14 +58,12 @@ impl ProtocolKind {
         }
     }
 
-    /// Parse a protocol label (case-insensitive).
+    /// Parse a protocol's [`label`](ProtocolKind::label)
+    /// (case-insensitive).
     pub fn parse(s: &str) -> Option<ProtocolKind> {
-        match s.to_ascii_lowercase().as_str() {
-            "mesi" => Some(ProtocolKind::Mesi),
-            "mesif" => Some(ProtocolKind::Mesif),
-            "moesi" => Some(ProtocolKind::Moesi),
-            _ => None,
-        }
+        ProtocolKind::ALL
+            .into_iter()
+            .find(|kind| kind.label().eq_ignore_ascii_case(s))
     }
 
     /// The protocol's rules record: its row of [`RULES`].

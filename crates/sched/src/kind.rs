@@ -50,16 +50,11 @@ impl SchedKind {
         matches!(self, SchedKind::Steal | SchedKind::Locality)
     }
 
-    /// Parse a policy label (case-insensitive).
+    /// Parse a policy's [`label`](SchedKind::label) (case-insensitive).
     pub fn parse(s: &str) -> Option<SchedKind> {
-        match s.to_ascii_lowercase().as_str() {
-            "fifo" => Some(SchedKind::Fifo),
-            "steal" => Some(SchedKind::Steal),
-            "priority" => Some(SchedKind::Priority),
-            "locality" => Some(SchedKind::Locality),
-            "quantum" => Some(SchedKind::Quantum),
-            _ => None,
-        }
+        SchedKind::ALL
+            .into_iter()
+            .find(|kind| kind.label().eq_ignore_ascii_case(s))
     }
 }
 

@@ -3,8 +3,9 @@
 //! those names no longer has a source file or a row in the study table,
 //! when a doc cites a `BENCH_<n>.json` performance file or a `cargo
 //! bench` target that does not exist (the repo benchmark under
-//! `benchmark/` is the only measurement of record), or when the telemetry
-//! schema declares an event kind DESIGN.md §7 does not list.
+//! `benchmark/` is the only measurement of record), when the telemetry
+//! schema declares an event kind DESIGN.md §7 does not list, or when a
+//! fault spec key has no row in DESIGN.md §9's table.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -231,14 +232,23 @@ fn bench_flags_name_a_workload_or_a_bench_target() {
     );
 }
 
+/// DESIGN.md's section `n`, up to section `n + 1`.
+fn design_section(n: u32) -> String {
+    let design = fs::read_to_string(root().join("DESIGN.md")).expect("DESIGN.md is readable");
+    let start = design
+        .find(&format!("\n## {n}. "))
+        .expect("DESIGN.md has the section");
+    let len = design[start..]
+        .find(&format!("\n## {}. ", n + 1))
+        .expect("and the next one");
+    design[start..start + len].to_string()
+}
+
 #[test]
 fn every_declared_event_kind_is_listed_in_design_section_7() {
     use raccd::obs::{CampaignAction, Event};
     use raccd::sim::CoherenceEvent;
-    let design = fs::read_to_string(root().join("DESIGN.md")).expect("DESIGN.md is readable");
-    let start = design.find("\n## 7. ").expect("DESIGN.md has a section 7");
-    let len = design[start..].find("\n## 8. ").expect("and a section 8");
-    let section = &design[start..start + len];
+    let section = design_section(7);
     let campaign = CampaignAction::ALL.map(CampaignAction::kind);
     let kinds = Event::KINDS
         .iter()
@@ -250,5 +260,19 @@ fn every_declared_event_kind_is_listed_in_design_section_7() {
     assert!(
         missing.is_empty(),
         "kinds DESIGN.md §7 does not list: {missing:?}"
+    );
+}
+
+#[test]
+fn every_fault_spec_key_is_a_row_of_design_section_9() {
+    let section = design_section(9);
+    let missing: Vec<_> = raccd_fault::SPEC_KEYS
+        .iter()
+        .map(|key| key.name)
+        .filter(|name| !section.contains(&format!("\n| `{name}` |")))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "fault spec keys DESIGN.md §9's table does not list: {missing:?}"
     );
 }
