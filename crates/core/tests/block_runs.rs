@@ -5,11 +5,18 @@
 //! SMT siblings. Every coherence mode on four machines, with and without
 //! certain task failure, must end in the pinned `Stats`, shadow
 //! `state_key` and final archive.
+//!
+//! Stencil-and-gather tasks are the opposite shape: every 64-reference
+//! batch interleaves several blocks, a few references each, the way the
+//! Jacobi sweeps do, with gathers that miss the TLB mid-batch. They are
+//! pinned the same way, plain, under quantum preemption and with task
+//! failures landing inside batches.
 
 use raccd_core::{CoherenceMode, Driver, DriverOutput};
 use raccd_mem::addr::VRange;
 use raccd_protocol::ProtocolKind;
 use raccd_runtime::{Dep, Program, ProgramBuilder};
+use raccd_sched::SchedKind;
 use raccd_sim::{CoherenceEvent, FaultPlan, MachineConfig};
 use raccd_snap::fnv1a64;
 
@@ -72,6 +79,7 @@ fn byte_stream_program() -> Program {
 /// final archive (taken with the checker attached, so it covers the
 /// checker's mirror too).
 fn run(
+    program: fn() -> Program,
     cfg: MachineConfig,
     mode: CoherenceMode,
     plan: Option<FaultPlan>,
@@ -82,7 +90,7 @@ fn run(
             ..cfg
         },
         mode,
-        byte_stream_program(),
+        program(),
         plan,
         None,
     );
@@ -137,7 +145,7 @@ fn same_block_runs_are_pinned() {
         for mode in CoherenceMode::EXTENDED {
             for plan in [None, Some(certain_failure)] {
                 let what = format!("{name} / {mode:?} / failing {}", plan.is_some());
-                let (out, key, archive) = run(cfg, mode, plan);
+                let (out, key, archive) = run(byte_stream_program, cfg, mode, plan);
                 let check = out.check.as_ref().expect("checker attached");
                 assert!(
                     check.violations.is_empty(),
@@ -174,6 +182,154 @@ fn same_block_runs_are_pinned() {
             0x52D6_7126_30E4_2DB3,
             0x3EE3_E65B_E60C_E9E5,
             0xD023_89D8_BEDF_B2CE
+        ),
+        "folds over {cases} runs"
+    );
+}
+
+/// Grid rows and columns (`f32`): a row is four blocks.
+const ROWS: u64 = 34;
+const COLS: u64 = 64;
+/// Rows per stencil task, and sweeps.
+const BAND: u64 = 2;
+const SWEEPS: u64 = 3;
+/// The gathered vector spans four pages, so gathers miss the TLB.
+const XLEN: u64 = 4096;
+/// One gather per this many stencil points.
+const GATHER_EVERY: u64 = 4;
+
+/// Three Jacobi-style sweeps between two grids, each point a 5-point
+/// stencil, every fourth point also a CSR-style gather `x[idx[k]]`. A
+/// batch then holds four to ten blocks: three source rows, the
+/// destination row, the index row and the gathered blocks. The sweeps
+/// alternate the grids, so a task stores into rows it or a neighbour read
+/// in the sweep before (under FullCoh, a store to an S line).
+fn stencil_gather_program() -> Program {
+    let mut b = ProgramBuilder::new();
+    let row_bytes = COLS * 4;
+    let grids = [
+        b.alloc("A", ROWS * row_bytes),
+        b.alloc("B", ROWS * row_bytes),
+    ];
+    let x = b.alloc("x", XLEN * 4);
+    let nidx = ROWS * COLS / GATHER_EVERY;
+    let idx = b.alloc("idx", nidx * 4);
+    for i in 0..ROWS * COLS {
+        let v = ((i * 37) % 101) as f32 / 16.0;
+        b.mem().write_f32(grids[0].start.offset(i * 4), v);
+        b.mem().write_f32(grids[1].start.offset(i * 4), v);
+    }
+    for i in 0..XLEN {
+        b.mem().write_f32(x.start.offset(i * 4), (i % 13) as f32);
+    }
+    for k in 0..nidx {
+        let target = (k * 1031 + (k >> 3) * 67) % XLEN;
+        b.mem().write_u32(idx.start.offset(k * 4), target as u32);
+    }
+    let rows = move |g: VRange, r0: u64, r1: u64| {
+        VRange::new(g.start.offset(r0 * row_bytes), (r1 - r0) * row_bytes)
+    };
+    for sweep in 0..SWEEPS {
+        let (src, dst) = (
+            grids[(sweep % 2) as usize],
+            grids[(sweep % 2 + 1) as usize % 2],
+        );
+        for r0 in (1..ROWS - 1).step_by(BAND as usize) {
+            let r1 = (r0 + BAND).min(ROWS - 1);
+            let deps = vec![
+                Dep::input(rows(src, r0 - 1, r1 + 1)),
+                Dep::input(x),
+                Dep::input(idx),
+                Dep::output(rows(dst, r0, r1)),
+            ];
+            b.task("stencil", deps, move |ctx| {
+                let at = |g: VRange, r: u64, c: u64| g.start.offset((r * COLS + c) * 4);
+                for r in r0..r1 {
+                    for c in 1..COLS - 1 {
+                        let mut v = 0.25
+                            * (ctx.read_f32(at(src, r - 1, c))
+                                + ctx.read_f32(at(src, r + 1, c))
+                                + ctx.read_f32(at(src, r, c - 1))
+                                + ctx.read_f32(at(src, r, c + 1)));
+                        let k = r * COLS + c;
+                        if k % GATHER_EVERY == 0 {
+                            let j = ctx.read_u32(idx.start.offset(k / GATHER_EVERY * 4));
+                            v += ctx.read_f32(x.start.offset(j as u64 * 4)) / 64.0;
+                        }
+                        ctx.write_f32(at(dst, r, c), v);
+                    }
+                }
+            });
+        }
+    }
+    b.finish()
+}
+
+#[test]
+fn interleaved_block_batches_are_pinned() {
+    let failures = FaultPlan {
+        seed: 11,
+        task_fail: 0.3,
+        task_retry_budget: 16,
+        ..FaultPlan::default()
+    };
+    let fold = |acc: u64, v: u64| (acc ^ v).wrapping_mul(0x0000_0100_0000_01B3);
+    let basis = 0xcbf2_9ce4_8422_2325u64;
+    let (mut stats, mut keys, mut archives) = (basis, basis, basis);
+    let mut cases = 0;
+    for (name, base) in machines() {
+        let quantum = MachineConfig {
+            sched: SchedKind::Quantum,
+            sched_quantum: 600,
+            ..base
+        };
+        for mode in CoherenceMode::EXTENDED {
+            for (variant, cfg, plan) in [
+                ("plain", base, None),
+                ("quantum", quantum, None),
+                ("failing", base, Some(failures)),
+            ] {
+                let what = format!("{name} / {mode:?} / {variant}");
+                let (out, key, archive) = run(stencil_gather_program, cfg, mode, plan);
+                let check = out.check.as_ref().expect("checker attached");
+                assert!(
+                    check.violations.is_empty(),
+                    "{what}: {:?}",
+                    check.violations
+                );
+                let digest = fnv1a64(&raccd_snap::encode(&out.stats));
+                println!("{what}: stats {digest:#018x} key {key:#018x} archive {archive:#018x}");
+                assert_eq!(out.tasks as u64, SWEEPS * (ROWS - 2) / BAND, "{what}");
+                assert!(out.stats.tlb_misses > 0, "{what}");
+                match variant {
+                    "quantum" => assert!(out.stats.preemptions > 0, "{what}"),
+                    "failing" => assert!(out.stats.task_retries > 0, "{what}"),
+                    _ => {}
+                }
+                if mode == CoherenceMode::FullCoh && variant == "plain" {
+                    let upgrades = out
+                        .events
+                        .iter()
+                        .filter(|te| matches!(te.ev, CoherenceEvent::Upgrade { .. }));
+                    assert!(upgrades.count() > 0, "{what}: a store met a Shared line");
+                }
+                if name == "write-through" {
+                    assert!(out.stats.write_throughs > 0, "{what}");
+                }
+                stats = fold(stats, digest);
+                keys = fold(keys, key);
+                archives = fold(archives, archive);
+                cases += 1;
+            }
+        }
+    }
+    assert_eq!(cases, 4 * 4 * 3);
+    assert_eq!(
+        (stats, keys, archives),
+        (
+            0xBD49_EB3B_E4EE_0DAE,
+            0xF6DC_23FD_2325_400B,
+            0x727D_C717_0B4B_6C58
         ),
         "folds over {cases} runs"
     );
