@@ -83,6 +83,39 @@ impl raccd_snap::Snap for TreePlru {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Touching each distinct way once, in the order of its last
+        /// touch, leaves the bits the whole touch sequence leaves, from any
+        /// start, at every width: a node's bit is written last by the last
+        /// touch below it. Deferred hits commit one touch per block on
+        /// this argument.
+        #[test]
+        fn last_touch_order_is_the_whole_sequence(
+            start in any::<u64>(),
+            picks in proptest::collection::vec(any::<u64>(), 0..160),
+        ) {
+            for ways in (0..=6).map(|k| 1usize << k) {
+                let touches: Vec<usize> = picks.iter().map(|&p| (p % ways as u64) as usize).collect();
+                let mut full = TreePlru { bits: start };
+                for &w in &touches {
+                    full.touch(w, ways);
+                }
+                let mut last_order: Vec<usize> = Vec::new();
+                for &w in touches.iter().rev() {
+                    if !last_order.contains(&w) {
+                        last_order.push(w);
+                    }
+                }
+                let mut reduced = TreePlru { bits: start };
+                for &w in last_order.iter().rev() {
+                    reduced.touch(w, ways);
+                }
+                prop_assert_eq!(reduced.bits, full.bits, "ways {} touches {:?}", ways, touches);
+            }
+        }
+    }
 
     #[test]
     fn two_way_alternates() {

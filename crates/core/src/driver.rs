@@ -22,13 +22,13 @@ use crate::ncrt::Ncrt;
 use crate::pt::{PageClassifier, PtDecision};
 use crate::resilience::{DegradeController, DetectReason, FaultReport};
 use crate::tlbclass::TlbClassifier;
-use raccd_mem::{SimMemory, VAddr};
+use raccd_mem::{BlockAddr, SimMemory, VAddr, BLOCK_SHIFT};
 use raccd_obs::{Event, Gauges, Recorder};
 use raccd_runtime::{MemRef, Program, RetryBook, RetryDecision, TaskCtx, TaskGraph, TaskId};
 use raccd_sched::{PreemptRecord, ReadyQueue, SchedKind, SchedParams};
 use raccd_sim::{
-    CheckEvent, CheckReport, CoherenceEvent, FaultPlan, FaultPlane, L1LookupResult, Machine,
-    MachineConfig, Stats, TimedEvent, Watchdog,
+    BlockHits, CheckEvent, CheckReport, CoherenceEvent, FaultPlan, FaultPlane, L1LookupResult,
+    Machine, MachineConfig, Stats, TimedEvent, Watchdog,
 };
 use raccd_snap::{SnapError, Snapshot};
 use std::cmp::Reverse;
@@ -37,6 +37,46 @@ use std::collections::{BTreeMap, BinaryHeap};
 /// References processed per core turn before re-entering the heap.
 /// Small enough to interleave finely, large enough to amortise heap cost.
 const BATCH: usize = 64;
+
+/// Blocks a stretch of deferred hits holds before it commits early: a
+/// Jacobi batch touches about seven.
+const STRETCH_BLOCKS: usize = 16;
+
+/// A batch that meets more references than this that are not plain hits
+/// sends its context's next batch down the per-reference path.
+const MISS_HEAVY: u32 = 4;
+
+/// The references of the current batch deferred as plain hits since the
+/// last commit ([`Driver::replay_batch`]): each block touched, with its
+/// hits so far, and the stretch's length.
+struct Stretch {
+    blocks: Vec<BlockHits>,
+    len: u64,
+    /// Where in `blocks` the block last opened with each [`slot_of`] value
+    /// is: a match of its key is the one compare a repeat reference pays. An entry left by an earlier
+    /// stretch or by a colliding block fails that compare, and the block
+    /// is opened once more; two entries for one block commit as one would,
+    /// since only each block's last use orders the commit.
+    at: [u8; 64],
+}
+
+/// A virtual block number's entry in [`Stretch::at`]: the top six bits of
+/// its Fibonacci product. Low bits alone put the same row of two grids a
+/// power of two apart on one entry.
+#[inline]
+fn slot_of(vblock: u64) -> usize {
+    (vblock.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize
+}
+
+impl Default for Stretch {
+    fn default() -> Self {
+        Stretch {
+            blocks: Vec::with_capacity(STRETCH_BLOCKS),
+            len: 0,
+            at: [0; 64],
+        }
+    }
+}
 
 /// Deterministic scheduling jitter (cycles), modelling the wake-up/IPI
 /// latency variation of a real runtime. Without it the simulator's
@@ -303,6 +343,11 @@ pub struct Driver {
     completion_order: Vec<TaskId>,
     end_time: u64,
     rollbacks: u32,
+    /// Host-side replay state, never saved: the open stretch of deferred
+    /// hits, empty between turns, and per context whether its last batch
+    /// was miss-heavy.
+    stretch: Stretch,
+    miss_heavy: Vec<bool>,
 }
 
 impl Driver {
@@ -399,6 +444,8 @@ impl Driver {
             completion_order: Vec::new(),
             end_time: 0,
             rollbacks: 0,
+            stretch: Stretch::default(),
+            miss_heavy: vec![false; nctx],
         }
     }
 
@@ -735,8 +782,14 @@ impl Driver {
     /// the attempt hit its injected failure point.
     ///
     /// A batch whose first three references share a block is replayed run
-    /// by run ([`Driver::hit_rest`]); any other batch reference by
-    /// reference, as runs are rare there.
+    /// by run ([`Driver::hit_rest`]). Any other batch is replayed as
+    /// stretches of deferred hits ([`Driver::defer_hit`]): a reference
+    /// that is a plain hit only counts towards its block, and the stretch
+    /// is committed ([`Machine::commit_hits`]) before any other reference,
+    /// at the failure point and at the batch end. A batch that met more
+    /// than [`MISS_HEAVY`] references costing more than a hit sends its
+    /// context's next batch reference by reference instead, where most
+    /// probes would be wasted.
     fn replay_batch(
         &mut self,
         at: Turn,
@@ -747,15 +800,32 @@ impl Driver {
     ) -> (u64, bool) {
         let runs =
             matches!(run.trace[run.pos..end], [a, b, c, ..] if a.same_block(b) && a.same_block(c));
+        let defer = !runs && !self.miss_heavy[at.ctx];
+        let hit = self.cfg.lat.tlb + self.cfg.lat.l1;
+        let mut non_hits = 0;
+        let mut failed = false;
         while run.pos < end {
             if run.fail_at == Some(run.pos) {
-                return (now, true);
+                failed = true;
+                break;
             }
             let r = run.trace[run.pos];
             run.pos += 1;
+            if defer && self.defer_hit(at, r) {
+                now += hit;
+                if let Some(rr) = rec.as_deref_mut() {
+                    rr.hist_mem_latency.record(hit);
+                    rr.hist_bank_wait.record(0);
+                }
+                continue;
+            }
+            if self.stretch.len > 0 {
+                self.commit_stretch(at.core);
+            }
             let bank_wait_before = self.machine.stats.bank_wait_cycles;
             let cycles = self.process_ref(at, r, now, rec.as_deref_mut());
             now += cycles;
+            non_hits += (cycles != hit) as u32;
             if let Some(rr) = rec.as_deref_mut() {
                 rr.hist_mem_latency.record(cycles);
                 rr.hist_bank_wait
@@ -765,7 +835,86 @@ impl Driver {
                 now += self.hit_rest(at, run, end, rec.as_deref_mut()).unwrap_or(0);
             }
         }
-        (now, false)
+        if self.stretch.len > 0 {
+            self.commit_stretch(at.core);
+        }
+        self.miss_heavy[at.ctx] = non_hits > MISS_HEAVY;
+        (now, failed)
+    }
+
+    /// Defer `r` as a plain hit into the open stretch, if it is one, and
+    /// report the hit to the checker; `false` leaves it, with nothing
+    /// changed, to [`Driver::process_ref`]. A block already in the stretch
+    /// needs only its key compared; a new one is probed with no effect
+    /// ([`Machine::probe_hit`]) and, under PT, its page must be settled.
+    /// Nothing else of a mode acts on a hit: the TLB classifier's hit
+    /// path is a TLB lookup and a read of the page's class. A store
+    /// qualifies only to a line it completes locally.
+    #[inline(always)]
+    fn defer_hit(&mut self, at: Turn, r: MemRef) -> bool {
+        // Rebased as in `process_ref`.
+        let vaddr = VAddr(r.addr().0 + self.cfg.stack_base(at.ctx) * r.is_stack() as u64);
+        let (vblock, write) = (vaddr.0 >> BLOCK_SHIFT, r.is_write());
+        let last = self.stretch.len;
+        let blocks = &mut self.stretch.blocks;
+        let i = self.stretch.at[slot_of(vblock)] as usize;
+        let (block, nc) = match blocks.get_mut(i).filter(|h| h.vblock == vblock) {
+            Some(h) if write && !h.store_local => return false,
+            Some(h) => {
+                (h.n, h.last, h.stored) = (h.n + 1, last, h.stored | write);
+                (h.block, h.nc)
+            }
+            None => match self.open_block(at, vaddr, write) {
+                Some(opened) => opened,
+                None => return false,
+            },
+        };
+        self.stretch.len += 1;
+        if self.machine.has_checker() {
+            let core = at.core;
+            let hit = CheckEvent::L1Hit {
+                core,
+                block,
+                write,
+                nc,
+            };
+            self.machine.check_note(hit);
+            self.machine.check_note(CheckEvent::OpEnd);
+        }
+        true
+    }
+
+    /// Probe the first reference to a block in the open stretch and, if
+    /// it is a plain hit, add the block with that reference; the stretch
+    /// commits first when it is full. Returns the block and its NC bit.
+    #[inline(never)]
+    fn open_block(&mut self, at: Turn, vaddr: VAddr, write: bool) -> Option<(BlockAddr, bool)> {
+        let mut h = self.machine.probe_hit(at.core, vaddr)?;
+        if write && !h.store_local
+            || at.mode == CoherenceMode::PageTable && !self.pt.settled(at.core, h.block.page())
+        {
+            return None;
+        }
+        if self.stretch.blocks.len() == STRETCH_BLOCKS {
+            self.commit_stretch(at.core);
+        }
+        (h.n, h.last, h.stored) = (1, self.stretch.len, write);
+        self.stretch.at[slot_of(h.vblock)] = self.stretch.blocks.len() as u8;
+        self.stretch.blocks.push(h);
+        Some((h.block, h.nc))
+    }
+
+    /// Apply the open stretch, which is not empty, to the machine, blocks
+    /// in ascending order of last use, and empty it. Out of line, with
+    /// the emptiness test at the call sites: a call per reference would
+    /// cost the per-reference and run loops.
+    #[inline(never)]
+    fn commit_stretch(&mut self, core: usize) {
+        let st = &mut self.stretch;
+        st.blocks.sort_unstable_by_key(|h| h.last);
+        self.machine.commit_hits(core, &st.blocks, st.len);
+        st.blocks.clear();
+        st.len = 0;
     }
 
     /// Account the references that follow the one just replayed, `r`, in
@@ -779,6 +928,8 @@ impl Driver {
     /// then on and changes no state, and the TLB classifier's hit path is a
     /// TLB lookup and a read of the page's class. A run `hit_run` refuses
     /// (an upgrade, a write-through) is replayed reference by reference.
+    /// Run-rich batches take this path; run-poor ones defer hits across
+    /// blocks instead ([`Driver::defer_hit`]).
     // Out of line, and the loop above not duplicated for gated batches:
     // a second inlined `process_ref` stops `translate` and `l1_lookup`
     // being inlined into either copy, which costs run-poor batches 5-18 %.
@@ -1117,6 +1268,8 @@ impl Driver {
             completion_order,
             end_time: s.get("driver/end_time")?,
             rollbacks: s.get("driver/rollbacks")?,
+            stretch: Stretch::default(),
+            miss_heavy: vec![false; nctx],
         })
     }
 

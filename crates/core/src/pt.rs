@@ -65,6 +65,17 @@ impl PageClassifier {
         }
     }
 
+    /// Whether [`PageClassifier::on_access`] by `core` to `page` would
+    /// return Private or Shared and change nothing.
+    #[inline]
+    pub(crate) fn settled(&self, core: usize, page: PageNum) -> bool {
+        match self.pages.get(&page.0) {
+            Some(PageState::Private(owner)) => *owner as usize == core,
+            Some(PageState::Shared) => true,
+            None => false,
+        }
+    }
+
     /// Whether the page is currently private to `core` (no LRU/side
     /// effects; used by block-census instrumentation).
     pub fn is_private_to(&self, core: usize, page: PageNum) -> bool {

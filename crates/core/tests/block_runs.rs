@@ -252,7 +252,7 @@ fn stencil_gather_program() -> Program {
                                 + ctx.read_f32(at(src, r, c - 1))
                                 + ctx.read_f32(at(src, r, c + 1)));
                         let k = r * COLS + c;
-                        if k % GATHER_EVERY == 0 {
+                        if k.is_multiple_of(GATHER_EVERY) {
                             let j = ctx.read_u32(idx.start.offset(k / GATHER_EVERY * 4));
                             v += ctx.read_f32(x.start.offset(j as u64 * 4)) / 64.0;
                         }

@@ -42,5 +42,5 @@ pub use hash::{FibHasher, FibMap};
 pub use memory::SimMemory;
 pub use page_table::{FrameAllocPolicy, PageTable};
 pub use rng::SplitMix64;
-pub use tlb::Tlb;
+pub use tlb::{Tlb, TlbSlot};
 pub use trace::MemRef;

@@ -25,6 +25,10 @@ struct Slot {
     stamp: u64,
 }
 
+/// A resident translation's place in its [`Tlb`], from [`Tlb::peek_slot`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TlbSlot(usize);
+
 /// Fully-associative, LRU TLB holding virtual→physical page translations.
 #[derive(Clone, Debug)]
 pub struct Tlb {
@@ -86,30 +90,51 @@ impl Tlb {
     /// Returns the cached physical page on a hit.
     #[inline]
     pub fn lookup(&mut self, vpage: PageNum) -> Option<PageNum> {
-        let hit = self.hit_n(vpage, 1);
-        if hit.is_none() {
-            self.stamp += 1;
+        self.stamp += 1;
+        let Some(i) = self.find(vpage) else {
             self.misses += 1;
-        }
-        hit
-    }
-
-    /// If `vpage` is resident, leave what `n` hitting [`Tlb::lookup`]s
-    /// would (the stamp and the slot's last use advanced by `n`, `n` more
-    /// hits) and return the physical page; otherwise change nothing.
-    #[inline]
-    pub fn hit_n(&mut self, vpage: PageNum, n: u64) -> Option<PageNum> {
-        let i = self.find(vpage)?;
-        self.stamp += n;
+            return None;
+        };
         self.hints[hint_of(vpage)] = i as u16;
         self.slots[i].stamp = self.stamp;
-        self.hits += n;
+        self.hits += 1;
         Some(self.slots[i].ppage)
     }
 
     /// Peek without touching LRU or counters.
     pub fn peek(&self, vpage: PageNum) -> Option<PageNum> {
         self.find(vpage).map(|i| self.slots[i].ppage)
+    }
+
+    /// [`Tlb::peek`] that also names `vpage`'s slot, for
+    /// [`Tlb::commit_hits`]. A slot stays `vpage`'s until the next fill,
+    /// invalidation or flush.
+    #[inline]
+    pub fn peek_slot(&self, vpage: PageNum) -> Option<(TlbSlot, PageNum)> {
+        self.find(vpage).map(|i| (TlbSlot(i), self.slots[i].ppage))
+    }
+
+    /// Account `n` hits to `slot` deferred over a stretch of lookups that
+    /// began at the current stamp, the last of them the stretch's
+    /// `last`-th (from 0): the slot's last-use stamp and its page's hint
+    /// as that lookup left them, and `n` more hits. The stamp itself
+    /// moves on in [`Tlb::advance`], once per stretch. Committing each
+    /// page of a stretch in ascending `last`, then advancing by the
+    /// stretch's length, leaves what its lookups would: every stamp and
+    /// hint is written last by the page's, or the hint's, last use.
+    #[inline]
+    pub fn commit_hits(&mut self, slot: TlbSlot, last: u64, n: u64) {
+        let s = &mut self.slots[slot.0];
+        s.stamp = self.stamp + last + 1;
+        self.hints[hint_of(s.vpage)] = slot.0 as u16;
+        self.hits += n;
+    }
+
+    /// Advance the stamp past a stretch of `n` lookups
+    /// (see [`Tlb::commit_hits`]).
+    #[inline]
+    pub fn advance(&mut self, n: u64) {
+        self.stamp += n;
     }
 
     /// Install a translation after a miss (page walk), evicting LRU if full.
@@ -244,7 +269,67 @@ impl raccd_snap::Snap for Tlb {
 mod tests {
     use super::*;
     use crate::rng::SplitMix64;
+    use proptest::prelude::*;
     use raccd_snap::{decode, encode, Snap, SnapWriter};
+
+    proptest! {
+        /// A stretch of hits committed per block, in ascending order of
+        /// each block's last reference, then one advance by the stretch's
+        /// length, leaves what its lookups leave: every slot's stamp, the
+        /// hint table, the counters and the next fill's victim. Several
+        /// blocks share a page, so a page is committed once per block.
+        #[test]
+        fn committing_at_last_use_equals_the_lookups(
+            capacity in 1usize..40,
+            warm in proptest::collection::vec((0u64..60, any::<bool>()), 0..200),
+            stretch in proptest::collection::vec((any::<u64>(), 0u64..4), 1..120),
+        ) {
+            let mut tlb = Tlb::new(capacity);
+            for &(v, fill) in &warm {
+                if fill {
+                    tlb.fill(PageNum(v), PageNum(v + 1000));
+                } else {
+                    tlb.lookup(PageNum(v));
+                }
+            }
+            tlb.fill(PageNum(60), PageNum(1060));
+            let resident: Vec<PageNum> = tlb.slots.iter().map(|s| s.vpage).collect();
+            // (page, block within it), each page one the TLB holds.
+            let refs: Vec<(PageNum, u64)> = stretch
+                .iter()
+                .map(|&(p, b)| (resident[(p % resident.len() as u64) as usize], b))
+                .collect();
+            let mut looked = tlb.clone();
+            for &(v, _) in &refs {
+                prop_assert!(looked.lookup(v).is_some());
+            }
+            // Per block: its slot, hits and last position.
+            let mut blocks: Vec<((PageNum, u64), TlbSlot, u64, u64)> = Vec::new();
+            for (k, &key) in refs.iter().enumerate() {
+                match blocks.iter_mut().find(|b| b.0 == key) {
+                    Some(b) => (b.2, b.3) = (b.2 + 1, k as u64),
+                    None => {
+                        let (slot, _) = tlb.peek_slot(key.0).expect("resident");
+                        blocks.push((key, slot, 1, k as u64));
+                    }
+                }
+            }
+            blocks.sort_unstable_by_key(|b| b.3);
+            let mut committed = tlb.clone();
+            for &(_, slot, n, last) in &blocks {
+                committed.commit_hits(slot, last, n);
+            }
+            committed.advance(refs.len() as u64);
+            prop_assert_eq!(encode(&committed), encode(&looked));
+            prop_assert_eq!(committed.hints, looked.hints);
+            let stamps = |t: &Tlb| t.slots.iter().map(|s| (s.vpage, s.stamp)).collect::<Vec<_>>();
+            prop_assert_eq!(stamps(&committed), stamps(&looked));
+            prop_assert_eq!(
+                committed.fill_evicting(PageNum(999), PageNum(1)),
+                looked.fill_evicting(PageNum(999), PageNum(1))
+            );
+        }
+    }
 
     /// The `HashMap` TLB this one replaced, kept as the reference model:
     /// same results, counters, stamps and snapshot bytes, step for step.

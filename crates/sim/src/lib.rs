@@ -34,7 +34,7 @@ pub mod stats;
 pub use check::{CheckEvent, CheckReport, CheckSink, CheckStats, ShadowChecker, Violation};
 pub use config::{Latencies, MachineConfig, RuntimeCosts, DIR_RATIOS};
 pub use event::{CoherenceEvent, Field, TimedEvent};
-pub use machine::{L1LookupResult, Machine};
+pub use machine::{BlockHits, L1LookupResult, Machine};
 pub use raccd_fault::{Backoff, FaultPlan, FaultPlane, FaultSite, FaultStats, Watchdog};
 pub use raccd_noc::Topology;
 pub use raccd_protocol::ProtocolKind;

@@ -32,7 +32,7 @@ use crate::event::{CoherenceEvent, TimedEvent};
 use crate::stats::Stats;
 use raccd_cache::{L1Cache, L1Line, L1State, LlcBank, LlcLine};
 use raccd_fault::{FaultPlan, FaultPlane, FaultSite, FaultStats, MsgOutcome};
-use raccd_mem::{BlockAddr, MemRef, PAddr, PageNum, PageTable, Tlb, VAddr};
+use raccd_mem::{BlockAddr, MemRef, PAddr, PageNum, PageTable, Tlb, TlbSlot, VAddr, BLOCK_SHIFT};
 use raccd_noc::{Mesh, MsgClass};
 use raccd_protocol::{
     victim_action, write_hit_is_local, Adr, AdrConfig, DirEntry, DirEviction, DirMsg,
@@ -52,6 +52,28 @@ pub enum L1LookupResult {
     /// Miss: the caller decides coherence (NCRT / PT / always-coherent) and
     /// calls [`Machine::miss_fill`].
     Miss,
+}
+
+/// One block's hits, deferred over a stretch of references and applied by
+/// [`Machine::commit_hits`].
+#[derive(Clone, Copy, Debug)]
+pub struct BlockHits {
+    slot: TlbSlot,
+    /// The virtual block number probed: the block's key within a stretch.
+    pub vblock: u64,
+    /// The physical block.
+    pub block: BlockAddr,
+    /// The line's NC bit, as each reference's `L1Hit` event reports it.
+    pub nc: bool,
+    /// Whether a store to the line completes locally: an NC or E/M line
+    /// in a write-back L1.
+    pub store_local: bool,
+    /// References to the block in the stretch.
+    pub n: u64,
+    /// Position in the stretch, from 0, of the last of them.
+    pub last: u64,
+    /// Whether one of them stored.
+    pub stored: bool,
 }
 
 /// State a store leaves its L1 line in: under write-through, stores never
@@ -671,31 +693,70 @@ impl Machine {
     /// the block is not in the L1, or a store meets a coherent line it must
     /// upgrade or a write-through L1.
     pub fn hit_run(&mut self, core: usize, vaddr: VAddr, refs: &[MemRef]) -> Option<u64> {
-        let slice = &mut self.cores[core];
-        let block = vaddr.on_frame(slice.tlb.peek(vaddr.page())?).block();
-        let line = *slice.l1.probe(block)?;
+        let mut hits = self.probe_hit(core, vaddr)?;
         let stores = refs.iter().any(|r| r.is_write());
-        // A store to a coherent S/F/O line upgrades, and a write-through
-        // store propagates: both stay per reference.
-        let local = line.nc || write_hit_is_local(line.state);
-        (!stores || local && !self.cfg.l1_write_through).then_some(())?;
+        (!stores || hits.store_local).then_some(())?;
         let n = refs.len() as u64;
-        slice.tlb.hit_n(vaddr.page(), n);
-        let hit = slice.l1.access_n(block, n).expect("probed above");
-        if stores {
-            hit.state = L1State::Modified;
-        }
+        (hits.n, hits.last, hits.stored) = (n, n - 1, stores);
         for r in refs {
             self.check_ev(CheckEvent::L1Hit {
                 core,
-                block,
+                block: hits.block,
                 write: r.is_write(),
-                nc: line.nc,
+                nc: hits.nc,
             });
             self.check_ev(CheckEvent::OpEnd);
         }
-        self.stats.refs_processed += n;
+        self.commit_hits(core, &[hits], n);
         Some(n * (self.cfg.lat.tlb + self.cfg.lat.l1))
+    }
+
+    /// What a reference to `vaddr` on `core` would hit, with no effect on
+    /// any state: its TLB slot and its block's L1 line, as a
+    /// [`BlockHits`] holding no hits yet. `None` when the page is not in
+    /// the TLB or the block not in the L1.
+    #[inline]
+    pub fn probe_hit(&self, core: usize, vaddr: VAddr) -> Option<BlockHits> {
+        let slice = &self.cores[core];
+        let (slot, ppage) = slice.tlb.peek_slot(vaddr.page())?;
+        let block = vaddr.on_frame(ppage).block();
+        let line = slice.l1.probe(block)?;
+        Some(BlockHits {
+            slot,
+            vblock: vaddr.0 >> BLOCK_SHIFT,
+            block,
+            nc: line.nc,
+            // A store to a coherent S/F/O line upgrades, and a
+            // write-through store propagates: neither is a plain hit.
+            store_local: (line.nc || write_hit_is_local(line.state)) && !self.cfg.l1_write_through,
+            n: 0,
+            last: 0,
+            stored: false,
+        })
+    }
+
+    /// Leave what a stretch of `len` references on `core` that all hit,
+    /// each a TLB hit and a plain L1 hit, would leave in the TLB, the L1
+    /// and `refs_processed`. `blocks` holds each block the stretch touched,
+    /// from [`Machine::probe_hit`], in ascending order of its last use in
+    /// the stretch, with nothing on `core` filled, invalidated or flushed
+    /// since the probe. Per block: its slot's stamp and hint as of its last
+    /// use, `n` TLB and L1 hits, one PLRU touch, and state M if it was
+    /// stored to. A tree-PLRU set's bits, like the TLB's stamps and
+    /// hints, depend only on the order of each way's last touch. The
+    /// checker's per-reference events are the caller's.
+    #[inline]
+    pub fn commit_hits(&mut self, core: usize, blocks: &[BlockHits], len: u64) {
+        let slice = &mut self.cores[core];
+        for b in blocks {
+            slice.tlb.commit_hits(b.slot, b.last, b.n);
+            let line = slice.l1.access_n(b.block, b.n).expect("probed block");
+            if b.stored {
+                line.state = L1State::Modified;
+            }
+        }
+        slice.tlb.advance(len);
+        self.stats.refs_processed += len;
     }
 
     /// Write-through store propagation: push the written line to the home

@@ -263,13 +263,23 @@ impl<'a> SnapReader<'a> {
     /// Take a little-endian u32.
     #[inline]
     pub fn u32(&mut self) -> Result<u32, SnapError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Take a little-endian u64.
     #[inline]
     pub fn u64(&mut self) -> Result<u64, SnapError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// Take `N` bytes as an array.
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapError> {
+        let (head, _) = self.buf[self.pos..]
+            .split_first_chunk::<N>()
+            .ok_or(SnapError::Eof)?;
+        self.pos += N;
+        Ok(*head)
     }
 
     /// Take `n` words of `N` bytes each. The byte count is checked against
@@ -287,8 +297,8 @@ impl<'a> SnapReader<'a> {
     pub fn zeros(&mut self, max: usize) -> usize {
         let start = self.pos;
         let end = self.pos + max.min(self.remaining());
-        while end - self.pos >= 8 {
-            let word = u64::from_le_bytes(self.buf[self.pos..self.pos + 8].try_into().unwrap());
+        while let Some((word, _)) = self.buf[self.pos..end].split_first_chunk::<8>() {
+            let word = u64::from_le_bytes(*word);
             if word != 0 {
                 self.pos += word.trailing_zeros() as usize / 8;
                 return self.pos - start;
@@ -485,8 +495,11 @@ impl<const N: usize, T: Snap> Snap for [T; N] {
         T::save_slice(self, w);
     }
     fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
-        let vs = T::load_vec(r, N)?;
-        Ok(vs.try_into().ok().expect("load_vec yields n values"))
+        // A `load_vec` override that yields another count is malformed
+        // input to this decoder, not a reason to panic.
+        T::load_vec(r, N)?
+            .try_into()
+            .map_err(|_| SnapError::Invalid("array length"))
     }
 }
 
@@ -944,6 +957,44 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// An array's element count is fixed by its type, so a `load_vec`
+    /// override that yields another count is an error, not a panic.
+    #[test]
+    fn array_load_refuses_a_load_vec_of_the_wrong_length() {
+        #[derive(Debug, PartialEq)]
+        struct Skewed(u8);
+        impl Snap for Skewed {
+            fn save(&self, w: &mut SnapWriter) {
+                w.u8(self.0);
+            }
+            fn load(r: &mut SnapReader) -> Result<Self, SnapError> {
+                r.u8().map(Skewed)
+            }
+            fn load_vec(r: &mut SnapReader, n: usize) -> Result<Vec<Self>, SnapError> {
+                // One short, and one over when asked for one.
+                let n = if n == 1 { 2 } else { n - 1 };
+                (0..n).map(|_| Self::load(r)).collect()
+            }
+        }
+        let bytes = [1u8, 2, 3];
+        assert_eq!(
+            decode::<[Skewed; 3]>(&bytes),
+            Err(SnapError::Invalid("array length"))
+        );
+        let mut r = SnapReader::new(&bytes);
+        assert_eq!(
+            <[Skewed; 1]>::load(&mut r),
+            Err(SnapError::Invalid("array length"))
+        );
+        // Words shorter than their width are `Eof`, at every cut.
+        for cut in 0..8 {
+            let mut r = SnapReader::new(&bytes[..cut.min(3)]);
+            assert_eq!(r.u64(), Err(SnapError::Eof), "cut {cut}");
+        }
+        assert_eq!(SnapReader::new(&[7, 0, 0]).u32(), Err(SnapError::Eof));
+        assert_eq!(SnapReader::new(&[7, 0, 0, 0]).u32(), Ok(7));
     }
 
     #[test]
