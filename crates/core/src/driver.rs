@@ -53,10 +53,11 @@ struct Stretch {
     blocks: Vec<BlockHits>,
     len: u64,
     /// Where in `blocks` the block last opened with each [`slot_of`] value
-    /// is: a match of its key is the one compare a repeat reference pays. An entry left by an earlier
-    /// stretch or by a colliding block fails that compare, and the block
-    /// is opened once more; two entries for one block commit as one would,
-    /// since only each block's last use orders the commit.
+    /// is: a match of its key is the one compare a repeat reference pays.
+    /// An entry left by an earlier stretch or by a colliding block fails
+    /// that compare, and the block is opened once more; two entries for
+    /// one block commit as one would, since only each block's last use
+    /// orders the commit.
     at: [u8; 64],
 }
 
