@@ -11,6 +11,11 @@
 //! Jacobi sweeps do, with gathers that miss the TLB mid-batch. They are
 //! pinned the same way, plain, under quantum preemption and with task
 //! failures landing inside batches.
+//!
+//! Mixed tasks switch shape mid-batch, a run giving way to interleaved
+//! blocks and interleaved blocks to a run, with stores inside runs (to a
+//! Shared line among them) and task failures landing inside runs; they
+//! are pinned the same way.
 
 use raccd_core::{CoherenceMode, Driver, DriverOutput};
 use raccd_mem::addr::VRange;
@@ -330,6 +335,164 @@ fn interleaved_block_batches_are_pinned() {
             0xBD49_EB3B_E4EE_0DAE,
             0xF6DC_23FD_2325_400B,
             0x727D_C717_0B4B_6C58
+        ),
+        "folds over {cases} runs"
+    );
+}
+
+/// Mixers (more than the SMT machine's 32 contexts, so quantum preemption
+/// finds work waiting), and the segments each replays.
+const MIXERS: u64 = 40;
+const SEGMENTS: u64 = 16;
+/// The table the interleaved stretches read spans four pages of `u32`.
+const TABLE: u64 = 4096;
+
+/// The mixers alternate a same-block run with an interleaved stretch, of
+/// lengths that drift from segment to segment, so one 64-reference batch
+/// opens in a run and switches to interleaved blocks, and another opens
+/// interleaved and switches to a run. A run reads bytes of one
+/// header block, or of one block of the mixer's own region with a store
+/// in its middle; an interleaved step reads the table (across pages) and
+/// the header and stores into the own region, three blocks a step. Then
+/// four bumpers, chained on the header every mixer read, run through each
+/// header block with a store in the middle of the run: under FullCoh a
+/// store to a Shared line inside a run.
+fn mixed_program() -> Program {
+    let mut b = ProgramBuilder::new();
+    let header = b.alloc("header", 512);
+    let table = b.alloc("table", TABLE * 4);
+    let own = b.alloc("own", MIXERS * REGION);
+    for i in 0..header.len {
+        b.mem().write_u8(header.start.offset(i), (i * 3) as u8);
+    }
+    for i in 0..TABLE {
+        b.mem()
+            .write_u32(table.start.offset(i * 4), (i * 2_654_435_761) as u32);
+    }
+    let region = move |m: u64| VRange::new(own.start.offset(m * REGION), REGION);
+    for m in 0..MIXERS {
+        let deps = vec![Dep::input(header), Dep::input(table), Dep::inout(region(m))];
+        b.task("mix", deps, move |ctx| {
+            let mut acc = m as u32;
+            for s in 0..SEGMENTS {
+                let run = 4 + (s * 7 + m * 3) % 29;
+                let own_run = s % 3 == 2;
+                let block = if own_run {
+                    region(m).start.offset((s * 64) % REGION)
+                } else {
+                    header.start.offset((s % 8) * 64)
+                };
+                for i in 0..run {
+                    let at = block.offset((i * 2 + s) % 64);
+                    if own_run && i == run / 2 {
+                        ctx.write_u8(at, acc as u8);
+                    } else {
+                        acc = acc.wrapping_add(ctx.read_u8(at) as u32);
+                    }
+                }
+                for i in 0..2 + (s * 5 + m) % 13 {
+                    let k = (s * 131 + i * 37 + m * 17) % TABLE;
+                    acc ^= ctx.read_u32(table.start.offset(k * 4));
+                    let h = header.start.offset((i * 67 + s) % header.len);
+                    acc = acc.wrapping_add(ctx.read_u8(h) as u32);
+                    let o = ((s * 16 + i) * 68) % REGION;
+                    ctx.write_u32(region(m).start.offset(o), acc);
+                }
+            }
+        });
+    }
+    for k in 0..4u64 {
+        b.task(
+            "bump",
+            vec![Dep::inout(header), Dep::input(table)],
+            move |ctx| {
+                let mut acc = k as u32;
+                for blk in 0..header.len / 64 {
+                    let base = header.start.offset(blk * 64);
+                    for i in 0..24 {
+                        acc ^= ctx.read_u8(base.offset(i)) as u32;
+                    }
+                    ctx.write_u8(base.offset(24 + k), acc as u8);
+                    for i in 30..50 {
+                        acc ^= ctx.read_u8(base.offset(i)) as u32;
+                    }
+                    for i in 0..3 + blk * 2 {
+                        let t = (blk * 512 + i * 97 + k * 13) % TABLE;
+                        acc ^= ctx.read_u32(table.start.offset(t * 4));
+                        let h = header.start.offset(((i + blk) % 8) * 64 + i);
+                        acc ^= ctx.read_u8(h) as u32;
+                    }
+                }
+            },
+        );
+    }
+    b.finish()
+}
+
+#[test]
+fn mixed_batches_are_pinned() {
+    let failures = FaultPlan {
+        seed: 5,
+        task_fail: 0.5,
+        task_retry_budget: 16,
+        ..FaultPlan::default()
+    };
+    let fold = |acc: u64, v: u64| (acc ^ v).wrapping_mul(0x0000_0100_0000_01B3);
+    let basis = 0xcbf2_9ce4_8422_2325u64;
+    let (mut stats, mut keys, mut archives) = (basis, basis, basis);
+    let mut cases = 0;
+    for (name, base) in machines() {
+        let quantum = MachineConfig {
+            sched: SchedKind::Quantum,
+            sched_quantum: 600,
+            ..base
+        };
+        for mode in CoherenceMode::EXTENDED {
+            for (variant, cfg, plan) in [
+                ("plain", base, None),
+                ("quantum", quantum, None),
+                ("failing", base, Some(failures)),
+            ] {
+                let what = format!("{name} / {mode:?} / {variant}");
+                let (out, key, archive) = run(mixed_program, cfg, mode, plan);
+                let check = out.check.as_ref().expect("checker attached");
+                assert!(
+                    check.violations.is_empty(),
+                    "{what}: {:?}",
+                    check.violations
+                );
+                let digest = fnv1a64(&raccd_snap::encode(&out.stats));
+                println!("{what}: stats {digest:#018x} key {key:#018x} archive {archive:#018x}");
+                assert_eq!(out.tasks as u64, MIXERS + 4, "{what}");
+                match variant {
+                    "quantum" => assert!(out.stats.preemptions > 0, "{what}"),
+                    "failing" => assert!(out.stats.task_retries > 0, "{what}"),
+                    _ => {}
+                }
+                if mode == CoherenceMode::FullCoh && variant == "plain" {
+                    let upgrades = out
+                        .events
+                        .iter()
+                        .filter(|te| matches!(te.ev, CoherenceEvent::Upgrade { .. }));
+                    assert!(upgrades.count() > 0, "{what}: a store met a Shared line");
+                }
+                if name == "write-through" {
+                    assert!(out.stats.write_throughs > 0, "{what}");
+                }
+                stats = fold(stats, digest);
+                keys = fold(keys, key);
+                archives = fold(archives, archive);
+                cases += 1;
+            }
+        }
+    }
+    assert_eq!(cases, 4 * 4 * 3);
+    assert_eq!(
+        (stats, keys, archives),
+        (
+            0x3FC6_20A0_1AC7_084E,
+            0xAA25_369F_F1CA_63A8,
+            0x581B_50D8_CB79_8051
         ),
         "folds over {cases} runs"
     );
