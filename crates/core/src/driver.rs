@@ -43,7 +43,8 @@ const BATCH: usize = 64;
 const STRETCH_BLOCKS: usize = 16;
 
 /// A batch that meets more references than this that are not plain hits
-/// sends its context's next batch down the per-reference path.
+/// sends its context's next batch down the per-reference path, probing
+/// only a reference after one to its block.
 const MISS_HEAVY: u32 = 4;
 
 /// The references of the current batch deferred as plain hits since the
@@ -782,15 +783,15 @@ impl Driver {
     /// through the memory system. Returns the advanced clock and whether
     /// the attempt hit its injected failure point.
     ///
-    /// A batch whose first three references share a block is replayed run
-    /// by run ([`Driver::hit_rest`]). Any other batch is replayed as
-    /// stretches of deferred hits ([`Driver::defer_hit`]): a reference
-    /// that is a plain hit only counts towards its block, and the stretch
-    /// is committed ([`Machine::commit_hits`]) before any other reference,
-    /// at the failure point and at the batch end. A batch that met more
-    /// than [`MISS_HEAVY`] references costing more than a hit sends its
+    /// A batch is replayed as stretches of deferred hits
+    /// ([`Driver::defer_hit`]): a reference that is a plain hit only
+    /// counts towards its block, and the stretch is committed
+    /// ([`Machine::commit_hits`]) before any other reference, at the
+    /// failure point and at the batch end. A batch that met more than
+    /// [`MISS_HEAVY`] references costing more than a hit sends its
     /// context's next batch reference by reference instead, where most
-    /// probes would be wasted.
+    /// probes would be wasted; there only a reference after one to its
+    /// block is probed, because it will hit.
     fn replay_batch(
         &mut self,
         at: Turn,
@@ -799,9 +800,7 @@ impl Driver {
         mut now: u64,
         mut rec: Option<&mut Recorder>,
     ) -> (u64, bool) {
-        let runs =
-            matches!(run.trace[run.pos..end], [a, b, c, ..] if a.same_block(b) && a.same_block(c));
-        let defer = !runs && !self.miss_heavy[at.ctx];
+        let defer = !self.miss_heavy[at.ctx];
         let hit = self.cfg.lat.tlb + self.cfg.lat.l1;
         let mut non_hits = 0;
         let mut failed = false;
@@ -811,15 +810,18 @@ impl Driver {
                 break;
             }
             let r = run.trace[run.pos];
-            run.pos += 1;
-            if defer && self.defer_hit(at, r) {
-                now += hit;
-                if let Some(rr) = rec.as_deref_mut() {
-                    rr.hist_mem_latency.record(hit);
-                    rr.hist_bank_wait.record(0);
+            if defer || run.pos > 0 && run.trace[run.pos - 1].same_block(r) {
+                let n = self.defer_hit(at, r, run, end);
+                if n > 0 {
+                    now += n * hit;
+                    if let Some(rr) = rec.as_deref_mut() {
+                        rr.hist_mem_latency.record_n(hit, n);
+                        rr.hist_bank_wait.record_n(0, n);
+                    }
+                    continue;
                 }
-                continue;
             }
+            run.pos += 1;
             if self.stretch.len > 0 {
                 self.commit_stretch(at.core);
             }
@@ -832,9 +834,6 @@ impl Driver {
                 rr.hist_bank_wait
                     .record(self.machine.stats.bank_wait_cycles - bank_wait_before);
             }
-            if runs {
-                now += self.hit_rest(at, run, end, rec.as_deref_mut()).unwrap_or(0);
-            }
         }
         if self.stretch.len > 0 {
             self.commit_stretch(at.core);
@@ -843,72 +842,102 @@ impl Driver {
         (now, failed)
     }
 
-    /// Defer `r` as a plain hit into the open stretch, if it is one, and
-    /// report the hit to the checker; `false` leaves it, with nothing
-    /// changed, to [`Driver::process_ref`]. A block already in the stretch
-    /// needs only its key compared; a new one is probed with no effect
-    /// ([`Machine::probe_hit`]) and, under PT, its page must be settled.
-    /// Nothing else of a mode acts on a hit: the TLB classifier's hit
-    /// path is a TLB lookup and a read of the page's class. A store
-    /// qualifies only to a line it completes locally.
+    /// Defer `r`, the reference at `run.pos`, as a plain hit into the
+    /// open stretch, if it is one, and report it to the checker; so are
+    /// the references after it that [`Driver::open_block`] joins. Returns
+    /// how many were deferred, past which `run.pos` moves; 0 leaves `r`,
+    /// with nothing changed, to [`Driver::process_ref`]. A
+    /// block already in the stretch needs only its key compared; a new
+    /// one is probed with no effect ([`Machine::probe_hit`]) and, under
+    /// PT, its page must be settled. Nothing else of a mode acts on a hit:
+    /// the TLB classifier's hit path is a TLB lookup and a read of the
+    /// page's class. A store qualifies only to a line it completes
+    /// locally.
     #[inline(always)]
-    fn defer_hit(&mut self, at: Turn, r: MemRef) -> bool {
+    fn defer_hit(&mut self, at: Turn, r: MemRef, run: &mut Running, end: usize) -> u64 {
         // Rebased as in `process_ref`.
         let vaddr = VAddr(r.addr().0 + self.cfg.stack_base(at.ctx) * r.is_stack() as u64);
         let (vblock, write) = (vaddr.0 >> BLOCK_SHIFT, r.is_write());
-        let last = self.stretch.len;
-        let blocks = &mut self.stretch.blocks;
         let i = self.stretch.at[slot_of(vblock)] as usize;
-        let (block, nc) = match blocks.get_mut(i).filter(|h| h.vblock == vblock) {
-            Some(h) if write && !h.store_local => return false,
-            Some(h) => {
-                (h.n, h.last, h.stored) = (h.n + 1, last, h.stored | write);
-                (h.block, h.nc)
-            }
-            None => match self.open_block(at, vaddr, write) {
-                Some(opened) => opened,
-                None => return false,
-            },
+        let blocks = &mut self.stretch.blocks;
+        let Some(h) = blocks.get_mut(i).filter(|h| h.vblock == vblock) else {
+            return self.open_block(at, vaddr, run, end);
         };
-        self.stretch.len += 1;
-        if self.machine.has_checker() {
-            let core = at.core;
-            let hit = CheckEvent::L1Hit {
-                core,
-                block,
-                write,
-                nc,
-            };
-            self.machine.check_note(hit);
-            self.machine.check_note(CheckEvent::OpEnd);
+        if write && !h.store_local {
+            return 0;
         }
-        true
+        // This path keeps its bookkeeping apart from `open_block`'s: a
+        // build that shared it read `jacobi-raccd` 4 % slower.
+        (h.n, h.last, h.stored) = (h.n + 1, self.stretch.len, h.stored | write);
+        let (block, nc) = (h.block, h.nc);
+        self.stretch.len += 1;
+        run.pos += 1;
+        self.note_hits(at.core, block, nc, &[r]);
+        1
     }
 
-    /// Probe the first reference to a block in the open stretch and, if
-    /// it is a plain hit, add the block with that reference; the stretch
-    /// commits first when it is full. Returns the block and its NC bit.
+    /// Send the checker each of `refs`' `L1Hit` on `block`, and its
+    /// `OpEnd`, in order.
+    #[inline(always)]
+    fn note_hits(&mut self, core: usize, block: BlockAddr, nc: bool, refs: &[MemRef]) {
+        if self.machine.has_checker() {
+            for r in refs {
+                let write = r.is_write();
+                let hit = CheckEvent::L1Hit {
+                    core,
+                    block,
+                    write,
+                    nc,
+                };
+                self.machine.check_note(hit);
+                self.machine.check_note(CheckEvent::OpEnd);
+            }
+        }
+    }
+
+    /// Probe `vaddr`, the reference at `run.pos` and the first to its
+    /// block in the open stretch, and, if it is a plain hit, defer it and
+    /// the run after it in the same block, up to `end`, the failure point
+    /// and the first store the line cannot complete locally: each of them
+    /// would translate through the same TLB slot and hit the same line.
+    /// The stretch commits first when it is full. Returns the references
+    /// deferred, as [`Driver::defer_hit`] does.
     #[inline(never)]
-    fn open_block(&mut self, at: Turn, vaddr: VAddr, write: bool) -> Option<(BlockAddr, bool)> {
-        let mut h = self.machine.probe_hit(at.core, vaddr)?;
-        if write && !h.store_local
+    fn open_block(&mut self, at: Turn, vaddr: VAddr, run: &mut Running, end: usize) -> u64 {
+        let r = run.trace[run.pos];
+        let Some(mut h) = self.machine.probe_hit(at.core, vaddr) else {
+            return 0;
+        };
+        if r.is_write() && !h.store_local
             || at.mode == CoherenceMode::PageTable && !self.pt.settled(at.core, h.block.page())
         {
-            return None;
+            return 0;
         }
         if self.stretch.blocks.len() == STRETCH_BLOCKS {
             self.commit_stretch(at.core);
         }
-        (h.n, h.last, h.stored) = (1, self.stretch.len, write);
+        let stop = run.fail_at.map_or(end, |f| f.min(end)).max(run.pos + 1);
+        let rest = &run.trace[run.pos + 1..stop];
+        let k = rest
+            .iter()
+            .take_while(|x| x.same_block(r) && (h.store_local || !x.is_write()))
+            .count();
+        let stored = r.is_write() || rest[..k].iter().any(|x| x.is_write());
+        let n = 1 + k as u64;
+        (h.n, h.last, h.stored) = (n, self.stretch.len + n - 1, stored);
         self.stretch.at[slot_of(h.vblock)] = self.stretch.blocks.len() as u8;
         self.stretch.blocks.push(h);
-        Some((h.block, h.nc))
+        self.stretch.len += n;
+        let from = run.pos;
+        run.pos += n as usize;
+        self.note_hits(at.core, h.block, h.nc, &run.trace[from..run.pos]);
+        n
     }
 
     /// Apply the open stretch, which is not empty, to the machine, blocks
     /// in ascending order of last use, and empty it. Out of line, with
     /// the emptiness test at the call sites: a call per reference would
-    /// cost the per-reference and run loops.
+    /// cost the per-reference loop.
     #[inline(never)]
     fn commit_stretch(&mut self, core: usize) {
         let st = &mut self.stretch;
@@ -916,44 +945,6 @@ impl Driver {
         self.machine.commit_hits(core, &st.blocks, st.len);
         st.blocks.clear();
         st.len = 0;
-    }
-
-    /// Account the references that follow the one just replayed, `r`, in
-    /// its block, up to `end` and the failure point, in one
-    /// [`Machine::hit_run`] step when there are two or more, and return
-    /// their cycles; `None` leaves them to the per-reference loop. Each of
-    /// them would translate through the TLB slot `r` just used and hit the
-    /// line `r` just touched, so one step leaves what they would. The
-    /// mode's own per-reference work adds nothing to a hit: PT's
-    /// `on_access` for `r`'s core and page returns Private or Shared from
-    /// then on and changes no state, and the TLB classifier's hit path is a
-    /// TLB lookup and a read of the page's class. A run `hit_run` refuses
-    /// (an upgrade, a write-through) is replayed reference by reference.
-    /// Run-rich batches take this path; run-poor ones defer hits across
-    /// blocks instead ([`Driver::defer_hit`]).
-    // Out of line, and the loop above not duplicated for gated batches:
-    // a second inlined `process_ref` stops `translate` and `l1_lookup`
-    // being inlined into either copy, which costs run-poor batches 5-18 %.
-    #[inline(never)]
-    fn hit_rest(
-        &mut self,
-        at: Turn,
-        run: &mut Running,
-        end: usize,
-        rec: Option<&mut Recorder>,
-    ) -> Option<u64> {
-        let r = run.trace[run.pos - 1];
-        let rest = &run.trace[run.pos..run.fail_at.map_or(end, |f| f.min(end)).max(run.pos)];
-        let k = rest.iter().take_while(|x| x.same_block(r)).count();
-        // Rebased as in `process_ref`, off its path.
-        let vaddr = VAddr(r.addr().0 + self.cfg.stack_base(at.ctx) * r.is_stack() as u64);
-        let cycles = (k >= 2).then(|| self.machine.hit_run(at.core, vaddr, &rest[..k]))??;
-        run.pos += k;
-        if let Some(rr) = rec {
-            rr.hist_mem_latency.record_n(cycles / k as u64, k as u64);
-            rr.hist_bank_wait.record_n(0, k as u64);
-        }
-        Some(cycles)
     }
 
     /// Invalidate non-coherent data (`raccd_invalidate`): flush the NC

@@ -32,7 +32,7 @@ use crate::event::{CoherenceEvent, TimedEvent};
 use crate::stats::Stats;
 use raccd_cache::{L1Cache, L1Line, L1State, LlcBank, LlcLine};
 use raccd_fault::{FaultPlan, FaultPlane, FaultSite, FaultStats, MsgOutcome};
-use raccd_mem::{BlockAddr, MemRef, PAddr, PageNum, PageTable, Tlb, TlbSlot, VAddr, BLOCK_SHIFT};
+use raccd_mem::{BlockAddr, PAddr, PageNum, PageTable, Tlb, TlbSlot, VAddr, BLOCK_SHIFT};
 use raccd_noc::{Mesh, MsgClass};
 use raccd_protocol::{
     victim_action, write_hit_is_local, Adr, AdrConfig, DirEntry, DirEviction, DirMsg,
@@ -682,33 +682,6 @@ impl Machine {
         }
         self.check_ev(CheckEvent::OpEnd);
         result
-    }
-
-    /// Account `refs`, references to the block `vaddr` lies in, as
-    /// `refs.len()` calls of [`Machine::translate`] + [`Machine::l1_lookup`]
-    /// that all hit would: the same TLB, L1, statistics and checker state
-    /// (each reference's `L1Hit` and `OpEnd`, in order), `refs_processed`
-    /// advanced, and their cycles returned. `None`, with nothing changed,
-    /// when they would not all be plain hits: the page is not in the TLB,
-    /// the block is not in the L1, or a store meets a coherent line it must
-    /// upgrade or a write-through L1.
-    pub fn hit_run(&mut self, core: usize, vaddr: VAddr, refs: &[MemRef]) -> Option<u64> {
-        let mut hits = self.probe_hit(core, vaddr)?;
-        let stores = refs.iter().any(|r| r.is_write());
-        (!stores || hits.store_local).then_some(())?;
-        let n = refs.len() as u64;
-        (hits.n, hits.last, hits.stored) = (n, n - 1, stores);
-        for r in refs {
-            self.check_ev(CheckEvent::L1Hit {
-                core,
-                block: hits.block,
-                write: r.is_write(),
-                nc: hits.nc,
-            });
-            self.check_ev(CheckEvent::OpEnd);
-        }
-        self.commit_hits(core, &[hits], n);
-        Some(n * (self.cfg.lat.tlb + self.cfg.lat.l1))
     }
 
     /// What a reference to `vaddr` on `core` would hit, with no effect on
