@@ -13,8 +13,6 @@
 //! this region happen as in the baseline coherent architecture."
 
 use raccd_mem::addr::VRange;
-#[cfg(test)]
-use raccd_mem::PageNum;
 use raccd_mem::{PAddr, VAddr, PAGE_SIZE};
 use raccd_sim::{Machine, RuntimeCosts};
 
@@ -175,7 +173,7 @@ impl Ncrt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use raccd_mem::{FrameAllocPolicy, PageTable};
+    use raccd_mem::{FrameAllocPolicy, PageNum, PageTable};
     use raccd_sim::MachineConfig;
 
     fn machine() -> Machine {

@@ -54,27 +54,14 @@ impl DirectoryBank {
     /// Create a bank with `entries` capacity, `ways` associativity and
     /// `bank_bits` low block bits skipped for set indexing.
     ///
-    /// Panics on an impossible geometry; [`DirectoryBank::try_new`] is
-    /// the fallible variant.
+    /// Panics on a geometry [`DirectoryBank::geometry`] refuses: that is
+    /// an invariant, since `MachineConfig::check` refuses every machine
+    /// whose directory banks it would refuse.
     pub fn new(entries: usize, ways: usize, bank_bits: u32) -> Self {
-        Self::try_new(entries, ways, bank_bits).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Whether a bank of `entries` at `ways` can exist: the entry count a
-    /// positive multiple of the associativity. [`DirectoryBank::try_new`]
-    /// and [`DirectoryBank::try_resize`] refuse exactly what this does.
-    pub fn geometry(entries: usize, ways: usize) -> Result<(), ProtocolError> {
-        if ways == 0 || entries < ways || !entries.is_multiple_of(ways) {
-            return Err(ProtocolError::BadGeometry { entries, ways });
+        if let Err(e) = Self::geometry(entries, ways) {
+            panic!("{e}; MachineConfig::check refuses every such directory bank");
         }
-        Ok(())
-    }
-
-    /// Fallible [`DirectoryBank::new`]: rejects what
-    /// [`DirectoryBank::geometry`] does.
-    pub fn try_new(entries: usize, ways: usize, bank_bits: u32) -> Result<Self, ProtocolError> {
-        Self::geometry(entries, ways)?;
-        Ok(DirectoryBank {
+        DirectoryBank {
             arr: SetAssoc::new(entries / ways, ways, bank_bits),
             ways,
             bank_bits,
@@ -85,7 +72,17 @@ impl DirectoryBank {
             occ_integral: 0,
             cap_integral: 0,
             last_event: 0,
-        })
+        }
+    }
+
+    /// Whether a bank of `entries` at `ways` can exist: the entry count a
+    /// positive multiple of the associativity. [`DirectoryBank::new`] and
+    /// [`DirectoryBank::resize`] panic on exactly what this refuses.
+    pub fn geometry(entries: usize, ways: usize) -> Result<(), ProtocolError> {
+        if ways == 0 || entries < ways || !entries.is_multiple_of(ways) {
+            return Err(ProtocolError::BadGeometry { entries, ways });
+        }
+        Ok(())
     }
 
     /// Current entry capacity (changes under ADR).
@@ -161,31 +158,24 @@ impl DirectoryBank {
     /// Resize to `new_entries` (ADR). Entries that no longer fit are
     /// returned; the caller must treat them as inclusion victims.
     ///
-    /// Panics on an impossible geometry; [`DirectoryBank::try_resize`] is
-    /// the fallible variant.
+    /// Panics on a geometry [`DirectoryBank::geometry`] refuses: that is
+    /// an invariant, since ADR only halves or doubles a bank between its
+    /// built size and the one set it halves down to, and
+    /// `MachineConfig::check` admits every size on that range.
     pub fn resize(&mut self, new_entries: usize, now: u64) -> Vec<DirEviction> {
-        self.try_resize(new_entries, now)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`DirectoryBank::resize`]: rejects what
-    /// [`DirectoryBank::geometry`] does.
-    pub fn try_resize(
-        &mut self,
-        new_entries: usize,
-        now: u64,
-    ) -> Result<Vec<DirEviction>, ProtocolError> {
-        Self::geometry(new_entries, self.ways)?;
+        if let Err(e) = Self::geometry(new_entries, self.ways) {
+            panic!("{e}; ADR resizes only inside the range MachineConfig::check admits");
+        }
         self.tick(now);
         let evicted = self.arr.resize_sets(new_entries / self.ways);
         self.evictions += evicted.len() as u64;
-        Ok(evicted
+        evicted
             .into_iter()
             .map(|(k, e)| DirEviction {
                 block: BlockAddr(k),
                 entry: e,
             })
-            .collect())
+            .collect()
     }
 
     /// Total accesses recorded (Figure 7a).
@@ -334,27 +324,31 @@ mod tests {
     }
 
     #[test]
-    fn bad_geometry_is_a_typed_error_not_a_panic() {
+    fn geometry_refuses_entries_that_are_not_whole_sets() {
         use crate::error::ProtocolError;
         assert_eq!(
-            DirectoryBank::try_new(10, 8, 0).unwrap_err(),
+            DirectoryBank::geometry(10, 8).unwrap_err(),
             ProtocolError::BadGeometry {
                 entries: 10,
                 ways: 8
             }
         );
-        assert!(DirectoryBank::try_new(0, 0, 0).is_err());
-        let mut d = bank();
-        assert_eq!(
-            d.try_resize(12, 0).unwrap_err(),
-            ProtocolError::BadGeometry {
-                entries: 12,
-                ways: 8
-            }
-        );
-        // The bank is untouched after a rejected resize.
-        assert_eq!(d.capacity(), 16);
-        assert!(d.try_resize(8, 0).is_ok());
+        assert!(DirectoryBank::geometry(0, 0).is_err());
+        assert!(DirectoryBank::geometry(4, 8).is_err());
+        assert!(DirectoryBank::geometry(16, 8).is_ok());
+        assert!(DirectoryBank::geometry(8, 8).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "MachineConfig::check refuses every such directory bank")]
+    fn new_panics_on_a_refused_geometry() {
+        DirectoryBank::new(10, 8, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ADR resizes only inside the range MachineConfig::check admits")]
+    fn resize_panics_on_a_refused_geometry() {
+        bank().resize(12, 0);
     }
 
     /// A bank's `ways` and `bank_bits` must describe its array: a bank
