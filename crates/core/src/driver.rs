@@ -846,13 +846,12 @@ impl Driver {
     /// open stretch, if it is one, and report it to the checker; so are
     /// the references after it that [`Driver::open_block`] joins. Returns
     /// how many were deferred, past which `run.pos` moves; 0 leaves `r`,
-    /// with nothing changed, to [`Driver::process_ref`]. A
-    /// block already in the stretch needs only its key compared; a new
-    /// one is probed with no effect ([`Machine::probe_hit`]) and, under
-    /// PT, its page must be settled. Nothing else of a mode acts on a hit:
-    /// the TLB classifier's hit path is a TLB lookup and a read of the
-    /// page's class. A store qualifies only to a line it completes
-    /// locally.
+    /// with nothing changed, to [`Driver::process_ref`]. A block already
+    /// in the stretch needs only its key compared; a new one is probed
+    /// with no effect ([`Machine::probe_hit`]) and, under PT, its page
+    /// must be settled. Nothing else of a mode acts on a hit: the TLB
+    /// classifier's hit path is a TLB lookup and a read of the page's
+    /// class. A store qualifies only to a line it completes locally.
     #[inline(always)]
     fn defer_hit(&mut self, at: Turn, r: MemRef, run: &mut Running, end: usize) -> u64 {
         // Rebased as in `process_ref`.
