@@ -12,7 +12,7 @@
 //!   (machine knobs, operation sequence) with parse / replay / greedy
 //!   minimisation / dump-to-disk helpers. A violation anywhere in this
 //!   crate leaves a file a test helper can re-run verbatim.
-//! * [`explore`] — exhaustive breadth-first enumeration of *all*
+//! * [`mod@explore`] — exhaustive breadth-first enumeration of *all*
 //!   interleavings of a few cores over a few blocks, deduplicated by the
 //!   checker's canonical state fingerprint, asserting every invariant in
 //!   every reachable state.

@@ -66,7 +66,7 @@ impl ProtocolKind {
             .find(|kind| kind.label().eq_ignore_ascii_case(s))
     }
 
-    /// The protocol's rules record: its row of [`RULES`].
+    /// The protocol's rules record: its row of the `RULES` table.
     pub const fn rules(self) -> ProtocolRules {
         RULES[self as usize]
     }

@@ -104,7 +104,10 @@ struct CoreSlice {
 }
 
 /// Bank-select bits of a machine shaped per `cfg`, which must have one
-/// core per tile and a power-of-two core count.
+/// core per tile and a power-of-two core count of at most 64 (the width
+/// of a directory entry's sharer vector, so that every core id a
+/// directory transition names fits it). `MachineConfig::check` refuses
+/// every other shape; both constructors come through here.
 fn bank_bits(cfg: &MachineConfig) -> u32 {
     assert_eq!(
         cfg.ncores,
@@ -112,7 +115,11 @@ fn bank_bits(cfg: &MachineConfig) -> u32 {
         "one core per tile across {} socket(s)",
         cfg.topology.sockets()
     );
-    assert!(cfg.ncores.is_power_of_two());
+    assert!(
+        cfg.ncores.is_power_of_two() && cfg.ncores <= 64,
+        "a power-of-two core count of at most 64, not {}",
+        cfg.ncores
+    );
     cfg.ncores.trailing_zeros()
 }
 
@@ -666,7 +673,7 @@ impl Machine {
                 self.cores[core]
                     .l1
                     .probe_mut(block)
-                    .expect("line just seen")
+                    .expect("an upgrade invalidates every holder but the writer")
                     .state = written_state;
                 result = L1LookupResult::Hit { cycles, nc: false };
             }
@@ -723,7 +730,10 @@ impl Machine {
         let slice = &mut self.cores[core];
         for b in blocks {
             slice.tlb.commit_hits(b.slot, b.last, b.n);
-            let line = slice.l1.access_n(b.block, b.n).expect("probed block");
+            let line = slice
+                .l1
+                .access_n(b.block, b.n)
+                .expect("a stretch commits before its core's L1 is touched again");
             if b.stored {
                 line.state = L1State::Modified;
             }
@@ -795,7 +805,7 @@ impl Machine {
                 self.dir_allocate(home, block, core, getx, now);
                 0
             }
-            Err(e) => unreachable!("upgrade transition rejected: {e}"),
+            Err(e) => unreachable!("GetX fails only for a core id past the sharer vector: {e}"),
         };
         cycles += self.invalidate_holders(home, block, inv_mask, true, now).0;
         // Ack back to the writer.
@@ -818,7 +828,7 @@ impl Machine {
         let mut entry = DirEntry::uncached();
         entry
             .apply(self.cfg.protocol, first)
-            .expect("a fresh entry accepts any request");
+            .expect("a fresh entry accepts any request from a core below 64");
         let ev = self.dir[home].allocate(block, now, entry);
         self.stats.dir_allocations += 1;
         self.check_ev(CheckEvent::DirAllocate { block, core });
@@ -1029,11 +1039,12 @@ impl Machine {
                     core: o,
                     dirty: owner_dirty,
                 };
-                e.apply(kind, dg).expect("core ids fit the sharer vector");
+                e.apply(kind, dg)
+                    .expect("an entry names cores of this machine (restore checks)");
             }
             let effect = e
                 .apply(kind, request)
-                .expect("the owner was downgraded first");
+                .expect("GetX always applies, and GetS once the owner is downgraded");
             // Directory hit ⇒ coherent LLC line present (inclusivity).
             let hit = self.llc[home].access(block).is_some();
             debug_assert!(hit, "directory entry without LLC line for {block:?}");
@@ -1263,7 +1274,7 @@ impl Machine {
     fn dir_apply(&mut self, home: usize, block: BlockAddr, msg: DirMsg) {
         if let Some(e) = self.dir[home].lookup(block) {
             e.apply(self.cfg.protocol, msg)
-                .expect("core ids fit the sharer vector");
+                .expect("a replacement comes from a core of this machine");
         }
     }
 
@@ -1446,7 +1457,7 @@ impl Machine {
                 assert_eq!(self.home_of(block), bank, "entry in wrong bank");
                 let line = self.llc[bank]
                     .probe(block)
-                    .unwrap_or_else(|| panic!("dir entry without LLC line: {block:?}"));
+                    .unwrap_or_else(|| panic!("inclusion: dir entry without LLC line: {block:?}"));
                 assert!(!line.nc, "directory entry for an NC LLC line: {block:?}");
             }
         }

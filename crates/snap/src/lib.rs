@@ -20,14 +20,19 @@
 //!   tagged sections each protected by a CRC-32, and an FNV-1a-64 content
 //!   hash trailer over every tag and payload. Corruption is detected at
 //!   the section that suffered it; truncation is detected by the trailer.
-//!   Writing and reading an archive is one pass over its bytes: both
-//!   checksums advance in the same loop, and FNV-1a's serial multiply is
-//!   what that loop costs.
+//!   Writing and reading an archive is one sweep over each payload that
+//!   advances both checksums.
 //! * [`crc32`] / [`fnv1a64`] — the two checksums, exposed so tests and the
-//!   golden-header CI check can recompute them independently. The CRC is
-//!   computed by slicing-by-8 (eight bytes a step through eight
-//!   `const`-built tables, byte-at-a-time tail); the byte-at-a-time forms
-//!   live on as the models in `tests/checksums.rs`.
+//!   golden-header CI check can recompute them independently. Inputs of
+//!   512 bytes and more, on a CPU with PCLMULQDQ and AVX-512 (F, BW, DQ,
+//!   VNNI, VBMI) and GFNI, go through vector kernels: CRC-32 by carry-less
+//!   folding, FNV-1a-64 by solving its low byte's recurrence a bit plane
+//!   at a time and weighting the rest (the crate's one `unsafe` module).
+//!   Shorter inputs and other CPUs take the portable loop: the CRC by
+//!   slicing-by-8 (eight bytes a step through eight `const`-built tables,
+//!   byte-at-a-time tail) beside FNV's serial multiply. Both paths give
+//!   the same values for every input; the byte-at-a-time forms live on as
+//!   the models in `tests/checksums.rs`.
 //! * [`snap_record!`] / [`snap_enum!`]: how a type joins a snapshot, in the
 //!   crate that owns its fields. A record lists its fields once, in wire
 //!   order, and an enum its tag bytes; the macro derives `save` and `load`
@@ -39,6 +44,8 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasher, Hash};
+
+mod simd;
 
 /// Magic bytes opening every snapshot byte stream.
 pub const MAGIC: [u8; 4] = *b"RSNP";
@@ -80,9 +87,10 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 /// so the CRC lookups run in the shadow of FNV's serial multiply and the
 /// pair costs what FNV alone does; a caller that drops one of the two
 /// results pays only for the other (the unused chain is dead code once
-/// this is inlined).
+/// this is inlined). This is the portable path and the reference the
+/// vector kernels in [`simd`] must match bit for bit.
 #[inline(always)]
-fn sums(bytes: &[u8], mut c: u32, mut h: u64) -> (u32, u64) {
+fn sums_portable(bytes: &[u8], mut c: u32, mut h: u64) -> (u32, u64) {
     let fnv_byte = |h: u64, b: u8| (h ^ b as u64).wrapping_mul(FNV_PRIME);
     let (words, tail) = bytes.as_chunks::<8>();
     for word in words {
@@ -99,15 +107,33 @@ fn sums(bytes: &[u8], mut c: u32, mut h: u64) -> (u32, u64) {
     (c, h)
 }
 
-/// Advance an FNV-1a-64 state over `bytes`.
-fn fnv(h: u64, bytes: &[u8]) -> u64 {
-    sums(bytes, 0, h).1
+/// Advance a raw CRC-32 state and an FNV-1a-64 state over `bytes`: the
+/// vector kernels when this CPU has them and `bytes` is long enough
+/// ([`simd::Kernel::for_len`]), the portable loop otherwise. Either way the
+/// result is the same.
+#[inline(always)]
+fn sums(bytes: &[u8], c: u32, h: u64) -> (u32, u64) {
+    match simd::Kernel::for_len(bytes.len()) {
+        Some(k) => k.sums(bytes, c, h),
+        None => sums_portable(bytes, c, h),
+    }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) of a byte slice, by
-/// slicing-by-8 with a byte-at-a-time tail.
+/// Advance an FNV-1a-64 state over `bytes`: `sums` without the CRC.
+fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    match simd::Kernel::for_len(bytes.len()) {
+        Some(k) => k.fnv1a64(bytes, h),
+        None => sums_portable(bytes, 0, h).1,
+    }
+}
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected) of a byte slice: `sums`
+/// without the FNV.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    !sums(bytes, !0, 0).0
+    !match simd::Kernel::for_len(bytes.len()) {
+        Some(k) => k.crc32(bytes, !0),
+        None => sums_portable(bytes, !0, 0).0,
+    }
 }
 
 /// FNV-1a 64-bit hash of a byte slice (content-hash trailer).

@@ -1,11 +1,16 @@
 //! The archive path against its byte-at-a-time models.
 //!
-//! `crc32` runs eight bytes per step and `to_bytes` / `from_bytes` fuse the
-//! section CRC with the trailer hash into one pass. The forms they replaced
-//! (a byte-at-a-time table CRC, a `content_hash` that concatenates every tag
-//! and payload, a reader that copies before it checks) are kept here,
-//! verbatim, as the reference: same values for every input, same bytes for
-//! every section set, same error for every corruption.
+//! `crc32` runs eight bytes per step, or through a vector kernel on a CPU
+//! that has one for inputs of 512 bytes and more, and `to_bytes` /
+//! `from_bytes` fuse the section CRC with the trailer hash into one pass.
+//! The forms they replaced (a byte-at-a-time table CRC, a `content_hash`
+//! that concatenates every tag and payload, a reader that copies before it
+//! checks) are kept here, verbatim, as the reference: same values for
+//! every input, same bytes for every section set, same error for every
+//! corruption. Which checksum path this host takes is printed by the
+//! crate's unit test `kernels_equal_the_portable_loop` (run with
+//! `--nocapture`); the inputs below straddle the kernel threshold either
+//! way.
 
 use raccd_snap::{crc32, fnv1a64, SnapError, SnapReader, Snapshot, FORMAT_VERSION, MAGIC};
 
@@ -153,24 +158,6 @@ fn decoded(bytes: &[u8]) -> Result<Sections, SnapError> {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn crc32_equals_the_model_at_every_length_and_alignment() {
-    let buf = Rng(0x5EED).bytes(80);
-    for start in 0..8 {
-        for len in 0..=64 {
-            let s = &buf[start..start + len];
-            assert_eq!(crc32(s), model_crc32(s), "start {start} len {len}");
-        }
-    }
-}
-
-#[test]
-fn crc32_equals_the_model_on_a_mebibyte() {
-    let buf = Rng(7).bytes((1 << 20) + 5);
-    assert_eq!(crc32(&buf), model_crc32(&buf));
-    assert_eq!(crc32(&buf[3..]), model_crc32(&buf[3..]));
-}
-
-#[test]
 fn known_vectors() {
     assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     assert_eq!(crc32(b""), 0);
@@ -183,15 +170,78 @@ fn known_vectors() {
     assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
 }
 
+/// Every length to past two kernel steps, at every offset a 64-byte load
+/// can start at, against the models run byte by byte alongside: random
+/// bytes, and the two uniform fills (whose offset changes nothing but the
+/// alignment, so two offsets do).
 #[test]
-fn fnv1a64_equals_the_model_at_every_length() {
-    let buf = Rng(0xF00D).bytes(100);
-    for len in 0..=buf.len() {
+fn crc32_and_fnv1a64_equal_the_models_at_every_length_and_offset() {
+    const MAX: usize = 1100;
+    let table = model_crc_table();
+    let random = Rng(0x0FF5E7).bytes(MAX + 64);
+    let bufs = [
+        (random.as_slice(), 64),
+        (&[0x00; MAX + 64][..], 2),
+        (&[0xFF; MAX + 64][..], 2),
+    ];
+    for (buf, offsets) in bufs {
+        for offset in 0..offsets {
+            let (mut c, mut h) = (0xFFFF_FFFFu32, 0xcbf2_9ce4_8422_2325u64);
+            for len in 0..=MAX {
+                let s = &buf[offset..offset + len];
+                assert_eq!(crc32(s), c ^ 0xFFFF_FFFF, "crc32 offset {offset} len {len}");
+                assert_eq!(fnv1a64(s), h, "fnv1a64 offset {offset} len {len}");
+                let b = buf[offset + len];
+                c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+    }
+    // The running models are the models.
+    assert_eq!(crc32(&random[5..905]), model_crc32(&random[5..905]));
+    assert_eq!(fnv1a64(&random[5..905]), model_fnv1a64(&random[5..905]));
+}
+
+#[test]
+fn crc32_and_fnv1a64_equal_the_models_on_four_mebibytes() {
+    let buf = Rng(0x4D1B).bytes(4 << 20);
+    for s in [&buf[..], &buf[3..], &buf[..(4 << 20) - 1]] {
+        assert_eq!(crc32(s), model_crc32(s));
+        assert_eq!(fnv1a64(s), model_fnv1a64(s));
+    }
+}
+
+/// The FNV state chains across tags and payloads, and each payload's CRC
+/// starts afresh: sections cut from one buffer at seeded points, some far
+/// above the kernel threshold and some below it, hash as the concatenation
+/// does and frame as the model writer does.
+#[test]
+fn chained_sections_equal_the_models_at_seeded_split_points() {
+    let mut rng = Rng(0xC4A1);
+    let buf = rng.bytes(64 * 1024);
+    for round in 0..24 {
+        let mut sections: Sections = Vec::new();
+        let mut rest = &buf[(rng.next() % 64) as usize..];
+        while !rest.is_empty() {
+            let cap = [8, 600, 5000, 40_000][(rng.next() % 4) as usize];
+            let cut = ((rng.next() % cap) as usize).min(rest.len());
+            let tag =
+                "τ".repeat((rng.next() % 3) as usize) + &format!("{round}/{}", sections.len());
+            sections.push((tag, rest[..cut].to_vec()));
+            rest = &rest[cut..];
+            if rng.next().is_multiple_of(8) {
+                break;
+            }
+        }
+        let snap = snapshot_of(&sections);
         assert_eq!(
-            fnv1a64(&buf[..len]),
-            model_fnv1a64(&buf[..len]),
-            "len {len}"
+            snap.content_hash(),
+            model_content_hash(&sections),
+            "round {round}"
         );
+        let bytes = snap.to_bytes();
+        assert_eq!(bytes, model_to_bytes(&sections), "round {round}");
+        assert_eq!(decoded(&bytes), Ok(sections), "round {round}");
     }
 }
 
@@ -249,6 +299,26 @@ fn every_flip_and_every_truncation_fails_as_the_model_reader_does() {
         (String::new(), vec![]),
         ("τάγ".into(), rng.bytes(17)),
     ];
+    flip_and_truncation_sweep(sections);
+}
+
+/// The same sweep with one payload the checksum kernels take (on a CPU
+/// that has them): a damaged byte anywhere in it is a `BadCrc`, found where
+/// the model reader finds it.
+#[test]
+fn every_flip_and_every_truncation_of_a_long_section_fails_as_the_model_reader_does() {
+    let mut rng = Rng(0xB16);
+    let sections: Sections = vec![
+        ("short".into(), rng.bytes(3)),
+        ("long".into(), rng.bytes(1029)),
+    ];
+    flip_and_truncation_sweep(sections);
+}
+
+/// Every truncation, one extension, and every single-bit and whole-byte
+/// flip of the archive of `sections` fail, each with the model reader's
+/// error.
+fn flip_and_truncation_sweep(sections: Sections) {
     let good = snapshot_of(&sections).to_bytes();
     assert_eq!(decoded(&good), Ok(sections));
 

@@ -307,7 +307,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// The strategy [`vec`] returns.
+    /// The strategy [`vec()`] returns.
     pub struct VecStrategy<S> {
         element: S,
         len: Range<usize>,
