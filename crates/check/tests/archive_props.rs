@@ -12,7 +12,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use raccd_core::{CoherenceMode, Driver};
 use raccd_sim::MachineConfig;
-use raccd_snap::{SnapError, Snapshot};
+use raccd_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use raccd_workloads::{all_benchmarks, Scale, Workload};
 
 /// The two machines the property checkpoints: Jacobi under RaCCD (NC
@@ -82,16 +82,10 @@ impl Edit {
     }
 }
 
-/// Restore checkpoint `case` with `edit` applied to section `section`
-/// (modulo the section count), re-sealed. `Err` is a panic's message.
-fn restore_edited(
-    case: usize,
-    section: usize,
-    edit: &Edit,
-) -> Result<Result<(), SnapError>, String> {
+/// Restore checkpoint `case` with `edit` applied to section `tag`,
+/// re-sealed. `Err` is a panic's message.
+fn restore_edited(case: usize, tag: &str, edit: &Edit) -> Result<Result<(), SnapError>, String> {
     let mut snap = bases()[case].clone();
-    let tags: Vec<String> = snap.tags().into_iter().map(String::from).collect();
-    let tag = &tags[section % tags.len()];
     let mut payload = snap.raw(tag).expect("listed tag").to_vec();
     edit.apply(&mut payload);
     snap.put_raw(tag, payload);
@@ -127,12 +121,14 @@ proptest! {
         section in any::<usize>(),
         edit in edit(),
     ) {
-        let got = restore_edited(case, section, &edit);
+        let tags = bases()[case].tags();
+        let tag = tags[section % tags.len()];
+        let got = restore_edited(case, tag, &edit);
         prop_assert!(
             got.is_ok(),
-            "{:?} section {} {:?}: restore panicked: {}",
+            "{:?} {} {:?}: restore panicked: {}",
             CASES[case],
-            section % bases()[case].tags().len(),
+            tag,
             edit,
             got.unwrap_err()
         );
@@ -145,6 +141,89 @@ proptest! {
 fn unedited_checkpoints_restore() {
     for (case, machine) in CASES.iter().enumerate() {
         let none = Edit::Extend { tail: vec![] };
-        assert_eq!(restore_edited(case, 0, &none), Ok(Ok(())), "{machine:?}");
+        assert_eq!(
+            restore_edited(case, "driver/mode", &none),
+            Ok(Ok(())),
+            "{machine:?}"
+        );
+    }
+}
+
+/// Edits that restore once accepted, found by driving each restored run
+/// to its end: a completion order naming a task that was still queued
+/// (its body was consumed at restore, so dispatching it panicked) or a
+/// task completed in place of another (the run ended with tasks never
+/// executed), and an event heap naming a context twice (likewise). Each
+/// contradicts the task graph or the contexts, and restore refuses it.
+#[test]
+fn bookkeeping_the_task_graph_contradicts_is_refused() {
+    let flip = |at, mask| Edit::Flip { at, mask };
+    let cases = [
+        (
+            1,
+            "driver/completion_order",
+            flip(3227067845582540512, 42),
+            "completion order",
+        ),
+        (
+            1,
+            "driver/completion_order",
+            flip(8884163227598856656, 45),
+            "completion order",
+        ),
+        (
+            0,
+            "driver/heap",
+            flip(1511172563209525912, 10),
+            "driver contexts",
+        ),
+        (
+            1,
+            "driver/heap",
+            flip(13346836817708461960, 3),
+            "driver contexts",
+        ),
+    ];
+    for (case, tag, edit, want) in cases {
+        assert_eq!(
+            restore_edited(case, tag, &edit),
+            Ok(Err(SnapError::Invalid(want))),
+            "{:?} {tag} {edit:?}",
+            CASES[case]
+        );
+    }
+}
+
+/// A ready queue that holds a completed task (whose body restore consumed)
+/// is refused: the checkpoints' FIFO queue is a tag byte, the queued ids
+/// as a length-prefixed sequence, then two counters.
+#[test]
+fn a_queued_completed_task_is_refused() {
+    for (case, machine) in CASES.iter().enumerate() {
+        let mut snap = bases()[case].clone();
+        let done: Vec<usize> = snap.get("driver/completion_order").expect("section");
+        let (mut r, mut w) = (
+            SnapReader::new(snap.raw("driver/sched").expect("section")),
+            SnapWriter::new(),
+        );
+        assert_eq!(r.u8(), Ok(0), "{machine:?}: a FIFO queue");
+        w.u8(0);
+        let queued = r.u64().expect("queue length");
+        w.u64(queued + 1);
+        for _ in 0..queued {
+            w.u64(r.u64().expect("queued id"));
+        }
+        w.u64(done[0] as u64);
+        w.bytes(r.bytes(r.remaining()).expect("counters"));
+        snap.put_raw("driver/sched", w.into_bytes());
+        let (name, mode) = *machine;
+        let snap = Snapshot::from_bytes(&snap.to_bytes()).expect("a re-sealed archive decodes");
+        let restored =
+            Driver::restore(MachineConfig::scaled(), mode, workload(name).build(), &snap);
+        assert_eq!(
+            restored.err(),
+            Some(SnapError::Invalid("ready queue")),
+            "{machine:?}"
+        );
     }
 }

@@ -1192,21 +1192,37 @@ impl Driver {
         {
             return Err(SnapError::Invalid("driver geometry"));
         }
+        // A context waits in the heap or idles, never both and never twice
+        // (after a detection one may be in neither).
+        let mut placed = vec![false; nctx];
+        for c in heap_vec.iter().map(|&(_, c)| c).chain(idle.iter().copied()) {
+            if std::mem::replace(&mut placed[c], true) {
+                return Err(SnapError::Invalid("driver contexts"));
+            }
+        }
         // Replay the TDG to the captured point: completions re-walk the
         // wake-up edges in their original order; bodies of completed and
         // in-flight tasks are consumed (their functional effect is already
-        // in the restored memory image).
+        // in the restored memory image). A task is `enabled` once every
+        // predecessor has completed; only an enabled task can have been
+        // dispatched.
+        let mut enabled = vec![false; ntasks];
+        for id in graph.initially_ready() {
+            enabled[id] = true;
+        }
         let mut seen = vec![false; ntasks];
         for &id in &completion_order {
-            if id >= ntasks || seen[id] {
+            if id >= ntasks || seen[id] || !enabled[id] {
                 return Err(SnapError::Invalid("completion order"));
             }
             seen[id] = true;
             drop(graph.take_body(id));
-            let _ = graph.complete(id);
+            for woken in graph.complete(id) {
+                enabled[woken] = true;
+            }
         }
         for run in running.iter().flatten() {
-            if run.tid >= ntasks || seen[run.tid] {
+            if run.tid >= ntasks || seen[run.tid] || !enabled[run.tid] {
                 return Err(SnapError::Invalid("running task id"));
             }
             seen[run.tid] = true;
@@ -1216,7 +1232,7 @@ impl Driver {
         // running nor complete.
         let parked: BTreeMap<TaskId, Running> = s.get("driver/parked")?;
         for (&id, run) in &parked {
-            if id >= ntasks || seen[id] || run.tid != id {
+            if id >= ntasks || seen[id] || run.tid != id || !enabled[id] {
                 return Err(SnapError::Invalid("parked task id"));
             }
             seen[id] = true;
@@ -1231,6 +1247,21 @@ impl Driver {
             return Err(SnapError::Invalid("page owner core"));
         }
         let ready = load_sched(s, &cfg, &sched_params)?;
+        // The ready queue holds every enabled task that is neither running
+        // nor complete, once: a fresh one, or a preempted one that is also
+        // parked. Any other queue would dispatch a consumed body or strand
+        // a task.
+        let mut queued = vec![false; ntasks];
+        for t in ready.tasks() {
+            if t >= ntasks || queued[t] {
+                return Err(SnapError::Invalid("ready queue"));
+            }
+            queued[t] = true;
+        }
+        let waiting_to_run = |t: usize| enabled[t] && (!seen[t] || parked.contains_key(&t));
+        if (0..ntasks).any(|t| queued[t] != waiting_to_run(t)) {
+            return Err(SnapError::Invalid("ready queue"));
+        }
         Ok(Driver {
             cfg,
             mode,

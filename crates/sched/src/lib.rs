@@ -220,6 +220,11 @@ impl ReadyQueue {
         Some(task)
     }
 
+    /// Every queued task, queue by queue.
+    pub fn tasks(&self) -> impl Iterator<Item = TaskId> + '_ {
+        self.queues.iter().flatten().copied()
+    }
+
     /// Tasks currently queued.
     pub fn len(&self) -> usize {
         self.queues.iter().map(VecDeque::len).sum()
