@@ -11,6 +11,7 @@
 use raccd_core::{CoherenceMode, Driver, DriverOutput, Recorder};
 use raccd_runtime::Workload;
 use raccd_sim::{MachineConfig, ProtocolKind, Topology};
+use raccd_snap::fnv1a64;
 use raccd_workloads::{histo::Histo, jacobi::Jacobi, Scale};
 
 /// Tiny shadow-checked machine: 2×2 mesh per socket, so `numa2` runs
@@ -53,48 +54,78 @@ fn run_checked(
     (key, out)
 }
 
-fn sweep(protocol: ProtocolKind, topology: Topology) {
+/// Run every cell of one (protocol, topology) under the checker and
+/// return the fold of its `Stats` bytes, shadow keys and final memories.
+fn sweep(protocol: ProtocolKind, topology: Topology) -> u64 {
+    let fold = |acc: u64, v: u64| (acc ^ v).wrapping_mul(0x0000_0100_0000_01B3);
+    let mut acc = 0xcbf2_9ce4_8422_2325u64;
     let cfg = tiny(protocol, topology);
     for w in workloads() {
         for mode in [CoherenceMode::Raccd, CoherenceMode::FullCoh] {
             let what = format!("{} {protocol}@{topology} under {mode}", w.name());
             let (key, out) = run_checked(w.as_ref(), cfg, mode);
-            assert!(key.is_some(), "{what}: shadow checker attached");
-            let report = out.check.expect("shadow checker attached");
+            let key = key.unwrap_or_else(|| panic!("{what}: shadow checker attached"));
+            let report = out.check.as_ref().expect("shadow checker attached");
             assert!(report.clean(), "{what}: {:?}", report.violations);
             w.verify(&out.mem).unwrap_or_else(|e| panic!("{what}: {e}"));
+            for digest in [
+                fnv1a64(&raccd_snap::encode(&out.stats)),
+                fnv1a64(key.as_bytes()),
+                fnv1a64(&raccd_snap::encode(&out.mem)),
+            ] {
+                acc = fold(acc, digest);
+            }
         }
     }
+    acc
 }
 
 #[test]
 fn mesi_mesh_runs_clean_under_the_checker() {
-    sweep(ProtocolKind::Mesi, Topology::Mesh);
+    assert_eq!(
+        sweep(ProtocolKind::Mesi, Topology::Mesh),
+        0x3C25_5484_74B2_DDAC
+    );
 }
 
 #[test]
 fn mesi_numa2_runs_clean_under_the_checker() {
-    sweep(ProtocolKind::Mesi, Topology::Numa2);
+    assert_eq!(
+        sweep(ProtocolKind::Mesi, Topology::Numa2),
+        0x0107_F4F2_C2A8_6905
+    );
 }
 
 #[test]
 fn mesif_mesh_runs_clean_under_the_checker() {
-    sweep(ProtocolKind::Mesif, Topology::Mesh);
+    assert_eq!(
+        sweep(ProtocolKind::Mesif, Topology::Mesh),
+        0x61F7_A9B4_270A_F0B1
+    );
 }
 
 #[test]
 fn mesif_numa2_runs_clean_under_the_checker() {
-    sweep(ProtocolKind::Mesif, Topology::Numa2);
+    assert_eq!(
+        sweep(ProtocolKind::Mesif, Topology::Numa2),
+        0xC530_A0C5_2E91_3E97
+    );
 }
 
 #[test]
 fn moesi_mesh_runs_clean_under_the_checker() {
-    sweep(ProtocolKind::Moesi, Topology::Mesh);
+    assert_eq!(
+        sweep(ProtocolKind::Moesi, Topology::Mesh),
+        0xB779_9D92_7FF4_F413
+    );
 }
 
 #[test]
 fn moesi_numa2_runs_clean_under_the_checker() {
-    sweep(ProtocolKind::Moesi, Topology::Numa2);
+    assert_eq!(
+        sweep(ProtocolKind::Moesi, Topology::Numa2),
+        0x3418_23F9_E78C_AB0A
+    );
 }
 
 /// The variants must actually *be* variants: under FullCoh the three
