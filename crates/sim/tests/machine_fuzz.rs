@@ -3,11 +3,13 @@
 //! Arbitrary interleavings of coherent and non-coherent accesses from all
 //! cores — plus flushes and page flushes — must never break the
 //! directory⇔LLC inclusivity invariant or the L1⊆LLC inclusion for
-//! coherent lines, under any directory size, write policy, or SMT tagging.
+//! coherent lines, under any protocol, directory size, write policy, or
+//! SMT tagging.
 
 use proptest::prelude::*;
+use proptest::sample::select;
 use raccd_mem::VAddr;
-use raccd_sim::{L1LookupResult, Machine, MachineConfig};
+use raccd_sim::{L1LookupResult, Machine, MachineConfig, ProtocolKind};
 
 /// One fuzz operation.
 #[derive(Clone, Copy, Debug)]
@@ -35,8 +37,9 @@ fn slot_addr(slot: u64) -> u64 {
     0x10_0000 + slot * 256
 }
 
-fn tiny_cfg(dir_ratio: usize, write_through: bool) -> MachineConfig {
+fn tiny_cfg(protocol: ProtocolKind, dir_ratio: usize, write_through: bool) -> MachineConfig {
     let mut cfg = MachineConfig::scaled().with_dir_ratio(dir_ratio);
+    cfg.protocol = protocol;
     cfg.l1_write_through = write_through;
     cfg.llc_entries_per_bank = 32; // force LLC replacement too
     cfg.l1_bytes = 512; // 8 lines: heavy L1 eviction traffic
@@ -68,10 +71,11 @@ proptest! {
     #[test]
     fn invariants_hold_under_random_traffic(
         ops in proptest::collection::vec(op_strategy(16, 48), 1..400),
+        protocol in select(ProtocolKind::ALL.to_vec()),
         dir_ratio in prop_oneof![Just(1usize), Just(4), Just(64)],
         write_through: bool,
     ) {
-        let mut m = Machine::new(tiny_cfg(dir_ratio, write_through));
+        let mut m = Machine::new(tiny_cfg(protocol, dir_ratio, write_through));
         for (i, &op) in ops.iter().enumerate() {
             apply(&mut m, op, i as u64 * 10);
             if i % 32 == 0 {
@@ -85,7 +89,7 @@ proptest! {
     /// keeps transitioning (§III-E) without ever violating inclusivity.
     #[test]
     fn coherent_nc_ping_pong(rounds in 1usize..40) {
-        let mut m = Machine::new(tiny_cfg(4, false));
+        let mut m = Machine::new(tiny_cfg(ProtocolKind::Mesi, 4, false));
         for r in 0..rounds {
             let nc = r % 2 == 0;
             let core = r % 16;
@@ -104,8 +108,9 @@ proptest! {
     #[test]
     fn stats_are_consistent(
         ops in proptest::collection::vec(op_strategy(4, 16), 1..200),
+        protocol in select(ProtocolKind::ALL.to_vec()),
     ) {
-        let mut m = Machine::new(tiny_cfg(1, false));
+        let mut m = Machine::new(tiny_cfg(protocol, 1, false));
         let mut accesses = 0u64;
         for (i, &op) in ops.iter().enumerate() {
             if matches!(op, Op::Access(..)) {
@@ -136,7 +141,7 @@ fn regression_page_flush_between_rereads() {
         Op::FlushPage(14, 16),
         Op::Access(14, 21, false, false),
     ];
-    let mut m = Machine::new(tiny_cfg(1, false));
+    let mut m = Machine::new(tiny_cfg(ProtocolKind::Mesi, 1, false));
     for (i, &op) in ops.iter().enumerate() {
         apply(&mut m, op, i as u64 * 10);
         m.check_invariants();
