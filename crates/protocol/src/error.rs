@@ -1,44 +1,11 @@
 //! Typed protocol errors.
-//!
-//! Malformed transitions — an upgrade against a missing entry, a GetS
-//! into an entry whose owner was never downgraded, a resize to an
-//! impossible geometry — used to be `debug_assert!`/`assert!` aborts.
-//! Under fault injection those situations are *expected* (a lost message
-//! or a lost directory entry leaves the protocol mid-handshake), so they
-//! surface as values the recovery machinery can act on instead.
 
-use crate::kind::ProtocolKind;
-use crate::mesi::DirState;
 use std::fmt;
 
-/// A malformed protocol transition or directory operation, surfaced as a
-/// recoverable value rather than a panic. Transition errors carry the
-/// protocol kind and the entry's directory state so an explorer
-/// counterexample trace identifies *which variant* produced the
-/// malformed step.
+/// A directory operation that cannot be carried out, surfaced as a value
+/// rather than a panic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProtocolError {
-    /// A read fill was recorded while another core still owned the block;
-    /// the owner must be downgraded (forwarded GetS) first.
-    OwnerNotDowngraded {
-        /// Protocol the entry was being driven under when the transition
-        /// failed.
-        protocol: ProtocolKind,
-        /// Directory state of the entry at the failed transition.
-        state: DirState,
-        /// The core still holding the block in E/M (MOESI: O).
-        owner: u8,
-        /// The core whose fill was attempted.
-        requester: usize,
-    },
-    /// An upgrade or invalidation referenced a block with no directory
-    /// entry (lost entry, or a request that raced an eviction).
-    MissingEntry,
-    /// A core id outside the sharer bit-vector (64 cores max).
-    CoreOutOfRange {
-        /// The offending core id.
-        core: usize,
-    },
     /// A directory bank geometry that cannot exist: entry count not a
     /// positive multiple of the associativity.
     BadGeometry {
@@ -52,20 +19,6 @@ pub enum ProtocolError {
 impl fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ProtocolError::OwnerNotDowngraded {
-                protocol,
-                state,
-                owner,
-                requester,
-            } => write!(
-                f,
-                "{protocol}: GetS from core {requester} while core {owner} owns the block \
-                 (entry state {state:?}; downgrade first)"
-            ),
-            ProtocolError::MissingEntry => write!(f, "no directory entry for the block"),
-            ProtocolError::CoreOutOfRange { core } => {
-                write!(f, "core {core} outside the 64-bit sharer vector")
-            }
             ProtocolError::BadGeometry { entries, ways } => write!(
                 f,
                 "directory geometry {entries} entries / {ways} ways is not a positive multiple"

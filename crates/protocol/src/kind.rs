@@ -1,9 +1,9 @@
 //! The protocol registry: which coherence protocol a machine runs.
 //!
-//! A protocol is data, not code: [`ProtocolKind::rules`] returns the
-//! `const` [`ProtocolRules`] record the simulator's transaction paths and
-//! the directory transition function ([`crate::mesi::EntryState::apply`])
-//! read. Three records exist:
+//! Where the three protocols differ is one private row each of the
+//! `RULES` table, which the directory transition function
+//! ([`crate::mesi::EntryState::apply`]) alone reads; its effect carries
+//! the decisions to the simulator, which reads no rules of its own:
 //!
 //! * **MESI** — the paper's baseline: silent clean evictions, every
 //!   remote read of a dirty line writes it back to the LLC.
@@ -19,19 +19,17 @@
 //!   invalidation.
 //!
 //! All three share the directory machinery ([`crate::mesi::EntryState`])
-//! and the RaCCD non-coherent paths unchanged; the record only decides
-//! fill states and downgrade targets (a `Forward` fill state is what
-//! makes the directory track a clean forwarder). What a replacement owes the directory ([`victim_action`]) and
-//! which write hits complete locally ([`write_hit_is_local`]) are the same
-//! for every protocol. The shadow checker's invariants (SWMR over writable
-//! states, data-value, NC-exclusivity) are protocol-agnostic and hold for
-//! every variant.
+//! and the RaCCD non-coherent paths unchanged. What a replacement owes
+//! the directory ([`crate::mesi::DirMsg::replacement`]) and which write
+//! hits complete locally ([`write_hit_is_local`]) are the same for every
+//! protocol. The shadow checker's invariants (SWMR over writable states,
+//! data-value, NC-exclusivity) are protocol-agnostic and hold for every
+//! variant.
 
 use raccd_cache::L1State;
 use std::fmt;
 
-/// Which coherence protocol a machine runs. Selects a [`ProtocolRules`]
-/// record via [`ProtocolKind::rules`].
+/// Which coherence protocol a machine runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ProtocolKind {
     /// Baseline directory MESI (the paper's Table I protocol).
@@ -65,44 +63,40 @@ impl ProtocolKind {
             .into_iter()
             .find(|kind| kind.label().eq_ignore_ascii_case(s))
     }
-
-    /// The protocol's rules record: its row of the `RULES` table.
-    pub const fn rules(self) -> ProtocolRules {
-        RULES[self as usize]
-    }
 }
 
-/// One record per protocol, in [`ProtocolKind::ALL`] order.
-const RULES: [ProtocolRules; 3] = [
-    ProtocolRules {
+/// One row per protocol, in [`ProtocolKind::ALL`] order: everything that
+/// differs between them.
+pub(crate) const RULES: [Rules; 3] = [
+    Rules {
         shared_fill: L1State::Shared,
         dirty_downgrade: L1State::Shared,
     },
-    ProtocolRules {
+    Rules {
         shared_fill: L1State::Forward,
         dirty_downgrade: L1State::Shared,
     },
-    ProtocolRules {
+    Rules {
         shared_fill: L1State::Shared,
         dirty_downgrade: L1State::Owned,
     },
 ];
 
-/// Everything that differs between the protocols, as plain data.
+/// What differs between the protocols, as plain data.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProtocolRules {
+pub(crate) struct Rules {
     /// State a coherent read fill installs when other private copies
     /// exist (MESI/MOESI: `Shared`; MESIF: `Forward` — the newest sharer
     /// becomes the designated clean supplier, so the directory tracks a
     /// forward pointer and its holder supplies read fills cache-to-cache
     /// when no owner exists).
-    pub shared_fill: L1State,
+    pub(crate) shared_fill: L1State,
     /// Target state of a *dirty* owner downgraded by a remote read
     /// (MESI/MESIF: `Shared`; MOESI: `Owned` — the O copy stays the only
     /// up-to-date version on chip and the directory's owner pointer
     /// survives). A clean owner always drops to `Shared`. The downgrade
     /// writes the dirty data back to the LLC unless the target is `Owned`.
-    pub dirty_downgrade: L1State,
+    pub(crate) dirty_downgrade: L1State,
 }
 
 impl fmt::Display for ProtocolKind {
@@ -112,33 +106,6 @@ impl fmt::Display for ProtocolKind {
 }
 
 raccd_snap::snap_enum!(ProtocolKind, "protocol kind tag" { 0 => Mesi, 1 => Mesif, 2 => Moesi });
-
-/// What an L1 replacement in a given state owes the directory.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum VictimAction {
-    /// Silent drop: no message (clean Shared under every protocol).
-    Silent,
-    /// Clean notification keeping the owner pointer precise (PutE) — a
-    /// control message, no data.
-    NotifyClean,
-    /// Clean notification clearing the directory's forward pointer
-    /// (PutF, MESIF only) — a control message, no data.
-    NotifyForward,
-    /// Dirty write-back (PutM / PutO): data travels to the LLC and the
-    /// owner pointer clears.
-    WriteBackDirty,
-}
-
-/// What an L1 replacement in `state` owes the directory (the same for
-/// every protocol; F and O lines only exist under MESIF and MOESI).
-pub fn victim_action(state: L1State) -> VictimAction {
-    match state {
-        L1State::Modified | L1State::Owned => VictimAction::WriteBackDirty,
-        L1State::Exclusive => VictimAction::NotifyClean,
-        L1State::Forward => VictimAction::NotifyForward,
-        L1State::Shared => VictimAction::Silent,
-    }
-}
 
 /// Whether a coherent write *hit* in `state` completes locally (writable
 /// copy) or must upgrade through the directory first. The same for every
@@ -162,38 +129,19 @@ mod tests {
 
     #[test]
     fn rules_differ_where_they_should() {
-        let [mesi, mesif, moesi] = ProtocolKind::ALL.map(ProtocolKind::rules);
+        let [mesi, mesif, moesi] = RULES;
         assert_eq!(mesi.shared_fill, L1State::Shared);
         assert_eq!(mesif.shared_fill, L1State::Forward);
         assert_eq!(moesi.shared_fill, L1State::Shared);
         assert_eq!(mesi.dirty_downgrade, L1State::Shared);
         assert_eq!(mesif.dirty_downgrade, L1State::Shared);
         assert_eq!(moesi.dirty_downgrade, L1State::Owned);
-        // Only those fields differ from the baseline.
-        let like_mesi = ProtocolRules {
-            shared_fill: L1State::Shared,
-            ..mesif
-        };
-        assert_eq!(like_mesi, mesi);
-        let like_mesi = ProtocolRules {
-            dirty_downgrade: L1State::Shared,
-            ..moesi
-        };
-        assert_eq!(like_mesi, mesi);
         // Every protocol: only M/E write hits are local; S/F/O upgrade.
         assert!(write_hit_is_local(L1State::Modified));
         assert!(write_hit_is_local(L1State::Exclusive));
         assert!(!write_hit_is_local(L1State::Shared));
         assert!(!write_hit_is_local(L1State::Forward));
         assert!(!write_hit_is_local(L1State::Owned));
-    }
-
-    #[test]
-    fn victim_actions() {
-        assert_eq!(victim_action(L1State::Owned), VictimAction::WriteBackDirty);
-        assert_eq!(victim_action(L1State::Shared), VictimAction::Silent);
-        assert_eq!(victim_action(L1State::Forward), VictimAction::NotifyForward);
-        assert_eq!(victim_action(L1State::Exclusive), VictimAction::NotifyClean);
     }
 
     #[test]

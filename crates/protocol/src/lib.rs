@@ -6,9 +6,12 @@
 //! evictions. Directory: total 524288 entries, banked 32768 entries/core,
 //! 15 cycles, 8-way, pseudoLRU."
 //!
-//! * [`mesi`] — the directory entry and its one transition function.
-//! * [`kind`] — the protocol registry: one `const` rules record each for
-//!   MESI, MESIF and MOESI.
+//! * [`mesi`] — the directory entry and its one, total transition
+//!   function, whose effect names every protocol decision of a
+//!   transaction; the message a replacement owes.
+//! * [`kind`] — the protocol registry: MESI, MESIF and MOESI, differing
+//!   only in one private table row each, which the transition function
+//!   alone reads.
 //! * [`directory`] — one sparse, inclusive directory bank with access /
 //!   occupancy / eviction accounting (Figures 7a and 8).
 //! * [`adr`] — Adaptive Directory Reduction (§III-D): an occupancy monitor
@@ -30,5 +33,5 @@ pub mod mesi;
 pub use adr::{Adr, AdrConfig, ResizeDirection};
 pub use directory::{DirEntry, DirEviction, DirectoryBank};
 pub use error::ProtocolError;
-pub use kind::{victim_action, write_hit_is_local, ProtocolKind, ProtocolRules, VictimAction};
-pub use mesi::{ApplyEffect, DirMsg, DirState};
+pub use kind::{write_hit_is_local, ProtocolKind};
+pub use mesi::{ApplyEffect, DirMsg, Downgrade};

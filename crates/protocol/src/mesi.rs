@@ -7,30 +7,20 @@
 //! is always precise because E/M replacements write back / notify.
 //!
 //! An entry has exactly one mutator, the directory transition function
-//! [`EntryState::apply`]: (entry, [`DirMsg`], protocol rules) → (next
-//! entry, [`ApplyEffect`]) or a typed [`ProtocolError`] for a malformed
-//! transition. `raccd-sim`'s `Machine` calls it for every directory-side
-//! step of a fill, an upgrade, a replacement and a lost-entry recovery, so
-//! the function property-tested here is the one the simulator runs. The
-//! fault plane relies on it: a duplicated NoC message re-delivers the same
-//! [`DirMsg`], and `apply` is idempotent under re-delivery for every
-//! protocol (`tests/{mesi,mesif,moesi}_idempotence.rs`).
+//! [`EntryState::apply`]: (entry, protocol, [`DirMsg`]) → (next entry,
+//! [`ApplyEffect`]). It is total, and its effect names every protocol
+//! decision of the transaction: whom to invalidate, which owner a read
+//! downgrades, to what state and with or without a write-back, which
+//! forwarder supplies, and what state the requester's fill takes.
+//! `raccd-sim`'s `Machine` calls it for every directory-side step of a
+//! fill, an upgrade, a replacement and a lost-entry recovery and carries
+//! out the effect, so the function property-tested here is the one the
+//! simulator runs. The fault plane relies on it: a duplicated NoC message
+//! re-delivers the same [`DirMsg`], and `apply` is idempotent under
+//! re-delivery for every protocol (`tests/idempotence.rs`).
 
-use crate::error::ProtocolError;
-use crate::kind::ProtocolKind;
+use crate::kind::{ProtocolKind, RULES};
 use raccd_cache::L1State;
-
-/// Directory-visible state of a tracked block.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DirState {
-    /// No private cache holds the block; the LLC has the only on-chip copy.
-    Uncached,
-    /// One or more private caches may hold the block read-only.
-    Shared,
-    /// Exactly one private cache holds the block in E or M (or, under
-    /// MOESI, dirty-shares it in O).
-    Owned,
-}
 
 /// One directory entry: state + sharer bit-vector + owner pointer, matching
 /// the paper's "3 bytes to store the state of the cache block and the
@@ -58,44 +48,24 @@ impl EntryState {
         EntryState::default()
     }
 
-    /// Directory state implied by the tracking fields.
-    pub fn state(&self) -> DirState {
-        if self.owner.is_some() {
-            DirState::Owned
-        } else if self.sharers != 0 {
-            DirState::Shared
-        } else {
-            DirState::Uncached
-        }
-    }
-
     /// All private copies (sharers + owner) as a bitmask — the set to
     /// invalidate when this entry is evicted for inclusion.
     pub fn all_holders(&self) -> u64 {
         self.sharers | self.owner.map_or(0, |o| 1 << o)
     }
 
-    /// Apply one directory-bound message under `protocol`, returning its
-    /// side effects or a typed error (entry untouched) for a malformed
-    /// transition. Duplicate delivery of any message leaves the entry in
-    /// the same state — the receiver-side property the fault plane's
-    /// duplication site relies on.
-    pub fn apply(
-        &mut self,
-        protocol: ProtocolKind,
-        msg: DirMsg,
-    ) -> Result<ApplyEffect, ProtocolError> {
-        let rules = protocol.rules();
-        // MOESI: a dirty owner downgrades to O and keeps the pointer.
-        let dirty_owner_stays = rules.dirty_downgrade == L1State::Owned;
-        let (DirMsg::GetS { core }
+    /// Apply one directory-bound message under `protocol` and return the
+    /// transaction it asks for. The message's core must be below 64, the
+    /// width of the sharer vector (the machine asserts its core count at
+    /// construction). Duplicate delivery of any message leaves the entry
+    /// as the first delivery did — the receiver-side property the fault
+    /// plane's duplication site relies on.
+    pub fn apply(&mut self, protocol: ProtocolKind, msg: DirMsg) -> ApplyEffect {
+        let rules = RULES[protocol as usize];
+        let (DirMsg::GetS { core, .. }
         | DirMsg::GetX { core }
         | DirMsg::PutM { core }
-        | DirMsg::PutF { core }
-        | DirMsg::Downgrade { core, .. }) = msg;
-        if core >= 64 {
-            return Err(ProtocolError::CoreOutOfRange { core });
-        }
+        | DirMsg::PutF { core }) = msg;
         let (me, bit) = (Some(core as u8), 1u64 << core);
         let granted = EntryState {
             sharers: bit,
@@ -104,44 +74,61 @@ impl EntryState {
         };
         let mut effect = ApplyEffect::default();
         match msg {
-            DirMsg::GetS { .. } => match self.owner {
+            DirMsg::GetS { owner_dirty, .. } => match self.owner {
                 // The owner re-reading its own block (a duplicated GetS,
                 // or a copy dropped behind the directory's back): it
                 // holds, or is re-granted, E/M/O; nothing to change.
                 Some(_) if self.owner == me => effect.exclusive = true,
-                // Dirty sharing: the owner's line is O, the requester
-                // records as a plain sharer.
-                Some(_) if dirty_owner_stays => self.sharers |= bit,
-                Some(owner) => {
-                    return Err(ProtocolError::OwnerNotDowngraded {
-                        protocol,
-                        state: self.state(),
-                        owner,
-                        requester: core,
-                    })
-                }
                 // Sole reader: grant Exclusive and record ownership, so a
                 // later silent E→M write stays tracked.
                 None if self.sharers == 0 => {
                     *self = granted;
                     effect.exclusive = true;
                 }
-                // Existing (possibly stale) sharers. MESIF: the newest
-                // sharer takes the forward pointer.
-                None => {
+                owner => {
+                    if let Some(o) = owner {
+                        // The foreign owner answers the forwarded read. A
+                        // dirty owner drops to the protocol's target and
+                        // writes back, unless it stays Owned (MOESI) and
+                        // keeps both the data and the pointer; a clean
+                        // owner drops to Shared.
+                        let to = if owner_dirty {
+                            rules.dirty_downgrade
+                        } else {
+                            L1State::Shared
+                        };
+                        let stays = to == L1State::Owned;
+                        effect.downgrade = Some(Downgrade {
+                            core: o.into(),
+                            to,
+                            write_back: owner_dirty && !stays,
+                        });
+                        if !stays {
+                            self.owner = None;
+                            self.sharers |= 1 << o;
+                        }
+                    } else {
+                        // Existing (possibly stale) sharers. MESIF: the
+                        // forwarder supplies and hands F to the requester.
+                        effect.forwarder =
+                            self.fwd.filter(|&f| f != core as u8).map(|f| Downgrade {
+                                core: f.into(),
+                                to: L1State::Shared,
+                                write_back: false,
+                            });
+                    }
                     self.sharers |= bit;
                     if rules.shared_fill == L1State::Forward {
                         self.fwd = me;
                     }
+                    effect.shared_fill = Some(rules.shared_fill);
                 }
             },
             // The writer becomes the owner; every other holder (and any
             // forward pointer) goes.
             DirMsg::GetX { .. } => {
-                effect = ApplyEffect {
-                    exclusive: true,
-                    invalidate: self.all_holders() & !bit,
-                };
+                effect.exclusive = true;
+                effect.invalidate = self.all_holders() & !bit;
                 *self = granted;
             }
             // A replacement: `core` no longer holds the line.
@@ -163,16 +150,8 @@ impl EntryState {
                     self.sharers &= !bit;
                 }
             }
-            // The owner becomes a plain sharer, unless its dirty copy
-            // stays Owned and keeps answering snoops.
-            DirMsg::Downgrade { dirty, .. } => {
-                if self.owner == me && !(dirty && dirty_owner_stays) {
-                    self.owner = None;
-                    self.sharers |= bit;
-                }
-            }
         }
-        Ok(effect)
+        effect
     }
 }
 
@@ -180,10 +159,14 @@ impl EntryState {
 /// plane's duplication site. Every message names the core it came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DirMsg {
-    /// Read request from `core`.
+    /// Read request from `core`, with what a foreign owner's snoop reply
+    /// reports.
     GetS {
         /// Requesting core.
         core: usize,
+        /// Whether the foreign owner's copy, if there is one, is dirty
+        /// (M or O). Ignored when no other core owns the block.
+        owner_dirty: bool,
     },
     /// Write / upgrade request from `core`.
     GetX {
@@ -202,26 +185,51 @@ pub enum DirMsg {
         /// The (former) forwarder.
         core: usize,
     },
-    /// Owner `core` answered a forwarded GetS and downgraded its copy.
-    /// It becomes a plain sharer — except under MOESI when its copy was
-    /// `dirty`: that downgrade is L1-side only (M→O) and the directory's
-    /// owner pointer survives. From a non-owner the message is stale and
-    /// ignored.
-    Downgrade {
-        /// The downgraded owner.
-        core: usize,
-        /// Whether its copy was dirty (M or O) when the snoop arrived.
-        dirty: bool,
-    },
 }
 
-/// Side effects of applying one [`DirMsg`].
+impl DirMsg {
+    /// What `core`'s L1 replacement of a line in `state` owes the
+    /// directory, the same under every protocol: an owner's PutM (M and O
+    /// carry the data back, E notifies so the owner pointer stays exact),
+    /// a forwarder's PutF, and nothing for a Shared line, which is
+    /// dropped silently (Table I).
+    pub fn replacement(core: usize, state: L1State) -> Option<DirMsg> {
+        match state {
+            L1State::Modified | L1State::Owned | L1State::Exclusive => Some(DirMsg::PutM { core }),
+            L1State::Forward => Some(DirMsg::PutF { core }),
+            L1State::Shared => None,
+        }
+    }
+}
+
+/// What one [`DirMsg`] asks of the machine: every protocol decision of
+/// the transaction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ApplyEffect {
     /// The requester may install the line Exclusive.
     pub exclusive: bool,
     /// Bitmask of cores that must receive invalidations.
     pub invalidate: u64,
+    /// A read's foreign owner: it supplies the data and drops as named.
+    pub downgrade: Option<Downgrade>,
+    /// State a shared read fill installs: Shared, or Forward under MESIF.
+    /// `None` when the requester is granted the block exclusively.
+    pub shared_fill: Option<L1State>,
+    /// MESIF: the forwarder the directory would ask to supply a read no
+    /// core owns. It hands F to the requester and drops to Shared; while
+    /// it no longer holds the line, the LLC supplies instead.
+    pub forwarder: Option<Downgrade>,
+}
+
+/// A supplier's side of a forwarded read.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Downgrade {
+    /// The supplying core.
+    pub core: usize,
+    /// The state its line drops to.
+    pub to: L1State,
+    /// Whether its dirty data goes back to the LLC.
+    pub write_back: bool,
 }
 
 raccd_snap::snap_record!(EntryState {
@@ -236,10 +244,17 @@ mod tests {
 
     const P: ProtocolKind = ProtocolKind::Mesi;
 
+    fn gets(core: usize) -> DirMsg {
+        DirMsg::GetS {
+            core,
+            owner_dirty: false,
+        }
+    }
+
     fn entry(msgs: &[DirMsg]) -> EntryState {
         let mut e = EntryState::uncached();
         for &m in msgs {
-            e.apply(P, m).expect("legal");
+            e.apply(P, m);
         }
         e
     }
@@ -263,28 +278,28 @@ mod tests {
     #[test]
     fn fresh_entry_is_uncached() {
         let e = EntryState::uncached();
-        assert_eq!(e.state(), DirState::Uncached);
+        assert_eq!((e.owner, e.fwd), (None, None));
         assert_eq!(e.all_holders(), 0);
     }
 
     #[test]
     fn first_reader_is_granted_exclusive_and_owns() {
         let mut e = EntryState::uncached();
-        let eff = e.apply(P, DirMsg::GetS { core: 3 }).unwrap();
+        let eff = e.apply(P, gets(3));
         assert!(eff.exclusive, "first sharer takes E");
-        assert_eq!((e.state(), e.owner), (DirState::Owned, Some(3)));
-        e.apply(
-            P,
-            DirMsg::Downgrade {
-                core: 3,
-                dirty: false,
-            },
-        )
-        .unwrap();
-        let eff = e.apply(P, DirMsg::GetS { core: 5 }).unwrap();
+        assert_eq!(eff.shared_fill, None);
+        assert_eq!(e.owner, Some(3));
+        let eff = e.apply(P, gets(5));
         assert!(!eff.exclusive, "second sharer must take S");
+        assert_eq!(eff.shared_fill, Some(L1State::Shared));
+        let clean = Downgrade {
+            core: 3,
+            to: L1State::Shared,
+            write_back: false,
+        };
+        assert_eq!(eff.downgrade, Some(clean), "the clean owner drops to S");
         assert_eq!(e.sharers, (1 << 3) | (1 << 5));
-        assert_eq!(e.state(), DirState::Shared);
+        assert_eq!(e.owner, None);
     }
 
     #[test]
@@ -294,9 +309,8 @@ mod tests {
             owner: None,
             fwd: None,
         };
-        let eff = e.apply(P, DirMsg::GetX { core: 1 }).unwrap();
+        let eff = e.apply(P, DirMsg::GetX { core: 1 });
         assert_eq!(eff.invalidate, (1 << 0) | (1 << 2));
-        assert_eq!(e.state(), DirState::Owned);
         assert_eq!(e.owner, Some(1));
         assert_eq!(e.sharers, 1 << 1);
     }
@@ -304,7 +318,7 @@ mod tests {
     #[test]
     fn getx_steals_from_owner() {
         let mut e = entry(&[DirMsg::GetX { core: 4 }]);
-        let eff = e.apply(P, DirMsg::GetX { core: 7 }).unwrap();
+        let eff = e.apply(P, DirMsg::GetX { core: 7 });
         assert_eq!(eff.invalidate, 1 << 4);
         assert_eq!(e.owner, Some(7));
     }
@@ -312,17 +326,22 @@ mod tests {
     #[test]
     fn owner_writeback_clears_ownership() {
         let e = entry(&[DirMsg::GetX { core: 6 }, DirMsg::PutM { core: 6 }]);
-        assert_eq!(e.state(), DirState::Uncached);
-        assert_eq!(e.all_holders(), 0);
+        assert_eq!((e.owner, e.all_holders()), (None, 0));
     }
 
     #[test]
-    fn writeback_or_downgrade_from_non_owner_leaves_the_owner() {
-        let dg = DirMsg::Downgrade {
-            core: 3,
-            dirty: true,
-        };
-        let e = entry(&[DirMsg::GetX { core: 6 }, DirMsg::PutM { core: 3 }, dg]);
-        assert_eq!(e.owner, Some(6)); // both stale/spurious
+    fn writeback_from_non_owner_leaves_the_owner() {
+        let e = entry(&[DirMsg::GetX { core: 6 }, DirMsg::PutM { core: 3 }]);
+        assert_eq!(e.owner, Some(6)); // stale/spurious
+    }
+
+    #[test]
+    fn replacements_owe_what_the_line_state_says() {
+        let owed = |state| DirMsg::replacement(2, state);
+        assert_eq!(owed(L1State::Modified), Some(DirMsg::PutM { core: 2 }));
+        assert_eq!(owed(L1State::Owned), Some(DirMsg::PutM { core: 2 }));
+        assert_eq!(owed(L1State::Exclusive), Some(DirMsg::PutM { core: 2 }));
+        assert_eq!(owed(L1State::Forward), Some(DirMsg::PutF { core: 2 }));
+        assert_eq!(owed(L1State::Shared), None);
     }
 }

@@ -35,8 +35,8 @@ use raccd_fault::{FaultPlan, FaultPlane, FaultSite, FaultStats, MsgOutcome};
 use raccd_mem::{BlockAddr, PAddr, PageNum, PageTable, Tlb, TlbSlot, VAddr, BLOCK_SHIFT};
 use raccd_noc::{Mesh, MsgClass};
 use raccd_protocol::{
-    victim_action, write_hit_is_local, Adr, AdrConfig, DirEntry, DirEviction, DirMsg,
-    DirectoryBank, ProtocolError, ResizeDirection, VictimAction,
+    write_hit_is_local, Adr, AdrConfig, DirEntry, DirEviction, DirMsg, DirectoryBank,
+    ResizeDirection,
 };
 
 /// Result of a private-cache lookup.
@@ -399,8 +399,9 @@ impl Machine {
                     );
                     // Both copies traverse; the receiving directory applies
                     // its `DirMsg` through `EntryState::apply`, which is
-                    // idempotent under re-delivery (property-tested per
-                    // protocol), so state is applied once.
+                    // idempotent under re-delivery (property-tested under
+                    // every protocol in one suite), so state is applied
+                    // once.
                     total += self.noc.send_duplicate(from, to, class);
                     break;
                 }
@@ -783,15 +784,10 @@ impl Machine {
         cycles += self.bank_service(home, now + cycles, self.cfg.lat.dir);
         self.dir_touch(home, now);
 
-        let kind = self.cfg.protocol;
         let getx = DirMsg::GetX { core };
-        let applied = self.dir[home]
-            .lookup(block)
-            .ok_or(ProtocolError::MissingEntry)
-            .and_then(|e| e.apply(kind, getx));
-        let inv_mask = match applied {
-            Ok(effect) => effect.invalidate,
-            Err(ProtocolError::MissingEntry) => {
+        let inv_mask = match self.dir[home].lookup(block) {
+            Some(e) => e.apply(self.cfg.protocol, getx).invalidate,
+            None => {
                 // Inclusivity normally guarantees an entry for any coherent
                 // S line; a missing one means the entry was lost (injected
                 // upset or a raced eviction). Recover by re-allocating —
@@ -805,7 +801,6 @@ impl Machine {
                 self.dir_allocate(home, block, core, getx, now);
                 0
             }
-            Err(e) => unreachable!("GetX fails only for a core id past the sharer vector: {e}"),
         };
         cycles += self.invalidate_holders(home, block, inv_mask, true, now).0;
         // Ack back to the writer.
@@ -826,9 +821,7 @@ impl Machine {
         now: u64,
     ) {
         let mut entry = DirEntry::uncached();
-        entry
-            .apply(self.cfg.protocol, first)
-            .expect("a fresh entry accepts any request from a core below 64");
+        entry.apply(self.cfg.protocol, first);
         let ev = self.dir[home].allocate(block, now, entry);
         self.stats.dir_allocations += 1;
         self.check_ev(CheckEvent::DirAllocate { block, core });
@@ -1001,8 +994,8 @@ impl Machine {
     }
 
     /// Coherent request path: directory + LLC in parallel. The directory
-    /// entry is looked up once; every change to it is a [`DirMsg`] applied
-    /// through that one reference before the messages it causes are sent.
+    /// entry is looked up once and the request applied to it; the machine
+    /// then carries out the [`raccd_protocol::ApplyEffect`] it returns.
     fn coherent_fill_path(
         &mut self,
         core: usize,
@@ -1015,107 +1008,58 @@ impl Machine {
         let mut cycles = self.xmit(core, home, MsgClass::Request, now);
         cycles += self.bank_service(home, now + cycles, self.cfg.lat.dir.max(self.cfg.lat.llc));
         self.dir_touch(home, now);
-        let kind = self.cfg.protocol;
-        let rules = kind.rules();
-        let request = if write {
-            DirMsg::GetX { core }
-        } else {
-            DirMsg::GetS { core }
+        // A read carries what a foreign owner's snoop reply reports.
+        let request = |owner_dirty| {
+            if write {
+                DirMsg::GetX { core }
+            } else {
+                DirMsg::GetS { core, owner_dirty }
+            }
         };
         let mut state = self.unshared_fill_state(write);
         let mut from_owner = false;
 
         if let Some(e) = self.dir[home].lookup(block) {
-            let before = *e;
-            // A foreign owner answers a forwarded GetS by downgrading;
-            // whether its copy is dirty decides where it (and, under
-            // MOESI, the owner pointer) ends up.
-            let owner = before.owner.map(usize::from).filter(|&o| o != core);
+            // A foreign owner supplies the data cache-to-cache: downgraded
+            // on a read, invalidated on a write.
+            let owner = e.owner.map(usize::from).filter(|&o| o != core);
             let owner_dirty =
                 owner.is_some_and(|o| self.cores[o].l1.probe(block).is_some_and(|l| l.dirty()));
-            let downgraded = owner.filter(|_| !write);
-            if let Some(o) = downgraded {
-                let dg = DirMsg::Downgrade {
-                    core: o,
-                    dirty: owner_dirty,
-                };
-                e.apply(kind, dg)
-                    .expect("an entry names cores of this machine (restore checks)");
-            }
-            let effect = e
-                .apply(kind, request)
-                .expect("GetX always applies, and GetS once the owner is downgraded");
+            let effect = e.apply(self.cfg.protocol, request(owner_dirty));
             // Directory hit ⇒ coherent LLC line present (inclusivity).
             let hit = self.llc[home].access(block).is_some();
             debug_assert!(hit, "directory entry without LLC line for {block:?}");
-
-            // Who supplies the data: the previous owner (cache-to-cache),
-            // a MESIF forwarder still holding the line, or the home LLC.
-            let mut supplier = owner;
-            if write {
-                cycles += self
-                    .invalidate_holders(home, block, effect.invalidate, true, now)
-                    .0;
-            } else if let Some(o) = downgraded {
-                // Forward GetS to the owner; it downgrades and supplies
-                // data. MESI/MESIF: dirty data is written back to the
-                // LLC and the owner drops to Shared. MOESI: a dirty
-                // owner keeps the only up-to-date copy in Owned — no
-                // write-back — and stays the directory owner.
-                cycles += self.xmit(home, o, MsgClass::Control, now);
-                let (dg_state, wb) = if owner_dirty {
-                    (
-                        rules.dirty_downgrade,
-                        rules.dirty_downgrade != L1State::Owned,
-                    )
-                } else {
-                    (L1State::Shared, false)
-                };
-                if let Some(was_dirty) = self.cores[o].l1.downgrade_to(block, dg_state) {
-                    if was_dirty && wb {
-                        self.xmit(o, home, MsgClass::WriteBack, now);
+            cycles += self
+                .invalidate_holders(home, block, effect.invalidate, true, now)
+                .0;
+            // A forwarder supplies only while it still holds the line;
+            // otherwise the home LLC does.
+            let forwarder = effect
+                .forwarder
+                .filter(|f| self.cores[f.core].l1.probe(block).is_some());
+            if let Some(dg) = effect.downgrade.or(forwarder) {
+                cycles += self.xmit(home, dg.core, MsgClass::Control, now);
+                if let Some(was_dirty) = self.cores[dg.core].l1.downgrade_to(block, dg.to) {
+                    if dg.write_back {
+                        self.xmit(dg.core, home, MsgClass::WriteBack, now);
                         self.stats.l1_writebacks += 1;
                         if let Some(l) = self.llc[home].probe_mut(block) {
                             l.dirty = true;
                         }
                     }
                     self.check_ev(CheckEvent::L1Downgraded {
-                        core: o,
+                        core: dg.core,
                         block,
                         was_dirty,
-                        to: dg_state,
+                        to: dg.to,
                     });
                 }
-                state = rules.shared_fill;
-            } else if !effect.exclusive {
-                // Existing sharers. MESIF: the designated Forward sharer
-                // (when still resident) supplies the data and hands
-                // Forward to the newest sharer, dropping itself to
-                // Shared; otherwise the home LLC supplies, exactly as
-                // MESI/MOESI.
-                supplier = before
-                    .fwd
-                    .map(usize::from)
-                    .filter(|&fc| fc != core && self.cores[fc].l1.probe(block).is_some());
-                if let Some(fc) = supplier {
-                    cycles += self.xmit(home, fc, MsgClass::Control, now);
-                    if let Some(was_dirty) = self.cores[fc].l1.downgrade_to(block, L1State::Shared)
-                    {
-                        debug_assert!(!was_dirty, "Forward lines are clean");
-                        self.check_ev(CheckEvent::L1Downgraded {
-                            core: fc,
-                            block,
-                            was_dirty,
-                            to: L1State::Shared,
-                        });
-                    }
-                }
-                state = rules.shared_fill;
             }
-            // (Otherwise: sole reader, or a requester the directory still
-            // lists as owner because its copy was dropped without an
-            // update, e.g. an OS-triggered page flush — Exclusive from the
-            // LLC.)
+            // (Without a shared fill: a sole reader, or a requester the
+            // directory still lists as owner because its copy was dropped
+            // without an update — Exclusive from the LLC.)
+            state = effect.shared_fill.unwrap_or(state);
+            let supplier = owner.or(forwarder.map(|f| f.core));
             from_owner = supplier.is_some();
             if from_owner {
                 self.stats.owner_forwards += 1;
@@ -1142,7 +1086,7 @@ impl Machine {
             }
             // First requester gets E (read) or M (write); either way the
             // directory records it as owner.
-            self.dir_allocate(home, block, core, request, now);
+            self.dir_allocate(home, block, core, request(false), now);
             self.maybe_adr(home, now);
             cycles += self.xmit(home, core, MsgClass::DataResponse, now);
         }
@@ -1244,19 +1188,17 @@ impl Machine {
             }
             return;
         }
-        // What the replacement owes the directory: a message class on the
-        // wire and a `DirMsg` at the home bank.
-        let (class, msg) = match victim_action(line.state) {
-            // PutM / PutO: update directory, write data into the LLC.
-            VictimAction::WriteBackDirty => (MsgClass::WriteBack, DirMsg::PutM { core }),
-            // PutE: clean notification so the owner pointer stays exact.
-            VictimAction::NotifyClean => (MsgClass::Control, DirMsg::PutM { core }),
-            // PutF: clear the forward pointer (and this sharer bit) so
-            // the directory never names an absent clean supplier.
-            VictimAction::NotifyForward => (MsgClass::Control, DirMsg::PutF { core }),
-            // Silent eviction (Table I); the stale sharer bit may earn a
-            // spurious invalidation later.
-            VictimAction::Silent => return,
+        // Silent eviction (Table I); the stale sharer bit may earn a
+        // spurious invalidation later.
+        let Some(msg) = DirMsg::replacement(core, line.state) else {
+            return;
+        };
+        // PutM / PutO carry the data to the LLC; PutE and PutF are
+        // control messages keeping the owner and forward pointers exact.
+        let class = if line.dirty() {
+            MsgClass::WriteBack
+        } else {
+            MsgClass::Control
         };
         self.xmit(core, home, class, now);
         self.dir_touch(home, now);
@@ -1273,8 +1215,7 @@ impl Machine {
     /// has one.
     fn dir_apply(&mut self, home: usize, block: BlockAddr, msg: DirMsg) {
         if let Some(e) = self.dir[home].lookup(block) {
-            e.apply(self.cfg.protocol, msg)
-                .expect("a replacement comes from a core of this machine");
+            e.apply(self.cfg.protocol, msg);
         }
     }
 

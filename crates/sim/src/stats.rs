@@ -181,8 +181,8 @@ stats_record! {
         /// Extra latency cycles charged by injected delays, timeouts and
         /// backoff waits.
         pub fault_delay_cycles: u64 => sum,
-        /// Malformed protocol transitions recovered via `ProtocolError`
-        /// handling instead of aborting.
+        /// Upgrades that found their directory entry lost (an injected
+        /// upset) and recovered by re-allocating it.
         pub protocol_recoveries: u64 => sum,
         /// Task re-executions after injected mid-task failures.
         pub task_retries: u64 => sum,
