@@ -129,8 +129,8 @@ fn num(tokens: &[&str], key: &str) -> Result<u64, String> {
 /// Parse trace text back into a configuration, an optional fault plan and
 /// an operation sequence. Anything [`replay`] could not run is refused:
 /// a file that is not v2, a `cfg` line with an unknown key, a bad value
-/// or a machine [`MachineConfig::check`] refuses, and an op before the
-/// `cfg` line or naming a core the machine does not have.
+/// or a machine [`MachineConfig::check`] refuses, a second `cfg` line, and
+/// an op before the `cfg` line or naming a core the machine does not have.
 pub fn parse(text: &str) -> Result<(MachineConfig, Option<FaultPlan>, Vec<TraceOp>), String> {
     let mut lines = text.lines();
     match lines.next().map(str::trim) {
@@ -150,6 +150,9 @@ pub fn parse(text: &str) -> Result<(MachineConfig, Option<FaultPlan>, Vec<TraceO
         }
         let tokens: Vec<&str> = line.split_whitespace().collect();
         match tokens[0] {
+            // A second machine would strand the ops checked against the
+            // first.
+            "cfg" if cfg.is_some() => return Err("a second cfg line".into()),
             "cfg" => {
                 let mut c = MachineConfig::scaled();
                 for item in &tokens[1..] {
@@ -313,8 +316,9 @@ mod tests {
     }
 
     /// `parse` refuses each row with an error, never a panic. The third
-    /// column marks the rows whose machine or op, spelled in trace v1,
-    /// panicked the v1 reader's `parse` + `replay`.
+    /// column marks the rows whose machine or op panicked an earlier
+    /// reader's `parse` + `replay` (the v1 reader, or for a second `cfg`
+    /// line, the v2 reader before it refused one).
     #[test]
     fn parse_refuses_what_replay_cannot_run() {
         let v2 = |body: &str| format!("# raccd-check trace v2\n{body}\n");
@@ -373,6 +377,11 @@ mod tests {
             (four("op evict core=0"), "unknown op", false),
             (four("fault spec=drop=2.0"), "drop", false),
             (four("nonsense line"), "unknown directive `nonsense`", false),
+            (
+                four("op access core=3 block=0x40 write=0 nc=0\ncfg mesh_k=1"),
+                "a second cfg line",
+                true,
+            ),
         ] {
             let err = parse(&text).expect_err(&text);
             assert!(
