@@ -215,9 +215,11 @@ pub struct ApplyEffect {
     /// State a shared read fill installs: Shared, or Forward under MESIF.
     /// `None` when the requester is granted the block exclusively.
     pub shared_fill: Option<L1State>,
-    /// MESIF: the forwarder the directory would ask to supply a read no
-    /// core owns. It hands F to the requester and drops to Shared; while
-    /// it no longer holds the line, the LLC supplies instead.
+    /// MESIF: the forwarder the directory asks to supply a read no core
+    /// owns. It hands F to the requester and drops to Shared. The pointer
+    /// is precise (an F line leaves an L1 only by a PutF or PutM
+    /// replacement or with the entry itself), so the forwarder holds the
+    /// line.
     pub forwarder: Option<Downgrade>,
 }
 

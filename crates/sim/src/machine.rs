@@ -1032,12 +1032,7 @@ impl Machine {
             cycles += self
                 .invalidate_holders(home, block, effect.invalidate, true, now)
                 .0;
-            // A forwarder supplies only while it still holds the line;
-            // otherwise the home LLC does.
-            let forwarder = effect
-                .forwarder
-                .filter(|f| self.cores[f.core].l1.probe(block).is_some());
-            if let Some(dg) = effect.downgrade.or(forwarder) {
+            if let Some(dg) = effect.downgrade.or(effect.forwarder) {
                 cycles += self.xmit(home, dg.core, MsgClass::Control, now);
                 if let Some(was_dirty) = self.cores[dg.core].l1.downgrade_to(block, dg.to) {
                     if dg.write_back {
@@ -1059,7 +1054,7 @@ impl Machine {
             // directory still lists as owner because its copy was dropped
             // without an update — Exclusive from the LLC.)
             state = effect.shared_fill.unwrap_or(state);
-            let supplier = owner.or(forwarder.map(|f| f.core));
+            let supplier = owner.or(effect.forwarder.map(|f| f.core));
             from_owner = supplier.is_some();
             if from_owner {
                 self.stats.owner_forwards += 1;
