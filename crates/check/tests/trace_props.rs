@@ -129,14 +129,8 @@ fn soup_trace() -> impl Strategy<Value = String> {
         1 => Just("# raccd-check trace v1"),
         1 => Just(""),
     ];
-    (header, cfg_line(), vec(line(), 0..24)).prop_map(|(header, cfg, lines)| {
-        let mut text = format!("{header}\n{cfg}\n");
-        for line in lines {
-            text.push_str(&line);
-            text.push('\n');
-        }
-        text
-    })
+    (header, cfg_line(), vec(line(), 0..24))
+        .prop_map(|(header, cfg, lines)| format!("{header}\n{cfg}\n{}\n", lines.join("\n")))
 }
 
 /// `cfg` items a four- or eight-core machine admits.
@@ -192,15 +186,9 @@ fn admitted_trace() -> impl Strategy<Value = String> {
     ];
     let lines = vec(lines, 0..68);
     (items, fault, lines).prop_map(|(items, fault, lines)| {
-        let mut text = format!("{HEADER}\ncfg mesh_k=2 {}\n", items.join(" "));
-        if let Some(spec) = fault {
-            text.push_str(&format!("fault spec={spec}\n"));
-        }
-        for line in lines {
-            text.push_str(&line);
-            text.push('\n');
-        }
-        text
+        let fault = fault.map_or(String::new(), |spec| format!("fault spec={spec}\n"));
+        let (items, lines) = (items.join(" "), lines.join("\n"));
+        format!("{HEADER}\ncfg mesh_k=2 {items}\n{fault}{lines}\n")
     })
 }
 
@@ -236,9 +224,12 @@ proptest! {
         protocol in select(ProtocolKind::ALL.to_vec()),
         text in trace(),
     ) {
-        let named = |line: &str| match line.starts_with("cfg") {
-            true => format!("{line} protocol={protocol}\n"),
-            false => format!("{line}\n"),
+        let named = |line: &str| {
+            if line.starts_with("cfg") {
+                format!("{line} protocol={protocol}\n")
+            } else {
+                format!("{line}\n")
+            }
         };
         let text: String = text.lines().map(named).collect();
         if let Ok((cfg, plan, ops)) = parse(&text) {

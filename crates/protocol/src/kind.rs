@@ -83,7 +83,7 @@ pub(crate) const RULES: [Rules; 3] = [
 ];
 
 /// What differs between the protocols, as plain data.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 pub(crate) struct Rules {
     /// State a coherent read fill installs when other private copies
     /// exist (MESI/MOESI: `Shared`; MESIF: `Forward` — the newest sharer
